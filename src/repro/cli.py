@@ -392,13 +392,10 @@ def _sharded_load(args, schema, raw_rows, decode) -> int:
 
 def cmd_shard_serve(args) -> int:
     """Reopen a durable sharded directory with one worker process per
-    shard, optionally answer queries, and report per-shard stats.
-    With ``--net`` the store is served over the network instead --
-    the same path ``repro serve`` takes for a sharded directory."""
+    shard, optionally answer queries, and report per-shard stats
+    (``repro serve`` is what puts the directory on the network)."""
     from repro.sharding.router import ShardedStore
 
-    if getattr(args, "net", False):
-        return cmd_serve(args)
     store = ShardedStore.open(args.directory, processes=args.processes)
     try:
         print(f"serving {args.directory}: {store.n_shards} shards, "
@@ -429,36 +426,31 @@ def cmd_serve(args) -> int:
     A directory with a ``SHARDS.json`` manifest reopens as a sharded
     store (one worker process per shard) behind the same endpoint and
     the same op surface; anything else opens as a single store."""
+    from repro.net.backends import open_backend
     from repro.net.server import serve
-    from repro.storage.shards import is_sharded
 
-    if is_sharded(args.directory):
-        from repro.sharding.router import ShardedStore
-        store = ShardedStore.open(
-            args.directory,
-            processes=getattr(args, "processes", True))
-        print(f"sharded store: {store.n_shards} shards, "
-              f"{len(store)} objects")
-    else:
-        from repro.objects.store import ObjectStore
-        kwargs = {}
-        if getattr(args, "sync", None):
-            kwargs["sync"] = args.sync
-        schema = None
-        if getattr(args, "schema", None):
-            import os
-            from repro.storage.recovery import MANIFEST_NAME
-            if not os.path.exists(os.path.join(args.directory,
-                                               MANIFEST_NAME)):
-                # Only a fresh directory takes the schema; an existing
-                # store keeps its persisted (possibly evolved) one.
-                with open(args.schema) as f:
-                    schema = load_schema(f.read())
-        store = ObjectStore.open(args.directory, schema, **kwargs)
+    kwargs = {}
+    if args.sync:
+        kwargs["sync"] = args.sync
+    if args.schema:
+        import os
+        from repro.storage.recovery import MANIFEST_NAME
+        if not os.path.exists(os.path.join(args.directory,
+                                           MANIFEST_NAME)):
+            # Only a fresh directory takes the schema; an existing
+            # store keeps its persisted (possibly evolved) one.
+            with open(args.schema) as f:
+                kwargs["schema"] = load_schema(f.read())
+    backend = open_backend(args.directory, processes=args.processes,
+                           **kwargs)
+    shards = backend.describe().get("shards")
+    if shards:
+        print(f"sharded store: {shards} shards, "
+              f"{backend.object_count()} objects")
     try:
-        serve(store, host=args.host, port=args.port)
+        serve(backend, host=args.host, port=args.port)
     finally:
-        store.close()
+        backend.close()
     return 0
 
 
@@ -707,11 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-processes", dest="processes",
                    action="store_false",
                    help="use in-process shard servers (debugging)")
-    p.add_argument("--net", action="store_true",
-                   help="serve the sharded store over the framed "
-                        "network protocol (same as `repro serve`)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7463)
     p.set_defaults(func=cmd_shard_serve)
 
     p = sub.add_parser(

@@ -9,8 +9,7 @@ the library grows:
 
 * :class:`ConcurrentBackend` -- a single store behind a
   :class:`~repro.objects.concurrent.ConcurrentStore` facade: reads from
-  MVCC snapshots, writes through the serialized pipeline.  This is the
-  original service body, extracted verbatim.
+  MVCC snapshots, writes through the serialized pipeline.
 * :class:`ReplicaBackend` -- a WAL-following
   :class:`~repro.net.replication.Replica`: reads at the replay
   position (honoring epoch tokens), no writes.
@@ -27,9 +26,20 @@ backends occupy the one component ``"0"``; the sharded backend
 composes the router's per-shard observations.  ``last_seq()`` stays a
 scalar gauge for display and the legacy hello field.
 
-``blocking_ops`` names the ops the service must push onto its executor
-(they hold locks or block on IPC); everything else is cheap enough to
-run on the event loop.  The service installs its ``NetStats`` onto
+**Handlers are derived, not written.**  Every op is one row of
+:data:`repro.ops.OPS`; :func:`_install` gives each backend class an
+``op_<name>`` per row that validates the request against the row and
+hands it to ``_serve(row, cmd)``, which runs a read against the
+backend's ``_view`` and a write against its ``_target`` (sids through
+``_resolve``) and puts the ack on the payload -- so a backend says
+only what is its own: which view, which target, which lock around the
+call.  Only the sharded backend's
+``query`` and ``get`` are written out: they stay at the wire level
+instead of decoding through the router's handles.
+
+A row marked ``fenced`` always runs on the service's executor; a
+backend whose every op blocks (on IPC, on a lock) says so with
+``blocking = True``.  The service installs its ``NetStats`` onto
 ``backend.net_stats`` after construction so routed-op counters
 (``writes_routed`` / ``shards_scattered`` / ``shards_pruned``) land in
 the same snapshot the ``stats`` op serves.
@@ -40,18 +50,13 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.errors import NoSuchObjectError, ShardingError, StorageError
 from repro.net import tokens
 from repro.net.replication import LocalShipSource, Replica
 from repro.objects.concurrent import ConcurrentStore
 from repro.objects.surrogate import Surrogate
-from repro.query.ast import Aggregate, Query, Var
-from repro.query.parser import parse_query
-from repro.sharding import wire
-from repro.sharding.worker import EXECUTION_STAT_FIELDS
+from repro.ops import OPS, Op
 
 __all__ = [
-    "BACKEND_OPS",
     "ConcurrentBackend",
     "ReplicaBackend",
     "ShardedBackend",
@@ -59,30 +64,33 @@ __all__ = [
     "open_backend",
 ]
 
-#: Every op the backend seam covers (the service adds its own
-#: transport-level ops: ping, stats, token_wait, repl_*).
-BACKEND_OPS = frozenset({
-    "query", "get", "count", "extent", "schema",
-    "create", "set", "unset", "classify", "declassify", "remove",
-    "txn", "bulk", "alter", "index", "validate", "checkpoint",
-})
-
 
 class StoreBackend:
-    """The contract (see module docstring).  Subclasses implement the
-    ``op_*`` handlers and the gauges; the class body holds only the
-    attributes every backend shares."""
+    """The contract (see module docstring).  A subclass says which
+    view serves a read (``_view``), what a write runs against and how
+    a sid resolves (``_target`` / ``_resolve``), and its gauges."""
 
     #: Whether mutations are accepted (the service refuses writes with
     #: ``NotPrimaryError`` when False).
     writable = True
-    #: Ops the service must run on its executor, off the event loop.
-    blocking_ops: frozenset = frozenset()
+    #: Whether every op must run on the service's executor, off the
+    #: event loop (fenced rows always do).
+    blocking = False
     #: WAL ship source for replication ops (None: cannot ship).
     ship: Optional[LocalShipSource] = None
     #: Installed by the service after construction; handlers bump
     #: routed-op counters through it when present.
     net_stats = None
+
+    def _serve(self, row: Op, cmd):
+        """One table row: a read against the view, a write against the
+        target with this backend's ack on the payload."""
+        if not row.write:
+            return row.run(self._view(cmd), cmd, None)
+        payload = row.run(self._target, cmd, self._resolve)
+        out = {"token": self.position(), "epoch": self.epoch()}
+        out.update(payload)
+        return out
 
     def position(self) -> Dict[str, int]:
         raise NotImplementedError
@@ -104,6 +112,25 @@ class StoreBackend:
         pass
 
 
+def _install(cls, rows) -> None:
+    """Give ``cls`` an ``op_<name>(cmd)`` handler for each row it does
+    not define itself.  The handlers live in the class's own
+    ``__dict__`` (the service looks them up by name; tests and the
+    benchmark's tracer patch them there)."""
+    for row in rows:
+        name = "op_" + row.name
+        if name in vars(cls):
+            continue
+
+        def handler(self, cmd, _row=row):
+            _row.check(cmd)
+            return self._serve(_row, cmd)
+
+        handler.__name__ = name
+        handler.__qualname__ = f"{cls.__name__}.{name}"
+        setattr(cls, name, handler)
+
+
 class SnapshotBackend(StoreBackend):
     """Shared read path for backends whose reads run against one MVCC
     snapshot (:meth:`_view`): the single-store primary and the replica
@@ -112,64 +139,15 @@ class SnapshotBackend(StoreBackend):
     def _view(self, cmd):
         raise NotImplementedError
 
-    def _resolve(self, sid: int):
-        return self.store.get(Surrogate(sid))
-
-    def op_query(self, cmd):
-        query = parse_query(cmd["text"])
-        options = cmd.get("options") or {}
-        view = self._view(cmd)
-        from repro.query.planner import execute_planned
-        stats_out = {}
-        if any(isinstance(item, Aggregate) for item in query.select):
-            rows, stats = execute_planned(query, view, **options)
-            for field in EXECUTION_STAT_FIELDS:
-                stats_out[field] = getattr(stats, field)
-            return {"agg": [wire.encode_value(v) for v in rows[0]],
-                    "stats": stats_out}
-        # Tag rows with their surrogate (same trick as the shard
-        # worker): the prepended variable cannot skip, so rows and
-        # rows_skipped are untouched.
-        tagged = Query(query.var, query.source_class, query.where,
-                       (Var(query.var),) + tuple(query.select))
-        rows, stats = execute_planned(tagged, view, **options)
-        for field in EXECUTION_STAT_FIELDS:
-            stats_out[field] = getattr(stats, field)
-        return {"rows": [[row[0].surrogate.id,
-                          [wire.encode_value(v) for v in row[1:]]]
-                         for row in rows],
-                "stats": stats_out}
-
-    def op_get(self, cmd):
-        view = self._view(cmd)
-        obj = view.get(Surrogate(int(cmd["sid"])))
-        return {"classes": sorted(obj.memberships),
-                "values": wire.encode_values(obj.values_snapshot())}
-
-    def op_count(self, cmd):
-        return {"count": self._view(cmd).count(cmd["cls"])}
-
-    def op_extent(self, cmd):
-        from repro.columnar import SurrogateSet
-        members = self._view(cmd).extent_surrogates(cmd["cls"])
-        if not isinstance(members, SurrogateSet):
-            members = SurrogateSet(members)
-        return {"extent": wire.encode_chunks(members)}
-
-    def op_schema(self, cmd):
-        from repro.lang.printer import print_schema
-        return {"schema": print_schema(self.store.schema)}
-
 
 class ConcurrentBackend(SnapshotBackend):
-    """A single store served concurrently: the original primary body
-    of the service, now behind the seam."""
-
-    blocking_ops = frozenset({"bulk", "checkpoint"})
+    """A single store served concurrently: reads from MVCC snapshots,
+    writes through the serialized pipeline."""
 
     def __init__(self, store) -> None:
         self.concurrent = (store if isinstance(store, ConcurrentStore)
                            else ConcurrentStore(store))
+        self._target = self.concurrent
         if getattr(self.store, "_journal", None) is not None:
             self.ship = LocalShipSource(self.store)
 
@@ -177,9 +155,17 @@ class ConcurrentBackend(SnapshotBackend):
     def store(self):
         return self.concurrent.store
 
+    def close(self) -> None:
+        closer = getattr(self.store, "close", None)
+        if closer is not None:
+            closer()
+
     def _view(self, cmd):
         # A primary is never behind its own log: tokens need no check.
         return self.concurrent.snapshot()
+
+    def _resolve(self, sid: int):
+        return self.store.get(Surrogate(sid))
 
     # -- gauges ---------------------------------------------------------
 
@@ -199,133 +185,6 @@ class ConcurrentBackend(SnapshotBackend):
 
     def epoch(self) -> int:
         return self.store._epoch
-
-    def _ack(self) -> Dict[str, object]:
-        return {"token": self.position(), "epoch": self.epoch()}
-
-    # -- writes ---------------------------------------------------------
-
-    def op_create(self, cmd):
-        values = wire.decode_values(cmd.get("values") or {},
-                                    self._resolve)
-        obj = self.concurrent.create(cmd["cls"], check=cmd.get("check"),
-                                     **values)
-        out = self._ack()
-        out["sid"] = obj.surrogate.id
-        return out
-
-    def op_set(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        value = wire.decode_value(cmd["value"], self._resolve)
-        self.concurrent.set_value(obj, cmd["attr"], value,
-                                  check=cmd.get("check"))
-        return self._ack()
-
-    def op_unset(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        self.concurrent.unset_value(obj, cmd["attr"],
-                                    check=cmd.get("check"))
-        return self._ack()
-
-    def op_classify(self, cmd):
-        self.concurrent.classify(self._resolve(int(cmd["sid"])),
-                                 cmd["cls"], check=cmd.get("check"))
-        return self._ack()
-
-    def op_declassify(self, cmd):
-        self.concurrent.declassify(self._resolve(int(cmd["sid"])),
-                                   cmd["cls"], check=cmd.get("check"))
-        return self._ack()
-
-    def op_remove(self, cmd):
-        self.concurrent.remove(self._resolve(int(cmd["sid"])))
-        return self._ack()
-
-    def op_txn(self, cmd):
-        """A pipelined batch of mutations as one atomic transaction:
-        all-or-nothing in memory, one WAL record, one token."""
-        created = []
-        with self.concurrent.transaction():
-            for sub in cmd["ops"]:
-                sub_op = sub["op"]
-                if sub_op == "create":
-                    values = wire.decode_values(
-                        sub.get("values") or {}, self._resolve)
-                    obj = self.concurrent.create(
-                        sub["cls"], check=sub.get("check"), **values)
-                    created.append(obj.surrogate.id)
-                elif sub_op == "set":
-                    self.concurrent.set_value(
-                        self._resolve(int(sub["sid"])), sub["attr"],
-                        wire.decode_value(sub["value"], self._resolve),
-                        check=sub.get("check"))
-                elif sub_op == "unset":
-                    self.concurrent.unset_value(
-                        self._resolve(int(sub["sid"])), sub["attr"],
-                        check=sub.get("check"))
-                elif sub_op == "classify":
-                    self.concurrent.classify(
-                        self._resolve(int(sub["sid"])), sub["cls"],
-                        check=sub.get("check"))
-                elif sub_op == "declassify":
-                    self.concurrent.declassify(
-                        self._resolve(int(sub["sid"])), sub["cls"],
-                        check=sub.get("check"))
-                elif sub_op == "remove":
-                    self.concurrent.remove(
-                        self._resolve(int(sub["sid"])))
-                else:
-                    raise StorageError(
-                        f"unknown txn sub-op {sub_op!r}")
-        out = self._ack()
-        out["created"] = created
-        return out
-
-    def op_bulk(self, cmd):
-        rows = [(tuple(classes),
-                 wire.decode_values(values, self._resolve))
-                for classes, values in cmd["rows"]]
-        report = self.concurrent.bulk_load(
-            rows, check=cmd.get("check") or "deferred")
-        out = self._ack()
-        out["objects"] = getattr(report, "objects", len(rows))
-        return out
-
-    def op_alter(self, cmd):
-        from repro.lang.loader import load_schema
-        successor = load_schema(cmd["schema"])
-        problems = self.concurrent.alter_class(
-            successor.get(cmd["cls"]),
-            recheck=cmd.get("recheck") or "affected")
-        out = self._ack()
-        out["violations"] = [[obj.surrogate.id, str(violation)]
-                             for obj, violation in problems]
-        return out
-
-    def op_index(self, cmd):
-        if cmd.get("action") == "drop":
-            self.concurrent.drop_index(cmd["attr"])
-        else:
-            self.concurrent.create_index(cmd["attr"])
-        return self._ack()
-
-    def op_validate(self, cmd):
-        if cmd.get("scope") == "dirty":
-            problems = self.concurrent.validate_dirty()
-        else:
-            problems = self.concurrent.validate_all()
-        out = self._ack()
-        out["violations"] = [[obj.surrogate.id, str(violation)]
-                             for obj, violation in problems]
-        return out
-
-    def op_checkpoint(self, cmd):
-        checkpoint = getattr(self.store, "checkpoint", None)
-        if checkpoint is None:
-            raise StorageError("store is not durable; nothing to "
-                               "checkpoint")
-        checkpoint()
-        return self._ack()
 
 
 class ReplicaBackend(SnapshotBackend):
@@ -362,8 +221,8 @@ class ShardedBackend(StoreBackend):
 
     The router is **not** thread-safe -- every worker conversation is a
     strict send/recv on per-shard queues -- and every op blocks on that
-    IPC, so the whole surface is ``blocking_ops`` (the service runs it
-    on executor threads) and a lock serializes them.  The gauges
+    IPC, so the whole surface is ``blocking`` (the service runs it on
+    executor threads) and a lock serializes them.  The gauges
     (``position``/``epoch``) deliberately *don't* take the lock: they
     only read the router's per-shard position map (fixed keys, int
     values -- safe to read concurrently), so a ``token_wait`` can poll
@@ -371,10 +230,10 @@ class ShardedBackend(StoreBackend):
     load's positions land.
     """
 
-    blocking_ops = BACKEND_OPS
+    blocking = True
 
     def __init__(self, router) -> None:
-        self.router = router
+        self.router = self._target = router
         self._lock = threading.Lock()
         # Publish exact positions before any command has flowed (a
         # reopened durable store must hand out covering tokens
@@ -407,19 +266,24 @@ class ShardedBackend(StoreBackend):
     def object_count(self) -> int:
         return len(self.router)
 
-    def _ack(self) -> Dict[str, object]:
-        return {"token": self.position(), "epoch": self.epoch()}
+    # -- ops ------------------------------------------------------------
 
-    def _count_write(self) -> None:
-        if self.net_stats is not None:
-            self.net_stats.writes_routed += 1
+    def _view(self, cmd):
+        # The router is its own read view: it answers ``count`` /
+        # ``extent_surrogates`` / ``schema`` by broadcast.
+        return self.router
 
     def _resolve(self, sid: int):
-        return self.router.handle(int(sid))
+        return self.router.get(sid)     # NoSuchObjectError if unrouted
 
-    # -- reads ----------------------------------------------------------
+    def _serve(self, row: Op, cmd):
+        if row.write and self.net_stats is not None:
+            self.net_stats.writes_routed += 1
+        with self._lock:
+            return super()._serve(row, cmd)
 
     def op_query(self, cmd):
+        OPS["query"].check(cmd)
         counters = self.router.stats_counters
         before = (counters.shards_dispatched, counters.shards_pruned)
         with self._lock:
@@ -433,186 +297,17 @@ class ShardedBackend(StoreBackend):
         return out
 
     def op_get(self, cmd):
-        sid = int(cmd["sid"])
+        OPS["get"].check(cmd)
         with self._lock:
-            try:
-                owner = self.router._owner_of(sid)
-            except ShardingError:
-                raise NoSuchObjectError(
-                    f"surrogate {sid} is not routed by this store"
-                ) from None
-            state = self.router._call(owner, {"op": "get", "sid": sid})
+            state = self.router.get(int(cmd["sid"]))._state()
         # The worker's foreign flag is a sharding detail; the wire
         # shape matches the single-store service.
         return {"classes": state["classes"], "values": state["values"]}
 
-    def op_count(self, cmd):
-        with self._lock:
-            return {"count": self.router.count(cmd["cls"])}
 
-    def op_extent(self, cmd):
-        with self._lock:
-            members = self.router.extent_surrogates(cmd["cls"])
-        return {"extent": wire.encode_chunks(members)}
-
-    def op_schema(self, cmd):
-        from repro.lang.printer import print_schema
-        return {"schema": print_schema(self.router.schema)}
-
-    # -- writes ---------------------------------------------------------
-
-    def op_create(self, cmd):
-        self._count_write()
-        with self._lock:
-            values = wire.decode_values(cmd.get("values") or {},
-                                        self._resolve)
-            handle = self.router.create(
-                cmd["cls"], check=cmd.get("check"),
-                broadcast=bool(cmd.get("broadcast")), **values)
-            out = self._ack()
-        out["sid"] = handle.surrogate.id
-        return out
-
-    def op_set(self, cmd):
-        self._count_write()
-        with self._lock:
-            value = wire.decode_value(cmd["value"], self._resolve)
-            self.router.set_value(self._resolve(cmd["sid"]),
-                                  cmd["attr"], value,
-                                  check=cmd.get("check"))
-            return self._ack()
-
-    def op_unset(self, cmd):
-        self._count_write()
-        with self._lock:
-            self.router.unset_value(self._resolve(cmd["sid"]),
-                                    cmd["attr"],
-                                    check=cmd.get("check"))
-            return self._ack()
-
-    def op_classify(self, cmd):
-        self._count_write()
-        with self._lock:
-            self.router.classify(self._resolve(cmd["sid"]), cmd["cls"],
-                                 check=cmd.get("check"))
-            return self._ack()
-
-    def op_declassify(self, cmd):
-        self._count_write()
-        with self._lock:
-            self.router.declassify(self._resolve(cmd["sid"]),
-                                   cmd["cls"], check=cmd.get("check"))
-            return self._ack()
-
-    def op_remove(self, cmd):
-        self._count_write()
-        with self._lock:
-            self.router.remove(self._resolve(cmd["sid"]))
-            return self._ack()
-
-    def op_txn(self, cmd):
-        """The same wire envelope as the single-store txn, under the
-        router's undo-journal transaction scope: all-or-nothing against
-        every shard, though each sub-op commits to its shard's WAL as
-        it applies (atomic, not isolated -- SEMANTICS.md section 16).
-        ``remove`` and bulk/schema/index sub-ops are outside the
-        sharded envelope; the router refuses them and the rollback
-        undoes the prefix."""
-        self._count_write()
-        created = []
-        with self._lock:
-            with self.router.transaction():
-                for sub in cmd["ops"]:
-                    sub_op = sub["op"]
-                    if sub_op == "create":
-                        values = wire.decode_values(
-                            sub.get("values") or {}, self._resolve)
-                        handle = self.router.create(
-                            sub["cls"], check=sub.get("check"),
-                            broadcast=bool(sub.get("broadcast")),
-                            **values)
-                        created.append(handle.surrogate.id)
-                    elif sub_op == "set":
-                        self.router.set_value(
-                            self._resolve(sub["sid"]), sub["attr"],
-                            wire.decode_value(sub["value"],
-                                              self._resolve),
-                            check=sub.get("check"))
-                    elif sub_op == "unset":
-                        self.router.unset_value(
-                            self._resolve(sub["sid"]), sub["attr"],
-                            check=sub.get("check"))
-                    elif sub_op == "classify":
-                        self.router.classify(
-                            self._resolve(sub["sid"]), sub["cls"],
-                            check=sub.get("check"))
-                    elif sub_op == "declassify":
-                        self.router.declassify(
-                            self._resolve(sub["sid"]), sub["cls"],
-                            check=sub.get("check"))
-                    elif sub_op == "remove":
-                        raise ShardingError(
-                            "remove is not supported inside a sharded "
-                            "transaction (its undo cannot be replayed "
-                            "exactly); issue it as a standalone op")
-                    else:
-                        raise StorageError(
-                            f"unknown txn sub-op {sub_op!r}")
-            out = self._ack()
-        out["created"] = created
-        return out
-
-    def op_bulk(self, cmd):
-        self._count_write()
-        with self._lock:
-            rows = [(tuple(classes),
-                     wire.decode_values(values, self._resolve))
-                    for classes, values in cmd["rows"]]
-            handles = self.router.bulk_load(
-                rows, check=cmd.get("check") or "deferred")
-            out = self._ack()
-        out["objects"] = len(handles)
-        return out
-
-    def op_alter(self, cmd):
-        from repro.lang.loader import load_schema
-        self._count_write()
-        successor = load_schema(cmd["schema"])
-        with self._lock:
-            problems = self.router.alter_class(
-                successor.get(cmd["cls"]),
-                recheck=cmd.get("recheck") or "affected")
-            out = self._ack()
-        out["violations"] = [[handle.surrogate.id, str(message)]
-                             for handle, message in problems]
-        return out
-
-    def op_index(self, cmd):
-        self._count_write()
-        with self._lock:
-            if cmd.get("action") == "drop":
-                self.router.drop_index(cmd["attr"])
-            else:
-                self.router.create_index(cmd["attr"])
-            return self._ack()
-
-    def op_validate(self, cmd):
-        with self._lock:
-            if cmd.get("scope") == "dirty":
-                problems = self.router.validate_dirty()
-            else:
-                problems = self.router.validate_all()
-            out = self._ack()
-        out["violations"] = [[handle.surrogate.id, str(message)]
-                             for handle, message in problems]
-        return out
-
-    def op_checkpoint(self, cmd):
-        # Broadcast: each durable shard checkpoints its own directory
-        # (a no-op on non-durable shards, matching the worker op).
-        with self._lock:
-            self.router.checkpoint()
-            return self._ack()
+_install(SnapshotBackend, [row for row in OPS.values() if not row.write])
+_install(ConcurrentBackend, [row for row in OPS.values() if row.write])
+_install(ShardedBackend, OPS.values())
 
 
 def open_backend(directory: str, *, processes: bool = True,

@@ -43,7 +43,8 @@ from repro.errors import (
     ReplicaLagError,
     RequestTimeoutError,
 )
-from repro.net import protocol
+from repro.net import protocol, tokens
+from repro.ops import IDEMPOTENT, OPS
 from repro.sharding import wire
 
 __all__ = ["Connection", "ReplicaSetClient", "StoreClient", "ref"]
@@ -72,12 +73,6 @@ DEFAULT_TIMEOUT = 5.0
 DEFAULT_POOL = 2
 DEFAULT_RETRIES = 2
 
-#: Ops safe to retry on a fresh connection after a transport failure.
-_IDEMPOTENT = frozenset({
-    "ping", "query", "get", "count", "extent", "schema", "stats",
-    "repl_status", "token_wait", "repl_handshake", "repl_fetch",
-    "repl_dump",
-})
 
 
 class Connection:
@@ -250,7 +245,7 @@ class StoreClient:
         ops retry on a fresh connection (bounded by ``retries``)."""
         message = dict(fields)
         message["op"] = op
-        attempts = 1 + (self.retries if op in _IDEMPOTENT else 0)
+        attempts = 1 + (self.retries if op in IDEMPOTENT else 0)
         last_exc: Optional[Exception] = None
         for _ in range(attempts):
             message["id"] = next(self._ids)
@@ -319,37 +314,31 @@ class StoreClient:
     def ping(self):
         return self.call("ping")
 
-    def query(self, text: str, token=None, **options):
-        fields: Dict[str, object] = {"text": text}
-        if options:
-            fields["options"] = options
+    def _read_at(self, op: str, token, **fields):
+        """A read at (or after) an epoch token, when one is given."""
         if token is not None:
             fields["token"] = token
-        return self.call("query", **fields)
+        return self.call(op, **fields)
+
+    def query(self, text: str, token=None, **options):
+        if options:
+            return self._read_at("query", token, text=text, options=options)
+        return self._read_at("query", token, text=text)
 
     def get(self, sid: int, token=None):
-        fields: Dict[str, object] = {"sid": sid}
-        if token is not None:
-            fields["token"] = token
-        out = self.call("get", **fields)
+        out = self._read_at("get", token, sid=sid)
         out["values"] = wire.decode_values(out["values"], lambda s: s)
         return out
 
     def count(self, cls: str, token=None) -> int:
-        fields: Dict[str, object] = {"cls": cls}
-        if token is not None:
-            fields["token"] = token
-        return self.call("count", **fields)["count"]
+        return self._read_at("count", token, cls=cls)["count"]
 
     def extent_ids(self, cls: str, token=None) -> List[int]:
-        fields: Dict[str, object] = {"cls": cls}
-        if token is not None:
-            fields["token"] = token
-        chunks = self.call("extent", **fields)["extent"]
+        chunks = self._read_at("extent", token, cls=cls)["extent"]
         return sorted(s.id for s in wire.decode_chunks(chunks))
 
-    def schema(self) -> str:
-        return self.call("schema")["schema"]
+    def schema(self, token=None) -> str:
+        return self._read_at("schema", token)["schema"]
 
     def stats(self) -> Dict[str, object]:
         return self.call("stats")
@@ -449,7 +438,6 @@ class ReplicaSetClient:
 
     def _record(self, ack):
         if isinstance(ack, dict) and "token" in ack:
-            from repro.net import tokens
             with self._lock:
                 self.last_token = tokens.merge(self.last_token,
                                                ack["token"])
@@ -468,46 +456,6 @@ class ReplicaSetClient:
                 pass        # fall back to the primary
         return getattr(self.primary, method)(*args, **kwargs)
 
-    # reads
-    def query(self, text: str, **options):
-        return self._read("query", text, **options)
-
-    def get(self, sid: int):
-        return self._read("get", sid)
-
-    def count(self, cls: str) -> int:
-        return self._read("count", cls)
-
-    def extent_ids(self, cls: str) -> List[int]:
-        return self._read("extent_ids", cls)
-
-    # writes
-    def create(self, cls: str, values: Optional[Dict] = None,
-               check: Optional[str] = None):
-        return self._record(self.primary.create(cls, values, check))
-
-    def set_value(self, sid: int, attr: str, value,
-                  check: Optional[str] = None):
-        return self._record(
-            self.primary.set_value(sid, attr, value, check))
-
-    def unset_value(self, sid: int, attr: str,
-                    check: Optional[str] = None):
-        return self._record(self.primary.unset_value(sid, attr, check))
-
-    def classify(self, sid: int, cls: str, check: Optional[str] = None):
-        return self._record(self.primary.classify(sid, cls, check))
-
-    def declassify(self, sid: int, cls: str,
-                   check: Optional[str] = None):
-        return self._record(self.primary.declassify(sid, cls, check))
-
-    def remove(self, sid: int):
-        return self._record(self.primary.remove(sid))
-
-    def txn(self, ops: Sequence[Dict[str, object]]):
-        return self._record(self.primary.txn(ops))
-
     def wait_all(self, timeout: float = 5.0) -> None:
         """Block until every replica has replayed the last write this
         client issued (test/benchmark convergence barrier)."""
@@ -518,3 +466,23 @@ class ReplicaSetClient:
         self.primary.close()
         for replica in self.replicas:
             replica.close()
+
+
+def _forward(method: str, write: bool):
+    """The :class:`ReplicaSetClient` face of one ``StoreClient`` method:
+    a write goes to the primary and its ack token is merged; a read
+    round-robins over the replicas carrying that token."""
+    if write:
+        def stub(self, *args, **kwargs):
+            return self._record(
+                getattr(self.primary, method)(*args, **kwargs))
+    else:
+        def stub(self, *args, **kwargs):
+            return self._read(method, *args, **kwargs)
+    stub.__name__ = method
+    return stub
+
+
+for _row in OPS.values():
+    for _method in _row.stubs:
+        setattr(ReplicaSetClient, _method, _forward(_method, _row.write))

@@ -76,7 +76,6 @@ from repro.errors import (
 )
 from repro.net import protocol, tokens
 from repro.net.backends import (
-    BACKEND_OPS,
     ConcurrentBackend,
     ReplicaBackend,
     ShardedBackend,
@@ -84,6 +83,7 @@ from repro.net.backends import (
 )
 from repro.net.replication import Replica, encode_record
 from repro.obs import NetStats
+from repro.ops import OPS, SERVICE_OPS
 
 __all__ = ["StoreService", "serve"]
 
@@ -373,10 +373,11 @@ class StoreService:
         rid = message.get("id")
         op = message.get("op")
         stats = self.stats
-        is_backend_op = op in BACKEND_OPS
+        name = op if isinstance(op, str) else None
+        row = OPS.get(name)
         try:
-            if is_backend_op:
-                if op in self._WRITE_OPS and self.role != "primary":
+            if row is not None:
+                if row.write and self.role != "primary":
                     raise NotPrimaryError(
                         f"replica does not accept {op!r}; write to "
                         "the primary")
@@ -386,20 +387,18 @@ class StoreService:
                         "alter refused: an in-flight bulk load, "
                         "checkpoint, or catch-up dump holds the "
                         "store; retry once it drains")
-                handler = getattr(self.backend, "op_" + op)
-                if op in self.backend.blocking_ops:
-                    result = await self._offload(
-                        handler, message,
-                        fenced=op in ("bulk", "checkpoint"))
+                handler = getattr(self.backend, "op_" + name)
+                if row.fenced or self.backend.blocking:
+                    result = await self._offload(handler, message,
+                                                 fenced=row.fenced)
                 else:
                     result = handler(message)
-            else:
-                handler = self._OPS.get(op)
-                if handler is None:
-                    raise StorageError(f"unknown request op {op!r}")
-                result = handler(self, message)
+            elif name in SERVICE_OPS:
+                result = getattr(self, "_op_" + name)(message)
                 if asyncio.iscoroutine(result):
                     result = await result
+            else:
+                raise StorageError(f"unknown request op {op!r}")
         except Exception as exc:
             stats.requests_served += 1
             stats.op_errors += 1
@@ -413,7 +412,7 @@ class StoreService:
                 error["applied_seq"] = exc.applied_seq
             return {"id": rid, "error": error}
         stats.requests_served += 1
-        if op in self._WRITE_OPS:
+        if row is not None and row.write:
             stats.writes_served += 1
         else:
             stats.reads_served += 1
@@ -548,18 +547,6 @@ class StoreService:
         return {"dump_id": dump_id, "size": len(text),
                 "offset": offset, "chunk": piece,
                 "eof": offset + len(piece) >= len(text)}
-
-    _WRITE_OPS = frozenset({
-        "create", "set", "unset", "classify", "declassify", "remove",
-        "txn", "bulk", "alter", "index", "validate", "checkpoint",
-    })
-
-    _OPS = {
-        "ping": _op_ping, "stats": _op_stats,
-        "repl_status": _op_repl_status, "token_wait": _op_token_wait,
-        "repl_handshake": _op_repl_handshake,
-        "repl_fetch": _op_repl_fetch, "repl_dump": _op_repl_dump,
-    }
 
 
 def serve(store=None, *, replica=None, host: str = "127.0.0.1",

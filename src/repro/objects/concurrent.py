@@ -167,6 +167,9 @@ class ConcurrentStore:
         commit."""
         return self._store._pipeline.transaction(validate_on_commit)
 
+    def checkpoint(self):
+        return self._store.checkpoint()
+
     def bulk_session(self, **kwargs):
         return self._store.bulk_session(**kwargs)
 

@@ -76,6 +76,7 @@ from repro.columnar import BITSET_STATS, BitsetStats, ObjectColumns, SurrogateSe
 from repro.errors import (
     NoSuchObjectError,
     SchemaEvolutionError,
+    StorageError,
     UnknownAttributeError,
     UnknownClassError,
 )
@@ -631,6 +632,16 @@ class ObjectStore:
         surfacing *new* problems, at a fraction of the work; objects
         found conformant leave the dirty ledger."""
         return self._pipeline.execute(ValidateCommand("dirty"))
+
+    def transaction(self, validate_on_commit: bool = False):
+        """An atomic multi-command scope
+        (:func:`repro.objects.transactions.transaction`)."""
+        return self._pipeline.transaction(validate_on_commit)
+
+    def checkpoint(self):
+        """Only a store bound to a directory has anything to write
+        (:class:`~repro.objects.durable.DurableObjectStore`)."""
+        raise StorageError("store is not durable; nothing to checkpoint")
 
     def _require_live(self, obj: Instance) -> None:
         if self._objects.get(obj.surrogate) is not obj:

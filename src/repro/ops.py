@@ -1,0 +1,298 @@
+"""The op table: every wire operation of the store, defined once.
+
+A served store answers the same vocabulary at three edges -- a single
+store behind :class:`~repro.net.backends.ConcurrentBackend`, a sharded
+router behind :class:`~repro.net.backends.ShardedBackend`, and one
+shard behind :class:`~repro.sharding.worker.ShardServer`.  Each op is
+one :class:`Op` row of :data:`OPS`: its name, the request fields it
+requires and accepts, how the transport must treat it (``write`` /
+``idempotent`` / ``fenced`` / ``in_txn``), the ``StoreClient`` methods
+that issue it, and **one** body ``run(target, cmd, resolve) -> payload``
+written against the method surface ``ObjectStore``, ``ConcurrentStore``
+and ``ShardedStore`` share.  The edges derive their handlers, their
+dispatch sets and their client stubs from this table; what an edge
+keeps of its own (ack tokens, the router lock, forced surrogates) is a
+hook around a row, never a second copy of it.
+
+``target`` is the store for a write and a snapshot-like view for a
+read (``get`` / ``count`` / ``extent_surrogates`` / ``schema``, and
+whatever ``execute_planned`` reads).  ``resolve(sid)`` maps a surrogate
+id to the entity the target's mutators accept and raises
+:class:`~repro.errors.NoSuchObjectError` for an id the store does not
+hold -- at every edge.  The payload carries no ack: the edge that knows
+its commit position adds one.
+
+A request is validated against its row *before* the body runs
+(:func:`lookup`, :meth:`Op.check`): an unknown op or a missing required
+field is a typed :class:`~repro.errors.StorageError`, an operation
+failure the connection survives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
+
+from repro.columnar import SurrogateSet
+from repro.errors import StorageError
+from repro.lang.loader import load_schema
+from repro.lang.printer import print_schema
+from repro.objects.surrogate import Surrogate
+from repro.query.ast import Aggregate, Query, Var
+from repro.query.parser import parse_query
+from repro.query.planner import execute_planned
+from repro.sharding import wire
+
+__all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
+           "SERVICE_OPS", "lookup"]
+
+#: ExecutionStats fields shipped back per query, in order.
+EXECUTION_STAT_FIELDS: Tuple[str, ...] = (
+    "rows_scanned", "rows_returned", "rows_skipped",
+    "checks_executed", "rows_pruned", "index_lookups")
+
+
+@dataclass(frozen=True)
+class Op:
+    """One wire operation (module docstring)."""
+
+    name: str
+    run: Callable
+    #: Request fields that must be present / may be present.
+    required: Tuple[str, ...] = ()
+    optional: Tuple[str, ...] = ()
+    #: Mutates (or sweeps) the store: refused by replicas, acked with
+    #: an epoch token, counted as a write.
+    write: bool = False
+    #: Safe to retry on a fresh connection after a transport failure.
+    idempotent: bool = False
+    #: Holds the store for its whole run: always on the executor, and
+    #: ``alter`` is refused while one is in flight.
+    fenced: bool = False
+    #: May appear as a ``txn`` sub-op.
+    in_txn: bool = False
+    #: The ``StoreClient`` methods that issue this op.
+    stubs: Tuple[str, ...] = ()
+
+    def check(self, cmd: Dict[str, object]) -> None:
+        for field in self.required:
+            if field not in cmd:
+                raise StorageError(
+                    f"op {self.name!r} requires field {field!r}")
+
+
+def lookup(cmd: Dict[str, object]) -> Op:
+    """The validated row a request (or ``txn`` sub-op) names."""
+    name = cmd.get("op") if isinstance(cmd, dict) else None
+    row = OPS.get(name) if isinstance(name, str) else None
+    if row is None:
+        raise StorageError(f"unknown request op {name!r}")
+    row.check(cmd)
+    return row
+
+
+# ----------------------------------------------------------------------
+# Reads (target: a snapshot-like view)
+# ----------------------------------------------------------------------
+
+def _query(view, cmd, resolve):
+    query = parse_query(cmd["text"])
+    per_row = not any(isinstance(item, Aggregate)
+                      for item in query.select)
+    if per_row:
+        # Tag each row with its surrogate by prepending the query
+        # variable to the select list: the extra item cannot skip (no
+        # attribute access), so rows, order and rows_skipped are
+        # untouched.
+        query = Query(query.var, query.source_class, query.where,
+                      (Var(query.var),) + tuple(query.select))
+    rows, stats = execute_planned(query, view,
+                                  **(cmd.get("options") or {}))
+    stats_out = {field: getattr(stats, field)
+                 for field in EXECUTION_STAT_FIELDS}
+    if per_row:
+        return {"rows": [[row[0].surrogate.id,
+                          [wire.encode_value(v) for v in row[1:]]]
+                         for row in rows],
+                "stats": stats_out}
+    return {"agg": [wire.encode_value(v) for v in rows[0]],
+            "stats": stats_out}
+
+
+def _get(view, cmd, resolve):
+    obj = view.get(Surrogate(int(cmd["sid"])))
+    return {"classes": sorted(obj.memberships),
+            "values": wire.encode_values(obj.values_snapshot())}
+
+
+def _count(view, cmd, resolve):
+    return {"count": view.count(cmd["cls"])}
+
+
+def _extent(view, cmd, resolve):
+    members = view.extent_surrogates(cmd["cls"])
+    if not isinstance(members, SurrogateSet):
+        members = SurrogateSet(members)
+    return {"extent": wire.encode_chunks(members)}
+
+
+def _schema(view, cmd, resolve):
+    return {"schema": print_schema(view.schema)}
+
+
+# ----------------------------------------------------------------------
+# Writes (target: the store)
+# ----------------------------------------------------------------------
+
+def _create(store, cmd, resolve):
+    values = wire.decode_values(cmd.get("values") or {}, resolve)
+    placement = {}
+    if cmd.get("broadcast") and hasattr(store, "n_shards"):
+        # Replicate the entity to every shard; a single store already
+        # holds the one copy there is, so the flag is moot there.
+        placement["broadcast"] = True
+    obj = store.create(cmd["cls"], check=cmd.get("check"),
+                       **placement, **values)
+    return {"sid": obj.surrogate.id}
+
+
+def _set(store, cmd, resolve):
+    obj = resolve(int(cmd["sid"]))
+    store.set_value(obj, cmd["attr"],
+                    wire.decode_value(cmd["value"], resolve),
+                    check=cmd.get("check"))
+    return {}
+
+
+def _unset(store, cmd, resolve):
+    store.unset_value(resolve(int(cmd["sid"])), cmd["attr"],
+                      check=cmd.get("check"))
+    return {}
+
+
+def _classify(store, cmd, resolve):
+    store.classify(resolve(int(cmd["sid"])), cmd["cls"],
+                   check=cmd.get("check"))
+    return {}
+
+
+def _declassify(store, cmd, resolve):
+    store.declassify(resolve(int(cmd["sid"])), cmd["cls"],
+                     check=cmd.get("check"))
+    return {}
+
+
+def _remove(store, cmd, resolve):
+    store.remove(resolve(int(cmd["sid"])))
+    return {}
+
+
+def _txn(store, cmd, resolve):
+    """A pipelined batch of mutations as one atomic transaction: all or
+    nothing, one token.  A single store commits it as one WAL record; a
+    sharded store runs it under the router's undo journal (atomic, not
+    isolated -- SEMANTICS.md section 16), which also refuses ``remove``
+    there.  A sub-op outside the envelope is refused typed and the
+    scope rolls the prefix back."""
+    created = []
+    with store.transaction():
+        for sub in cmd["ops"]:
+            row = lookup(sub)
+            if not row.in_txn:
+                raise StorageError(
+                    f"op {row.name!r} is not available inside a txn")
+            payload = row.run(store, sub, resolve)
+            if "sid" in payload:
+                created.append(payload["sid"])
+    return {"created": created}
+
+
+def _bulk(store, cmd, resolve):
+    rows = [(tuple(classes), wire.decode_values(values, resolve))
+            for classes, values in cmd["rows"]]
+    loaded = store.bulk_load(rows, check=cmd.get("check") or "deferred")
+    # A single store reports the batch; a sharded one hands back the
+    # routed handles.
+    return {"objects": getattr(loaded, "objects", len(rows))}
+
+
+def _violations(problems) -> Dict[str, object]:
+    return {"violations": [[obj.surrogate.id, str(violation)]
+                           for obj, violation in problems]}
+
+
+def _alter(store, cmd, resolve):
+    successor = load_schema(cmd["schema"])
+    return _violations(store.alter_class(
+        successor.get(cmd["cls"]),
+        recheck=cmd.get("recheck") or "affected"))
+
+
+def _index(store, cmd, resolve):
+    if cmd.get("action") == "drop":
+        store.drop_index(cmd["attr"])
+    else:
+        store.create_index(cmd["attr"])
+    return {}
+
+
+def _validate(store, cmd, resolve):
+    if cmd.get("scope") == "dirty":
+        return _violations(store.validate_dirty())
+    return _violations(store.validate_all())
+
+
+def _checkpoint(store, cmd, resolve):
+    store.checkpoint()
+    return {}
+
+
+def _read(name, run, required=(), optional=(), stub=None) -> Op:
+    return Op(name, run, required, optional + ("token",),
+              idempotent=True, stubs=(stub or name,))
+
+
+def _write(name, run, required=(), optional=(), *, stubs=None,
+           **flags) -> Op:
+    return Op(name, run, required, optional, write=True,
+              stubs=stubs or (name,), **flags)
+
+
+#: The table.  Order is the documentation order (reads, row writes,
+#: batch and design writes).
+OPS: Dict[str, Op] = {row.name: row for row in (
+    _read("query", _query, ("text",), ("options",)),
+    _read("get", _get, ("sid",)),
+    _read("count", _count, ("cls",)),
+    _read("extent", _extent, ("cls",), stub="extent_ids"),
+    _read("schema", _schema),
+    _write("create", _create, ("cls",),
+           ("values", "check", "broadcast"), in_txn=True),
+    _write("set", _set, ("sid", "attr", "value"), ("check",),
+           in_txn=True, stubs=("set_value",)),
+    _write("unset", _unset, ("sid", "attr"), ("check",), in_txn=True,
+           stubs=("unset_value",)),
+    _write("classify", _classify, ("sid", "cls"), ("check",),
+           in_txn=True),
+    _write("declassify", _declassify, ("sid", "cls"), ("check",),
+           in_txn=True),
+    _write("remove", _remove, ("sid",), in_txn=True),
+    _write("txn", _txn, ("ops",)),
+    _write("bulk", _bulk, ("rows",), ("check",), fenced=True),
+    _write("alter", _alter, ("schema", "cls"), ("recheck",)),
+    _write("index", _index, ("attr",), ("action",),
+           stubs=("create_index", "drop_index")),
+    _write("validate", _validate, (), ("scope",)),
+    _write("checkpoint", _checkpoint, fenced=True),
+)}
+
+#: Transport-level ops the service answers itself (liveness, counters,
+#: token waits, WAL shipping): no store op behind them, all safe to
+#: retry.
+SERVICE_OPS = frozenset({
+    "ping", "stats", "repl_status", "token_wait", "repl_handshake",
+    "repl_fetch", "repl_dump"})
+
+#: Ops a client may retry on a fresh connection.
+IDEMPOTENT = SERVICE_OPS | {name for name, row in OPS.items()
+                            if row.idempotent}

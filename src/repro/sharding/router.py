@@ -49,22 +49,21 @@ from zlib import crc32
 
 from repro.columnar import SurrogateSet
 from repro.errors import (
-    QueryTypeError, ShardCrashedError, ShardingError, ShardWorkerError,
-    UnknownClassError,
+    NoSuchObjectError, QueryTypeError, ShardCrashedError, ShardingError,
+    ShardWorkerError, UnknownClassError,
 )
 from repro.lang.printer import print_schema
 from repro.obs import ShardStats
 from repro.objects.pipeline import CheckMode, Engine
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
+from repro.ops import EXECUTION_STAT_FIELDS
 from repro.query.ast import Aggregate, Query
 from repro.query.interpreter import ExecutionStats
 from repro.query.parser import parse_query
 from repro.sharding import wire
 from repro.sharding.pruning import extract_facts, profile_refuted
-from repro.sharding.worker import (
-    EXECUTION_STAT_FIELDS, ShardServer, shard_worker_main,
-)
+from repro.sharding.worker import ShardServer, shard_worker_main
 from repro.storage.shards import (
     read_shard_manifest, shard_directory, write_shard_manifest,
 )
@@ -382,13 +381,26 @@ class ShardedStore:
     def schema(self):
         return self._meta.schema
 
+    def _routed(self, sid: int) -> bool:
+        return sid in self._owners or sid in self._broadcast
+
     def handle(self, sid: int) -> RemoteHandle:
-        """The canonical proxy for a (global) surrogate id."""
+        """The canonical proxy for a (global) surrogate id.  Only a
+        routed sid is cached: ids arrive from outside (the wire), and a
+        proxy per bogus id would grow without bound."""
         handle = self._handles.get(sid)
         if handle is None:
             handle = RemoteHandle(self, Surrogate(sid))
-            self._handles[sid] = handle
+            if self._routed(sid):
+                self._handles[sid] = handle
         return handle
+
+    @staticmethod
+    def _sid_of(obj) -> int:
+        """Mutators take a handle, a surrogate or a bare id."""
+        if hasattr(obj, "surrogate"):
+            return obj.surrogate.id
+        return obj.id if hasattr(obj, "id") else int(obj)
 
     def _owner_of(self, sid: int) -> int:
         if sid in self._broadcast:
@@ -546,9 +558,8 @@ class ShardedStore:
                    in self.schema.ancestors(class_name)]
         if not origins:
             return
-        sid = obj.surrogate.id if hasattr(obj, "surrogate") else int(obj)
-        values = self._call(self._owner_of(sid),
-                            {"op": "get", "sid": sid})["values"]
+        sid = self._sid_of(obj)
+        values = self.handle(sid)._state()["values"]
         for origin in origins:
             encoded = values.get(origin.attribute)
             if (isinstance(encoded, dict) and encoded.get("$") == "ref"
@@ -686,10 +697,7 @@ class ShardedStore:
                 "the transaction scope")
         if op in ("set", "unset"):
             attr = cmd["attr"]
-            owner = (sid % self.n_shards if sid in self._broadcast
-                     else self._owner_of(sid))
-            prior = self._call(
-                owner, {"op": "get", "sid": sid})["values"].get(attr)
+            prior = self.handle(sid)._state()["values"].get(attr)
             if prior is None:
                 undo = {"op": "unset", "attr": attr}
             else:
@@ -751,7 +759,7 @@ class ShardedStore:
                 check: Optional[str]) -> None:
         if self._closed:
             raise ShardingError("store is closed")
-        sid = obj.surrogate.id if hasattr(obj, "surrogate") else int(obj)
+        sid = self._sid_of(obj)
         cmd = dict(cmd, sid=sid)
         undo = (self._txn_capture_undo(sid, cmd)
                 if self._txn_undo is not None else None)
@@ -783,11 +791,9 @@ class ShardedStore:
     def set_value(self, obj, attribute: str, value,
                   check: Optional[str] = None) -> None:
         if is_entity(value) and value.surrogate.id in self._broadcast:
-            sid = (obj.surrogate.id if hasattr(obj, "surrogate")
-                   else int(obj))
             self._guard_virtual_anchor(
-                attribute, value,
-                self._closure_of(self.handle(sid).memberships))
+                attribute, value, self._closure_of(
+                    self.handle(self._sid_of(obj)).memberships))
         self._mutate(obj, {"op": "set", "attr": attribute,
                            "value": wire.encode_value(value)}, check)
 
@@ -827,11 +833,12 @@ class ShardedStore:
             self._invalidate(shard_id)
         payloads = self._broadcast_cmd(cmd)
         self.stats_counters.schema_replications += 1
-        violations: List[Tuple[RemoteHandle, str]] = []
-        for _shard_id, payload in payloads:
-            for sid, message in payload["violations"]:
-                violations.append((self.handle(int(sid)), message))
-        return violations
+        return self._violations(payloads)
+
+    def _violations(self, payloads) -> List[Tuple[RemoteHandle, str]]:
+        return [(self.handle(int(sid)), message)
+                for _shard_id, payload in payloads
+                for sid, message in payload["violations"]]
 
     def alter_class(self, new_def, *, recheck: str = "affected"):
         """Validated once against the meta store (rejection aborts
@@ -860,20 +867,19 @@ class ShardedStore:
 
     # -- physical design ------------------------------------------------
 
-    def create_index(self, attribute: str) -> None:
-        if self._txn_undo is not None:
-            raise ShardingError(
-                "index changes are not available inside a sharded "
-                "transaction")
-        self._broadcast_cmd({"op": "index", "attr": attribute})
-
-    def drop_index(self, attribute: str) -> None:
+    def _index(self, attribute: str, action: str) -> None:
         if self._txn_undo is not None:
             raise ShardingError(
                 "index changes are not available inside a sharded "
                 "transaction")
         self._broadcast_cmd({"op": "index", "attr": attribute,
-                             "action": "drop"})
+                             "action": action})
+
+    def create_index(self, attribute: str) -> None:
+        self._index(attribute, "create")
+
+    def drop_index(self, attribute: str) -> None:
+        self._index(attribute, "drop")
 
     # -- reads ----------------------------------------------------------
 
@@ -881,9 +887,12 @@ class ShardedStore:
         return len(self._owners) + len(self._broadcast)
 
     def get(self, surrogate) -> RemoteHandle:
-        sid = (surrogate.id if hasattr(surrogate, "id")
-               else int(surrogate))
-        self._owner_of(sid)          # raises if unrouted
+        """The handle of a routed object; like ``ObjectStore.get``,
+        an id this store does not hold is ``NoSuchObjectError``."""
+        sid = self._sid_of(surrogate)
+        if not self._routed(sid):
+            raise NoSuchObjectError(
+                f"surrogate {sid} is not routed by this store")
         return self.handle(sid)
 
     def count(self, class_name: str) -> int:
@@ -906,22 +915,13 @@ class ShardedStore:
                      for sid in self.extent_surrogates(class_name).ids())
 
     def validate_all(self) -> List[Tuple[RemoteHandle, str]]:
-        payloads = self._broadcast_cmd({"op": "validate"})
-        out: List[Tuple[RemoteHandle, str]] = []
-        for _sid, payload in payloads:
-            for sid, message in payload["violations"]:
-                out.append((self.handle(int(sid)), message))
-        return out
+        return self._violations(self._broadcast_cmd({"op": "validate"}))
 
     def validate_dirty(self) -> List[Tuple[RemoteHandle, str]]:
         """Re-check only objects each shard marked dirty since its last
         sweep (each worker keeps its own dirty set)."""
-        payloads = self._broadcast_cmd({"op": "validate", "scope": "dirty"})
-        out: List[Tuple[RemoteHandle, str]] = []
-        for _sid, payload in payloads:
-            for sid, message in payload["violations"]:
-                out.append((self.handle(int(sid)), message))
-        return out
+        return self._violations(self._broadcast_cmd(
+            {"op": "validate", "scope": "dirty"}))
 
     # -- scatter-gather queries ----------------------------------------
 
@@ -1000,12 +1000,30 @@ class ShardedStore:
                     merged.append(max(partials))
         return tuple(merged)
 
-    def _scatter(self, query, options, prune: bool):
-        """The shared scatter half of a query: parse once, prune,
-        rewrite aggregates, dispatch, and sum per-shard execution
-        stats.  Returns ``(payloads, stats, has_aggregates, spec)`` for
-        the caller to merge at whichever level (decoded values or raw
-        wire shapes) it serves."""
+    def query(self, query, *, prune: bool = True,
+              **options) -> Tuple[List[tuple], ExecutionStats]:
+        """Scatter-gather execution, returning ``(rows, stats)`` like
+        ``execute_planned``: the decoded form of :meth:`query_wire`."""
+        out = self.query_wire(query, options, prune=prune)
+        stats = ExecutionStats()
+        for field, value in out["stats"].items():
+            setattr(stats, field, value)
+        encoded = ([out["agg"]] if "agg" in out
+                   else [values for _sid, values in out["rows"]])
+        return [tuple(wire.decode_value(value, self.handle)
+                      for value in values) for values in encoded], stats
+
+    def query_wire(self, query, options: Optional[Dict] = None, *,
+                   prune: bool = True) -> Dict[str, object]:
+        """Scatter-gather at the wire level: parse once, prune shards,
+        dispatch in parallel, merge rows (by surrogate) or aggregate
+        folds.  The response has the shape the single-store service's
+        ``query`` op produces (sid-tagged rows of *encoded* values, or
+        a merged ``agg`` vector, plus the per-shard execution stats
+        summed, ``rows_returned`` recomputed for aggregate merges) --
+        per-row values are merged without a decode/re-encode
+        round-trip, so a network backend serving a sharded store pays
+        routing, not re-serialization."""
         if self._closed:
             raise ShardingError("store is closed")
         if isinstance(query, str):
@@ -1020,80 +1038,34 @@ class ShardedStore:
                     else list(range(self.n_shards)))
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
-        stats = ExecutionStats()
         if has_aggregates:
             dispatched, spec = self._rewrite_aggregates(query.select)
-            text = str(Query(query.var, query.source_class, query.where,
-                             dispatched))
-        else:
-            spec = None
-            text = str(query)
+            query = Query(query.var, query.source_class, query.where,
+                          dispatched)
         payloads = self._broadcast_cmd(
-            {"op": "query", "text": text, "options": options}, selected)
-        for _shard_id, payload in payloads:
-            for field in EXECUTION_STAT_FIELDS:
-                setattr(stats, field, getattr(stats, field)
-                        + payload["stats"][field])
-        return payloads, stats, has_aggregates, spec
-
-    def query(self, query, *, prune: bool = True,
-              **options) -> Tuple[List[tuple], ExecutionStats]:
-        """Scatter-gather execution: parse once, prune shards, dispatch
-        in parallel, merge rows (by surrogate) or aggregate folds.
-        Returns ``(rows, stats)`` like ``execute_planned``; the merged
-        stats sum the per-shard executions, with
-        ``stats.rows_returned`` recomputed for aggregate merges."""
-        payloads, stats, has_aggregates, spec = self._scatter(
-            query, options, prune)
-        if has_aggregates:
-            shard_rows = [
-                [wire.decode_value(value, self.handle)
-                 for value in payload["agg"]]
-                for _shard_id, payload in payloads]
-            rows = [self._merge_aggregates(spec, shard_rows)]
-            stats.rows_returned = 1
-            self.stats_counters.rows_merged += 1
-            return rows, stats
-        tagged: List[Tuple[int, tuple]] = []
-        for _shard_id, payload in payloads:
-            for sid, values in payload["rows"]:
-                tagged.append((sid, tuple(
-                    wire.decode_value(value, self.handle)
-                    for value in values)))
-        # Shard extents are disjoint, so sorting by surrogate re-creates
-        # the single store's extent order.
-        tagged.sort(key=lambda pair: pair[0])
-        self.stats_counters.rows_merged += len(tagged)
-        return [values for _sid, values in tagged], stats
-
-    def query_wire(self, text: str, options: Optional[Dict] = None, *,
-                   prune: bool = True) -> Dict[str, object]:
-        """Scatter-gather at the wire level: the same response shape
-        the single-store service's ``query`` op produces (sid-tagged
-        rows of *encoded* values, or a merged ``agg`` vector, plus the
-        summed execution stats) -- per-row values are merged without a
-        decode/re-encode round-trip, so a network backend serving a
-        sharded store pays routing, not re-serialization."""
-        payloads, stats, has_aggregates, spec = self._scatter(
-            text, options or {}, prune)
-        stats_out = {field: getattr(stats, field)
-                     for field in EXECUTION_STAT_FIELDS}
+            {"op": "query", "text": str(query),
+             "options": options or {}}, selected)
+        stats = {field: sum(payload["stats"][field]
+                            for _shard_id, payload in payloads)
+                 for field in EXECUTION_STAT_FIELDS}
         if has_aggregates:
             shard_rows = [
                 [wire.decode_value(value, self.handle)
                  for value in payload["agg"]]
                 for _shard_id, payload in payloads]
             merged = self._merge_aggregates(spec, shard_rows)
-            stats_out["rows_returned"] = 1
+            stats["rows_returned"] = 1
             self.stats_counters.rows_merged += 1
             return {"agg": [wire.encode_value(v) for v in merged],
-                    "stats": stats_out}
+                    "stats": stats}
         rows: List[List[object]] = []
         for _shard_id, payload in payloads:
             rows.extend(payload["rows"])
+        # Shard extents are disjoint, so sorting by surrogate re-creates
+        # the single store's extent order.
         rows.sort(key=lambda row: row[0])
         self.stats_counters.rows_merged += len(rows)
-        return {"rows": rows, "stats": stats_out}
+        return {"rows": rows, "stats": stats}
 
     # -- observability --------------------------------------------------
 
@@ -1125,7 +1097,10 @@ class ShardedStore:
     # -- lifecycle ------------------------------------------------------
 
     def checkpoint(self) -> None:
-        self._broadcast_cmd({"op": "checkpoint"})
+        """Each durable shard checkpoints its own directory; in-memory
+        shards have nothing to write."""
+        if self.directory is not None:
+            self._broadcast_cmd({"op": "checkpoint"})
 
     def crash_shard(self, shard_id: int) -> None:
         """Test hook: make the worker die instantly (no flush, no

@@ -7,6 +7,12 @@ commands (``wire.py``), executes them against the store, and encodes
 results.  :func:`shard_worker_main` is the ``multiprocessing`` entry
 point (top-level, so it is spawn-safe); the in-process backend drives
 the very same :class:`ShardServer` through the very same JSON texts.
+The store ops it answers are the rows of :data:`repro.ops.OPS`, run
+against this shard's store (writes) or masked view (reads); what is
+written out below is only the shard's own: hooks around the
+``create`` / ``bulk`` / ``remove`` / ``get`` rows and the ops only a
+router sends (``ids``, ``set_foreign``, ``shard_map``, ``stats``,
+``ping``).
 
 Two shard-specific mechanisms live here:
 
@@ -35,18 +41,10 @@ from repro.lang.loader import load_schema
 from repro.objects.pipeline import CheckMode, Engine
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
-from repro.query.ast import Aggregate, Query, Var
-from repro.query.parser import parse_query
-from repro.query.planner import execute_planned
+from repro.ops import OPS, Op
 from repro.sharding import wire
 
-__all__ = ["MaskedSnapshot", "ShardServer", "shard_worker_main",
-           "EXECUTION_STAT_FIELDS"]
-
-#: ExecutionStats fields shipped back per query, in order.
-EXECUTION_STAT_FIELDS: Tuple[str, ...] = (
-    "rows_scanned", "rows_returned", "rows_skipped",
-    "checks_executed", "rows_pruned", "index_lookups")
+__all__ = ["MaskedSnapshot", "ShardServer", "shard_worker_main"]
 
 
 class MaskedSnapshot:
@@ -126,11 +124,13 @@ class ShardServer:
     # ------------------------------------------------------------------
 
     def handle_json(self, text: str) -> str:
+        return self.reply(wire.decode_command(text))
+
+    def reply(self, cmd: Dict[str, object]) -> str:
         # Every result envelope -- success or error -- carries this
         # shard's commit position ("seq"), so the router's view of the
         # per-shard vector token is updated by the very reply that
         # advanced it; no extra round-trip per write ack.
-        cmd = wire.decode_command(text)
         try:
             payload = self.handle(cmd)
         except Exception as exc:   # ships the failure back to the router
@@ -140,11 +140,19 @@ class ShardServer:
         return wire.encode_result({"ok": payload, "seq": self.position()})
 
     def handle(self, cmd: Dict[str, object]):
-        op = cmd["op"]
-        handler = self._OPS.get(op)
+        op = cmd.get("op")
+        handler = self._HANDLERS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise ShardingError(f"unknown shard command {op!r}")
         return handler(self, cmd)
+
+    def _run(self, row: Op, cmd, view=None):
+        """One table row against this shard: writes go to the store,
+        reads to the masked view (or the ``view`` a hook picks)."""
+        row.check(cmd)
+        if view is None:
+            view = self.store if row.write else self._read_view()
+        return row.run(view, cmd, self._resolve)
 
     def _resolve(self, sid: int):
         return self.store.get(Surrogate(sid))
@@ -158,6 +166,12 @@ class ShardServer:
             return journal.wal.last_seq
         return self.store._epoch
 
+    def _read_view(self):
+        snap = self.store.snapshot()
+        if len(self.foreign):
+            return MaskedSnapshot(snap, self.foreign)
+        return snap
+
     def _force_sid(self, sid: int) -> None:
         # The router is the single allocator and every create/bulk row
         # carries its authoritative sid, so the pin is *exact* (not a
@@ -166,149 +180,63 @@ class ShardServer:
         # restore on transaction rollback.
         self.store._allocator._next = sid
 
+    def _assert_sid(self, obj_sid: int, sid: int) -> None:
+        if obj_sid != sid:
+            raise ShardingError(
+                f"shard {self.shard_id} allocated @{obj_sid} for routed "
+                f"sid {sid}")
+
     # ------------------------------------------------------------------
-    # Mutations
+    # Hooks around table rows: forced surrogates, replica bookkeeping
     # ------------------------------------------------------------------
 
     def _op_create(self, cmd):
         sid = int(cmd["sid"])
-        values = wire.decode_values(cmd.get("values") or {}, self._resolve)
         self._force_sid(sid)
-        obj = self.store.create(cmd["cls"], check=cmd.get("check"),
-                                **values)
-        if obj.surrogate.id != sid:
-            raise ShardingError(
-                f"shard {self.shard_id} allocated {obj.surrogate} "
-                f"for routed sid {sid}")
+        out = self._run(OPS["create"], cmd)
+        self._assert_sid(out["sid"], sid)
         if cmd.get("foreign"):
-            self.foreign.add(obj.surrogate)
-        return {"sid": sid}
+            self.foreign.add(Surrogate(sid))
+        return out
 
     def _op_bulk(self, cmd):
-        from repro.objects.bulk import BulkSession
-        check = cmd.get("check") or CheckMode.DEFERRED
-        session = BulkSession(self.store, check=check,
-                              parallel=int(cmd.get("parallel") or 1))
+        # The row's staging loop, with each row's routed sid pinned
+        # before it is staged (rows are ``[sid, classes, values]``).
+        OPS["bulk"].check(cmd)
+        session = self.store.bulk_session(
+            check=cmd.get("check") or CheckMode.DEFERRED,
+            parallel=int(cmd.get("parallel") or 1))
         with session:
             stage = session._stage
             for sid, classes, values in cmd["rows"]:
                 self._force_sid(int(sid))
                 obj = stage(tuple(classes),
                             wire.decode_values(values, self._resolve))
-                if obj.surrogate.id != int(sid):
-                    raise ShardingError(
-                        f"shard {self.shard_id} staged {obj.surrogate} "
-                        f"for routed sid {sid}")
-        report = session.report
-        return {"rows": len(cmd["rows"]),
-                "merged": getattr(report, "objects", len(cmd["rows"]))}
-
-    def _op_set(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        value = wire.decode_value(cmd["value"], self._resolve)
-        self.store.set_value(obj, cmd["attr"], value,
-                             check=cmd.get("check"))
-        return {}
-
-    def _op_unset(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        self.store.unset_value(obj, cmd["attr"], check=cmd.get("check"))
-        return {}
-
-    def _op_classify(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        self.store.classify(obj, cmd["cls"], check=cmd.get("check"))
-        return {}
-
-    def _op_declassify(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        self.store.declassify(obj, cmd["cls"], check=cmd.get("check"))
-        return {}
+                self._assert_sid(obj.surrogate.id, int(sid))
+        return {"objects": session.report.objects}
 
     def _op_remove(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        self.store.remove(obj)
-        self.foreign.discard(obj.surrogate)
-        return {}
+        out = self._run(OPS["remove"], cmd)
+        self.foreign.discard(Surrogate(int(cmd["sid"])))
+        return out
 
-    def _op_alter(self, cmd):
-        successor = load_schema(cmd["schema"])
-        new_def = successor.get(cmd["cls"])
-        problems = self.store.alter_class(
-            new_def, recheck=cmd.get("recheck") or "affected")
-        return {"violations": [[obj.surrogate.id, str(violation)]
-                               for obj, violation in problems]}
-
-    def _op_index(self, cmd):
-        if cmd.get("action") == "drop":
-            self.store.drop_index(cmd["attr"])
-        else:
-            self.store.create_index(cmd["attr"])
-        return {}
-
-    def _op_validate(self, cmd):
-        if cmd.get("scope") == "dirty":
-            problems = self.store.validate_dirty()
-        else:
-            problems = self.store.validate_all()
-        return {"violations": [[obj.surrogate.id, str(violation)]
-                               for obj, violation in problems]}
+    def _op_get(self, cmd):
+        # Read off the live store, not a snapshot: the worker is
+        # single-threaded, and the router reads prior values between
+        # the writes of one transaction.
+        out = self._run(OPS["get"], cmd, view=self.store)
+        out["foreign"] = Surrogate(int(cmd["sid"])) in self.foreign
+        return out
 
     # ------------------------------------------------------------------
-    # Reads
+    # Shard-only ops
     # ------------------------------------------------------------------
-
-    def _read_view(self):
-        snap = self.store.snapshot()
-        if len(self.foreign):
-            return MaskedSnapshot(snap, self.foreign)
-        return snap
-
-    def _op_query(self, cmd):
-        query = parse_query(cmd["text"])
-        options = cmd.get("options") or {}
-        view = self._read_view()
-        stats_out = {}
-        if any(isinstance(item, Aggregate) for item in query.select):
-            rows, stats = execute_planned(query, view, **options)
-            for field in EXECUTION_STAT_FIELDS:
-                stats_out[field] = getattr(stats, field)
-            return {"agg": [wire.encode_value(v) for v in rows[0]],
-                    "stats": stats_out}
-        # Tag each row with its surrogate by prepending the query variable
-        # to the select list: the extra item cannot skip (no attribute
-        # access), so rows, order and rows_skipped are untouched.
-        tagged = Query(query.var, query.source_class, query.where,
-                       (Var(query.var),) + tuple(query.select))
-        rows, stats = execute_planned(tagged, view, **options)
-        for field in EXECUTION_STAT_FIELDS:
-            stats_out[field] = getattr(stats, field)
-        return {"rows": [[row[0].surrogate.id,
-                          [wire.encode_value(v) for v in row[1:]]]
-                         for row in rows],
-                "stats": stats_out}
-
-    def _op_count(self, cmd):
-        return {"count": self._read_view().count(cmd["cls"])}
-
-    def _op_extent(self, cmd):
-        view = self._read_view()
-        members = view.extent_surrogates(cmd["cls"])
-        if not isinstance(members, SurrogateSet):
-            members = SurrogateSet(members)
-        return {"extent": wire.encode_chunks(members)}
 
     def _op_ids(self, cmd):
         members = SurrogateSet(
             obj.surrogate for obj in self.store.instances())
         return {"ids": wire.encode_chunks(members),
                 "high_water": self.store._allocator.high_water_mark}
-
-    def _op_get(self, cmd):
-        obj = self._resolve(int(cmd["sid"]))
-        return {"classes": sorted(obj.memberships),
-                "values": wire.encode_values(obj.values_snapshot()),
-                "foreign": obj.surrogate in self.foreign}
 
     def _op_set_foreign(self, cmd):
         self.foreign = wire.decode_chunks(cmd["sids"])
@@ -340,21 +268,11 @@ class ShardServer:
         self._map_cache = (epoch, payload)
         return {"epoch": epoch, "profiles": payload}
 
-    def _op_schema(self, cmd):
-        from repro.lang.printer import print_schema
-        return {"schema": print_schema(self.store.schema)}
-
     def _op_stats(self, cmd):
         out = dict(self.store.stats())
         out["shard.objects"] = len(self.store)
         out["shard.foreign_replicas"] = len(self.foreign)
         return out
-
-    def _op_checkpoint(self, cmd):
-        checkpoint = getattr(self.store, "checkpoint", None)
-        if checkpoint is not None:
-            checkpoint()
-        return {}
 
     def _op_ping(self, cmd):
         return {"shard": self.shard_id, "epoch": self.store._epoch,
@@ -365,17 +283,18 @@ class ShardServer:
         if closer is not None:
             closer()
 
-    _OPS = {
-        "create": _op_create, "bulk": _op_bulk, "set": _op_set,
-        "unset": _op_unset, "classify": _op_classify,
-        "declassify": _op_declassify, "remove": _op_remove,
-        "alter": _op_alter, "index": _op_index, "validate": _op_validate,
-        "query": _op_query, "count": _op_count, "extent": _op_extent,
-        "ids": _op_ids, "get": _op_get, "set_foreign": _op_set_foreign,
-        "shard_map": _op_shard_map, "schema": _op_schema,
-        "stats": _op_stats,
-        "checkpoint": _op_checkpoint, "ping": _op_ping,
-    }
+
+def _table_handler(row: Op):
+    return lambda server, cmd: server._run(row, cmd)
+
+
+#: Dispatch: every table row, then this class's own ``_op_*`` hooks and
+#: shard-only ops over it.
+ShardServer._HANDLERS = {
+    **{name: _table_handler(row) for name, row in OPS.items()},
+    **{name[len("_op_"):]: fn for name, fn in vars(ShardServer).items()
+       if name.startswith("_op_")},
+}
 
 
 def shard_worker_main(shard_id: int, config: Dict[str, object],
@@ -394,8 +313,7 @@ def shard_worker_main(shard_id: int, config: Dict[str, object],
         {"ok": {"ready": True, "objects": len(server.store)},
          "seq": server.position()}))
     while True:
-        text = cmd_queue.get()
-        cmd = wire.decode_command(text)
+        cmd = wire.decode_command(cmd_queue.get())
         op = cmd.get("op")
         if op == "shutdown":
             server.close()
@@ -404,4 +322,4 @@ def shard_worker_main(shard_id: int, config: Dict[str, object],
         if op == "crash":
             import os
             os._exit(1)
-        result_queue.put(server.handle_json(text))
+        result_queue.put(server.reply(cmd))

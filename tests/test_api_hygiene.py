@@ -192,3 +192,103 @@ def test_live_schema_only_evolved_through_the_pipeline():
         "live-store schema mutation outside the mutation pipeline "
         "(use alter_class/add_excuse/retract_excuse): "
         + ", ".join(offenders))
+
+
+# ---------------------------------------------------------------------------
+# One op table: the wire vocabulary is listed in repro/ops.py and nowhere else
+# ---------------------------------------------------------------------------
+#
+# Every store operation is one row of `repro.ops.OPS`; the backends'
+# handlers, the service's dispatch sets, the client's retry set and the
+# replica-set stubs are derived from it.  A second hand-kept list of op
+# names is how the edges drifted apart before, so any set/dict/tuple/
+# list literal naming three or more ops outside ops.py is an offence.
+
+def _op_name_lists_in(tree, op_names):
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+            members = node.elts
+        elif isinstance(node, ast.Dict):
+            members = [key for key in node.keys if key is not None]
+        else:
+            continue
+        named = {m.value for m in members
+                 if isinstance(m, ast.Constant)
+                 and isinstance(m.value, str)} & op_names
+        if len(named) >= 3:
+            hits.append((node.lineno, sorted(named)))
+    return hits
+
+
+def test_op_names_are_listed_only_in_the_op_table():
+    from repro.ops import OPS
+    src_root = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        if rel == "ops.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=rel)
+        for lineno, named in _op_name_lists_in(tree, set(OPS)):
+            offenders.append(f"{rel}:{lineno} {named}")
+    assert not offenders, (
+        "a hand-kept list of op names outside repro/ops.py (derive it "
+        "from OPS): " + ", ".join(offenders))
+
+
+def test_every_op_row_is_served_at_every_edge():
+    from repro.net.backends import (
+        ConcurrentBackend, ReplicaBackend, ShardedBackend)
+    from repro.net.client import ReplicaSetClient, StoreClient
+    from repro.ops import OPS
+    from repro.sharding.worker import ShardServer
+    for name, row in OPS.items():
+        handler = "op_" + name
+        assert callable(getattr(ConcurrentBackend, handler)), name
+        assert callable(getattr(ShardedBackend, handler)), name
+        if row.write:
+            # A replica's refusal is explicit: it is not writable (the
+            # service answers NotPrimaryError) and has no write handler.
+            assert not ReplicaBackend.writable
+            assert not hasattr(ReplicaBackend, handler), name
+        else:
+            assert callable(getattr(ReplicaBackend, handler)), name
+        assert name in ShardServer._HANDLERS, name
+        assert row.stubs, name
+        for stub in row.stubs:
+            assert callable(getattr(StoreClient, stub)), (name, stub)
+            assert callable(getattr(ReplicaSetClient, stub)), (name, stub)
+
+
+def _op_reference_rows():
+    """The op reference table of docs/SEMANTICS.md section 16, as it
+    must read given ``OPS``."""
+    from repro.ops import OPS
+
+    def fields(names):
+        return ", ".join(f"`{name}`" for name in names) or "–"
+
+    def flag(value):
+        return "yes" if value else "–"
+
+    return [
+        f"| `{row.name}` | {fields(row.required)} | "
+        f"{fields(row.optional)} | {flag(row.write)} | "
+        f"{flag(row.idempotent)} | {flag(row.fenced)} | "
+        f"{flag(row.in_txn)} |"
+        for row in OPS.values()]
+
+
+def test_documented_op_reference_matches_the_table():
+    docs = pathlib.Path(__file__).resolve().parent.parent / "docs"
+    lines = (docs / "SEMANTICS.md").read_text().splitlines()
+    header = ("| op | required | optional | write | idempotent | "
+              "fenced | in_txn |")
+    start = lines.index(header) + 2         # skip the |---| rule
+    documented = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        documented.append(line)
+    assert documented == _op_reference_rows()

@@ -274,6 +274,45 @@ class TestReplicaServing:
             replica.close()
             ship.close()
 
+    def test_replica_set_client_covers_every_write(self,
+                                                   primary_service):
+        """Regression (drift 3): bulk / alter / index / validate /
+        checkpoint had no ``ReplicaSetClient`` stub, so their ack
+        tokens were never merged and a replica read right after
+        ``primary.bulk()`` carried a stale token."""
+        service, replica, ship = _replica_service(primary_service,
+                                                  poll=0)
+        try:
+            rs = ReplicaSetClient(
+                StoreClient(*primary_service.address,
+                            timeout=IO_TIMEOUT),
+                [StoreClient(*service.address, timeout=IO_TIMEOUT)])
+            ack = rs.bulk([[["Ward"], {"floor": 1 + i, "name": f"w{i}"}]
+                           for i in range(5)])
+            assert ack["objects"] == 5
+            assert rs.last_token == ack["token"]
+            # The replica is not pulling (poll=0), so it is provably
+            # behind the bulk: the read carries the merged token, the
+            # replica answers lag, and the fallback serves the rows.
+            with pytest.raises(ReplicaLagError):
+                rs.replicas[0].count("Ward", token=rs.last_token)
+            assert rs.count("Ward") == 5
+            for write in (lambda: rs.create_index("floor"),
+                          lambda: rs.validate("dirty"),
+                          lambda: rs.alter(rs.schema(), "Ward"),
+                          lambda: rs.drop_index("floor"),
+                          lambda: rs.checkpoint()):
+                ack = write()
+                assert epoch_tokens.covers(rs.last_token, ack["token"])
+            replica.sync()
+            rs.wait_all(timeout=IO_TIMEOUT)
+            assert rs.count("Ward") == 5
+            rs.close()
+        finally:
+            service.shutdown()
+            replica.close()
+            ship.close()
+
     def test_dump_pages_past_frame_limit(self, tmp_path):
         """A catch-up dump larger than one frame ships as pages behind
         a ``dump_id`` cursor; a replica reassembles and bootstraps.
