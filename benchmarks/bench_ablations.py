@@ -17,29 +17,15 @@ from conftest import report
 from repro.evaluation import render_table
 from repro.query import analyze, compile_query
 from repro.scenarios import populate_hospital
+from repro.semantics.candidates import ExcuseSemantics
 from repro.semantics.checker import ConformanceChecker
 
 
-class _NoExcuseChecker(ConformanceChecker):
-    """Conformance with the excuse registry ablated away.
+class _NoExcuses(ExcuseSemantics):
+    """The paper's rule with the excuse registry ablated away."""
 
-    Runs on the walking (non-indexed) path: the constraint index bakes
-    excuses into its precomputed rows, which is exactly the machinery
-    this ablation turns off.
-    """
-
-    def __init__(self, schema) -> None:
-        super().__init__(schema, use_index=False)
-        schema_excuses = schema.excuses_against
-
-        class _Mute:
-            def excuses_against(self, owner, attribute):
-                return ()
-
-            def __getattr__(self, item):
-                return getattr(schema, item)
-
-        self.schema = _Mute()
+    def satisfies(self, schema, entity, value, constraint, excuses):
+        return super().satisfies(schema, entity, value, constraint, ())
 
 
 GUARDED_QUERIES = (
@@ -60,7 +46,7 @@ def test_a1_excuse_fold_ablation(benchmark, hospital_schema):
                                 tubercular_fraction=0.1,
                                 ambulatory_fraction=0.1)
         full = ConformanceChecker(hospital_schema)
-        strict = _NoExcuseChecker(hospital_schema)
+        strict = ConformanceChecker(hospital_schema, _NoExcuses())
         objects = list(pop.store.instances())
         with_fold = sum(1 for o in objects if not full.conforms(o))
         without = sum(1 for o in objects if not strict.conforms(o))
@@ -71,8 +57,8 @@ def test_a1_excuse_fold_ablation(benchmark, hospital_schema):
         # required, so we measure that separately on the Swiss hospitals.
         strict_required = ConformanceChecker(hospital_schema,
                                              require_values=True)
-        ablated_required = _NoExcuseChecker(hospital_schema)
-        ablated_required.require_values = True
+        ablated_required = ConformanceChecker(
+            hospital_schema, _NoExcuses(), require_values=True)
         swiss = pop.store.extent("Hospital$1")
         swiss_ok_full = sum(
             1 for h in swiss if strict_required.conforms(h))

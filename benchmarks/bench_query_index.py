@@ -1,9 +1,9 @@
 """A4 -- indexed query execution vs the guarded full scan.
 
-The read-side counterpart of A3: selective equality and class-membership
-queries over the hospital population at 10k objects.  The baseline is
-the guarded full scan (:func:`repro.query.execute`); the contender is
-the planner (:func:`repro.query.execute_planned`), which pushes sargable
+Selective equality and class-membership queries over the hospital
+population at 10k objects.  The baseline is the guarded full scan
+(:func:`repro.query.execute`); the contender is the planner
+(:func:`repro.query.execute_planned`), which pushes sargable
 ``where`` conjuncts into secondary-index probes and extent-set
 intersections, visits only candidates plus the INAPPLICABLE skip rows,
 and serves repeated queries from the schema-versioned plan cache.

@@ -16,8 +16,7 @@ Two claims, measured over the same 100k-object hospital population:
    the profile on every shard that holds no candidate), and
    deduction-backed refutation prunes reference-constrained queries to
    zero shards.  Both are counter-verified (``shards_dispatched``) and
-   hardware-independent: pruning cuts *total* work, so the pruned
-   query beats the unpruned same-store query even on one core.
+   hardware-independent.
 
 Rows and ``rows_skipped`` are asserted identical across every shard
 count, so none of the throughput comes from answering differently.
@@ -82,14 +81,14 @@ def _populate(n_shards, rows, physician_ref):
     return store, time.perf_counter() - t0
 
 
-def _timed_query(store, query, prune=True):
+def _timed_query(store, query):
     # Warm the per-shard map caches (built lazily on the first pruned
     # query after a write epoch, O(population)), so the loop measures
     # the steady-state dispatch cost the claim is about.
-    store.query(query, prune=prune)
+    store.query(query)
     t0 = time.perf_counter()
     for _ in range(QUERY_REPEATS):
-        rows, stats = store.query(query, prune=prune)
+        rows, stats = store.query(query)
     elapsed = (time.perf_counter() - t0) / QUERY_REPEATS
     return rows, stats, elapsed
 
@@ -113,11 +112,6 @@ def test_a10_sharded_scaling():
                 store.stats_counters.shards_dispatched
                 - before) // (QUERY_REPEATS + 1)
             entry["selective_qps"] = round(1.0 / sel_t, 1)
-
-            _u_rows, _u_stats, unpruned_t = _timed_query(
-                store, SELECTIVE_QUERY, prune=False)
-            entry["selective_unpruned_qps"] = round(1.0 / unpruned_t, 1)
-            assert _rows_key(_u_rows) == _rows_key(sel_rows)
 
             before = store.stats_counters.shards_dispatched
             ded_rows, _ded_stats, _ded_t = _timed_query(
@@ -163,13 +157,12 @@ def test_a10_sharded_scaling():
     table_rows = [
         (n, e["write_s"], e["objects_per_sec"],
          e["selective_dispatched"], e["selective_qps"],
-         e["selective_unpruned_qps"], e["deduction_dispatched"],
-         e["scan_qps"])
+         e["deduction_dispatched"], e["scan_qps"])
         for n, e in sorted(results.items())
     ]
     report("A10-sharded", render_table(
         ("shards", "write s", "obj/s", "sel disp", "sel q/s",
-         "sel q/s (no prune)", "ded disp", "scan q/s"),
+         "ded disp", "scan q/s"),
         table_rows,
         title=f"A10: sharded stores, {N_OBJECTS} objects, "
               f"{cpu_count} cpu(s)"))

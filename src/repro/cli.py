@@ -14,8 +14,8 @@ Usage (also via ``python -m repro.cli``)::
     repro deduce <schema.cdl> <facts...>   # contrapositive deduction,
                                            # e.g. "y.treatedBy not in
                                            # Physician" "y not in Alcoholic"
-    repro stats [--engine full]            # conformance-engine counters
-                [--shards N]               # for a standard hospital
+    repro stats [--shards N]               # conformance counters
+                                           # for a standard hospital
                                            # populate + churn workload
                                            # (sharded: per-shard +
                                            # aggregate tables)
@@ -195,7 +195,7 @@ def _sharded_stats(args) -> int:
     from repro.typesys.values import EnumSymbol
 
     store = ShardedStore(build_hospital_schema(), args.shards,
-                         processes=args.processes, engine=args.engine)
+                         processes=args.processes)
     try:
         physician = store.create(
             "Physician", broadcast=True, name="doc", age=50,
@@ -229,8 +229,7 @@ def cmd_stats(args) -> int:
 
     if args.shards:
         return _sharded_stats(args)
-    pop = populate_hospital(n_patients=args.patients, seed=args.seed,
-                            engine=args.engine)
+    pop = populate_hospital(n_patients=args.patients, seed=args.seed)
     store = pop.store
     if args.timing:
         store.checker.stats.timing = True
@@ -244,8 +243,7 @@ def cmd_stats(args) -> int:
                                 pressures[(i + round_no) % 2])
     rows = [(key, value) for key, value in sorted(store.stats().items())]
     print(render_table(("metric", "value"), rows,
-                       title=f"engine stats ({args.engine}, "
-                             f"{args.patients} patients, "
+                       title=f"engine stats ({args.patients} patients, "
                              f"{args.rounds} churn rounds)"))
     return 0
 
@@ -785,8 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patients", type=int, default=200)
     p.add_argument("--rounds", type=int, default=3,
                    help="churn rounds over the population (default 3)")
-    p.add_argument("--engine", choices=("incremental", "full"),
-                   default="incremental")
     p.add_argument("--seed", type=int, default=1988)
     p.add_argument("--timing", action="store_true",
                    help="also accumulate wall time per event class")

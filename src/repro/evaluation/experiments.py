@@ -101,12 +101,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ("repro.query.compiler", "repro.storage.index"),
         "bench_optimizations.py"),
     Experiment(
-        "A3", "Incremental conformance engine", "substrate",
-        "mutation-scoped checking from the constraint index beats the "
-        "re-derive-everything baseline >= 2x with identical verdicts",
-        ("repro.semantics.checker", "repro.schema.schema"),
-        "bench_incremental_check.py"),
-    Experiment(
         "A4", "Indexed query execution", "substrate",
         "excuse-aware secondary indexes plus the pushdown planner beat "
         "the guarded full scan >= 5x on selective queries with "

@@ -22,7 +22,7 @@ This is the database substrate the paper presumes (Sections 2c, 3c, 5.6):
 
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
-from repro.objects.store import CheckMode, Engine, ObjectStore
+from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.pipeline import (
     MutationCommand,
     MutationPipeline,
@@ -42,7 +42,6 @@ __all__ = [
     "BulkSession",
     "CheckMode",
     "ConcurrentStore",
-    "Engine",
     "ExceptionRecord",
     "ExceptionalIndividualRegistry",
     "Instance",

@@ -15,11 +15,6 @@ ObjectStore` for multi-threaded use.  The division of labor:
   mid-transaction -- the previous epoch is served instead.  A reader
   thus sees a consistent committed state that is at most one writer
   lock-hold stale, and never a torn or uncommitted one.
-
-``query_locked`` is the deliberate anti-pattern kept for measurement:
-it executes against the live store under the write lock, i.e. the
-classical reader-writer coupling the snapshot path exists to beat
-(benchmark A7 reports the ratio).
 """
 
 from __future__ import annotations
@@ -107,15 +102,6 @@ class ConcurrentStore:
         """Execute a query against the newest available epoch; returns
         ``(rows, ExecutionStats)``."""
         return self.snapshot().run_query(query, **compile_kwargs)
-
-    def query_locked(self, query, **compile_kwargs):
-        """Execute against the *live* store under the write lock -- the
-        lock-coupled baseline a snapshot reader is measured against
-        (benchmark A7).  Blocks for the writer's full lock hold."""
-        from repro.query.planner import execute_planned
-        store = self._store
-        with store._write_lock:
-            return execute_planned(query, store, **compile_kwargs)
 
     def extent(self, class_name: str):
         return self.snapshot().extent(class_name)

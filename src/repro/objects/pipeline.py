@@ -71,13 +71,6 @@ class CheckMode:
     NONE = "none"        # never (benchmarking substrate only)
 
 
-class Engine:
-    """How eager conformance verdicts are computed."""
-
-    INCREMENTAL = "incremental"  # constraint index + mutation-scoped checks
-    FULL = "full"                # re-derive whole-object checks (baseline)
-
-
 class TransactionError(Exception):
     """Raised when commit-time validation fails inside a transaction."""
 
@@ -497,7 +490,7 @@ class MutationPipeline:
             store._mark_dirty(obj)
             return True
         delta = store.schema.ancestors(class_name) - before
-        blamed, violations = obj, self.check_membership_gain(obj, delta)
+        blamed, violations = obj, checker.check_classes(obj, delta)
         if not violations:
             blamed, violations = self.check_joins(joins, skip=obj)
         if violations:
@@ -528,10 +521,7 @@ class MutationPipeline:
             store._mark_dirty(obj)
             return True
         removed = before - checker.expanded_memberships(obj)
-        if store.engine == Engine.INCREMENTAL:
-            violations = checker.check_membership_loss(obj, removed)
-        else:
-            violations = checker.check(obj)
+        violations = checker.check_membership_loss(obj, removed)
         hard = [v for v in violations if v.kind != "inapplicable-attribute"]
         if hard:
             checker.stats.rollbacks += 1
@@ -584,10 +574,7 @@ class MutationPipeline:
                 stats.record("write.unchecked", stats.clock() - t0)
             return
         blamed = obj
-        if store.engine == Engine.INCREMENTAL:
-            violations = store.checker.check_attribute(obj, attribute, value)
-        else:
-            violations = store.checker.check(obj)
+        violations = store.checker.check_attribute(obj, attribute, value)
         if not violations:
             blamed, violations = self.check_joins(joins, skip=obj)
         if violations:
@@ -969,15 +956,8 @@ class MutationPipeline:
                 store._extent_cache.pop(class_name, None)
 
     # ------------------------------------------------------------------
-    # Membership-delta checking (incremental engine)
+    # Membership-delta checking
     # ------------------------------------------------------------------
-
-    def check_membership_gain(self, obj: Instance,
-                              delta: frozenset) -> List[Violation]:
-        store = self.store
-        if store.engine == Engine.INCREMENTAL:
-            return store.checker.check_classes(obj, delta)
-        return store.checker.check(obj)
 
     def begin_join_log(
             self, eager: bool
@@ -1006,7 +986,7 @@ class MutationPipeline:
             for inst, delta in log:
                 if inst is skip:
                     continue
-                violations = self.check_membership_gain(inst, delta)
+                violations = self.store.checker.check_classes(inst, delta)
                 if violations:
                     return inst, violations
         return skip, []

@@ -160,7 +160,6 @@ class StoreSnapshot:
         # keeps planning and checking against the epoch it captured.
         self.schema = store.schema
         self.schema_epoch: int = store.schema_epochs.current.number
-        self.engine: str = store.engine
         self.check_mode: str = store.check_mode
         # id -> (membership set ref, value dict ref), captured O(1) from
         # the store's columnar state table: the chunk table is taken by
@@ -284,7 +283,6 @@ class StoreSnapshot:
         """
         snap = dict(live_counters if live_counters is not None
                     else self._counters)
-        snap["engine"] = self.engine
         snap["schema_epoch"] = self.schema_epoch
         snap["objects"] = len(self._objects)
         snap["extent_entries"] = self._extent_entries

@@ -36,28 +36,19 @@ facade read.  The store's own ``extent``/``get`` remain *live* views --
 read-your-own-writes inside a transaction -- while snapshots are always
 committed state.
 
-Conformance engines
--------------------
+Conformance checking
+--------------------
 
-Eager enforcement runs on one of two engines (``engine=`` at
-construction):
-
-* ``Engine.INCREMENTAL`` (default): verdicts come from the schema's
-  precomputed constraint index through the checker's signature-profile
-  cache, and each mutation checks only the constraints it can affect --
-  an attribute write checks that attribute's rows; gaining a membership
-  (``classify``, or a value entering a virtual class) checks the closure
-  delta's rows; losing one (``declassify``) checks the rows whose excuses
-  the loss can strip plus new applicability errors.
-* ``Engine.FULL``: every eagerly-checked mutation re-derives and
-  re-checks the whole affected object from the schema, with no index.
-  This is the seed's conservative full-object path, kept as the measured
-  baseline and as the oracle for the incremental engine's
-  property-tested equivalence.
-
-Both engines enforce the same semantics, including on membership *loss*:
-an object that conformed only through the excuse branch ``x in E`` is
-re-checked (and the declassification rolled back) when it leaves ``E``.
+Eager verdicts come from the schema's precomputed constraint index
+through the checker's signature-profile cache, and each mutation checks
+only the constraints it can affect -- an attribute write checks that
+attribute's rows; gaining a membership (``classify``, or a value entering
+a virtual class) checks the closure delta's rows; losing one
+(``declassify``) checks the rows whose excuses the loss can strip plus
+new applicability errors: an object that conformed only through the
+excuse branch ``x in E`` is re-checked (and the declassification rolled
+back) when it leaves ``E``.  ``store.checker`` is the seam the property
+suites use to run the same store on ``tests/reference_model.py``.
 
 Residue policy: when a value *leaves* a virtual class because its anchor
 moved away, the value may retain attributes that are no longer applicable
@@ -88,7 +79,6 @@ from repro.objects.pipeline import (
     ClassifyCommand,
     CreateCommand,
     DeclassifyCommand,
-    Engine,
     MutationPipeline,
     RemoveCommand,
     SetValueCommand,
@@ -104,7 +94,7 @@ from repro.semantics.candidates import ConstraintSemantics
 from repro.semantics.checker import ConformanceChecker, Violation
 from repro.typesys.values import INAPPLICABLE
 
-__all__ = ["CheckMode", "Engine", "ObjectStore"]
+__all__ = ["CheckMode", "ObjectStore"]
 
 
 #: Shared empty extent for classes with no instances yet (treated as
@@ -120,16 +110,11 @@ class ObjectStore:
                  check_mode: str = CheckMode.EAGER,
                  strict_virtual_extents: bool = True,
                  require_values: bool = False,
-                 engine: str = Engine.INCREMENTAL,
                  stats: Optional[EngineStats] = None,
                  bitset_stats: Optional[BitsetStats] = None) -> None:
-        if engine not in (Engine.INCREMENTAL, Engine.FULL):
-            raise ValueError(f"unknown conformance engine {engine!r}")
         self.schema = schema
-        self.engine = engine
         self.checker = ConformanceChecker(
-            schema, semantics, require_values=require_values,
-            use_index=(engine == Engine.INCREMENTAL), stats=stats)
+            schema, semantics, require_values=require_values, stats=stats)
         self.check_mode = check_mode
         self.strict_virtual_extents = strict_virtual_extents
         # The bitset-counter sink stats() reports.  Defaults to the
@@ -339,11 +324,10 @@ class ObjectStore:
 
         E.g. making a patient an instance of both Renal_Failure_Patient
         and Hemorrhaging_Patient.  Conformance of the object under its
-        enlarged constraint set is checked (eagerly by default): the
-        incremental engine checks exactly the constraints the closure
-        delta introduces, the full engine re-checks the whole object.
-        Values pulled into virtual classes by the new membership are
-        checked the same way.
+        enlarged constraint set is checked (eagerly by default) on
+        exactly the constraints the closure delta introduces.  Values
+        pulled into virtual classes by the new membership are checked
+        the same way.
         """
         self._pipeline.execute(ClassifyCommand(obj, class_name, check))
 

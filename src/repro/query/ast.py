@@ -49,7 +49,7 @@ class Path(Expr):
         return f"{base_key}.{self.attribute}"
 
     def __str__(self) -> str:
-        return f"{self.base}.{self.attribute}"
+        return f"{_operand(self.base)}.{self.attribute}"
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,13 @@ class Const(Expr):
     value: object
 
     def __str__(self) -> str:
-        from repro.typesys.values import EnumSymbol
-        if isinstance(self.value, EnumSymbol):
-            return str(self.value)
-        return repr(self.value)
+        # The lexer's own syntax, so ``parse_query(str(q)) == q``.
+        value = self.value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return f'"{value}"'
+        return str(value)   # integers and 'Symbol
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class InClass(Expr):
     class_name: str
 
     def __str__(self) -> str:
-        return f"{self.expr} in {self.class_name}"
+        return f"{_operand(self.expr)} in {self.class_name}"
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class NotInClass(Expr):
     class_name: str
 
     def __str__(self) -> str:
-        return f"{self.expr} not in {self.class_name}"
+        return f"{_operand(self.expr)} not in {self.class_name}"
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,16 @@ class Compare(Expr):
     right: Expr
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        return f"{_operand(self.left)} {self.op} {_operand(self.right)}"
+
+
+def _operand(expr: Expr) -> str:
+    """``expr`` as the operand of a relation or an attribute access: the
+    grammar takes a postfix there, so a relation needs its parentheses
+    back (``(p.age < 40) = true``)."""
+    if isinstance(expr, (Compare, InClass, NotInClass)):
+        return f"({expr})"
+    return str(expr)
 
 
 @dataclass(frozen=True)

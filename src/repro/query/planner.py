@@ -106,10 +106,9 @@ class QueryPlan:
     schema_version: int
     index_version: int
     #: The specialized executor closure ``build_plan`` generates for this
-    #: exact pushdown sequence (see :func:`_compile_executor`); ``None``
-    #: falls back to the interpreted walk.  Not part of plan identity.
-    executor: Optional[Callable] = field(default=None, repr=False,
-                                         compare=False)
+    #: exact pushdown sequence (see :func:`_compile_executor`).  Not part
+    #: of plan identity.
+    executor: Callable = field(init=False, repr=False, compare=False)
 
     def explain(self, store=None) -> str:
         """The compiled plan plus the planner's physical decisions; pass
@@ -122,11 +121,10 @@ class QueryPlan:
         else:
             lines.append("access path: cost-based at execute() -- index "
                          "pushdowns when they prune, else full scan")
-        if self.executor is not None:
-            shape = (f"{len(self.pushdowns)} pushdown step(s) inlined, "
-                     "probe constants bound" if self.pushdowns
-                     else "specialized full scan")
-            lines.append(f"executor: compiled closure ({shape})")
+        shape = (f"{len(self.pushdowns)} pushdown step(s) inlined, "
+                 "probe constants bound" if self.pushdowns
+                 else "specialized full scan")
+        lines.append(f"executor: compiled closure ({shape})")
         for p in self.pushdowns:
             if p.kind == "eq":
                 via = f"index({p.attribute}) + its INAPPLICABLE posting"
@@ -322,10 +320,10 @@ def _compile_executor(plan: QueryPlan) -> Callable:
 
     The closure takes ``(store, stats)`` -- any store-like object with
     an index manager, so one cached plan serves the live store and every
-    snapshot -- and returns the row list, or ``None`` when the physical
-    design moved underneath the plan (an index was dropped), before any
-    counter has been touched; the caller then re-executes through
-    :func:`_execute_interpreted`, which re-checks every pushdown.
+    snapshot -- and returns the row list.  When the physical design moved
+    underneath the plan (a pushed equality's index was dropped) it runs
+    the guarded full scan: anything missing means scan, never a wrong
+    answer.
     """
     pushdowns = plan.pushdowns
     env: Dict[str, object] = {
@@ -337,19 +335,22 @@ def _compile_executor(plan: QueryPlan) -> Callable:
         "def _plan_executor(store, stats):",
         "    manager = store.indexes",
         "    qstats = manager.qstats",
+        "    qstats.compiled_execs += 1",
     ]
+    scan = ("run_rows(_compiled, store, store.extent(_source), stats)")
     # Stale-design guard first: every pushed equality still needs its
-    # index, and nothing may be counted before the guard passes.
+    # index.
     for i, p in enumerate(pushdowns):
         if p.kind == "eq":
             env[f"_a{i}"] = p.attribute
             env[f"_v{i}"] = p.value
-            lines.append(f"    if _a{i} not in manager:")
-            lines.append("        return None")
+            lines += [
+                f"    if _a{i} not in manager:",
+                "        qstats.full_scans += 1",
+                f"        return {scan}",
+            ]
         else:
             env[f"_c{i}"] = p.class_name
-    lines.append("    qstats.compiled_execs += 1")
-    scan = ("run_rows(_compiled, store, store.extent(_source), stats)")
     if not pushdowns:
         lines += [
             "    qstats.full_scans += 1",
@@ -366,7 +367,7 @@ def _compile_executor(plan: QueryPlan) -> Callable:
         # Pre-estimate from index stats / extent counts: skip the set
         # algebra when no pushdown can possibly prune.  A not-member
         # pushdown has no cheap upper bound, so its presence disables
-        # the shortcut (exactly as the interpreted walk does).
+        # the shortcut.
         if not any(p.kind == "not-member" for p in pushdowns):
             lines.append("    floor = scan_rows")
             for i, p in enumerate(pushdowns):
@@ -475,107 +476,14 @@ def _compile_executor(plan: QueryPlan) -> Callable:
 
 def execute_plan(plan: QueryPlan, store) -> Tuple[List[tuple],
                                                   ExecutionStats]:
-    """Run a plan: prune through the indexes when that wins, fall back
-    to the guarded full scan when it does not.  Results and
-    ``rows_skipped`` match :func:`repro.query.interpreter.execute` on
-    the same compiled query exactly.
-
-    Dispatches to the plan's compiled executor closure; the interpreted
-    walk below remains as the oracle (property-tested equivalent) and as
-    the fallback when the executor declines a stale physical design.
+    """Run a plan through its compiled executor closure: prune through
+    the indexes when that wins, fall back to the guarded full scan when
+    it does not.  Results and ``rows_skipped`` match
+    :func:`repro.query.interpreter.execute` on the same compiled query
+    exactly (property-tested in ``tests/test_columnar_properties.py``).
     """
     stats = ExecutionStats()
-    executor = plan.executor
-    if executor is not None:
-        rows = executor(store, stats)
-        if rows is not None:
-            return rows, stats
-        # The design moved under the plan; no counter was touched yet.
-    return _execute_interpreted(plan, store, stats)
-
-
-def _execute_interpreted(plan: QueryPlan, store,
-                         stats: Optional[ExecutionStats] = None
-                         ) -> Tuple[List[tuple], ExecutionStats]:
-    """The plan-tree walk :func:`_compile_executor` specializes away:
-    kept as the executable oracle for the compiled == interpreted ==
-    scan property suite, and as the conservative path for plans whose
-    physical design has moved."""
-    compiled = plan.compiled
-    manager = store.indexes
-    qstats = manager.qstats
-    if stats is None:
-        stats = ExecutionStats()
-    source = compiled.source_class
-    pushdowns = plan.pushdowns
-    # The physical design may have moved since the plan was built (e.g.
-    # an index dropped, or a stale plan object re-executed): anything
-    # missing means scan, never a wrong answer.
-    if pushdowns and any(
-            p.kind == "eq" and p.attribute not in manager
-            for p in pushdowns):
-        pushdowns = ()
-
-    extent_set = store.extent_surrogates(source)
-    scan_rows = len(extent_set)
-
-    if pushdowns and scan_rows:
-        # Quick pre-estimate from index stats / extent counts: skip the
-        # set algebra when no pushdown can possibly prune.
-        floor = scan_rows
-        for p in pushdowns:
-            if p.kind == "eq":
-                floor = min(floor, manager.selectivity(p.attribute, p.value)
-                            + len(manager.inapplicable(p.attribute)))
-            elif p.kind == "member":
-                floor = min(floor, store.count(p.class_name))
-        if floor >= scan_rows and not any(
-                p.kind == "not-member" for p in pushdowns):
-            pushdowns = ()
-
-    if not pushdowns or not scan_rows:
-        qstats.full_scans += 1
-        rows = run_rows(compiled, store, store.extent(source), stats)
-        return rows, stats
-
-    # Materialize the candidate set in conjunct order, accumulating the
-    # rows each pushed equality would have skipped (they must be visited).
-    cand = extent_set
-    skips: set = set()
-    lookups = 0
-    for p in pushdowns:
-        if p.kind == "eq":
-            skips |= manager.inapplicable(p.attribute) & cand
-            matched = manager.lookup(p.attribute, p.value) & cand
-            residue = manager.residue(p.attribute)
-            if residue:
-                matched = set(matched) | (residue & cand)
-            cand = matched
-            lookups += 1
-        elif p.kind == "member":
-            cand = cand & store.extent_surrogates(p.class_name)
-            lookups += 1
-        else:
-            cand = cand - store.extent_surrogates(p.class_name)
-            lookups += 1
-    qstats.index_lookups += lookups
-    stats.index_lookups = lookups
-
-    visit = cand | skips
-    pruned = scan_rows - len(visit)
-    if pruned <= 0:
-        # Pruning bought nothing; the plain scan avoids the set algebra
-        # next time the costs look like this.
-        qstats.full_scans += 1
-        rows = run_rows(compiled, store, store.extent(source), stats)
-        return rows, stats
-
-    qstats.index_scans += 1
-    qstats.rows_pruned += pruned
-    stats.rows_pruned = pruned
-    objects = [store.get(s) for s in sorted(visit)]
-    rows = run_rows(compiled, store, objects, stats)
-    return rows, stats
+    return plan.executor(store, stats), stats
 
 
 def execute_planned(query: Union[str, Query], store,

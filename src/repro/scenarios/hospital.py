@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.lang.loader import load_schema
-from repro.objects.store import CheckMode, Engine, ObjectStore
+from repro.objects.store import CheckMode, ObjectStore
 from repro.schema.schema import Schema
 from repro.typesys.values import EnumSymbol
 
@@ -148,8 +148,7 @@ def populate_hospital(schema: Optional[Schema] = None,
                       cancer_fraction: float = 0.1,
                       n_hospitals: int = 5,
                       n_physicians: int = 10,
-                      seed: int = 1988,
-                      engine: str = Engine.INCREMENTAL) -> HospitalPopulation:
+                      seed: int = 1988) -> HospitalPopulation:
     """A seeded synthetic population exercising every exceptional path.
 
     Fractions are of ``n_patients``; they are carved out of the population
@@ -161,7 +160,7 @@ def populate_hospital(schema: Optional[Schema] = None,
     if schema is None:
         schema = build_hospital_schema()
     rng = random.Random(seed)
-    store = ObjectStore(schema, engine=engine)
+    store = ObjectStore(schema)
     pop = HospitalPopulation(store=store)
 
     for i in range(max(n_hospitals, 1)):

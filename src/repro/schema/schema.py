@@ -103,7 +103,7 @@ class Schema:
     def __init__(self, classes: Iterable[ClassDef] = ()) -> None:
         self._classes: Dict[str, ClassDef] = {}
         self._ancestors: Dict[str, frozenset] = {}
-        self._excuse_index: Optional[Dict[Tuple[str, str],
+        self._excuse_table: Optional[Dict[Tuple[str, str],
                                           Tuple[ExcuseEntry, ...]]] = None
         # class name -> rows for constraints *declared on* that class.
         self._declared_index: Dict[str, Tuple[IndexedConstraint, ...]] = {}
@@ -171,7 +171,7 @@ class Schema:
 
     def _invalidate(self) -> None:
         self._ancestors.clear()
-        self._excuse_index = None
+        self._excuse_table = None
         self._declared_index.clear()
         self._constraint_index.clear()
         self._version += 1
@@ -319,7 +319,7 @@ class Schema:
         return tuple(found)
 
     def _excuses(self) -> Dict[Tuple[str, str], Tuple[ExcuseEntry, ...]]:
-        if self._excuse_index is None:
+        if self._excuse_table is None:
             index: Dict[Tuple[str, str], List[ExcuseEntry]] = {}
             for cdef in self._classes.values():
                 for attr in cdef.attributes:
@@ -327,13 +327,13 @@ class Schema:
                         key = (ref.class_name, ref.attribute)
                         index.setdefault(key, []).append(
                             ExcuseEntry(cdef.name, attr.range))
-            self._excuse_index = {
+            self._excuse_table = {
                 key: tuple(sorted(entries,
                                   key=lambda e: (e.excusing_class,
                                                  str(e.range))))
                 for key, entries in index.items()
             }
-        return self._excuse_index
+        return self._excuse_table
 
     def excuses_against(self, owner: str,
                         attribute: str) -> Tuple[ExcuseEntry, ...]:

@@ -11,20 +11,15 @@ The checker also reports *applicability* errors: a value stored under an
 attribute name that no membership class declares ("supervisor is not
 applicable to arbitrary persons, only to employees").
 
-Two evaluation strategies produce the same verdicts:
-
-* the **indexed** path (default) resolves each entity's direct-membership
-  signature to a cached *profile* -- the flattened ``(class, attribute)``
-  constraint rows with excuses prefetched, merged from the schema's
-  per-class :meth:`~repro.schema.schema.Schema.constraint_table` index --
-  and offers membership-delta checks (:meth:`check_classes`,
-  :meth:`check_membership_loss`) so mutations re-derive only the
-  constraints they can affect;
-* the **walking** path (``use_index=False``) re-derives constraints and
-  excuses from the schema on every call, exactly as the original
-  implementation did.  It is kept as the measured baseline
-  (``benchmarks/bench_incremental_check.py``) and as the oracle the
-  incremental verdicts are property-tested against.
+Each entity's direct-membership signature resolves to a cached
+*profile* -- the flattened ``(class, attribute)`` constraint rows with
+excuses prefetched, merged from the schema's per-class
+:meth:`~repro.schema.schema.Schema.constraint_table` index -- and the
+membership-delta checks (:meth:`check_classes`,
+:meth:`check_membership_loss`) let mutations re-derive only the
+constraints they can affect.  The plain reading of the rule, with no
+index and no cache, is ``tests/reference_model.py``; the property suites
+compare every verdict here against it.
 """
 
 from __future__ import annotations
@@ -33,12 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.obs import EngineStats
-from repro.schema.schema import (
-    Constraint,
-    IndexedConstraint,
-    Schema,
-    range_mentions_none,
-)
+from repro.schema.schema import IndexedConstraint, Schema
 from repro.semantics.candidates import ConstraintSemantics, ExcuseSemantics
 from repro.typesys.values import INAPPLICABLE, value_repr
 
@@ -122,10 +112,6 @@ class ConformanceChecker:
         When True, an attribute declared with a range that does not admit
         :data:`INAPPLICABLE` must have a value (strict database mode);
         when False missing values are ignored (useful while populating).
-    use_index:
-        When True (default) verdicts are computed through the schema's
-        constraint index and a per-signature profile cache; when False
-        every call re-walks the hierarchy (the measured baseline).
     stats:
         An :class:`~repro.obs.EngineStats` to increment; one is created
         when not supplied.
@@ -134,12 +120,10 @@ class ConformanceChecker:
     def __init__(self, schema: Schema,
                  semantics: Optional[ConstraintSemantics] = None,
                  require_values: bool = False,
-                 use_index: bool = True,
                  stats: Optional[EngineStats] = None) -> None:
         self.schema = schema
         self.semantics = semantics or ExcuseSemantics()
         self.require_values = require_values
-        self.use_index = use_index
         self.stats = stats if stats is not None else EngineStats()
         self._profiles: Dict[FrozenSet[str], _Profile] = {}
         self._schema_version = schema.version
@@ -190,21 +174,7 @@ class ConformanceChecker:
 
     def expanded_memberships(self, entity) -> Set[str]:
         """All classes the entity belongs to, closed under IS-A."""
-        if self.use_index:
-            return set(self._profile(entity).expanded)
-        out: Set[str] = set()
-        for m in entity.memberships:
-            out.update(self.schema.ancestors(m))
-        return out
-
-    def applicable_attribute_names(self, entity) -> Set[str]:
-        if self.use_index:
-            return set(self._profile(entity).applicable)
-        names: Set[str] = set()
-        for class_name in self.expanded_memberships(entity):
-            names.update(
-                a.name for a in self.schema.get(class_name).attributes)
-        return names
+        return set(self._profile(entity).expanded)
 
     # ------------------------------------------------------------------
     # Per-row verdicts (shared by every entry point)
@@ -245,8 +215,6 @@ class ConformanceChecker:
     def check(self, entity) -> List[Violation]:
         """All violations for one entity (empty list = conformant)."""
         self.stats.full_checks += 1
-        if not self.use_index:
-            return self._check_walking(entity)
         profile = self._profile(entity)
         violations: List[Violation] = []
         for row in profile.rows:
@@ -263,52 +231,11 @@ class ConformanceChecker:
                 "inapplicable-attribute", "?", name, value))
         return violations
 
-    def _check_walking(self, entity) -> List[Violation]:
-        """The original re-derive-everything implementation (baseline)."""
-        violations: List[Violation] = []
-        memberships = self.expanded_memberships(entity)
-        applicable = set()
-
-        for class_name in sorted(memberships):
-            cdef = self.schema.get(class_name)
-            for attr in cdef.attributes:
-                applicable.add(attr.name)
-                value = entity.get_value(attr.name)
-                if value is INAPPLICABLE and not self.require_values:
-                    if not range_mentions_none(attr.range):
-                        continue
-                self.stats.constraints_checked += 1
-                constraint = Constraint(class_name, attr.name, attr.range)
-                excuses = self.schema.excuses_against(class_name, attr.name)
-                if value is INAPPLICABLE and self.require_values:
-                    satisfied = self.semantics.satisfies(
-                        self.schema, entity, value, constraint, excuses)
-                    if not satisfied:
-                        self.stats.violations_found += 1
-                        violations.append(Violation(
-                            "missing-value", class_name, attr.name, value))
-                    continue
-                if not self.semantics.satisfies(
-                        self.schema, entity, value, constraint, excuses):
-                    self.stats.violations_found += 1
-                    violations.append(Violation(
-                        "constraint", class_name, attr.name, value,
-                        self.semantics.render_rule(constraint, excuses)))
-
-        for name in sorted(set(entity.value_names()) - applicable):
-            value = entity.get_value(name)
-            if value is INAPPLICABLE:
-                continue
-            self.stats.violations_found += 1
-            violations.append(Violation(
-                "inapplicable-attribute", "?", name, value))
-        return violations
-
     def conforms(self, entity) -> bool:
         return not self.check(entity)
 
     # ------------------------------------------------------------------
-    # Scoped checks (the incremental engine's entry points)
+    # Scoped checks (what each kind of mutation can newly violate)
     # ------------------------------------------------------------------
 
     def check_attribute(self, entity, attribute: str,
@@ -322,8 +249,6 @@ class ConformanceChecker:
         attribute through the checked path agrees with a full re-check.
         """
         self.stats.attribute_checks += 1
-        if not self.use_index:
-            return self._check_attribute_walking(entity, attribute, value)
         profile = self._profile(entity)
         entries = profile.by_attr.get(attribute)
         if not entries:
@@ -338,41 +263,6 @@ class ConformanceChecker:
             violation = self._check_row(entity, value, row)
             if violation is not None:
                 violations.append(violation)
-        return violations
-
-    def _check_attribute_walking(self, entity, attribute: str,
-                                 value) -> List[Violation]:
-        violations: List[Violation] = []
-        memberships = self.expanded_memberships(entity)
-        declared_anywhere = False
-        for class_name in sorted(memberships):
-            attr = self.schema.get(class_name).attribute(attribute)
-            if attr is None:
-                continue
-            declared_anywhere = True
-            if value is INAPPLICABLE and not self.require_values:
-                if not range_mentions_none(attr.range):
-                    continue
-            self.stats.constraints_checked += 1
-            constraint = Constraint(class_name, attribute, attr.range)
-            excuses = self.schema.excuses_against(class_name, attribute)
-            if value is INAPPLICABLE and self.require_values:
-                if not self.semantics.satisfies(
-                        self.schema, entity, value, constraint, excuses):
-                    self.stats.violations_found += 1
-                    violations.append(Violation(
-                        "missing-value", class_name, attribute, value))
-                continue
-            if not self.semantics.satisfies(
-                    self.schema, entity, value, constraint, excuses):
-                self.stats.violations_found += 1
-                violations.append(Violation(
-                    "constraint", class_name, attribute, value,
-                    self.semantics.render_rule(constraint, excuses)))
-        if not declared_anywhere and value is not INAPPLICABLE:
-            self.stats.violations_found += 1
-            violations.append(Violation(
-                "inapplicable-attribute", "?", attribute, value))
         return violations
 
     def check_classes(self, entity,
@@ -393,10 +283,8 @@ class ConformanceChecker:
                     entity, entity.get_value(row.constraint.attribute), row)
                 if violation is not None:
                     violations.append(violation)
-        if self.use_index:
-            profile = self._profile(entity)
-            self.stats.constraints_skipped += max(
-                0, len(profile.rows) - checked)
+        self.stats.constraints_skipped += max(
+            0, len(self._profile(entity).rows) - checked)
         return violations
 
     def check_membership_loss(self, entity,
@@ -438,8 +326,3 @@ class ConformanceChecker:
                 "inapplicable-attribute", "?", name, value))
         return violations
 
-
-def _range_mentions_none(range_type) -> bool:
-    # Retained alias: the predicate now lives next to the schema's
-    # constraint index, which precomputes it per row.
-    return range_mentions_none(range_type)

@@ -54,7 +54,7 @@ from repro.errors import (
 )
 from repro.lang.printer import print_schema
 from repro.obs import ShardStats
-from repro.objects.pipeline import CheckMode, Engine
+from repro.objects.pipeline import CheckMode
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.ops import EXECUTION_STAT_FIELDS
@@ -227,7 +227,6 @@ class ShardedStore:
                  durability: Optional[str] = None,
                  sync: str = "group",
                  check_mode: str = CheckMode.EAGER,
-                 engine: str = Engine.INCREMENTAL,
                  start_method: Optional[str] = None,
                  _reopen: bool = False) -> None:
         if n_shards < 1:
@@ -251,8 +250,7 @@ class ShardedStore:
         self._txn_undo: Optional[List] = None
 
         configs = self._shard_configs(
-            schema, directory, durability, sync, check_mode, engine,
-            _reopen)
+            schema, directory, durability, sync, check_mode, _reopen)
         self._backends = self._start_backends(
             configs, processes, start_method)
         # The meta store: an empty population under the same schema,
@@ -263,24 +261,21 @@ class ShardedStore:
             text = self._call(0, {"op": "schema"})["schema"]
             from repro.lang.loader import load_schema
             schema = load_schema(text)
-        self._meta = ObjectStore(schema, check_mode=CheckMode.EAGER,
-                                 engine=engine)
+        self._meta = ObjectStore(schema, check_mode=CheckMode.EAGER)
         if _reopen:
             self._rebuild_routing()
 
     # -- construction ---------------------------------------------------
 
     def _shard_configs(self, schema, directory, durability, sync,
-                       check_mode, engine, reopen):
+                       check_mode, reopen):
         configs = []
         schema_text = None if schema is None else print_schema(schema)
         if schema is None and not reopen:
             raise ShardingError("a fresh sharded store needs a schema")
         for shard_id in range(self.n_shards):
             config: Dict[str, object] = {
-                "n_shards": self.n_shards,
-                "check_mode": check_mode, "engine": engine,
-            }
+                "n_shards": self.n_shards, "check_mode": check_mode}
             if not reopen:
                 config["schema_text"] = schema_text
             if directory is not None:
@@ -317,7 +312,6 @@ class ShardedStore:
     @classmethod
     def open(cls, directory: str, *, processes: bool = True,
              check_mode: str = CheckMode.EAGER,
-             engine: str = Engine.INCREMENTAL,
              start_method: Optional[str] = None) -> "ShardedStore":
         """Reopen a sharded directory: each worker recovers its own
         shard (checkpoint + WAL tail), then the router reconstructs
@@ -328,8 +322,8 @@ class ShardedStore:
                    directory=directory,
                    durability=manifest.get("durability"),
                    sync=manifest.get("sync", "group"),
-                   check_mode=check_mode, engine=engine,
-                   start_method=start_method, _reopen=True)
+                   check_mode=check_mode, start_method=start_method,
+                   _reopen=True)
 
     def _rebuild_routing(self) -> None:
         for shard_id in range(self.n_shards):
@@ -1000,11 +994,11 @@ class ShardedStore:
                     merged.append(max(partials))
         return tuple(merged)
 
-    def query(self, query, *, prune: bool = True,
+    def query(self, query,
               **options) -> Tuple[List[tuple], ExecutionStats]:
         """Scatter-gather execution, returning ``(rows, stats)`` like
         ``execute_planned``: the decoded form of :meth:`query_wire`."""
-        out = self.query_wire(query, options, prune=prune)
+        out = self.query_wire(query, options)
         stats = ExecutionStats()
         for field, value in out["stats"].items():
             setattr(stats, field, value)
@@ -1013,8 +1007,8 @@ class ShardedStore:
         return [tuple(wire.decode_value(value, self.handle)
                       for value in values) for values in encoded], stats
 
-    def query_wire(self, query, options: Optional[Dict] = None, *,
-                   prune: bool = True) -> Dict[str, object]:
+    def query_wire(self, query,
+                   options: Optional[Dict] = None) -> Dict[str, object]:
         """Scatter-gather at the wire level: parse once, prune shards,
         dispatch in parallel, merge rows (by surrogate) or aggregate
         folds.  The response has the shape the single-store service's
@@ -1034,8 +1028,7 @@ class ShardedStore:
                                       for item in query.select):
             raise QueryTypeError(
                 "aggregate and per-row select items cannot be mixed")
-        selected = (self._select_shards(query) if prune
-                    else list(range(self.n_shards)))
+        selected = self._select_shards(query)
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
         if has_aggregates:

@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple
 from repro.columnar import BITSET_STATS, SurrogateSet
 from repro.errors import ShardingError
 from repro.lang.loader import load_schema
-from repro.objects.pipeline import CheckMode, Engine
+from repro.objects.pipeline import CheckMode
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.ops import OPS, Op
@@ -93,14 +93,12 @@ class ShardServer:
                  directory: Optional[str] = None,
                  durability: Optional[str] = None,
                  sync: Optional[str] = None,
-                 check_mode: str = CheckMode.EAGER,
-                 engine: str = Engine.INCREMENTAL) -> None:
+                 check_mode: str = CheckMode.EAGER) -> None:
         self.shard_id = shard_id
         self.n_shards = n_shards
         schema = load_schema(schema_text) if schema_text else None
         if directory is not None:
-            kwargs: Dict[str, object] = {"check_mode": check_mode,
-                                         "engine": engine}
+            kwargs: Dict[str, object] = {"check_mode": check_mode}
             if sync is not None:
                 kwargs["sync"] = sync
             self.store = ObjectStore.open(
@@ -108,8 +106,7 @@ class ShardServer:
         else:
             if schema is None:
                 raise ShardingError("an in-memory shard needs a schema")
-            self.store = ObjectStore(schema, check_mode=check_mode,
-                                     engine=engine)
+            self.store = ObjectStore(schema, check_mode=check_mode)
         # Report this process's own bitset counters (satellite: the
         # sink is injectable; in a worker process the module global IS
         # this shard's sink).

@@ -374,7 +374,6 @@ def _replay_bulk(store, fields) -> None:
 def _store_config(store) -> dict:
     return {
         "check_mode": store.check_mode,
-        "engine": store.engine,
         "strict_virtual_extents": store.strict_virtual_extents,
         "require_values": store.checker.require_values,
     }
@@ -541,6 +540,9 @@ def recover_store(directory: str, schema=None, durability: str = None,
         schema = load_schema(text.decode("utf-8"))
 
     config = dict(manifest.get("store", {}))
+    # Manifests written while the store still had an engine selector
+    # carry the key; every value opens on the one checker.
+    config.pop("engine", None)
     config.update(store_kwargs)
     store = DurableObjectStore(schema, directory=directory, fs=fs,
                                durability=durability, sync=sync, **config)

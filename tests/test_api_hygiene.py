@@ -292,3 +292,80 @@ def test_documented_op_reference_matches_the_table():
             break
         documented.append(line)
     assert documented == _op_reference_rows()
+
+
+# ---------------------------------------------------------------------------
+# One execution path: no baseline selectors, no imports from the test side,
+# and a size ratchet
+# ---------------------------------------------------------------------------
+#
+# A measurement baseline used to be reachable from the serving path through
+# a user option (`engine=`, `use_index=`, `prune=`).  The serving path now
+# has one implementation, the reference lives in tests/reference_model.py,
+# and these checks keep it that way.  The E7 storage package is exempt:
+# `scan_attribute(prune=)` is the paper's Section 5.5 experiment itself,
+# and its `engine` parameters hold a StorageEngine object, not a selector.
+
+_BASELINE_SELECTORS = {"engine", "use_index", "prune"}
+_E7_STORAGE = {"storage/engine.py", "storage/persist.py",
+               "storage/rebuild.py", "storage/view.py"}
+
+#: Physical lines under src/repro/**/*.py after the last change.  Lower
+#: this after a deletion; a raise needs its reason in the PR description.
+SRC_LINE_CEILING = 22172
+
+
+def _src_trees():
+    src_root = pathlib.Path(repro.__file__).resolve().parent
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        yield rel, ast.parse(path.read_text(), filename=rel)
+
+
+def test_no_def_takes_a_baseline_selector():
+    offenders = []
+    for rel, tree in _src_trees():
+        if rel in _E7_STORAGE:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            names = {a.arg for a in (args.posonlyargs + args.args
+                                     + args.kwonlyargs)}
+            for name in sorted(names & _BASELINE_SELECTORS):
+                offenders.append(f"{rel}:{node.lineno} ({name}=)")
+    assert not offenders, (
+        "a parameter that selects a second implementation (keep the "
+        "reference in tests/, measure against the parent commit): "
+        + ", ".join(offenders))
+
+
+def test_src_never_imports_the_test_side():
+    offenders = []
+    for rel, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in ("tests", "benchmarks"):
+                    offenders.append(f"{rel}:{node.lineno} ({module})")
+    assert not offenders, (
+        "src/repro imports from tests/ or benchmarks/: "
+        + ", ".join(offenders))
+
+
+def test_src_size_ratchet():
+    src_root = pathlib.Path(repro.__file__).resolve().parent
+    lines = sum(len(path.read_text().splitlines())
+                for path in src_root.rglob("*.py"))
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/repro grew to {lines} physical lines (ceiling "
+        f"{SRC_LINE_CEILING}): delete the path the new code replaces, or "
+        "raise SRC_LINE_CEILING and justify the raise in the PR "
+        "description")

@@ -200,16 +200,9 @@ class TestStats:
     def test_stats_runs_standard_workload(self, capsys):
         assert main(["stats", "--patients", "40", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
-        assert "engine stats (incremental" in out
+        assert "engine stats (40 patients" in out
         assert "constraints_skipped" in out
         assert "writes" in out
-
-    def test_stats_full_engine(self, capsys):
-        assert main(["stats", "--patients", "40", "--rounds", "1",
-                     "--engine", "full"]) == 0
-        out = capsys.readouterr().out
-        assert "engine stats (full" in out
-        assert "full_checks" in out
 
     def test_stats_timing_rows(self, capsys):
         assert main(["stats", "--patients", "40", "--rounds", "1",

@@ -1,4 +1,4 @@
-"""Columnar read-path properties: bitsets as sets, three-way execution.
+"""Columnar read-path properties: bitsets as sets, compiled == scan.
 
 Part 1 checks :class:`repro.columnar.SurrogateSet` against a plain
 Python set as the model, under random op sequences that cross chunk
@@ -7,11 +7,11 @@ the set algebra the query path leans on (``&``/``|``/``-``, the
 reflected forms against plain sets, in-place union, COW copies).
 
 Part 2 is the execution-equivalence claim the compiled closures must
-uphold: for every plan, the compiled executor, the interpreted plan
-walk (:func:`repro.query.planner._execute_interpreted`, the oracle the
-dispatcher falls back to), and the guarded full scan return identical
-rows AND identical ``rows_skipped`` -- across random schemas with
-excuses, mutation sequences including aborted transactions, and
+uphold: for every plan, the compiled executor and the guarded full
+scan (:func:`repro.query.interpreter.execute`, the oracle) return
+identical rows AND identical ``rows_skipped``, and every extent row is
+either visited or counted in ``rows_pruned`` -- across random schemas
+with excuses, mutation sequences including aborted transactions, and
 snapshots pinned across an online alter.
 """
 
@@ -27,11 +27,7 @@ from repro.objects import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.objects.transactions import transaction
 from repro.query import execute
-from repro.query.planner import (
-    _execute_interpreted,
-    execute_plan,
-    plan_query,
-)
+from repro.query.planner import execute_plan, plan_query
 from repro.scenarios import build_hospital_schema
 from repro.scenarios.generators import (
     RandomHierarchyConfig,
@@ -124,7 +120,7 @@ def test_copy_is_independent(a, extra):
 
 
 # --------------------------------------------------------------------------
-# Part 2: compiled closure == interpreted plan == guarded scan
+# Part 2: compiled closure == guarded scan
 # --------------------------------------------------------------------------
 
 SCHEMA = build_hospital_schema()
@@ -256,18 +252,18 @@ def _render(conjuncts, select):
     return f"for p in Patient{where} select {select}"
 
 
-def _three_way(store, query):
-    """Run the three legs over ``store`` and assert they agree; returns
-    the (rows, rows_skipped) pair every leg produced."""
+def _compiled_equals_scan(store, query):
+    """Run the plan's compiled closure and the plain guarded scan over
+    ``store`` and assert they agree; returns the (rows, rows_skipped)
+    pair both produced."""
     scan_rows, scan_stats = execute(query, store)
-    plan = plan_query(query, store)
-    assert plan.executor is not None
-    compiled_rows, compiled_stats = execute_plan(plan, store)
-    interp_rows, interp_stats = _execute_interpreted(plan, store)
+    compiled_rows, compiled_stats = execute_plan(
+        plan_query(query, store), store)
     assert compiled_rows == scan_rows, query
-    assert interp_rows == scan_rows, query
     assert compiled_stats.rows_skipped == scan_stats.rows_skipped, query
-    assert interp_stats.rows_skipped == scan_stats.rows_skipped, query
+    # Pruning accounts for exactly the rows the closure did not visit.
+    assert (compiled_stats.rows_scanned + compiled_stats.rows_pruned
+            == scan_stats.rows_scanned), query
     return scan_rows, scan_stats.rows_skipped
 
 
@@ -291,11 +287,11 @@ def test_three_way_equivalence_and_pinned_snapshots(indexed, ops, queries,
     baseline = {}
     for conjuncts, select in queries:
         query = _render(conjuncts, select)
-        baseline[query] = _three_way(store, query)
+        baseline[query] = _compiled_equals_scan(store, query)
 
     # Pin an epoch, then alter the schema out from under it.  The
     # snapshot must keep answering against its epoch; the live store's
-    # three legs must re-agree against the new one.
+    # two legs must re-agree against the new one.
     pinned = store.snapshot()
     store.add_excuse("Alcoholic", "age", (1, 100), ["Person"])
     if alter == "add-then-retract":
@@ -305,12 +301,12 @@ def test_three_way_equivalence_and_pinned_snapshots(indexed, ops, queries,
         snap_rows, snap_stats = pinned.run_query(query)
         assert snap_rows == rows, query
         assert snap_stats.rows_skipped == skipped, query
-        _three_way(store, query)
+        _compiled_equals_scan(store, query)
 
 
 # --------------------------------------------------------------------------
 # Random schemas with excuses: conditional enum ranges, INAPPLICABLE
-# everywhere, excuse-admitted deviants.  Same three-way claim.
+# everywhere, excuse-admitted deviants.  Same compiled == scan claim.
 # --------------------------------------------------------------------------
 
 
@@ -406,12 +402,4 @@ def test_random_schemas_three_way(data):
         where = f" where {' and '.join(conjuncts)}" if conjuncts else ""
         query = f"for x in {source}{where} select {select}"
 
-        scan_rows, scan_stats = execute(query, store)
-        plan = plan_query(query, store)
-        assert plan.executor is not None
-        compiled_rows, compiled_stats = execute_plan(plan, store)
-        interp_rows, interp_stats = _execute_interpreted(plan, store)
-        assert compiled_rows == scan_rows, query
-        assert interp_rows == scan_rows, query
-        assert compiled_stats.rows_skipped == scan_stats.rows_skipped, query
-        assert interp_stats.rows_skipped == scan_stats.rows_skipped, query
+        _compiled_equals_scan(store, query)

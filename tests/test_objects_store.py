@@ -389,27 +389,10 @@ class TestEngineObservability:
         p = store.create("Person", name="n", age=30)
         store.set_value(p, "age", 31)
         snap = store.stats()
-        assert snap["engine"] == "incremental"
         assert snap["writes"] >= 3          # create's values + the update
         assert snap["attribute_checks"] >= 3
         assert snap["objects"] == 1
         assert snap["rollbacks"] == 0
-
-    def test_full_engine_is_selectable(self, hospital_schema):
-        from repro.objects import Engine
-        store = ObjectStore(hospital_schema, engine=Engine.FULL)
-        p = store.create("Person", name="n", age=30)
-        with pytest.raises(ConformanceError):
-            store.set_value(p, "age", 999)
-        snap = store.stats()
-        assert snap["engine"] == "full"
-        assert snap["full_checks"] >= 1
-        assert snap["rollbacks"] == 1
-        assert p.get_value("age") == 30
-
-    def test_unknown_engine_rejected(self, hospital_schema):
-        with pytest.raises(ValueError):
-            ObjectStore(hospital_schema, engine="psychic")
 
     def test_deferred_writes_tracked_and_validated_dirty(self, store):
         p = store.create("Person", check=CheckMode.NONE, name="n",

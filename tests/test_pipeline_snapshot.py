@@ -12,6 +12,7 @@ from repro.errors import ConformanceError, NoSuchObjectError
 from repro.objects import ConcurrentStore, ObjectStore
 from repro.objects.pipeline import CheckMode
 from repro.objects.transactions import transaction
+from repro.query.planner import execute_planned
 
 
 @pytest.fixture()
@@ -256,7 +257,7 @@ class TestStatsMidTransaction:
     def test_stats_keys_unchanged_by_snapshot_layer(self, store):
         store.create("Person", name="a", age=30)
         keys = set(store.stats())
-        assert {"engine", "objects", "extent_entries", "virtual_refs",
+        assert {"objects", "extent_entries", "virtual_refs",
                 "dirty_objects", "indexes", "plans_in_cache"} <= keys
         assert {"snapshots_built", "snapshot_reuses"} <= keys
 
@@ -364,8 +365,9 @@ class TestConcurrentFacade:
             shared.create("Person", name=f"p{i}", age=30 + i)
         rows, _ = shared.query("for p in Person select p.name")
         assert len(rows) == 5
-        rows_locked, _ = shared.query_locked(
-            "for p in Person select p.name")
+        with shared.store._write_lock:
+            rows_locked, _ = execute_planned(
+                "for p in Person select p.name", shared.store)
         assert [tuple(r) for r in rows] == [tuple(r) for r in rows_locked]
         assert shared.stats()["objects"] == 5
 

@@ -1,10 +1,15 @@
 """Query language parser."""
 
+import functools
+import string
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QuerySyntaxError
 from repro.query import parse_query
 from repro.query.ast import (
+    Aggregate,
     And,
     Compare,
     Const,
@@ -13,6 +18,7 @@ from repro.query.ast import (
     NotInClass,
     Or,
     Path,
+    Query,
     Var,
     When,
 )
@@ -122,3 +128,73 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("for p in Patient select p.name @ 3")
+
+
+# --------------------------------------------------------------------------
+# str() is the wire form: the shard router re-sends ``str(query)`` to
+# every worker, so any query the grammar can express must print back to
+# text that parses to the same tree.
+# --------------------------------------------------------------------------
+
+_names = st.sampled_from(("p", "x", "True", "q_1", "counter"))
+_classes = st.sampled_from(("Patient", "Alcoholic", "Hospital$1"))
+_attributes = st.sampled_from(("age", "name", "treatedBy", "location"))
+#: What the lexer can spell: unsigned integers, strings without a quote
+#: or newline (there is no escape syntax), booleans, enum symbols.
+_consts = st.one_of(
+    st.integers(0, 10 ** 9),
+    st.booleans(),
+    st.text(alphabet=sorted(set(string.printable) - set('"\n\r\x0b\x0c')),
+            max_size=8),
+    st.sampled_from(("Low_BP", "NJ", "a#1")).map(EnumSymbol),
+).map(Const)
+_paths = st.builds(
+    lambda var, attrs: functools.reduce(Path, attrs, Var(var)),
+    _names, st.lists(_attributes, max_size=3))
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(Compare, st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+                  children, children),
+        st.builds(InClass, children, _classes),
+        st.builds(NotInClass, children, _classes),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+        st.builds(When, children, children, children),
+        st.builds(Path, children, _attributes),
+    )
+
+
+_exprs = st.recursive(st.one_of(_consts, _paths), _compound, max_leaves=10)
+_select_items = st.one_of(
+    _exprs,
+    st.just(Aggregate("count")),
+    st.builds(Aggregate,
+              st.sampled_from(("count", "min", "max", "avg", "total")),
+              _exprs),
+)
+_query_trees = st.builds(
+    Query, _names, _classes, st.none() | _exprs,
+    st.lists(_select_items, min_size=1, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_query_trees)
+def test_every_query_survives_str(query):
+    text = str(query)
+    assert parse_query(text) == query, text
+    # ``Const(True) == Const(1)`` in Python; the text tells them apart.
+    assert str(parse_query(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    'for p in Patient where p.name = "p77" select p.name',
+    "for p in Patient where p.insured = true select false",
+    "for p in Patient where (p.age < 40) = true select p.name",
+    "for p in Patient where (p in Alcoholic) != (p.age > 3) select p",
+    "for p in Patient where p.bloodPressure = 'Low_BP select count, min p.age",
+])
+def test_literals_print_in_lexer_syntax(text):
+    assert str(parse_query(text)) == text

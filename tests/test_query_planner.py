@@ -195,16 +195,41 @@ class TestExecution:
         assert store.indexes.qstats.full_scans == base + 1
 
     def test_stale_plan_with_dropped_index_scans(self, hospital_schema):
-        store = ObjectStore(hospital_schema)
-        store.create("Person", name="a", age=30)
-        store.create("Person", name="b", age=31)
-        store.create_index("age")
-        q = "for p in Person where p.age = 30 select p.name"
+        """A plan object outliving its index runs the guarded scan
+        itself, on the live store and on a snapshot that never had the
+        index; a snapshot captured while the index existed still owns
+        the postings and keeps pruning."""
+        store = populate_hospital(schema=hospital_schema, n_patients=60,
+                                  seed=21).store
+        q = "for p in Patient where p.ward = 3 select p.name"
+        unindexed = store.snapshot()
+        store.create_index("ward")
         plan = plan_query(q, store)
         assert plan.pushdowns
-        store.drop_index("age")
-        rows, _stats = execute_plan(plan, store)  # stale plan object
-        assert rows == [("a",)]
+        indexed = store.snapshot()
+        store.drop_index("ward")
+        scan_rows, scan_stats = execute(q, store)
+        assert scan_stats.rows_skipped > 0
+        qstats = store.indexes.qstats
+
+        for target in (store, unindexed):
+            before = qstats.snapshot()
+            rows, stats = execute_plan(plan, target)  # stale plan object
+            moved = {name: value - before[name]
+                     for name, value in qstats.snapshot().items()
+                     if value != before[name]}
+            assert rows == scan_rows
+            assert stats.rows_skipped == scan_stats.rows_skipped
+            assert (stats.rows_pruned, stats.index_lookups) == (0, 0)
+            assert moved == {"full_scans": 1, "compiled_execs": 1}
+
+        before = qstats.snapshot()
+        rows, stats = execute_plan(plan, indexed)
+        assert rows == scan_rows
+        assert stats.rows_skipped == scan_stats.rows_skipped
+        assert stats.rows_pruned > 0
+        assert qstats.index_scans == before["index_scans"] + 1
+        assert qstats.full_scans == before["full_scans"]
 
     def test_engine_view_falls_back_to_scan(self, world):
         pop, store = world

@@ -10,11 +10,14 @@ digest after some completed workload step -- whole transactions and
 whole bulk batches, never a hybrid.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ConformanceError, StorageError
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.transactions import transaction
+from repro.storage.fsio import atomic_write_bytes
 from repro.storage.recovery import open_store, read_manifest
 from repro.typesys.values import EnumSymbol, INAPPLICABLE
 
@@ -194,6 +197,28 @@ class TestCheckpoint:
         with pytest.raises(StorageError, match="transaction"):
             with transaction(store):
                 store.checkpoint()
+
+    @pytest.mark.parametrize("engine", ["incremental", "full"])
+    def test_manifest_with_retired_engine_key_still_opens(
+            self, store, fs, engine):
+        """Directories written while the store had an ``engine=``
+        selector carry it in the manifest; either value opens on the one
+        checker and recovers the same state."""
+        doc = store.create("Physician", name="Dr", age=40,
+                           specialty=EnumSymbol("General"))
+        store.create("Patient", name="ann", age=30, treatedBy=doc)
+        store.checkpoint()
+        store.create("Ward", floor=2, name="X")      # WAL tail
+        expected = store_digest(store)
+        store.close()
+        manifest = read_manifest(fs, DIR)
+        assert "engine" not in manifest["store"]
+        manifest["store"]["engine"] = engine
+        atomic_write_bytes(fs, DIR + "/MANIFEST",
+                           json.dumps(manifest).encode("utf-8"))
+        again = _reopen(fs)
+        assert store_digest(again) == expected
+        assert again.last_recovery.conformant
 
     def test_durability_none_checkpoint_only_persistence(
             self, fs, hospital_schema):

@@ -86,36 +86,6 @@ def test_e4_table_matches_paper_column():
             assert cells[1].strip() == cells[2].strip(), line
 
 
-def test_a3_table_shows_incremental_speedup():
-    text = _result("A3-incremental.txt")
-    lines = text.splitlines()
-    engines = {line.split()[0] for line in lines[3:] if line.split()}
-    assert {"full", "incremental", "speedup"} <= engines
-    # Timing varies run to run; the structural claim that must hold is
-    # that the committed run beat the baseline (the benchmark itself
-    # asserts the >= 2x acceptance floor when regenerating).
-    speedup_row = next(l for l in lines if l.startswith("speedup"))
-    speedup = float(speedup_row.split()[1].rstrip("x"))
-    assert speedup > 1.0
-    # Same workload on both engines, far less checking work.
-    full_row = next(l for l in lines if l.startswith("full"))
-    incr_row = next(l for l in lines if l.startswith("incremental"))
-    assert full_row.split()[1] == incr_row.split()[1]  # eager writes
-    assert int(incr_row.split()[-2]) < int(full_row.split()[-2]) / 2
-
-
-def test_bench_incremental_json_structure():
-    data = _bench_json("BENCH_incremental.json")
-    assert data["experiment"] == "A3-incremental"
-    # Committed numbers must show the claim held when generated (the
-    # benchmark itself enforces the >= 2x floor on regeneration).
-    assert data["speedup"] > 1.0
-    assert (data["incremental_writes_per_sec"]
-            > data["full_writes_per_sec"])
-    assert (data["constraints_checked_incremental"]
-            < data["constraints_checked_full"] / 2)
-
-
 def test_bench_query_json_structure():
     data = _bench_json("BENCH_query.json")
     assert data["experiment"] == "A4-query-index"

@@ -7,6 +7,9 @@ in ``test_sharded_properties.py`` under the ``sharded`` marker.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.columnar import BitsetStats, SurrogateSet
@@ -25,7 +28,10 @@ from repro.scenarios import build_hospital_schema
 from repro.sharding import wire
 from repro.sharding.pruning import extract_facts, profile_refuted
 from repro.sharding.router import ShardedStore
+from repro.storage.shards import shard_directory
 from repro.typesys import EnumSymbol
+
+from tests.faultfs import store_digest
 
 SCHEMA = build_hospital_schema()
 
@@ -449,3 +455,41 @@ def test_durable_reopen_preserves_population_and_sids(tmp_path):
         "for x in Patient where x.age = 44 select x.name")
     assert rows == [("new",)]
     reopened.close()
+
+
+def test_shard_manifests_with_retired_engine_key_still_open(tmp_path):
+    """Shard directories written while stores had an ``engine=``
+    selector carry it in every shard's MANIFEST; they reopen on the one
+    checker with every shard's state intact."""
+    directory = str(tmp_path / "shardedstore")
+    sharded = ShardedStore(SCHEMA, 2, processes=False,
+                           directory=directory, durability="wal")
+    hosp = sharded.create("Hospital", broadcast=True,
+                          accreditation=EnumSymbol("Federal"))
+    for i in range(6):
+        sharded.create("Patient", name=f"p{i}", age=30 + i,
+                       treatedAt=hosp)
+    sharded.checkpoint()
+    sharded.create("Patient", name="tail", age=50)   # WAL tail
+
+    def digests(router):
+        return [store_digest(backend.server.store)
+                for backend in router._backends]
+
+    expected = digests(sharded)
+    sharded.close()
+    for shard_id in range(2):
+        path = os.path.join(shard_directory(directory, shard_id),
+                            "MANIFEST")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["store"]["engine"] = "full"
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+
+    reopened = ShardedStore.open(directory, processes=False)
+    try:
+        assert digests(reopened) == expected
+        assert reopened.count("Patient") == 7
+    finally:
+        reopened.close()
