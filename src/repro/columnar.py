@@ -506,25 +506,15 @@ class ObjectColumns:
         if chunk.pop(sid, None) is not None:
             self._count -= 1
 
-    def rebuild(self, objects, stamp: int) -> None:
-        """Re-derive the whole table from ``{surrogate: instance}`` --
-        the transaction-rollback path, where instance containers were
-        just reassigned wholesale."""
-        chunks: Dict[int, Dict[int, tuple]] = {}
-        for surrogate, obj in objects.items():
-            sid = surrogate.id
-            chunk = chunks.get(sid >> _COL_SHIFT)
-            if chunk is None:
-                chunk = chunks[sid >> _COL_SHIFT] = {}
-            chunk[sid] = (obj._memberships, obj._values)
-        self._chunks = chunks
-        self._chunk_stamp = {key: stamp for key in chunks}
-        self._stamp = stamp
-        self._count = len(objects)
+    def reinstall(self, frozen: FrozenColumns) -> None:
+        """Point the table back at a captured one (scope rollback).  The
+        stamps go: its chunks may be shared with open snapshots."""
+        self._chunks = frozen._chunks
+        self._count = frozen._count
+        self._chunk_stamp = {}
+        self._stamp = -1
 
-    def capture(self, stamp: int) -> FrozenColumns:
-        """Freeze the current table (O(1)); ``stamp`` is the new snapshot
-        stamp, recorded so the next write privatizes."""
-        # Nothing to do eagerly: the stamp comparison in _writable_chunk
-        # is against the *store's* stamp, which just advanced past ours.
+    def capture(self) -> FrozenColumns:
+        """Freeze the current table (O(1)).  The caller has just advanced
+        the store's stamp, so the next write privatizes."""
         return FrozenColumns(self._chunks, self._count)

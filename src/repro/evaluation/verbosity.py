@@ -26,10 +26,6 @@ class VerbosityRow:
     invented_classes: int
     attribute_declarations: int
 
-    def as_tuple(self) -> tuple:
-        return (self.mechanism, self.k, self.total_classes,
-                self.invented_classes, self.attribute_declarations)
-
 
 def scenario_with_k_attributes(k: int,
                                siblings: int = 3) -> ExceptionScenario:

@@ -505,10 +505,6 @@ class Replica:
     def lag(self) -> int:
         return self.stats.lag
 
-    def epoch_token(self) -> int:
-        """The token a read of this replica is guaranteed to reflect."""
-        return self.applied_seq
-
     def read_view(self, token=None):
         """``(snapshot, applied_seq)`` for serving one read.
 

@@ -26,7 +26,6 @@ from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.pipeline import (
     MutationCommand,
     MutationPipeline,
-    RestorePoint,
     TransactionError,
 )
 from repro.objects.snapshot import SnapshotInstance, StoreSnapshot
@@ -48,7 +47,6 @@ __all__ = [
     "MutationCommand",
     "MutationPipeline",
     "ObjectStore",
-    "RestorePoint",
     "SnapshotInstance",
     "StoreSnapshot",
     "Surrogate",

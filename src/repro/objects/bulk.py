@@ -31,7 +31,10 @@ them in one merge:
 Semantics are all-or-nothing: any failure (a conformance violation, an
 unshared-structure violation, an unknown class) restores the store --
 objects, extents, postings, virtual refcounts, dirty ledger, allocator
-*and* stats counters -- to the pre-batch state and re-raises.  A
+*and* stats counters -- to the pre-batch state and re-raises.  The
+undo scope opens at commit, under the write lock: staging takes no
+copy, so what others commit while a session is open is never part of
+what a failed or aborted batch rolls back.  A
 committed batch is observationally equivalent to applying each row
 sequentially as ``create(primary)`` / ``classify(extra)`` /
 ``set_value(attr, value)`` under the same check mode (property-tested in
@@ -58,7 +61,7 @@ from typing import (
 
 from repro.errors import ConformanceError, UnknownClassError
 from repro.objects.instance import Instance
-from repro.objects.pipeline import BulkCommand, RestorePoint
+from repro.objects.pipeline import BulkCommand
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.semantics.checker import Violation, expand_signature
@@ -143,7 +146,6 @@ class BulkSession:
         self._parallel = parallel
         self._staged: List[_Staged] = []
         self._closed = False
-        self._snapshot = RestorePoint(store, include_stats=True)
         #: Class tuples already validated against the schema.
         # class spec -> (validated class tuple, membership-set template)
         self._known: Dict[Tuple[str, ...],
@@ -239,13 +241,28 @@ class BulkSession:
         return False
 
     def abort(self) -> None:
-        """Discard the staged rows and undo any side effects (surrogate
-        allocation) staging had."""
+        """Discard the staged rows.  Staging touched nothing but the
+        surrogate allocator, so that is all there is to undo."""
         if self._closed:
             return
         self._closed = True
-        self._snapshot.restore()
+        self._release_ids()
         self._staged.clear()
+
+    def _release_ids(self) -> None:
+        """Hand the staged surrogates back to the allocator if they are
+        still its newest contiguous run; if anything else allocated
+        since the first ``add`` they are burned, like a rejected
+        ``create``'s."""
+        staged = self._staged
+        if not staged:
+            return
+        first = staged[0].obj.surrogate.id
+        last = staged[-1].obj.surrogate.id
+        with self._store._write_lock:
+            if (last - first == len(staged) - 1
+                    and self._allocator._next == last + 1):
+                self._allocator._next = first
 
     # ------------------------------------------------------------------
     # Commit
@@ -263,7 +280,11 @@ class BulkSession:
         self._closed = True
         staged = self._staged
         command = BulkCommand(self)
-        self._store._pipeline.execute(command)
+        try:
+            self._store._pipeline.execute(command)
+        except BaseException:
+            self._release_ids()
+            raise
         self.report = BulkReport(
             objects=len(staged),
             fast_objects=len(command.fast),

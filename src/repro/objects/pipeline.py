@@ -75,6 +75,10 @@ class TransactionError(Exception):
     """Raised when commit-time validation fails inside a transaction."""
 
 
+#: Undo-log marker (see :class:`UndoScope`): the key had no binding.
+_MISSING = object()
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -362,9 +366,9 @@ class MutationPipeline:
         The write lock is held for the whole scope, so no snapshot (and
         no other thread's command) can ever observe an uncommitted
         intermediate state; on a durable store the WAL group-commits the
-        scope as one record.  Rollback restores every structure through
-        the copy-on-write discipline, so snapshots captured before the
-        scope stay untouched.
+        scope as one record.  Rollback is an :class:`UndoScope` (nested
+        scopes are its savepoints): it costs what the scope touched, and
+        snapshots captured before the scope stay untouched.
         """
         store = self.store
         with store._write_lock:
@@ -372,7 +376,6 @@ class MutationPipeline:
             # inside the scope (stats(), same-thread snapshot()) are
             # served this pre-transaction epoch, never partial state.
             store.snapshot()
-            restore_point = RestorePoint(store)
             journal = store._journal
             if journal is not None:
                 # Group commit: records buffered until the scope exits
@@ -381,16 +384,16 @@ class MutationPipeline:
             self._txn_depth += 1
             mark = len(self._pending)
             try:
-                yield
-                if validate_on_commit:
-                    problems = store.validate_all()
-                    if problems:
-                        raise TransactionError(
-                            "; ".join(str(v) for _obj, v in problems[:5]))
+                with UndoScope(store):
+                    yield
+                    if validate_on_commit:
+                        problems = store.validate_all()
+                        if problems:
+                            raise TransactionError("; ".join(
+                                str(v) for _obj, v in problems[:5]))
             except BaseException:
                 self._txn_depth -= 1
                 del self._pending[mark:]
-                restore_point.restore()
                 if journal is not None:
                     journal.abort()
                 raise
@@ -429,6 +432,9 @@ class MutationPipeline:
         index postings, extents, and (for unchecked modes) the dirty
         ledger."""
         store = self.store
+        log = store._undo_log
+        if log is not None:
+            log.append((store._objects, obj.surrogate, _MISSING))
         store._objects[obj.surrogate] = obj
         store._columns.put(obj.surrogate.id, obj._memberships,
                            obj._values, store._snapshot_stamp)
@@ -450,17 +456,22 @@ class MutationPipeline:
             if surrogate in members:
                 self.writable_extent(class_name).discard(surrogate)
                 store._extent_cache.pop(class_name, None)
+        log = store._undo_log
+        if log is not None:
+            log.append((store._objects, surrogate, obj))
         del store._objects[surrogate]
         store._columns.drop(surrogate.id, store._snapshot_stamp)
-        store.indexes.on_remove(surrogate)
-        store._dirty.pop(surrogate, None)
+        store.indexes.on_remove(obj)
+        self.clear_dirty(surrogate)
         # Anything still referencing the dead object keeps a dangling
         # Python reference by design, but the refcount bookkeeping must
         # not outlive the object: stale entries would corrupt the counts
         # if the surrogate were ever re-issued (transaction rollback).
-        stale = [key for key in store._virtual_refs if key[1] == surrogate]
-        for key in stale:
-            del store._virtual_refs[key]
+        refs = store._virtual_refs
+        for key in [key for key in refs if key[1] == surrogate]:
+            if log is not None:
+                log.append((refs, key, refs[key]))
+            del refs[key]
 
     # ------------------------------------------------------------------
     # Apply stage: membership changes
@@ -564,7 +575,8 @@ class MutationPipeline:
                 self.release_virtual_targets(obj, attribute, old)
             store._prepare_write(obj)
             obj._set_value(attribute, value)
-            store.indexes.on_value_change(obj.surrogate, attribute, value)
+            store.indexes.on_value_change(
+                obj.surrogate, attribute, old, value)
         finally:
             self.end_join_log(joins)
 
@@ -581,7 +593,8 @@ class MutationPipeline:
             # Roll back: restore the old value and the anchoring counts.
             stats.rollbacks += 1
             obj._set_value(attribute, old)
-            store.indexes.on_value_change(obj.surrogate, attribute, old)
+            store.indexes.on_value_change(
+                obj.surrogate, attribute, value, old)
             if is_entity(old):
                 self.acquire_virtual_targets(obj, attribute, old)
             if is_entity(value):
@@ -607,7 +620,7 @@ class MutationPipeline:
                 for violation in problems:
                     out.append((obj, violation))
                 if not problems:
-                    store._dirty.pop(obj.surrogate, None)
+                    self.clear_dirty(obj.surrogate)
             return out
         for surrogate in sorted(store._dirty):
             obj = store._objects.get(surrogate)
@@ -626,8 +639,18 @@ class MutationPipeline:
                 for violation in problems:
                     out.append((obj, violation))
             else:
-                del store._dirty[surrogate]
+                self.clear_dirty(surrogate)
         return out
+
+    def clear_dirty(self, surrogate: Surrogate) -> None:
+        """Take an object off the dirty ledger (found conformant, or
+        removed)."""
+        dirty = self.store._dirty
+        if surrogate in dirty:
+            log = self.store._undo_log
+            if log is not None:
+                log.append((dirty, surrogate, dirty[surrogate]))
+            del dirty[surrogate]
 
     # ------------------------------------------------------------------
     # Apply stage: schema evolution
@@ -785,10 +808,12 @@ class MutationPipeline:
         """Commit one staged bulk batch: validate the fast-path groups,
         merge them in one pass, run virtual-class-involved rows through
         the ordinary (nested, unjournaled) apply paths.  All-or-nothing:
-        any failure restores the pre-batch state."""
+        the undo scope opens here, under the write lock, so a failure
+        undoes this commit -- counters included -- and nothing that was
+        acknowledged while the session was staging."""
         store = self.store
         stats = store.checker.stats
-        try:
+        with UndoScope(store, include_stats=True):
             fast, slow = session._partition()
             groups = session._group(fast)
             compiled_for = session._compile(groups)
@@ -800,9 +825,6 @@ class MutationPipeline:
             stats.bulk_loads += 1
             stats.bulk_objects += len(fast)
             stats.bulk_fallbacks += len(slow)
-        except BaseException:
-            session._snapshot.restore()
-            raise
         return fast, slow, groups, compiled_for
 
     def bulk_validate(self, session, groups, compiled_for) -> None:
@@ -851,9 +873,11 @@ class MutationPipeline:
         indexed_writes = 0
         columns_put = store._columns.put
         stamp = store._snapshot_stamp
+        log_append = store._undo_log.append   # apply_bulk opened a scope
         for entry in fast:
             obj = entry.obj
             surrogate = obj.surrogate
+            log_append((objects, surrogate, _MISSING))
             objects[surrogate] = obj
             columns_put(surrogate.id, obj._memberships, obj._values, stamp)
             append(obj)
@@ -864,6 +888,7 @@ class MutationPipeline:
                     if attribute in indexed:
                         indexed_writes += 1
             if deferred:
+                log_append((dirty, surrogate, _MISSING))
                 dirty[surrogate] = None
         schema = store.schema
         for signature, entries in groups.items():
@@ -1018,9 +1043,13 @@ class MutationPipeline:
             # corrupt live objects' counts.
             return
         key = (virtual_name, obj.surrogate)
-        count = store._virtual_refs.get(key, 0) + delta
+        refs = store._virtual_refs
+        count = refs.get(key, 0) + delta
+        log = store._undo_log
+        if log is not None:
+            log.append((refs, key, refs.get(key, _MISSING)))
         if count > 0:
-            store._virtual_refs[key] = count
+            refs[key] = count
             if virtual_name not in obj.memberships:
                 if store._join_log is not None:
                     closure = store.checker.expanded_memberships(obj)
@@ -1033,7 +1062,7 @@ class MutationPipeline:
                 self.add_to_extents(obj, virtual_name)
                 self.cascade_virtuals(obj, virtual_name, +1)
         else:
-            store._virtual_refs.pop(key, None)
+            refs.pop(key, None)
             if virtual_name in obj.memberships:
                 self.cascade_virtuals(obj, virtual_name, -1)
                 store._prepare_write(obj)
@@ -1076,84 +1105,86 @@ class MutationPipeline:
 
 
 # ----------------------------------------------------------------------
-# Restore points (transactions, bulk all-or-nothing)
+# Undo scopes (transactions, bulk all-or-nothing)
 # ----------------------------------------------------------------------
 
-class RestorePoint:
-    """A full, restorable copy of a store's mutable state.
+class UndoScope:
+    """The one rollback mechanism: ``with UndoScope(store): ...`` leaves
+    the store as it found it if the body raises, for O(touched + roots)
+    work -- never O(objects).  The caller holds the write lock.
 
-    With ``include_stats=True`` the engine and query counters are captured
-    and restored too.  Transactions deliberately leave counters alone (a
-    rolled-back attempt still did the work it counted); the bulk loader
-    uses it because its acceptance contract is that a failed batch leaves
-    *every* observable -- extents, postings, dirty ledger, and the stats
-    counters -- identical to the pre-batch state.
-
-    Restoring installs **fresh** membership/value/extent containers (and
-    rebuilt indexes) stamped at the current snapshot stamp, so MVCC
-    snapshots captured before -- or during -- the aborted scope keep
-    their frozen references; the epoch is bumped so cached snapshots are
-    re-derived rather than trusted across a rollback.
+    Opening advances ``store._snapshot_stamp``, so the first write in
+    the scope to any instance, extent set, index or column chunk
+    privatizes it and the container it replaced *is* the frozen
+    pre-image: opening only takes references to the roots (with
+    ``include_stats`` the counters too -- a failed bulk batch leaves
+    every observable untouched; a rolled-back transaction still did the
+    work it counted).  What is not copy-on-write -- ``_objects``,
+    ``_virtual_refs``, ``_dirty``, and which instances had containers
+    reassigned -- the write path logs on ``store._undo_log`` as
+    ``(mapping, key, prior)``, ``mapping`` None for an instance.
+    Rollback reinstalls the roots, points each logged instance at the
+    containers the captured columns hold (identity kept, unstamped: open
+    snapshots may share them), replays the log backwards and bumps the
+    epoch.  A scope opened inside another is a savepoint on the same log.
     """
+
+    __slots__ = ("_store", "_outermost", "_mark", "_columns", "_extents",
+                 "_extent_cow", "_indexes", "_next_surrogate", "_counters")
 
     def __init__(self, store, include_stats: bool = False) -> None:
         self._store = store
-        self._objects: Dict[Surrogate, Instance] = dict(store._objects)
-        self._state: Dict[Surrogate, Tuple[frozenset, dict]] = {
-            surrogate: (obj.memberships, obj.values_snapshot())
-            for surrogate, obj in store._objects.items()
-        }
-        self._extents: Dict[str, SurrogateSet] = {
-            name: members.copy()
-            for name, members in store._extents.items()
-        }
-        self._virtual_refs = dict(store._virtual_refs)
-        self._dirty = {
-            surrogate: (None if attrs is None else set(attrs))
-            for surrogate, attrs in store._dirty.items()
-        }
+        store._snapshot_stamp += 1
+        log = store._undo_log
+        self._outermost = log is None
+        if log is None:
+            log = store._undo_log = []
+        self._mark = len(log)
+        self._columns = store._columns.capture()
+        self._extents = dict(store._extents)
+        self._extent_cow = dict(store._extent_cow)
+        self._indexes = store.indexes.capture()
         self._next_surrogate = store._allocator._next
-        # Secondary indexes roll back with the values they mirror.
-        self._index_state = store.indexes.snapshot()
-        self._stats_state = (
+        self._counters = (
             (store.checker.stats.capture(), store.indexes.qstats.capture())
             if include_stats else None)
 
-    def restore(self) -> None:
-        store = self._store
-        with store._write_lock:
-            self._restore_locked(store)
+    def __enter__(self) -> "UndoScope":
+        return self
 
-    def _restore_locked(self, store) -> None:
-        stamp = store._snapshot_stamp
-        # Objects created after the restore point vanish; removed ones
-        # return, and every surviving instance is reset in place
-        # (identity kept) with fresh, privately-owned containers.
-        store._objects.clear()
-        store._objects.update(self._objects)
-        for surrogate, obj in self._objects.items():
-            memberships, values = self._state[surrogate]
-            obj._memberships = set(memberships)
-            obj._values = dict(values)
-            obj._cow_stamp = stamp
-        store._columns.rebuild(store._objects, stamp)
-        store._extents.clear()
-        store._extent_cow.clear()
-        for name, members in self._extents.items():
-            store._extents[name] = members.copy()
-            store._extent_cow[name] = stamp
-        store._virtual_refs.clear()
-        store._virtual_refs.update(self._virtual_refs)
-        store._dirty.clear()
-        store._dirty.update({
-            surrogate: (None if attrs is None else set(attrs))
-            for surrogate, attrs in self._dirty.items()
-        })
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            self._rollback()
+        if self._outermost:
+            self._store._undo_log = None
+        return False
+
+    def _rollback(self) -> None:
+        store = self._store
+        log = store._undo_log
+        for mapping, key, prior in reversed(log[self._mark:]):
+            if mapping is None:
+                state = self._columns.get(key.surrogate.id)
+                if state is not None:   # else: created inside the scope
+                    key._memberships, key._values = state
+                    key._cow_stamp = -1
+            elif prior is _MISSING:
+                mapping.pop(key, None)
+            else:
+                mapping[key] = prior
+        del log[self._mark:]
+        store._columns.reinstall(self._columns)
+        # Only a replaced (= touched) extent set can have a stale memo.
+        live = store._extents
+        for name in live.keys() | self._extents.keys():
+            if live.get(name) is not self._extents.get(name):
+                store._extent_cache.pop(name, None)
+        store._extents = self._extents
+        store._extent_cow = self._extent_cow
+        store.indexes.reinstall(self._indexes)
         store._allocator._next = self._next_surrogate
-        store._extent_cache.clear()
-        store.indexes.restore(self._index_state)
-        if self._stats_state is not None:
-            engine_state, query_state = self._stats_state
+        if self._counters is not None:
+            engine_state, query_state = self._counters
             store.checker.stats.restore(engine_state)
             store.indexes.qstats.restore(query_state)
         store._epoch += 1

@@ -103,12 +103,8 @@ class SnapshotIndexes:
         self.version = manager.version
         self.plan_cache = manager.plan_cache
         self.qstats = manager.qstats
-        # attr -> (buckets, entries, inapplicable, residue), all refs.
-        self._postings = {
-            attr: (index._buckets, index._entries,
-                   index.inapplicable, index.residue)
-            for attr, index in manager._indexes.items()
-        }
+        # attr -> (index, buckets, inapplicable, residue), all refs.
+        self._postings = manager.capture()
 
     def __contains__(self, attribute: str) -> bool:
         return attribute in self._postings
@@ -122,7 +118,7 @@ class SnapshotIndexes:
     def lookup(self, attribute: str, value):
         """Captured posting bucket for ``value`` (callers must not
         mutate the returned set)."""
-        buckets = self._postings[attribute][0]
+        buckets = self._postings[attribute][1]
         try:
             bucket = buckets.get(value)
         except TypeError:          # unhashable probe matches nothing
@@ -130,7 +126,7 @@ class SnapshotIndexes:
         return bucket if bucket else _EMPTY_FROZEN
 
     def selectivity(self, attribute: str, value) -> int:
-        buckets = self._postings[attribute][0]
+        buckets = self._postings[attribute][1]
         try:
             bucket = buckets.get(value)
         except TypeError:
@@ -168,7 +164,7 @@ class StoreSnapshot:
         # (The refs must be frozen *at capture* -- the writer privatizes
         # instance containers by reassignment, so a lazy read off the
         # instance would see post-snapshot state.)
-        self._objects = store._columns.capture(store._snapshot_stamp)
+        self._objects = store._columns.capture()
         self._extents: Dict[str, object] = dict(store._extents)
         self.indexes = SnapshotIndexes(store.indexes)
         # Gauges, captured as plain ints (the live maps move on).

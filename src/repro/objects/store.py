@@ -83,6 +83,7 @@ from repro.objects.pipeline import (
     RemoveCommand,
     SetValueCommand,
     ValidateCommand,
+    _MISSING,
 )
 from repro.objects.surrogate import Surrogate, SurrogateAllocator
 from repro.query.indexes import IndexManager, StoreIndex
@@ -163,6 +164,9 @@ class ObjectStore:
         #: Per-class extent-set stamps (same discipline).
         self._extent_cow: Dict[str, int] = {}
         self._snapshot_cache = None
+        #: ``(mapping, key, prior)`` entries while an atomic scope is open
+        #: (:class:`~repro.objects.pipeline.UndoScope`), else None.
+        self._undo_log: Optional[List[tuple]] = None
         #: Called with each committed command (post-commit, in order);
         #: inside a transaction, deferred to scope commit.
         self.observers: List = []
@@ -202,13 +206,17 @@ class ObjectStore:
 
     def _mark_dirty(self, obj: Instance,
                     attribute: Optional[str] = None) -> None:
-        current = self._dirty.get(obj.surrogate, ())
+        current = self._dirty.get(obj.surrogate, _MISSING)
+        if self._undo_log is not None:
+            # Attribute sets are updated in place below: log a copy.
+            self._undo_log.append((
+                self._dirty, obj.surrogate,
+                set(current) if isinstance(current, set) else current))
         if attribute is None or current is None:
             self._dirty[obj.surrogate] = None
+        elif current is _MISSING:
+            self._dirty[obj.surrogate] = {attribute}
         else:
-            if current == ():
-                current = set()
-                self._dirty[obj.surrogate] = current
             current.add(attribute)
 
     # ------------------------------------------------------------------
@@ -248,6 +256,9 @@ class ObjectStore:
         in-place mutation, so references captured by any snapshot stay
         frozen.  Called by the pipeline only (under the write lock)."""
         if obj._cow_stamp != self._snapshot_stamp:
+            if self._undo_log is not None:
+                # The containers replaced here are the scope's pre-image.
+                self._undo_log.append((None, obj, None))
             obj._memberships = set(obj._memberships)
             obj._values = dict(obj._values)
             obj._cow_stamp = self._snapshot_stamp

@@ -10,10 +10,12 @@ extent, and the virtual-class reference counts are restored exactly.
 The machinery lives in the unified mutation pipeline
 (:mod:`repro.objects.pipeline`): the scope holds the store's write lock,
 buffers observer notifications until commit, group-commits the WAL, and
-rolls back through a :class:`~repro.objects.pipeline.RestorePoint`
-(copy-on-begin; instances keep their identity across rollback, outside
-references stay valid and see the restored state).  This module is the
-stable public entry point.
+rolls back through an :class:`~repro.objects.pipeline.UndoScope`: begin
+takes references to the copy-on-write roots, the writes inside leave
+their pre-images behind, and an abort costs what the scope touched --
+never a copy of the store.  Instances (and index handles) keep their
+identity across rollback; outside references stay valid and see the
+restored state.  This module is the stable public entry point.
 
 Usage::
 
@@ -25,14 +27,10 @@ Usage::
 
 from __future__ import annotations
 
-from repro.objects.pipeline import RestorePoint, TransactionError
+from repro.objects.pipeline import TransactionError
 from repro.objects.store import ObjectStore
 
-__all__ = ["RestorePoint", "StoreSnapshot", "TransactionError",
-           "transaction"]
-
-#: Historical name for :class:`RestorePoint` (pre-pipeline API).
-StoreSnapshot = RestorePoint
+__all__ = ["TransactionError", "transaction"]
 
 
 def transaction(store: ObjectStore, validate_on_commit: bool = False):

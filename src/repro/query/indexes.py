@@ -2,7 +2,7 @@
 
 A :class:`StoreIndex` is a hash index over the values of one attribute
 across *all* live objects, maintained incrementally by the store's
-checked-mutation path (writes, creates, removals, transaction rollback).
+checked-mutation path (writes, creates, removals) and rolled back with it.
 Class scoping happens at query time by intersecting a posting list with
 the source extent, so one index serves every class that declares -- or
 excuses -- the attribute.
@@ -42,10 +42,10 @@ Every posting list -- the per-value buckets, INAPPLICABLE, residue --
 is a :class:`repro.columnar.SurrogateSet`: a chunked bitset over the
 surrogate ordinal space.  The planner's candidate pruning is therefore
 word-vector AND/OR/ANDNOT instead of per-element hash probes, and the
-copy-on-write privatization an open snapshot forces copies only chunk
-*tables* (one entry per ~4096 members), never the members.  Posting
-sets returned by the lookup methods are live references and must not be
-mutated by callers.
+copy-on-write an open snapshot (or undo scope) forces copies the bucket
+map and then only the chunk *tables* of the postings a write touches.
+Posting sets returned by the lookup methods are live references and
+must not be mutated by callers.
 """
 
 from __future__ import annotations
@@ -60,71 +60,87 @@ from repro.typesys.values import INAPPLICABLE
 
 #: Shared empty set returned by lookups that find nothing.
 _EMPTY: frozenset = frozenset()
+#: ``StoreIndex._owned`` key of the residue posting.
+_RESIDUE = object()
 
 
 class StoreIndex:
     """Hash index over one attribute: value -> set of surrogates, plus
-    the INAPPLICABLE and residue posting lists."""
+    the INAPPLICABLE and residue posting lists.  There is no reverse
+    (surrogate -> value) map: the object holds its value, so whoever
+    moves or removes a posting says which value it was under."""
 
-    __slots__ = ("attribute", "_buckets", "_entries", "inapplicable",
-                 "residue", "_cow_stamp")
+    __slots__ = ("attribute", "_buckets", "inapplicable", "residue",
+                 "_cow_stamp", "_owned")
 
     def __init__(self, attribute: str) -> None:
         self.attribute = attribute
         self._buckets: Dict[object, SurrogateSet] = {}
-        # surrogate -> indexed value (reverse map for O(1) maintenance).
-        self._entries: Dict[object, object] = {}
         #: Live objects with no value for the attribute.
         self.inapplicable = SurrogateSet()
         #: Live objects whose value is unhashable (never prunable).
         self.residue = SurrogateSet()
-        # Copy-on-write stamp: the store's snapshot stamp as of the last
-        # privatization of the containers above (-1 = never shared).
+        # The store's snapshot stamp as of the last :meth:`_privatize`
+        # (-1 = never shared), and the postings created or copied since.
         self._cow_stamp: int = -1
+        self._owned = {INAPPLICABLE, _RESIDUE}
 
     def _privatize(self) -> None:
-        """Reassign fresh containers so references captured by an open
-        snapshot stay frozen.  In place -- the index *object* keeps its
-        identity for anyone holding a ``create_index`` return value.
-        Bitset copies share their (immutable) chunk payloads, so this is
-        O(values + chunks), not O(members)."""
-        self._buckets = {v: m.copy() for v, m in self._buckets.items()}
-        self._entries = dict(self._entries)
-        self.inapplicable = self.inapplicable.copy()
-        self.residue = self.residue.copy()
+        """Stop sharing containers with whoever captured them (an open
+        snapshot, an undo scope): the bucket map is copied now, each
+        posting set when a write first touches it -- O(values), then
+        O(touched).  In place: the index *object* keeps its identity
+        for anyone holding a ``create_index`` return value."""
+        self._buckets = dict(self._buckets)
+        self._owned = set()
 
     # Maintenance ------------------------------------------------------
 
-    def add(self, surrogate, value) -> None:
-        """Index ``surrogate`` as newly live with ``value``."""
+    def _posting(self, value, create: bool) -> Optional[SurrogateSet]:
+        """The posting set a write for ``value`` mutates, copied first
+        unless already owned; None when there is no bucket and
+        ``create`` is off."""
+        owned = self._owned
         if value is INAPPLICABLE:
-            self.inapplicable.add(surrogate)
-            return
+            if INAPPLICABLE not in owned:
+                owned.add(INAPPLICABLE)
+                self.inapplicable = self.inapplicable.copy()
+            return self.inapplicable
         try:
             bucket = self._buckets.get(value)
-            if bucket is None:
-                bucket = self._buckets[value] = SurrogateSet()
         except TypeError:
-            self.residue.add(surrogate)
-            return
-        bucket.add(surrogate)
-        self._entries[surrogate] = value
+            if _RESIDUE not in owned:
+                owned.add(_RESIDUE)
+                self.residue = self.residue.copy()
+            return self.residue
+        if bucket is None:
+            if not create:
+                return None
+            bucket = SurrogateSet()
+        elif value in owned:
+            return bucket
+        else:
+            bucket = bucket.copy()
+        owned.add(value)
+        self._buckets[value] = bucket
+        return bucket
 
-    def discard(self, surrogate) -> None:
-        """Forget ``surrogate`` entirely (object removed)."""
-        self.inapplicable.discard(surrogate)
-        self.residue.discard(surrogate)
-        old = self._entries.pop(surrogate, None)
-        if old is not None:
-            bucket = self._buckets.get(old)
-            if bucket is not None:
-                bucket.discard(surrogate)
-                if not bucket:
-                    del self._buckets[old]
+    def add(self, surrogate, value) -> None:
+        """Index ``surrogate`` as newly live with ``value``."""
+        self._posting(value, True).add(surrogate)
 
-    def update(self, surrogate, value) -> None:
-        """Move ``surrogate`` to the posting for ``value``."""
-        self.discard(surrogate)
+    def discard(self, surrogate, value) -> None:
+        """Forget ``surrogate``, indexed under ``value``."""
+        posting = self._posting(value, False)
+        if posting is not None:
+            posting.discard(surrogate)
+            if not (posting or posting is self.inapplicable
+                    or posting is self.residue):
+                del self._buckets[value]
+
+    def update(self, surrogate, old, value) -> None:
+        """Move ``surrogate`` from ``old``'s posting to ``value``'s."""
+        self.discard(surrogate, old)
         self.add(surrogate, value)
 
     # Lookup -----------------------------------------------------------
@@ -146,15 +162,18 @@ class StoreIndex:
             return 0
         return len(bucket) if bucket else 0
 
+    def _n_entries(self) -> int:
+        return sum(len(bucket) for bucket in self._buckets.values())
+
     def __len__(self) -> int:
-        return len(self._entries) + len(self.inapplicable) + len(self.residue)
+        return self._n_entries() + len(self.inapplicable) + len(self.residue)
 
     def distinct_values(self) -> int:
         return len(self._buckets)
 
     def describe(self) -> Dict[str, int]:
         return {
-            "entries": len(self._entries),
+            "entries": self._n_entries(),
             "distinct_values": len(self._buckets),
             "inapplicable": len(self.inapplicable),
             "residue": len(self.residue),
@@ -164,26 +183,8 @@ class StoreIndex:
                        + self.residue.chunk_count()),
         }
 
-    # Snapshot (transactions) ------------------------------------------
-
-    def _snapshot(self):
-        return (
-            {value: members.copy()
-             for value, members in self._buckets.items()},
-            dict(self._entries),
-            self.inapplicable.copy(),
-            self.residue.copy(),
-        )
-
-    def _restore(self, state) -> None:
-        buckets, entries, inapplicable, residue = state
-        self._buckets = {v: m.copy() for v, m in buckets.items()}
-        self._entries = dict(entries)
-        self.inapplicable = inapplicable.copy()
-        self.residue = residue.copy()
-
     def __repr__(self) -> str:
-        return (f"<StoreIndex {self.attribute}: {len(self._entries)} "
+        return (f"<StoreIndex {self.attribute}: {self._n_entries()} "
                 f"entries, {len(self._buckets)} values, "
                 f"{len(self.inapplicable)} inapplicable>")
 
@@ -293,26 +294,24 @@ class IndexManager:
     def on_create(self, surrogate) -> None:
         """A new object is live; it starts with every attribute unset."""
         for index in self._indexes.values():
-            self._writable(index).inapplicable.add(surrogate)
-        if self._indexes:
-            self.qstats.index_updates += len(self._indexes)
+            self._writable(index).add(surrogate, INAPPLICABLE)
+        self.qstats.index_updates += len(self._indexes)
 
-    def on_remove(self, surrogate) -> None:
+    def on_remove(self, obj) -> None:
         for index in self._indexes.values():
-            self._writable(index).discard(surrogate)
-        if self._indexes:
-            self.qstats.index_updates += len(self._indexes)
+            self._writable(index).discard(
+                obj.surrogate, obj.get_value(index.attribute))
+        self.qstats.index_updates += len(self._indexes)
 
     def bulk_add(self, objects, indexed_writes: int = 0) -> None:
         """Index a batch of newly-live objects in one pass per index and
         bump the design version **once** for the whole batch.
 
-        Equivalent to ``on_create`` + ``on_value_change`` per object --
-        an object with no value for an indexed attribute lands on the
-        INAPPLICABLE posting, exactly as the incremental hooks would
-        leave it.  ``indexed_writes`` is the number of staged writes that
-        touched indexed attributes, so the ``index_updates`` counter
-        advances as the sequential path would.
+        Equivalent to ``on_create`` + ``on_value_change`` per object (no
+        value for an indexed attribute: the INAPPLICABLE posting).
+        ``indexed_writes`` is the number of staged writes that touched
+        indexed attributes, so ``index_updates`` advances as the
+        sequential path would.
 
         The version bump is deliberate and conservative: plans compiled
         while the batch was staged were costed against pre-batch
@@ -325,27 +324,20 @@ class IndexManager:
             self._writable(index)
             attribute = index.attribute
             buckets = index._buckets
-            entries = index._entries
-            inapplicable_add = index.inapplicable.add
-            residue_add = index.residue.add
+            owned = index._owned
+            posting_for = index._posting
             for obj in objects:
-                # Inlined StoreIndex.add (this loop dominates deferred
-                # bulk merges); objects here are always live-store
-                # instances, so the value dict is read directly.
-                surrogate = obj.surrogate
+                # Inlined StoreIndex.add for an owned bucket (this loop
+                # dominates deferred bulk merges; instances are live, so
+                # the value dict is read directly).
                 value = obj._values.get(attribute, INAPPLICABLE)
-                if value is INAPPLICABLE:
-                    inapplicable_add(surrogate)
-                    continue
                 try:
-                    bucket = buckets.get(value)
-                    if bucket is None:
-                        bucket = buckets[value] = SurrogateSet()
+                    posting = buckets.get(value) if value in owned else None
                 except TypeError:
-                    residue_add(surrogate)
-                    continue
-                bucket.add(surrogate)
-                entries[surrogate] = value
+                    posting = None
+                if posting is None:
+                    posting = posting_for(value, True)
+                posting.add(obj.surrogate)
         if self._indexes:
             self.qstats.index_updates += (
                 len(self._indexes) * len(objects) + indexed_writes)
@@ -377,9 +369,9 @@ class IndexManager:
             # Swap containers in place (fresh ones -- no snapshot can
             # hold them) so the index object keeps its identity.
             index._buckets = fresh._buckets
-            index._entries = fresh._entries
             index.inapplicable = fresh.inapplicable
             index.residue = fresh.residue
+            index._owned = fresh._owned
             index._cow_stamp = self._store._snapshot_stamp
             rebuilt += 1
         if rebuilt:
@@ -387,11 +379,12 @@ class IndexManager:
             self.version += 1
         return rebuilt
 
-    def on_value_change(self, surrogate, attribute: str, value) -> None:
+    def on_value_change(self, surrogate, attribute: str, old,
+                        value) -> None:
         index = self._indexes.get(attribute)
         if index is None:
             return
-        self._writable(index).update(surrogate, value)
+        self._writable(index).update(surrogate, old, value)
         self.qstats.index_updates += 1
 
     # Planner-side reads -----------------------------------------------
@@ -410,30 +403,31 @@ class IndexManager:
     def selectivity(self, attribute: str, value) -> int:
         return self._indexes[attribute].selectivity(value)
 
-    # Snapshot (transactions) ------------------------------------------
+    # Rollback roots (atomic scopes) -----------------------------------
 
-    def snapshot(self):
-        return {attr: index._snapshot()
+    def capture(self):
+        """``attr -> (index, buckets, inapplicable, residue)``, all by
+        reference: what a snapshot reads and an undo scope puts back.
+        Frozen because the caller has just advanced the store's stamp,
+        so the next maintenance hook privatizes first."""
+        return {attr: (index, index._buckets, index.inapplicable,
+                       index.residue)
                 for attr, index in self._indexes.items()}
 
-    def restore(self, state) -> None:
-        rebuilt: Dict[str, StoreIndex] = {}
-        stamp = self._store._snapshot_stamp
-        for attr, index_state in state.items():
-            index = StoreIndex(attr)
-            index._restore(index_state)
-            # _restore built fresh containers; no snapshot holds them.
-            index._cow_stamp = stamp
-            rebuilt[attr] = index
-        changed = set(rebuilt) != set(self._indexes)
-        self._indexes = rebuilt
-        if changed:
+    def reinstall(self, captured) -> None:
+        """Put a :meth:`capture` back *into* the index objects (a held
+        ``create_index`` handle stays live), unstamped: open snapshots
+        may share the containers."""
+        for index, buckets, inapplicable, residue in captured.values():
+            index._buckets = buckets
+            index.inapplicable = inapplicable
+            index.residue = residue
+            index._cow_stamp = -1
+        design = {attr: entry[0] for attr, entry in captured.items()}
+        if design != self._indexes:
             # The physical design moved.  The counter stays monotone --
             # never restored backwards -- so a plan keyed against a
             # version from inside the rolled-back scope can never collide
             # with a future design that happens to reuse the number.
             self.version += 1
-
-    def describe(self) -> Dict[str, Dict[str, int]]:
-        return {attr: index.describe()
-                for attr, index in sorted(self._indexes.items())}
+        self._indexes = design

@@ -709,8 +709,3 @@ class QueryTyper:
                     "unsafe", expr,
                     "selected value may be INAPPLICABLE (the attribute "
                     "does not exist for some objects)", p.assumptions)
-
-
-def _order(p: Possibility) -> tuple:
-    return (p.kind, str(p.type), tuple(sorted(p.pos)),
-            tuple(sorted(p.assumptions)))

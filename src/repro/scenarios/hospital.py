@@ -131,10 +131,6 @@ class HospitalPopulation:
     tubercular: List = field(default_factory=list)
     cancer: List = field(default_factory=list)
 
-    @property
-    def all_patients(self) -> List:
-        return self.patients
-
 
 _STATES = ("AL", "CA", "NJ", "NY", "WV")
 _STYLES = ("CBT", "Psychodynamic", "Humanistic")

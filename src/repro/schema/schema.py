@@ -344,20 +344,6 @@ class Schema:
         """All excused ``(class, attribute)`` pairs in the schema."""
         return tuple(sorted(self._excuses()))
 
-    def constraints_on_attribute(
-            self, attribute: str) -> Tuple[IndexedConstraint, ...]:
-        """Every constraint over ``attribute``, across all declaring
-        classes, with their excuses precomputed -- what a secondary
-        index on the attribute must be prepared to store (the value
-        universe of a class-blind index is the union of every declaring
-        class's relaxed constraint)."""
-        rows = []
-        for cdef in self.classes():
-            for row in self.declared_index(cdef.name):
-                if row.constraint.attribute == attribute:
-                    rows.append(row)
-        return tuple(sorted(rows, key=lambda r: r.constraint.owner))
-
     # ------------------------------------------------------------------
     # The conformance index (incremental engine substrate)
     # ------------------------------------------------------------------
@@ -449,11 +435,6 @@ class Schema:
         constraints = self.attribute_constraints(name, attribute)
         best = constraints[0]
         return self.relaxed_constraint(best.owner, best.attribute)
-
-    def conformance_type(self, owner: str, attribute: str) -> Type:
-        """Alias of :meth:`relaxed_constraint`; the type the run-time
-        conformance rule checks values against (with the object as owner)."""
-        return self.relaxed_constraint(owner, attribute)
 
     # ------------------------------------------------------------------
     # Convenience

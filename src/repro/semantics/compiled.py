@@ -39,9 +39,7 @@ out to worker threads and merge results deterministically.
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.obs import EngineStats
 from repro.schema.schema import Schema
@@ -354,9 +352,3 @@ class CompiledProfileCache:
             self.stats.profiles_compiled += 1
             self.stats.compiled_rows_elided += checker.rows_elided
         return checker
-
-    def prewarm(self, signatures: Sequence[FrozenSet[str]]) -> None:
-        """Compile (or decline) every signature up front, on the calling
-        thread, so parallel validation never mutates this cache."""
-        for signature in signatures:
-            self.get(signature)

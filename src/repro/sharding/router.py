@@ -709,12 +709,13 @@ class ShardedStore:
     def transaction(self):
         """An atomic multi-command scope over the sharded population.
 
-        The single store's transaction is a restore point; shards
-        cannot share one, so the router keeps an **undo journal**: each
-        create/set/unset/classify/declassify inside the scope logs its
-        exact inverse first, and an exception replays the inverses in
-        reverse order (check-free -- they restore previously conformant
-        state) before re-raising.  The allocator and profile placement
+        The single store undoes through in-process copy-on-write
+        pre-images; shards cannot share those, so the router keeps a
+        logical **undo journal**: each create/set/unset/classify/
+        declassify inside the scope logs its exact inverse first, and an
+        exception replays the inverses in reverse order (check-free --
+        they restore previously conformant state) before re-raising.
+        The allocator and profile placement
         counters are restored too, so an aborted transaction leaves the
         router minting the same sids and placements the single store
         would after its rollback.  Supported scope: create / set /

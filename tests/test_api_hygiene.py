@@ -312,7 +312,7 @@ _E7_STORAGE = {"storage/engine.py", "storage/persist.py",
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 22172
+SRC_LINE_CEILING = 22168
 
 
 def _src_trees():

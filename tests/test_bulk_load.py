@@ -10,10 +10,12 @@ to the pre-batch state.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConformanceError, ReproError, UnknownClassError
-from repro.objects import BulkSession, ObjectStore
+from repro.objects import BulkSession, ConcurrentStore, ObjectStore
 from repro.objects.store import CheckMode
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
@@ -33,11 +35,10 @@ def _digest(store):
     postings = {}
     for attribute in store.indexes.attributes():
         index = store.indexes.get(attribute)
-        buckets, entries, inapplicable, residue = index._snapshot()
         postings[attribute] = (
             {repr(value): frozenset(members)
-             for value, members in buckets.items()},
-            frozenset(inapplicable), frozenset(residue))
+             for value, members in index._buckets.items()},
+            frozenset(index.inapplicable), frozenset(index.residue))
     return {
         "objects": objects,
         "extents": {name: frozenset(members)
@@ -360,3 +361,62 @@ class TestDirtyLedgerRegression:
             assert obj.surrogate in hospital_store._dirty
         hospital_store.validate_dirty()
         assert not hospital_store._dirty
+
+
+class TestScopeOpensAtCommit:
+    """A session's undo scope opens at commit, under the write lock:
+    writes acknowledged while it was staging are never rolled out of
+    memory (they are in the WAL; memory and reopen must agree)."""
+
+    def test_failed_commit_keeps_acknowledged_writes(
+            self, hospital_schema, tmp_path):
+        store = ObjectStore.open(str(tmp_path), hospital_schema,
+                                 durability="wal")
+        session = store.bulk_session(check="eager")
+        session.add("Person", name="ok", age=30)
+        kept = store.create("Person", name="acknowledged", age=40)
+        session.add("Person", name="bad", age=999)
+        with pytest.raises(ConformanceError):
+            session.commit()
+        assert store.count("Person") == 1
+        assert store.get(kept.surrogate) is kept
+        # The staged ids straddle an acknowledged one: burned, not
+        # handed out again.
+        fresh = store.create("Person", name="next", age=41)
+        assert fresh.surrogate.id > kept.surrogate.id + 1
+        store.close()
+        assert ObjectStore.open(str(tmp_path)).count("Person") == 2
+
+    def test_abort_keeps_acknowledged_writes(self, hospital_schema,
+                                             tmp_path):
+        store = ObjectStore.open(str(tmp_path), hospital_schema,
+                                 durability="wal")
+        n = store._allocator._next
+        session = store.bulk_session()
+        session.add("Person", name="staged", age=30)
+        session.add("Person", name="staged2", age=31)
+        session.abort()
+        assert store._allocator._next == n   # nothing else allocated
+        session = store.bulk_session()
+        session.add("Person", name="staged", age=30)
+        store.create("Person", name="acknowledged", age=40)
+        session.abort()
+        assert store.count("Person") == 1
+        store.close()
+        assert ObjectStore.open(str(tmp_path)).count("Person") == 1
+
+    def test_failed_commit_keeps_another_threads_write(
+            self, hospital_schema):
+        shared = ConcurrentStore(ObjectStore(hospital_schema))
+        session = shared.bulk_session(check="eager")
+        session.add("Person", name="ok", age=30)
+        writer = threading.Thread(
+            target=lambda: shared.create("Person", name="theirs", age=40))
+        writer.start()
+        writer.join()
+        session.add("Person", name="bad", age=999)
+        with pytest.raises(ConformanceError):
+            session.commit()
+        assert shared.snapshot(wait=True).count("Person") == 1
+        assert [p.get_value("name")
+                for p in shared.store.extent("Person")] == ["theirs"]

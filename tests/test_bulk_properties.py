@@ -105,7 +105,6 @@ class _World:
                                 if is_entity(value) else value)
             objects[obj.surrogate] = (obj.memberships, values)
         index = store.indexes.get("age")
-        buckets, _entries, inapplicable, _residue = index._snapshot()
         return {
             "objects": objects,
             "extents": {name: frozenset(members)
@@ -115,8 +114,8 @@ class _World:
                       for s, attrs in store._dirty.items()},
             "virtual_refs": dict(store._virtual_refs),
             "postings": ({repr(v): frozenset(m)
-                          for v, m in buckets.items()},
-                         frozenset(inapplicable)),
+                          for v, m in index._buckets.items()},
+                         frozenset(index.inapplicable)),
         }
 
     def counters(self):

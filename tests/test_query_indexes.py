@@ -10,6 +10,7 @@ and transaction rollback.
 
 import pytest
 
+from repro.errors import ConformanceError
 from repro.objects import ObjectStore
 from repro.objects.transactions import transaction
 from repro.query.indexes import PlanCache, StoreIndex
@@ -46,13 +47,14 @@ class TestStoreIndex:
     def test_update_moves_between_postings(self):
         index = StoreIndex("age")
         index.add("s1", 30)
-        index.update("s1", 31)
+        index.update("s1", 30, 31)
         assert index.lookup(30) == frozenset()
         assert index.lookup(31) == {"s1"}
-        index.update("s1", INAPPLICABLE)
+        assert index.distinct_values() == 1     # emptied bucket dropped
+        index.update("s1", 31, INAPPLICABLE)
         assert index.lookup(31) == frozenset()
         assert index.inapplicable == {"s1"}
-        index.update("s1", 32)
+        index.update("s1", INAPPLICABLE, 32)
         assert index.inapplicable == set()
         assert index.lookup(32) == {"s1"}
 
@@ -60,8 +62,8 @@ class TestStoreIndex:
         index = StoreIndex("age")
         index.add("s1", 30)
         index.add("s2", INAPPLICABLE)
-        index.discard("s1")
-        index.discard("s2")
+        index.discard("s1", 30)
+        index.discard("s2", INAPPLICABLE)
         assert len(index) == 0
         assert index.lookup(30) == frozenset()
 
@@ -70,7 +72,7 @@ class TestStoreIndex:
         index.add("s1", [1, 2])          # unhashable
         assert index.residue == {"s1"}
         assert index.lookup([1, 2]) == frozenset()  # probe can't hash
-        index.discard("s1")
+        index.discard("s1", [1, 2])
         assert index.residue == set()
 
     def test_python_equality_semantics(self):
@@ -80,17 +82,8 @@ class TestStoreIndex:
         index.add("s2", True)
         index.add("s3", 1.0)
         assert index.lookup(1) == {"s1", "s2", "s3"}
-
-    def test_snapshot_restore_roundtrip(self):
-        index = StoreIndex("age")
-        index.add("s1", 30)
-        index.add("s2", INAPPLICABLE)
-        state = index._snapshot()
-        index.update("s1", 99)
-        index.discard("s2")
-        index._restore(state)
-        assert index.lookup(30) == {"s1"}
-        assert index.inapplicable == {"s2"}
+        index.discard("s2", True)       # found under its equal key
+        assert index.lookup(1.0) == {"s1", "s3"}
 
 
 class TestIndexManagerLifecycle:
@@ -177,6 +170,40 @@ class TestTransactionRollback:
         # counter moved forward: cached plan keys cannot collide.
         assert "age" not in store.indexes
         assert store.indexes.version > snap_version
+
+    def test_index_handle_survives_rollback(self, store):
+        """A rollback restores containers *into* the index object: the
+        handle ``create_index`` returned stays the store's index and
+        keeps seeing later writes (after a rolled-back transaction and
+        after a rejected bulk batch alike)."""
+        handle = store.create_index("age")
+        a = store.create("Person", name="a", age=30)
+        with pytest.raises(RuntimeError):
+            with transaction(store):
+                store.set_value(a, "age", 31)
+                raise RuntimeError("abort")
+        assert store.indexes.get("age") is handle
+        with pytest.raises(ConformanceError):
+            store.bulk_load([("Person", {"name": "x", "age": 40}),
+                             ("Person", {"name": "y", "age": 999})],
+                            check="eager")
+        assert store.indexes.get("age") is handle
+        assert handle.lookup(30) == {a.surrogate}
+        b = store.create("Person", name="b", age=31)
+        assert handle.lookup(31) == {b.surrogate}
+
+    def test_dropped_index_returns_with_its_identity(self, store):
+        handle = store.create_index("age")
+        a = store.create("Person", name="a", age=30)
+        version = store.indexes.version
+        with pytest.raises(RuntimeError):
+            with transaction(store):
+                store.drop_index("age")
+                store.set_value(a, "age", 31)    # not indexed in here
+                raise RuntimeError("abort")
+        assert store.indexes.get("age") is handle
+        assert handle.lookup(30) == {a.surrogate}
+        assert store.indexes.version > version
 
 
 class TestExtentCache:

@@ -5,11 +5,7 @@ import pytest
 from repro.errors import ConformanceError
 from repro.objects import ObjectStore
 from repro.objects.store import CheckMode
-from repro.objects.transactions import (
-    StoreSnapshot,
-    TransactionError,
-    transaction,
-)
+from repro.objects.transactions import TransactionError, transaction
 from repro.query import compile_query, execute
 from repro.scenarios import populate_hospital
 from repro.schema.diff import diff_schemas, render_diff
@@ -83,11 +79,15 @@ class TestTransactions:
     def test_identity_preserved_across_rollback(self, hospital_schema):
         store = ObjectStore(hospital_schema)
         p = store.create("Person", name="a", age=30)
-        snapshot = StoreSnapshot(store)
-        store.set_value(p, "age", 44)
-        snapshot.restore()
+        gone = store.create("Person", name="b", age=31)
+        with pytest.raises(RuntimeError):
+            with transaction(store):
+                store.set_value(p, "age", 44)
+                store.remove(gone)
+                raise RuntimeError("abort")
         assert store.get(p.surrogate) is p
         assert p.get_value("age") == 30
+        assert store.get(gone.surrogate) is gone
 
 
 # ---------------------------------------------------------------------------
