@@ -17,7 +17,7 @@ the library grows:
   :class:`~repro.sharding.router.ShardedStore` router: writes are
   routed/broadcast to owner shards, queries scatter-gather with
   deduction pruning, and every op runs off the event loop (the router
-  blocks on worker queues).
+  blocks on the worker pipes).
 
 **Positions are vector tokens** (:mod:`repro.net.tokens`): a backend's
 ``position()`` is the ``{shard_id: seq}`` map of commit positions it
@@ -220,9 +220,10 @@ class ShardedBackend(StoreBackend):
     queries (deduction-pruned) and routes writes to owner shards.
 
     The router is **not** thread-safe -- every worker conversation is a
-    strict send/recv on per-shard queues -- and every op blocks on that
-    IPC, so the whole surface is ``blocking`` (the service runs it on
-    executor threads) and a lock serializes them.  The gauges
+    strict send/recv on a per-shard pipe, one command in flight -- and
+    every op blocks on that IPC, so the whole surface is ``blocking``
+    (the service runs it on executor threads) and a lock serializes
+    them.  The gauges
     (``position``/``epoch``) deliberately *don't* take the lock: they
     only read the router's per-shard position map (fixed keys, int
     values -- safe to read concurrently), so a ``token_wait`` can poll

@@ -35,14 +35,18 @@ rewritten to ``total``/``count`` before dispatch so the merged mean is
 exact).  Schema commands -- ``alter_class`` / ``add_excuse`` /
 ``retract_excuse`` -- are validated once on an empty *meta* store (the
 check is population-independent), then replicated to every shard over
-the same FIFO queues as data commands, so each shard applies the epoch
+the same ordered pipes as data commands, so each shard applies the epoch
 between exactly the same mutations the router did.
+
+**Transport.**  One ordered duplex pipe per process shard, at most one
+command in flight on it: every send is matched by its receive before the
+next, and multi-shard commands go through one scatter/gather that drains
+exactly what it sent -- so when a shard dies (:class:`ShardCrashedError`)
+the survivors still answer their own questions.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
-import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 from zlib import crc32
@@ -98,10 +102,6 @@ class RemoteHandle:
     @property
     def shard_id(self) -> int:
         return self._router._owner_of(self.surrogate.id)
-
-    @property
-    def broadcast(self) -> bool:
-        return self.surrogate.id in self._router._broadcast
 
     def _state(self) -> Dict[str, object]:
         return self._router._call(
@@ -166,50 +166,61 @@ class LocalBackend:
 
 
 class ProcessBackend:
-    """A shard in its own worker process, reached over a command/result
-    queue pair.  ``send`` never blocks on the worker (commands queue in
-    FIFO order); ``recv`` surfaces a dead worker as
-    :class:`ShardCrashedError` instead of hanging."""
+    """A shard in its own worker process, reached over one duplex pipe
+    carrying the wire texts as bytes: one wake-up per hop, and a dead
+    worker is EOF or a broken pipe -- :class:`ShardCrashedError` at
+    once, not after a poll period.  A pipe ``send`` can block on a
+    worker that is itself blocked sending, so at most one command is in
+    flight: ``send`` refuses while a reply is outstanding (the worker's
+    ready handshake is the first)."""
 
     def __init__(self, shard_id: int, config: Dict[str, object],
                  ctx) -> None:
         self.shard_id = shard_id
-        self.commands = ctx.Queue()
-        self.results = ctx.Queue()
+        self._conn, worker_end = ctx.Pipe()
+        self._awaiting = True
         self.process = ctx.Process(
             target=shard_worker_main,
-            args=(shard_id, config, self.commands, self.results),
-            daemon=True)
+            args=(shard_id, config, worker_end), daemon=True)
         self.process.start()
+        worker_end.close()      # the worker holds the only copy: EOF works
 
     def send(self, text: str) -> None:
-        if not self.process.is_alive():
-            raise ShardCrashedError(self.shard_id)
-        self.commands.put(text)
+        if self._awaiting:
+            raise ShardingError(
+                f"shard {self.shard_id} still owes a reply; one command "
+                "is in flight per shard")
+        try:
+            self._conn.send_bytes(text.encode("utf-8"))
+        except OSError:
+            raise ShardCrashedError(
+                self.shard_id, "worker process died") from None
+        self._awaiting = True
 
     def recv(self, timeout: float = 120.0) -> str:
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return self.results.get(timeout=0.1)
-            except queue_mod.Empty:
-                if not self.process.is_alive():
-                    raise ShardCrashedError(
-                        self.shard_id, "worker process died") from None
-                if time.monotonic() > deadline:
-                    raise ShardCrashedError(
-                        self.shard_id,
-                        f"no result within {timeout:.0f}s") from None
+        try:
+            if not self._conn.poll(timeout):    # a late reply stays owed
+                raise ShardCrashedError(
+                    self.shard_id, f"no result within {timeout:.0f}s")
+            self._awaiting = False  # a reply, or EOF: a corpse owes nothing
+            return self._conn.recv_bytes().decode("utf-8")
+        except (EOFError, OSError):
+            raise ShardCrashedError(
+                self.shard_id, "worker process died") from None
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def stop(self) -> None:
-        if self.process.is_alive():
+        """Ask for a clean shutdown (the worker flushes and closes its
+        store before it answers); terminate whatever cannot take it."""
+        try:
+            self.send(wire.encode_command({"op": "shutdown"}))
+            self.recv(timeout=30)
+        except ShardingError:
             self.process.terminate()
         self.process.join(timeout=5)
-        self.commands.close()
-        self.results.close()
+        self._conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +262,7 @@ class ShardedStore:
 
         configs = self._shard_configs(
             schema, directory, durability, sync, check_mode, _reopen)
-        self._backends = self._start_backends(
-            configs, processes, start_method)
+        self._start_backends(configs, processes, start_method)
         # The meta store: an empty population under the same schema,
         # used to validate + mint schema evolution steps exactly once
         # before replication (the alter validity check is
@@ -290,24 +300,18 @@ class ShardedStore:
 
     def _start_backends(self, configs, processes, start_method):
         if not processes:
-            return [LocalBackend(i, config)
-                    for i, config in enumerate(configs)]
+            self._backends = [LocalBackend(i, config)
+                              for i, config in enumerate(configs)]
+            return
         import multiprocessing
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         ctx = multiprocessing.get_context(start_method)
-        backends = [ProcessBackend(i, config, ctx)
-                    for i, config in enumerate(configs)]
-        for backend in backends:    # ready/recovered handshakes
-            result = wire.decode_result(backend.recv())
-            if "error" in result:
-                err = result["error"]
-                raise ShardWorkerError(err["type"], err["msg"],
-                                       shard_id=backend.shard_id)
-            if "seq" in result:
-                self._positions[backend.shard_id] = int(result["seq"])
-        return backends
+        self._backends = [ProcessBackend(i, config, ctx)
+                          for i, config in enumerate(configs)]
+        for shard_id in range(self.n_shards):   # ready/recovered handshakes
+            self._recv_ok(shard_id)
 
     @classmethod
     def open(cls, directory: str, *, processes: bool = True,
@@ -326,13 +330,10 @@ class ShardedStore:
                    _reopen=True)
 
     def _rebuild_routing(self) -> None:
-        for shard_id in range(self.n_shards):
-            self._send(shard_id, {"op": "ids"})
         high = 0
         seen: Dict[int, int] = {}
         duplicated: Set[int] = set()
-        for shard_id in range(self.n_shards):
-            payload = self._recv_ok(shard_id)
+        for shard_id, payload in self._broadcast_cmd({"op": "ids"}):
             high = max(high, int(payload["high_water"]))
             for sid in wire.decode_chunks(payload["ids"]).ids():
                 if sid in seen:
@@ -355,12 +356,10 @@ class ShardedStore:
             for shard_id in range(self.n_shards):
                 if shard_id != owner:
                     masks[shard_id].add(Surrogate(sid))
-        for shard_id in range(self.n_shards):
-            self._send(shard_id, {"op": "set_foreign",
-                                  "sids": wire.encode_chunks(
-                                      masks[shard_id])})
-        for shard_id in range(self.n_shards):
-            self._recv_ok(shard_id)
+        self._scatter([
+            (shard_id, {"op": "set_foreign",
+                        "sids": wire.encode_chunks(mask)})
+            for shard_id, mask in enumerate(masks)])
         # Profile counts seed future placement from the recovered maps.
         for shard_id, shard_map in enumerate(self._refresh_maps(
                 range(self.n_shards))):
@@ -406,6 +405,8 @@ class ShardedStore:
                 f"surrogate {sid} is not routed by this store") from None
 
     def _send(self, shard_id: int, cmd: Dict[str, object]) -> None:
+        if self._closed:
+            raise ShardingError("store is closed")
         self.stats_counters.commands_sent += 1
         self._backends[shard_id].send(wire.encode_command(cmd))
 
@@ -423,29 +424,55 @@ class ShardedStore:
         self._send(shard_id, cmd)
         return self._recv_ok(shard_id)
 
-    def _broadcast_cmd(self, cmd: Dict[str, object],
-                       shard_ids: Optional[Sequence[int]] = None):
-        """Send to every shard (or the given ones) first, then collect:
-        the shards execute concurrently.  The first error wins but every
-        result is drained (queues must not be left holding replies)."""
-        targets = (list(shard_ids) if shard_ids is not None
-                   else list(range(self.n_shards)))
-        self.stats_counters.broadcasts += 1
-        for shard_id in targets:
-            self._send(shard_id, cmd)
-        payloads, failure = [], None
-        for shard_id in targets:
+    def _scatter(self, commands: Sequence[Tuple[int, Dict[str, object]]]):
+        """Send each ``(shard_id, cmd)`` first, then gather: the shards
+        execute concurrently.  Sending stops at the first shard that
+        cannot be reached and a reply is collected from exactly the
+        shards that were, whatever fails -- no shard is left with a
+        command in flight, so no survivor answers the previous question
+        later.  The first failure is raised after the gather."""
+        sent, payloads, failure = [], [], None
+        for shard_id, cmd in commands:
+            try:
+                self._send(shard_id, cmd)
+            except ShardingError as exc:
+                failure = exc
+                break
+            sent.append(shard_id)
+        for shard_id in sent:
             try:
                 payloads.append((shard_id, self._recv_ok(shard_id)))
-            except (ShardWorkerError, ShardCrashedError) as exc:
-                if failure is None:
-                    failure = exc
+            except ShardingError as exc:    # worker error or crash
+                failure = failure or exc
         if failure is not None:
             raise failure
         return payloads
 
+    def _broadcast_cmd(self, cmd: Dict[str, object],
+                       shard_ids: Optional[Sequence[int]] = None):
+        """One command to every shard (or the given ones)."""
+        self.stats_counters.broadcasts += 1
+        return self._scatter([
+            (shard_id, cmd) for shard_id in (
+                range(self.n_shards) if shard_ids is None else shard_ids)])
+
     def _invalidate(self, shard_id: int) -> None:
         self._maps[shard_id] = None
+
+    def _replicate(self, sid: int, cmd: Dict[str, object],
+                   replica_cmd: Dict[str, object]) -> None:
+        """Two-phase write of a broadcast entity: its owner replica
+        takes the checked ``cmd`` (a rejection rolls back there and
+        reaches no replica, keeping every shard identical), then every
+        other shard takes ``replica_cmd``."""
+        owner = sid % self.n_shards
+        self._invalidate(owner)
+        self._call(owner, cmd)
+        others = [i for i in range(self.n_shards) if i != owner]
+        if others:
+            for shard_id in others:
+                self._invalidate(shard_id)
+            self._broadcast_cmd(replica_cmd, others)
 
     # -- vector epoch position ------------------------------------------
 
@@ -513,29 +540,29 @@ class ShardedStore:
             visit(value)
         return pinned
 
-    def _closure_of(self, classes) -> Set[str]:
-        schema = self.schema
-        closure: Set[str] = set()
-        for name in classes:
-            closure |= schema.ancestors(name)
-        return closure
-
     def _guard_virtual_anchor(self, attribute: str, value,
-                              closure: Set[str]) -> None:
+                              classes) -> None:
         """Reject anchoring a broadcast replica into a virtual class:
         the membership would materialize only on the writer's shard,
         while the replica's reading owner is another shard -- the
         scatter-gathered virtual extent would silently miss it.  Fires
         only when the written object is (becoming) a member of the
         virtual class's origin owner, i.e. when the write would anchor.
+        ``classes()`` names the written object's direct classes; it is
+        asked (for a set, of the worker) only when the schema says
+        ``attribute`` is some virtual class's origin.
         """
         if not (is_entity(value)
                 and value.surrogate.id in self._broadcast):
             return
-        for cdef in self.schema.virtual_classes():
-            origin = cdef.origin
-            if (origin is not None and origin.attribute == attribute
-                    and origin.owner_class in closure):
+        anchored = [cdef for cdef in self.schema.virtual_classes()
+                    if cdef.origin is not None
+                    and cdef.origin.attribute == attribute]
+        if not anchored:
+            return
+        closure = set().union(*map(self.schema.ancestors, classes()))
+        for cdef in anchored:
+            if cdef.origin.owner_class in closure:
                 raise ShardingError(
                     f"setting {attribute!r} would anchor broadcast "
                     f"entity {value.surrogate} into virtual class "
@@ -566,38 +593,30 @@ class ShardedStore:
 
     # -- mutations ------------------------------------------------------
 
+    def _admit(self, classes: Sequence[str],
+               values: Dict[str, object]) -> Optional[int]:
+        """The router's own checks on a new object -- known classes, no
+        broadcast anchor -- and the shard its references pin it to."""
+        for class_name in classes:
+            if not self.schema.has_class(class_name):
+                raise UnknownClassError(class_name)
+        for attribute, value in values.items():
+            self._guard_virtual_anchor(attribute, value, lambda: classes)
+        return self._pin_of(values)
+
     def create(self, class_name: str, check: Optional[str] = None,
                broadcast: bool = False, **values) -> RemoteHandle:
-        if self._closed:
-            raise ShardingError("store is closed")
-        if not self.schema.has_class(class_name):
-            raise UnknownClassError(class_name)
-        closure = self._closure_of((class_name,))
-        for attribute, value in values.items():
-            self._guard_virtual_anchor(attribute, value, closure)
-        pin = self._pin_of(values)
+        pin = self._admit((class_name,), values)
         sid = self._next_sid
-        encoded = wire.encode_values(values)
         cmd = {"op": "create", "sid": sid, "cls": class_name,
-               "values": encoded, "check": check}
+               "values": wire.encode_values(values), "check": check}
         if broadcast:
             if pin is not None:
                 raise ShardingError(
                     "a broadcast create cannot reference routed "
                     "entities (replicas could not resolve them)")
-            owner = sid % self.n_shards
-            # Owner first: a conformance rejection rolls back there and
-            # reaches no replica, keeping every shard identical.
             self._next_sid += 1
-            try:
-                self._call(owner, cmd)
-            finally:
-                self._invalidate(owner)
-            others = [i for i in range(self.n_shards) if i != owner]
-            if others:
-                self._broadcast_cmd(dict(cmd, foreign=True), others)
-                for shard_id in others:
-                    self._invalidate(shard_id)
+            self._replicate(sid, cmd, dict(cmd, foreign=True))
             self._broadcast.add(sid)
         else:
             shard = pin if pin is not None else self._place(
@@ -623,26 +642,17 @@ class ShardedStore:
         the write path that scales with shard count.  Rows may
         reference broadcast entities and previously committed objects,
         not other rows of the same batch."""
-        if self._closed:
-            raise ShardingError("store is closed")
         if self._txn_undo is not None:
             raise ShardingError(
                 "bulk_load is not available inside a sharded "
                 "transaction (batches are all-or-nothing per shard, "
                 "not undoable row by row)")
         per_shard: Dict[int, List[list]] = {}
-        handles: List[RemoteHandle] = []
         assigned: List[Tuple[int, int]] = []
         for classes, values in rows:
             if isinstance(classes, str):
                 classes = (classes,)
-            for class_name in classes:
-                if not self.schema.has_class(class_name):
-                    raise UnknownClassError(class_name)
-            closure = self._closure_of(classes)
-            for attribute, value in values.items():
-                self._guard_virtual_anchor(attribute, value, closure)
-            pin = self._pin_of(values)
+            pin = self._admit(classes, values)
             shard = pin if pin is not None else self._place(
                 self._profile_key(classes))
             sid = self._next_sid
@@ -650,27 +660,19 @@ class ShardedStore:
             per_shard.setdefault(shard, []).append(
                 [sid, list(classes), wire.encode_values(values)])
             assigned.append((sid, shard))
-        for shard, shard_rows in per_shard.items():
-            self._invalidate(shard)
-            self._send(shard, {"op": "bulk", "rows": shard_rows,
-                               "check": check, "parallel": parallel})
-        failure = None
         for shard in per_shard:
-            try:
-                self._recv_ok(shard)
-            except (ShardWorkerError, ShardCrashedError) as exc:
-                failure = failure or exc
-        if failure is not None:
-            # Each batch is all-or-nothing per shard, not across
-            # shards: shards whose batches committed keep them, and
-            # none of this call's rows are registered as routed.
-            raise failure
-        for sid, shard in assigned:
-            self._owners[sid] = shard
-            self.stats_counters.objects_routed += 1
-            self.stats_counters.bulk_rows_routed += 1
-            handles.append(self.handle(sid))
-        return handles
+            self._invalidate(shard)
+        # Each batch is all-or-nothing per shard, not across shards: on
+        # a failure, shards whose batches committed keep them, and none
+        # of this call's rows are registered as routed.
+        self._scatter([
+            (shard, {"op": "bulk", "rows": shard_rows, "check": check,
+                     "parallel": parallel})
+            for shard, shard_rows in per_shard.items()])
+        self._owners.update(assigned)
+        self.stats_counters.objects_routed += len(assigned)
+        self.stats_counters.bulk_rows_routed += len(assigned)
+        return [self.handle(sid) for sid, _shard in assigned]
 
     def _txn_capture_undo(self, sid: int, cmd: Dict[str, object]):
         """The inverse of one mutation, captured *before* it applies
@@ -752,25 +754,13 @@ class ShardedStore:
 
     def _mutate(self, obj, cmd: Dict[str, object],
                 check: Optional[str]) -> None:
-        if self._closed:
-            raise ShardingError("store is closed")
         sid = self._sid_of(obj)
         cmd = dict(cmd, sid=sid)
         undo = (self._txn_capture_undo(sid, cmd)
                 if self._txn_undo is not None else None)
         if sid in self._broadcast:
-            owner = sid % self.n_shards
-            # Two-phase: the owner replica takes the checked write (a
-            # rejection stops here, replicas untouched and identical);
-            # then the same write is applied check-free everywhere else.
-            self._invalidate(owner)
-            self._call(owner, dict(cmd, check=check))
-            others = [i for i in range(self.n_shards) if i != owner]
-            if others:
-                for shard_id in others:
-                    self._invalidate(shard_id)
-                self._broadcast_cmd(
-                    dict(cmd, check=CheckMode.NONE), others)
+            self._replicate(sid, dict(cmd, check=check),
+                            dict(cmd, check=CheckMode.NONE))
             if cmd["op"] == "remove":
                 self._broadcast.discard(sid)
         else:
@@ -785,10 +775,9 @@ class ShardedStore:
 
     def set_value(self, obj, attribute: str, value,
                   check: Optional[str] = None) -> None:
-        if is_entity(value) and value.surrogate.id in self._broadcast:
-            self._guard_virtual_anchor(
-                attribute, value, self._closure_of(
-                    self.handle(self._sid_of(obj)).memberships))
+        self._guard_virtual_anchor(
+            attribute, value,
+            lambda: self.handle(self._sid_of(obj)).memberships)
         self._mutate(obj, {"op": "set", "attr": attribute,
                            "value": wire.encode_value(value)}, check)
 
@@ -838,7 +827,7 @@ class ShardedStore:
     def alter_class(self, new_def, *, recheck: str = "affected"):
         """Validated once against the meta store (rejection aborts
         before any shard hears of it), then replicated to every shard
-        in command order -- each shard's FIFO queue guarantees the
+        in command order -- each shard's ordered pipe guarantees the
         epoch lands between the same mutations everywhere."""
         self._no_open_txn()
         self._meta.alter_class(new_def, recheck="none")
@@ -921,11 +910,10 @@ class ShardedStore:
     # -- scatter-gather queries ----------------------------------------
 
     def _refresh_maps(self, shard_ids) -> List[List[dict]]:
-        stale = [i for i in shard_ids if self._maps[i] is None]
-        for shard_id in stale:
-            self._send(shard_id, {"op": "shard_map"})
-        for shard_id in stale:
-            self._maps[shard_id] = self._recv_ok(shard_id)["profiles"]
+        for shard_id, payload in self._scatter([
+                (i, {"op": "shard_map"}) for i in shard_ids
+                if self._maps[i] is None]):
+            self._maps[shard_id] = payload["profiles"]
             self.stats_counters.map_refreshes += 1
         return [self._maps[i] for i in shard_ids]
 
@@ -937,9 +925,6 @@ class ShardedStore:
         maps = self._refresh_maps(range(self.n_shards))
         selected: List[int] = []
         for shard_id, shard_map in enumerate(maps):
-            if shard_map is None:
-                selected.append(shard_id)
-                continue
             dispatch = False
             used_deduction = False
             for profile in shard_map:
@@ -1019,8 +1004,6 @@ class ShardedStore:
         per-row values are merged without a decode/re-encode
         round-trip, so a network backend serving a sharded store pays
         routing, not re-serialization."""
-        if self._closed:
-            raise ShardingError("store is closed")
         if isinstance(query, str):
             query = parse_query(query)
         has_aggregates = any(isinstance(item, Aggregate)
@@ -1100,28 +1083,19 @@ class ShardedStore:
         """Test hook: make the worker die instantly (no flush, no
         shutdown), as a real process crash would."""
         backend = self._backends[shard_id]
-        if isinstance(backend, ProcessBackend):
-            backend.send(wire.encode_command({"op": "crash"}))
-            backend.process.join(timeout=10)
-        else:
+        if not isinstance(backend, ProcessBackend):
             raise ShardingError("only process-backed shards can crash")
+        try:
+            self._call(shard_id, {"op": "crash"})
+        except ShardCrashedError:   # EOF is the reply of a crash
+            backend.process.join(timeout=10)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         for backend in self._backends:
-            if isinstance(backend, ProcessBackend):
-                if not backend.alive():
-                    continue
-                try:
-                    backend.send(wire.encode_command({"op": "shutdown"}))
-                    backend.recv(timeout=30)
-                except Exception:
-                    pass
-                backend.stop()
-            else:
-                backend.stop()
+            backend.stop()
 
     def __enter__(self) -> "ShardedStore":
         return self

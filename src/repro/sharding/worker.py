@@ -5,8 +5,10 @@ directory, columnar extents, plan cache, and per-process
 ``BITSET_STATS`` -- wrapped by :class:`ShardServer`, which decodes JSON
 commands (``wire.py``), executes them against the store, and encodes
 results.  :func:`shard_worker_main` is the ``multiprocessing`` entry
-point (top-level, so it is spawn-safe); the in-process backend drives
-the very same :class:`ShardServer` through the very same JSON texts.
+point (top-level, so it is spawn-safe): it serves one duplex pipe, one
+command at a time, and exits when its router is gone; the in-process
+backend drives the very same :class:`ShardServer` through the very
+same JSON texts.
 The store ops it answers are the rows of :data:`repro.ops.OPS`, run
 against this shard's store (writes) or masked view (reads); what is
 written out below is only the shard's own: hooks around the
@@ -33,6 +35,7 @@ Two shard-specific mechanisms live here:
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Optional, Tuple
 
 from repro.columnar import BITSET_STATS, SurrogateSet
@@ -45,6 +48,9 @@ from repro.ops import OPS, Op
 from repro.sharding import wire
 
 __all__ = ["MaskedSnapshot", "ShardServer", "shard_worker_main"]
+
+#: An idle worker wakes this often to check it still has its router.
+ORPHAN_CHECK_SECONDS = 1.0
 
 
 class MaskedSnapshot:
@@ -295,28 +301,40 @@ ShardServer._HANDLERS = {
 
 
 def shard_worker_main(shard_id: int, config: Dict[str, object],
-                      cmd_queue, result_queue) -> None:
+                      conn) -> None:
     """``multiprocessing`` entry point: build the shard store (fresh or
-    recovering its directory), signal readiness, then serve commands
-    until ``shutdown`` (clean close) or ``crash`` (test hook: die
-    without flushing, exactly like a killed process)."""
+    recovering its directory), signal readiness, then serve the pipe
+    until ``shutdown`` (clean close), ``crash`` (test hook: die without
+    flushing, exactly like a killed process) or the router is gone.  An
+    orphan flushes and closes its store rather than sit on the WAL of a
+    directory someone may reopen: it sees EOF on the pipe, or -- under
+    ``fork`` other children of the router inherit its pipe ends, so EOF
+    alone is not reliable -- a new parent pid on an idle wake-up."""
+    router_pid = os.getppid()
+
+    def send(result: Dict[str, object]) -> None:
+        conn.send_bytes(wire.encode_result(result).encode("utf-8"))
+
     try:
         server = ShardServer(shard_id=shard_id, **config)
     except Exception as exc:
-        result_queue.put(wire.encode_result({"error": {
-            "type": type(exc).__name__, "msg": str(exc)}}))
+        send({"error": {"type": type(exc).__name__, "msg": str(exc)}})
         return
-    result_queue.put(wire.encode_result(
-        {"ok": {"ready": True, "objects": len(server.store)},
-         "seq": server.position()}))
-    while True:
-        cmd = wire.decode_command(cmd_queue.get())
-        op = cmd.get("op")
-        if op == "shutdown":
-            server.close()
-            result_queue.put(wire.encode_result({"ok": {}}))
-            return
-        if op == "crash":
-            import os
-            os._exit(1)
-        result_queue.put(server.reply(cmd))
+    send({"ok": {"ready": True, "objects": len(server.store)},
+          "seq": server.position()})
+    try:
+        while True:
+            while not conn.poll(ORPHAN_CHECK_SECONDS):
+                if os.getppid() != router_pid:
+                    raise EOFError("the router exited")
+            cmd = wire.decode_command(conn.recv_bytes().decode("utf-8"))
+            op = cmd.get("op")
+            if op == "shutdown":
+                server.close()
+                send({"ok": {}})
+                return
+            if op == "crash":
+                os._exit(1)
+            conn.send_bytes(server.reply(cmd).encode("utf-8"))
+    except (EOFError, OSError):     # the router is gone, maybe mid-reply
+        server.close()

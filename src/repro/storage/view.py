@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import NoSuchObjectError, UnknownClassError
 from repro.objects.surrogate import Surrogate
 from repro.storage.engine import StorageEngine
-from repro.typesys.values import INAPPLICABLE
+from repro.typesys.values import INAPPLICABLE, is_entity
 
 
 class StoredEntity:
@@ -104,8 +104,6 @@ class EngineView:
         return len(self.extent(class_name))
 
     def is_member(self, value, class_name: str) -> bool:
-        memberships = getattr(value, "memberships", None)
-        if memberships is None:
-            return False
-        return any(self.schema.is_subclass(m, class_name)
-                   for m in memberships)
+        return is_entity(value) and any(
+            self.schema.is_subclass(m, class_name)
+            for m in value.memberships)

@@ -11,8 +11,9 @@ Value universe
 * :class:`EnumSymbol` for symbolic constants such as ``'Dove``.
 * :data:`INAPPLICABLE` -- the sole value of type ``None`` (an attribute
   that is "incorrectly applied" to the object, Section 4.1).
-* *Entities*: any object exposing ``memberships`` (an iterable of class
-  names) and ``get_value(attr)``; the object store's instances do.
+* *Entities*: any object whose class defines ``memberships`` (an
+  iterable of class names) and ``get_value(attr)``; the object store's
+  instances do.
 * :class:`RecordValue` -- an anonymous record value for inline record
   types (Section 2b).
 
@@ -116,8 +117,15 @@ class RecordValue:
 
 
 def is_entity(value) -> bool:
-    """Whether a run-time value is an entity (a class instance)."""
-    return hasattr(value, "memberships") and hasattr(value, "get_value")
+    """Whether a run-time value is an entity (a class instance).
+
+    Decided from the type: ``memberships`` is looked up on the class and
+    never evaluated -- it may be a property that copies a set or asks
+    another process (a sharded store's remote handle).  ``get_value`` is
+    a method; finding it on the value runs none of the value's code and
+    turns every datum away first, at the cost of one failed lookup.
+    """
+    return hasattr(value, "get_value") and hasattr(type(value), "memberships")
 
 
 def entity_is_member(value, class_name: str, graph: ClassGraph) -> bool:

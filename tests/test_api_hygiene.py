@@ -312,7 +312,7 @@ _E7_STORAGE = {"storage/engine.py", "storage/persist.py",
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 22168
+SRC_LINE_CEILING = 22167
 
 
 def _src_trees():
@@ -358,6 +358,25 @@ def test_src_never_imports_the_test_side():
     assert not offenders, (
         "src/repro imports from tests/ or benchmarks/: "
         + ", ".join(offenders))
+
+
+def test_entity_ness_is_asked_in_one_place():
+    """``typesys.values.is_entity`` is the one predicate, and it looks
+    at the type: a ``hasattr(x, "memberships")`` anywhere else would
+    evaluate the property -- a worker round trip on a remote handle."""
+    offenders = [
+        f"{rel}:{node.lineno}"
+        for rel, tree in _src_trees() if rel != "typesys/values.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("hasattr", "getattr")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "memberships"]
+    assert not offenders, (
+        "probe entity-ness with typesys.values.is_entity, not by "
+        "touching .memberships: " + ", ".join(offenders))
 
 
 def test_src_size_ratchet():

@@ -7,13 +7,22 @@ an online schema-evolution step.  Partitioning, broadcast masking,
 shard-map pruning, and aggregate merging are all under test at once:
 any of them being inexact shows up as a row or skip-count mismatch.
 
-Part 2 -- real processes: fork/spawn smoke tests and a crash-recovery
-test that kills a worker mid-batch and reopens the directory.
+Part 2 -- real processes: fork/spawn smoke tests, a crash-recovery
+test that kills a worker mid-batch and reopens the directory, the pipe
+transport's own contract (large messages, one command in flight,
+crashes surfacing at once, survivors staying in step) and workers
+exiting when their router is killed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +31,7 @@ from hypothesis import strategies as st
 from repro.errors import (
     ReproError,
     ShardCrashedError,
+    ShardingError,
     ShardWorkerError,
 )
 from repro.objects import ObjectStore
@@ -328,5 +338,184 @@ def test_bulk_batch_is_all_or_nothing_per_shard(tmp_path):
         rows, _stats = reopened.query(
             "for p in Patient where p.age = 41 select p.name")
         assert rows == []       # the failed batch left no trace
+    finally:
+        reopened.close()
+
+
+# --------------------------------------------------------------------------
+# The pipe transport: one command in flight, crashes surface at once
+# --------------------------------------------------------------------------
+
+def _bounded(run, seconds=90):
+    """``run()`` on a thread, so a transport deadlock fails the test
+    instead of hanging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((run(), None))
+        except BaseException as exc:    # re-raised on the test thread
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"still blocked after {seconds}s: transport deadlock"
+    value, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return value
+
+
+def _kill_workers(sharded):
+    """Free any thread ``_bounded`` gave up on, so ``close`` cannot
+    block behind it."""
+    for backend in sharded._backends:
+        backend.process.kill()
+        backend.process.join(timeout=10)
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_multi_megabyte_commands_and_replies_round_trip(start_method):
+    """Both shards at once, each way far past the 64 KiB pipe buffer:
+    a blocked ``send`` on one shard must never wait on another."""
+    sharded = ShardedStore(SCHEMA, 2, processes=True,
+                           start_method=start_method)
+    try:
+        names = [f"{i:05d}" + "n" * 1500 for i in range(3000)]
+        loaded = _bounded(lambda: sharded.bulk_load(
+            [("Patient", {"name": name, "age": 30}) for name in names]))
+        per_shard = [0, 0]
+        for handle in loaded:
+            per_shard[sharded._owner_of(handle.surrogate.id)] += 1
+        assert min(per_shard) * 1500 > 1_000_000   # MBs to each shard
+        rows, _stats = _bounded(lambda: sharded.query(
+            "for p in Patient select p.name"))
+        assert sorted(name for (name,) in rows) == names
+        assert sharded.count("Patient") == len(names)
+    finally:
+        _kill_workers(sharded)
+        sharded.close()
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_killed_worker_surfaces_without_a_poll_period(start_method):
+    sharded = ShardedStore(SCHEMA, 2, processes=True,
+                           start_method=start_method)
+    try:
+        pid = sharded._backends[0].process.pid
+        os.kill(pid, signal.SIGSTOP)        # it cannot answer ...
+        sharded._send(0, {"op": "ping"})    # ... the command in flight
+        os.kill(pid, signal.SIGKILL)
+        started = time.monotonic()
+        with pytest.raises(ShardCrashedError):
+            sharded._recv_ok(0)
+        # EOF, not a liveness poll: the queue transport took >= 100 ms.
+        assert time.monotonic() - started < 0.08
+        with pytest.raises(ShardCrashedError):
+            sharded._call(0, {"op": "ping"})
+        assert sharded._call(1, {"op": "ping"})["shard"] == 1
+    finally:
+        sharded.close()
+
+
+def test_second_send_with_a_reply_outstanding_is_refused():
+    sharded = ShardedStore(SCHEMA, 2, processes=True)
+    try:
+        sharded._send(0, {"op": "ping"})
+        with pytest.raises(ShardingError, match="in flight") as refusal:
+            sharded._send(0, {"op": "ping"})
+        assert not isinstance(refusal.value, ShardCrashedError)
+        assert sharded._recv_ok(0)["shard"] == 0    # the first one's reply
+        assert sharded.count("Patient") == 0        # and the pipe is clean
+    finally:
+        sharded.close()
+
+
+def test_survivors_answer_their_own_questions_after_a_crash():
+    """A broadcast that meets a dead shard must drain the replies it
+    already asked the live shards for; undrained, every later reply
+    from a survivor is the answer to the previous command."""
+    sharded = ShardedStore(SCHEMA, 2, processes=True)
+    try:
+        people = [sharded.create("Person", name=f"n{i}", age=20 + i % 60)
+                  for i in range(600)]      # spreads over both shards
+        on_zero = [p for p in people
+                   if sharded._owner_of(p.surrogate.id) == 0]
+        assert 0 < len(on_zero) < len(people)
+        sharded.crash_shard(1)
+        with pytest.raises(ShardCrashedError):
+            sharded.count("Person")
+        with pytest.raises(ShardCrashedError):
+            sharded.bulk_load([("Person", {"name": f"b{i}", "age": 30})
+                               for i in range(1200)])
+        with pytest.raises(ShardCrashedError):
+            sharded.query("for p in Person select count")
+        for person in on_zero[:5]:
+            index = people.index(person)
+            assert person.get_value("name") == f"n{index}"
+            assert person.get_value("age") == 20 + index % 60
+        sharded.set_value(on_zero[0], "age", 99)
+        assert on_zero[0].get_value("age") == 99
+    finally:
+        sharded.close()
+
+
+# --------------------------------------------------------------------------
+# Orphans: a worker does not outlive a killed router
+# --------------------------------------------------------------------------
+
+_ROUTER_SCRIPT = """
+import sys, time
+from repro.scenarios import build_hospital_schema
+from repro.sharding.router import ShardedStore
+
+if __name__ == "__main__":
+    store = ShardedStore(build_hospital_schema(), 2, processes=True,
+                         directory=sys.argv[1], durability="wal",
+                         sync="group", start_method=sys.argv[2])
+    for i in range(40):
+        store.create("Person", name=f"n{i}", age=30)
+    print(*(backend.process.pid for backend in store._backends),
+          flush=True)
+    time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_workers_do_not_outlive_a_killed_router(tmp_path, start_method):
+    script = tmp_path / "router_main.py"
+    script.write_text(_ROUTER_SCRIPT)
+    directory = str(tmp_path / "orphaned")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    router = subprocess.Popen(
+        [sys.executable, str(script), directory, start_method],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in router.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+    finally:
+        router.kill()
+        router.wait(timeout=10)
+    deadline = time.monotonic() + 8
+    while any(_running(pid) for pid in pids):
+        assert time.monotonic() < deadline, "shard workers were orphaned"
+        time.sleep(0.05)
+    # The orphans flushed their group-commit buffers on the way out:
+    # every acknowledged write is there, and nobody else holds the WAL.
+    reopened = ShardedStore.open(directory, processes=True,
+                                 start_method=start_method)
+    try:
+        assert reopened.count("Person") == 40
+        assert reopened.validate_all() == []
+        reopened.create("Person", name="after", age=31)
     finally:
         reopened.close()

@@ -235,6 +235,109 @@ def test_remove_and_handles(twin):
 
 
 # --------------------------------------------------------------------------
+# Command counts: a write costs what it touches (exact, no timings)
+# --------------------------------------------------------------------------
+
+def _commands(sharded: ShardedStore, run) -> int:
+    before = sharded.stats_counters.commands_sent
+    run()
+    return sharded.stats_counters.commands_sent - before
+
+
+@pytest.fixture()
+def counted():
+    sharded = ShardedStore(SCHEMA, 4, processes=False)
+    doc = sharded.create("Physician", name="d", age=40,
+                         specialty=EnumSymbol("General"), broadcast=True)
+    hosp = sharded.create("Hospital", broadcast=True,
+                          accreditation=EnumSymbol("Federal"))
+    return sharded, doc, hosp
+
+
+def test_routed_writes_are_one_command_each(counted):
+    sharded, doc, hosp = counted
+    made = []
+    assert _commands(sharded, lambda: made.append(sharded.create(
+        "Patient", name="p", age=30, treatedBy=doc, treatedAt=hosp))) == 1
+    patient = made[0]
+    ward = sharded.create("Ward", floor=3, name="W")
+    # A routed reference pins the create: still one command.
+    assert _commands(sharded, lambda: sharded.create(
+        "Patient", name="q", age=31, ward=ward, treatedBy=doc)) == 1
+    for write in (
+            lambda: sharded.set_value(patient, "age", 44),
+            # No virtual class originates at ``treatedBy``: the schema
+            # says this set cannot anchor, so nobody is asked anything.
+            lambda: sharded.set_value(patient, "treatedBy", doc),
+            lambda: sharded.unset_value(patient, "age"),
+            lambda: sharded.classify(patient, "Hemorrhaging_Patient"),
+            lambda: sharded.declassify(patient, "Hemorrhaging_Patient"),
+            lambda: sharded.remove(patient)):
+        assert _commands(sharded, write) == 1
+
+
+def test_broadcast_writes_are_one_command_per_shard(counted):
+    sharded, doc, _hosp = counted
+    assert _commands(sharded, lambda: sharded.create(
+        "Physician", name="e", age=41, specialty=EnumSymbol("General"),
+        broadcast=True)) == sharded.n_shards
+    assert _commands(sharded, lambda: sharded.set_value(
+        doc, "age", 50)) == sharded.n_shards
+
+
+def test_anchoring_set_still_asks_who_is_written(counted):
+    """``treatedAt`` is Hospital$1's origin: the guard needs the written
+    object's classes, one ``get`` more -- and it still fires."""
+    sharded, _doc, hosp = counted
+    patient = sharded.create("Patient", name="p", age=30)
+    assert _commands(sharded, lambda: sharded.set_value(
+        patient, "treatedAt", hosp)) == 2
+    tubercular = sharded.create("Tubercular_Patient", name="t", age=30)
+    with pytest.raises(ShardingError, match="anchor"):
+        sharded.set_value(tubercular, "treatedAt", hosp)
+
+
+def test_bulk_load_is_one_command_per_shard_touched(counted):
+    sharded, doc, hosp = counted
+    rows = [("Patient", {"name": f"b{i}", "age": 30 + i % 40,
+                         "treatedBy": doc, "treatedAt": hosp})
+            for i in range(700)]    # past SPAN_THRESHOLD: spreads
+    loaded = []
+    sent = _commands(sharded, lambda: loaded.extend(
+        sharded.bulk_load(rows)))
+    shards = {sharded._owner_of(h.surrogate.id) for h in loaded}
+    assert len(shards) == 2 and sent == len(shards)
+    assert sharded.count("Patient") == 700
+
+
+def test_looking_at_a_handle_costs_nothing(counted):
+    from repro.typesys.values import is_entity, value_repr
+    sharded, doc, _hosp = counted
+    other = sharded.handle(doc.surrogate.id)
+
+    def look():
+        assert is_entity(doc)
+        assert "@" in repr(doc) and value_repr(doc).startswith("<entity")
+        assert wire.encode_value(doc) == {"$": "ref",
+                                          "id": doc.surrogate.id}
+        assert doc == other and hash(doc) == hash(other)
+        assert doc in {other}
+
+    assert _commands(sharded, look) == 0
+    assert _commands(sharded, lambda: doc.memberships) == 1
+
+
+def test_closed_store_refuses_every_command(counted):
+    sharded, doc, _hosp = counted
+    sharded.close()
+    for call in (lambda: sharded.create("Patient", name="p", age=30),
+                 lambda: sharded.count("Patient"),
+                 lambda: doc.get_value("age")):
+        with pytest.raises(ShardingError, match="closed"):
+            call()
+
+
+# --------------------------------------------------------------------------
 # Pruning pre-pass units
 # --------------------------------------------------------------------------
 

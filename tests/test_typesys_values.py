@@ -112,6 +112,52 @@ class TestEntities:
         assert not type_contains(ClassType("Person"), 7, graph)
 
 
+class TestIsEntity:
+    """Entity-ness is decided from the type; no attribute of the value
+    is ever evaluated to answer it."""
+
+    def test_a_raising_memberships_property_is_never_evaluated(self):
+        from repro.typesys.values import is_entity, value_repr
+
+        class Remote:
+            surrogate = Surrogate(9)
+            probes = 0
+
+            @property
+            def memberships(self):
+                type(self).probes += 1
+                raise RuntimeError("asked the remote owner")
+
+            def get_value(self, name):
+                raise RuntimeError("asked the remote owner")
+
+        value = Remote()
+        assert is_entity(value)
+        assert value_repr(value) == "<entity @9>"
+        assert type_contains(ANY_ENTITY, value)
+        assert Remote.probes == 0
+
+    def test_every_entity_class_is_an_entity(self):
+        from repro.objects.snapshot import SnapshotInstance
+        from repro.sharding.router import RemoteHandle
+        from repro.storage.view import StoredEntity
+        from repro.typesys.values import is_entity
+        assert is_entity(make({"Person"}))
+        assert is_entity(SnapshotInstance(Surrogate(1), {"Person"}, {}))
+        # Neither proxy is asked anything: their owners are absent.
+        assert is_entity(RemoteHandle(None, Surrogate(1)))
+        assert is_entity(StoredEntity(Surrogate(1), None))
+
+    @pytest.mark.parametrize("value", [
+        RecordValue(memberships=1, get_value=2), EnumSymbol("Dove"),
+        INAPPLICABLE, 7, 3.5, True, "memberships", None,
+        {"memberships": (), "get_value": None}, Instance,
+    ], ids=repr)
+    def test_data_are_not_entities(self, value):
+        from repro.typesys.values import is_entity
+        assert not is_entity(value)
+
+
 class TestRecords:
     def test_record_value(self):
         t = RecordType({"street": STRING, "city": STRING})
