@@ -9,14 +9,14 @@ cast) ingested three ways:
   structure maintained incrementally;
 * **bulk eager** -- ``store.bulk_load(..., check="eager")``: one
   compiled checker per membership signature, one extent/index merge per
-  batch (single design-version bump), parallel=1 and parallel=4;
+  batch (single design-version bump);
 * **bulk deferred** -- ``check="deferred"``: the merge alone, with the
   conformance debt carried in the dirty ledger (its payoff time,
   ``validate_dirty``, is reported too).
 
 Identical final state is asserted object-for-object against the
-baseline store.  Acceptance floors: bulk eager >= 3x at parallel=1,
-and the best bulk configuration >= 5x.
+baseline store.  Acceptance floors: bulk eager >= 3x, and the best
+bulk configuration >= 5x.
 """
 
 import gc
@@ -32,7 +32,7 @@ from repro.typesys.values import is_entity
 N_OBJECTS = 10_000
 REPS = 3             # best-of-N per path (fresh store each repetition)
 
-EAGER_FLOOR = 3.0    # bulk eager, parallel=1, vs per-object eager
+EAGER_FLOOR = 3.0    # bulk eager vs per-object eager
 BEST_FLOOR = 5.0     # best bulk configuration vs per-object eager
 
 _BP = ("Normal_BP", "High_BP", "Low_BP")
@@ -110,9 +110,9 @@ def _ingest_sequential(store, rows):
     return time.perf_counter() - t0
 
 
-def _ingest_bulk(store, rows, check, parallel):
+def _ingest_bulk(store, rows, check):
     t0 = time.perf_counter()
-    store.bulk_load(rows, check=check, parallel=parallel)
+    store.bulk_load(rows, check=check)
     return time.perf_counter() - t0
 
 
@@ -162,14 +162,13 @@ def test_a5_bulk_ingest_speedup(benchmark, hospital_schema):
         expected = _digest(base_store)
         del base_store   # keep the heap small for the bulk repetitions
 
-        configs = (("bulk eager p=1", "eager", 1),
-                   ("bulk eager p=4", "eager", 4),
-                   ("bulk deferred", "deferred", 1))
-        for label, check, parallel in configs:
+        for check in ("eager", "deferred"):
+            label = f"bulk {check}"
+
             def bulk():
                 store, cast = _fresh_store(hospital_schema)
                 rows = _resolve(specs, cast)
-                return _ingest_bulk(store, rows, check, parallel), store
+                return _ingest_bulk(store, rows, check), store
 
             results[label], store = best_of(bulk)
             if check == "deferred":
@@ -187,13 +186,13 @@ def test_a5_bulk_ingest_speedup(benchmark, hospital_schema):
     base_t = results["sequential"]
     speedups = {
         label: base_t / results[label]
-        for label in ("bulk eager p=1", "bulk eager p=4", "bulk deferred")
+        for label in ("bulk eager", "bulk deferred")
     }
     stats = results["stats"]
 
     rows = [("sequential eager", f"{base_t:.2f} s",
              f"{N_OBJECTS / base_t:,.0f}", "1.0x")]
-    for label in ("bulk eager p=1", "bulk eager p=4", "bulk deferred"):
+    for label in speedups:
         t = results[label]
         rows.append((label, f"{t:.2f} s", f"{N_OBJECTS / t:,.0f}",
                      f"{speedups[label]:.1f}x"))
@@ -224,8 +223,8 @@ def test_a5_bulk_ingest_speedup(benchmark, hospital_schema):
         "profiles_compiled": stats["profiles_compiled"],
         "compiled_rows_elided": stats["compiled_rows_elided"],
         "best_speedup": round(max(speedups.values()), 2),
-        "eager_p1_speedup": round(speedups["bulk eager p=1"], 2),
+        "eager_speedup": round(speedups["bulk eager"], 2),
     })
 
-    assert speedups["bulk eager p=1"] >= EAGER_FLOOR, speedups
+    assert speedups["bulk eager"] >= EAGER_FLOOR, speedups
     assert max(speedups.values()) >= BEST_FLOOR, speedups

@@ -21,8 +21,8 @@ Usage (also via ``python -m repro.cli``)::
                                            # aggregate tables)
     repro load <schema.cdl> <rows.json>    # bulk-load rows through the
                 [--check eager|deferred]   # batched ingest path
-                [--parallel N] [--validate]
-                [--persist DIR] [--shards N]
+                [--validate] [--shards N]  # (--persist: into a durable
+                [--persist DIR]            # directory serve/recover open)
     repro shard-serve <dir>                # reopen a sharded store
                 [--query "<q>" ...]        # (one worker process per
                 [--stats] [--checkpoint]   # shard), run queries through
@@ -249,99 +249,56 @@ def cmd_stats(args) -> int:
 
 
 def cmd_load(args) -> int:
+    """Load rows through the bulk path, into one store or ``--shards``
+    of them.  Rows carrying an ``id`` are reference entities later rows
+    may point at: they are created one by one as they are read (on a
+    sharded store as broadcast replicas, so rows on any shard can
+    reference them); the rest commit as one all-or-nothing batch (per
+    shard).  With ``--persist`` the store is a durable directory,
+    checkpointed at the end."""
     import json
 
     from repro.objects.store import ObjectStore
+    from repro.typesys.values import EnumSymbol
 
     schema = _read_schema(args.schema)
-    store = ObjectStore(schema)
-
-    def decode(value, refs):
-        if isinstance(value, str) and value.startswith("'"):
-            from repro.typesys.values import EnumSymbol
-            return EnumSymbol(value[1:])
-        if isinstance(value, dict) and set(value) == {"$ref"}:
-            ref = value["$ref"]
-            if ref not in refs:
-                print(f"error: row references undefined id {ref!r}",
-                      file=sys.stderr)
-                raise SystemExit(2)
-            return refs[ref]
-        return value
-
     if args.rows == "-":
         text = sys.stdin.read()
     else:
         with open(args.rows) as f:
             text = f.read()
     # JSON array, or JSON Lines (one object per line).
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         raw_rows = json.loads(text)
     else:
         raw_rows = [json.loads(line) for line in text.splitlines()
                     if line.strip()]
 
+    placement = {}
     if args.shards:
-        return _sharded_load(args, schema, raw_rows, decode)
-
+        from repro.sharding.router import ShardedStore
+        store = ShardedStore(schema, args.shards, processes=args.processes,
+                             directory=args.persist,
+                             durability="wal" if args.persist else None)
+        placement["broadcast"] = True
+    elif args.persist:
+        store = ObjectStore.open(args.persist, schema)
+    else:
+        store = ObjectStore(schema)
     refs = {}
+
+    def decode(value):
+        if isinstance(value, str) and value.startswith("'"):
+            return EnumSymbol(value[1:])
+        if isinstance(value, dict) and set(value) == {"$ref"}:
+            if value["$ref"] not in refs:
+                print("error: row references undefined id "
+                      f"{value['$ref']!r}", file=sys.stderr)
+                raise SystemExit(2)
+            return refs[value["$ref"]]
+        return value
+
     try:
-        with store.bulk_session(check=args.check,
-                                parallel=args.parallel) as session:
-            for raw in raw_rows:
-                fields = dict(raw)
-                row_id = fields.pop("id", None)
-                classes = fields.pop("classes", None)
-                if classes is None:
-                    classes = fields.pop("class")
-                values = {name: decode(value, refs)
-                          for name, value in fields.items()}
-                obj = session.add(classes, **values)
-                if row_id is not None:
-                    refs[row_id] = obj
-    except ReproError as exc:
-        print(f"error: batch rejected: {exc}", file=sys.stderr)
-        return 1
-    report = session.report
-    print(f"loaded {report.objects} objects "
-          f"({report.fast_objects} batched across {report.profiles} "
-          f"profiles, {report.compiled_profiles} compiled; "
-          f"{report.fallback_objects} per-object) "
-          f"check={report.check} parallel={report.parallel}")
-    if args.check == "deferred" and args.validate:
-        problems = store.validate_dirty()
-        for obj, violation in problems:
-            print(f"{obj.surrogate}: {violation}")
-        if problems:
-            print(f"{len(problems)} violation(s)")
-            return 1
-        print("validated: conformant")
-    if args.persist:
-        from repro.storage.engine import StorageEngine
-        from repro.storage.persist import save_engine
-        engine = StorageEngine(schema)
-        # Export from a snapshot: one consistent committed epoch, even if
-        # the store is being served concurrently.
-        engine.store_all(store.snapshot().instances())
-        save_engine(engine, args.persist)
-        print(f"persisted {engine.total_rows()} rows in "
-              f"{engine.partition_count()} partitions to {args.persist}")
-    return 0
-
-
-def _sharded_load(args, schema, raw_rows, decode) -> int:
-    """Route the rows through a :class:`ShardedStore`.  Rows carrying
-    an ``id`` are reference entities: they are created eagerly as
-    broadcast replicas (so later rows may point at them from any
-    shard); the rest go through the per-shard concurrent bulk path."""
-    from repro.sharding.router import ShardedStore
-
-    store = ShardedStore(schema, args.shards, processes=args.processes,
-                         directory=args.persist,
-                         durability="wal" if args.persist else None)
-    try:
-        refs = {}
         bulk_rows = []
         try:
             for raw in raw_rows:
@@ -350,29 +307,29 @@ def _sharded_load(args, schema, raw_rows, decode) -> int:
                 classes = fields.pop("classes", None)
                 if classes is None:
                     classes = fields.pop("class")
-                values = {name: decode(value, refs)
+                if isinstance(classes, str):
+                    classes = (classes,)
+                values = {name: decode(value)
                           for name, value in fields.items()}
-                if row_id is not None:
-                    if isinstance(classes, str):
-                        classes = (classes,)
-                    head, *rest = classes
-                    obj = store.create(head, broadcast=True, **values)
-                    for extra in rest:
-                        store.classify(obj, extra)
-                    refs[row_id] = obj
-                else:
-                    bulk_rows.append((classes, values))
-            handles = store.bulk_load(bulk_rows, check=args.check,
-                                      parallel=args.parallel)
+                if row_id is None:
+                    bulk_rows.append((tuple(classes), values))
+                    continue
+                head, *rest = classes
+                obj = store.create(head, check=args.check, **placement,
+                                   **values)
+                for extra in rest:
+                    store.classify(obj, extra, check=args.check)
+                refs[row_id] = obj
+            store.bulk_load(bulk_rows, check=args.check)
         except ReproError as exc:
             print(f"error: batch rejected: {exc}", file=sys.stderr)
             return 1
-        print(f"loaded {len(refs) + len(handles)} objects across "
-              f"{args.shards} shards ({len(refs)} broadcast reference "
-              f"entities, {len(handles)} routed bulk rows) "
-              f"check={args.check}")
+        where = f" across {args.shards} shards" if args.shards else ""
+        print(f"loaded {len(refs) + len(bulk_rows)} objects{where} "
+              f"({len(refs)} reference entities, {len(bulk_rows)} bulk "
+              f"rows) check={args.check}")
         if args.check == "deferred" and args.validate:
-            problems = store.validate_all()
+            problems = store.validate_dirty()
             for obj, violation in problems:
                 print(f"{obj.surrogate}: {violation}")
             if problems:
@@ -381,10 +338,14 @@ def _sharded_load(args, schema, raw_rows, decode) -> int:
             print("validated: conformant")
         if args.persist:
             store.checkpoint()
-            print(f"persisted {len(store)} objects to {args.persist} "
-                  f"({args.shards} shard directories + manifest)")
+            layout = (f" ({args.shards} shard directories + manifest)"
+                      if args.shards else "")
+            print(f"persisted {len(store)} objects to "
+                  f"{args.persist}{layout}")
     finally:
-        store.close()
+        close = getattr(store, "close", None)
+        if close is not None:
+            close()
     return 0
 
 
@@ -525,30 +486,45 @@ def cmd_alter(args) -> int:
         store.close()
 
 
+def _store_directories(directory: str) -> List[str]:
+    """The durable store directories ``directory`` holds: itself, or
+    one per shard under a ``SHARDS.json`` manifest."""
+    from repro.storage.shards import (
+        is_sharded, read_shard_manifest, shard_directory)
+    if not is_sharded(directory):
+        return [directory]
+    shards = int(read_shard_manifest(directory)["shards"])
+    return [shard_directory(directory, i) for i in range(shards)]
+
+
 def cmd_recover(args) -> int:
     from repro.objects.store import ObjectStore
-    store = ObjectStore.open(args.directory)
-    report = store.last_recovery
-    print(report.describe())
-    for obj, violation in report.violations[:args.max_violations]:
-        print(f"  {obj.surrogate}: {violation}")
-    if len(report.violations) > args.max_violations:
-        print(f"  ... and "
-              f"{len(report.violations) - args.max_violations} more")
-    store.close()
-    return 0 if report.conformant else 1
+    conformant = True
+    for directory in _store_directories(args.directory):
+        store = ObjectStore.open(directory)
+        report = store.last_recovery
+        print(report.describe())
+        for obj, violation in report.violations[:args.max_violations]:
+            print(f"  {obj.surrogate}: {violation}")
+        if len(report.violations) > args.max_violations:
+            print(f"  ... and "
+                  f"{len(report.violations) - args.max_violations} more")
+        store.close()
+        conformant = conformant and report.conformant
+    return 0 if conformant else 1
 
 
 def cmd_checkpoint(args) -> int:
     from repro.objects.store import ObjectStore
-    store = ObjectStore.open(args.directory)
-    replayed = store.last_recovery.replayed
-    manifest = store.checkpoint()
-    entry = manifest["checkpoint"]
-    print(f"checkpoint generation {manifest['generation']}: "
-          f"{entry['objects']} object(s), {entry['length']} bytes "
-          f"-> {entry['file']} ({replayed} WAL record(s) folded in)")
-    store.close()
+    for directory in _store_directories(args.directory):
+        store = ObjectStore.open(directory)
+        replayed = store.last_recovery.replayed
+        manifest = store.checkpoint()
+        entry = manifest["checkpoint"]
+        print(f"checkpoint generation {manifest['generation']}: "
+              f"{entry['objects']} object(s), {entry['length']} bytes "
+              f"-> {entry['file']} ({replayed} WAL record(s) folded in)")
+        store.close()
     return 0
 
 
@@ -664,15 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "{\"$ref\": id} for entities), optional 'id'")
     p.add_argument("--check", choices=("eager", "deferred"),
                    default="deferred")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="validation worker threads (eager mode)")
     p.add_argument("--validate", action="store_true",
                    help="after a deferred load, run validate_dirty() "
                         "and report violations")
     p.add_argument("--persist", metavar="DIR",
-                   help="store the loaded population to a storage-"
-                        "engine directory (with --shards: a sharded "
-                        "store directory servable by shard-serve)")
+                   help="load into a durable store directory (what "
+                        "serve / recover / checkpoint open; with "
+                        "--shards, one directory per shard plus a "
+                        "manifest) and checkpoint it")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="route rows through a sharded store with N "
                         "shard workers; rows with an 'id' become "

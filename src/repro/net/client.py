@@ -43,6 +43,8 @@ from repro.errors import (
     ReplicaLagError,
     RequestTimeoutError,
 )
+from repro import codec
+from repro.codec import ref
 from repro.net import protocol, tokens
 from repro.ops import IDEMPOTENT, OPS
 from repro.sharding import wire
@@ -50,19 +52,12 @@ from repro.sharding import wire
 __all__ = ["Connection", "ReplicaSetClient", "StoreClient", "ref"]
 
 
-def ref(sid: int) -> Dict[str, object]:
-    """An entity reference for use in client-side ``values`` — the
-    wire form the server resolves back to the entity by surrogate id
-    (the same ``{"$": "ref", ...}`` encoding the WAL uses)."""
-    return {"$": "ref", "id": int(sid)}
-
-
 def _encode_value(value):
     # Already-encoded wire forms (``ref(sid)``, enum/record encodings a
     # caller round-tripped from a read) pass through untouched.
-    if isinstance(value, dict) and "$" in value:
+    if codec.is_encoded(value):
         return value
-    return wire.encode_value(value)
+    return codec.encode_value(value)
 
 
 def _encode_values(values: Optional[Dict]) -> Dict[str, object]:
@@ -327,7 +322,7 @@ class StoreClient:
 
     def get(self, sid: int, token=None):
         out = self._read_at("get", token, sid=sid)
-        out["values"] = wire.decode_values(out["values"], lambda s: s)
+        out["values"] = codec.decode_values(out["values"], lambda s: s)
         return out
 
     def count(self, cls: str, token=None) -> int:

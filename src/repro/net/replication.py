@@ -3,9 +3,10 @@
 The replication unit is the WAL record -- the same length+CRC framed,
 canonical-JSON record the primary's durability layer already writes.
 Shipping therefore inherits the log's semantics wholesale: a record
-holds exactly one checked mutation (or one whole transaction / bulk
-batch), records are strictly sequenced, and replaying them **through
-the checked store paths** re-establishes every derived structure --
+holds exactly one op-table command (a checked mutation, or one whole
+transaction / bulk batch), records are strictly sequenced, and running
+them through :func:`repro.ops.replay` -- the applier recovery uses --
+re-establishes every derived structure --
 extents, virtual-class reference counts, the dirty ledger, and
 crucially the excuse / INAPPLICABLE residue that defeasible semantics
 hang on.  A replica is not a byte copy; it is a store that re-ran the
@@ -16,9 +17,9 @@ Protocol, replica-side (:class:`Replica`):
 
 1. **handshake** -- the source reports the primary's schema, store
    configuration, last committed seq, and current WAL segment base;
-2. **bootstrap** -- a full catch-up dump (the logical equivalent of the
-   primary's checkpoint: every object's memberships + values, the dirty
-   ledger, the surrogate high-water mark) taken at an exact seq ``S``;
+2. **bootstrap** -- a full catch-up dump (the store image a checkpoint
+   file holds, ``storage/recovery.store_image``, as one JSON object)
+   taken at an exact seq ``S``;
    the replica installs it and sets its replay position to ``S``;
 3. **tail streaming** -- repeated ``fetch(after_seq)`` calls return
    batches of committed records; the replica replays each in sequence.
@@ -48,17 +49,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ReplicationError, StorageError
-from repro.objects.instance import Instance
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.obs import ReplicationStats
+from repro.ops import replay
 from repro.storage.fsio import OS_FS, FileSystem
 from repro.storage.recovery import (
-    _replay_record,
-    _rebuild_virtual_refs,
-    _store_config,
+    install_image,
+    store_config,
+    store_image,
 )
-from repro.storage.wal import WalRecord, decode_value, encode_value
+from repro.storage.wal import WalRecord
 
 __all__ = [
     "LocalShipSource",
@@ -110,10 +111,10 @@ def dump_store(store) -> Dict[str, object]:
     """A full logical dump of a primary at an exact seq.
 
     Taken under the store's write lock, so the row set and the reported
-    seq describe the same committed instant.  Mirrors the checkpoint
-    file's record shapes (``storage/recovery.py``) but travels as one
-    JSON object: rows of ``[sid, classes, values]``, the dirty ledger,
-    and the surrogate high-water mark.
+    seq describe the same committed instant.  It is the store image a
+    checkpoint file frames (``storage/recovery.store_image``) travelling
+    as one JSON object, with the schema, the store configuration and
+    the seq beside it.
     """
     from repro.lang import print_schema
     journal = getattr(store, "_journal", None)
@@ -122,62 +123,20 @@ def dump_store(store) -> Dict[str, object]:
             "replication needs a WAL-durable primary "
             '(open the store with durability="wal")')
     with store._write_lock:
-        rows = []
-        for surrogate in sorted(store._objects):
-            obj = store._objects[surrogate]
-            rows.append([
-                surrogate.id,
-                sorted(obj.memberships),
-                {name: encode_value(obj.get_value(name))
-                 for name in obj.value_names()},
-            ])
-        dump = {
-            "schema": print_schema(store.schema),
-            "config": _store_config(store),
-            "indexes": list(store.indexes.attributes()),
-            "rows": rows,
-            "dirty": {
-                str(s.id): (None if attrs is None else sorted(attrs))
-                for s, attrs in store._dirty.items()},
-            "next_surrogate": store._allocator._next,
-            "seq": journal.wal.last_seq,
-        }
-    return dump
+        header, rows = store_image(store)
+        return dict(header, rows=list(rows),
+                    schema=print_schema(store.schema),
+                    config=store_config(store),
+                    seq=journal.wal.last_seq)
 
 
 def install_dump(store: ObjectStore, dump: Dict[str, object]) -> None:
-    """Populate an empty store from a dump: objects, extents, virtual
-    reference counts, dirty ledger, allocator -- exactly what loading a
+    """Populate an empty store from a dump -- exactly what loading a
     checkpoint rebuilds."""
-    if len(store):
-        raise ReplicationError(
-            "catch-up dumps install only into an empty store")
-    shells: Dict[int, Instance] = {}
-    encoded_rows = {}
-    for sid, classes, values in dump["rows"]:
-        shells[sid] = Instance(Surrogate(sid), classes)
-        encoded_rows[sid] = values
-
-    def resolve(sid: int) -> Instance:
-        try:
-            return shells[sid]
-        except KeyError:
-            raise ReplicationError(
-                f"dump references unknown object @{sid}") from None
-
-    for sid, obj in shells.items():
-        for name, encoded in encoded_rows[sid].items():
-            obj._values[name] = decode_value(encoded, resolve)
-        store._register_object(obj)
-        for class_name in obj.memberships:
-            store._add_to_extents(obj, class_name)
-    _rebuild_virtual_refs(store)
-    for sid_text, attrs in dump.get("dirty", {}).items():
-        store._dirty[Surrogate(int(sid_text))] = (
-            None if attrs is None else set(attrs))
-    store._allocator._next = dump["next_surrogate"]
-    for attribute in dump.get("indexes", ()):
-        store.create_index(attribute)
+    try:
+        install_image(store, dump, dump["rows"])
+    except StorageError as exc:
+        raise ReplicationError(f"catch-up dump: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +167,7 @@ class LocalShipSource:
         wal = store._journal.wal
         return {
             "schema": print_schema(store.schema),
-            "config": _store_config(store),
+            "config": store_config(store),
             "last_seq": wal.last_seq,
             "base_seq": wal.segment_base,
         }
@@ -443,12 +402,11 @@ class Replica:
                         f"{self.applied_seq}")
                 journal.pause()
             try:
-                try:
-                    _replay_record(store, record)
-                except StorageError as exc:
-                    raise ReplicationError(
-                        f"shipped record seq {record.seq} failed to "
-                        f"replay: {exc}") from exc
+                replay(store, record.op, record.fields, self._resolve)
+            except Exception as exc:
+                raise ReplicationError(
+                    f"shipped record seq {record.seq} ({record.op}) "
+                    f"failed to replay: {exc}") from exc
             finally:
                 if journal is not None:
                     journal.resume()
@@ -462,6 +420,9 @@ class Replica:
             self.applied_seq = record.seq
         self.stats.records_applied += 1
         self.stats.applied_seq = record.seq
+
+    def _resolve(self, sid: int):
+        return self.store.get(Surrogate(sid))
 
     def sync(self, max_rounds: Optional[int] = None,
              batch_records: int = BATCH_RECORDS) -> int:

@@ -21,8 +21,7 @@ them in one merge:
   fast merge, so reference counting, join checking and cascades behave
   exactly as for sequential writes;
 * under ``check="eager"`` the profile groups are validated before
-  anything becomes visible, optionally in parallel chunks
-  (``concurrent.futures``; compiled checkers are pure, results are
+  anything becomes visible (compiled checkers are pure, results are
   plain data, and the merge is deterministic in staging order);
 * extents, index postings and the dirty ledger are updated in one pass
   per batch, and the index design version is bumped **once** so plans
@@ -52,11 +51,9 @@ over the (already incremental) sequential write path.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union,
 )
 
 from repro.errors import ConformanceError, UnknownClassError
@@ -79,7 +76,6 @@ class BulkReport:
     profiles: int           # distinct signatures in the fast path
     compiled_profiles: int  # of those, served by a compiled checker
     check: str              # the check mode the batch ran under
-    parallel: int           # worker count used for validation
     instances: Tuple[Instance, ...]  # staged instances, in row order
 
 
@@ -103,25 +99,12 @@ class _Staged:
         self.n_writes = len(write_attrs)
 
 
-def _check_chunk(
-    chunk: Sequence[Tuple[CompiledProfileChecker, _Staged]]
-) -> List[Tuple[int, List[Violation]]]:
-    """Validate one chunk of (checker, staged) pairs; pure data in, pure
-    data out, so chunks may run on any thread."""
-    failures: List[Tuple[int, List[Violation]]] = []
-    for checker, staged in chunk:
-        violations = checker.check(staged.obj)
-        if violations:
-            failures.append((staged.pos, violations))
-    return failures
-
-
 class BulkSession:
     """Stage many rows, commit them as one batch.
 
     Usage::
 
-        with store.bulk_session(check="eager", parallel=4) as session:
+        with store.bulk_session(check="eager") as session:
             h = session.add("Hospital", location=addr)
             session.add("Patient", name="pat", treatedAt=h)
         report = session.report
@@ -133,17 +116,13 @@ class BulkSession:
     """
 
     def __init__(self, store: ObjectStore,
-                 check: str = CheckMode.DEFERRED,
-                 parallel: int = 1) -> None:
+                 check: str = CheckMode.DEFERRED) -> None:
         if check not in (CheckMode.EAGER, CheckMode.DEFERRED):
             raise ValueError(
                 f"bulk check mode must be 'eager' or 'deferred', "
                 f"got {check!r}")
-        if parallel < 1:
-            raise ValueError("parallel must be >= 1")
         self._store = store
         self._mode = check
-        self._parallel = parallel
         self._staged: List[_Staged] = []
         self._closed = False
         #: Class tuples already validated against the schema.
@@ -294,7 +273,6 @@ class BulkSession:
                 1 for checker in command.compiled_for.values()
                 if checker is not None),
             check=self._mode,
-            parallel=self._parallel,
             instances=tuple(entry.obj for entry in staged),
         )
         return self.report
@@ -368,50 +346,30 @@ class BulkSession:
 
     def _compile(self, groups
                  ) -> "Dict[frozenset, Optional[CompiledProfileChecker]]":
-        """Compile (or decline) every signature up front on the calling
-        thread, so validation workers never touch the compile cache."""
+        """Compile (or decline) every signature up front."""
         cache = self._store._compiled_profile_cache()
         return {signature: cache.get(signature) for signature in groups}
 
     def _check_profiles(self, groups, compiled_for) -> None:
-        """Per-profile conformance for the fast path, compiled groups
-        possibly in parallel (the unshared-structure sweep runs first,
-        in the pipeline's :meth:`~repro.objects.pipeline.MutationPipeline.
-        bulk_validate`).  Raises :class:`ConformanceError` on the
-        earliest-staged violating object."""
+        """Per-profile conformance for the fast path (the
+        unshared-structure sweep runs first, in the pipeline's
+        :meth:`~repro.objects.pipeline.MutationPipeline.bulk_validate`).
+        Raises :class:`ConformanceError` on the earliest-staged
+        violating object."""
         store = self._store
         stats = store.checker.stats
-        work: List[Tuple[CompiledProfileChecker, _Staged]] = []
         failures: List[Tuple[int, List[Violation]]] = []
         for signature, entries in groups.items():
             checker = compiled_for[signature]
             if checker is None:
-                # Interpreted fallback: counters tick, so keep it on the
-                # committing thread.
-                for entry in entries:
-                    violations = store.checker.check(entry.obj)
-                    if violations:
-                        failures.append((entry.pos, violations))
+                check = store.checker.check     # interpreted fallback
             else:
-                work.extend((checker, entry) for entry in entries)
-        if work:
-            stats.compiled_checks += len(work)
-            if self._parallel > 1 and len(work) > 1:
-                # Warm the schema's ancestor cache so worker threads only
-                # ever read shared structure.
-                schema = store.schema
-                for name in schema.class_names():
-                    schema.ancestors(name)
-                chunk_size = max(
-                    1, math.ceil(len(work) / (self._parallel * 4)))
-                chunks = [work[i:i + chunk_size]
-                          for i in range(0, len(work), chunk_size)]
-                with ThreadPoolExecutor(
-                        max_workers=self._parallel) as pool:
-                    for result in pool.map(_check_chunk, chunks):
-                        failures.extend(result)
-            else:
-                failures.extend(_check_chunk(work))
+                check = checker.check
+                stats.compiled_checks += len(entries)
+            for entry in entries:
+                violations = check(entry.obj)
+                if violations:
+                    failures.append((entry.pos, violations))
         if failures:
             pos, violations = min(failures, key=lambda f: f[0])
             stats.violations_found += len(violations)

@@ -37,16 +37,18 @@ handling under any evaluation order).
 
 from __future__ import annotations
 
+from repro.codec import NA, encode_value
 from repro.objects.store import ObjectStore
-from repro.storage.wal import WriteAheadLog, encode_value
+from repro.storage.wal import WriteAheadLog
 
 
 class StoreJournal:
     """The store-facing face of one :class:`WriteAheadLog`.
 
-    Adds a suspension counter (recovery replay runs the ordinary store
-    paths without logging each replayed step) and the op-specific record
-    shapes.
+    Adds a suspension counter (a replica replays shipped records
+    through the ordinary store paths without logging each step, then
+    journals the record verbatim).  A record is the :mod:`repro.ops`
+    command that ran, plus the sids it minted.
     """
 
     def __init__(self, wal: WriteAheadLog) -> None:
@@ -89,18 +91,12 @@ class StoreJournal:
         recovery, exactly like the in-process rollback contract)."""
         if self._paused:
             return
-        rows = []
-        for entry in staged:
-            rows.append({
-                "sid": entry.obj.surrogate.id,
-                "classes": list(entry.classes),
-                "values": {
-                    name: encode_value(entry.values.get(name))
-                    if name in entry.values else {"$": "na"}
-                    for name in entry.write_attrs
-                },
-            })
-        self.wal.append("bulk", mode=mode, rows=rows)
+        rows = [[entry.obj.surrogate.id, list(entry.classes),
+                 {name: encode_value(entry.values[name])
+                  if name in entry.values else NA
+                  for name in entry.write_attrs}]
+                for entry in staged]
+        self.wal.append("bulk", check=mode, rows=rows)
 
 
 class DurableObjectStore(ObjectStore):

@@ -49,6 +49,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.codec import encode_value, encode_values
 from repro.columnar import SurrogateSet
 from repro.errors import (
     ConformanceError,
@@ -108,11 +109,12 @@ class MutationCommand:
 
     def journal(self, pipe: "MutationPipeline", journal) -> None:
         """Append this command's logical WAL record (depth-1 commands on
-        a journaling store only)."""
+        a journaling store only): the :mod:`repro.ops` request that
+        would have run it, plus the sid of anything it minted."""
 
-    def _mode_field(self, store, fields: dict) -> dict:
+    def _checked(self, store, fields: dict) -> dict:
         if self.check is not None and self.check != store.check_mode:
-            fields["mode"] = self.check   # replay defaults to check_mode
+            fields["check"] = self.check  # replay defaults to check_mode
         return fields
 
 
@@ -134,10 +136,9 @@ class CreateCommand(MutationCommand):
         return self.result
 
     def journal(self, pipe, journal):
-        from repro.storage.wal import encode_values
         fields = {"sid": self.result.surrogate.id, "cls": self.class_name,
                   "values": encode_values(self.values)}
-        journal.record("create", self._mode_field(pipe.store, fields))
+        journal.record("create", self._checked(pipe.store, fields))
 
 
 class RemoveCommand(MutationCommand):
@@ -173,7 +174,7 @@ class ClassifyCommand(MutationCommand):
 
     def journal(self, pipe, journal):
         fields = {"sid": self.obj.surrogate.id, "cls": self.class_name}
-        journal.record("classify", self._mode_field(pipe.store, fields))
+        journal.record("classify", self._checked(pipe.store, fields))
 
 
 class DeclassifyCommand(MutationCommand):
@@ -192,7 +193,7 @@ class DeclassifyCommand(MutationCommand):
 
     def journal(self, pipe, journal):
         fields = {"sid": self.obj.surrogate.id, "cls": self.class_name}
-        journal.record("declassify", self._mode_field(pipe.store, fields))
+        journal.record("declassify", self._checked(pipe.store, fields))
 
 
 class SetValueCommand(MutationCommand):
@@ -213,7 +214,6 @@ class SetValueCommand(MutationCommand):
         self.mutated = True
 
     def journal(self, pipe, journal):
-        from repro.storage.wal import encode_value
         if self.value is INAPPLICABLE:
             op = "unset"
             fields = {"sid": self.obj.surrogate.id, "attr": self.attribute}
@@ -221,7 +221,7 @@ class SetValueCommand(MutationCommand):
             op = "set"
             fields = {"sid": self.obj.surrogate.id, "attr": self.attribute,
                       "value": encode_value(self.value)}
-        journal.record(op, self._mode_field(pipe.store, fields))
+        journal.record(op, self._checked(pipe.store, fields))
 
 
 class ValidateCommand(MutationCommand):
@@ -289,6 +289,36 @@ class AlterClassCommand(MutationCommand):
             "recheck": self.recheck,
             "schema": print_schema(pipe.store.schema),
         })
+
+
+class IndexCommand(MutationCommand):
+    """One change to the physical design: build or drop the secondary
+    index on an attribute."""
+
+    op = "index"
+    __slots__ = ("attribute", "action", "result")
+
+    def __init__(self, attribute: str, action: str) -> None:
+        super().__init__(None)
+        self.attribute = attribute
+        self.action = action
+        self.result = None
+
+    def apply(self, pipe):
+        indexes = pipe.store.indexes
+        design = indexes.version
+        if self.action == "drop":
+            indexes.drop(self.attribute)
+        else:
+            self.result = indexes.create(self.attribute)
+        # A design change is a committed state change: snapshots must
+        # re-capture so their gauges and plan keys see it.
+        self.mutated = indexes.version != design
+        return self.result
+
+    def journal(self, pipe, journal):
+        journal.record("index", {"attr": self.attribute,
+                                 "action": self.action})
 
 
 class BulkCommand(MutationCommand):
@@ -829,8 +859,7 @@ class MutationPipeline:
 
     def bulk_validate(self, session, groups, compiled_for) -> None:
         """Eager validation of the fast path: unshared-structure checks,
-        then per-profile conformance (compiled groups possibly across
-        session worker threads).  Raises on the earliest-staged
+        then per-profile conformance.  Raises on the earliest-staged
         violating object."""
         store = self.store
         if store.strict_virtual_extents:

@@ -79,6 +79,7 @@ from repro.objects.pipeline import (
     ClassifyCommand,
     CreateCommand,
     DeclassifyCommand,
+    IndexCommand,
     MutationPipeline,
     RemoveCommand,
     SetValueCommand,
@@ -399,17 +400,10 @@ class ObjectStore:
     def create_index(self, attribute: str) -> StoreIndex:
         """Build (or return) the secondary index on ``attribute``; see
         :mod:`repro.query.indexes` for the excuse-aware semantics."""
-        with self._write_lock:
-            index = self.indexes.create(attribute)
-            # A design change is a committed state change: snapshots must
-            # re-capture so their gauges and plan keys see the new index.
-            self._epoch += 1
-            return index
+        return self._pipeline.execute(IndexCommand(attribute, "create"))
 
     def drop_index(self, attribute: str) -> None:
-        with self._write_lock:
-            self.indexes.drop(attribute)
-            self._epoch += 1
+        self._pipeline.execute(IndexCommand(attribute, "drop"))
 
     def _add_to_extents(self, obj: Instance, class_name: str) -> None:
         """Recovery/rebuild entry point; live mutation paths go through
@@ -542,16 +536,14 @@ class ObjectStore:
     # Bulk ingestion
     # ------------------------------------------------------------------
 
-    def bulk_session(self, check: str = CheckMode.DEFERRED,
-                     parallel: int = 1):
+    def bulk_session(self, check: str = CheckMode.DEFERRED):
         """An incremental bulk-load scope; see
         :class:`repro.objects.bulk.BulkSession`.  Rows staged inside the
         ``with`` block are merged as one all-or-nothing batch on exit."""
         from repro.objects.bulk import BulkSession
-        return BulkSession(self, check=check, parallel=parallel)
+        return BulkSession(self, check=check)
 
-    def bulk_load(self, rows, *, check: str = CheckMode.DEFERRED,
-                  parallel: int = 1):
+    def bulk_load(self, rows, *, check: str = CheckMode.DEFERRED):
         """Load many rows as one batch; returns a
         :class:`repro.objects.bulk.BulkReport`.
 
@@ -559,13 +551,11 @@ class ObjectStore:
         plus attribute values, or a ``(classes, values)`` pair.
         Equivalent to sequential checked ``create``/``classify``/
         ``set_value`` calls under the same ``check`` mode, but conformance
-        is checked by per-signature compiled closures (optionally across
-        ``parallel`` worker threads) and extent/index/dirty maintenance
-        is merged once per batch.  Any failure rolls the whole batch
-        back.
+        is checked by per-signature compiled closures and
+        extent/index/dirty maintenance is merged once per batch.  Any
+        failure rolls the whole batch back.
         """
-        from repro.objects.bulk import BulkSession
-        session = BulkSession(self, check=check, parallel=parallel)
+        session = self.bulk_session(check)
         with session:
             stage = session._stage
             add_row = session.add_row

@@ -11,8 +11,16 @@ that issue it, and **one** body ``run(target, cmd, resolve) -> payload``
 written against the method surface ``ObjectStore``, ``ConcurrentStore``
 and ``ShardedStore`` share.  The edges derive their handlers, their
 dispatch sets and their client stubs from this table; what an edge
-keeps of its own (ack tokens, the router lock, forced surrogates) is a
-hook around a row, never a second copy of it.
+keeps of its own (ack tokens, the router lock, the ``foreign`` set) is
+a hook around a row, never a second copy of it.
+
+The log is an edge too.  A durable store journals each committed
+command in this vocabulary -- what a client would have sent, plus the
+surrogate every new object was minted under -- and :func:`replay` runs
+the row for such a command with those surrogates forced.  WAL
+recovery, a replica applying a shipped record and a shard worker
+executing a routed ``create`` / ``bulk`` all go through it, so
+re-running a logged mutation *is* the live path.
 
 ``target`` is the store for a write and a snapshot-like view for a
 read (``get`` / ``count`` / ``extent_surrogates`` / ``schema``, and
@@ -31,8 +39,9 @@ failure the connection survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
+from repro import codec
 from repro.columnar import SurrogateSet
 from repro.errors import StorageError
 from repro.lang.loader import load_schema
@@ -44,7 +53,7 @@ from repro.query.planner import execute_planned
 from repro.sharding import wire
 
 __all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
-           "SERVICE_OPS", "lookup"]
+           "SERVICE_OPS", "lookup", "replay"]
 
 #: ExecutionStats fields shipped back per query, in order.
 EXECUTION_STAT_FIELDS: Tuple[str, ...] = (
@@ -81,6 +90,22 @@ class Op:
                     f"op {self.name!r} requires field {field!r}")
 
 
+class _Envelope(Op):
+    """The ``txn`` row: a request is also checked for what it carries
+    -- every sub-op names an ``in_txn`` row and has its fields -- so a
+    client's transaction outside the envelope is refused before
+    anything runs.  (The log holds what a local scope committed, which
+    may be more: a bulk batch, a validation sweep.)"""
+
+    def check(self, cmd: Dict[str, object]) -> None:
+        super().check(cmd)
+        for sub in cmd["ops"]:
+            row = lookup(sub)
+            if not row.in_txn:
+                raise StorageError(
+                    f"op {row.name!r} is not available inside a txn")
+
+
 def lookup(cmd: Dict[str, object]) -> Op:
     """The validated row a request (or ``txn`` sub-op) names."""
     name = cmd.get("op") if isinstance(cmd, dict) else None
@@ -112,17 +137,17 @@ def _query(view, cmd, resolve):
                  for field in EXECUTION_STAT_FIELDS}
     if per_row:
         return {"rows": [[row[0].surrogate.id,
-                          [wire.encode_value(v) for v in row[1:]]]
+                          [codec.encode_value(v) for v in row[1:]]]
                          for row in rows],
                 "stats": stats_out}
-    return {"agg": [wire.encode_value(v) for v in rows[0]],
+    return {"agg": [codec.encode_value(v) for v in rows[0]],
             "stats": stats_out}
 
 
 def _get(view, cmd, resolve):
     obj = view.get(Surrogate(int(cmd["sid"])))
     return {"classes": sorted(obj.memberships),
-            "values": wire.encode_values(obj.values_snapshot())}
+            "values": codec.encode_values(obj.values_snapshot())}
 
 
 def _count(view, cmd, resolve):
@@ -145,7 +170,7 @@ def _schema(view, cmd, resolve):
 # ----------------------------------------------------------------------
 
 def _create(store, cmd, resolve):
-    values = wire.decode_values(cmd.get("values") or {}, resolve)
+    values = codec.decode_values(cmd.get("values") or {}, resolve)
     placement = {}
     if cmd.get("broadcast") and hasattr(store, "n_shards"):
         # Replicate the entity to every shard; a single store already
@@ -159,7 +184,7 @@ def _create(store, cmd, resolve):
 def _set(store, cmd, resolve):
     obj = resolve(int(cmd["sid"]))
     store.set_value(obj, cmd["attr"],
-                    wire.decode_value(cmd["value"], resolve),
+                    codec.decode_value(cmd["value"], resolve),
                     check=cmd.get("check"))
     return {}
 
@@ -192,28 +217,27 @@ def _txn(store, cmd, resolve):
     nothing, one token.  A single store commits it as one WAL record; a
     sharded store runs it under the router's undo journal (atomic, not
     isolated -- SEMANTICS.md section 16), which also refuses ``remove``
-    there.  A sub-op outside the envelope is refused typed and the
-    scope rolls the prefix back."""
+    there."""
     created = []
     with store.transaction():
         for sub in cmd["ops"]:
-            row = lookup(sub)
-            if not row.in_txn:
-                raise StorageError(
-                    f"op {row.name!r} is not available inside a txn")
-            payload = row.run(store, sub, resolve)
+            payload = lookup(sub).run(store, sub, resolve)
             if "sid" in payload:
                 created.append(payload["sid"])
     return {"created": created}
 
 
 def _bulk(store, cmd, resolve):
-    rows = [(tuple(classes), wire.decode_values(values, resolve))
-            for classes, values in cmd["rows"]]
+    # Rows are ``[classes, values]``; a logged or routed row has the
+    # sid it was minted under in front (what `replay` forces, and
+    # nothing a client can say).  Decoded as the batch stages them, so
+    # a row may reference an earlier one.
+    rows = ((tuple(row[-2]), codec.decode_values(row[-1], resolve))
+            for row in cmd["rows"])
     loaded = store.bulk_load(rows, check=cmd.get("check") or "deferred")
     # A single store reports the batch; a sharded one hands back the
     # routed handles.
-    return {"objects": getattr(loaded, "objects", len(rows))}
+    return {"objects": getattr(loaded, "objects", len(cmd["rows"]))}
 
 
 def _violations(problems) -> Dict[str, object]:
@@ -277,7 +301,7 @@ OPS: Dict[str, Op] = {row.name: row for row in (
     _write("declassify", _declassify, ("sid", "cls"), ("check",),
            in_txn=True),
     _write("remove", _remove, ("sid",), in_txn=True),
-    _write("txn", _txn, ("ops",)),
+    _Envelope("txn", _txn, ("ops",), write=True, stubs=("txn",)),
     _write("bulk", _bulk, ("rows",), ("check",), fenced=True),
     _write("alter", _alter, ("schema", "cls"), ("recheck",)),
     _write("index", _index, ("attr",), ("action",),
@@ -296,3 +320,118 @@ SERVICE_OPS = frozenset({
 #: Ops a client may retry on a fresh connection.
 IDEMPOTENT = SERVICE_OPS | {name for name, row in OPS.items()
                             if row.idempotent}
+
+
+# ----------------------------------------------------------------------
+# The log edge
+# ----------------------------------------------------------------------
+
+class _Forced:
+    """The store as a logged command sees it: the same surface, except
+    that the rows that mint surrogates mint the ones the command
+    carries -- pin the allocator to exactly that sid (a sid freed by a
+    rolled-back scope may come round again), apply, assert the store
+    agreed."""
+
+    def __init__(self, store, sids, resolve) -> None:
+        self._store = store
+        self._sids = iter(sids)
+        self._resolve = resolve
+        #: sid -> instance staged by the batch in flight (not yet live).
+        self._staged: Dict[int, object] = {}
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def resolve(self, sid: int):
+        """A row of a batch may reference an earlier row of it."""
+        obj = self._staged.get(sid)
+        return obj if obj is not None else self._resolve(sid)
+
+    def _pin(self) -> int:
+        sid = next(self._sids)
+        if Surrogate(sid) in self._store._objects:
+            raise StorageError(
+                f"command mints @{sid}, which the store already holds")
+        self._store._allocator._next = sid
+        return sid
+
+    @staticmethod
+    def _agree(obj, sid: int) -> None:
+        if obj.surrogate.id != sid:
+            raise StorageError(
+                f"store minted {obj.surrogate} for a command carrying "
+                f"@{sid}")
+
+    def create(self, class_name, check=None, **values):
+        sid = self._pin()
+        obj = self._store.create(class_name, check=check, **values)
+        self._agree(obj, sid)
+        return obj
+
+    def bulk_load(self, rows, check):
+        with self._store.bulk_session(check=check) as session:
+            for classes, values in rows:
+                sid = self._pin()
+                obj = session._stage(classes, values)
+                self._agree(obj, sid)
+                self._staged[sid] = obj
+        return session.report
+
+
+def _minted(op: str, fields) -> Iterator[int]:
+    """The sids a logged command's new objects carry, in minting
+    order."""
+    if op == "create":
+        yield fields["sid"]
+    elif op == "bulk":
+        for row in fields["rows"]:
+            yield row[0]
+    elif op == "txn":
+        for sub in fields["ops"]:
+            yield from _minted(sub["op"], sub)
+
+
+def _current(fields: Dict[str, object]) -> Dict[str, object]:
+    """``fields`` in today's spelling.  Logs written before the journal
+    spoke the wire's vocabulary say ``mode`` for ``check`` and write
+    bulk rows as ``{"sid", "classes", "values"}``; they are supported
+    input."""
+    if "mode" in fields:
+        fields = dict(fields)
+        fields["check"] = fields.pop("mode")
+    rows = fields.get("rows")
+    if rows and isinstance(rows[0], dict):
+        fields = dict(fields, rows=[
+            [row["sid"], row["classes"], row["values"]] for row in rows])
+    if "ops" in fields:
+        fields = dict(fields, ops=[_current(sub) for sub in fields["ops"]])
+    return fields
+
+
+def replay(store, op: str, fields: Dict[str, object],
+           resolve: Callable[[int], object]):
+    """Run the table row for one logged (or routed) command against
+    ``store`` and return its payload.
+
+    ``fields`` is the command as journaled: the request, plus ``sid``
+    on a ``create`` and in front of each ``bulk`` row.  The caller --
+    recovery, a replica, a shard worker -- wraps what is its own around
+    this: which errors it raises, which lock it holds, what it journals
+    afterwards."""
+    row = OPS.get(op)
+    if row is None or not row.write:
+        raise StorageError(f"unknown logged op {op!r}")
+    fields = _current(fields)
+    if op not in ("create", "bulk", "txn"):
+        return row.run(store, fields, resolve)
+    allocator = store._allocator
+    high_water = allocator._next
+    forced = _Forced(store, _minted(op, fields), resolve)
+    try:
+        return row.run(forced, fields, forced.resolve)
+    finally:
+        # A forced sid may sit below ids already handed out (a batch
+        # staged before, and committed after, a create): never let the
+        # allocator fall back under them.
+        allocator._next = max(allocator._next, high_water)

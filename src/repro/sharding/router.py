@@ -48,9 +48,10 @@ the survivors still answer their own questions.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from zlib import crc32
 
+from repro import codec
 from repro.columnar import SurrogateSet
 from repro.errors import (
     NoSuchObjectError, QueryTypeError, ShardCrashedError, ShardingError,
@@ -89,7 +90,7 @@ class RemoteHandle:
     Implements the read side of the entity protocol (``memberships`` /
     ``get_value``, fetched from the owning shard on demand), carries the
     global ``surrogate``, and encodes on the wire exactly like a live
-    instance (an ``{"$": "ref"}`` record), so handles can be passed as
+    instance (``codec.ref(sid)``), so handles can be passed as
     attribute values to any mutation.
     """
 
@@ -115,13 +116,13 @@ class RemoteHandle:
         values = self._state()["values"]
         if name not in values:
             return INAPPLICABLE
-        return wire.decode_value(values[name], self._router.handle)
+        return codec.decode_value(values[name], self._router.handle)
 
     def value_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._state()["values"]))
 
     def values_snapshot(self) -> Dict[str, object]:
-        return {name: wire.decode_value(value, self._router.handle)
+        return {name: codec.decode_value(value, self._router.handle)
                 for name, value in self._state()["values"].items()}
 
     def __getitem__(self, name: str):
@@ -582,12 +583,11 @@ class ShardedStore:
         sid = self._sid_of(obj)
         values = self.handle(sid)._state()["values"]
         for origin in origins:
-            encoded = values.get(origin.attribute)
-            if (isinstance(encoded, dict) and encoded.get("$") == "ref"
-                    and encoded.get("id") in self._broadcast):
+            target = codec.ref_sid(values.get(origin.attribute))
+            if target in self._broadcast:
                 raise ShardingError(
                     f"classifying {sid} as {class_name!r} would anchor "
-                    f"broadcast entity @{encoded['id']} into a virtual "
+                    f"broadcast entity @{target} into a virtual "
                     f"class via {origin.attribute!r}; route that entity "
                     "instead of broadcasting it")
 
@@ -609,7 +609,7 @@ class ShardedStore:
         pin = self._admit((class_name,), values)
         sid = self._next_sid
         cmd = {"op": "create", "sid": sid, "cls": class_name,
-               "values": wire.encode_values(values), "check": check}
+               "values": codec.encode_values(values), "check": check}
         if broadcast:
             if pin is not None:
                 raise ShardingError(
@@ -634,9 +634,8 @@ class ShardedStore:
                 lambda sid=sid: self.remove(self.handle(sid)))
         return self.handle(sid)
 
-    def bulk_load(self, rows: Sequence[Tuple[object, Dict[str, object]]],
-                  check: str = CheckMode.DEFERRED,
-                  parallel: int = 1) -> List[RemoteHandle]:
+    def bulk_load(self, rows: Iterable[Tuple[object, Dict[str, object]]],
+                  check: str = CheckMode.DEFERRED) -> List[RemoteHandle]:
         """Stage ``(classes, values)`` rows as one batch *per shard*,
         executing across all shard processes concurrently -- this is
         the write path that scales with shard count.  Rows may
@@ -649,7 +648,9 @@ class ShardedStore:
                 "not undoable row by row)")
         per_shard: Dict[int, List[list]] = {}
         assigned: List[Tuple[int, int]] = []
-        for classes, values in rows:
+        # Decoded in full before anything is minted: a row that does
+        # not decode must not move the allocator.
+        for classes, values in list(rows):
             if isinstance(classes, str):
                 classes = (classes,)
             pin = self._admit(classes, values)
@@ -658,7 +659,7 @@ class ShardedStore:
             sid = self._next_sid
             self._next_sid += 1
             per_shard.setdefault(shard, []).append(
-                [sid, list(classes), wire.encode_values(values)])
+                [sid, list(classes), codec.encode_values(values)])
             assigned.append((sid, shard))
         for shard in per_shard:
             self._invalidate(shard)
@@ -666,8 +667,7 @@ class ShardedStore:
         # a failure, shards whose batches committed keep them, and none
         # of this call's rows are registered as routed.
         self._scatter([
-            (shard, {"op": "bulk", "rows": shard_rows, "check": check,
-                     "parallel": parallel})
+            (shard, {"op": "bulk", "rows": shard_rows, "check": check})
             for shard, shard_rows in per_shard.items()])
         self._owners.update(assigned)
         self.stats_counters.objects_routed += len(assigned)
@@ -779,7 +779,7 @@ class ShardedStore:
             attribute, value,
             lambda: self.handle(self._sid_of(obj)).memberships)
         self._mutate(obj, {"op": "set", "attr": attribute,
-                           "value": wire.encode_value(value)}, check)
+                           "value": codec.encode_value(value)}, check)
 
     def unset_value(self, obj, attribute: str,
                     check: Optional[str] = None) -> None:
@@ -990,7 +990,7 @@ class ShardedStore:
             setattr(stats, field, value)
         encoded = ([out["agg"]] if "agg" in out
                    else [values for _sid, values in out["rows"]])
-        return [tuple(wire.decode_value(value, self.handle)
+        return [tuple(codec.decode_value(value, self.handle)
                       for value in values) for values in encoded], stats
 
     def query_wire(self, query,
@@ -1027,13 +1027,13 @@ class ShardedStore:
                  for field in EXECUTION_STAT_FIELDS}
         if has_aggregates:
             shard_rows = [
-                [wire.decode_value(value, self.handle)
+                [codec.decode_value(value, self.handle)
                  for value in payload["agg"]]
                 for _shard_id, payload in payloads]
             merged = self._merge_aggregates(spec, shard_rows)
             stats["rows_returned"] = 1
             self.stats_counters.rows_merged += 1
-            return {"agg": [wire.encode_value(v) for v in merged],
+            return {"agg": [codec.encode_value(v) for v in merged],
                     "stats": stats}
         rows: List[List[object]] = []
         for _shard_id, payload in payloads:

@@ -1,17 +1,16 @@
-"""Wire protocol for the sharded store.
+"""The shard transport's framing: JSON texts and chunk arrays.
 
 Every command the router sends to a shard worker -- and every result
 that comes back -- is one JSON text (compact separators, sorted keys
-not required).  Keeping the protocol at the JSON level rather than
-relying on pickle has two payoffs: the command stream is the same
-canonical-value encoding the WAL already uses (``storage/wal.py``'s
-``encode_value``/``decode_value``: entity references as
-``{"$": "ref", "id": sid}``, enum symbols, INAPPLICABLE, records), and
-partial extents travel as *chunk arrays* -- the bitset's native
-``{chunk_index: word}`` form, words hex-encoded -- so a 100k-surrogate
-extent costs a few hundred dict entries on the wire instead of 100k
-ids, and the receiver rebuilds a :class:`repro.columnar.SurrogateSet`
-without ever materializing the members.
+not required); the commands are op-table requests (:mod:`repro.ops`)
+and their values travel in the one value encoding
+(:mod:`repro.codec`), neither of which this module looks inside.  What
+it owns is the text framing and how partial extents travel: as *chunk
+arrays* -- the bitset's native ``{chunk_index: word}`` form, words
+hex-encoded -- so a 100k-surrogate extent costs a few hundred dict
+entries on the wire instead of 100k ids, and the receiver rebuilds a
+:class:`repro.columnar.SurrogateSet` without ever materializing the
+members.
 
 The in-process backend round-trips through exactly these JSON texts
 too, so the equivalence property suite exercises the real wire format
@@ -25,12 +24,10 @@ from typing import Dict
 
 from repro.columnar import SurrogateSet
 from repro.errors import StorageError
-from repro.storage.wal import decode_value, encode_value
 
 __all__ = [
-    "decode_chunks", "decode_command", "decode_result", "decode_values",
-    "encode_chunks", "encode_command", "encode_result", "encode_values",
-    "encode_value", "decode_value",
+    "decode_chunks", "decode_command", "decode_result",
+    "encode_chunks", "encode_command", "encode_result",
 ]
 
 
@@ -47,16 +44,6 @@ def decode_command(text: str) -> Dict[str, object]:
 #: raised.
 encode_result = encode_command
 decode_result = decode_command
-
-
-def encode_values(values: Dict[str, object]) -> Dict[str, object]:
-    """WAL-canonical encoding of an attribute-value mapping."""
-    return {name: encode_value(value) for name, value in values.items()}
-
-
-def decode_values(encoded: Dict[str, object], resolve) -> Dict[str, object]:
-    return {name: decode_value(value, resolve)
-            for name, value in encoded.items()}
 
 
 # ----------------------------------------------------------------------

@@ -9,20 +9,17 @@ point (top-level, so it is spawn-safe): it serves one duplex pipe, one
 command at a time, and exits when its router is gone; the in-process
 backend drives the very same :class:`ShardServer` through the very
 same JSON texts.
-The store ops it answers are the rows of :data:`repro.ops.OPS`, run
-against this shard's store (writes) or masked view (reads); what is
-written out below is only the shard's own: hooks around the
-``create`` / ``bulk`` / ``remove`` / ``get`` rows and the ops only a
-router sends (``ids``, ``set_foreign``, ``shard_map``, ``stats``,
-``ping``).
+The store ops it answers are the rows of :data:`repro.ops.OPS`: reads
+against this shard's masked view, writes through
+:func:`repro.ops.replay` -- the router owns global surrogate allocation
+(so a sharded store mints exactly the ids a single store would), and a
+routed ``create`` / ``bulk`` carries its sids the way a logged one
+does.  What is written out below is only the shard's own: the
+``foreign`` bookkeeping around the ``create`` / ``remove`` / ``get``
+rows and the ops only a router sends (``ids``, ``set_foreign``,
+``shard_map``, ``stats``, ``ping``).
 
-Two shard-specific mechanisms live here:
-
-* **Forced surrogates** -- the router owns global surrogate allocation
-  (so a sharded store mints exactly the ids a single store would);
-  every create/bulk row carries its pre-assigned sid, and the worker
-  pins its allocator before creating, then asserts the store agreed --
-  the same discipline WAL replay uses in ``storage/recovery.py``.
+One shard-specific mechanism lives here:
 
 * **Masked reads** -- replicated reference entities exist on every
   shard under one sid, but only their owner shard may *report* them:
@@ -44,7 +41,7 @@ from repro.lang.loader import load_schema
 from repro.objects.pipeline import CheckMode
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
-from repro.ops import OPS, Op
+from repro.ops import OPS, Op, replay
 from repro.sharding import wire
 
 __all__ = ["MaskedSnapshot", "ShardServer", "shard_worker_main"]
@@ -150,12 +147,13 @@ class ShardServer:
         return handler(self, cmd)
 
     def _run(self, row: Op, cmd, view=None):
-        """One table row against this shard: writes go to the store,
-        reads to the masked view (or the ``view`` a hook picks)."""
+        """One table row against this shard: writes go to the store
+        (minting the sids the router assigned), reads to the masked
+        view (or the ``view`` a hook picks)."""
         row.check(cmd)
-        if view is None:
-            view = self.store if row.write else self._read_view()
-        return row.run(view, cmd, self._resolve)
+        if row.write:
+            return replay(self.store, row.name, cmd, self._resolve)
+        return row.run(view or self._read_view(), cmd, self._resolve)
 
     def _resolve(self, sid: int):
         return self.store.get(Surrogate(sid))
@@ -175,48 +173,15 @@ class ShardServer:
             return MaskedSnapshot(snap, self.foreign)
         return snap
 
-    def _force_sid(self, sid: int) -> None:
-        # The router is the single allocator and every create/bulk row
-        # carries its authoritative sid, so the pin is *exact* (not a
-        # max): a sid freed by a rolled-back router transaction can be
-        # re-minted here, mirroring the single store's allocator
-        # restore on transaction rollback.
-        self.store._allocator._next = sid
-
-    def _assert_sid(self, obj_sid: int, sid: int) -> None:
-        if obj_sid != sid:
-            raise ShardingError(
-                f"shard {self.shard_id} allocated @{obj_sid} for routed "
-                f"sid {sid}")
-
     # ------------------------------------------------------------------
-    # Hooks around table rows: forced surrogates, replica bookkeeping
+    # Hooks around table rows: replica bookkeeping
     # ------------------------------------------------------------------
 
     def _op_create(self, cmd):
-        sid = int(cmd["sid"])
-        self._force_sid(sid)
         out = self._run(OPS["create"], cmd)
-        self._assert_sid(out["sid"], sid)
         if cmd.get("foreign"):
-            self.foreign.add(Surrogate(sid))
+            self.foreign.add(Surrogate(out["sid"]))
         return out
-
-    def _op_bulk(self, cmd):
-        # The row's staging loop, with each row's routed sid pinned
-        # before it is staged (rows are ``[sid, classes, values]``).
-        OPS["bulk"].check(cmd)
-        session = self.store.bulk_session(
-            check=cmd.get("check") or CheckMode.DEFERRED,
-            parallel=int(cmd.get("parallel") or 1))
-        with session:
-            stage = session._stage
-            for sid, classes, values in cmd["rows"]:
-                self._force_sid(int(sid))
-                obj = stage(tuple(classes),
-                            wire.decode_values(values, self._resolve))
-                self._assert_sid(obj.surrogate.id, int(sid))
-        return {"objects": session.report.objects}
 
     def _op_remove(self, cmd):
         out = self._run(OPS["remove"], cmd)

@@ -13,15 +13,13 @@ Together they give the library a full cold-start path::
 
 from __future__ import annotations
 
-from typing import Dict
-
+from repro import codec
 from repro.errors import StorageError
-from repro.objects.instance import Instance
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.schema.schema import Schema
 from repro.storage.engine import StorageEngine
-from repro.typesys.values import is_entity
+from repro.storage.recovery import install_image
 
 
 def rebuild_store(engine: StorageEngine,
@@ -30,58 +28,30 @@ def rebuild_store(engine: StorageEngine,
                   validate: bool = False) -> ObjectStore:
     """Reconstruct a store holding every object the engine stores.
 
-    ``validate=True`` additionally runs full conformance checking over
-    the rebuilt population and raises on any violation (recommended after
-    reloading a snapshot from disk).
+    The engine's rows become a store image (entity fields, stored as
+    surrogates, become references) and go through the one installer.
+    Nothing here proved the stored data conformant, so every rebuilt
+    object starts on the dirty ledger: ``validate_dirty()`` must not
+    silently vouch for unchecked loads.  ``validate=True`` additionally
+    runs full conformance checking over the rebuilt population and
+    raises on any violation (recommended after reloading a snapshot
+    from disk).
     """
-    schema = schema or engine.schema
-    store = ObjectStore(schema, check_mode=check_mode)
-
-    # Pass 1: shells with identities and memberships.
-    instances: Dict[Surrogate, Instance] = {}
-    high_water = 0
+    store = ObjectStore(schema or engine.schema, check_mode=check_mode)
+    rows = []
     for info in engine.partitions():
         for rowid, _row in info.file.scan():
             surrogate = engine._reverse.get((info.key, rowid))
             if surrogate is None:
                 continue
-            obj = Instance(surrogate, info.key)
-            instances[surrogate] = obj
-            store._register_object(obj)
-            for class_name in info.key:
-                store._add_to_extents(obj, class_name)
-            high_water = max(high_water, surrogate.id)
-    store._allocator._next = high_water + 1
-
-    # Pass 2: values, with surrogate references re-linked to instances.
-    # These writes bypass the checked path, so every rebuilt object is
-    # marked dirty: nothing here proved the stored data conformant, and
-    # validate_dirty() must not silently vouch for unchecked loads
-    # (validate_all below clears the mark for objects it finds clean).
-    for surrogate, obj in instances.items():
-        for name, value in engine.fetch(surrogate).items():
-            if isinstance(value, Surrogate):
-                target = instances.get(value)
-                if target is None:
-                    raise StorageError(
-                        f"{surrogate}.{name} references {value}, which "
-                        "is not stored")
-                value = target
-            obj._set_value(name, value)
-        store._mark_dirty(obj)
-
-    # Pass 3: virtual-class reference counts (the implicit extents'
-    # bookkeeping), recomputed from the anchoring attributes.
-    for obj in instances.values():
-        for cdef in schema.virtual_classes():
-            origin = cdef.origin
-            if not store.is_member(obj, origin.owner_class):
-                continue
-            value = obj.get_value(origin.attribute)
-            if is_entity(value):
-                key = (cdef.name, value.surrogate)
-                store._virtual_refs[key] = \
-                    store._virtual_refs.get(key, 0) + 1
+            rows.append([surrogate.id, info.key, {
+                name: (codec.ref(value.id)
+                       if isinstance(value, Surrogate)
+                       else codec.encode_value(value))
+                for name, value in engine.fetch(surrogate).items()}])
+    install_image(store, {
+        "next_surrogate": max((row[0] for row in rows), default=0) + 1,
+        "dirty": {str(row[0]): None for row in rows}}, rows)
 
     if validate:
         problems = store.validate_all()

@@ -1,4 +1,12 @@
-"""Crash recovery: checkpoints + WAL replay through the checked paths.
+"""Crash recovery: the files of a durable directory, and the store image.
+
+This module owns the directory -- manifest, checkpoint file, schema
+file, WAL segment, and the order they are replaced in -- the tail scan,
+and the **store image** (:func:`store_image` / :func:`install_image`):
+the one producer and the one installer of a populated store as data,
+which the checkpoint file, the replication catch-up dump and
+``storage/rebuild`` all use.  It does not know what a log record means:
+each one is an op-table command, and :func:`repro.ops.replay` runs it.
 
 A durable store directory contains::
 
@@ -21,13 +29,13 @@ mix, and never a clobbered previous snapshot.
 Recovery (:func:`recover_store`):
 
 1. read the MANIFEST; load the schema (unless one is supplied);
-2. load the last good checkpoint, validating length and CRC, and rebuild
-   every derived structure -- extents (IS-A closed), virtual-class
-   reference counts, secondary indexes, the dirty ledger, the surrogate
-   allocator;
-3. replay the WAL tail **through the checked store paths** (the same
-   ``create``/``set_value``/``classify``/... the live engine ran), so the
-   conformance invariants are re-established rather than trusted;
+2. load the last good checkpoint, validating length and CRC, and
+   install its image -- rebuilding every derived structure: extents
+   (IS-A closed), virtual-class reference counts, secondary indexes,
+   the dirty ledger, the surrogate allocator;
+3. replay the WAL tail **through the op table** -- the row a client's
+   request would have run, so the conformance invariants are
+   re-established by the live path rather than trusted;
 4. truncate a torn tail at the first bad CRC / short frame / sequence
    break (a crash can tear at most the suffix);
 5. validate every object (the ``validate_all`` sweep, non-destructively)
@@ -44,21 +52,22 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.codec import decode_value, encode_values
 from repro.errors import StorageError
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
+from repro.ops import replay
 from repro.storage.fsio import OS_FS, FileSystem, atomic_write_bytes
 from repro.storage.wal import (
     WAL_MAGIC,
     WriteAheadLog,
-    decode_value,
-    encode_value,
     frame_record,
     iter_frames,
     read_from,
 )
+from repro.typesys.values import is_entity
 
 MANIFEST_NAME = "MANIFEST"
 SCHEMA_NAME = "schema.cdl"
@@ -131,44 +140,94 @@ def _write_manifest(fs: FileSystem, directory: str,
     atomic_write_bytes(fs, _manifest_path(directory), data)
 
 
-def _dirty_to_json(store) -> Dict[str, Optional[List[str]]]:
-    return {
-        str(surrogate.id): (None if attrs is None else sorted(attrs))
-        for surrogate, attrs in store._dirty.items()
+def store_image(store) -> Tuple[dict, Iterator[list]]:
+    """A populated store as data: ``(header, rows)``.  The header holds
+    what is not derivable from the objects -- the surrogate high-water
+    mark, the dirty ledger, the indexed attributes; each row is
+    ``[sid, direct classes, encoded values]``, in sid order, produced
+    lazily.  The checkpoint file and the replication catch-up dump are
+    both this image behind their own framing."""
+    header = {
+        "next_surrogate": store._allocator._next,
+        "dirty": {str(surrogate.id):
+                  (None if attrs is None else sorted(attrs))
+                  for surrogate, attrs in store._dirty.items()},
+        "indexes": list(store.indexes.attributes()),
     }
+    objects = store._objects
+    rows = ([surrogate.id, sorted(objects[surrogate]._memberships),
+             encode_values(objects[surrogate]._values)]
+            for surrogate in sorted(objects))
+    return header, rows
+
+
+def install_image(store, header: dict, rows) -> int:
+    """Populate an empty ``store`` from :func:`store_image` data and
+    rebuild every derived structure: objects with their references
+    relinked, extents (IS-A closed), virtual-class reference counts,
+    the dirty ledger, the allocator, the indexes.  Nothing here checks
+    conformance -- an image is state, not history; callers that cannot
+    vouch for it mark it dirty or validate.  Returns the object count."""
+    if len(store):
+        raise StorageError("a store image installs only into an empty "
+                           "store")
+    shells: Dict[int, Tuple[Instance, dict]] = {
+        sid: (Instance(Surrogate(sid), classes), values)
+        for sid, classes, values in rows}
+
+    def resolve(sid: int):
+        try:
+            return shells[sid][0]
+        except KeyError:
+            raise StorageError(
+                f"store image references unknown object @{sid}") from None
+
+    for obj, encoded in shells.values():
+        for name, value in encoded.items():
+            obj._values[name] = decode_value(value, resolve)
+        store._register_object(obj)
+        for class_name in obj.memberships:
+            store._add_to_extents(obj, class_name)
+    # Each entity value sitting on a virtual class's home attribute of
+    # a member of the owner class holds one reference.
+    refs = store._virtual_refs
+    for obj, _encoded in shells.values():
+        for name, value in obj._values.items():
+            if is_entity(value):
+                for cdef in store._home_virtuals(obj, name):
+                    key = (cdef.name, value.surrogate)
+                    refs[key] = refs.get(key, 0) + 1
+    for sid_text, attrs in header.get("dirty", {}).items():
+        store._dirty[Surrogate(int(sid_text))] = (
+            None if attrs is None else set(attrs))
+    store._allocator._next = header["next_surrogate"]
+    for attribute in header.get("indexes", ()):
+        store.create_index(attribute)
+    return len(shells)
 
 
 def _write_checkpoint(fs: FileSystem, directory: str, store,
                       generation: int) -> dict:
     """Write ``checkpoint-<generation>.ckpt`` atomically; returns its
     manifest entry."""
-    chunks: List[bytes] = [WAL_MAGIC]
-    chunks.append(frame_record({
-        "kind": "header",
-        "next_surrogate": store._allocator._next,
-        "dirty": _dirty_to_json(store),
-    }))
-    count = 0
-    for surrogate in sorted(store._objects):
-        obj = store._objects[surrogate]
-        chunks.append(frame_record({
-            "sid": surrogate.id,
-            "classes": sorted(obj.memberships),
-            "values": {name: encode_value(obj.get_value(name))
-                       for name in obj.value_names()},
-        }))
-        count += 1
+    header, rows = store_image(store)
+    chunks: List[bytes] = [WAL_MAGIC, frame_record({
+        "kind": "header", "next_surrogate": header["next_surrogate"],
+        "dirty": header["dirty"]})]
+    chunks.extend(
+        frame_record({"sid": sid, "classes": classes, "values": values})
+        for sid, classes, values in rows)
     data = b"".join(chunks)
     name = f"checkpoint-{generation}.ckpt"
     atomic_write_bytes(fs, os.path.join(directory, name), data)
     return {"file": name, "length": len(data), "crc": zlib.crc32(data),
-            "objects": count}
+            "objects": len(chunks) - 2}
 
 
 def _load_checkpoint(fs: FileSystem, directory: str, store,
-                     entry: dict) -> int:
-    """Populate ``store`` from a checkpoint file: objects, extents,
-    virtual reference counts, and the dirty ledger."""
+                     entry: dict, indexes) -> int:
+    """Validate a checkpoint file (length, CRCs, header first, object
+    count) and install its image, with the manifest's ``indexes``."""
     path = os.path.join(directory, entry["file"])
     if not fs.exists(path):
         raise StorageError(f"checkpoint file {entry['file']!r} is missing")
@@ -184,194 +243,41 @@ def _load_checkpoint(fs: FileSystem, directory: str, store,
         raise StorageError(
             f"checkpoint {entry['file']!r} has a bad magic header")
 
-    header = None
-    shells: Dict[int, Tuple[Instance, dict]] = {}
-    consumed = len(WAL_MAGIC)
-    for end, payload in iter_frames(data, consumed):
-        record = json.loads(payload.decode("utf-8"))
-        if header is None:
-            if record.get("kind") != "header":
-                raise StorageError(
-                    f"checkpoint {entry['file']!r} lacks its header "
-                    "record")
-            header = record
-        else:
-            obj = Instance(Surrogate(record["sid"]), record["classes"])
-            shells[record["sid"]] = (obj, record["values"])
-        consumed = end
+    frames = iter_frames(data, len(WAL_MAGIC))
+    consumed, payload = next(frames, (len(WAL_MAGIC), None))
+    if payload is None:
+        raise StorageError(f"checkpoint {entry['file']!r} is empty")
+    header = json.loads(payload.decode("utf-8"))
+    if header.get("kind") != "header":
+        raise StorageError(
+            f"checkpoint {entry['file']!r} lacks its header record")
+
+    def rows():
+        # Streamed into the installer: a second copy of the population
+        # as rows would double the live containers the collector walks.
+        nonlocal consumed
+        for consumed, payload in frames:
+            record = json.loads(payload.decode("utf-8"))
+            yield record["sid"], record["classes"], record["values"]
+
+    count = install_image(store, dict(header, indexes=indexes), rows())
     if consumed != len(data):
         # The whole-file CRC matched, so an inner framing error means a
         # writer bug, not a crash; fail loudly.
         raise StorageError(
             f"checkpoint {entry['file']!r} has undecodable records")
-    if header is None:
-        raise StorageError(f"checkpoint {entry['file']!r} is empty")
-    if len(shells) != entry["objects"]:
+    if count != entry["objects"]:
         raise StorageError(
             f"checkpoint {entry['file']!r}: expected {entry['objects']} "
-            f"objects, found {len(shells)}")
-
-    def resolve(sid: int):
-        try:
-            return shells[sid][0]
-        except KeyError:
-            raise StorageError(
-                f"checkpoint references unknown object @{sid}") from None
-
-    for sid, (obj, encoded_values) in shells.items():
-        for name, encoded in encoded_values.items():
-            obj._values[name] = decode_value(encoded, resolve)
-        store._register_object(obj)
-        for class_name in obj.memberships:
-            store._add_to_extents(obj, class_name)
-
-    _rebuild_virtual_refs(store)
-
-    for sid_text, attrs in header.get("dirty", {}).items():
-        store._dirty[Surrogate(int(sid_text))] = (
-            None if attrs is None else set(attrs))
-    store._allocator._next = header["next_surrogate"]
-    return len(shells)
-
-
-def _rebuild_virtual_refs(store) -> None:
-    """Recount virtual-class anchoring from current values: each entity
-    value sitting on a virtual class's home attribute of a member of the
-    owner class holds one reference."""
-    from repro.typesys.values import is_entity
-    refs = store._virtual_refs
-    for obj in store._objects.values():
-        for name in obj.value_names():
-            value = obj.get_value(name)
-            if not is_entity(value):
-                continue
-            for cdef in store._home_virtuals(obj, name):
-                key = (cdef.name, value.surrogate)
-                refs[key] = refs.get(key, 0) + 1
-
-
-# ----------------------------------------------------------------------
-# WAL replay (through the checked store paths)
-# ----------------------------------------------------------------------
-
-def _replay_record(store, record) -> None:
-    fields = record.fields
-
-    def resolve(sid: int):
-        obj = store._objects.get(Surrogate(sid))
-        if obj is None:
-            raise StorageError(
-                f"WAL record seq {record.seq} references unknown "
-                f"object @{sid}")
-        return obj
-
-    op = record.op
-    try:
-        if op == "create":
-            sid = fields["sid"]
-            store._allocator._next = max(store._allocator._next, sid)
-            obj = store.create(fields["cls"], check=fields.get("mode"))
-            if obj.surrogate.id != sid:
-                raise StorageError(
-                    f"replay allocated @{obj.surrogate.id} for a create "
-                    f"logged as @{sid}")
-            for name, encoded in fields["values"].items():
-                store.set_value(obj, name, decode_value(encoded, resolve),
-                                check=fields.get("mode"))
-        elif op == "set":
-            store.set_value(resolve(fields["sid"]), fields["attr"],
-                            decode_value(fields["value"], resolve),
-                            check=fields.get("mode"))
-        elif op == "unset":
-            store.unset_value(resolve(fields["sid"]), fields["attr"],
-                              check=fields.get("mode"))
-        elif op == "classify":
-            store.classify(resolve(fields["sid"]), fields["cls"],
-                           check=fields.get("mode"))
-        elif op == "declassify":
-            store.declassify(resolve(fields["sid"]), fields["cls"],
-                             check=fields.get("mode"))
-        elif op == "remove":
-            store.remove(resolve(fields["sid"]))
-        elif op == "alter":
-            # The record carries the full successor schema (CDL text), so
-            # replay re-runs the change through the checked alter path and
-            # re-establishes extents/indexes/profiles rather than trusting
-            # the log.  Replayed alters are not re-journaled: the journal
-            # is attached only after replay completes.
-            from repro.lang import load_schema
-            target = load_schema(fields["schema"])
-            store.alter_class(target.get(fields["cls"]),
-                              recheck=fields.get("recheck", "affected"))
-        elif op == "validate":
-            if fields["scope"] == "all":
-                store.validate_all()
-            else:
-                store.validate_dirty()
-        elif op == "txn":
-            # A committed transaction: its operations share one frame
-            # (and one sequence number), so they arrived -- and replay --
-            # as an atomic unit.
-            from repro.storage.wal import WalRecord
-            for sub in fields["ops"]:
-                sub = dict(sub)
-                sub_op = sub.pop("op")
-                _replay_record(store, WalRecord(
-                    record.seq, sub_op, sub, record.end_offset))
-        elif op == "bulk":
-            _replay_bulk(store, fields)
-        else:
-            raise StorageError(f"unknown WAL op {op!r}")
-    except StorageError:
-        raise
-    except Exception as exc:
-        # A logged operation succeeded when it ran; failing on replay
-        # means the log and the checkpoint disagree -- surface it rather
-        # than recovering silently-divergent state.
-        raise StorageError(
-            f"WAL replay failed at seq {record.seq} ({op}): "
-            f"{exc}") from exc
-
-
-def _replay_bulk(store, fields) -> None:
-    """Re-commit one logged batch through the bulk pipeline, forcing the
-    originally-allocated surrogates."""
-    from repro.objects.bulk import BulkSession
-    session = BulkSession(store, check=fields.get("mode"))
-    staged: Dict[int, Instance] = {}
-
-    def resolve(sid: int):
-        obj = store._objects.get(Surrogate(sid))
-        if obj is None:
-            obj = staged.get(sid)
-        if obj is None:
-            raise StorageError(
-                f"bulk record references unknown object @{sid}")
-        return obj
-
-    try:
-        for row in fields["rows"]:
-            sid = row["sid"]
-            store._allocator._next = max(store._allocator._next, sid)
-            values = {name: decode_value(encoded, resolve)
-                      for name, encoded in row["values"].items()}
-            instance = session._stage(tuple(row["classes"]), values)
-            if instance.surrogate.id != sid:
-                raise StorageError(
-                    f"bulk replay allocated @{instance.surrogate.id} "
-                    f"for a row logged as @{sid}")
-            staged[sid] = instance
-    except BaseException:
-        session.abort()
-        raise
-    session.commit()
+            f"objects, found {count}")
+    return count
 
 
 # ----------------------------------------------------------------------
 # Checkpoint + open/recover entry points
 # ----------------------------------------------------------------------
 
-def _store_config(store) -> dict:
+def store_config(store) -> dict:
     return {
         "check_mode": store.check_mode,
         "strict_virtual_extents": store.strict_virtual_extents,
@@ -414,7 +320,7 @@ def checkpoint_store(store: "DurableObjectStore") -> dict:
         "format": MANIFEST_FORMAT,
         "generation": generation,
         "durability": store.durability,
-        "store": _store_config(store),
+        "store": store_config(store),
         "indexes": list(store.indexes.attributes()),
         "checkpoint": _write_checkpoint(fs, directory, store, generation),
         "schema": {"file": schema_name, "crc": zlib.crc32(schema_text)},
@@ -496,7 +402,7 @@ def open_store(directory: str, schema=None, durability: str = None,
         "format": MANIFEST_FORMAT,
         "generation": 1,
         "durability": durability,
-        "store": _store_config(store),
+        "store": store_config(store),
         "indexes": [],
         "checkpoint": _write_checkpoint(fs, directory, store, 1),
         "schema": {"file": SCHEMA_NAME, "crc": zlib.crc32(schema_text)},
@@ -549,9 +455,8 @@ def recover_store(directory: str, schema=None, durability: str = None,
     report = RecoveryReport(directory=directory)
 
     report.checkpoint_objects = _load_checkpoint(
-        fs, directory, store, manifest["checkpoint"])
-    for attribute in manifest.get("indexes", ()):
-        store.create_index(attribute)
+        fs, directory, store, manifest["checkpoint"],
+        manifest.get("indexes", ()))
 
     wal_entry = manifest.get("wal")
     scan = None
@@ -562,8 +467,19 @@ def recover_store(directory: str, schema=None, durability: str = None,
         # validated records up to the first tear, torn tail truncated.
         records, scan = read_from(fs, wal_path, after_seq=base_seq,
                                   segment_base=base_seq, truncate=True)
+        def resolve(sid: int):
+            return store.get(Surrogate(sid))
+
         for record in records:
-            _replay_record(store, record)
+            try:
+                replay(store, record.op, record.fields, resolve)
+            except Exception as exc:
+                # A logged command succeeded when it ran; failing on
+                # replay means the log and the checkpoint disagree --
+                # surface it rather than recover divergent state.
+                raise StorageError(
+                    f"WAL replay failed at seq {record.seq} "
+                    f"({record.op}): {exc}") from exc
         report.replayed = len(records)
         report.last_seq = scan.last_seq or base_seq
         report.wal_stopped = scan.stopped

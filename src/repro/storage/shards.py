@@ -18,6 +18,7 @@ import os
 from typing import Dict
 
 from repro.errors import StorageError
+from repro.storage.fsio import OS_FS, FileSystem, atomic_write_bytes
 
 __all__ = ["SHARD_MANIFEST", "is_sharded", "read_shard_manifest",
            "shard_directory", "write_shard_manifest"]
@@ -34,19 +35,16 @@ def is_sharded(directory: str) -> bool:
 
 
 def write_shard_manifest(directory: str, n_shards: int,
-                         durability: str, sync: str) -> None:
-    """Write (atomically: temp + rename) the topology manifest."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, SHARD_MANIFEST)
+                         durability: str, sync: str,
+                         fs: FileSystem = OS_FS) -> None:
+    """Commit the topology manifest atomically: a crash leaves the old
+    manifest or none, never a torn one."""
+    fs.makedirs(directory)
     payload = {"format": "sharded-store", "version": 1,
                "shards": n_shards, "durability": durability,
                "sync": sync}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write_bytes(fs, os.path.join(directory, SHARD_MANIFEST),
+                       json.dumps(payload, indent=1).encode("utf-8"))
 
 
 def read_shard_manifest(directory: str) -> Dict[str, object]:

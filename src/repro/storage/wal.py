@@ -45,10 +45,9 @@ policies trade durability for throughput:
   the buffer is written in commit order and only ever lost whole or as
   a suffix.
 
-Values are serialized by :func:`encode_value` / :func:`decode_value`:
-primitives pass through JSON, enum symbols / entity references / inline
-records / INAPPLICABLE are tagged objects (entities by surrogate id,
-resolved against the recovering store).
+A record's fields are the op-table command that ran (:mod:`repro.ops`),
+its values in the one value encoding (:mod:`repro.codec`); this module
+frames and sequences them and does not look inside.
 """
 
 from __future__ import annotations
@@ -56,85 +55,14 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
-from repro.objects.surrogate import Surrogate
 from repro.storage.fsio import OS_FS, FileSystem
-from repro.typesys.values import (
-    INAPPLICABLE,
-    EnumSymbol,
-    RecordValue,
-    is_entity,
-)
 
 #: First bytes of every WAL segment (and framed checkpoint file).
 WAL_MAGIC = b"RWAL0001"
 _HEADER = struct.Struct(">II")
-
-
-# ----------------------------------------------------------------------
-# Value codec
-# ----------------------------------------------------------------------
-
-def encode_value(value) -> object:
-    """A JSON-safe encoding of one run-time store value."""
-    # Fast path: primitives pass through (the common case on the WAL
-    # hot path; `bool` before `int` is irrelevant here since both pass).
-    kind = type(value)
-    if kind is int or kind is str or kind is float or kind is bool \
-            or value is None:
-        return value
-    if value is INAPPLICABLE:
-        return {"$": "na"}
-    if isinstance(value, EnumSymbol):
-        return {"$": "enum", "name": value.name}
-    if isinstance(value, RecordValue):
-        return {"$": "rec",
-                "fields": {name: encode_value(value.get_value(name))
-                           for name in value.field_names()}}
-    if is_entity(value):
-        surrogate = getattr(value, "surrogate", None)
-        if surrogate is None:
-            raise StorageError(
-                "cannot log an entity value without a surrogate "
-                "(durable stores only hold store-resident entities)")
-        return {"$": "ref", "id": surrogate.id}
-    if isinstance(value, (int, float, str, bool)):
-        return value
-    raise StorageError(
-        f"value {value!r} of type {type(value).__name__} is not "
-        "serializable into the WAL")
-
-
-def decode_value(encoded, resolve: Callable[[int], object]):
-    """Invert :func:`encode_value`; ``resolve`` maps a surrogate id back
-    to a live entity of the recovering store."""
-    if isinstance(encoded, dict):
-        tag = encoded.get("$")
-        if tag == "na":
-            return INAPPLICABLE
-        if tag == "enum":
-            return EnumSymbol(encoded["name"])
-        if tag == "ref":
-            return resolve(encoded["id"])
-        if tag == "rec":
-            return RecordValue({
-                name: decode_value(child, resolve)
-                for name, child in encoded["fields"].items()})
-        raise StorageError(f"unknown value tag {tag!r} in WAL record")
-    return encoded
-
-
-def encode_values(values: Dict[str, object]) -> Dict[str, object]:
-    out = {}
-    for name, value in values.items():
-        kind = type(value)
-        if kind is int or kind is str or kind is float or kind is bool:
-            out[name] = value
-        else:
-            out[name] = encode_value(value)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The bulk-ingestion pipeline: staging, profile compilation, deferred
-maintenance, parallel validation, and all-or-nothing rollback.
+maintenance, and all-or-nothing rollback.
 
 The acceptance-critical invariant lives in ``TestAtomicity``: a batch
 that fails mid-commit must leave *every* observable piece of store state
@@ -132,14 +132,6 @@ class TestBasics:
         assert stats.writes == 14
         assert stats.classifies == 0
 
-    def test_parallel_matches_serial(self, hospital_schema):
-        serial = ObjectStore(hospital_schema)
-        threaded = ObjectStore(hospital_schema)
-        rows = _patient_rows(40)
-        serial.bulk_load(rows, check="eager", parallel=1)
-        threaded.bulk_load(rows, check="eager", parallel=4)
-        assert _digest(serial) == _digest(threaded)
-
     def test_index_postings_and_single_version_bump(self, hospital_store):
         hospital_store.create_index("age")
         version = hospital_store.indexes.version
@@ -168,7 +160,7 @@ class TestValidation:
         rows[3]["age"] = 700
         rows[11]["age"] = 900
         with pytest.raises(ConformanceError) as excinfo:
-            hospital_store.bulk_load(rows, check="eager", parallel=4)
+            hospital_store.bulk_load(rows, check="eager")
         assert excinfo.value.attribute == "age"
 
     def test_eager_rejects_inapplicable_attribute(self, hospital_store):
@@ -235,13 +227,6 @@ class TestAtomicity:
             seeded.bulk_load(_patient_rows(30, bad_at=17), check="eager")
         assert _digest(seeded) == before
 
-    def test_failed_parallel_batch_restores_everything(self, seeded):
-        before = _digest(seeded)
-        with pytest.raises(ConformanceError):
-            seeded.bulk_load(_patient_rows(30, bad_at=17),
-                             check="eager", parallel=4)
-        assert _digest(seeded) == before
-
     def test_failed_fallback_row_restores_everything(self, seeded):
         """Failure *after* the fast merge (in a per-object fallback row)
         must still undo the already-merged fast rows."""
@@ -306,11 +291,9 @@ class TestSessionProtocol:
             session.add(())
         session.abort()
 
-    def test_mode_and_parallel_validation(self, hospital_store):
+    def test_mode_validation(self, hospital_store):
         with pytest.raises(ValueError):
             BulkSession(hospital_store, check=CheckMode.NONE)
-        with pytest.raises(ValueError):
-            BulkSession(hospital_store, parallel=0)
         with pytest.raises(ValueError):
             hospital_store.bulk_load([], check="off")
 

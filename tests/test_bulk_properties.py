@@ -86,10 +86,9 @@ class _World:
             return False
         return True
 
-    def apply_bulk(self, rows, mode, parallel) -> bool:
+    def apply_bulk(self, rows, mode) -> bool:
         try:
-            self.store.bulk_load(self.resolve(rows), check=mode,
-                                 parallel=parallel)
+            self.store.bulk_load(self.resolve(rows), check=mode)
         except ReproError:
             return False
         return True
@@ -157,20 +156,19 @@ _row = st.one_of(
 _cases = st.tuples(
     st.lists(_row, min_size=1, max_size=10),
     st.sampled_from(["eager", "deferred"]),
-    st.sampled_from([1, 4]),
 )
 
 
 @settings(max_examples=120, deadline=None)
 @given(_cases)
 def test_bulk_load_equals_sequential_application(case):
-    rows, mode, parallel = case
+    rows, mode = case
     sequential = _World()
     bulk = _World()
 
     ok_seq = sequential.apply_sequential(rows, mode)
-    ok_bulk = bulk.apply_bulk(rows, mode, parallel)
-    assert ok_seq == ok_bulk, (mode, parallel, rows)
+    ok_bulk = bulk.apply_bulk(rows, mode)
+    assert ok_seq == ok_bulk, (mode, rows)
 
     if not ok_seq:
         return  # rejected: bulk rolled back, sequential keeps a prefix

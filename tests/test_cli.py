@@ -307,6 +307,48 @@ class TestSharded:
         assert "dispatched to 1 of 2 shards" in out
         assert "checkpointed all shards" in out
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_load_persist_is_a_durable_directory(self, tmp_path, capsys,
+                                                 shards):
+        """One ``--persist`` format: what ``load`` wrote, ``recover``
+        and ``checkpoint`` open (and ``serve``, through the same
+        ``ObjectStore.open`` / ``ShardedStore.open``)."""
+        import json
+
+        schema_path = tmp_path / "hospital.cdl"
+        schema_path.write_text(HOSPITAL_CDL)
+        rows_path = tmp_path / "rows.jsonl"
+        rows_path.write_text("\n".join(json.dumps(row) for row in [
+            {"id": "doc", "classes": ["Physician"], "name": "Dr. F",
+             "age": 50, "specialty": "'General"},
+            {"class": "Patient", "name": "a", "age": 30,
+             "treatedBy": {"$ref": "doc"}},
+            {"class": "Patient", "name": "b", "age": 37,
+             "treatedBy": {"$ref": "doc"}},
+        ]))
+        directory = str(tmp_path / "clinic")
+        argv = ["load", str(schema_path), str(rows_path),
+                "--persist", directory, "--check", "eager"]
+        if shards:
+            argv += ["--shards", str(shards)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "loaded 3 objects" in out
+        assert "(1 reference entities, 2 bulk rows)" in out
+        assert f"persisted 3 objects to {directory}" in out
+
+        assert main(["recover", directory]) == 0
+        out = capsys.readouterr().out
+        recovered = [int(line.split(":")[1]) for line in out.splitlines()
+                     if "checkpoint objects" in line]
+        # The physician is replicated to every shard.
+        assert len(recovered) == max(shards, 1)
+        assert sum(recovered) == 3 + max(shards - 1, 0)
+        assert out.count("0 violation(s)") == max(shards, 1)
+        assert main(["checkpoint", directory]) == 0
+        assert out.count("recovered") == capsys.readouterr().out.count(
+            "checkpoint generation")
+
     def test_load_shards_rejects_bad_batch(self, tmp_path, capsys):
         import json
 

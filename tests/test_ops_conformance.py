@@ -2,12 +2,17 @@
 the same command with the same payload, the same ack shape and the
 same error type whether it is served by a single store
 (``ConcurrentBackend``), a sharded router (``ShardedBackend``,
-in-process shards, N in {1, 2}) or one shard directly (``ShardServer``).
+in-process shards, N in {1, 2}) or one shard directly (``ShardServer``)
+-- and leaves the same state behind when it is read back from the log
+(``LogEdge``: the directory closed and recovered, and the record
+shipped to a ``Replica``).
 
 The edges are durable (``checkpoint`` needs a directory) and driven at
 the ``op_<name>(cmd)`` / ``handle(cmd)`` seam, below the socket; that a
 rejection keeps its type across the socket and across the shard hop is
 asserted at the end through ``RemoteOpError`` and ``ShardWorkerError``.
+The walk is parametrised over the table, so a write row the journal
+skipped fails its own case of the log test.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.errors import RemoteOpError, ShardWorkerError
 from repro.lang import print_schema
 from repro.net.backends import ConcurrentBackend, ShardedBackend
 from repro.net.client import StoreClient
+from repro.net.replication import LocalShipSource, Replica
 from repro.net.server import StoreService
 from repro.objects.store import ObjectStore
 from repro.ops import OPS
@@ -25,8 +31,12 @@ from repro.scenarios import build_hospital_schema
 from repro.sharding.router import ShardedStore
 from repro.sharding.worker import ShardServer
 
+from tests.faultfs import store_digest
+
 SCHEMA = build_hospital_schema()
 SCHEMA_TEXT = print_schema(SCHEMA)
+#: A real change for ``alter`` (a no-op alter is not journaled).
+EVOLVED_TEXT = SCHEMA_TEXT + "\nclass Convalescent is-a Patient with\nend\n"
 ACK = {"token", "epoch"}
 
 
@@ -59,23 +69,47 @@ class ShardEdge:
         self.acks = False
         self.next_sid = 1
 
+    def _mint(self) -> int:
+        self.next_sid += 1
+        return self.next_sid - 1
+
+    def _routed(self, cmd):
+        if not isinstance(cmd, dict):
+            return cmd
+        if cmd.get("op") == "create":
+            return dict(cmd, sid=self._mint())
+        if cmd.get("op") == "bulk" and "rows" in cmd:
+            return dict(cmd, rows=[[self._mint(), classes, values]
+                                   for classes, values in cmd["rows"]])
+        if cmd.get("op") == "txn" and "ops" in cmd:
+            return dict(cmd, ops=[self._routed(sub) for sub in cmd["ops"]])
+        return cmd
+
     def call(self, cmd):
-        if cmd["op"] == "create":
-            cmd = dict(cmd, sid=self.next_sid)
-            self.next_sid += 1
-        elif cmd["op"] == "bulk" and "rows" in cmd:
-            rows = []
-            for classes, values in cmd["rows"]:
-                rows.append([self.next_sid, classes, values])
-                self.next_sid += 1
-            cmd = dict(cmd, rows=rows)
-        out = self.server.handle(cmd)
-        if cmd["op"] == "txn":
-            self.next_sid += len(out["created"])
-        return out
+        before = self.next_sid
+        try:
+            return self.server.handle(self._routed(cmd))
+        except Exception:
+            self.next_sid = before      # the router's rollback
+            raise
 
     def close(self) -> None:
         self.server.close()
+
+
+class LogEdge(BackendEdge):
+    """The log as an edge: a durable single store whose state is read
+    only after :meth:`reopen` -- what a command did must be what its
+    WAL record replays."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        super().__init__(ConcurrentBackend(
+            ObjectStore.open(directory, SCHEMA)))
+
+    def reopen(self) -> None:
+        self.backend.close()
+        self.backend = ConcurrentBackend(ObjectStore.open(self.directory))
 
 
 def _sharded(n):
@@ -90,6 +124,7 @@ EDGES = {
     "sharded-1": _sharded(1),
     "sharded-2": _sharded(2),
     "shard-server": ShardEdge,
+    "log": LogEdge,
 }
 
 
@@ -134,7 +169,8 @@ SCRIPT = {
     "bulk": ([], {"op": "bulk", "rows": [
         [["Ward"], {"floor": 4, "name": "b0"}],
         [["Ward"], {"floor": 5, "name": "b1"}]]}),
-    "alter": ([], {"op": "alter", "schema": SCHEMA_TEXT, "cls": "Ward"}),
+    "alter": ([], {"op": "alter", "schema": EVOLVED_TEXT,
+                   "cls": "Convalescent"}),
     "index": ([], {"op": "index", "attr": "age"}),
     "validate": ([], {"op": "validate", "scope": "dirty"}),
     "checkpoint": ([], {"op": "checkpoint"}),
@@ -183,6 +219,52 @@ def test_same_command_same_payload_and_ack(edges, name):
         if reference is None:
             reference = seen
         assert seen == reference, label
+
+
+#: What a client can see of the state a command left behind.
+READS = [
+    {"op": "count", "cls": "Patient"},
+    {"op": "count", "cls": "Ward"},
+    {"op": "extent", "cls": "Ward"},
+    {"op": "get", "sid": 1},
+    {"op": "schema"},
+    {"op": "query", "text": "for p in Patient select p.name, p.age"},
+    {"op": "query", "text":
+     "for w in Ward where w.floor >= 2 select w.name"},
+]
+
+
+def _state(store):
+    """Everything recovery and replication must reproduce."""
+    return (print_schema(store.schema), store_digest(store),
+            store.indexes.attributes(), store._allocator._next)
+
+
+@pytest.mark.parametrize("name", [n for n, row in OPS.items()
+                                  if row.write])
+def test_the_log_replays_what_every_edge_ran(edges, name):
+    prelude, cmd = SCRIPT[name]
+    _seed(edges, prelude)
+    log = edges["log"]
+    primary = log.backend.store
+    # Bootstrapped before the command, so it arrives as a record.
+    replica = Replica(LocalShipSource(primary))
+    seq = primary._journal.wal.last_seq
+    generation = primary._manifest["generation"]
+    for edge in edges.values():
+        edge.call(cmd)
+    if name == "checkpoint":        # the log's own rotation
+        assert primary._manifest["generation"] == generation + 1
+    else:                           # one command, one record
+        assert primary._journal.wal.last_seq == seq + 1
+    live = _state(primary)
+    replica.sync()
+    assert _state(replica.store) == live
+    log.reopen()
+    assert _state(log.backend.store) == live
+    seen = {label: [_comparable(edge, edge.call(read)) for read in READS]
+            for label, edge in edges.items()}
+    assert all(view == seen["log"] for view in seen.values()), seen
 
 
 @pytest.mark.parametrize("name", [n for n, row in OPS.items()

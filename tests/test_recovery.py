@@ -176,6 +176,52 @@ class TestRoundTrip:
         assert len(index.lookup(5)) == 2
 
 
+    def test_index_ddl_is_journaled(self, store, fs):
+        """An acknowledged ``index`` is durable without a checkpoint,
+        and a drop is too: the manifest's list is only the base the
+        log's records apply over."""
+        store.create("Ward", floor=5, name="W")
+        store.create_index("floor")
+        store.close()
+        again = _reopen(fs)
+        assert again.indexes.attributes() == ("floor",)
+        assert len(again.indexes.get("floor").lookup(5)) == 1
+        again.create_index("name")
+        again.checkpoint()              # manifest: floor, name
+        again.drop_index("floor")
+        again.close()
+        assert _reopen(fs).indexes.attributes() == ("name",)
+
+    def test_index_ddl_in_a_transaction_commits_or_not_with_it(
+            self, store, fs):
+        with pytest.raises(RuntimeError):
+            with transaction(store):
+                store.create_index("floor")
+                raise RuntimeError("abort")
+        with transaction(store):
+            store.create("Ward", floor=5, name="W")
+            store.create_index("name")
+        store.close()
+        assert _reopen(fs).indexes.attributes() == ("name",)
+
+    def test_batch_staged_before_a_create_replays(self, store, fs):
+        """The batch's surrogates sit *below* the create's, and its
+        record comes after: replay pins the allocator to exactly the
+        logged sid (a max() pin made this directory unrecoverable) and
+        never lets it fall back under ids already handed out."""
+        session = store.bulk_session()
+        session.add("Ward", floor=1, name="a")
+        session.add("Ward", floor=2, name="b")
+        late = store.create("Ward", floor=3, name="c")
+        session.commit()
+        assert late.surrogate.id == 3
+        digest = store_digest(store)
+        store.close()
+        again = _reopen(fs)
+        assert store_digest(again) == digest
+        assert again.create("Ward", floor=4, name="d").surrogate.id == 4
+
+
 class TestCheckpoint:
     def test_folds_wal_and_rotates(self, store, fs):
         store.create("Ward", floor=1, name="W")

@@ -312,6 +312,33 @@ def test_read_your_writes_token_contract():
     primary.close()
 
 
+def test_index_ddl_ships_and_its_token_is_honoured():
+    """``index`` is a write row: it is acked with a token, so it must
+    reach the replicas -- one bootstrapped before the DDL converges on
+    the physical design, and a read presenting the ack's token is only
+    served by a replica that has the index."""
+    from repro.errors import ReplicaLagError
+    from repro.net.backends import ConcurrentBackend, ReplicaBackend
+    fs = MemFS()
+    primary = ConcurrentBackend(_primary(fs))
+    replica = Replica(LocalShipSource(primary.store))
+    backend = ReplicaBackend(replica)
+    primary.store.create("Patient", name="ann", age=30)
+    token = primary.op_index({"op": "index", "attr": "age"})["token"]
+    read = {"op": "count", "cls": "Patient", "token": token}
+    with pytest.raises(ReplicaLagError):
+        backend.op_count(read)
+    replica.sync()
+    assert backend.op_count(read) == {"count": 1}
+    assert replica.store.indexes.attributes() == ("age",)
+    assert full_digest(replica.store) == full_digest(primary.store)
+    primary.op_index({"op": "index", "attr": "age", "action": "drop"})
+    replica.sync()
+    assert replica.store.indexes.attributes() == ()
+    replica.close()
+    primary.close()
+
+
 def test_replay_serializes_with_snapshot_reads():
     """Replay must hold the replica store's write lock.
 

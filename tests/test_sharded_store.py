@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.columnar import BitsetStats, SurrogateSet
+from repro import codec
 from repro.errors import (
     ConformanceError,
     ShardingError,
@@ -104,9 +105,9 @@ def test_value_codec_roundtrips_enums_and_refs():
     store = ObjectStore(SCHEMA)
     addr = store.create("Address", street="a", city="b",
                         state=EnumSymbol("NY"))
-    encoded = wire.encode_values(
+    encoded = codec.encode_values(
         {"home": addr, "age": 30, "state": EnumSymbol("NY")})
-    decoded = wire.decode_values(
+    decoded = codec.decode_values(
         encoded, lambda sid: store.get(Surrogate(sid)))
     assert decoded["home"] is addr
     assert decoded["age"] == 30
@@ -318,7 +319,7 @@ def test_looking_at_a_handle_costs_nothing(counted):
     def look():
         assert is_entity(doc)
         assert "@" in repr(doc) and value_repr(doc).startswith("<entity")
-        assert wire.encode_value(doc) == {"$": "ref",
+        assert codec.encode_value(doc) == {"$": "ref",
                                           "id": doc.surrogate.id}
         assert doc == other and hash(doc) == hash(other)
         assert doc in {other}
@@ -596,3 +597,72 @@ def test_shard_manifests_with_retired_engine_key_still_open(tmp_path):
         assert reopened.count("Patient") == 7
     finally:
         reopened.close()
+
+
+def test_index_ddl_survives_reopen_on_every_shard(tmp_path):
+    directory = str(tmp_path / "shardedstore")
+    sharded = ShardedStore(SCHEMA, 2, processes=False,
+                           directory=directory, durability="wal")
+    for i in range(4):
+        sharded.create("Patient", name=f"p{i}", age=30 + i)
+    sharded.create_index("age")
+    sharded.create_index("name")
+    sharded.drop_index("name")
+    sharded.close()
+    reopened = ShardedStore.open(directory, processes=False)
+    try:
+        assert [backend.server.store.indexes.attributes()
+                for backend in reopened._backends] == [("age",)] * 2
+    finally:
+        reopened.close()
+
+
+def test_sid_reminted_after_a_rollback_replays(tmp_path):
+    """A rolled-back router transaction frees its sids; the shard's log
+    then holds create @k, remove @k, create @k -- the forced-surrogate
+    pin is exact (not a max), on replay as when routed."""
+    directory = str(tmp_path / "shardedstore")
+    sharded = ShardedStore(SCHEMA, 1, processes=False,
+                           directory=directory, durability="wal")
+    with pytest.raises(RuntimeError):
+        with sharded.transaction():
+            sharded.create("Ward", floor=1, name="gone")
+            raise RuntimeError("abort")
+    again = sharded.create("Ward", floor=2, name="kept")
+    assert again.surrogate.id == 1
+    sharded.close()
+    reopened = ShardedStore.open(directory, processes=False)
+    try:
+        assert reopened.get(1).get_value("name") == "kept"
+        assert reopened.create("Ward", floor=3, name="next"
+                               ).surrogate.id == 2
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("policy", ["synced", "flushed", "torn"])
+def test_shard_manifest_is_never_torn(policy):
+    """Crash at every filesystem operation of a manifest rewrite: what
+    is left under the manifest's name is the old topology or the new
+    one (or, first time, nothing) -- never a prefix."""
+    from repro.storage.shards import SHARD_MANIFEST, write_shard_manifest
+    from tests.faultfs import FaultFS, SimulatedCrash
+    path = "/s/" + SHARD_MANIFEST
+    probe = FaultFS()
+    write_shard_manifest("/s", 2, "wal", "group", fs=probe)
+    old = probe.read_bytes(path)
+    for base in ({}, {path: old}):
+        for point in range(1, probe.ops + 1):
+            fs = FaultFS(dict(base), crash_at=point,
+                         tear_writes=policy == "torn")
+            with pytest.raises(SimulatedCrash):
+                write_shard_manifest("/s", 4, "wal", "always", fs=fs)
+            left = fs.crash_state(policy).get(path)
+            if left is None:
+                assert not base
+            else:
+                assert json.loads(left)["shards"] in (2, 4)
+                assert left == old or json.loads(left)["shards"] == 4
+        done = FaultFS(dict(base))
+        write_shard_manifest("/s", 4, "wal", "always", fs=done)
+        assert json.loads(done.crash_state(policy)[path])["shards"] == 4

@@ -1,17 +1,17 @@
-"""The write-ahead log: framing, scanning, group commit, value codec."""
+"""The write-ahead log: framing, scanning, group commit, and the value
+examples the codec property (``tests/test_codec.py``) does not state."""
 
 import json
 import zlib
 
 import pytest
 
+from repro.codec import decode_value, encode_value
 from repro.errors import StorageError
 from repro.storage.wal import (
     WAL_MAGIC,
     WriteAheadLog,
-    decode_value,
     dump_wal,
-    encode_value,
     frame,
     frame_record,
     iter_frames,
@@ -265,18 +265,6 @@ class TestSyncPolicies:
 
 
 class TestValueCodec:
-    def test_primitives_pass_through(self):
-        for value in (1, 1.5, "x", True, None):
-            assert decode_value(encode_value(value), None) == value
-
-    def test_inapplicable(self):
-        assert decode_value(encode_value(INAPPLICABLE), None) \
-            is INAPPLICABLE
-
-    def test_enum_symbol(self):
-        out = decode_value(encode_value(EnumSymbol("NJ")), None)
-        assert out == EnumSymbol("NJ")
-
     def test_record_value_nested(self):
         rec = RecordValue({"a": 1, "b": EnumSymbol("X")})
         out = decode_value(encode_value(rec), None)
