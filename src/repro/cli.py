@@ -111,6 +111,11 @@ def cmd_explain(args) -> int:
     plan = plan_query(args.query, store,
                       eliminate_checks=not args.all_checked)
     print(plan.explain(store if args.index else None))
+    print("\ngenerated function (names and constants are bound, not "
+          "spelled):")
+    print(plan.executor._source)
+    for name, value in sorted(plan.executor._bindings.items()):
+        print(f"  {name} = {value!r}")
     return 0
 
 

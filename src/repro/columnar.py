@@ -37,7 +37,7 @@ machinery for that on the read path:
     snapshot cannot lazily read them off the instance -- it needs the
     container references frozen at capture time.  Instead of copying a
     ``{surrogate: (refs)}`` dict per snapshot (O(n)), the store keeps
-    this chunked table of ``id -> (memberships, values)`` references
+    this chunked table of ``id -> (surrogate, memberships, values)`` rows
     with two-level copy-on-write: capture shares the whole chunk table
     by reference (O(1)); the first write after a capture copies the top
     table, and the first write *into a chunk* copies that one chunk.
@@ -266,9 +266,6 @@ class SurrogateSet:
                     for bit in byte_bits[byte]:
                         yield offset + bit
 
-    def chunk_count(self) -> int:
-        return len(self._chunks)
-
     def isdisjoint(self, other) -> bool:
         if isinstance(other, SurrogateSet):
             a, b = self._chunks, other._chunks
@@ -422,9 +419,11 @@ class FrozenColumns:
 
     Holds the chunk table by reference; the writer's copy-on-write
     discipline guarantees no chunk reachable from here is ever mutated
-    again.  Keys are surrogate *ids*; values are the instance's
-    ``(membership set, value dict)`` container references as of the
-    capture.
+    again.  Keys are surrogate *ids*; values are ``(surrogate,
+    membership set, value dict)`` -- the instance's container references
+    as of the capture, shaped as the row a query loop consumes, so a
+    scan's row list is a list of references into this table and
+    allocates nothing per row.
     """
 
     __slots__ = ("_chunks", "_count")
@@ -449,11 +448,18 @@ class FrozenColumns:
         for key in sorted(self._chunks):
             yield from sorted(self._chunks[key])
 
+    def rows(self, surrogates: "SurrogateSet") -> list:
+        """The captured ``(surrogate, memberships, values)`` entry of
+        each member, ascending -- what a query's row loop consumes
+        instead of instance wrappers."""
+        chunks = self._chunks
+        return [chunks[sid >> _COL_SHIFT][sid] for sid in surrogates.ids()]
 
-class ObjectColumns:
-    """The live ``surrogate id -> (memberships, values)`` reference
+
+class ObjectColumns(FrozenColumns):
+    """The live ``surrogate id -> (surrogate, memberships, values)`` row
     table, with two-level copy-on-write against the store's snapshot
-    stamp.
+    stamp; it reads like the captures it hands out.
 
     The store updates an entry whenever an object becomes live, dies, or
     has its containers privatized-by-reassignment
@@ -465,20 +471,12 @@ class ObjectColumns:
     instead of every snapshot paying O(n).
     """
 
-    __slots__ = ("_chunks", "_chunk_stamp", "_stamp", "_count")
+    __slots__ = ("_chunk_stamp", "_stamp")
 
     def __init__(self) -> None:
-        self._chunks: Dict[int, Dict[int, tuple]] = {}
+        super().__init__({}, 0)
         self._chunk_stamp: Dict[int, int] = {}
         self._stamp = -1
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def get(self, sid: int) -> Optional[tuple]:
-        chunk = self._chunks.get(sid >> _COL_SHIFT)
-        return chunk.get(sid) if chunk else None
 
     def _writable_chunk(self, key: int, stamp: int) -> Dict[int, tuple]:
         if self._stamp != stamp:
@@ -495,11 +493,13 @@ class ObjectColumns:
             return chunk
         return self._chunks[key]
 
-    def put(self, sid: int, memberships, values, stamp: int) -> None:
+    def put(self, surrogate: Surrogate, memberships, values,
+            stamp: int) -> None:
+        sid = surrogate.id
         chunk = self._writable_chunk(sid >> _COL_SHIFT, stamp)
         if sid not in chunk:
             self._count += 1
-        chunk[sid] = (memberships, values)
+        chunk[sid] = (surrogate, memberships, values)
 
     def drop(self, sid: int, stamp: int) -> None:
         chunk = self._writable_chunk(sid >> _COL_SHIFT, stamp)

@@ -138,16 +138,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
          "repro.objects.pipeline", "repro.schema.epochs"),
         "bench_schema_evolution.py"),
     Experiment(
-        "A9", "Columnar bitset read path", "§5.5 + substrate",
-        "chunked-bitset extents/postings plus compiled plan closures "
-        "beat the legacy dict-of-sets read path >= 5x on A4's "
-        "selective queries over a mutating store, with identical rows "
-        "and rows_skipped; fresh-snapshot construction is sublinear "
-        "in store size",
-        ("repro.columnar", "repro.query.indexes", "repro.query.planner",
-         "repro.objects.snapshot"),
-        "bench_columnar.py"),
-    Experiment(
         "A10", "Sharded multi-process stores", "substrate",
         "signature-profile partitioning across worker processes scales "
         "bulk write throughput >= 2x at 4 shards vs 1 (on >= 4 CPUs), "

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import QueryTypeError, SchemaError, UnknownClassError
-from repro.query.compiler import RuntimeContext, SkipRow, _Compiler
-from repro.query.parser import parse_expr
-from repro.query.typing import FlowFacts, QueryTyper
+from repro.query.compiler import compile_predicate
 
 
 @dataclass(frozen=True)
@@ -57,22 +55,12 @@ class DefinedClassCatalog:
             raise SchemaError(f"defined class {name!r} already exists")
         if not self.schema.has_class(base):
             raise UnknownClassError(base)
-        expr = parse_expr(predicate)
-        env = {"self": base}
-        facts = FlowFacts().assume("self", base, True)
-        typer = QueryTyper(self.schema)
-        typer.infer(expr, env, facts)
-        errors = [f for f in typer.findings if f.severity == "error"]
-        if errors:
+        try:
+            self._compiled[name] = compile_predicate(
+                self.schema, base, predicate)
+        except QueryTypeError as exc:
             raise QueryTypeError(
-                f"predicate of {name!r} is ill-typed: "
-                + "; ".join(str(e) for e in errors))
-        # Predicates run over possibly part-populated objects, so every
-        # access is guarded: a missing value falls out as SkipRow
-        # rather than a hard failure.
-        compiler = _Compiler(self.schema, assume_unshared=True,
-                             eliminate_checks=False, on_unsafe="skip")
-        self._compiled[name] = compiler.compile_expr(expr, env, facts)
+                f"predicate of {name!r} is ill-typed: {exc}") from None
         defined = DefinedClass(name, base, predicate, doc)
         self._defined[name] = defined
         return defined
@@ -106,19 +94,9 @@ class DefinedClassCatalog:
         return len(self.extent(name))
 
     def _satisfies(self, name: str, obj) -> bool:
-        fn = self._compiled[name]
-
-        class _Stats:
-            checks_executed = 0
-
-        ctx = RuntimeContext(store=self.store, bindings={"self": obj},
-                             stats=_Stats())
-        try:
-            return bool(fn(ctx))
-        except SkipRow:
-            # A guarded access failed (e.g. INAPPLICABLE): the predicate
-            # cannot hold of this object.
-            return False
+        # Indeterminate (a touched value was missing, e.g.
+        # INAPPLICABLE): the predicate cannot hold of this object.
+        return self._compiled[name](self.store, obj) is True
 
     # ------------------------------------------------------------------
 

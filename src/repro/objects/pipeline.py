@@ -466,7 +466,7 @@ class MutationPipeline:
         if log is not None:
             log.append((store._objects, obj.surrogate, _MISSING))
         store._objects[obj.surrogate] = obj
-        store._columns.put(obj.surrogate.id, obj._memberships,
+        store._columns.put(obj.surrogate, obj._memberships,
                            obj._values, store._snapshot_stamp)
         store.indexes.on_create(obj.surrogate)
         self.add_to_extents(obj, class_name)
@@ -908,7 +908,7 @@ class MutationPipeline:
             surrogate = obj.surrogate
             log_append((objects, surrogate, _MISSING))
             objects[surrogate] = obj
-            columns_put(surrogate.id, obj._memberships, obj._values, stamp)
+            columns_put(surrogate, obj._memberships, obj._values, stamp)
             append(obj)
             total_writes += entry.n_writes
             classifies += len(entry.classes) - 1
@@ -1195,7 +1195,7 @@ class UndoScope:
             if mapping is None:
                 state = self._columns.get(key.surrogate.id)
                 if state is not None:   # else: created inside the scope
-                    key._memberships, key._values = state
+                    _, key._memberships, key._values = state
                     key._cow_stamp = -1
             elif prior is _MISSING:
                 mapping.pop(key, None)

@@ -17,18 +17,19 @@ the structure first when its copy-on-write stamp predates the newest
 snapshot (``store._snapshot_stamp``), so every captured reference is
 frozen forever.
 
-Rows come back as :class:`SnapshotInstance` wrappers: surrogate-
+Objects come back as :class:`SnapshotInstance` wrappers: surrogate-
 identical, read-only views over the captured membership/value
-containers.  Entity *values* inside those containers are returned raw
-(the live :class:`~repro.objects.instance.Instance` references the
-store holds), which preserves the identity semantics queries and index
-buckets rely on; membership questions about them are answered from the
-snapshot's captured state (``snapshot.is_member`` keys on the
-surrogate), so class-membership reads are isolated even for nested
-entities.
+containers (a query reads the captured rows themselves and wraps only
+what its result holds).  Entity *values* inside those containers are
+returned raw (the live :class:`~repro.objects.instance.Instance`
+references the store holds), which preserves the identity semantics
+queries and index buckets rely on; membership questions about them are
+answered from the snapshot's captured state (``snapshot.is_member``
+keys on the surrogate), so class-membership reads are isolated even for
+nested entities.
 
 Snapshots may be shared freely across reader threads: all internal
-lazy caches (sorted extents, instance wrappers) are populated with
+lazy caches (extents, row lists, instance wrappers) are populated with
 idempotent inserts, and the planner's plan cache -- shared with the
 live store -- takes its own lock.
 """
@@ -126,12 +127,7 @@ class SnapshotIndexes:
         return bucket if bucket else _EMPTY_FROZEN
 
     def selectivity(self, attribute: str, value) -> int:
-        buckets = self._postings[attribute][1]
-        try:
-            bucket = buckets.get(value)
-        except TypeError:
-            return 0
-        return len(bucket) if bucket else 0
+        return len(self.lookup(attribute, value))
 
     def inapplicable(self, attribute: str) -> Set:
         return self._postings[attribute][2]
@@ -157,9 +153,9 @@ class StoreSnapshot:
         self.schema = store.schema
         self.schema_epoch: int = store.schema_epochs.current.number
         self.check_mode: str = store.check_mode
-        # id -> (membership set ref, value dict ref), captured O(1) from
-        # the store's columnar state table: the chunk table is taken by
-        # reference, and the write side's two-level copy-on-write
+        # id -> (surrogate, membership set ref, value dict ref), captured
+        # O(1) from the store's columnar state table: the chunk table is
+        # taken by reference, and the write side's two-level copy-on-write
         # guarantees no chunk reachable from it is ever mutated again.
         # (The refs must be frozen *at capture* -- the writer privatizes
         # instance containers by reassignment, so a lazy read off the
@@ -183,6 +179,7 @@ class StoreSnapshot:
         # Lazy, idempotently-populated caches (thread-shared).
         self._wrappers: Dict[object, SnapshotInstance] = {}
         self._extent_rows: Dict[str, Tuple[SnapshotInstance, ...]] = {}
+        self._scan_rows: Dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # Object access
@@ -198,7 +195,7 @@ class StoreSnapshot:
             # two reader threads race to build the same one, so identity
             # comparisons inside one snapshot behave like live reads.
             wrapper = self._wrappers.setdefault(
-                surrogate, SnapshotInstance(surrogate, state[0], state[1]))
+                surrogate, SnapshotInstance(surrogate, state[1], state[2]))
         return wrapper
 
     def get(self, surrogate) -> SnapshotInstance:
@@ -219,15 +216,28 @@ class StoreSnapshot:
     # ------------------------------------------------------------------
 
     def extent(self, class_name: str) -> Tuple[SnapshotInstance, ...]:
-        if not self.schema.has_class(class_name):
-            raise UnknownClassError(class_name)
         cached = self._extent_rows.get(class_name)
-        if cached is not None:
-            return cached
-        surrogates = self._extents.get(class_name, _EMPTY_SET)
-        # Bitset extents iterate in ascending surrogate order already.
-        rows = tuple(self._wrap(s) for s in surrogates)
-        return self._extent_rows.setdefault(class_name, rows)
+        if cached is None:
+            # Bitset extents iterate in ascending surrogate order already.
+            cached = self._extent_rows.setdefault(class_name, tuple(
+                self._wrap(row[0]) for row in self.scan_rows(class_name)))
+        return cached
+
+    # The generated query loop's row source (``repro.query.compiler``):
+    # a row is the captured column state itself; no wrapper exists until
+    # a query lets the row escape (``get``).
+
+    def scan_rows(self, class_name: str) -> list:
+        cached = self._scan_rows.get(class_name)
+        if cached is None:
+            surrogates = self.extent_surrogates(class_name)
+            cached = self._scan_rows.setdefault(
+                class_name,
+                self._objects.rows(surrogates) if surrogates else [])
+        return cached
+
+    def visit_rows(self, surrogates) -> list:
+        return self._objects.rows(surrogates)
 
     def extent_surrogates(self, class_name: str) -> Set:
         """Captured surrogate set (callers must not mutate it)."""
@@ -236,16 +246,14 @@ class StoreSnapshot:
         return self._extents.get(class_name, _EMPTY_SET)
 
     def count(self, class_name: str) -> int:
-        if not self.schema.has_class(class_name):
-            raise UnknownClassError(class_name)
-        return len(self._extents.get(class_name, _EMPTY_SET))
+        return len(self.extent_surrogates(class_name))
 
     def is_member(self, obj, class_name: str) -> bool:
         """Membership as of this snapshot, for live instances, snapshot
         wrappers, and (falling back to what the object itself reports)
         dangling references the snapshot never saw live."""
         state = self._objects.get(obj.surrogate.id)
-        memberships = state[0] if state is not None else obj.memberships
+        memberships = state[1] if state is not None else obj.memberships
         schema = self.schema
         return any(
             schema.is_subclass(m, class_name) for m in memberships)

@@ -128,7 +128,7 @@ class ObjectStore:
                              else BITSET_STATS)
         self._allocator = SurrogateAllocator()
         self._objects: Dict[Surrogate, Instance] = {}
-        # Chunked id -> (memberships, values) reference table: what a
+        # Chunked id -> (surrogate, memberships, values) row table: what a
         # snapshot captures in O(1) instead of copying _objects (see
         # repro.columnar).  Kept in lockstep with _objects and with
         # every container reassignment (_prepare_write, rollback).
@@ -264,7 +264,7 @@ class ObjectStore:
             obj._values = dict(obj._values)
             obj._cow_stamp = self._snapshot_stamp
             # The columns table must track the *current* containers.
-            self._columns.put(obj.surrogate.id, obj._memberships,
+            self._columns.put(obj.surrogate, obj._memberships,
                               obj._values, self._snapshot_stamp)
 
     def _register_object(self, obj: Instance) -> None:
@@ -272,7 +272,7 @@ class ObjectStore:
         columnar state table together (recovery/rebuild entry point; the
         live create path is the pipeline's ``install_new``)."""
         self._objects[obj.surrogate] = obj
-        self._columns.put(obj.surrogate.id, obj._memberships,
+        self._columns.put(obj.surrogate, obj._memberships,
                           obj._values, self._snapshot_stamp)
 
     # ------------------------------------------------------------------
@@ -379,6 +379,14 @@ class ObjectStore:
         self._extent_cache[class_name] = result
         return result
 
+    # The generated query loop's row source (``repro.query.compiler``).
+
+    def scan_rows(self, class_name: str) -> list:
+        return self._columns.rows(self.extent_surrogates(class_name))
+
+    def visit_rows(self, surrogates) -> list:
+        return self._columns.rows(surrogates)
+
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """The live extent as a surrogate set -- the class-membership
         index the planner intersects posting lists against.  Callers
@@ -388,9 +396,7 @@ class ObjectStore:
         return self._extents.get(class_name, _EMPTY_EXTENT)
 
     def count(self, class_name: str) -> int:
-        if not self.schema.has_class(class_name):
-            raise UnknownClassError(class_name)
-        return len(self._extents.get(class_name, ()))
+        return len(self.extent_surrogates(class_name))
 
     def is_member(self, obj: Instance, class_name: str) -> bool:
         return any(

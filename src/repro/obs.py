@@ -158,7 +158,8 @@ QUERY_COUNTER_FIELDS: Tuple[str, ...] = (
     "index_lookups",    # posting-list / extent-set probes served
     "rows_pruned",      # rows never visited thanks to index pruning
     "index_updates",    # incremental posting maintenance operations
-    "compiled_execs",   # executions served by a compiled plan closure
+    "compiled_execs",   # executions served by a generated plan function
+    "sources_compiled", # generated sources that missed the code memo
 )
 
 

@@ -21,9 +21,9 @@ occur".  This package implements both:
   provably safe, which are conditionally unsafe (and under what
   assumptions), and which are definite type errors.
 * :mod:`repro.query.compiler` / :mod:`repro.query.interpreter` --
-  compilation to an executable plan where run-time safety checks are
+  compilation to generated Python where run-time safety checks are
   inserted *only* at accesses the analysis could not prove safe; the
-  interpreter counts checks so the saving is measurable (benchmark E3).
+  generated loop counts checks so the saving is measurable (bench E3).
 * :mod:`repro.query.indexes` / :mod:`repro.query.planner` -- secondary
   attribute indexes (excuse-aware: INAPPLICABLE and unhashable-residue
   posting lists keep indexed results scan-exact), a cost-based planner

@@ -11,7 +11,7 @@ other expressions return ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Expr:
@@ -118,6 +118,15 @@ class And(Expr):
 
     def __str__(self) -> str:
         return f"({self.left} and {self.right})"
+
+
+def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
+    """Top-level ``and`` conjuncts, in evaluation (left-to-right) order."""
+    if expr is None:
+        return []
+    if isinstance(expr, And):
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
 
 
 @dataclass(frozen=True)

@@ -171,18 +171,6 @@ class StoreIndex:
     def distinct_values(self) -> int:
         return len(self._buckets)
 
-    def describe(self) -> Dict[str, int]:
-        return {
-            "entries": self._n_entries(),
-            "distinct_values": len(self._buckets),
-            "inapplicable": len(self.inapplicable),
-            "residue": len(self.residue),
-            # Physical shape: bitset chunk tables across all postings.
-            "chunks": (sum(b.chunk_count() for b in self._buckets.values())
-                       + self.inapplicable.chunk_count()
-                       + self.residue.chunk_count()),
-        }
-
     def __repr__(self) -> str:
         return (f"<StoreIndex {self.attribute}: {self._n_entries()} "
                 f"entries, {len(self._buckets)} values, "

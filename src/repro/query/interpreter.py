@@ -1,24 +1,20 @@
 """Executing compiled queries against an object store.
 
 :func:`execute` is the guarded full scan -- every row of the source
-extent is visited and the compiled ``where``/``select`` closures decide
-its fate.  The planner (:mod:`repro.query.planner`) reuses the same row
-loop through :func:`run_rows`, feeding it the reduced visit set its
-index pushdowns computed; keeping a single loop is what makes "indexed
-results exactly match scan semantics" true by construction row-wise.
+extent is visited and the compiled ``where``/``select`` expressions
+decide its fate.  The planner (:mod:`repro.query.planner`) splices the
+*same* generated row loop (:meth:`CompiledQuery.loop_source`) behind its
+pushdown algebra, feeding it the reduced visit set; sharing the loop
+text is what makes "indexed results exactly match scan semantics" true
+by construction row-wise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
-from repro.query.compiler import (
-    CompiledQuery,
-    RuntimeContext,
-    SkipRow,
-    compile_query,
-)
+from repro.query.compiler import CompiledQuery, compile_query
 from repro.schema.schema import Schema
 
 
@@ -40,7 +36,8 @@ class ExecutionStats:
 def execute(compiled: Union[CompiledQuery, str], store,
             schema: Schema = None,
             **compile_kwargs) -> Tuple[List[tuple], ExecutionStats]:
-    """Run a compiled query (or compile query text first) over ``store``.
+    """Run a compiled query (or compile query text first) over ``store``
+    -- anything that serves ``scan_rows`` / ``get`` / ``is_member``.
 
     Returns ``(rows, stats)``.  A row is a tuple of the values of the
     ``select`` expressions; rows whose guarded accesses fail under the
@@ -50,118 +47,5 @@ def execute(compiled: Union[CompiledQuery, str], store,
         if schema is None:
             schema = store.schema
         compiled = compile_query(compiled, schema, **compile_kwargs)
-
     stats = ExecutionStats()
-    rows = run_rows(compiled, store, store.extent(compiled.source_class),
-                    stats)
-    return rows, stats
-
-
-def run_rows(compiled: CompiledQuery, store, objects: Iterable,
-             stats: ExecutionStats) -> List[tuple]:
-    """The shared row loop: evaluate the full compiled ``where`` and
-    ``select`` over ``objects``, updating ``stats`` in place."""
-    if compiled.aggregates is not None:
-        return _run_aggregate(compiled, store, objects, stats)
-    rows: List[tuple] = []
-    # One context serves the whole loop: compiled closures only ever
-    # *read* bindings, so rebinding the row variable is the only per-row
-    # state, and the single- / two-column select shapes skip the tuple
-    # genexp.  Counters accumulate in locals and flush even when a
-    # guarded access raises out of the loop (on_unsafe="error").
-    var = compiled.var
-    bindings = {var: None}
-    ctx = RuntimeContext(store=store, bindings=bindings, stats=stats)
-    where_fn = compiled.where_fn
-    select_fns = compiled.select_fns
-    select0 = select_fns[0] if len(select_fns) == 1 else None
-    append = rows.append
-    scanned = returned = skipped = 0
-    try:
-        for obj in objects:
-            scanned += 1
-            bindings[var] = obj
-            try:
-                if where_fn is not None and not where_fn(ctx):
-                    continue
-                if select0 is not None:
-                    append((select0(ctx),))
-                else:
-                    append(tuple(fn(ctx) for fn in select_fns))
-                returned += 1
-            except SkipRow:
-                skipped += 1
-    finally:
-        stats.rows_scanned += scanned
-        stats.rows_returned += returned
-        stats.rows_skipped += skipped
-    return rows
-
-
-class _Accumulator:
-    """One aggregate fold; values of INAPPLICABLE are skipped."""
-
-    def __init__(self, function: str) -> None:
-        self.function = function
-        self.n = 0
-        self.total = 0
-        self.best = None
-
-    def add(self, value) -> None:
-        from repro.typesys.values import INAPPLICABLE
-        if value is INAPPLICABLE:
-            return
-        self.n += 1
-        if self.function == "total" or self.function == "avg":
-            self.total += value
-        elif self.function == "min":
-            if self.best is None or value < self.best:
-                self.best = value
-        elif self.function == "max":
-            if self.best is None or value > self.best:
-                self.best = value
-
-    def result(self):
-        from repro.typesys.values import INAPPLICABLE
-        if self.function == "count":
-            return self.n
-        if self.function == "total":
-            return self.total
-        if self.n == 0:
-            return INAPPLICABLE  # min/max/avg of nothing
-        if self.function == "avg":
-            return self.total / self.n
-        return self.best
-
-
-def _run_aggregate(compiled: CompiledQuery, store, objects: Iterable,
-                   stats: ExecutionStats) -> List[tuple]:
-    accumulators = [
-        _Accumulator(function) for function, _fn in compiled.aggregates
-    ]
-    folds = list(zip(accumulators,
-                     (fn for _function, fn in compiled.aggregates)))
-    var = compiled.var
-    bindings = {var: None}
-    ctx = RuntimeContext(store=store, bindings=bindings, stats=stats)
-    where_fn = compiled.where_fn
-    scanned = skipped = 0
-    try:
-        for obj in objects:
-            scanned += 1
-            bindings[var] = obj
-            try:
-                if where_fn is not None and not where_fn(ctx):
-                    continue
-                for accumulator, operand_fn in folds:
-                    if operand_fn is None:
-                        accumulator.n += 1  # bare `count`: count the row
-                    else:
-                        accumulator.add(operand_fn(ctx))
-            except SkipRow:
-                skipped += 1
-    finally:
-        stats.rows_scanned += scanned
-        stats.rows_skipped += skipped
-    stats.rows_returned = 1
-    return [tuple(a.result() for a in accumulators)]
+    return compiled.scan(store, stats), stats

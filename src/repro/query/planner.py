@@ -23,7 +23,7 @@ indexed plan provably scan-equivalent:
    executor unions in the index's INAPPLICABLE posting (restricted to
    the candidates so far) *before* intersecting with the value posting.
    Those rows are then run through the unchanged compiled ``where``
-   closure, which skips/raises/nulls them exactly as the scan would.
+   expression, which skips/raises/nulls them exactly as the scan would.
 2. **A pushdown is only legal while the residual prefix cannot skip.**
    Conjuncts are evaluated left to right with short-circuit ``and``; a
    row pruned by conjunct *j* is silently dropped by the scan only if no
@@ -33,8 +33,8 @@ indexed plan provably scan-equivalent:
    conjuncts themselves never break the rule: memberships cannot skip,
    and equalities contribute their skip rows to the visit set.
 
-Rows that survive pruning are executed by the interpreter's ordinary row
-loop over the surrogate-sorted visit set, so results, order, and
+Rows that survive pruning run through the same generated row loop as
+the scan, over the surrogate-sorted visit set, so results, order, and
 ``rows_skipped`` all match the full scan exactly (property-tested in
 ``tests/test_planner_equivalence_properties.py``).
 
@@ -49,26 +49,21 @@ analysis, compilation, and pushdown extraction entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.query.ast import (
-    Aggregate,
-    And,
     Compare,
     Const,
     Expr,
     InClass,
-    Not,
     NotInClass,
-    Or,
     Path,
     Query,
     Var,
-    When,
+    split_conjuncts,
 )
-from repro.query.compiler import CompiledQuery, compile_query
-from repro.query.interpreter import ExecutionStats, run_rows
+from repro.query.compiler import CompiledQuery, compile_query, indent
+from repro.query.interpreter import ExecutionStats, execute
 from repro.schema.schema import Schema
 
 #: compile_query keyword options that shape the plan, with defaults;
@@ -105,9 +100,8 @@ class QueryPlan:
     blocked: Tuple[Tuple[str, str], ...]
     schema_version: int
     index_version: int
-    #: The specialized executor closure ``build_plan`` generates for this
-    #: exact pushdown sequence (see :func:`_compile_executor`).  Not part
-    #: of plan identity.
+    #: The function ``build_plan`` generates for this exact pushdown
+    #: sequence (:func:`_compile_executor`).  Not part of plan identity.
     executor: Callable = field(init=False, repr=False, compare=False)
 
     def explain(self, store=None) -> str:
@@ -121,30 +115,29 @@ class QueryPlan:
         else:
             lines.append("access path: cost-based at execute() -- index "
                          "pushdowns when they prune, else full scan")
-        shape = (f"{len(self.pushdowns)} pushdown step(s) inlined, "
-                 "probe constants bound" if self.pushdowns
-                 else "specialized full scan")
-        lines.append(f"executor: compiled closure ({shape})")
+        n_lines = self.executor._source.count("\n") + 1
+        lines.append(
+            f"executor: generated row function, {n_lines} lines "
+            f"({len(self.pushdowns)} pushdown step(s) inlined)")
+        manager = store.indexes if store is not None else ()
         for p in self.pushdowns:
-            if p.kind == "eq":
-                via = f"index({p.attribute}) + its INAPPLICABLE posting"
-            elif p.kind == "member":
-                via = f"extent-set intersection ({p.class_name})"
-            else:
-                via = f"extent-set subtraction ({p.class_name})"
+            via = {
+                "eq": f"index({p.attribute}) + its INAPPLICABLE posting",
+                "member": f"extent-set intersection ({p.class_name})",
+                "not-member": f"extent-set subtraction ({p.class_name})",
+            }[p.kind]
             estimate = ""
             if store is not None:
                 estimate = f"  ~{self._estimate(p, store)} rows"
             lines.append(f"  [pushdown] {p.text}  via {via}{estimate}")
-            if p.kind == "eq" and store is not None:
-                index = store.indexes.get(p.attribute)
-                if index is not None:
-                    d = index.describe()
-                    lines.append(
-                        f"             postings: {d['distinct_values']} "
-                        f"value(s) over {d['chunks']} bitset chunk(s), "
-                        f"{d['inapplicable']} inapplicable, "
-                        f"{d['residue']} residue")
+            if p.kind == "eq" and p.attribute in manager:
+                # The surface the live manager and a snapshot's frozen
+                # postings share.
+                lines.append(
+                    "             postings: "
+                    f"{len(manager.inapplicable(p.attribute))} "
+                    "inapplicable, "
+                    f"{len(manager.residue(p.attribute))} residue")
         for text in self.residual:
             lines.append(f"  [residual] {text}  -- guarded row loop")
         for text, reason in self.blocked:
@@ -152,18 +145,20 @@ class QueryPlan:
         if store is not None:
             lines.append(
                 f"  extent({source}): {store.count(source)} rows")
-            qstats = store.indexes.qstats
+            qstats = manager.qstats
             lines.append(
                 f"  plan cache: {qstats.plan_hits} hit(s), "
                 f"{qstats.plan_misses} miss(es), "
                 f"{qstats.plan_evictions} eviction(s); "
-                f"{qstats.compiled_execs} compiled execution(s)")
+                f"{qstats.compiled_execs} generated execution(s), "
+                f"{qstats.sources_compiled} source(s) compiled")
         return "\n".join(lines)
 
     def _estimate(self, p: Pushdown, store) -> int:
         if p.kind == "eq":
-            index = store.indexes.get(p.attribute)
-            return index.selectivity(p.value) if index is not None else 0
+            manager = store.indexes
+            return (manager.selectivity(p.attribute, p.value)
+                    if p.attribute in manager else 0)
         if p.kind == "member":
             return store.count(p.class_name)
         return max(store.count(self.compiled.source_class) -
@@ -174,36 +169,12 @@ class QueryPlan:
 # Pushdown extraction
 # ----------------------------------------------------------------------
 
-def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
-    """Top-level ``and`` conjuncts, in evaluation (left-to-right) order."""
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
 def _contains_path(expr: Expr) -> bool:
     """Whether evaluating ``expr`` can touch an attribute (and therefore
     potentially skip the row)."""
-    if isinstance(expr, Path):
-        return True
-    if isinstance(expr, (Var, Const)):
-        return False
-    if isinstance(expr, (InClass, NotInClass)):
-        return _contains_path(expr.expr)
-    if isinstance(expr, Not):
-        return _contains_path(expr.operand)
-    if isinstance(expr, (And, Or)):
-        return _contains_path(expr.left) or _contains_path(expr.right)
-    if isinstance(expr, Compare):
-        return _contains_path(expr.left) or _contains_path(expr.right)
-    if isinstance(expr, When):
-        return (_contains_path(expr.condition) or _contains_path(expr.then)
-                or _contains_path(expr.otherwise))
-    if isinstance(expr, Aggregate):
-        return expr.operand is not None and _contains_path(expr.operand)
-    return True   # unknown node: assume the worst
+    return isinstance(expr, Path) or any(
+        _contains_path(child) for child in vars(expr).values()
+        if isinstance(child, Expr))
 
 
 def _as_sargable(conjunct: Expr, var: str,
@@ -262,7 +233,7 @@ def build_plan(compiled: CompiledQuery, schema: Schema,
         schema_version=schema.version,
         index_version=manager.version,
     )
-    plan.executor = _compile_executor(plan)
+    plan.executor = _compile_executor(plan, manager.qstats)
     return plan
 
 
@@ -305,169 +276,141 @@ def plan_query(query: Union[str, Query], store,
 
 
 # ----------------------------------------------------------------------
-# Compiled execution
+# Generated execution
 # ----------------------------------------------------------------------
 
-def _compile_executor(plan: QueryPlan) -> Callable:
-    """Burn the plan's exact pushdown sequence into straight-line Python.
+def _compile_executor(plan: QueryPlan, qstats=None) -> Callable:
+    """Generate the plan's one function: the prune-or-scan decision for
+    this exact pushdown sequence as straight-line set algebra, then the
+    compiled query's row loop over whichever rows it chose.
 
-    The generated closure performs the whole prune-or-scan decision for
-    this one plan shape: probe constants and attribute names are bound
-    into its namespace, each pushdown becomes two or three inlined set
-    operations, and nothing walks the pushdown tuple at execution time.
-    The plan cache amortizes the (one-time, microseconds) ``exec`` over
-    every later execution of the same query text.
+    Probe constants, attribute and class names are bound into the
+    function's namespace (``_a0``/``_v0``/``_c0``), never spelled in the
+    source, so plans of one shape share a memoised code object
+    (:func:`repro.query.compiler.instantiate`) and a plan-cache miss
+    costs string assembly plus the ``exec`` of a ``def``.
 
-    The closure takes ``(store, stats)`` -- any store-like object with
+    The function takes ``(store, stats)`` -- any store-like object with
     an index manager, so one cached plan serves the live store and every
-    snapshot -- and returns the row list.  When the physical design moved
-    underneath the plan (a pushed equality's index was dropped) it runs
-    the guarded full scan: anything missing means scan, never a wrong
-    answer.
+    snapshot -- and returns the row list.  Rows arrive as
+    ``(ref, memberships, values)`` from ``store.scan_rows`` /
+    ``store.visit_rows``.  When the physical design moved underneath the
+    plan (a pushed equality's index was dropped) it runs the guarded
+    full scan: anything missing means scan, never a wrong answer.
     """
-    pushdowns = plan.pushdowns
-    env: Dict[str, object] = {
-        "run_rows": run_rows,
-        "_compiled": plan.compiled,
-        "_source": plan.compiled.source_class,
-    }
-    lines = [
-        "def _plan_executor(store, stats):",
-        "    manager = store.indexes",
-        "    qstats = manager.qstats",
-        "    qstats.compiled_execs += 1",
-    ]
-    scan = ("run_rows(_compiled, store, store.extent(_source), stats)")
-    # Stale-design guard first: every pushed equality still needs its
-    # index.
+    compiled = plan.compiled
+    env: Dict[str, object] = {}
+    scan = ["qstats.full_scans += 1",
+            "state = store.scan_rows(_source)"]
+    return compiled.emitter.function("_plan", "store, stats", [
+        "manager = store.indexes",
+        "qstats = manager.qstats",
+        "qstats.compiled_execs += 1",
+        *(_prune_or_scan(plan, env, scan) if plan.pushdowns else scan),
+        *compiled.loop_source(),
+    ], env, qstats)
+
+
+def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
+                   scan: List[str]) -> List[str]:
+    """Body lines that leave the rows to loop over in ``state``: the
+    visit set the pushdowns computed when it prunes, else ``scan``;
+    binds the probe constants into ``env``."""
+    compiled, pushdowns = plan.compiled, plan.pushdowns
+    n_eq = sum(1 for p in pushdowns if p.kind == "eq")
+    # When every where conjunct was pushed down (empty residual) and no
+    # aggregates fold, a candidate reached through *exact* value
+    # postings -- no residue merged, no INAPPLICABLE rows to visit -- is
+    # already proven to satisfy the whole where clause: its value sits
+    # in the probe's hash bucket (same ``==`` the comparison uses) and
+    # memberships were intersected directly.  Such runs take the
+    # where-free loop; any residue/skip contamination re-checks.
+    no_where = not plan.residual and compiled.aggregates is None
+    estimates, guards = [], []
     for i, p in enumerate(pushdowns):
         if p.kind == "eq":
             env[f"_a{i}"] = p.attribute
             env[f"_v{i}"] = p.value
-            lines += [
-                f"    if _a{i} not in manager:",
-                "        qstats.full_scans += 1",
-                f"        return {scan}",
-            ]
+            guards.append(f"_a{i} in manager")
+            estimates.append(f"manager.selectivity(_a{i}, _v{i}) + "
+                             f"len(manager.inapplicable(_a{i}))")
         else:
             env[f"_c{i}"] = p.class_name
-    if not pushdowns:
-        lines += [
-            "    qstats.full_scans += 1",
-            f"    return {scan}",
-        ]
+            estimates.append(f"store.count(_c{i})")
+    lines = ["visit = None"]
+    if no_where:
+        lines.append("proven = False")
+    algebra = ["extent_set = store.extent_surrogates(_source)",
+               "scan_rows = len(extent_set)"]
+    # Pre-estimate from index stats / extent counts: skip the set
+    # algebra when no pushdown can possibly prune.  A not-member
+    # pushdown has no cheap upper bound, so its presence disables the
+    # shortcut.
+    if any(p.kind == "not-member" for p in pushdowns):
+        algebra.append("if scan_rows:")
+    elif len(estimates) == 1:
+        algebra.append(f"if scan_rows and {estimates[0]} < scan_rows:")
     else:
-        lines += [
-            "    extent_set = store.extent_surrogates(_source)",
-            "    scan_rows = len(extent_set)",
-            "    if not scan_rows:",
-            "        qstats.full_scans += 1",
-            f"        return {scan}",
-        ]
-        # Pre-estimate from index stats / extent counts: skip the set
-        # algebra when no pushdown can possibly prune.  A not-member
-        # pushdown has no cheap upper bound, so its presence disables
-        # the shortcut.
-        if not any(p.kind == "not-member" for p in pushdowns):
-            lines.append("    floor = scan_rows")
-            for i, p in enumerate(pushdowns):
-                if p.kind == "eq":
-                    lines.append(
-                        f"    est = (manager.selectivity(_a{i}, _v{i})"
-                        f" + len(manager.inapplicable(_a{i})))")
-                else:
-                    lines.append(f"    est = store.count(_c{i})")
-                lines.append("    if est < floor:")
-                lines.append("        floor = est")
-            lines += [
-                "    if floor >= scan_rows:",
-                "        qstats.full_scans += 1",
-                f"        return {scan}",
+        algebra.append(
+            f"if scan_rows and min({', '.join(estimates)}) < scan_rows:")
+    steps = ["cand = extent_set"]
+    if n_eq:
+        steps.append("skips = None")
+    if no_where and n_eq:
+        steps.append("exact = True")
+    for i, p in enumerate(pushdowns):
+        if p.kind == "eq":
+            steps += [
+                f"inap = manager.inapplicable(_a{i}) & cand",
+                "skips = inap if skips is None else skips | inap",
+                f"matched = manager.lookup(_a{i}, _v{i}) & cand",
+                f"residue = manager.residue(_a{i})",
+                "if residue:",
             ]
-        lines.append("    cand = extent_set")
-        n_eq = sum(1 for p in pushdowns if p.kind == "eq")
-        # When every where conjunct was pushed down (empty residual) and
-        # no aggregates fold, a candidate reached through *exact* value
-        # postings -- no residue merged, no INAPPLICABLE rows to visit --
-        # is already proven to satisfy the whole where clause: its value
-        # sits in the probe's hash bucket (same ``==`` the comparison
-        # uses) and memberships were intersected directly.  Such runs
-        # take a where-free row loop; any residue/skip contamination
-        # falls back to the re-checking loop below.
-        no_where = (not plan.residual
-                    and plan.compiled.aggregates is None)
-        if no_where:
-            env["_nowhere"] = SimpleNamespace(
-                aggregates=None,
-                var=plan.compiled.var,
-                where_fn=None,
-                select_fns=plan.compiled.select_fns,
-            )
-        if n_eq:
-            lines.append("    skips = None")
-        if no_where and n_eq:
-            lines.append("    exact = True")
-        for i, p in enumerate(pushdowns):
-            if p.kind == "eq":
-                lines += [
-                    f"    inap = manager.inapplicable(_a{i}) & cand",
-                    "    skips = inap if skips is None else skips | inap",
-                    f"    matched = manager.lookup(_a{i}, _v{i}) & cand",
-                    f"    residue = manager.residue(_a{i})",
-                    "    if residue:",
+            if no_where:
+                steps += [
+                    "    res = residue & cand",
+                    "    if res:",
+                    "        matched = matched | res",
+                    "        exact = False",
                 ]
-                if no_where:
-                    lines += [
-                        "        res = residue & cand",
-                        "        if res:",
-                        "            matched = matched | res",
-                        "            exact = False",
-                    ]
-                else:
-                    lines.append(
-                        "        matched = matched | (residue & cand)")
-                lines.append("    cand = matched")
-            elif p.kind == "member":
-                lines.append(
-                    f"    cand = cand & store.extent_surrogates(_c{i})")
             else:
-                lines.append(
-                    f"    cand = cand - store.extent_surrogates(_c{i})")
-        lines += [
-            f"    qstats.index_lookups += {len(pushdowns)}",
-            f"    stats.index_lookups = {len(pushdowns)}",
-            "    visit = cand | skips" if n_eq else "    visit = cand",
-            "    pruned = scan_rows - len(visit)",
-            "    if pruned <= 0:",
-            "        qstats.full_scans += 1",
-            f"        return {scan}",
-            "    qstats.index_scans += 1",
-            "    qstats.rows_pruned += pruned",
-            "    stats.rows_pruned = pruned",
-            "    get = store.get",
-            # Bitset visit sets iterate in ascending surrogate order --
-            # the scan's extent order -- so no sort is needed.
-            "    objects = [get(s) for s in visit]",
-        ]
-        if no_where and n_eq:
-            lines += [
-                "    if exact and not skips:",
-                "        return run_rows(_nowhere, store, objects,"
-                " stats)",
-                "    return run_rows(_compiled, store, objects, stats)",
-            ]
-        elif no_where:
-            # Membership-only pushdowns are always exact.
-            lines.append(
-                "    return run_rows(_nowhere, store, objects, stats)")
+                steps.append("    matched = matched | (residue & cand)")
+            steps.append("cand = matched")
+        elif p.kind == "member":
+            steps.append(f"cand = cand & store.extent_surrogates(_c{i})")
         else:
-            lines.append(
-                "    return run_rows(_compiled, store, objects, stats)")
-    source_text = "\n".join(lines)
-    exec(compile(source_text, "<plan-executor>", "exec"), env)
-    executor = env["_plan_executor"]
-    executor._source = source_text   # introspectable (tests, debugging)
-    return executor
+            steps.append(f"cand = cand - store.extent_surrogates(_c{i})")
+    steps += [
+        f"qstats.index_lookups += {len(pushdowns)}",
+        f"stats.index_lookups = {len(pushdowns)}",
+        # Skip rows are visited, not pruned (module docstring, rule 1).
+        "visit = cand | skips" if n_eq else "visit = cand",
+        "pruned = scan_rows - len(visit)",
+        "if pruned <= 0:",
+        "    visit = None",
+    ]
+    if no_where:
+        # Membership-only pushdowns are always exact.
+        steps += ["else:", "    proven = exact and not skips" if n_eq
+                  else "    proven = True"]
+    algebra += indent(steps)
+    # Stale-design guard first: every pushed equality still needs its
+    # index.
+    if guards:
+        algebra = [f"if {' and '.join(guards)}:"] + indent(algebra)
+    lines += algebra + ["if visit is None:"] + indent(scan) + [
+        "else:",
+        "    qstats.index_scans += 1",
+        "    qstats.rows_pruned += pruned",
+        "    stats.rows_pruned = pruned",
+        # Bitset visit sets iterate in ascending surrogate order -- the
+        # scan's extent order -- so no sort is needed.
+        "    state = store.visit_rows(visit)",
+    ]
+    if no_where:
+        lines += ["if proven:"] + indent(compiled.loop_source(where=False))
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -476,11 +419,11 @@ def _compile_executor(plan: QueryPlan) -> Callable:
 
 def execute_plan(plan: QueryPlan, store) -> Tuple[List[tuple],
                                                   ExecutionStats]:
-    """Run a plan through its compiled executor closure: prune through
-    the indexes when that wins, fall back to the guarded full scan when
-    it does not.  Results and ``rows_skipped`` match
-    :func:`repro.query.interpreter.execute` on the same compiled query
-    exactly (property-tested in ``tests/test_columnar_properties.py``).
+    """Run a plan through its generated function: prune through the
+    indexes when that wins, fall back to the guarded full scan when it
+    does not.  Results and every ``ExecutionStats`` field match the
+    closure-tree reference (``tests/reference_query.py``) on the same
+    compiled query exactly (``tests/test_generated_equivalence.py``).
     """
     stats = ExecutionStats()
     return plan.executor(store, stats), stats
@@ -496,7 +439,5 @@ def execute_planned(query: Union[str, Query], store,
     the plain guarded scan.
     """
     if not hasattr(store, "indexes"):
-        from repro.query.interpreter import execute
         return execute(query, store, **compile_kwargs)
-    plan = plan_query(query, store, **compile_kwargs)
-    return execute_plan(plan, store)
+    return execute_plan(plan_query(query, store, **compile_kwargs), store)

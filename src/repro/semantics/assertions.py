@@ -20,12 +20,10 @@ exceptional subclasses' differing assertions on those subclasses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import QueryTypeError, SchemaError, UnknownClassError
-from repro.query.compiler import RuntimeContext, SkipRow, _Compiler
-from repro.query.parser import parse_expr
-from repro.query.typing import FlowFacts, QueryTyper
+from repro.query.compiler import compile_predicate
 
 
 @dataclass(frozen=True)
@@ -75,22 +73,13 @@ class AssertionChecker:
         if key in self._compiled:
             raise SchemaError(
                 f"assertion {name!r} already attached to {class_name!r}")
-        expr = parse_expr(expression)
-        env = {"self": class_name}
-        facts = FlowFacts().assume("self", class_name, True)
-        typer = QueryTyper(self.schema)
-        typer.infer(expr, env, facts)
-        errors = [f for f in typer.findings if f.severity == "error"]
-        if errors:
+        try:
+            self._compiled[key] = compile_predicate(
+                self.schema, class_name, expression)
+        except QueryTypeError as exc:
             raise QueryTypeError(
                 f"assertion {name!r} on {class_name!r} is ill-typed: "
-                + "; ".join(str(e) for e in errors))
-        # Predicates run over possibly part-populated objects, so every
-        # access is guarded: a missing value falls out as SkipRow
-        # rather than a hard failure.
-        compiler = _Compiler(self.schema, assume_unshared=True,
-                             eliminate_checks=False, on_unsafe="skip")
-        self._compiled[key] = compiler.compile_expr(expr, env, facts)
+                f"{exc}") from None
         assertion = ClassAssertion(class_name, name, expression, doc)
         self._assertions.setdefault(class_name, []).append(assertion)
         return assertion
@@ -114,7 +103,8 @@ class AssertionChecker:
                 if key in seen:
                     continue
                 seen.add(key)
-                verdict = self._evaluate(store, obj, key)
+                # None is indeterminate: a touched value was missing.
+                verdict = self._compiled[key](store, obj)
                 if verdict is False:
                     violations.append(AssertionViolation(
                         "violated", obj.surrogate, assertion))
@@ -128,16 +118,3 @@ class AssertionChecker:
         for obj in store.instances():
             out.extend(self.check_object(store, obj))
         return out
-
-    def _evaluate(self, store, obj, key) -> Optional[bool]:
-        fn = self._compiled[key]
-
-        class _Stats:
-            checks_executed = 0
-
-        ctx = RuntimeContext(store=store, bindings={"self": obj},
-                             stats=_Stats())
-        try:
-            return bool(fn(ctx))
-        except SkipRow:
-            return None  # indeterminate: an accessed value was missing

@@ -55,13 +55,11 @@ class MaskedSnapshot:
     extent (and therefore from counts and index candidate sets, which
     all start from the source extent).  get/is_member stay unmasked."""
 
-    __slots__ = ("_snap", "_foreign", "indexes", "schema", "_masked")
+    __slots__ = ("_snap", "_foreign", "_masked")
 
     def __init__(self, snap, foreign: SurrogateSet) -> None:
         self._snap = snap
         self._foreign = foreign
-        self.indexes = snap.indexes
-        self.schema = snap.schema
         self._masked: Dict[str, SurrogateSet] = {}
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
@@ -74,18 +72,21 @@ class MaskedSnapshot:
             self._masked[class_name] = cached
         return cached
 
-    def extent(self, class_name: str):
-        get = self._snap.get
-        return tuple(get(s) for s in self.extent_surrogates(class_name))
-
     def count(self, class_name: str) -> int:
         return len(self.extent_surrogates(class_name))
 
-    def get(self, surrogate):
-        return self._snap.get(surrogate)
+    def scan_rows(self, class_name: str) -> list:
+        masked = self.extent_surrogates(class_name)
+        if len(masked) == self._snap.count(class_name):
+            # Nothing of this class is foreign: the snapshot's own
+            # (cached) row list is the masked one.
+            return self._snap.scan_rows(class_name)
+        return self._snap.visit_rows(masked)
 
-    def is_member(self, obj, class_name: str) -> bool:
-        return self._snap.is_member(obj, class_name)
+    def __getattr__(self, name: str):   # only what no extent flows through
+        if name not in ("get", "is_member", "visit_rows", "indexes", "schema"):
+            raise AttributeError(name)
+        return getattr(self._snap, name)
 
 
 class ShardServer:

@@ -51,6 +51,10 @@ class StoredEntity:
             return self._view.entity(value)
         return value
 
+    def get(self, name: str, default=INAPPLICABLE):
+        # A row's ``values`` in the generated query loop: the proxy.
+        return self.get_value(name)
+
     def value_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._load()))
 
@@ -84,6 +88,8 @@ class EngineView:
             self._proxies[surrogate] = proxy
         return proxy
 
+    get = entity    # the name the store read surface uses
+
     def extent(self, class_name: str) -> Tuple[StoredEntity, ...]:
         """All stored instances of ``class_name`` (partition-pruned)."""
         if not self.schema.has_class(class_name):
@@ -99,6 +105,10 @@ class EngineView:
                     out.append(self.entity(surrogate))
         out.sort(key=lambda e: e.surrogate)
         return tuple(out)
+
+    def scan_rows(self, class_name: str) -> list:
+        return [(e.surrogate, e.memberships, e)
+                for e in self.extent(class_name)]
 
     def count(self, class_name: str) -> int:
         return len(self.extent(class_name))

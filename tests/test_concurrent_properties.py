@@ -249,3 +249,57 @@ def test_interleaved_writers_serialize():
     snap = shared.snapshot(wait=True)
     assert snap.count("Patient") == N_PATIENTS + 2 * per_thread
     _check_snapshot_consistency(snap)
+
+
+def test_readers_race_to_build_one_snapshots_row_lists():
+    """A snapshot's lazily built query rows (``scan_rows``) and wrappers
+    are shared by every reader thread: racing first queries against one
+    fresh snapshot must all see the single-threaded answer, and end up
+    holding the same row list and the same wrapper per object."""
+    import sys
+
+    from repro.scenarios import populate_hospital
+
+    store = populate_hospital(schema=SCHEMA, n_patients=300, seed=9).store
+    queries = ("for p in Patient where p.age > 40 select p, p.name",
+               "for p in Person select count, max p.age",
+               "for p in Patient where p in Alcoholic select p.treatedBy")
+    expected = [store.snapshot().run_query(q)[0] for q in queries]
+    results, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_no in range(5):
+            store.set_value(store.extent("Patient")[0], "age",
+                            41 + round_no)
+            expected[0] = None      # the write moved it; threads agree
+            snap = store.snapshot()
+            barrier = threading.Barrier(6)
+
+            def reader():
+                try:
+                    barrier.wait(timeout=10)
+                    results.append((snap, [snap.run_query(q)[0]
+                                           for q in queries],
+                                    snap.scan_rows("Patient")))
+                except BaseException as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+    assert len(results) == 30
+    first = {}
+    for snap, rows, row_list in results:
+        leader = first.setdefault(id(snap), (rows, row_list))
+        assert rows == leader[0]
+        assert rows[1:] == expected[1:]
+        assert row_list is leader[1]
+        # `select p` handed out the snapshot's one wrapper per object.
+        assert all(a[0] is b[0] for a, b in zip(rows[0], leader[0][0]))

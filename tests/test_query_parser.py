@@ -1,6 +1,5 @@
 """Query language parser."""
 
-import functools
 import string
 
 import pytest
@@ -24,6 +23,7 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse_expr
 from repro.typesys import EnumSymbol
+from tests.reference_query import query_trees
 
 
 class TestQueries:
@@ -136,9 +136,6 @@ class TestErrors:
 # text that parses to the same tree.
 # --------------------------------------------------------------------------
 
-_names = st.sampled_from(("p", "x", "True", "q_1", "counter"))
-_classes = st.sampled_from(("Patient", "Alcoholic", "Hospital$1"))
-_attributes = st.sampled_from(("age", "name", "treatedBy", "location"))
 #: What the lexer can spell: unsigned integers, strings without a quote
 #: or newline (there is no escape syntax), booleans, enum symbols.
 _consts = st.one_of(
@@ -147,37 +144,12 @@ _consts = st.one_of(
     st.text(alphabet=sorted(set(string.printable) - set('"\n\r\x0b\x0c')),
             max_size=8),
     st.sampled_from(("Low_BP", "NJ", "a#1")).map(EnumSymbol),
-).map(Const)
-_paths = st.builds(
-    lambda var, attrs: functools.reduce(Path, attrs, Var(var)),
-    _names, st.lists(_attributes, max_size=3))
-
-
-def _compound(children):
-    return st.one_of(
-        st.builds(Compare, st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-                  children, children),
-        st.builds(InClass, children, _classes),
-        st.builds(NotInClass, children, _classes),
-        st.builds(And, children, children),
-        st.builds(Or, children, children),
-        st.builds(Not, children),
-        st.builds(When, children, children, children),
-        st.builds(Path, children, _attributes),
-    )
-
-
-_exprs = st.recursive(st.one_of(_consts, _paths), _compound, max_leaves=10)
-_select_items = st.one_of(
-    _exprs,
-    st.just(Aggregate("count")),
-    st.builds(Aggregate,
-              st.sampled_from(("count", "min", "max", "avg", "total")),
-              _exprs),
 )
-_query_trees = st.builds(
-    Query, _names, _classes, st.none() | _exprs,
-    st.lists(_select_items, min_size=1, max_size=3).map(tuple))
+_query_trees = query_trees(
+    names=("p", "x", "True", "q_1", "counter"),
+    classes=("Patient", "Alcoholic", "Hospital$1"),
+    attributes=("age", "name", "treatedBy", "location"),
+    consts=_consts)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,6 +17,8 @@ from repro.query import (
     execute_planned,
     plan_query,
 )
+from repro.lang.loader import load_schema
+from repro.query.compiler import _code_object
 from repro.query.planner import split_conjuncts
 from repro.query.parser import parse_query
 from repro.scenarios import populate_hospital
@@ -255,6 +257,23 @@ class TestExplain:
         assert "no index on 'name'" in text
         assert "extent(Patient):" in text
 
+    @pytest.mark.parametrize("face", ["live", "snapshot"])
+    def test_explain_reads_postings_off_either_index_face(self, world,
+                                                          face):
+        # One cached plan serves the live store and every snapshot --
+        # explain() included (a SnapshotIndexes has no .get()).
+        _pop, store = world
+        plan = plan_query(
+            "for p in Patient where p.ward = 3 select p.name", store)
+        target = store if face == "live" else store.snapshot()
+        text = plan.explain(target)
+        assert "executor: generated row function, " in text
+        assert "~0 rows" in text            # no patient's ward is 3
+        ambulatory = len(store.indexes.inapplicable("ward"))
+        assert ambulatory > 0
+        assert f"postings: {ambulatory} inapplicable, 0 residue" in text
+        assert "source(s) compiled" in text
+
     def test_explain_without_store_omits_estimates(self, world):
         _pop, store = world
         plan = plan_query(
@@ -273,6 +292,12 @@ class TestExplain:
         assert rc == 0
         assert "[pushdown] p.age = 37" in out
         assert "index(age)" in out
+        # "Why was this query slow" without a debugger: the function the
+        # plan runs, then what its generated names are bound to.
+        assert "def _plan(store, stats):" in out
+        assert "for ref, memberships, values in state:" in out
+        assert "_v0 = 37" in out and "_f0 = 'age'" in out
+        assert "37" not in out.split("def _plan")[1].split("_a0 =")[0]
 
     def test_cli_explain_without_index_unchanged_prefix(self, tmp_path,
                                                         capsys):
@@ -286,3 +311,72 @@ class TestExplain:
         assert rc == 0
         assert "checks:" in out           # the compiled half still leads
         assert "no index on 'age'" in out
+
+
+# --------------------------------------------------------------------------
+# Compile once per shape: names and constants are namespace-bound, so the
+# code object is shared by every query that differs only in those.
+# --------------------------------------------------------------------------
+
+_SEL = "for x in Hemorrhaging_Patient where x.age = 37 select x.name"
+
+
+class TestShapes:
+    @pytest.fixture()
+    def store(self, hospital_schema):
+        store = populate_hospital(schema=hospital_schema, n_patients=30,
+                                  seed=5).store
+        store.create_index("age")
+        _code_object.cache_clear()
+        return store
+
+    def test_alpha_renamed_texts_compile_one_code_object(self, store):
+        qstats = store.indexes.qstats
+        texts = [_SEL.replace("x.", f"x{i}.").replace(" x ", f" x{i} ")
+                 for i in range(512)]
+        plans = [plan_query(text, store) for text in texts]
+        assert qstats.plan_misses == 512
+        assert qstats.sources_compiled == 1
+        assert len({id(plan.executor.__code__) for plan in plans}) == 1
+        assert len({plan.executor for plan in plans}) == 512
+        # The 256-plan cache evicted half of them; the code object is
+        # not theirs to take along.
+        assert qstats.plan_evictions >= 256
+        plan_query(texts[0], store)
+        assert qstats.plan_misses == 513
+        assert qstats.sources_compiled == 1
+
+    def test_distinct_constants_and_names_do_not_add_shapes(self, store):
+        qstats = store.indexes.qstats
+        results = {}
+        for age in (37, 38, 40):
+            text = f"for p in Patient where p.age = {age} select p.name"
+            results[age] = execute_planned(text, store)[0]
+            assert results[age] == execute(text, store)[0]
+        execute_planned("for q in Person where q.age = 50 select q.home",
+                        store.snapshot())
+        # One planned shape: an eq pushdown and one unguarded select.
+        assert qstats.sources_compiled == 1
+        assert len({tuple(rows) for rows in results.values()}) > 1
+
+    def test_schemas_share_code_but_not_subclass_sets(self):
+        cdl = """
+        class Person with name: String; end
+        class Patient is-a Person with ward: String; end
+        class Alcoholic is-a {parent} with therapy: String; end
+        """
+        text = "for p in Person where p in Patient select p.name"
+        rows, plans = {}, {}
+        _code_object.cache_clear()
+        for parent in ("Patient", "Person"):
+            store = ObjectStore(load_schema(cdl.format(parent=parent)))
+            store.create("Alcoholic", name="al")
+            store.create("Patient", name="pat")
+            plans[parent] = plan_query(text, store)
+            rows[parent] = sorted(execute_plan(plans[parent], store)[0])
+            assert store.indexes.qstats.sources_compiled == (
+                1 if parent == "Patient" else 0)
+        assert (plans["Patient"].executor.__code__
+                is plans["Person"].executor.__code__)
+        assert rows == {"Patient": [("al",), ("pat",)],
+                        "Person": [("pat",)]}

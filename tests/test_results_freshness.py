@@ -186,30 +186,6 @@ def test_bench_wal_json_structure():
             <= paths["wal group"]["objects_per_sec"])
 
 
-def test_bench_columnar_json_structure():
-    data = _bench_json("BENCH_columnar.json")
-    assert data["experiment"] == "A9-columnar"
-    assert data["n_patients"] >= 10_000
-    queries = data["queries"]
-    assert {"eq", "member+eq", "eq+excused", "not-member+eq"} \
-        <= set(queries)
-    for name, entry in queries.items():
-        assert entry["legacy_ms"] > 0 and entry["columnar_ms"] > 0
-        assert entry["speedup"] > 1.0, name
-    # The committed run cleared the acceptance floor on every selective
-    # query (the benchmark asserts >= 5x again on regeneration).
-    assert data["min_selective_speedup"] >= 5.0
-    # Fresh-snapshot construction grows at least 4x slower than store
-    # size (sublinear; the committed run is near-flat).
-    snap = data["snapshot_construction"]
-    assert snap["sizes"] == sorted(snap["sizes"])
-    assert snap["time_ratio"] < snap["size_ratio"] / 4
-    for size in snap["sizes"]:
-        assert snap["median_us"][str(size)] > 0
-    # The columnar path actually exercised the bitset algebra.
-    assert data["bitset_counters"]["words_anded"] > 0
-
-
 def test_bench_sharded_json_structure():
     data = _bench_json("BENCH_sharded.json")
     assert data["experiment"] == "A10-sharded"
