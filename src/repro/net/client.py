@@ -69,7 +69,6 @@ DEFAULT_POOL = 2
 DEFAULT_RETRIES = 2
 
 
-
 class Connection:
     """One blocking socket speaking the framed protocol.
 
@@ -94,64 +93,63 @@ class Connection:
         except OSError:
             pass
         self.decoder = protocol.FrameDecoder(max_frame)
-        self._pending: deque = deque()
         self.alive = True
-        self.hello = self.recv()
-        if self.hello.get("proto") != protocol.PROTO_NAME:
-            self.close()
-            raise ProtocolError(
-                f"peer at {host}:{port} is not a repro-net server "
-                f"(hello: {self.hello!r})")
-        if self.hello.get("version") != protocol.PROTO_VERSION:
-            self.close()
-            raise ProtocolError(
-                f"protocol version mismatch: server speaks "
-                f"{self.hello.get('version')}, client speaks "
-                f"{protocol.PROTO_VERSION}")
+        try:
+            self.hello = self.recv()
+            if self.hello.get("proto") != protocol.PROTO_NAME:
+                raise ProtocolError(
+                    f"peer at {host}:{port} is not a repro-net server "
+                    f"(hello: {self.hello!r})")
+            if self.hello.get("version") != protocol.PROTO_VERSION:
+                raise ProtocolError(
+                    f"protocol version mismatch: server speaks "
+                    f"{self.hello.get('version')}, client speaks "
+                    f"{protocol.PROTO_VERSION}")
+        except BaseException:
+            self.close()        # every failed hello, not just a wrong one
+            raise
         self.role = self.hello.get("role")
+
+    def _lost(self, exc: OSError, doing: str) -> NetError:
+        """The typed error for a socket failure; the connection dies."""
+        self.alive = False
+        if isinstance(exc, socket.timeout):
+            return RequestTimeoutError(f"timed out {doing}")
+        return ConnectionLostError(f"connection lost {doing}: {exc}")
 
     def send(self, message: Dict[str, object]) -> None:
         try:
             self.sock.sendall(protocol.encode_frame(message))
-        except socket.timeout as exc:
-            self.alive = False
-            raise RequestTimeoutError(
-                "timed out sending a request") from exc
         except OSError as exc:
-            self.alive = False
-            raise ConnectionLostError(
-                f"connection lost while sending: {exc}") from exc
+            raise self._lost(exc, "sending a request") from exc
 
-    def recv(self) -> Dict[str, object]:
-        """The next message, in arrival order (pipelining-safe)."""
-        if self._pending:
-            return self._pending.popleft()
-        while True:
-            try:
-                arrived = list(self.decoder.messages())
-            except ProtocolError:
-                self.alive = False
-                raise
-            if arrived:
-                self._pending.extend(arrived)
-                return self._pending.popleft()
-            try:
+    def recv(self, rid=None) -> Dict[str, object]:
+        """The next message, in arrival order (pipelining-safe); given
+        ``rid``, it must be the response to that request."""
+        decoder = self.decoder
+        try:
+            while True:
+                message = decoder.next_message()
+                if message is not None:
+                    if rid is not None and message.get("id") != rid:
+                        raise ProtocolError(
+                            f"response id {message.get('id')!r} does "
+                            f"not match request id {rid!r}")
+                    return message
+                if not self.alive:      # EOF seen, and no torn tail
+                    raise ConnectionLostError(
+                        "server closed the connection")
                 chunk = self.sock.recv(1 << 16)
-            except socket.timeout as exc:
-                self.alive = False
-                raise RequestTimeoutError(
-                    "timed out waiting for a response") from exc
-            except OSError as exc:
-                self.alive = False
-                raise ConnectionLostError(
-                    f"connection lost while receiving: {exc}") from exc
-            if not chunk:
-                self.alive = False
-                self.decoder.close()
-                list(self.decoder.messages())   # raises on a torn tail
-                raise ConnectionLostError(
-                    "server closed the connection")
-            self.decoder.feed(chunk)
+                if chunk:
+                    decoder.feed(chunk)
+                else:
+                    self.alive = False
+                    decoder.close()
+        except OSError as exc:
+            raise self._lost(exc, "waiting for a response") from exc
+        except ProtocolError:
+            self.alive = False
+            raise
 
     def close(self) -> None:
         self.alive = False
@@ -251,7 +249,7 @@ class StoreClient:
                 continue
             try:
                 conn.send(message)
-                response = conn.recv()
+                response = conn.recv(message["id"])
             except (ConnectionLostError, RequestTimeoutError) as exc:
                 conn.close()
                 last_exc = exc
@@ -260,11 +258,6 @@ class StoreClient:
                 conn.close()
                 raise
             self._release(conn)
-            if response.get("id") != message["id"]:
-                conn.close()
-                raise ProtocolError(
-                    f"response id {response.get('id')!r} does not "
-                    f"match request id {message['id']!r}")
             return self._result(response)
         raise last_exc    # type: ignore[misc]
 
@@ -287,14 +280,9 @@ class StoreClient:
                 conn.send(message)
             results: List[object] = []
             for message in messages:
-                response = conn.recv()
-                if response.get("id") != message["id"]:
-                    raise ProtocolError(
-                        f"pipelined response id "
-                        f"{response.get('id')!r} does not match "
-                        f"request id {message['id']!r}")
                 try:
-                    results.append(self._result(response))
+                    results.append(
+                        self._result(conn.recv(message["id"])))
                 except (NotPrimaryError, ReplicaLagError,
                         RemoteOpError) as exc:
                     results.append(exc)

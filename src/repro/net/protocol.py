@@ -24,10 +24,10 @@ Every decode failure is a **typed** error (:mod:`repro.errors`):
 Framing errors poison the connection (sync is lost), never the server:
 the handler sends a best-effort error frame and closes.
 
-:class:`FrameDecoder` is the incremental parser both sides share: feed
-it byte chunks in any granularity, take complete payloads out.  The
-async helpers (:func:`read_frame` / :func:`write_frame`) serve the
-asyncio server; the sync client drives the decoder off a blocking
+:class:`FrameDecoder` is the one frame parser, shared by both sides:
+feed it byte chunks in any granularity, take complete messages out one
+:meth:`~FrameDecoder.next_message` at a time.  The server feeds it from
+its connection protocol's read buffer, the sync client off a blocking
 socket.
 """
 
@@ -81,8 +81,8 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
 class FrameDecoder:
     """Incremental frame parser over an unbounded byte stream.
 
-    ``feed`` appends received bytes; ``frames`` yields every complete,
-    CRC-valid payload and leaves any partial frame buffered for the
+    ``feed`` appends received bytes; ``next_frame`` takes one complete,
+    CRC-valid payload out and leaves any partial frame buffered for the
     next feed.  The decoder validates the announced length *before*
     buffering toward it, so a hostile header can never make it hold
     more than ``max_frame`` + header bytes.
@@ -106,82 +106,40 @@ class FrameDecoder:
         """The stream ended; a buffered partial frame is now a tear."""
         self._closed = True
 
-    def frames(self) -> Iterator[bytes]:
-        """Yield every complete payload currently buffered.
+    def next_frame(self) -> Optional[bytes]:
+        """Take the next complete, CRC-valid payload; ``None`` while
+        the buffered bytes do not hold one.
 
         Raises the typed framing errors; after closing, a leftover
         partial frame raises :class:`FrameTruncatedError`.
         """
         buffer = self._buffer
-        while True:
-            if len(buffer) < HEADER_SIZE:
-                break
+        if len(buffer) >= HEADER_SIZE:
             length, crc = _HEADER.unpack_from(buffer, 0)
             if length > self.max_frame:
                 raise FrameTooLargeError(length, self.max_frame)
             end = HEADER_SIZE + length
-            if len(buffer) < end:
-                break
-            payload = bytes(buffer[HEADER_SIZE:end])
-            if zlib.crc32(payload) != crc:
-                raise FrameCorruptError(
-                    f"frame CRC mismatch on a {length}-byte payload")
-            del buffer[:end]
-            yield payload
+            if len(buffer) >= end:
+                payload = bytes(buffer[HEADER_SIZE:end])
+                if zlib.crc32(payload) != crc:
+                    raise FrameCorruptError(
+                        f"frame CRC mismatch on a {length}-byte payload")
+                del buffer[:end]
+                return payload
         if self._closed and buffer:
             raise FrameTruncatedError(
                 f"stream ended with {len(buffer)} byte(s) of a "
                 "partial frame")
+        return None
+
+    def next_message(self) -> Optional[Dict[str, object]]:
+        """:meth:`next_frame`, decoded to its JSON object."""
+        payload = self.next_frame()
+        return None if payload is None else decode_payload(payload)
+
+    def frames(self) -> Iterator[bytes]:
+        """Every complete payload currently buffered."""
+        return iter(self.next_frame, None)
 
     def messages(self) -> Iterator[Dict[str, object]]:
-        for payload in self.frames():
-            yield decode_payload(payload)
-
-
-# ----------------------------------------------------------------------
-# asyncio stream helpers (the server side)
-# ----------------------------------------------------------------------
-
-async def read_frame(reader, max_frame: int = MAX_FRAME,
-                     on_bytes=None) -> Optional[Dict[str, object]]:
-    """Read one message off an asyncio stream.
-
-    Returns ``None`` on a clean end-of-stream at a frame boundary;
-    raises the typed errors on every other malformation (including a
-    peer that disconnects mid-frame).  ``on_bytes``, when given, is
-    called with the number of raw bytes consumed (header + payload) --
-    the server's traffic counter hook.
-    """
-    import asyncio
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None           # clean close between frames
-        raise FrameTruncatedError(
-            f"peer closed mid-header ({len(exc.partial)} of "
-            f"{HEADER_SIZE} bytes)") from exc
-    length, crc = _HEADER.unpack(header)
-    if length > max_frame:
-        raise FrameTooLargeError(length, max_frame)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameTruncatedError(
-            f"peer closed mid-frame ({len(exc.partial)} of "
-            f"{length} bytes)") from exc
-    if on_bytes is not None:
-        on_bytes(HEADER_SIZE + length)
-    if zlib.crc32(payload) != crc:
-        raise FrameCorruptError(
-            f"frame CRC mismatch on a {length}-byte payload")
-    return decode_payload(payload)
-
-
-def hello(role: str, **extra) -> Dict[str, object]:
-    """The server's first frame on every connection: protocol identity,
-    version, and role (``"primary"`` | ``"replica"``)."""
-    message = {"proto": PROTO_NAME, "version": PROTO_VERSION,
-               "role": role}
-    message.update(extra)
-    return message
+        return iter(self.next_message, None)

@@ -4,23 +4,15 @@ One :class:`StoreService` owns one listening socket and one
 :class:`~repro.net.backends.StoreBackend`, which supplies every data
 operation (``op_query`` ... ``op_checkpoint``) while the service keeps
 the transport concerns: framing, pipelining, backpressure, role
-enforcement, epoch-token waits, and WAL shipping.  Three backends give
-the service its three roles:
-
-* **primary** over a single store
-  (:class:`~repro.net.backends.ConcurrentBackend`): reads from MVCC
-  snapshots (wait-free against writers), mutations through the store's
-  serialized pipeline, and -- when the store is WAL-durable -- the
-  replication ops (``repl_handshake`` / ``repl_fetch`` / ``repl_dump``)
-  ship the committed log to replicas;
-* **primary** over a sharded store
-  (:class:`~repro.net.backends.ShardedBackend`): writes routed to
-  owner shards, queries scatter-gathered with deduction pruning, every
-  op pushed off the event loop (the router blocks on worker IPC);
-* **replica** (:class:`~repro.net.backends.ReplicaBackend`): reads at
-  the replica's replay position, honoring epoch tokens; mutations
-  refused with :class:`~repro.errors.NotPrimaryError`; a background
-  task keeps pulling the primary's WAL tail.
+enforcement, epoch-token waits, and WAL shipping.  The backend gives
+the service its role (:mod:`repro.net.backends` describes the three):
+**primary** over a single store (MVCC snapshot reads, serialized
+writes, and -- when WAL-durable -- the ``repl_*`` ops that ship the
+committed log); **primary** over a sharded store (every op off the
+event loop: the router blocks on worker IPC); **replica** (reads at the
+replay position, honoring epoch tokens; mutations refused with
+:class:`~repro.errors.NotPrimaryError`; a background task keeps pulling
+the primary's WAL tail).
 
 Write acks carry **vector epoch tokens** (:mod:`repro.net.tokens`):
 ``{shard_id: seq}`` maps composed from the backend's commit positions.
@@ -36,11 +28,23 @@ Connection discipline:
   **pipelining** is the client's right -- it may write any number of
   requests before reading; the server processes them strictly in
   order per connection and writes responses in the same order;
-* **backpressure** is per connection on both directions: the server
-  awaits the transport's drain after every response (a slow reader
-  suspends only its own connection's request loop, and TCP flow
-  control propagates the stall to the sender), and a request frame is
-  read only after the previous response was accepted;
+* a connection is one :class:`asyncio.BufferedProtocol` over the one
+  :class:`~repro.net.protocol.FrameDecoder`: reads land in a reused
+  buffer and every complete frame already buffered is served at once,
+  a loop-safe request inside the read callback, and replies to frames
+  read together share one write.  A request that must leave the loop
+  (a fenced row, any row of a ``blocking`` backend, ``token_wait``,
+  ``repl_dump``) becomes a task, and the connection stops reading and
+  **holds its later frames** until that reply is written;
+* **backpressure** is per connection, both ways: when a peer stops
+  reading its replies the transport passes its high-water mark
+  (``pause_writing``) and the connection neither serves nor reads
+  until it drains (``resume_writing``); TCP flow control carries the
+  stall to the sender, and no other connection notices;
+* ``idle_timeout`` is armed when a connection goes **idle** (every
+  buffered request answered) and cancelled when a complete frame is
+  taken: it cuts a silent peer and one stalled mid-frame, never a
+  connection whose bulk load, checkpoint or ``token_wait`` still runs;
 * an *operation* failure (a conformance rejection, an unknown class)
   travels back as a typed error response and the connection lives on;
   a *protocol* failure (torn/corrupt/oversized frame) poisons only
@@ -61,7 +65,7 @@ import asyncio
 import itertools
 import json
 import logging
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     NetError,
@@ -95,6 +99,15 @@ DEFAULT_POLL_INTERVAL = 0.05
 #: In-flight paged catch-up dumps kept server-side (oldest evicted).
 DUMP_CACHE_LIMIT = 4
 
+#: Per-connection read buffer, and the buffered output past which a
+#: connection stops serving a peer that is not reading its replies.
+READ_BUFFER = WRITE_HIGH = 1 << 16
+
+#: Ceiling on a client-chosen ``token_wait`` timeout, and how often a
+#: parked wait looks anyway (an embedder may move the store unseen).
+MAX_TOKEN_WAIT = 60.0
+TOKEN_RECHECK = 0.05
+
 
 def _wrap_backend(store, replica) -> StoreBackend:
     if (store is None) == (replica is None):
@@ -109,6 +122,11 @@ def _wrap_backend(store, replica) -> StoreBackend:
     if hasattr(store, "n_shards") and hasattr(store, "position_token"):
         return ShardedBackend(store)
     return ConcurrentBackend(store)
+
+
+def _release(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 class StoreService:
@@ -165,6 +183,10 @@ class StoreService:
         #: divergence, replay failure); None while the sync loop is
         #: healthy.  Surfaced by ping / repl_status.
         self._sync_fault: Optional[str] = None
+        #: Accepted connections (``stop`` closes them itself) and the
+        #: futures of parked ``token_wait`` requests.
+        self._connections: Set["_Connection"] = set()
+        self._waiters: Set[asyncio.Future] = set()
 
     @property
     def _store(self):
@@ -182,8 +204,8 @@ class StoreService:
         bound ``(host, port)`` (an ephemeral port is resolved here)."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self.address = (self.host, self.port)
         if self.role == "replica" and self.poll_interval:
@@ -193,42 +215,39 @@ class StoreService:
     async def stop(self) -> None:
         if self._sync_task is not None:
             self._sync_task.cancel()
-            try:
-                await self._sync_task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await asyncio.wait([self._sync_task])
             self._sync_task = None
         if self._server is not None:
             self._server.close()
+            # Server.close() stops listening; before 3.13 it leaves the
+            # accepted transports open.
+            for connection in list(self._connections):
+                connection.transport.abort()
             await self._server.wait_closed()
             self._server = None
         if self._stop_event is not None:
             self._stop_event.set()
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and block until :meth:`shutdown`."""
+    async def serve_forever(self, started=None) -> None:
+        """Start (if needed), call ``started()``, and serve until
+        :meth:`shutdown`."""
         if self._server is None:
             await self.start()
-        await self._stop_event.wait()
-        await self.stop()
+        if started is not None:
+            started()
+        try:
+            await self._stop_event.wait()
+        finally:
+            await self.stop()
 
     def run_background(self) -> Tuple[str, int]:
         """Run the service on a dedicated thread with its own event
         loop (tests and embedded use); returns the bound address."""
         import threading
         started = threading.Event()
-
-        async def _main():
-            await self.start()
-            started.set()
-            await self._stop_event.wait()
-            await self.stop()
-
-        def _runner():
-            asyncio.run(_main())
-
         self._thread = threading.Thread(
-            target=_runner, name=f"repro-net-{self.role}", daemon=True)
+            target=lambda: asyncio.run(self.serve_forever(started.set)),
+            name=f"repro-net-{self.role}", daemon=True)
         self._thread.start()
         if not started.wait(timeout=10):
             raise NetError("service failed to start within 10s")
@@ -236,12 +255,11 @@ class StoreService:
 
     def shutdown(self) -> None:
         """Stop a background service from any thread."""
-        loop, event = self._loop, self._stop_event
-        if loop is not None and event is not None:
+        if self._stop_event is not None:
             try:
-                loop.call_soon_threadsafe(event.set)
+                self._loop.call_soon_threadsafe(self._stop_event.set)
             except RuntimeError:
-                pass
+                pass            # the loop is already closed
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
@@ -251,22 +269,19 @@ class StoreService:
     # ------------------------------------------------------------------
 
     async def _sync_loop(self) -> None:
-        """Keep the replica converged: pull the primary's WAL tail off
-        the event loop's executor (the fetch blocks on its socket).
-
-        Every failed pass is counted (``repl.sync_failures``).  A
+        """Keep the replica converged: pull the primary's WAL tail on
+        the executor (the fetch blocks on its socket).  Every failed
+        pass is counted (``repl.sync_failures``).  A
         :class:`ReplicationError` is *permanent* -- the seq chain
-        diverged or a shipped record refused to replay, and retrying
-        cannot heal it -- so it stops the loop and marks the endpoint
-        unhealthy (``ping`` / ``repl_status`` report the fault) instead
-        of silently serving ever-staler data.  Anything else is treated
-        as transient primary unavailability: log once per pass and keep
-        polling; the replica serves its current position meanwhile.
-        """
-        loop = asyncio.get_running_loop()
+        diverged or a shipped record refused to replay -- so it stops
+        the loop and marks the endpoint unhealthy (``ping`` /
+        ``repl_status`` report the fault) instead of serving ever-staler
+        data in silence.  Anything else is transient primary
+        unavailability: log once per pass and keep polling."""
         while True:
             try:
-                await loop.run_in_executor(None, self.replica.sync, 4)
+                await self._loop.run_in_executor(
+                    None, self.replica.sync, 4)
             except asyncio.CancelledError:
                 raise
             except ReplicationError as exc:
@@ -280,99 +295,44 @@ class StoreService:
                 self.replica.stats.sync_failures += 1
                 logger.warning("replica sync pass failed "
                                "(will retry): %s", exc)
+            self._position_moved()
             await asyncio.sleep(self.poll_interval)
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _send(self, writer, message: Dict[str, object]) -> None:
-        data = protocol.encode_frame(message)
-        self.stats.frames_out += 1
-        self.stats.bytes_out += len(data)
-        writer.write(data)
-        await writer.drain()
-
     def _hello(self) -> Dict[str, object]:
-        hello = protocol.hello(
-            self.role, epoch=self.backend.epoch(),
-            last_seq=self.backend.last_seq(),
-            position=self.backend.position())
+        """The first frame on every connection: protocol identity,
+        version, role, and where the endpoint stands."""
+        hello = {"proto": protocol.PROTO_NAME,
+                 "version": protocol.PROTO_VERSION, "role": self.role,
+                 "epoch": self.backend.epoch(),
+                 "last_seq": self.backend.last_seq(),
+                 "position": self.backend.position()}
         hello.update(self.backend.describe())
         return hello
 
-    async def _serve_connection(self, reader, writer) -> None:
-        stats = self.stats
-        stats.connections_opened += 1
-        try:
-            writer.transport.set_write_buffer_limits(high=1 << 16)
-        except (AttributeError, NotImplementedError):
-            pass
-        on_bytes = (lambda n: setattr(
-            stats, "bytes_in", stats.bytes_in + n))
-        try:
-            await self._send(writer, self._hello())
-            while True:
-                try:
-                    if self.idle_timeout:
-                        message = await asyncio.wait_for(
-                            protocol.read_frame(
-                                reader, self.max_frame,
-                                on_bytes=on_bytes),
-                            self.idle_timeout)
-                    else:
-                        message = await protocol.read_frame(
-                            reader, self.max_frame, on_bytes=on_bytes)
-                except ProtocolError as exc:
-                    stats.protocol_errors += 1
-                    try:
-                        await self._send(writer, {
-                            "error": {"type": type(exc).__name__,
-                                      "msg": str(exc)},
-                            "fatal": True})
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                except asyncio.TimeoutError:
-                    break
-                if message is None:
-                    break
-                stats.frames_in += 1
-                response = await self._dispatch(message)
-                await self._send(writer, response)
-        except asyncio.CancelledError:
-            pass          # loop teardown: close the connection quietly
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            stats.connections_closed += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-
     async def _offload(self, fn, *args, fenced: bool = False):
-        """Run a blocking backend job on the executor.  ``fenced`` jobs
-        (bulk loads, checkpoints, catch-up dumps -- the ones that hold
-        the store for their whole run) are tracked on the busy gauge
-        the alter fence reads; ordinary offloaded ops (a sharded
-        backend's reads and row writes) are not, so they never starve
-        schema changes."""
+        """Run a blocking backend job on the executor.  Only ``fenced``
+        jobs (bulk loads, checkpoints, catch-up dumps: they hold the
+        store for their whole run) count on the busy gauge the alter
+        fence reads, so a sharded backend's ordinary reads and row
+        writes never starve schema changes."""
         if fenced:
             self._busy_jobs += 1
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, fn, *args)
+            return await self._loop.run_in_executor(None, fn, *args)
         finally:
             if fenced:
                 self._busy_jobs -= 1
+            self._position_moved()
 
-    async def _dispatch(self, message: Dict[str, object]
-                        ) -> Dict[str, object]:
+    def _dispatch(self, message: Dict[str, object]):
+        """Serve one request: its response, or -- for a request that
+        must leave the event loop -- a coroutine resolving to it."""
         rid = message.get("id")
         op = message.get("op")
-        stats = self.stats
         name = op if isinstance(op, str) else None
         row = OPS.get(name)
         try:
@@ -382,41 +342,59 @@ class StoreService:
                         f"replica does not accept {op!r}; write to "
                         "the primary")
                 if op == "alter" and self._busy_jobs:
-                    stats.alter_fences += 1
+                    self.stats.alter_fences += 1
                     raise StoreBusyError(
                         "alter refused: an in-flight bulk load, "
                         "checkpoint, or catch-up dump holds the "
                         "store; retry once it drains")
                 handler = getattr(self.backend, "op_" + name)
                 if row.fenced or self.backend.blocking:
-                    result = await self._offload(handler, message,
-                                                 fenced=row.fenced)
-                else:
-                    result = handler(message)
+                    return self._settle(rid, row, self._offload(
+                        handler, message, fenced=row.fenced))
+                result = handler(message)
             elif name in SERVICE_OPS:
                 result = getattr(self, "_op_" + name)(message)
                 if asyncio.iscoroutine(result):
-                    result = await result
+                    return self._settle(rid, row, result)
             else:
                 raise StorageError(f"unknown request op {op!r}")
         except Exception as exc:
-            stats.requests_served += 1
-            stats.op_errors += 1
-            error = {"type": type(exc).__name__, "msg": str(exc)}
-            if isinstance(exc, (ShardWorkerError, RemoteOpError)):
-                # A failure relayed from a shard worker: surface the
-                # original class name, as a direct service would.
-                error["type"] = exc.remote_type
-            if isinstance(exc, ReplicaLagError):
-                error["token"] = exc.token
-                error["applied_seq"] = exc.applied_seq
-            return {"id": rid, "error": error}
+            return self._reply(rid, row, None, exc)
+        return self._reply(rid, row, result)
+
+    async def _settle(self, rid, row, pending):
+        try:
+            return self._reply(rid, row, await pending)
+        except Exception as exc:
+            return self._reply(rid, row, None, exc)
+
+    def _reply(self, rid, row, result, exc=None) -> Dict[str, object]:
+        stats = self.stats
         stats.requests_served += 1
-        if row is not None and row.write:
-            stats.writes_served += 1
-        else:
-            stats.reads_served += 1
-        return {"id": rid, "ok": result}
+        if exc is None:
+            if row is not None and row.write:
+                stats.writes_served += 1
+                self._position_moved()
+            else:
+                stats.reads_served += 1
+            return {"id": rid, "ok": result}
+        stats.op_errors += 1
+        error = {"type": type(exc).__name__, "msg": str(exc)}
+        if isinstance(exc, (ShardWorkerError, RemoteOpError)):
+            # A failure relayed from a shard worker: surface the
+            # original class name, as a direct service would.
+            error["type"] = exc.remote_type
+        if isinstance(exc, ReplicaLagError):
+            error["token"] = exc.token
+            error["applied_seq"] = exc.applied_seq
+        return {"id": rid, "error": error}
+
+    def _position_moved(self) -> None:
+        """``backend.position()`` may have advanced (a served write, an
+        executor job, a replica sync pass): let every parked
+        ``token_wait`` look again."""
+        for waiter in self._waiters:
+            _release(waiter)
 
     # ------------------------------------------------------------------
     # Service-level ops (transport, liveness, replication)
@@ -429,11 +407,13 @@ class StoreService:
                "position": self.backend.position()}
         out.update(self.backend.describe())
         if self.role == "replica":
-            out["lag"] = self.replica.lag
-            out["healthy"] = self._sync_fault is None
-            if self._sync_fault is not None:
-                out["sync_fault"] = self._sync_fault
+            out.update(self._health(), lag=self.replica.lag)
         return out
+
+    def _health(self) -> Dict[str, object]:
+        if self._sync_fault is None:
+            return {"healthy": True}
+        return {"healthy": False, "sync_fault": self._sync_fault}
 
     def _op_stats(self, cmd):
         out = dict(self._store.stats())
@@ -452,28 +432,34 @@ class StoreService:
             return {"applied_seq": self.backend.last_seq(), "lag": 0,
                     "primary_seq": self.backend.last_seq()}
         stats = self.replica.stats
-        out = {"applied_seq": self.replica.applied_seq,
-               "primary_seq": stats.primary_seq,
-               "lag": stats.lag,
-               "healthy": self._sync_fault is None}
-        if self._sync_fault is not None:
-            out["sync_fault"] = self._sync_fault
-        return out
+        return dict(self._health(), lag=stats.lag,
+                    applied_seq=self.replica.applied_seq,
+                    primary_seq=stats.primary_seq)
 
     async def _op_token_wait(self, cmd):
-        """Block (bounded) until this endpoint's position covers an
+        """Park (bounded) until this endpoint's position covers an
         epoch token -- the read-your-writes wait.  Accepts a plain seq
-        or a vector token; the covering test is per component."""
+        or a vector token; the covering test is per component.  Woken
+        by :meth:`_position_moved`, and every ``TOKEN_RECHECK`` anyway."""
         want = tokens.as_token(cmd.get("token"))
-        timeout = float(cmd.get("timeout", 1.0))
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
+        loop = self._loop
+        deadline = loop.time() + min(float(cmd.get("timeout", 1.0)),
+                                     MAX_TOKEN_WAIT)
         while not tokens.covers(self.backend.position(), want):
-            if loop.time() >= deadline:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
                 self.stats.token_wait_timeouts += 1
                 raise ReplicaLagError(cmd.get("token"),
                                       self.backend.last_seq())
-            await asyncio.sleep(0.002)
+            waiter = loop.create_future()
+            timer = loop.call_later(min(remaining, TOKEN_RECHECK),
+                                    _release, waiter)
+            self._waiters.add(waiter)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+                self._waiters.discard(waiter)
         self.stats.token_waits += 1
         return {"applied_seq": self.backend.last_seq(),
                 "position": self.backend.position()}
@@ -501,29 +487,24 @@ class StoreService:
                 "base_seq": batch.base_seq,
                 "stale": batch.stale}
 
-    async def _op_repl_dump(self, cmd):
+    def _op_repl_dump(self, cmd):
         # Taking the dump serializes the store under its write lock and
         # the result can be huge: run off the event loop so pings,
         # token waits, and other connections stay live during a replica
         # bootstrap against a large primary.
-        return await self._offload(self._repl_dump_sync, cmd,
-                                   fenced=True)
+        return self._offload(self._repl_dump_sync, cmd, fenced=True)
 
     def _repl_dump_sync(self, cmd):
-        """One page of a catch-up dump.
-
-        A dump routinely exceeds the frame ceiling, so it is never
-        returned whole: the first request serializes the store to
-        canonical-JSON text (ASCII -- character offsets are byte
-        offsets), caches it under a ``dump_id``, and answers the first
+        """One page of a catch-up dump.  A dump routinely exceeds the
+        frame ceiling, so the first request serializes the store to
+        canonical-JSON text (ASCII: character offsets are byte
+        offsets), caches it under a ``dump_id`` and answers the first
         chunk; the replica walks the rest with ``(dump_id, offset)``
-        cursors and reassembles (:meth:`NetShipSource.dump`).  Chunks
-        are a quarter of the frame ceiling, so a page stays under the
-        limit even after worst-case JSON string escaping doubles it.
-        The cache holds finished dumps until ``DUMP_CACHE_LIMIT``
-        transfers displace them, keeping retried tail fetches
-        idempotent without unbounded memory.
-        """
+        cursors (:meth:`NetShipSource.dump`).  Chunks are a quarter of
+        the frame ceiling, so a page fits even after worst-case JSON
+        escaping doubles it.  Finished dumps stay cached until
+        ``DUMP_CACHE_LIMIT`` transfers displace them: retried tail
+        fetches stay idempotent without unbounded memory."""
         chunk_size = max(1, self.max_frame // 4)
         dump_id = cmd.get("dump_id")
         if dump_id is None:
@@ -549,23 +530,134 @@ class StoreService:
                 "eof": offset + len(piece) >= len(text)}
 
 
-def serve(store=None, *, replica=None, host: str = "127.0.0.1",
-          port: int = 0, **kwargs) -> None:
-    """Blocking entry point (the CLI's ``repro serve`` / ``repro
-    replica``): run one service until interrupted."""
-    service = StoreService(store, replica=replica, host=host, port=port,
-                           **kwargs)
+class _Connection(asyncio.BufferedProtocol):
+    """One accepted connection (module docstring, "Connection
+    discipline").  Reading is paused exactly while ``_task`` is set or
+    ``_writable`` is not; ``_closing`` means no further input will be
+    served (end of stream, or a framing error), so the connection
+    closes once everything buffered is answered."""
 
-    async def _main():
-        address = await service.start()
-        print(f"repro-net {service.role} serving on "
-              f"{address[0]}:{address[1]}")
+    def __init__(self, service: StoreService) -> None:
+        self.service = service
+        self.stats = service.stats
+        self.decoder = protocol.FrameDecoder(service.max_frame)
+        self._view = memoryview(bytearray(READ_BUFFER))
+        #: The off-loop request that holds later frames back.
+        self._task: Optional[asyncio.Task] = None
+        #: The ``idle_timeout`` timer, armed only while idle.
+        self._idle: Optional[asyncio.TimerHandle] = None
+        self._writable = True
+        self._closing = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.stats.connections_opened += 1
+        self.service._connections.add(self)
+        transport.set_write_buffer_limits(high=WRITE_HIGH)
+        self._pump([self._encode(self.service._hello())])
+
+    def connection_lost(self, exc) -> None:
+        self.stats.connections_closed += 1
+        self.service._connections.discard(self)
+        self._disarm()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.stats.bytes_in += nbytes
+        self.decoder.feed(self._view[:nbytes])
+        self._pump([])
+
+    def eof_received(self) -> bool:
+        self._closing = True
+        self.decoder.close()        # a torn tail now raises, typed
+        self._pump([])
+        return True                 # _pump closes once all is answered
+
+    def pause_writing(self) -> None:
+        self._writable = False
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._pump([])
+
+    def _encode(self, message: Dict[str, object]) -> bytes:
+        data = protocol.encode_frame(message)
+        self.stats.frames_out += 1
+        self.stats.bytes_out += len(data)
+        return data
+
+    def _disarm(self) -> None:
+        if self._idle is not None:
+            self._idle.cancel()
+            self._idle = None
+
+    def _pump(self, out: List[bytes]) -> None:
+        """Write ``out``, then the reply to every complete frame
+        buffered, in order -- until one leaves the loop or the peer
+        stops reading."""
+        transport, service = self.transport, self.service
+        if transport.is_closing():
+            return
+        unsent, idle = 0, False
         try:
-            await service._stop_event.wait()
-        finally:
-            await service.stop()
+            while self._writable and self._task is None:
+                message = self.decoder.next_message()
+                if message is None:
+                    idle = True
+                    break
+                self._disarm()
+                self.stats.frames_in += 1
+                reply = service._dispatch(message)
+                if not isinstance(reply, dict):
+                    self._task = service._loop.create_task(
+                        self._finish(reply))
+                    transport.pause_reading()
+                    break
+                out.append(self._encode(reply))
+                unsent += len(out[-1])
+                if unsent >= WRITE_HIGH:   # may call pause_writing
+                    transport.write(b"".join(out))
+                    out.clear()
+                    unsent = 0
+        except ProtocolError as exc:
+            self.stats.protocol_errors += 1
+            out.append(self._encode({
+                "error": {"type": type(exc).__name__, "msg": str(exc)},
+                "fatal": True}))
+            idle = self._closing = True
+        if out:
+            transport.write(b"".join(out))
+        if idle and self._closing:
+            transport.close()
+        elif idle and self._writable:
+            transport.resume_reading()
+            if self._idle is None and service.idle_timeout:
+                self._idle = service._loop.call_later(
+                    service.idle_timeout, transport.close)
+
+    async def _finish(self, pending) -> None:
+        try:
+            reply = await pending
+            self._task = None
+            self._pump([self._encode(reply)])
+        except Exception:
+            self.transport.abort()
+            raise
+
+
+def serve(store=None, **kwargs) -> None:
+    """Blocking entry point (the CLI's ``repro serve`` / ``repro
+    replica``): run one :class:`StoreService` until interrupted."""
+    service = StoreService(store, **kwargs)
+
+    def announce():
+        print(f"repro-net {service.role} serving on "
+              f"{service.host}:{service.port}")
 
     try:
-        asyncio.run(_main())
+        asyncio.run(service.serve_forever(announce))
     except KeyboardInterrupt:
         pass

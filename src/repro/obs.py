@@ -147,6 +147,29 @@ class EngineStats:
         return f"EngineStats({inner})"
 
 
+class _Counters:
+    """Bare integer counters, named by the subclass's ``FIELDS`` (which
+    are also its ``__slots__``), in reporting order."""
+
+    __slots__ = ()
+    FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        for name in self.FIELDS:
+            setattr(self, name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"{k}={v}" for k, v in self.snapshot().items() if v)
+        return f"{type(self).__name__}({inner})"
+
+
 #: Every query-layer counter, in reporting order.
 QUERY_COUNTER_FIELDS: Tuple[str, ...] = (
     "plans_cached",     # plans built and stored in a plan cache
@@ -163,22 +186,10 @@ QUERY_COUNTER_FIELDS: Tuple[str, ...] = (
 )
 
 
-class QueryStats:
+class QueryStats(_Counters):
     """Counters shared by a store's index manager and the planner."""
 
-    __slots__ = QUERY_COUNTER_FIELDS
-
-    def __init__(self) -> None:
-        for name in QUERY_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name)
-                for name in QUERY_COUNTER_FIELDS}
-
-    def reset(self) -> None:
-        for name in QUERY_COUNTER_FIELDS:
-            setattr(self, name, 0)
+    __slots__ = FIELDS = QUERY_COUNTER_FIELDS
 
     def capture(self) -> Dict[str, int]:
         """Counter state, restorable via :meth:`restore`."""
@@ -187,11 +198,6 @@ class QueryStats:
     def restore(self, state: Dict[str, int]) -> None:
         for name in QUERY_COUNTER_FIELDS:
             setattr(self, name, state[name])
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"QueryStats({inner})"
 
 
 #: Every router-side sharding counter, in reporting order.
@@ -237,7 +243,7 @@ NET_COUNTER_FIELDS: Tuple[str, ...] = (
 )
 
 
-class NetStats:
+class NetStats(_Counters):
     """Counters maintained by one :class:`~repro.net.server.StoreService`.
 
     The fuzz suite's liveness claim -- malformed input poisons only its
@@ -246,24 +252,7 @@ class NetStats:
     ``ship_records`` against the replica's applied counters.
     """
 
-    __slots__ = NET_COUNTER_FIELDS
-
-    def __init__(self) -> None:
-        for name in NET_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name)
-                for name in NET_COUNTER_FIELDS}
-
-    def reset(self) -> None:
-        for name in NET_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"NetStats({inner})"
+    __slots__ = FIELDS = NET_COUNTER_FIELDS
 
 
 #: Every replica-side replication counter, in reporting order.
@@ -281,7 +270,7 @@ REPLICATION_COUNTER_FIELDS: Tuple[str, ...] = (
 )
 
 
-class ReplicationStats:
+class ReplicationStats(_Counters):
     """Counters maintained by one :class:`~repro.net.replication.Replica`.
 
     ``applied_seq`` / ``primary_seq`` are gauges, not counters: their
@@ -289,11 +278,7 @@ class ReplicationStats:
     bounds at p99.
     """
 
-    __slots__ = REPLICATION_COUNTER_FIELDS
-
-    def __init__(self) -> None:
-        for name in REPLICATION_COUNTER_FIELDS:
-            setattr(self, name, 0)
+    __slots__ = FIELDS = REPLICATION_COUNTER_FIELDS
 
     @property
     def lag(self) -> int:
@@ -301,22 +286,10 @@ class ReplicationStats:
         return max(0, self.primary_seq - self.applied_seq)
 
     def snapshot(self) -> Dict[str, int]:
-        out = {name: getattr(self, name)
-               for name in REPLICATION_COUNTER_FIELDS}
-        out["lag"] = self.lag
-        return out
-
-    def reset(self) -> None:
-        for name in REPLICATION_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"ReplicationStats({inner})"
+        return dict(super().snapshot(), lag=self.lag)
 
 
-class ShardStats:
+class ShardStats(_Counters):
     """Counters maintained by a :class:`~repro.sharding.ShardedStore`
     router.
 
@@ -327,21 +300,4 @@ class ShardStats:
     signature-profile mismatches.
     """
 
-    __slots__ = SHARD_COUNTER_FIELDS
-
-    def __init__(self) -> None:
-        for name in SHARD_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name)
-                for name in SHARD_COUNTER_FIELDS}
-
-    def reset(self) -> None:
-        for name in SHARD_COUNTER_FIELDS:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"ShardStats({inner})"
+    __slots__ = FIELDS = SHARD_COUNTER_FIELDS

@@ -375,7 +375,7 @@ _E7_STORAGE = {"storage/engine.py", "storage/persist.py",
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 22099
+SRC_LINE_CEILING = 22093
 
 
 def _src_trees():
@@ -470,6 +470,36 @@ def test_the_closure_tree_evaluator_lives_with_the_tests():
     for module_name in ALL_MODULES:
         module = importlib.import_module(module_name)
         assert not any(hasattr(module, name) for name in gone), module_name
+
+
+def test_the_wire_has_one_parser_and_the_service_never_polls():
+    """Under ``net/``: the frame header is unpacked only inside
+    ``protocol.FrameDecoder`` (the parser ``test_net_protocol.py``
+    fuzzes), nothing reads a stream with ``readexactly`` or serves one
+    through ``start_server``, and no wait is an ``asyncio.sleep`` of a
+    literal (a poll: wake the waiter instead)."""
+    offenders = []
+    for rel, tree in _src_trees():
+        if not rel.startswith("net/"):
+            continue
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "FrameDecoder":
+                inside = {id(child) for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("readexactly", "start_server", "read_frame"):
+                offenders.append(f"{rel}:{node.lineno} ({name})")
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr.startswith("unpack")
+                  and id(node) not in inside):
+                offenders.append(f"{rel}:{node.lineno} (second parser)")
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "sleep"
+                  and any(isinstance(arg, ast.Constant)
+                          for arg in node.args)):
+                offenders.append(f"{rel}:{node.lineno} (sleep literal)")
+    assert not offenders, ", ".join(offenders)
 
 
 def test_src_size_ratchet():
