@@ -6,9 +6,12 @@ However ... the type deduction algorithm can then help reduce the
 run-time search for the file where some particular object's attribute
 value is located."
 
-We store populations with growing exceptional fractions and compare the
-pruned attribute scan (partitions filtered by the schema) against the
-scan-everything baseline: rows read, partitions touched, wall time.
+We populate stores with growing exceptional fractions, read the
+partition off each live store (``repro.objects.profiles``: one profile
+per direct-membership signature, each with its own record format), and
+compare the pruned attribute scan (profiles filtered by the schema)
+against the scan-everything baseline below: rows read, partitions
+touched, wall time.
 
 Expected shape: pruning reads strictly fewer rows, identical answers;
 the relative saving grows as more of the population lives in partitions
@@ -20,9 +23,9 @@ import time
 from conftest import report
 
 from repro.evaluation import render_table
+from repro.objects.profiles import ScanStats, profile_catalog, scan_attribute
 from repro.scenarios import populate_hospital
-from repro.storage import StorageEngine
-from repro.storage.engine import ScanStats
+from repro.typesys.values import INAPPLICABLE
 
 FRACTIONS = (0.0, 0.1, 0.25, 0.5)
 
@@ -33,15 +36,29 @@ def _build(fraction, hospital_schema):
         tubercular_fraction=fraction / 2,
         ambulatory_fraction=fraction / 2,
         alcoholic_fraction=0.1)
-    engine = StorageEngine(hospital_schema)
-    engine.store_all(pop.store.instances())
-    return engine
+    return profile_catalog(pop.store)
 
 
-def _scan(engine, prune):
+def unpruned_scan(schema, catalog, class_name, attribute, stats):
+    """The no-type-deduction baseline: every profile is read and each
+    row's membership tested."""
+    for profile in sorted(catalog.values(), key=lambda p: p.classes):
+        stats.partitions_considered += 1
+        stats.partitions_scanned += 1
+        relevant = any(schema.is_subclass(m, class_name)
+                       for m in profile.classes)
+        for obj in profile.members:
+            stats.rows_read += 1
+            value = obj.get_value(attribute)
+            if relevant and value is not INAPPLICABLE:
+                stats.rows_matched += 1
+                yield obj.surrogate, value
+
+
+def _scan(schema, catalog, prune):
     stats = ScanStats()
-    values = list(engine.scan_attribute("Hospital", "accreditation",
-                                        prune=prune, stats=stats))
+    scan = scan_attribute if prune else unpruned_scan
+    values = list(scan(schema, catalog, "Hospital", "accreditation", stats))
     return values, stats
 
 
@@ -49,17 +66,17 @@ def test_e7_pruning_table(benchmark, hospital_schema):
     def run():
         rows = []
         for fraction in FRACTIONS:
-            engine = _build(fraction, hospital_schema)
-            pruned_values, fast = _scan(engine, True)
+            catalog = _build(fraction, hospital_schema)
+            pruned_values, fast = _scan(hospital_schema, catalog, True)
             t0 = time.perf_counter()
-            _scan(engine, True)
+            _scan(hospital_schema, catalog, True)
             t_fast = time.perf_counter() - t0
-            full_values, slow = _scan(engine, False)
+            full_values, slow = _scan(hospital_schema, catalog, False)
             t0 = time.perf_counter()
-            _scan(engine, False)
+            _scan(hospital_schema, catalog, False)
             t_slow = time.perf_counter() - t0
             assert sorted(pruned_values) == sorted(full_values)
-            rows.append((fraction, engine.partition_count(),
+            rows.append((fraction, len(catalog),
                          fast.partitions_scanned, slow.partitions_scanned,
                          fast.rows_read, slow.rows_read,
                          f"{t_fast * 1000:.2f} ms",
@@ -82,12 +99,10 @@ def test_e7_pruning_table(benchmark, hospital_schema):
 
 
 def test_e7_bench_pruned(benchmark, hospital_schema):
-    engine = _build(0.2, hospital_schema)
-    benchmark(lambda: list(engine.scan_attribute(
-        "Hospital", "accreditation", prune=True)))
+    catalog = _build(0.2, hospital_schema)
+    benchmark(lambda: _scan(hospital_schema, catalog, True))
 
 
 def test_e7_bench_unpruned(benchmark, hospital_schema):
-    engine = _build(0.2, hospital_schema)
-    benchmark(lambda: list(engine.scan_attribute(
-        "Hospital", "accreditation", prune=False)))
+    catalog = _build(0.2, hospital_schema)
+    benchmark(lambda: _scan(hospital_schema, catalog, False))

@@ -1,12 +1,10 @@
-"""A2 -- substrate optimizations measured (not paper tables).
+"""A2 -- source-extent narrowing measured (not a paper table).
 
-Two optimizations the substrate provides beyond the paper's check
-elimination, quantified so their claims in the docs stay honest:
-
-* **source-extent narrowing**: ``where p in Alcoholic`` scans the
-  Alcoholic extent instead of all Patients;
-* **attribute indexes**: equality lookup through a hash index vs a
-  pruned partition scan.
+An optimization the substrate provides beyond the paper's check
+elimination, quantified so its claim in the docs stays honest:
+``where p in Alcoholic`` scans the Alcoholic extent instead of all
+Patients.  (Index lookups vs scans on the live store are A4,
+``bench_query_index.py``.)
 """
 
 import time
@@ -16,7 +14,6 @@ from conftest import report
 from repro.evaluation import render_table
 from repro.query import compile_query, execute
 from repro.scenarios import populate_hospital
-from repro.storage import StorageEngine
 
 
 def test_a2_source_narrowing(benchmark, hospital_schema):
@@ -45,30 +42,3 @@ def test_a2_source_narrowing(benchmark, hospital_schema):
     assert narrowed[3] == full[3]              # same answers
     assert narrowed[2] < full[2] / 5           # far fewer rows touched
 
-
-def test_a2_index_lookup(benchmark, hospital_schema):
-    def run():
-        pop = populate_hospital(schema=hospital_schema, n_patients=4000,
-                                seed=67)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-
-        t0 = time.perf_counter()
-        for age in range(1, 100):
-            engine.find("Patient", "age", age)
-        t_scan = time.perf_counter() - t0
-
-        engine.create_index("Patient", "age")
-        t0 = time.perf_counter()
-        for age in range(1, 100):
-            engine.find("Patient", "age", age)
-        t_index = time.perf_counter() - t0
-        return t_scan, t_index
-
-    t_scan, t_index = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("A2-index", render_table(
-        ["lookup path", "99 lookups"],
-        [("pruned scan", f"{t_scan * 1000:.1f} ms"),
-         ("hash index", f"{t_index * 1000:.2f} ms")],
-        "A2b: equality lookup via index vs pruned scan (4000 patients)"))
-    assert t_index < t_scan / 10

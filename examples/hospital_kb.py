@@ -11,13 +11,20 @@ Covers the paper's Sections 3-5.6 on one synthetic hospital database:
   blood-pressure adjudication between Renal_Failure and Hemorrhaging;
 * implicit virtual-class extents (H1/A1) maintained by the store;
 * the Section 5.4 type-safety judgments on live queries;
-* the Section 5.5 storage layout: horizontal partitions and pruned scans.
+* the Section 5.5 storage layout: the store's partitions (one per
+  direct-membership signature, each with its own record format) and the
+  deduction-pruned attribute scan.
 """
 
-from repro import StorageEngine, analyze, compile_query, execute
+from repro import analyze, compile_query, execute
+from repro.objects.profiles import (
+    ScanStats,
+    profile_catalog,
+    record_format,
+    scan_attribute,
+)
 from repro.objects.store import CheckMode
 from repro.scenarios import populate_hospital
-from repro.storage.engine import ScanStats
 from repro.typesys import EnumSymbol
 
 
@@ -84,17 +91,19 @@ def main() -> None:
           f"{compiled.checks_inserted} inserted check(s).")
 
     print("\n=== Storage (Section 5.5) ===")
-    engine = StorageEngine(schema)
-    engine.store_all(store.instances())
-    print(engine.describe())
-    fast, slow = ScanStats(), ScanStats()
-    list(engine.scan_attribute("Hospital", "accreditation", prune=True,
-                               stats=fast))
-    list(engine.scan_attribute("Hospital", "accreditation", prune=False,
-                               stats=slow))
-    print(f"accreditation scan: pruned reads {fast.rows_read} rows in "
-          f"{fast.partitions_scanned} partition(s); a full scan reads "
-          f"{slow.rows_read} rows in {slow.partitions_scanned}.")
+    catalog = profile_catalog(store)
+    print(f"{len(catalog)} partitions, {len(store)} objects")
+    for profile in sorted(catalog.values(), key=lambda p: p.classes):
+        fields = ", ".join(f"{name}:{kind}" for name, kind in
+                           record_format(schema, profile.classes).items())
+        print(f"{'+'.join(profile.classes)} ({fields}) "
+              f"[{len(profile.members)} objects]")
+    stats = ScanStats()
+    list(scan_attribute(schema, catalog, "Hospital", "accreditation",
+                        stats))
+    print(f"accreditation scan: reads {stats.rows_read} rows in "
+          f"{stats.partitions_scanned} of {stats.partitions_considered} "
+          f"partitions; a full scan reads all {len(store)}.")
 
 
 if __name__ == "__main__":

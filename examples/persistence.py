@@ -1,53 +1,55 @@
-"""Cold start: partitioned storage on disk and back (Section 5.5).
+"""Cold start: a populated store on disk and back.
 
 Run::
 
     python examples/persistence.py
 
-Populates the hospital knowledge base, writes it to horizontally
-partitioned record files on disk, then performs a full cold start:
-reload the files, rebuild a live object store (surrogates, references,
-extents, and implicit virtual-class extents all restored), and run the
-same queries against both to show they agree.  Also demonstrates an
-attribute index surviving the round trip usefully.
+Populates the hospital knowledge base, writes its image into a durable
+store directory and checkpoints it (one CRC-framed checkpoint file under
+an atomically replaced MANIFEST), then performs a full cold start:
+``ObjectStore.open`` on the directory recovers a live store --
+surrogates, references, extents, and implicit virtual-class extents all
+restored, every object re-validated -- and the same query runs against
+both to show they agree.  Writes on the recovered store are still
+checked.
 """
 
 import os
 import tempfile
 
-from repro import StorageEngine, execute
+from repro import ObjectStore, execute
+from repro.errors import ConformanceError
 from repro.scenarios import populate_hospital
-from repro.storage.persist import load_engine, save_engine
-from repro.storage.rebuild import rebuild_store
+from repro.storage.recovery import install_image, store_image
 
 
 def main() -> None:
     pop = populate_hospital(n_patients=150, seed=5,
                             tubercular_fraction=0.08,
                             alcoholic_fraction=0.12)
-    schema = pop.store.schema
-    engine = StorageEngine(schema)
-    engine.store_all(pop.store.instances())
-
     print("=== Before shutdown ===")
-    print(engine.describe())
+    print(f"objects: {len(pop.store)}, Hospital$1 extent: "
+          f"{pop.store.count('Hospital$1')}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        snap = os.path.join(tmp, "hospital-snapshot")
-        save_engine(engine, snap)
-        files = sorted(os.listdir(snap))
-        total = sum(os.path.getsize(os.path.join(snap, f)) for f in files)
-        print(f"\n=== Snapshot: {len(files)} files, {total} bytes ===")
-        for name in files[:6]:
+        path = os.path.join(tmp, "hospital")
+        durable = ObjectStore.open(path, pop.store.schema,
+                                   durability="none")
+        install_image(durable, *store_image(pop.store))
+        durable.checkpoint()
+        durable.close()
+        files = sorted(os.listdir(path))
+        total = sum(os.path.getsize(os.path.join(path, f)) for f in files)
+        print(f"\n=== Checkpoint: {len(files)} files, {total} bytes ===")
+        for name in files:
             print("  ", name)
-        print("   ...")
 
         # ------------------------------------------------------------
-        # Cold start: fresh engine, fresh store, same data.
+        # Cold start: a fresh process would do exactly this.
         # ------------------------------------------------------------
-        reloaded = load_engine(schema, snap)
-        store = rebuild_store(reloaded, validate=True)
+        store = ObjectStore.open(path)
         print("\n=== After cold start ===")
+        print(store.last_recovery.describe())
         print(f"objects: {len(store)} (was {len(pop.store)})")
         print(f"Patient extent: {store.count('Patient')}")
         print(f"Hospital$1 (implicit!) extent: "
@@ -60,19 +62,13 @@ def main() -> None:
         print(f"\nquery rows before={len(before)} after={len(after)} "
               f"identical={sorted(before) == sorted(after)}")
 
-        index = reloaded.create_index("Patient", "age")
-        sixty = reloaded.find("Patient", "age", 60)
-        print(f"\nindexed lookup age=60: {len(sixty)} patient(s) "
-              f"({index!r})")
-
-        # The rebuilt store is fully live: the excuse semantics still
+        # The recovered store is fully live: the excuse semantics still
         # guards writes.
-        from repro.errors import ConformanceError
         patient = store.extent("Patient")[0]
         try:
             store.set_value(patient, "age", 999)
         except ConformanceError:
-            print("\nwrites on the rebuilt store are still checked: "
+            print("\nwrites on the recovered store are still checked: "
                   "age=999 rejected")
 
 

@@ -12,7 +12,8 @@ Exercises the CDL, conditional types, guarded queries, aggregates, and
 partitioned storage in one pass.
 """
 
-from repro import StorageEngine, analyze, execute
+from repro import analyze, execute
+from repro.objects.profiles import profile_catalog, record_format
 from repro.scenarios.university import populate_university
 
 
@@ -53,12 +54,14 @@ def main() -> None:
         print(f"{label}: {rows[0]}")
 
     print("\n=== Storage layout ===")
-    engine = StorageEngine(schema)
-    engine.store_all(store.instances())
-    for partition in engine.partitions():
-        if "Enrollment" in partition.key[0] or any(
-                "Enrollment" in k for k in partition.key):
-            print(partition)
+    for profile in sorted(profile_catalog(store).values(),
+                          key=lambda p: p.classes):
+        if any("Enrollment" in name for name in profile.classes):
+            fields = ", ".join(
+                f"{name}:{kind}" for name, kind in
+                record_format(schema, profile.classes).items())
+            print(f"{'+'.join(profile.classes)} ({fields}) "
+                  f"[{len(profile.members)} objects]")
     print("(note: the audit partition's record format has no grade "
           "field at all)")
 

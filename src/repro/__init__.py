@@ -48,7 +48,6 @@ from repro.schema import (
     embed,
 )
 from repro.semantics import ConformanceChecker, ExcuseSemantics
-from repro.storage import StorageEngine
 from repro.typesys import (
     ANY_ENTITY,
     BOOLEAN,
@@ -99,7 +98,6 @@ __all__ = [
     "SchemaBuilder",
     "SchemaError",
     "SchemaValidator",
-    "StorageEngine",
     "UnexcusedContradictionError",
     "UnknownAttributeError",
     "UnknownClassError",

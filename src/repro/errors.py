@@ -163,10 +163,6 @@ class StorageError(ReproError):
     """Base class of storage-engine errors."""
 
 
-class RecordFormatError(StorageError):
-    """A value could not be encoded in (or decoded from) a record format."""
-
-
 class AmbiguousInheritanceError(ReproError):
     """Default (closest-ancestor) inheritance could not pick a unique winner.
 

@@ -67,8 +67,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment(
         "E7", "Horizontal partitioning + pruned search", "§5.5",
         "exceptional subclasses get distinct record formats; type "
-        "deduction prunes the partition search with identical answers",
-        ("repro.storage.engine", "repro.storage.records"),
+        "deduction prunes the live store's profile search with "
+        "identical answers",
+        ("repro.objects.profiles",),
         "bench_e7_storage.py"),
     Experiment(
         "E8", "Automatic extents vs manual sets", "§3c (vs ref [6])",
@@ -95,10 +96,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ("repro.semantics.checker", "repro.query.typing"),
         "bench_ablations.py"),
     Experiment(
-        "A2", "Substrate optimizations", "substrate",
-        "source-extent narrowing and attribute indexes deliver the "
-        "order-of-magnitude savings the docs claim",
-        ("repro.query.compiler", "repro.storage.index"),
+        "A2", "Source-extent narrowing", "substrate",
+        "`where p in C` scans C's extent instead of the source's: "
+        "identical answers from a fraction of the rows",
+        ("repro.query.compiler",),
         "bench_optimizations.py"),
     Experiment(
         "A4", "Indexed query execution", "substrate",

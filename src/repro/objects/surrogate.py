@@ -2,8 +2,8 @@
 
 "Entities are assigned internal identifiers (surrogates) by the system and
 these do not normally vary structurally from class to class" -- which is
-why entity-valued attributes never force horizontal partitioning in the
-storage engine.
+why entity-valued attributes never force horizontal partitioning
+(:mod:`repro.objects.profiles`).
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ from repro.query.ast import (
     split_conjuncts,
 )
 from repro.query.compiler import CompiledQuery, compile_query, indent
-from repro.query.interpreter import ExecutionStats, execute
+from repro.query.interpreter import ExecutionStats
 from repro.schema.schema import Schema
 
 #: compile_query keyword options that shape the plan, with defaults;
@@ -432,12 +432,6 @@ def execute_plan(plan: QueryPlan, store) -> Tuple[List[tuple],
 def execute_planned(query: Union[str, Query], store,
                     **compile_kwargs) -> Tuple[List[tuple],
                                                ExecutionStats]:
-    """Plan-cache-aware execution: the one-call read path.
-
-    Accepts anything store-like; a read-only view without an index
-    manager (e.g. :class:`repro.storage.view.EngineView`) falls back to
-    the plain guarded scan.
-    """
-    if not hasattr(store, "indexes"):
-        return execute(query, store, **compile_kwargs)
+    """Plan-cache-aware execution: the one-call read path, over the live
+    store or any snapshot-like view of it."""
     return execute_plan(plan_query(query, store, **compile_kwargs), store)

@@ -2,8 +2,8 @@
 
 The single-store planner prunes *rows* through indexes; across shards
 the same reasoning prunes whole *workers*.  Each shard summarizes the
-signature profiles it holds (``shard_map`` in ``worker.py``: the direct
--membership sets of its visible objects, with per-profile counts, the
+signature profiles it holds (``shard_map``: ``objects/profiles.py``'s
+catalog of its visible objects' direct-membership sets, with counts, the
 attributes that are *total* -- applicable on every member -- and a
 clean flag).  The router extracts membership facts from a query's
 where-prefix and dispatches the query only to shards holding at least

@@ -39,6 +39,7 @@ from repro.columnar import BITSET_STATS, SurrogateSet
 from repro.errors import ShardingError
 from repro.lang.loader import load_schema
 from repro.objects.pipeline import CheckMode
+from repro.objects.profiles import profile_catalog
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.ops import OPS, Op, replay
@@ -209,33 +210,18 @@ class ShardServer:
 
     def _op_set_foreign(self, cmd):
         self.foreign = wire.decode_chunks(cmd["sids"])
+        self._map_cache = None      # the epoch did not move; the map did
         return {"foreign": len(self.foreign)}
 
     def _op_shard_map(self, cmd):
         epoch = self.store._epoch
         cached = self._map_cache
-        if cached is not None and cached[0] == epoch:
-            return {"epoch": epoch, "profiles": cached[1]}
-        dirty = {surrogate.id for surrogate in self.store._dirty}
-        profiles: Dict[frozenset, list] = {}
-        for obj in self.store.instances():
-            if obj.surrogate in self.foreign:
-                continue
-            key = obj.memberships
-            applicable = set(obj.value_names())
-            entry = profiles.get(key)
-            if entry is None:
-                profiles[key] = [1, applicable,
-                                 obj.surrogate.id not in dirty]
-            else:
-                entry[0] += 1
-                entry[1] &= applicable
-                entry[2] = entry[2] and obj.surrogate.id not in dirty
-        payload = [{"classes": sorted(key), "count": entry[0],
-                    "total": sorted(entry[1]), "clean": entry[2]}
-                   for key, entry in profiles.items()]
-        self._map_cache = (epoch, payload)
-        return {"epoch": epoch, "profiles": payload}
+        if cached is None or cached[0] != epoch:
+            cached = self._map_cache = (epoch, [
+                {"classes": list(p.classes), "count": len(p.members),
+                 "total": sorted(p.total), "clean": p.clean}
+                for p in profile_catalog(self.store, self.foreign).values()])
+        return {"epoch": epoch, "profiles": cached[1]}
 
     def _op_stats(self, cmd):
         out = dict(self.store.stats())

@@ -1,38 +1,21 @@
-"""Storage: semantic grouping, horizontal partitioning, pruned search.
+"""Storage: the durable directory behind a store.
 
-Section 5.5 of the paper, built on three pieces:
+* :mod:`repro.storage.fsio` -- the file-system seam (atomic writes,
+  fsync) that the fault-injection tests replace;
+* :mod:`repro.storage.wal` -- the write-ahead log: framed, CRC-checked
+  op-table commands, group commit and the sync policies;
+* :mod:`repro.storage.recovery` -- the directory (manifest, checkpoint,
+  schema file, WAL segment), the one store image behind checkpoints and
+  replica catch-up, and recovery as a committed prefix;
+* :mod:`repro.storage.shards` -- the manifest over a sharded store's
+  per-shard directories.
 
-* :mod:`repro.storage.records` -- fixed *record formats* derived from
-  class definitions ("logical records which have as fields the attributes
-  defined on some class -- the so called 'semantic grouping' of Daplex"),
-  with a binary row codec;
-* :mod:`repro.storage.files` -- slotted logical files of encoded rows;
-* :mod:`repro.storage.engine` -- the engine: each object lives in the
-  *partition* identified by its direct class memberships, so exceptional
-  subclasses whose attributes have structurally incompatible types
-  ("INTEGER vs ENTITY vs String vs various enumerations") get "a logical
-  file with a distinct record format" (horizontal partitioning).  As the
-  paper notes, "it is no longer possible to associate with every
-  attribute a single table where all its values are stored" -- but "the
-  type deduction algorithm can then help reduce the run-time search for
-  the file where some particular object's attribute value is located":
-  :meth:`StorageEngine.scan_attribute` with ``prune=True`` consults the
-  schema to skip partitions that cannot hold instances of the queried
-  class (benchmark E7 measures the saving).
-
-Surrogate-valued attributes never force partitioning ("entities are
-assigned internal identifiers (surrogates) by the system and these do not
-normally vary structurally from class to class").
+The paper's Section 5.5 partition -- records grouped by direct
+membership signature, each with its own record format, and type
+deduction pruning the search over them -- is read off the live store by
+:mod:`repro.objects.profiles`.
 """
 
-from repro.storage.records import (
-    FieldCodec,
-    FieldSpec,
-    RecordFormat,
-    format_for_classes,
-)
-from repro.storage.files import LogicalFile
-from repro.storage.engine import PartitionInfo, StorageEngine
 from repro.storage.fsio import OS_FS, FileSystem, atomic_write_bytes
 from repro.storage.wal import WriteAheadLog, dump_wal, scan_wal
 from repro.storage.recovery import (
@@ -43,20 +26,13 @@ from repro.storage.recovery import (
 )
 
 __all__ = [
-    "FieldCodec",
-    "FieldSpec",
     "FileSystem",
-    "LogicalFile",
     "OS_FS",
-    "PartitionInfo",
-    "RecordFormat",
     "RecoveryReport",
-    "StorageEngine",
     "WriteAheadLog",
     "atomic_write_bytes",
     "checkpoint_store",
     "dump_wal",
-    "format_for_classes",
     "open_store",
     "recover_store",
     "scan_wal",

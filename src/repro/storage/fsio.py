@@ -1,10 +1,10 @@
 """The narrow filesystem interface the durability subsystem writes through.
 
-Every byte the WAL, the checkpointer, and the snapshot writer put on (or
-read off) disk goes through a :class:`FileSystem`, so tests can substitute
-a fault-injecting implementation (``tests/faultfs.py``) that crashes at
-the Nth write or fsync, tears the final write, or drops data that was
-never fsynced -- without monkeypatching ``os``.
+Every byte the WAL and the checkpointer put on (or read off) disk goes
+through a :class:`FileSystem`, so tests can substitute a fault-injecting
+implementation (``tests/faultfs.py``) that crashes at the Nth write or
+fsync, tears the final write, or drops data that was never fsynced --
+without monkeypatching ``os``.
 
 The durability-relevant operations are deliberately few:
 

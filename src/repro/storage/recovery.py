@@ -4,8 +4,8 @@ This module owns the directory -- manifest, checkpoint file, schema
 file, WAL segment, and the order they are replaced in -- the tail scan,
 and the **store image** (:func:`store_image` / :func:`install_image`):
 the one producer and the one installer of a populated store as data,
-which the checkpoint file, the replication catch-up dump and
-``storage/rebuild`` all use.  It does not know what a log record means:
+which the checkpoint file and the replication catch-up dump both use.
+It does not know what a log record means:
 each one is an op-table command, and :func:`repro.ops.replay` runs it.
 
 A durable store directory contains::

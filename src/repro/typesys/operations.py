@@ -5,8 +5,8 @@ be used: redundant conditional alternatives (already admitted by the base)
 are dropped, duplicate union members removed, and nested structures
 normalized recursively.
 
-``meet`` and ``join`` are *best effort* bounds used by the query checker
-and the storage engine.  ``join`` is total (it falls back to a union, or
+``meet`` and ``join`` are *best effort* bounds used by the query
+checker.  ``join`` is total (it falls back to a union, or
 ``Any``).  ``meet`` returns ``None`` when no informative lower bound can be
 computed -- callers treat that as "don't know", never as "empty", because
 an object may be a member of two incomparable classes at once

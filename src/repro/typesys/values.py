@@ -94,9 +94,6 @@ class RecordValue:
     def field_names(self):
         return tuple(self._fields)
 
-    def as_dict(self) -> dict:
-        return dict(self._fields)
-
     def __getitem__(self, name: str):
         return self._fields[name]
 

@@ -12,6 +12,7 @@ from repro.scenarios import (
     build_quaker_schema,
     populate_hospital,
 )
+from repro.storage.recovery import install_image, store_image
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,19 @@ def hospital_store(hospital_schema):
 def hospital_population():
     """A small, seeded population shared within a test module."""
     return populate_hospital(n_patients=60, seed=2024)
+
+
+@pytest.fixture(scope="session")
+def cold_start(tmp_path_factory):
+    """``cold_start(store)``: write ``store``'s image into a fresh
+    durable directory, checkpoint it, and reopen that directory -- the
+    store a restart recovers."""
+    def run(store):
+        directory = str(tmp_path_factory.mktemp("cold"))
+        durable = ObjectStore.open(directory, store.schema,
+                                   durability="none")
+        install_image(durable, *store_image(store))
+        durable.checkpoint()
+        durable.close()
+        return ObjectStore.open(directory)
+    return run

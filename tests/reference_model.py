@@ -17,12 +17,19 @@ from this one.
 
 A suite runs a store on the reference through the ``store.checker``
 seam: ``oracle = on_reference(ObjectStore(schema))``.
+
+The Section 5.5 partition is read plainly here too:
+:func:`reference_catalog` derives each signature's members, total
+attributes and clean flag object by object, and :func:`unpruned_scan` is
+the search without type deduction that E7 measures the pruned
+``repro.objects.profiles.scan_attribute`` against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro.objects.profiles import ScanStats
 from repro.schema.schema import Constraint, Schema, range_mentions_none
 from repro.semantics.candidates import ConstraintSemantics
 from repro.semantics.checker import ConformanceChecker, Violation
@@ -113,3 +120,43 @@ def on_reference(store):
         store.schema, old.semantics, require_values=old.require_values,
         stats=old.stats)
     return store
+
+
+def reference_catalog(store, exclude=()) -> list:
+    """``[(sorted classes, member sids, sorted total, clean)]`` in the
+    order signatures first occur among ``store``'s objects outside
+    ``exclude``: a signature's total attributes are those every one of
+    its members has a value for; it is clean when no member is dirty."""
+    visible = [obj for obj in store.instances()
+               if obj.surrogate not in exclude]
+    signatures: list = []
+    for obj in visible:
+        if obj.memberships not in signatures:
+            signatures.append(obj.memberships)
+    out = []
+    for signature in signatures:
+        members = [obj for obj in visible if obj.memberships == signature]
+        names = {name for obj in members for name in obj.value_names()}
+        out.append((
+            sorted(signature), [obj.surrogate.id for obj in members],
+            sorted(name for name in names if all(
+                obj.get_value(name) is not INAPPLICABLE for obj in members)),
+            not any(obj.surrogate in store._dirty for obj in members)))
+    return out
+
+
+def unpruned_scan(schema: Schema, catalog, class_name: str, attribute: str,
+                  stats: ScanStats):
+    """``scan_attribute`` without type deduction: every profile is read
+    and each row's membership tested (E7's baseline)."""
+    for profile in sorted(catalog.values(), key=lambda p: p.classes):
+        stats.partitions_considered += 1
+        stats.partitions_scanned += 1
+        relevant = any(schema.is_subclass(m, class_name)
+                       for m in profile.classes)
+        for obj in profile.members:
+            stats.rows_read += 1
+            value = obj.get_value(attribute)
+            if relevant and value is not INAPPLICABLE:
+                stats.rows_matched += 1
+                yield obj.surrogate, value

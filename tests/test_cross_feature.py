@@ -1,7 +1,7 @@
 """Cross-feature integration: the extension modules working together.
 
 Each test wires at least two subsystems that were developed separately:
-aggregates over cold storage, transactions around assertion repairs,
+aggregates over a cold-started store, transactions around assertion repairs,
 definitional classes feeding queries, metaclass policies over evolving
 populations, deduction fed by the validator's excuse registry, and the
 CLI over printed schemas.
@@ -16,41 +16,29 @@ from repro.objects.transactions import transaction
 from repro.query import compile_query, execute
 from repro.scenarios import populate_hospital
 from repro.semantics.assertions import AssertionChecker
-from repro.storage import StorageEngine
-from repro.storage.view import EngineView
 
 
 @pytest.fixture(scope="module")
-def world(hospital_schema):
+def world(hospital_schema, cold_start):
     pop = populate_hospital(schema=hospital_schema, n_patients=80,
                             seed=101, tubercular_fraction=0.1,
                             alcoholic_fraction=0.15,
                             ambulatory_fraction=0.1)
-    engine = StorageEngine(hospital_schema)
-    engine.store_all(pop.store.instances())
-    return pop, engine
+    return pop, cold_start(pop.store)
 
 
 class TestAggregatesOverStorage:
-    def test_count_over_engine_view(self, world):
-        pop, engine = world
-        view = EngineView(engine)
-        rows, _ = execute("for p in Patient select count", view,
-                          schema=engine.schema)
-        assert rows == [(len(pop.patients),)]
-
     def test_avg_age_matches_store_and_view(self, world):
-        pop, engine = world
+        pop, cold = world
         compiled = compile_query("for p in Patient select avg p.age",
-                                 engine.schema)
+                                 cold.schema)
         via_store, _ = execute(compiled, pop.store)
-        via_view, _ = execute(compiled, EngineView(engine))
-        assert via_store == via_view
+        via_snapshot, _ = execute(compiled, cold.snapshot())
+        assert via_store == via_snapshot
 
     def test_count_ward_skips_swiss_style_missing(self, world):
-        pop, engine = world
-        rows, _ = execute("for p in Patient select count p.ward",
-                          EngineView(engine), schema=engine.schema)
+        pop, cold = world
+        rows, _ = execute("for p in Patient select count p.ward", cold)
         assert rows == [(len(pop.patients) - len(pop.ambulatory),)]
 
 
@@ -146,14 +134,9 @@ class TestDeductionMeetsRegistry:
 
 
 class TestColdStartEverything:
-    def test_rebuild_then_transact_then_query(self, tmp_path, world,
-                                              hospital_schema):
-        from repro.storage.persist import load_engine, save_engine
-        from repro.storage.rebuild import rebuild_store
-        pop, engine = world
-        save_engine(engine, str(tmp_path / "s"))
-        store = rebuild_store(load_engine(hospital_schema,
-                                          str(tmp_path / "s")))
+    def test_rebuild_then_transact_then_query(self, world, cold_start):
+        pop, _cold = world
+        store = cold_start(pop.store)
         victim = store.extent("Patient")[0]
         age = victim.get_value("age")
         with pytest.raises(ConformanceError):

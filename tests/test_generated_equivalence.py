@@ -8,8 +8,7 @@ virtual-class members, the generated function and
 ``tests/reference_query.py`` agree on rows, order, all six
 ``ExecutionStats`` fields and the *type* of any error raised -- for every
 ``on_unsafe`` policy, with and without check elimination, over the live
-store, a snapshot, a snapshot taken after a write, and an
-``EngineView``.
+store, a snapshot, and a snapshot taken after a write.
 
 Three seeded mutants of the generated side must each be killed within a
 bounded, derandomized run; one that survives is a generator bug.
@@ -42,8 +41,6 @@ from repro.query.ast import (
 )
 from repro.query.compiler import _Emitter
 from repro.scenarios import build_hospital_schema, populate_hospital
-from repro.storage import StorageEngine
-from repro.storage.view import EngineView
 from repro.typesys import EnumSymbol
 from tests.reference_query import (
     expr_trees,
@@ -134,9 +131,6 @@ def _outcome(run):
 
 def check_case(case, compile=compile_query) -> None:
     pop, store = _world(case)
-    engine = StorageEngine(SCHEMA)
-    engine.store_all(store.instances())
-    view = EngineView(engine)
     before = store.snapshot()
     compiled = []
     for query, options in case["queries"]:
@@ -146,9 +140,6 @@ def check_case(case, compile=compile_query) -> None:
         except QueryError:
             continue    # e.g. aggregates mixed with per-row items
     sources = [store, before]
-    for c, on_unsafe in compiled:
-        assert _outcome(lambda: execute(c, view)) == _outcome(
-            lambda: reference_execute(c, view, on_unsafe)), str(c.query)
     # A committed write, then a snapshot that has to rebuild its rows.
     store.set_value(pop.patients[0], "age", 41, check=CheckMode.NONE)
     sources.append(store.snapshot())

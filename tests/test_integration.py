@@ -1,24 +1,28 @@
-"""End-to-end integration: CDL -> store -> storage engine -> queries.
+"""End-to-end integration: CDL -> store -> profile catalog -> queries.
 
 One continuous walk through the whole pipeline on the hospital knowledge
-base, cross-checking the object store against the storage engine and the
-query results against hand-computed answers.
+base, cross-checking the store's Section 5.5 partition against its
+extents and the query results against hand-computed answers.
 """
 
 import pytest
 
 from repro import (
-    StorageEngine,
     analyze,
     compile_query,
     execute,
     load_schema,
     print_schema,
 )
+from repro.objects.profiles import (
+    ScanStats,
+    profile_catalog,
+    scan_attribute,
+)
 from repro.objects.store import CheckMode
 from repro.scenarios import populate_hospital
-from repro.storage.engine import ScanStats
-from repro.typesys import EnumSymbol, INAPPLICABLE
+from repro.typesys import EnumSymbol
+from tests.reference_model import unpruned_scan
 
 
 @pytest.fixture(scope="module")
@@ -28,29 +32,16 @@ def world():
                             tubercular_fraction=0.1,
                             ambulatory_fraction=0.1,
                             cancer_fraction=0.1)
-    engine = StorageEngine(pop.store.schema)
-    engine.store_all(pop.store.instances())
-    return pop, engine
+    return pop, profile_catalog(pop.store)
 
 
 def test_population_is_fully_conformant(world):
-    pop, _engine = world
+    pop, _catalog = world
     assert pop.store.validate_all() == []
 
 
-def test_store_and_engine_agree_on_every_attribute(world):
-    pop, engine = world
-    for obj in pop.store.instances():
-        row = engine.fetch(obj.surrogate)
-        for name in obj.value_names():
-            value = obj.get_value(name)
-            stored = row.get(name, INAPPLICABLE)
-            expected = getattr(value, "surrogate", value)
-            assert stored == expected, (obj, name)
-
-
 def test_schema_round_trip_preserves_query_semantics(world):
-    pop, _engine = world
+    pop, _catalog = world
     reloaded = load_schema(print_schema(pop.store.schema))
     query = "for p in Patient select p.treatedAt.location.state"
     assert not analyze(query, reloaded).is_safe
@@ -60,7 +51,7 @@ def test_schema_round_trip_preserves_query_semantics(world):
 
 
 def test_query_results_match_hand_computation(world):
-    pop, _engine = world
+    pop, _catalog = world
     rows, _ = execute(
         "for p in Patient where p.age >= 50 select p.name", pop.store)
     expected = sorted(
@@ -70,62 +61,63 @@ def test_query_results_match_hand_computation(world):
 
 
 def test_exceptional_rows_skipped_exactly(world):
-    pop, _engine = world
+    pop, _catalog = world
     _rows, stats = execute(
         "for p in Patient select p.treatedAt.location.state", pop.store)
     assert stats.rows_skipped == len(pop.tubercular)
 
 
 def test_membership_query_vs_extent(world):
-    pop, _engine = world
+    pop, _catalog = world
     rows, _ = execute("for a in Alcoholic select a.name", pop.store)
     assert len(rows) == pop.store.count("Alcoholic") == len(
         pop.alcoholics)
 
 
 def test_scan_attribute_matches_query(world):
-    pop, engine = world
+    pop, catalog = world
     via_query, _ = execute("for p in Patient select p.age", pop.store)
-    via_scan = [v for _s, v in engine.scan_attribute("Patient", "age")]
+    via_scan = [v for _s, v in scan_attribute(pop.store.schema, catalog,
+                                              "Patient", "age")]
     assert sorted(a for (a,) in via_query) == sorted(via_scan)
 
 
 def test_partition_pruning_saves_reads_on_real_population(world):
-    _pop, engine = world
+    pop, catalog = world
     fast, slow = ScanStats(), ScanStats()
-    list(engine.scan_attribute("Hospital", "accreditation", prune=True,
-                               stats=fast))
-    list(engine.scan_attribute("Hospital", "accreditation", prune=False,
-                               stats=slow))
+    schema = pop.store.schema
+    list(scan_attribute(schema, catalog, "Hospital", "accreditation", fast))
+    list(unpruned_scan(schema, catalog, "Hospital", "accreditation", slow))
     assert fast.rows_read < slow.rows_read
     assert fast.rows_matched == slow.rows_matched
 
 
+def _partition_of(catalog, obj):
+    return next(p.classes for p in catalog.values() if obj in p.members)
+
+
 def test_swiss_structures_in_own_partitions(world):
-    pop, engine = world
-    swiss_keys = {engine.memberships_of(
-        t.get_value("treatedAt").surrogate) for t in pop.tubercular}
+    pop, catalog = world
+    swiss_keys = {_partition_of(catalog, t.get_value("treatedAt"))
+                  for t in pop.tubercular}
     assert swiss_keys == {("Hospital", "Hospital$1")}
 
 
 def test_removing_tb_patient_moves_hospital_partition(world):
-    """Removing the last anchoring patient declassifies the hospital; a
-    re-store then moves it to the plain-Hospital partition."""
+    """Removing the last anchoring patient declassifies the hospital,
+    which moves it to the plain-Hospital partition."""
     pop = populate_hospital(n_patients=20, seed=99,
                             tubercular_fraction=0.05)
-    engine = StorageEngine(pop.store.schema)
-    engine.store_all(pop.store.instances())
     tb = pop.tubercular[0]
     hospital = tb.get_value("treatedAt")
     pop.store.remove(tb)
     assert not pop.store.is_member(hospital, "Hospital$1")
-    engine.delete(tb.surrogate)
-    engine.store_instance(hospital)
-    assert engine.memberships_of(hospital.surrogate) == ("Hospital",)
+    assert _partition_of(profile_catalog(pop.store), hospital) == (
+        "Hospital",)
 
 
 def test_compile_once_execute_many(world):
-    pop, _engine = world
+    pop, _catalog = world
     compiled = compile_query(
         "for p in Patient where p in Alcoholic select p.name",
         pop.store.schema)
@@ -135,7 +127,7 @@ def test_compile_once_execute_many(world):
 
 
 def test_multi_membership_through_full_pipeline(world):
-    pop, _engine = world
+    pop, _catalog = world
     store = pop.store
     p = pop.patients[0]
     store.set_value(p, "bloodPressure", EnumSymbol("High_BP"),

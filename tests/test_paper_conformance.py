@@ -203,15 +203,14 @@ class TestSection5_TheProposal:
         assert stats.checks_executed == 0
 
     def test_5_5_storage_partitioning(self, hospital):
+        from repro.objects.profiles import profile_catalog, record_format
         from repro.scenarios import populate_hospital
-        from repro.storage import StorageEngine
         pop = populate_hospital(schema=hospital, n_patients=40, seed=92,
                                 tubercular_fraction=0.1)
-        engine = StorageEngine(hospital)
-        engine.store_all(pop.store.instances())
-        swiss = next(p for p in engine.partitions()
-                     if "Hospital$1" in p.key)
-        assert not swiss.format.has_field("accreditation")
+        swiss = next(p for p in profile_catalog(pop.store).values()
+                     if "Hospital$1" in p.classes)
+        assert swiss.classes == ("Hospital", "Hospital$1")
+        assert "accreditation" not in record_format(hospital, swiss.classes)
 
     def test_5_6_virtual_extents_implicit(self, hospital):
         from repro.scenarios import populate_hospital

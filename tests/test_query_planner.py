@@ -22,8 +22,6 @@ from repro.query.compiler import _code_object
 from repro.query.planner import split_conjuncts
 from repro.query.parser import parse_query
 from repro.scenarios import populate_hospital
-from repro.storage import StorageEngine
-from repro.storage.view import EngineView
 
 
 @pytest.fixture(scope="module")
@@ -232,16 +230,6 @@ class TestExecution:
         assert stats.rows_pruned > 0
         assert qstats.index_scans == before["index_scans"] + 1
         assert qstats.full_scans == before["full_scans"]
-
-    def test_engine_view_falls_back_to_scan(self, world):
-        pop, store = world
-        engine = StorageEngine(store.schema)
-        engine.store_all(store.instances())
-        view = EngineView(engine)
-        q = "for p in Patient where p.age = 40 select p.name"
-        via_view, _ = execute_planned(q, view)
-        via_store, _ = execute_planned(q, store)
-        assert sorted(via_view) == sorted(via_store)
 
 
 class TestExplain:

@@ -64,14 +64,13 @@ class TestPopulation:
 
 class TestStorage:
     def test_audit_partition_has_no_grade_field(self, pop):
-        from repro.storage import StorageEngine
-        engine = StorageEngine(pop.store.schema)
-        engine.store_all(pop.store.instances())
-        by_key = {p.key: p for p in engine.partitions()}
-        assert not by_key[("Audit_Enrollment",)].format.has_field("grade")
-        assert by_key[("Enrollment",)].format.has_field("grade")
-        assert by_key[("PassFail_Enrollment",)].format.kind(
-            "grade") == "symbol"
+        from repro.objects.profiles import profile_catalog, record_format
+        schema = pop.store.schema
+        formats = {p.classes: record_format(schema, p.classes)
+                   for p in profile_catalog(pop.store).values()}
+        assert "grade" not in formats[("Audit_Enrollment",)]
+        assert "grade" in formats[("Enrollment",)]
+        assert formats[("PassFail_Enrollment",)]["grade"] == "symbol"
 
 
 class TestQueries:

@@ -1,12 +1,9 @@
-"""Record formats and the binary row codec."""
+"""Record formats: a signature's fields and their kinds (Section 5.5)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.errors import RecordFormatError
-from repro.objects import Instance, Surrogate
-from repro.storage import FieldSpec, RecordFormat, format_for_classes
-from repro.storage.records import kind_of_range
+from repro.errors import StorageError
+from repro.objects.profiles import kind_of_range, record_format
 from repro.typesys import (
     ANY_ENTITY,
     BOOLEAN,
@@ -15,11 +12,10 @@ from repro.typesys import (
     REAL,
     STRING,
     ClassType,
-    EnumSymbol,
+    ConditionalType,
     EnumerationType,
     IntRangeType,
     RecordType,
-    RecordValue,
 )
 
 
@@ -41,124 +37,30 @@ class TestKinds:
     def test_none_has_no_field(self):
         assert kind_of_range(NONE) is None
 
-
-FORMAT = RecordFormat([
-    FieldSpec("age", "int"),
-    FieldSpec("weight", "real"),
-    FieldSpec("active", "bool"),
-    FieldSpec("name", "string"),
-    FieldSpec("state", "symbol"),
-    FieldSpec("home", "surrogate"),
-    FieldSpec("extra", "record"),
-])
-
-
-class TestRowCodec:
-    def test_full_row_round_trip(self):
-        values = {
-            "age": 42,
-            "weight": 70.5,
-            "active": True,
-            "name": "Ada",
-            "state": EnumSymbol("NJ"),
-            "home": Surrogate(17),
-            "extra": RecordValue(city="Zurich", zip=8001),
-        }
-        row = FORMAT.encode_row(values)
-        assert FORMAT.decode_row(row) == values
-
-    def test_missing_fields_round_trip_as_absent(self):
-        row = FORMAT.encode_row({"age": 5})
-        decoded = FORMAT.decode_row(row)
-        assert decoded == {"age": 5}
-
-    def test_entity_values_stored_as_surrogates(self):
-        entity = Instance(Surrogate(9), {"Address"})
-        row = FORMAT.encode_row({"home": entity})
-        assert FORMAT.decode_row(row)["home"] == Surrogate(9)
-
-    def test_unicode_strings(self):
-        row = FORMAT.encode_row({"name": "Zürich ✓"})
-        assert FORMAT.decode_row(row)["name"] == "Zürich ✓"
-
-    def test_negative_and_large_ints(self):
-        for v in (-2**62, -1, 0, 2**62):
-            assert FORMAT.decode_row(FORMAT.encode_row(
-                {"age": v}))["age"] == v
-
-    def test_nested_record_values(self):
-        nested = RecordValue(
-            location=RecordValue(city="Bern", country=EnumSymbol("CH")),
-            beds=120)
-        row = FORMAT.encode_row({"extra": nested})
-        assert FORMAT.decode_row(row)["extra"] == nested
-
-    def test_type_mismatch_rejected(self):
-        with pytest.raises(RecordFormatError):
-            FORMAT.encode_row({"age": "not an int"})
-        with pytest.raises(RecordFormatError):
-            FORMAT.encode_row({"name": 42})
-        with pytest.raises(RecordFormatError):
-            FORMAT.encode_row({"state": "NJ"})  # needs EnumSymbol
-        with pytest.raises(RecordFormatError):
-            FORMAT.encode_row({"home": 9})  # needs a surrogate
-
-    def test_bool_is_not_int(self):
-        with pytest.raises(RecordFormatError):
-            FORMAT.encode_row({"age": True})
-
-    def test_trailing_bytes_detected(self):
-        row = FORMAT.encode_row({"age": 5})
-        with pytest.raises(RecordFormatError):
-            FORMAT.decode_row(row + b"\x00")
-
-    def test_duplicate_field_names_rejected(self):
-        with pytest.raises(RecordFormatError):
-            RecordFormat([FieldSpec("x", "int"), FieldSpec("x", "int")])
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    age=st.none() | st.integers(-10**12, 10**12),
-    name=st.none() | st.text(max_size=30),
-    active=st.none() | st.booleans(),
-    weight=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-    state=st.none() | st.sampled_from(["NJ", "CA", "ZH"]).map(EnumSymbol),
-    home=st.none() | st.integers(1, 10**6).map(Surrogate),
-)
-def test_codec_round_trip_property(age, name, active, weight, state, home):
-    """Any mix of present/absent fields survives encode/decode."""
-    values = {k: v for k, v in {
-        "age": age, "name": name, "active": active,
-        "weight": weight, "state": state, "home": home,
-    }.items() if v is not None}
-    assert FORMAT.decode_row(FORMAT.encode_row(values)) == values
+    def test_conditional_range_has_no_kind(self):
+        with pytest.raises(StorageError):
+            kind_of_range(ConditionalType(INTEGER, ((STRING, "X"),)))
 
 
 class TestFormatDerivation:
     def test_hospital_format(self, hospital_schema):
-        fmt = format_for_classes(hospital_schema, ["Hospital"])
-        assert fmt.kind("accreditation") == "symbol"
-        assert fmt.kind("location") == "surrogate"
+        assert record_format(hospital_schema, ["Hospital"]) == {
+            "accreditation": "symbol", "location": "surrogate"}
 
     def test_virtual_partition_drops_none_fields(self, hospital_schema):
-        fmt = format_for_classes(hospital_schema,
-                                 ["Hospital", "Hospital$1"])
-        assert not fmt.has_field("accreditation")
-        assert fmt.kind("location") == "surrogate"
+        fmt = record_format(hospital_schema, ["Hospital", "Hospital$1"])
+        assert "accreditation" not in fmt
+        assert fmt["location"] == "surrogate"
 
     def test_most_specific_range_wins(self, hospital_schema):
-        fmt = format_for_classes(hospital_schema, ["Employee"])
-        assert fmt.kind("age") == "int"
-        fmt2 = format_for_classes(hospital_schema, ["Ambulatory_Patient"])
-        assert not fmt2.has_field("ward")  # None range on the subclass
+        assert record_format(hospital_schema, ["Employee"])["age"] == "int"
+        fmt = record_format(hospital_schema, ["Ambulatory_Patient"])
+        assert "ward" not in fmt  # None range on the subclass
 
     def test_compatibility(self, hospital_schema):
-        plain = format_for_classes(hospital_schema, ["Hospital"])
-        swiss = format_for_classes(hospital_schema,
-                                   ["Hospital", "Hospital$1"])
-        # Shared fields agree in kind, so the formats are compatible in
-        # the codec sense; partitioning still separates them because the
-        # field *sets* differ.
-        assert swiss.compatible_with(plain) or True
-        assert plain.field_names() != swiss.field_names()
+        plain = record_format(hospital_schema, ["Hospital"])
+        swiss = record_format(hospital_schema, ["Hospital", "Hospital$1"])
+        # Shared fields agree in kind; partitioning still separates the
+        # two because the field *sets* differ.
+        assert all(plain[name] == kind for name, kind in swiss.items())
+        assert list(plain) != list(swiss)

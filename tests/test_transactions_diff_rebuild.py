@@ -1,4 +1,4 @@
-"""Transactions, schema diff, query explain, and store rebuild."""
+"""Transactions, schema diff, query explain, and cold-start rebuild."""
 
 import pytest
 
@@ -9,9 +9,6 @@ from repro.objects.transactions import TransactionError, transaction
 from repro.query import compile_query, execute
 from repro.scenarios import populate_hospital
 from repro.schema.diff import diff_schemas, render_diff
-from repro.storage import StorageEngine
-from repro.storage.persist import load_engine, save_engine
-from repro.storage.rebuild import rebuild_store
 from repro.typesys import EnumSymbol
 
 
@@ -174,66 +171,54 @@ class TestExplain:
 
 
 # ---------------------------------------------------------------------------
-# Store rebuild (cold-start path)
+# Store rebuild (cold-start path: checkpoint, then reopen the directory)
 # ---------------------------------------------------------------------------
 
 class TestRebuild:
-    def test_full_cold_start(self, tmp_path, hospital_schema):
+    def test_full_cold_start(self, hospital_schema, cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=40,
                                 seed=71, tubercular_fraction=0.1)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        save_engine(engine, str(tmp_path / "snap"))
-
-        reloaded_engine = load_engine(hospital_schema,
-                                      str(tmp_path / "snap"))
-        store = rebuild_store(reloaded_engine, validate=True)
-
+        store = cold_start(pop.store)
+        assert store.last_recovery.conformant
+        assert store.last_recovery.checkpoint_objects == len(pop.store)
         assert len(store) == len(pop.store)
         assert store.count("Patient") == len(pop.patients)
         assert store.count("Hospital$1") == pop.store.count("Hospital$1")
 
-    def test_references_relinked(self, hospital_schema):
+    def test_references_relinked(self, hospital_schema, cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=20,
                                 seed=72)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        store = rebuild_store(engine)
+        store = cold_start(pop.store)
         for original in pop.patients:
             rebuilt = store.get(original.surrogate)
             doctor = rebuilt.get_value("treatedBy")
             assert doctor is store.get(
                 original.get_value("treatedBy").surrogate)
 
-    def test_queries_agree_after_rebuild(self, hospital_schema):
+    def test_queries_agree_after_rebuild(self, hospital_schema, cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=30,
                                 seed=73, tubercular_fraction=0.1)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        store = rebuild_store(engine)
+        store = cold_start(pop.store)
         query = ("for p in Patient select p.name, "
                  "p.treatedAt.location.city")
         original, _ = execute(query, pop.store)
         rebuilt, _ = execute(query, store)
         assert sorted(original) == sorted(rebuilt)
 
-    def test_fresh_surrogates_after_rebuild(self, hospital_schema):
+    def test_fresh_surrogates_after_rebuild(self, hospital_schema,
+                                            cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=10,
                                 seed=74)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        store = rebuild_store(engine)
+        store = cold_start(pop.store)
         fresh = store.create("Person", name="new", age=1)
         assert all(fresh.surrogate != obj.surrogate
                    for obj in pop.store.instances())
 
-    def test_virtual_maintenance_works_after_rebuild(self,
-                                                     hospital_schema):
+    def test_virtual_maintenance_works_after_rebuild(self, hospital_schema,
+                                                     cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=30,
                                 seed=75, tubercular_fraction=0.1)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        store = rebuild_store(engine)
+        store = cold_start(pop.store)
         tb = store.get(pop.tubercular[0].surrogate)
         hospital = tb.get_value("treatedAt")
         store.remove(tb)
@@ -245,32 +230,30 @@ class TestRebuild:
         assert store.is_member(hospital, "Hospital$1") == still_anchored
 
     def test_rebuilt_objects_are_dirty_until_validated(
-            self, hospital_schema):
-        """Regression: pass 2 of the rebuild writes values through the
-        unchecked path, so nothing has vouched for the stored data --
-        every rebuilt object must sit in the dirty ledger, and
-        ``validate_dirty`` must surface corruption the snapshot
-        carried."""
+            self, hospital_schema, cold_start):
+        """Nothing vouches for a corrupted object across a restart: it
+        stays on the dirty ledger, and ``validate_dirty`` surfaces the
+        corruption the checkpoint carried."""
         pop = populate_hospital(schema=hospital_schema, n_patients=10,
                                 seed=76)
         victim = pop.patients[0]
         pop.store.set_value(victim, "age", 400,
                             check=CheckMode.NONE)   # corrupt the source
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-
-        store = rebuild_store(engine)
-        assert set(store._dirty) == set(store._objects)
+        store = cold_start(pop.store)
+        assert victim.surrogate in store._dirty
+        assert [(obj.surrogate, v.attribute)
+                for obj, v in store.last_recovery.violations] == \
+            [(victim.surrogate, "age")]
         problems = store.validate_dirty()
         assert [(obj.surrogate, v.attribute) for obj, v in problems] == \
             [(victim.surrogate, "age")]
-        # Validation consumed the ledger: only the violator stays dirty.
         assert set(store._dirty) == {victim.surrogate}
 
-    def test_validated_rebuild_starts_clean(self, hospital_schema):
+    def test_validated_rebuild_starts_clean(self, hospital_schema,
+                                            cold_start):
         pop = populate_hospital(schema=hospital_schema, n_patients=10,
                                 seed=77)
-        engine = StorageEngine(hospital_schema)
-        engine.store_all(pop.store.instances())
-        store = rebuild_store(engine, validate=True)
+        pop.store.validate_dirty()
+        store = cold_start(pop.store)
+        assert store.last_recovery.conformant
         assert not store._dirty

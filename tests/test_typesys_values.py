@@ -140,13 +140,11 @@ class TestIsEntity:
     def test_every_entity_class_is_an_entity(self):
         from repro.objects.snapshot import SnapshotInstance
         from repro.sharding.router import RemoteHandle
-        from repro.storage.view import StoredEntity
         from repro.typesys.values import is_entity
         assert is_entity(make({"Person"}))
         assert is_entity(SnapshotInstance(Surrogate(1), {"Person"}, {}))
-        # Neither proxy is asked anything: their owners are absent.
+        # The proxy is asked nothing: its owner is absent.
         assert is_entity(RemoteHandle(None, Surrogate(1)))
-        assert is_entity(StoredEntity(Surrogate(1), None))
 
     @pytest.mark.parametrize("value", [
         RecordValue(memberships=1, get_value=2), EnumSymbol("Dove"),
