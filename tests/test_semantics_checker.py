@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConformanceError
 from repro.objects import ObjectStore
 from repro.objects.store import CheckMode
 from repro.semantics import ConformanceChecker
@@ -128,3 +129,70 @@ def test_expanded_memberships(checker, store):
     p = store.create("Alcoholic", name="A", age=30)
     assert checker.expanded_memberships(p) == {
         "Alcoholic", "Patient", "Person"}
+
+
+COUNTERS = ("profile_hits", "profile_misses", "constraints_checked",
+            "constraints_skipped", "violations_found", "full_checks",
+            "attribute_checks", "delta_checks")
+
+
+def test_counters_per_operation(hospital_schema):
+    """Exact counter deltas of each kind of checked operation.  The e2e
+    replay derives ``constraints_per_write``, ``skipped_per_write`` and
+    ``profile_hit_ratio`` from these counters, so their meaning at each
+    entry point is pinned here."""
+    store = ObjectStore(hospital_schema)
+    doc = store.create("Physician", name="D", age=40)
+    shrink = store.create("Psychologist", name="S", age=45)
+    plain = store.create("Patient", name="P", age=30,
+                         bloodPressure=EnumSymbol("Low_BP"))
+    drunk = store.create("Alcoholic", name="A", age=50)
+    stats = store.checker.stats
+
+    def delta(op):
+        before = [getattr(stats, name) for name in COUNTERS]
+        op()
+        return dict(zip(COUNTERS, (getattr(stats, name) - was for name, was
+                                   in zip(COUNTERS, before))))
+
+    def rejected():
+        with pytest.raises(ConformanceError):
+            store.set_value(plain, "treatedBy", shrink)
+
+    rows = [("Patient", {"name": f"b{i}", "age": 20 + i, "treatedBy": doc})
+            for i in range(7)]
+    rows += [(("Patient", "Alcoholic"),
+              {"name": f"a{i}", "treatedBy": shrink}) for i in range(3)]
+    observed = {
+        "plain set": delta(lambda: store.set_value(plain, "treatedBy", doc)),
+        "excused set": delta(
+            lambda: store.set_value(drunk, "treatedBy", shrink)),
+        "rejected set": delta(rejected),
+        "classify": delta(
+            lambda: store.classify(plain, "Hemorrhaging_Patient")),
+        "declassify": delta(
+            lambda: store.declassify(plain, "Hemorrhaging_Patient")),
+        "validate all": delta(store.validate_all),
+        "eager bulk": delta(
+            lambda: store.bulk_load(rows, check="eager")),
+    }
+    # (hits, misses, checked, skipped, violations, full, attribute, delta)
+    expected = {
+        # Patient has 7 rows, treatedBy one of them.
+        "plain set": (1, 0, 1, 6, 0, 0, 1, 0),
+        # Alcoholic has 8 rows, treatedBy two (Patient's and its own).
+        "excused set": (1, 0, 2, 6, 0, 0, 1, 0),
+        "rejected set": (1, 0, 1, 6, 1, 0, 1, 0),
+        # The closure before (a hit), then the new signature (a miss):
+        # only Hemorrhaging_Patient's bloodPressure row is checked.
+        "classify": (1, 1, 1, 7, 0, 0, 0, 1),
+        # The closure before and after, then the loss check; no
+        # remaining row is excused by Hemorrhaging_Patient.
+        "declassify": (3, 0, 0, 7, 0, 0, 0, 1),
+        # One lookup per object; every stored value's rows are checked.
+        "validate all": (4, 0, 12, 0, 0, 4, 0, 0),
+        # Bulk counts its own work (bulk_objects, compiled_checks).
+        "eager bulk": (0, 0, 0, 0, 0, 0, 0, 0),
+    }
+    assert observed == {op: dict(zip(COUNTERS, counts))
+                        for op, counts in expected.items()}
