@@ -5,11 +5,11 @@ with exceptional subclasses, wards, physicians referencing a shared
 cast) ingested three ways:
 
 * **baseline** -- the sequential eager path: one ``create`` /
-  ``classify`` per row, every write interpreted and every index/extent
-  structure maintained incrementally;
+  ``classify`` per row, every write checked on its own and every
+  index/extent structure maintained incrementally;
 * **bulk eager** -- ``store.bulk_load(..., check="eager")``: one
-  compiled checker per membership signature, one extent/index merge per
-  batch (single design-version bump);
+  generated check per membership signature group, one extent/index merge
+  per batch (single design-version bump);
 * **bulk deferred** -- ``check="deferred"``: the merge alone, with the
   conformance debt carried in the dirty ledger (its payoff time,
   ``validate_dirty``, is reported too).

@@ -110,7 +110,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "bench_query_index.py"),
     Experiment(
         "A5", "Bulk ingestion pipeline", "substrate",
-        "profile-compiled conformance checkers make batched ingest "
+        "one generated check per signature group makes batched ingest "
         ">= 3x the per-object eager path with identical final state",
         ("repro.objects.bulk", "repro.semantics.compiled"),
         "bench_bulk_ingest.py"),

@@ -1,28 +1,28 @@
-"""Batched ingestion: profile-compiled checking, deferred maintenance.
+"""Batched ingestion: one check per signature group, deferred maintenance.
 
-The per-object write path pays, for every ``create``/``set_value``, the
-interpreted conformance check *plus* incremental extent, secondary-index
-and dirty-ledger maintenance.  When thousands of objects arrive at once
-that is the wrong amortization: objects sharing a direct-membership
-signature are subject to an identical constraint table, so the check can
-be compiled once per signature (:mod:`repro.semantics.compiled`) and the
-bookkeeping merged once per batch.
+The per-object write path pays, for every ``create``/``set_value``, a
+conformance check *plus* incremental extent, secondary-index and
+dirty-ledger maintenance.  When thousands of objects arrive at once that
+is the wrong amortization: objects sharing a direct-membership signature
+are subject to an identical constraint table, so the store checker
+resolves the signature's generated check once per group
+(:meth:`~repro.semantics.checker.ConformanceChecker.check_batch`) and
+the bookkeeping is merged once per batch.
 
 :class:`BulkSession` stages rows without touching the store, then commits
 them in one merge:
 
-* staged objects are grouped by signature; each group's constraint table
-  is compiled to a specialized closure (excuse branches folded, provably
-  unfalsifiable rows eliminated), falling back to the interpreted
-  checker for profiles the compiler declines (non-excuse semantics);
+* staged objects are grouped by signature, and each group runs through
+  its signature's generated check (excuse branches folded, provably
+  unfalsifiable rows eliminated);
 * objects that interact with **virtual classes** -- a virtual class in
   the expanded signature, or an entity value landing on a virtual class's
   home attribute -- take the store's ordinary per-object path *after* the
   fast merge, so reference counting, join checking and cascades behave
   exactly as for sequential writes;
 * under ``check="eager"`` the profile groups are validated before
-  anything becomes visible (compiled checkers are pure, results are
-  plain data, and the merge is deterministic in staging order);
+  anything becomes visible (results are plain data, and the merge is
+  deterministic in staging order);
 * extents, index postings and the dirty ledger are updated in one pass
   per batch, and the index design version is bumped **once** so plans
   cached mid-batch never outlive the merge.
@@ -62,7 +62,6 @@ from repro.objects.pipeline import BulkCommand
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.semantics.checker import Violation, expand_signature
-from repro.semantics.compiled import CompiledProfileChecker
 from repro.typesys.values import INAPPLICABLE, is_entity
 
 
@@ -74,7 +73,6 @@ class BulkReport:
     fast_objects: int       # merged through the batched path
     fallback_objects: int   # applied through the per-object path
     profiles: int           # distinct signatures in the fast path
-    compiled_profiles: int  # of those, served by a compiled checker
     check: str              # the check mode the batch ran under
     instances: Tuple[Instance, ...]  # staged instances, in row order
 
@@ -269,9 +267,6 @@ class BulkSession:
             fast_objects=len(command.fast),
             fallback_objects=len(command.slow),
             profiles=len(command.groups),
-            compiled_profiles=sum(
-                1 for checker in command.compiled_for.values()
-                if checker is not None),
             check=self._mode,
             instances=tuple(entry.obj for entry in staged),
         )
@@ -344,35 +339,22 @@ class BulkSession:
             bucket.append(entry)
         return groups
 
-    def _compile(self, groups
-                 ) -> "Dict[frozenset, Optional[CompiledProfileChecker]]":
-        """Compile (or decline) every signature up front."""
-        cache = self._store._compiled_profile_cache()
-        return {signature: cache.get(signature) for signature in groups}
-
-    def _check_profiles(self, groups, compiled_for) -> None:
+    def _check_profiles(self, groups) -> None:
         """Per-profile conformance for the fast path (the
         unshared-structure sweep runs first, in the pipeline's
         :meth:`~repro.objects.pipeline.MutationPipeline.bulk_validate`).
         Raises :class:`ConformanceError` on the earliest-staged
         violating object."""
-        store = self._store
-        stats = store.checker.stats
+        checker = self._store.checker
         failures: List[Tuple[int, List[Violation]]] = []
         for signature, entries in groups.items():
-            checker = compiled_for[signature]
-            if checker is None:
-                check = store.checker.check     # interpreted fallback
-            else:
-                check = checker.check
-                stats.compiled_checks += len(entries)
-            for entry in entries:
-                violations = check(entry.obj)
-                if violations:
-                    failures.append((entry.pos, violations))
+            failures.extend(
+                (entries[i].pos, violations) for i, violations
+                in checker.check_batch(signature,
+                                       [entry.obj for entry in entries]))
         if failures:
             pos, violations = min(failures, key=lambda f: f[0])
-            stats.violations_found += len(violations)
+            checker.stats.violations_found += len(violations)
             first = violations[0]
             raise ConformanceError(
                 self._staged[pos].obj.surrogate, first.class_name,

@@ -24,11 +24,10 @@ measure that claim (benchmark E10):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.objects.instance import Instance
 from repro.schema.schema import Schema
-from repro.semantics.candidates import ConstraintSemantics
 from repro.semantics.checker import ConformanceChecker, Violation
 
 
@@ -48,10 +47,9 @@ class ExceptionRecord:
 class ExceptionalIndividualRegistry:
     """Marks individuals as exceptional and checks around the marks."""
 
-    def __init__(self, schema: Schema,
-                 semantics: Optional[ConstraintSemantics] = None) -> None:
+    def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        self._checker = ConformanceChecker(schema, semantics)
+        self._checker = ConformanceChecker(schema)
         self._records: Dict[Tuple[object, str, str], ExceptionRecord] = {}
 
     # ------------------------------------------------------------------

@@ -11,9 +11,10 @@ single home for that orchestration.  A mutation is a typed
 stage sequence:
 
 1. **admit** -- liveness / schema checks (raises before anything moves);
-2. **apply** -- conformance checking (incremental, full, or
-   profile-compiled) interleaved with extent, virtual-class and
-   secondary-index maintenance, rolling its own work back on violation;
+2. **apply** -- conformance checking (the rows of the signature's
+   generated check a command can affect) interleaved with extent,
+   virtual-class and secondary-index maintenance, rolling its own work
+   back on violation;
 3. **journal** -- on a durable store, the surviving command is appended
    to the WAL as one logical record (nested commands -- a bulk batch's
    per-object fallback, a failing create's internal removal -- never
@@ -326,15 +327,14 @@ class BulkCommand(MutationCommand):
     a single WAL record)."""
 
     op = "bulk"
-    __slots__ = ("session", "fast", "slow", "groups", "compiled_for")
+    __slots__ = ("session", "fast", "slow", "groups")
 
     def __init__(self, session) -> None:
         super().__init__(session._mode)
         self.session = session
 
     def apply(self, pipe):
-        self.fast, self.slow, self.groups, self.compiled_for = \
-            pipe.apply_bulk(self.session)
+        self.fast, self.slow, self.groups = pipe.apply_bulk(self.session)
         self.mutated = bool(self.session._staged)
 
     def journal(self, pipe, journal):
@@ -728,12 +728,11 @@ class MutationPipeline:
         command.region = region
 
         # Swap in the successor epoch.  Everything derived from the old
-        # schema object either moves with the swap (checker, compiled
-        # profiles, virtual lookup) or is keyed by schema version and
-        # simply stops matching (plan cache).
+        # schema object either moves with the swap (checker profiles,
+        # virtual lookup) or is keyed by schema version and simply stops
+        # matching (plan cache).
         store.schema = new_schema
         store.checker.rebind_schema(new_schema, region.classes)
-        store._compiled_cache = None
         store._rebuild_virtual_lookup()
         store.schema_epochs.advance(new_schema, command.verb,
                                     tuple(changes), region)
@@ -846,18 +845,17 @@ class MutationPipeline:
         with UndoScope(store, include_stats=True):
             fast, slow = session._partition()
             groups = session._group(fast)
-            compiled_for = session._compile(groups)
             if session._mode == CheckMode.EAGER:
-                self.bulk_validate(session, groups, compiled_for)
+                self.bulk_validate(session, groups)
             self.bulk_merge(fast, groups, session._mode)
             for entry in slow:
                 self.bulk_fallback(entry, session._mode)
             stats.bulk_loads += 1
             stats.bulk_objects += len(fast)
             stats.bulk_fallbacks += len(slow)
-        return fast, slow, groups, compiled_for
+        return fast, slow, groups
 
-    def bulk_validate(self, session, groups, compiled_for) -> None:
+    def bulk_validate(self, session, groups) -> None:
         """Eager validation of the fast path: unshared-structure checks,
         then per-profile conformance.  Raises on the earliest-staged
         violating object."""
@@ -878,7 +876,7 @@ class MutationPipeline:
                                     value.surrogate in virtual_members):
                                 self.enforce_unshared(
                                     entry.obj, attribute, value)
-        session._check_profiles(groups, compiled_for)
+        session._check_profiles(groups)
 
     def bulk_merge(self, fast, groups, mode: str) -> None:
         """Make the fast-path objects visible: registration, one extent

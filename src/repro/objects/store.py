@@ -39,16 +39,16 @@ committed state.
 Conformance checking
 --------------------
 
-Eager verdicts come from the schema's precomputed constraint index
-through the checker's signature-profile cache, and each mutation checks
-only the constraints it can affect -- an attribute write checks that
-attribute's rows; gaining a membership (``classify``, or a value entering
-a virtual class) checks the closure delta's rows; losing one
-(``declassify``) checks the rows whose excuses the loss can strip plus
-new applicability errors: an object that conformed only through the
-excuse branch ``x in E`` is re-checked (and the declassification rolled
-back) when it leaves ``E``.  ``store.checker`` is the seam the property
-suites use to run the same store on ``tests/reference_model.py``.
+Eager verdicts come from the checker's generated check for the object's
+signature, and each mutation runs only the rows it can affect -- an
+attribute write that attribute's rows; gaining a membership
+(``classify``, or a value entering a virtual class) the closure delta's
+rows; losing one (``declassify``) the rows whose excuses the loss can
+strip plus new applicability errors: an object that conformed only
+through the excuse branch ``x in E`` is re-checked (and the
+declassification rolled back) when it leaves ``E``.  ``store.checker``
+is the seam the property suites use to run the same store on
+``tests/reference_model.py``.
 
 Residue policy: when a value *leaves* a virtual class because its anchor
 moved away, the value may retain attributes that are no longer applicable
@@ -92,7 +92,6 @@ from repro.schema.attribute import AttributeDef, ExcuseRef
 from repro.schema.classdef import ClassDef
 from repro.schema.epochs import SchemaEpochRegistry
 from repro.schema.schema import Schema
-from repro.semantics.candidates import ConstraintSemantics
 from repro.semantics.checker import ConformanceChecker, Violation
 from repro.typesys.values import INAPPLICABLE
 
@@ -108,7 +107,6 @@ class ObjectStore:
     """Holds instances, their extents, and enforces the schema."""
 
     def __init__(self, schema: Schema,
-                 semantics: Optional[ConstraintSemantics] = None,
                  check_mode: str = CheckMode.EAGER,
                  strict_virtual_extents: bool = True,
                  require_values: bool = False,
@@ -116,7 +114,7 @@ class ObjectStore:
                  bitset_stats: Optional[BitsetStats] = None) -> None:
         self.schema = schema
         self.checker = ConformanceChecker(
-            schema, semantics, require_values=require_values, stats=stats)
+            schema, require_values=require_values, stats=stats)
         self.check_mode = check_mode
         self.strict_virtual_extents = strict_virtual_extents
         # The bitset-counter sink stats() reports.  Defaults to the
@@ -175,9 +173,6 @@ class ObjectStore:
         self.indexes = IndexManager(self)
         # The single mutation path (commands, stages, write lock).
         self._pipeline = MutationPipeline(self)
-        # Per-signature compiled conformance checkers (bulk ingestion);
-        # built lazily on the first bulk load.
-        self._compiled_cache = None
         # Durability journal (a StoreJournal); attached by the durable
         # subclass / recovery, None for a purely in-memory store.
         self._journal = None
@@ -557,7 +552,7 @@ class ObjectStore:
         plus attribute values, or a ``(classes, values)`` pair.
         Equivalent to sequential checked ``create``/``classify``/
         ``set_value`` calls under the same ``check`` mode, but conformance
-        is checked by per-signature compiled closures and
+        is checked once per signature group and
         extent/index/dirty maintenance is merged once per batch.  Any
         failure rolls the whole batch back.
         """
@@ -572,18 +567,6 @@ class ObjectStore:
                 else:
                     add_row(row)
         return session.report
-
-    def _compiled_profile_cache(self):
-        """The store's per-signature compiled-checker cache (lazy)."""
-        cache = self._compiled_cache
-        if cache is None:
-            from repro.semantics.compiled import CompiledProfileCache
-            cache = CompiledProfileCache(
-                self.schema, self.checker.semantics,
-                require_values=self.checker.require_values,
-                stats=self.checker.stats)
-            self._compiled_cache = cache
-        return cache
 
     # ------------------------------------------------------------------
     # Virtual-class lookup (read-only; maintenance lives in the pipeline)

@@ -21,9 +21,11 @@ instances of ``B`` and settles on the last:
 4. **The correct definition** -- ``IF x in B THEN x.p in R or
    (x in E and x.p in S)``.
 
-All four are implemented as interchangeable :class:`ConstraintSemantics`
-strategies so the paper's litmus cases can be *executed* (benchmark E9);
-the library everywhere else uses :class:`ExcuseSemantics` (the fourth).
+All four are :class:`ConstraintSemantics` strategies so the paper's
+litmus cases can be *executed* (benchmark E9 and the A1 ablation).  The
+store checks the fourth only: :class:`ConformanceChecker` runs each
+signature's generated check (:mod:`repro.semantics.compiled`), with the
+excuse guards folded when the check is compiled.
 """
 
 from repro.semantics.candidates import (
@@ -35,16 +37,11 @@ from repro.semantics.candidates import (
     ALL_SEMANTICS,
 )
 from repro.semantics.checker import ConformanceChecker, Violation
-from repro.semantics.compiled import (
-    CompiledProfileCache,
-    CompiledProfileChecker,
-    compile_profile,
-)
+from repro.semantics.compiled import CompiledProfileChecker, compile_profile
 
 __all__ = [
     "ALL_SEMANTICS",
     "BroadenedRangeSemantics",
-    "CompiledProfileCache",
     "CompiledProfileChecker",
     "ConformanceChecker",
     "ConstraintSemantics",

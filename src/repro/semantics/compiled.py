@@ -1,354 +1,285 @@
-"""Profile-compiled conformance checkers for the bulk-ingestion path.
+"""Generated conformance checks, one per direct-membership signature.
 
-The paper's Section 5.4 observation -- the compiler "can avoid the
-introduction of run-time safety tests in those cases where it has
-determined that no type error can occur" -- was applied to the read path
-by the E3 query compiler.  This module applies it to the *write* path:
-objects sharing a direct-membership signature are subject to an identical
-constraint table, so the excuse rule
-
-    IF x in B THEN  x.p in R  OR  (x in E AND x.p in S)
-
-can be specialized once per signature and amortized over every object in
-a batch.  Two facts make the specialization sound:
-
-* the excuse guard ``x in E`` depends only on ``x``'s memberships, which
-  are exactly the signature being compiled -- so each excuse branch is
-  either *active* (its range joins the accepted set) or *dead* (dropped),
-  decided at compile time;
-* conditional-type alternatives ``T/E`` are guarded by the *owner's*
-  memberships (``type_contains``), which are again the signature --
-  record types are the one construct that re-anchors the owner to the
-  value, so they (alone) fall back to the interpreted ``type_contains``.
-
-Rows whose folded accepted set is universal (an ``ANY``-ranged or
-otherwise unfalsifiable constraint) are eliminated outright, exactly as
-the E3 compiler drops provably-safe run-time checks.
-
-Profiles whose expanded signature includes a virtual class are *not*
-compiled (``compile_profile`` returns ``None``): virtual-class membership
-is maintained by the store's reference counting, not derivable from the
-signature, so those objects take the interpreted
-:class:`~repro.semantics.checker.ConformanceChecker`.
-
-A compiled checker's :meth:`~CompiledProfileChecker.check` is pure -- it
-reads the entity and returns :class:`Violation` objects, touching no
-shared counters -- which is what lets the bulk loader fan profile groups
-out to worker threads and merge results deterministically.
+Section 5.4: the compiler "can avoid the introduction of run-time safety
+tests in those cases where it has determined that no type error can
+occur".  Objects sharing a direct-membership signature share one
+constraint table, so the rule ``IF x in B THEN x.p in R OR (x in E AND
+x.p in S)`` is specialised once per signature and emitted as source for
+:func:`repro.query.compiler.instantiate`.  The guard ``x in E`` depends
+only on the signature (virtual classes included), so each excuse branch
+is live or dead at compile time; conditional alternatives ``T/E``, also
+guarded by the owner, fold the same way.  Range tests are inline
+expressions (a record type, which re-anchors the owner to the value,
+calls ``type_contains``), and a row whose accepted set is universal
+emits no test.  Names and constants are bound through the namespace, so
+signatures of one shape share a code object.  The store's checker runs
+row subsets of the one table (:meth:`CompiledProfileChecker.subset`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.obs import EngineStats
-from repro.schema.schema import Schema
-from repro.semantics.candidates import (
-    ConstraintSemantics,
-    ExcuseSemantics,
-)
-from repro.semantics.checker import (
-    Violation,
-    expand_signature,
-    profile_rows,
-)
+from repro.query.compiler import indent, instantiate
+from repro.schema.schema import IndexedConstraint, Schema
+from repro.semantics.candidates import ExcuseSemantics
 from repro.typesys.core import (
-    AnyEntityType,
-    AnyType,
-    ClassType,
-    ConditionalType,
-    EnumerationType,
-    IntRangeType,
-    NoneType,
-    PrimitiveType,
-    Type,
-    UnionType,
-)
+    AnyEntityType, AnyType, ClassType, ConditionalType, EnumerationType,
+    IntRangeType, NoneType, PrimitiveType, Type, UnionType)
 from repro.typesys.values import (
-    INAPPLICABLE,
-    EnumSymbol,
-    entity_is_member,
-    is_entity,
-    type_contains,
-)
-
-#: ``pred(value, owner) -> bool`` -- membership of a (non-INAPPLICABLE)
-#: value in one accepted range, specialized to a signature.
-RangePred = Callable[[object, object], bool]
+    EnumSymbol, entity_is_member, type_contains, value_repr)
 
 
-class _SignatureEntity:
-    """A stand-in entity carrying only a membership signature, used to
-    evaluate owner-membership guards at compile time."""
+@dataclass(frozen=True)
+class Violation:
+    """One failed constraint on one entity."""
 
-    __slots__ = ("memberships",)
+    kind: str  # "constraint" | "inapplicable-attribute" | "missing-value"
+    class_name: str
+    attribute: str
+    value: object
+    rule: str = ""
 
-    def __init__(self, memberships: FrozenSet[str]) -> None:
-        self.memberships = memberships
+    def __str__(self) -> str:
+        if self.kind == "inapplicable-attribute":
+            return (f"attribute {self.attribute!r} is not applicable "
+                    f"(no membership class declares it); value "
+                    f"{value_repr(self.value)}")
+        if self.kind == "missing-value":
+            return (f"attribute {self.attribute!r} required by "
+                    f"{self.class_name!r} has no value")
+        return (f"value {value_repr(self.value)} violates "
+                f"({self.class_name!r}, {self.attribute!r}); rule: "
+                f"{self.rule}")
 
-    def get_value(self, name: str):  # entity protocol; never has values
-        return INAPPLICABLE
+
+def expand_signature(schema: Schema,
+                     memberships: Iterable[str]) -> FrozenSet[str]:
+    """The IS-A closure of a direct-membership signature."""
+    expanded: Set[str] = set()
+    for m in memberships:
+        expanded.update(schema.ancestors(m))
+    return frozenset(expanded)
 
 
-def _signature_member(schema: Schema, signature: FrozenSet[str],
-                      class_name: str) -> bool:
+def profile_rows(schema: Schema,
+                 expanded: FrozenSet[str]) -> Tuple[IndexedConstraint, ...]:
+    """Every constraint row an entity with the given expanded memberships
+    is subject to, in the (sorted owner, declaration) order violations
+    are reported in."""
+    rows: List[IndexedConstraint] = []
+    for class_name in sorted(expanded):
+        rows.extend(schema.declared_index(class_name))
+    return tuple(rows)
+
+
+def values_of(entity) -> Dict[str, object]:
+    """A store instance's own value dict, else one read through the
+    entity protocol."""
+    values = getattr(entity, "_values", None)
+    if values is None:
+        values = {name: entity.get_value(name)
+                  for name in entity.value_names()}
+    return values
+
+
+#: What generated checks call, beside the query compiler's runtime.
+_RUNTIME = {"_V": Violation, "_Sym": EnumSymbol, "_member": entity_is_member,
+            "_tc": type_contains}
+_INT = "isinstance({x}, int) and not isinstance({x}, bool)"
+_PRIMITIVES = {"Integer": f"({_INT})", "String": "isinstance({x}, str)",
+               "Boolean": "isinstance({x}, bool)",
+               "Real": f"(isinstance({{x}}, float) or ({_INT}))"}
+_RULES = ExcuseSemantics()
+
+
+def _holds(schema: Schema, signature: FrozenSet[str],
+           class_name: str) -> bool:
     """Whether every entity with this direct-membership signature is a
-    member of ``class_name`` (mirrors ``entity_is_member``)."""
-    return any(
-        m == class_name or schema.is_subclass(m, class_name)
-        for m in signature
-    )
+    member of ``class_name`` (an excuse or conditional guard)."""
+    return any(m == class_name or schema.is_subclass(m, class_name)
+               for m in signature)
 
 
-def _is_universal(t: Type, schema: Schema,
-                  signature: FrozenSet[str]) -> bool:
-    """Whether ``t`` provably contains *every* run-time value for owners
-    with this signature (so a constraint ranging over it cannot fail)."""
-    if isinstance(t, AnyType):
-        return True
-    if isinstance(t, UnionType):
-        return any(_is_universal(m, schema, signature) for m in t.members)
-    if isinstance(t, ConditionalType):
-        if _is_universal(t.base, schema, signature):
-            return True
-        return any(
-            _signature_member(schema, signature, alt.condition)
-            and _is_universal(alt.type, schema, signature)
-            for alt in t.alternatives
-        )
-    return False
+def _accepted(schema: Schema, signature: FrozenSet[str],
+              row: IndexedConstraint) -> List[Type]:
+    """The ranges a row accepts for this signature: the declared one and
+    every excuse whose guard holds."""
+    return [row.constraint.range] + [
+        e.range for e in row.excuses
+        if _holds(schema, signature, e.excusing_class)]
 
 
-def _compile_range(t: Type, schema: Schema,
-                   signature: FrozenSet[str]) -> RangePred:
-    """A predicate equivalent to ``type_contains(t, value, schema,
-    owner)`` for non-INAPPLICABLE values and owners with the given
-    signature.  Conditional guards are folded statically; record types
-    re-anchor the owner and therefore defer to ``type_contains``."""
-    if isinstance(t, AnyType):
-        return lambda value, owner: True
-    if isinstance(t, UnionType):
-        preds = [_compile_range(m, schema, signature) for m in t.members]
-        return lambda value, owner: any(p(value, owner) for p in preds)
-    if isinstance(t, ConditionalType):
-        arms = [_compile_range(t.base, schema, signature)]
-        arms.extend(
-            _compile_range(alt.type, schema, signature)
-            for alt in t.alternatives
-            if _signature_member(schema, signature, alt.condition)
-        )
-        if len(arms) == 1:
-            return arms[0]
-        return lambda value, owner: any(p(value, owner) for p in arms)
-    if isinstance(t, NoneType):
-        # Only INAPPLICABLE inhabits None, and the compiled row handles
-        # INAPPLICABLE before predicates run.
-        return lambda value, owner: False
-    if isinstance(t, PrimitiveType):
-        name = t.name
-        if name == "Integer":
-            return lambda value, owner: (
-                isinstance(value, int) and not isinstance(value, bool))
-        if name == "String":
-            return lambda value, owner: isinstance(value, str)
-        if name == "Boolean":
-            return lambda value, owner: isinstance(value, bool)
-        if name == "Real":
-            return lambda value, owner: (
-                isinstance(value, float)
-                or (isinstance(value, int)
-                    and not isinstance(value, bool)))
-        return lambda value, owner: False
-    if isinstance(t, IntRangeType):
-        lo, hi = t.lo, t.hi
-        return lambda value, owner: (
-            isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value <= hi)
-    if isinstance(t, EnumerationType):
-        symbols = frozenset(t.symbols)
-        return lambda value, owner: (
-            isinstance(value, EnumSymbol) and value.name in symbols)
-    if isinstance(t, AnyEntityType):
-        return lambda value, owner: is_entity(value)
-    if isinstance(t, ClassType):
-        name = t.name
-        return lambda value, owner: (
-            is_entity(value) and entity_is_member(value, name, schema))
-    # RecordType (owner re-anchors to the value) and any future
-    # constructor: interpreted fallback, still correct by definition.
-    return lambda value, owner: type_contains(t, value, schema,
-                                              owner=owner)
+def _any(tests: List[str]) -> str:
+    """The disjunction of emitted tests, folded."""
+    tests = [t for t in tests if t != "False"]
+    if "True" in tests:
+        return "True"
+    if len(tests) > 1:
+        return "(" + " or ".join(tests) + ")"
+    return tests[0] if tests else "False"
 
 
-class _CompiledRow:
-    """One surviving constraint row, specialized to a signature."""
+class _Emitter:
+    """Emits one check over some of a signature's rows; every name and
+    constant it spells goes through the namespace."""
 
-    __slots__ = ("attribute", "owner", "rule", "skip_when_unset",
-                 "inapplicable_ok", "pred")
+    def __init__(self, schema: Schema, signature: FrozenSet[str]) -> None:
+        self.schema, self.signature = schema, signature
+        self.namespace: Dict[str, object] = {}
+        self.elided = 0
 
-    def __init__(self, attribute: str, owner: str, rule: str,
-                 skip_when_unset: bool, inapplicable_ok: bool,
-                 pred: RangePred) -> None:
-        self.attribute = attribute
-        self.owner = owner
-        self.rule = rule
-        self.skip_when_unset = skip_when_unset
-        self.inapplicable_ok = inapplicable_ok
-        self.pred = pred
+    def bind(self, value) -> str:
+        name = f"_c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def test(self, t: Type, x: str) -> str:
+        """An expression equal to ``type_contains(t, x, g, owner)`` for
+        any owner with this signature."""
+        if isinstance(t, AnyType):
+            return "True"
+        if isinstance(t, UnionType):
+            return _any([self.test(m, x) for m in t.members])
+        if isinstance(t, ConditionalType):
+            return _any([self.test(t.base, x)] + [
+                self.test(alt.type, x) for alt in t.alternatives
+                if _holds(self.schema, self.signature, alt.condition)])
+        if isinstance(t, NoneType):
+            return f"({x} is INAP)"
+        if isinstance(t, PrimitiveType):
+            return _PRIMITIVES.get(t.name, "False").format(x=x)
+        if isinstance(t, IntRangeType):
+            return (f"({_INT.format(x=x)} and "
+                    f"{self.bind(t.lo)} <= {x} <= {self.bind(t.hi)})")
+        if isinstance(t, EnumerationType):
+            return (f"(isinstance({x}, _Sym) and "
+                    f"{x}.name in {self.bind(frozenset(t.symbols))})")
+        if isinstance(t, AnyEntityType):
+            return f"_is_entity({x})"
+        if isinstance(t, ClassType):
+            return (f"(_is_entity({x}) and "
+                    f"_member({x}, {self.bind(t.name)}, g))")
+        return f"_tc({self.bind(t)}, {x}, g)"   # a record type
+
+    def function(self, rows: Tuple[IndexedConstraint, ...],
+                 require_values: bool, by_value: bool,
+                 strays: Optional[FrozenSet[str]]) -> Callable:
+        """``check(values, g) -> (rows checked, violations)`` for the live
+        schema ``g`` (no test reads the owner: its memberships are the
+        signature).  ``by_value`` passes the rows' one attribute value as
+        ``x0``; ``strays`` (the applicable attributes) adds that sweep."""
+        names: Dict[str, Tuple[str, str]] = {}  # attribute -> (x, bound)
+        loads: List[str] = []
+        body: List[str] = []
+        checked = 0     # rows checked whether or not their value is set
+        for row in rows:
+            constraint = row.constraint
+            if constraint.attribute not in names:
+                x, bound = f"x{len(names)}", self.bind(constraint.attribute)
+                names[constraint.attribute] = x, bound
+                if not by_value:
+                    loads.append(f"{x} = values.get({bound}, INAP)")
+            x, attribute = names[constraint.attribute]
+            test = _any([self.test(t, x) for t in _accepted(
+                self.schema, self.signature, row)])
+            unset_skipped = not (require_values or row.mentions_none)
+            if test == "True":
+                self.elided += 1
+                if unset_skipped:
+                    body.append(f"n += {x} is not INAP")
+                else:
+                    checked += 1
+                continue
+            owner = self.bind(constraint.owner)
+            rule = self.bind(_RULES.render_rule(constraint, row.excuses))
+            failed = f"_V('constraint', {owner}, {attribute}, {x}, {rule})"
+            if unset_skipped:
+                body += [f"if {x} is not INAP:", "    n += 1",
+                         f"    if not {test}:", f"        out.append({failed})"]
+                continue
+            checked += 1
+            if require_values:
+                failed = (f"_V('missing-value', {owner}, {attribute}, {x}) "
+                          f"if {x} is INAP else {failed}")
+            body += [f"if not {test}:", f"    out.append({failed})"]
+        if strays is not None:
+            applicable = self.bind(strays)
+            body += [f"if not {applicable}.issuperset(values):",
+                     f"    for name in sorted(values.keys() - {applicable}):",
+                     "        if values[name] is not INAP:",
+                     "            out.append(_V('inapplicable-attribute', "
+                     "'?', name, values[name]))"]
+        return instantiate("_check", "\n".join(
+            [f"def _check({'x0' if by_value else 'values'}, g):"]
+            + indent(["out = []", f"n = {checked}"] + loads + body
+                     + ["return n, out"])), {**_RUNTIME, **self.namespace})
 
 
 class CompiledProfileChecker:
-    """A whole-object conformance check specialized to one signature.
+    """One signature's constraint table as generated code.
 
-    Produces the same :class:`Violation` list, in the same order, as
-    ``ConformanceChecker.check`` for any entity whose direct memberships
-    equal ``signature`` (property-tested in
-    ``tests/test_compiled_checker.py``).
+    :meth:`check` reports the same :class:`Violation` list, in the same
+    order, as the plain reading of the rule (``tests/reference_model``)
+    for any entity whose direct memberships equal ``signature``.  The
+    generated functions (``table``, :meth:`subset`) answer ``(rows
+    checked, violations)`` for the store checker's counters.
     """
 
-    __slots__ = ("signature", "expanded", "applicable", "rows",
-                 "require_values", "rows_total", "rows_elided")
+    __slots__ = ("schema", "signature", "expanded", "rows", "applicable",
+                 "require_values", "table", "rows_elided", "_subsets")
 
-    def __init__(self, signature: FrozenSet[str],
-                 expanded: FrozenSet[str],
-                 applicable: FrozenSet[str],
-                 rows: Tuple[_CompiledRow, ...],
-                 require_values: bool,
-                 rows_total: int) -> None:
-        self.signature = signature
-        self.expanded = expanded
-        self.applicable = applicable
-        self.rows = rows
+    def __init__(self, schema: Schema, signature: FrozenSet[str],
+                 require_values: bool) -> None:
+        self.schema, self.signature = schema, signature
+        self.expanded = expand_signature(schema, signature)
+        self.rows = profile_rows(schema, self.expanded)
+        self.applicable = frozenset(r.constraint.attribute for r in self.rows)
         self.require_values = require_values
-        self.rows_total = rows_total
-        self.rows_elided = rows_total - len(rows)
+        #: entry-point key -> (its generated rows, how many rows it skips)
+        self._subsets: Dict[object, Tuple[Callable, int]] = {}
+        self.table = self.subset(None)[0]
+        self.rows_elided = self.table._elided
 
-    def check(self, entity) -> List[Violation]:
+    def check(self, entity,
+              schema: Optional[Schema] = None) -> List[Violation]:
         """All violations for one entity (empty list = conformant).
-        Pure: no shared state is touched, so calls may run on any
-        thread."""
-        # Hot path: read a store Instance's value dict directly (one
-        # dict probe per row); anything else goes through the entity
-        # protocol.
-        values = getattr(entity, "_values", None)
-        if values is None:
-            values = {name: entity.get_value(name)
-                      for name in entity.value_names()}
-        violations: List[Violation] = []
-        require_values = self.require_values
-        for row in self.rows:
-            value = values.get(row.attribute, INAPPLICABLE)
-            if value is INAPPLICABLE:
-                if row.skip_when_unset or row.inapplicable_ok:
-                    continue
-                if require_values:
-                    violations.append(Violation(
-                        "missing-value", row.owner, row.attribute, value))
-                else:
-                    violations.append(Violation(
-                        "constraint", row.owner, row.attribute, value,
-                        row.rule))
-                continue
-            if row.pred(value, entity):
-                continue
-            violations.append(Violation(
-                "constraint", row.owner, row.attribute, value, row.rule))
-        applicable = self.applicable
-        extra = None
-        for name in values:
-            if name not in applicable:
-                extra = [name] if extra is None else extra + [name]
-        if extra:
-            extra.sort()
-            for name in extra:
-                value = values[name]
-                if value is INAPPLICABLE:
-                    continue
-                violations.append(Violation(
-                    "inapplicable-attribute", "?", name, value))
-        return violations
+        Value memberships are read against ``schema``: the live one,
+        when the profile outlived the epoch it was compiled in."""
+        return self.table(values_of(entity),
+                          self.schema if schema is None else schema)[1]
+
+    def _select(self, key) -> Tuple[IndexedConstraint, ...]:
+        """The rows an entry point checks: all (``None``), an attribute's,
+        those declared on ``("classes", names)``, or those ``("loss",
+        removed)`` can break -- a removed class's excuses, and ranges
+        that depend on the owner's memberships."""
+        if key is None or isinstance(key, str):
+            return tuple(r for r in self.rows
+                         if key in (None, r.constraint.attribute))
+        kind, names = key
+        if kind == "classes":
+            return tuple(r for r in self.rows if r.constraint.owner in names)
+        return tuple(r for r in self.rows if r.entity_sensitive or any(
+            e.excusing_class in names for e in r.excuses))
+
+    def subset(self, key) -> Tuple[Callable, int]:
+        """One entry point's generated rows (built on first use), and how
+        many of the table's rows it skips."""
+        entry = self._subsets.get(key)
+        if entry is None:
+            rows = self._select(key)
+            emitter = _Emitter(self.schema, self.signature)
+            run = emitter.function(
+                rows, self.require_values, isinstance(key, str),
+                self.applicable if key is None or key[0] == "loss" else None)
+            run._elided = emitter.elided
+            entry = self._subsets[key] = (run, len(self.rows) - len(rows))
+        return entry
 
 
 def compile_profile(schema: Schema, signature: FrozenSet[str],
-                    semantics: Optional[ConstraintSemantics] = None,
-                    require_values: bool = False
-                    ) -> Optional[CompiledProfileChecker]:
-    """Compile the constraint table of one direct-membership signature,
-    or return ``None`` when the profile cannot be specialized (non-excuse
-    semantics, or a virtual class in the expanded signature)."""
-    semantics = semantics or ExcuseSemantics()
-    if type(semantics) is not ExcuseSemantics:
-        return None
-    expanded = expand_signature(schema, signature)
-    if any(schema.get(name).virtual for name in expanded):
-        return None
-    rows = profile_rows(schema, expanded)
-    sig_entity = _SignatureEntity(signature)
-    compiled: List[_CompiledRow] = []
-    applicable = frozenset(
-        row.constraint.attribute for row in rows)
-    for row in rows:
-        constraint = row.constraint
-        active_ranges: List[Type] = [constraint.range]
-        active_ranges.extend(
-            e.range for e in row.excuses
-            if _signature_member(schema, signature, e.excusing_class)
-        )
-        skip_when_unset = (not require_values) and (not row.mentions_none)
-        # Exact INAPPLICABLE verdict: evaluate the real semantics once at
-        # compile time against a value-less stand-in with this signature.
-        inapplicable_ok = semantics.satisfies(
-            schema, sig_entity, INAPPLICABLE, constraint, row.excuses)
-        if any(_is_universal(t, schema, signature) for t in active_ranges):
-            # A universal accepted set also admits INAPPLICABLE, so the
-            # row can never produce a violation: eliminate it.
-            continue
-        preds = [_compile_range(t, schema, signature)
-                 for t in active_ranges]
-        if len(preds) == 1:
-            pred = preds[0]
-        else:
-            def pred(value, owner, _preds=tuple(preds)):
-                return any(p(value, owner) for p in _preds)
-        compiled.append(_CompiledRow(
-            constraint.attribute, constraint.owner,
-            semantics.render_rule(constraint, row.excuses),
-            skip_when_unset, inapplicable_ok, pred))
-    return CompiledProfileChecker(
-        signature, expanded, applicable, tuple(compiled),
-        require_values, len(rows))
-
-
-class CompiledProfileCache:
-    """Per-store cache of compiled profiles, invalidated when the schema
-    version moves (mirrors the interpreted profile cache)."""
-
-    def __init__(self, schema: Schema,
-                 semantics: Optional[ConstraintSemantics] = None,
-                 require_values: bool = False,
-                 stats: Optional[EngineStats] = None) -> None:
-        self.schema = schema
-        self.semantics = semantics or ExcuseSemantics()
-        self.require_values = require_values
-        self.stats = stats
-        self._compiled: Dict[FrozenSet[str],
-                             Optional[CompiledProfileChecker]] = {}
-        self._schema_version = schema.version
-
-    def get(self, signature: FrozenSet[str]
-            ) -> Optional[CompiledProfileChecker]:
-        """The compiled checker for a signature, or ``None`` when the
-        profile must take the interpreted path.  Declines are cached
-        too."""
-        if self._schema_version != self.schema.version:
-            self._compiled.clear()
-            self._schema_version = self.schema.version
-        if signature in self._compiled:
-            return self._compiled[signature]
-        checker = compile_profile(
-            self.schema, signature, self.semantics, self.require_values)
-        self._compiled[signature] = checker
-        if checker is not None and self.stats is not None:
-            self.stats.profiles_compiled += 1
-            self.stats.compiled_rows_elided += checker.rows_elided
-        return checker
+                    require_values: bool = False) -> CompiledProfileChecker:
+    """Compile the constraint table of one direct-membership signature."""
+    return CompiledProfileChecker(schema, frozenset(signature), require_values)

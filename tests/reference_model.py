@@ -9,11 +9,11 @@ range ``R``::
 for the excuses ``(E, S)`` registered against ``(B, p)``.  This module
 evaluates exactly that, re-deriving everything from the schema on every
 call: ``schema.ancestors``, ``ClassDef.attributes``,
-``schema.excuses_against`` and ``ConstraintSemantics.satisfies`` -- no
-constraint index, no signature profiles, no membership deltas.  It is
-slow on purpose and lives with the tests on purpose: ``src/repro`` has
-one checker, and the property suites require it to be indistinguishable
-from this one.
+``schema.excuses_against`` and ``ExcuseSemantics.satisfies`` -- no
+constraint index, no signature profiles, no membership deltas, no
+generated code.  It is slow on purpose and lives with the tests on
+purpose: ``src/repro`` has one checker, and the property suites require
+it to be indistinguishable from this one.
 
 A suite runs a store on the reference through the ``store.checker``
 seam: ``oracle = on_reference(ObjectStore(schema))``.
@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.objects.profiles import ScanStats
 from repro.schema.schema import Constraint, Schema, range_mentions_none
-from repro.semantics.candidates import ConstraintSemantics
+from repro.semantics.candidates import ExcuseSemantics
 from repro.semantics.checker import ConformanceChecker, Violation
 from repro.typesys.values import INAPPLICABLE
 
@@ -44,8 +44,11 @@ def closure(schema: Schema, entity) -> Set[str]:
     return classes
 
 
-def reference_check(schema: Schema, semantics: ConstraintSemantics, entity,
-                    require_values: bool = False,
+#: The paper's final rule, applied one constraint at a time.
+EXCUSE = ExcuseSemantics()
+
+
+def reference_check(schema: Schema, entity, require_values: bool = False,
                     candidate: Optional[Dict[str, object]] = None
                     ) -> List[Violation]:
     """Every violation of ``entity``, in (sorted class, declaration)
@@ -66,8 +69,7 @@ def reference_check(schema: Schema, semantics: ConstraintSemantics, entity,
                 continue    # nothing stored, nothing claimed about absence
             constraint = Constraint(class_name, attr.name, attr.range)
             excuses = schema.excuses_against(class_name, attr.name)
-            if semantics.satisfies(schema, entity, value, constraint,
-                                   excuses):
+            if EXCUSE.satisfies(schema, entity, value, constraint, excuses):
                 continue
             if unset and require_values:
                 violations.append(Violation(
@@ -75,7 +77,7 @@ def reference_check(schema: Schema, semantics: ConstraintSemantics, entity,
             else:
                 violations.append(Violation(
                     "constraint", class_name, attr.name, value,
-                    semantics.render_rule(constraint, excuses)))
+                    EXCUSE.render_rule(constraint, excuses)))
     for name in sorted(set(values) - declared):
         if values[name] is not INAPPLICABLE:
             violations.append(Violation(
@@ -95,13 +97,16 @@ class ReferenceChecker(ConformanceChecker):
         return closure(self.schema, entity)
 
     def check(self, entity) -> List[Violation]:
-        return reference_check(self.schema, self.semantics, entity,
-                               self.require_values)
+        return reference_check(self.schema, entity, self.require_values)
+
+    def check_batch(self, signature, entities):
+        return [(i, found) for i, entity in enumerate(entities)
+                if (found := self.check(entity))]
 
     def check_attribute(self, entity, attribute: str,
                         value) -> List[Violation]:
-        return reference_check(self.schema, self.semantics, entity,
-                               self.require_values, {attribute: value})
+        return reference_check(self.schema, entity, self.require_values,
+                               {attribute: value})
 
     def check_classes(self, entity,
                       class_names: Iterable[str]) -> List[Violation]:
@@ -113,12 +118,11 @@ class ReferenceChecker(ConformanceChecker):
 
 
 def on_reference(store):
-    """Swap ``store``'s checker for the reference (same semantics, same
-    values policy, same counter sink) and return the store."""
+    """Swap ``store``'s checker for the reference (same values policy,
+    same counter sink) and return the store."""
     old = store.checker
     store.checker = ReferenceChecker(
-        store.schema, old.semantics, require_values=old.require_values,
-        stats=old.stats)
+        store.schema, require_values=old.require_values, stats=old.stats)
     return store
 
 

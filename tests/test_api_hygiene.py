@@ -364,20 +364,20 @@ def test_documented_op_reference_matches_the_table():
 # ---------------------------------------------------------------------------
 #
 # A measurement baseline used to be reachable from the serving path through
-# a user option (`engine=`, `use_index=`, `prune=`).  The serving path now
-# has one implementation, the reference lives in tests/reference_model.py,
-# and these checks keep it that way -- E7's unpruned partition scan
-# included.
+# a user option (`engine=`, `use_index=`, `prune=`, `semantics=`).  The
+# serving path now has one implementation, the reference lives in
+# tests/reference_model.py, and these checks keep it that way -- E7's
+# unpruned partition scan and the candidate semantics included.
 
-_BASELINE_SELECTORS = {"engine", "use_index", "prune"}
+_BASELINE_SELECTORS = {"engine", "use_index", "prune", "semantics"}
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 21017
+SRC_LINE_CEILING = 20743
 
 #: The same ratchet for prose, in bytes: detail lives in git and the
 #: issue, not in ever-growing reference docs or changelog entries.
-PROSE_BYTE_CEILINGS = {"docs/SEMANTICS.md": 60849, "README.md": 30723}
+PROSE_BYTE_CEILINGS = {"docs/SEMANTICS.md": 60639, "README.md": 30501}
 CHANGES_ENTRY_BYTES = 1200
 FIRST_CAPPED_CHANGES_ENTRY = 25
 

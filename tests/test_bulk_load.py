@@ -76,7 +76,6 @@ class TestBasics:
         assert report.fast_objects == 10
         assert report.fallback_objects == 0
         assert report.profiles == 1
-        assert report.compiled_profiles == 1
         assert hospital_store.count("Patient") == 10
         assert hospital_store.count("Person") == 10  # IS-A closure
         # Deferred rows are dirty until validated.

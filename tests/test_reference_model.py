@@ -16,7 +16,12 @@ from repro.scenarios import (
 )
 from repro.typesys import EnumSymbol
 
-from tests.reference_model import ReferenceChecker, reference_check
+from tests import reference_model
+from tests.reference_model import (
+    ReferenceChecker,
+    on_reference,
+    reference_check,
+)
 
 
 def _store_verdicts(store):
@@ -28,8 +33,8 @@ def _store_verdicts(store):
 
 def _reference_verdicts(store):
     checker = store.checker
-    return {obj.surrogate: reference_check(store.schema, checker.semantics,
-                                           obj, checker.require_values)
+    return {obj.surrogate: reference_check(store.schema, obj,
+                                           checker.require_values)
             for obj in store.instances()}
 
 
@@ -51,8 +56,7 @@ def test_agrees_with_validate_all_on_hospital_population():
     assert store.is_member(swiss.get_value("location"), "Address$1")
     for excused in (alcoholic, tubercular, swiss,
                     swiss.get_value("location")):
-        assert reference_check(store.schema, store.checker.semantics,
-                               excused) == []
+        assert reference_check(store.schema, excused) == []
 
     # One deliberately non-conformant object per violation kind the
     # values-optional store can hold.
@@ -116,3 +120,23 @@ def test_candidate_values_answer_what_if():
     assert _keys(reference.check_attribute(
         plain, "treatedBy", psychologist)) == [
             ("constraint", "Patient", "treatedBy")]
+
+
+def test_bulk_rows_are_checked_by_the_reference(monkeypatch):
+    """An eager bulk batch on a store running the reference is checked by
+    the reference, row by row -- not by the generated checks the
+    reference is there to judge."""
+    checked = []
+    original = reference_model.reference_check
+
+    def counting(schema, entity, *rest):
+        checked.append(entity)
+        return original(schema, entity, *rest)
+
+    monkeypatch.setattr(reference_model, "reference_check", counting)
+    store = on_reference(ObjectStore(build_hospital_schema()))
+    report = store.bulk_load(
+        [("Patient", {"name": f"p{i}", "age": 30 + i}) for i in range(10)],
+        check="eager")
+    assert report.fast_objects == 10
+    assert len(checked) >= 10
