@@ -21,14 +21,14 @@ machinery for that on the read path:
     chunk *table* (one dict entry per ~:data:`CHUNK_BITS` members) and
     shares the payload.
 
-    The class is deliberately set-compatible -- ``in``, iteration (in
-    ascending surrogate order), ``len``, ``&``/``|``/``-`` with plain
-    sets on either side, ``==`` against sets/frozensets -- so the
-    planner, the pipeline, and the test suites can treat a posting list
-    as "a set of surrogates" without caring about the representation.
-    Members that are not :class:`~repro.objects.surrogate.Surrogate`
-    instances (unit tests index plain strings) go to a small overflow
-    set and keep exact set semantics.
+    The class is deliberately set-compatible -- ``in``, iteration,
+    ``len``, ``&``/``|``/``-`` with plain sets on either side, ``==``
+    against sets/frozensets -- so callers treat a posting list as "a set
+    of surrogates" (non-``Surrogate`` members, which unit tests index,
+    go to a small overflow set).  Members come out in ascending order
+    from :meth:`SurrogateSet.ids`, the one decoder, with no big-int work
+    per member: a sparse chunk's binary digits are searched once per
+    member, a dense chunk's bytes go through a table.
 
 :class:`ObjectColumns` / :class:`FrozenColumns`
     The per-object state table behind sublinear ``store.snapshot()``.
@@ -50,9 +50,11 @@ copied by COW) accumulate in the module-level :data:`BITSET_STATS`
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.objects.surrogate import Surrogate
+from repro.obs import _Counters
 
 __all__ = [
     "BITSET_STATS",
@@ -77,8 +79,8 @@ WORDS_PER_CHUNK = CHUNK_BITS // 64
 #: top table stays tiny (n/256 entries).
 _COL_SHIFT = 8
 
-#: Chunks at or below this popcount decode via lowest-set-bit peeling
-#: (O(members)); denser chunks scan their 512 bytes through _BYTE_BITS.
+#: Chunks up to this popcount decode by a digit search per member,
+#: denser ones scan their 512 bytes through _BYTE_BITS.
 _SPARSE_BITS = 64
 
 #: byte value -> tuple of set bit offsets, for fast ascending iteration.
@@ -88,34 +90,16 @@ _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
 )
 
 
-class BitsetStats:
+class BitsetStats(_Counters):
     """Process-wide counters for the columnar set algebra."""
 
-    FIELDS: Tuple[str, ...] = (
+    __slots__ = FIELDS = (
         "words_anded",         # 64-bit words ANDed (intersections)
         "words_ored",          # 64-bit words ORed (unions)
         "words_andnot",        # 64-bit words AND-NOTed (differences)
         "chunks_cow_copied",   # bitset chunk-table entries copied by COW
         "column_chunks_copied",  # object-column chunks copied by COW
     )
-
-    __slots__ = FIELDS
-
-    def __init__(self) -> None:
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def reset(self) -> None:
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"BitsetStats({inner})"
 
 
 #: The module-wide counter instance every SurrogateSet reports into.
@@ -226,45 +210,35 @@ class SurrogateSet:
         return bool(self._count or self._overflow)
 
     def __iter__(self) -> Iterator:
-        byte_bits = _BYTE_BITS
-        for key in sorted(self._chunks):
-            base = key << _CHUNK_SHIFT
-            word = self._chunks[key]
-            if word.bit_count() <= _SPARSE_BITS:
-                # Sparse chunk: peel lowest set bits instead of scanning
-                # all 512 bytes.
-                while word:
-                    low = word & -word
-                    yield Surrogate(base + low.bit_length() - 1)
-                    word ^= low
-                continue
-            data = word.to_bytes(_CHUNK_BYTES, "little")
-            for byte_index, byte in enumerate(data):
-                if byte:
-                    offset = base + (byte_index << 3)
-                    for bit in byte_bits[byte]:
-                        yield Surrogate(offset + bit)
-        if self._overflow:
-            yield from self._overflow
+        members = map(Surrogate, self.ids())
+        return chain(members, self._overflow) if self._overflow else members
 
-    def ids(self) -> Iterator[int]:
+    def ids(self) -> List[int]:
         """Ascending bitmap ids (overflow members have no ordinal)."""
+        out: List[int] = []
+        append = out.append
         byte_bits = _BYTE_BITS
-        for key in sorted(self._chunks):
-            base = key << _CHUNK_SHIFT
-            word = self._chunks[key]
+        chunks = self._chunks
+        for key in sorted(chunks):
+            word = chunks[key]
             if word.bit_count() <= _SPARSE_BITS:
-                while word:
-                    low = word & -word
-                    yield base + low.bit_length() - 1
-                    word ^= low
+                # Sparse chunk: one C-level search of the binary digits
+                # per member (the last digit is bit 0), no big-int work.
+                digits = bin(word)
+                top = (key << _CHUNK_SHIFT) + len(digits) - 1
+                at = digits.rfind("1")
+                while at > 0:
+                    append(top - at)
+                    at = digits.rfind("1", 0, at)
                 continue
+            base = key << _CHUNK_SHIFT
             data = word.to_bytes(_CHUNK_BYTES, "little")
             for byte_index, byte in enumerate(data):
                 if byte:
                     offset = base + (byte_index << 3)
                     for bit in byte_bits[byte]:
-                        yield offset + bit
+                        append(offset + bit)
+        return out
 
     def isdisjoint(self, other) -> bool:
         if isinstance(other, SurrogateSet):

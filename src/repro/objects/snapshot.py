@@ -38,12 +38,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Set, Tuple
 
+from repro.columnar import SurrogateSet
 from repro.errors import NoSuchObjectError, UnknownClassError
 from repro.objects.surrogate import Surrogate
 from repro.typesys.values import INAPPLICABLE
 
 #: Shared empty results.
-_EMPTY_SET: Set = set()
+_EMPTY_SET = SurrogateSet()
 _EMPTY_FROZEN: frozenset = frozenset()
 
 
@@ -239,7 +240,7 @@ class StoreSnapshot:
     def visit_rows(self, surrogates) -> list:
         return self._objects.rows(surrogates)
 
-    def extent_surrogates(self, class_name: str) -> Set:
+    def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """Captured surrogate set (callers must not mutate it)."""
         if not self.schema.has_class(class_name):
             raise UnknownClassError(class_name)

@@ -24,16 +24,20 @@ re-running a logged mutation *is* the live path.
 
 ``target`` is the store for a write and a snapshot-like view for a
 read (``get`` / ``count`` / ``extent_surrogates`` / ``schema``, and
-whatever ``execute_planned`` reads).  ``resolve(sid)`` maps a surrogate
-id to the entity the target's mutators accept and raises
-:class:`~repro.errors.NoSuchObjectError` for an id the store does not
-hold -- at every edge.  The payload carries no ack: the edge that knows
-its commit position adds one.
+whatever a plan reads).  A ``query`` runs as a *wire plan*: the request
+text is the plan-cache key (parsed on a miss only), and the generated
+loop appends the reply rows ``[sid, [encoded values]]`` itself, the sid
+read off the row -- no entity wrapper, no second pass.
+``resolve(sid)`` maps a surrogate id to the entity the target's
+mutators accept and raises :class:`~repro.errors.NoSuchObjectError` for
+an id the store does not hold -- at every edge.  The payload carries no
+ack: the edge that knows its commit position adds one.
 
 A request is validated against its row *before* the body runs
-(:func:`lookup`, :meth:`Op.check`): an unknown op or a missing required
-field is a typed :class:`~repro.errors.StorageError`, an operation
-failure the connection survives.
+(:func:`lookup`, :meth:`Op.check`): an unknown op, a missing required
+field or malformed ``query`` options is a typed
+:class:`~repro.errors.StorageError`, an operation failure the
+connection survives.
 """
 
 from __future__ import annotations
@@ -42,14 +46,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
 
 from repro import codec
-from repro.columnar import SurrogateSet
 from repro.errors import StorageError
 from repro.lang.loader import load_schema
 from repro.lang.printer import print_schema
 from repro.objects.surrogate import Surrogate
-from repro.query.ast import Aggregate, Query, Var
-from repro.query.parser import parse_query
-from repro.query.planner import execute_planned
+from repro.query import planner
+from repro.query.compiler import ON_UNSAFE
 from repro.sharding import wire
 
 __all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
@@ -106,6 +108,28 @@ class _Envelope(Op):
                     f"op {row.name!r} is not available inside a txn")
 
 
+class _Query(Op):
+    """The ``query`` row also checks ``options`` -- the planner's
+    compile options, a legal ``on_unsafe`` -- so a malformed one is
+    refused before anything runs, and before a router scatters."""
+
+    def check(self, cmd: Dict[str, object]) -> None:
+        super().check(cmd)
+        options = cmd.get("options")
+        if options is None:
+            return
+        known = dict(planner._COMPILE_OPTION_DEFAULTS)
+        if not isinstance(options, dict):
+            problem = "not a mapping"
+        elif options.keys() - known:
+            problem = f"unknown {sorted(map(str, options.keys() - known))}"
+        elif options.get("on_unsafe", "skip") not in ON_UNSAFE:
+            problem = f"on_unsafe must be one of {ON_UNSAFE}"
+        else:
+            return
+        raise StorageError(f"op {self.name!r} field 'options': {problem}")
+
+
 def lookup(cmd: Dict[str, object]) -> Op:
     """The validated row a request (or ``txn`` sub-op) names."""
     name = cmd.get("op") if isinstance(cmd, dict) else None
@@ -121,25 +145,13 @@ def lookup(cmd: Dict[str, object]) -> Op:
 # ----------------------------------------------------------------------
 
 def _query(view, cmd, resolve):
-    query = parse_query(cmd["text"])
-    per_row = not any(isinstance(item, Aggregate)
-                      for item in query.select)
-    if per_row:
-        # Tag each row with its surrogate by prepending the query
-        # variable to the select list: the extra item cannot skip (no
-        # attribute access), so rows, order and rows_skipped are
-        # untouched.
-        query = Query(query.var, query.source_class, query.where,
-                      (Var(query.var),) + tuple(query.select))
-    rows, stats = execute_planned(query, view,
-                                  **(cmd.get("options") or {}))
+    plan = planner.plan_query(cmd["text"], view, wire=True,
+                              **(cmd.get("options") or {}))
+    rows, stats = planner.execute_plan(plan, view)
     stats_out = {field: getattr(stats, field)
                  for field in EXECUTION_STAT_FIELDS}
-    if per_row:
-        return {"rows": [[row[0].surrogate.id,
-                          [codec.encode_value(v) for v in row[1:]]]
-                         for row in rows],
-                "stats": stats_out}
+    if plan.compiled.aggregates is None:
+        return {"rows": rows, "stats": stats_out}
     return {"agg": [codec.encode_value(v) for v in rows[0]],
             "stats": stats_out}
 
@@ -155,10 +167,8 @@ def _count(view, cmd, resolve):
 
 
 def _extent(view, cmd, resolve):
-    members = view.extent_surrogates(cmd["cls"])
-    if not isinstance(members, SurrogateSet):
-        members = SurrogateSet(members)
-    return {"extent": wire.encode_chunks(members)}
+    return {"extent": wire.encode_chunks(
+        view.extent_surrogates(cmd["cls"]))}
 
 
 def _schema(view, cmd, resolve):
@@ -271,9 +281,9 @@ def _checkpoint(store, cmd, resolve):
     return {}
 
 
-def _read(name, run, required=(), optional=(), stub=None) -> Op:
-    return Op(name, run, required, optional + ("token",),
-              idempotent=True, stubs=(stub or name,))
+def _read(name, run, required=(), optional=(), stub=None, row=Op) -> Op:
+    return row(name, run, required, optional + ("token",),
+               idempotent=True, stubs=(stub or name,))
 
 
 def _write(name, run, required=(), optional=(), *, stubs=None,
@@ -285,7 +295,7 @@ def _write(name, run, required=(), optional=(), *, stubs=None,
 #: The table.  Order is the documentation order (reads, row writes,
 #: batch and design writes).
 OPS: Dict[str, Op] = {row.name: row for row in (
-    _read("query", _query, ("text",), ("options",)),
+    _read("query", _query, ("text",), ("options",), row=_Query),
     _read("get", _get, ("sid",)),
     _read("count", _count, ("cls",)),
     _read("extent", _extent, ("cls",), stub="extent_ids"),

@@ -22,9 +22,10 @@ its attributes are read off the row's value dict, its memberships tested
 against a frozen subclass set -- so a row source hands the loop
 ``(ref, memberships, values)`` and an entity is materialised
 (``store.get(ref)``) only where the variable itself escapes into a
-value.  Names and constants the user chose are bound through the
-function's namespace, never spelled in the source: queries that differ
-only in those share one code object (:func:`instantiate`).
+value (a wire row names it by ``ref.id``).  Names and constants the
+user chose are bound through the function's namespace, never spelled
+in the source: queries that differ only in those share one code object
+(:func:`instantiate`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro import codec
 from repro.errors import QueryError, QueryTypeError
 from repro.query.ast import (
     Aggregate,
@@ -88,7 +90,14 @@ _RUNTIME: Dict[str, object] = {
     "_no_attributes": _no_attributes,
     "_is_entity": is_entity,
     "QueryRuntimeError": QueryRuntimeError,
+    # A wire row's values (:mod:`repro.codec`).
+    "_PLAIN": frozenset({int, str, float, bool, type(None)}),
+    "_encode": codec.encode_value,
+    "_ref": codec.ref,
 }
+
+#: The failure policies of a guarded access.
+ON_UNSAFE = ("skip", "null", "raise")
 
 
 @lru_cache(maxsize=512)
@@ -139,7 +148,7 @@ class _Emitter:
     def __init__(self, schema: Schema, var: str, fused: bool,
                  assume_unshared: bool, eliminate_checks: bool,
                  on_unsafe: str) -> None:
-        if on_unsafe not in ("skip", "null", "raise"):
+        if on_unsafe not in ON_UNSAFE:
             raise ValueError(f"bad on_unsafe policy {on_unsafe!r}")
         self.schema = schema
         self.var = var
@@ -295,6 +304,17 @@ class _Emitter:
 
         raise QueryTypeError(f"cannot compile expression {expr!r}")
 
+    def emit_encoded(self, expr: Expr, env: Dict[str, str],
+                     facts: FlowFacts) -> str:
+        """``expr`` as a wire row carries it (:mod:`repro.codec`): the
+        row itself by its sid, never a wrapper; a primitive as it is;
+        anything else through ``encode_value``."""
+        if expr == Var(self.var):
+            return "_ref(ref.id)"
+        temp = self._name()
+        return (f"({temp} if ({temp} := {self.emit(expr, env, facts).src})"
+                f".__class__ in _PLAIN else _encode({temp}))")
+
     def _emit_path(self, expr: Path, env: Dict[str, str],
                    facts: FlowFacts) -> _Code:
         on_row = self.fused and expr.base == Var(self.var)
@@ -376,6 +396,8 @@ class CompiledQuery:
     where: Optional[str]
     select: Tuple[str, ...] = ()
     aggregates: Optional[Tuple[Tuple[str, Optional[str]], ...]] = None
+    #: Per-row results leave as wire rows ``[sid, [encoded...]]``.
+    wire: bool = False
 
     @property
     def checks_eliminated(self) -> int:
@@ -411,8 +433,10 @@ class CompiledQuery:
             row += [f"if not {self.where}:", "    continue"]
         if self.aggregates is None:
             before = ["out = []", "append = out.append"]
-            row = emitter.guarded(
-                row + [f"append(({', '.join(self.select)},))"])
+            items = ", ".join(self.select)
+            row = emitter.guarded(row + [
+                f"append([ref.id, [{items}]])" if self.wire
+                else f"append(({items},))"])
             returned, result = "len(out)", "out"
         else:
             before, results = [], []
@@ -494,7 +518,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
                   assume_unshared: bool = True,
                   on_unsafe: str = "skip",
                   raise_on_error: bool = True,
-                  optimize_source: bool = True) -> CompiledQuery:
+                  optimize_source: bool = True, *,
+                  wire: bool = False) -> CompiledQuery:
     """Compile a query into an executable plan.
 
     ``eliminate_checks=True`` (default) inserts run-time safety checks
@@ -503,7 +528,9 @@ def compile_query(query: Union[str, Query], schema: Schema,
     picks the failure policy of guarded accesses: ``"skip"`` the row,
     return ``"null"`` (INAPPLICABLE), or ``"raise"``.
     ``optimize_source`` narrows the scanned extent to a subclass named by
-    a ``where``-clause membership conjunct.
+    a ``where``-clause membership conjunct.  ``wire=True`` emits per-row
+    results as the ``query`` op replies with them
+    (:meth:`_Emitter.emit_encoded`).
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -536,7 +563,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
              if e.operand is not None else None)
             for e in query.select)
     else:
-        select = tuple(emitter.emit(e, env, select_facts).src
+        select = tuple(emitter.emit_encoded(e, env, select_facts) if wire
+                       else emitter.emit(e, env, select_facts).src
                        for e in query.select)
     emitter.namespace["_source"] = scan_class
     if emitter.ordering:    # the one message the loop itself formats
@@ -552,6 +580,7 @@ def compile_query(query: Union[str, Query], schema: Schema,
         where=where,
         select=select,
         aggregates=aggregates,
+        wire=wire,
     )
 
 

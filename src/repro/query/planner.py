@@ -42,7 +42,7 @@ Costing is deliberately simple: posting sizes and ``store.count()`` are
 exact, so the executor compares the materialized visit set against the
 extent and falls back to the scan when pruning bought nothing.  Plans
 are cached per store, keyed on (query text, schema version, index-design
-version, compile options) -- a repeated query skips parse, type
+version, compile options, wire) -- a repeated query skips parse, type
 analysis, compilation, and pushdown extraction entirely.
 """
 
@@ -252,24 +252,26 @@ def _options_key(compile_kwargs: Dict[str, object]) -> Tuple:
     )
 
 
-def plan_query(query: Union[str, Query], store,
+def plan_query(query: Union[str, Query], store, *, wire: bool = False,
                **compile_kwargs) -> QueryPlan:
     """Plan (or fetch the cached plan for) ``query`` against ``store``.
 
     The cache key is (query text, schema version, index-design version,
-    compile options): a hit skips parse, type analysis, compilation, and
-    pushdown extraction; any schema mutation or index create/drop simply
-    stops the old key from matching.
+    compile options, ``wire``): a hit skips parse, type analysis,
+    compilation, and pushdown extraction; any schema mutation or index
+    create/drop simply stops the old key from matching.  ``wire`` is
+    the edge's choice, not a compile option: a wire plan returns the
+    ``query`` op's reply rows (``compile_query(wire=True)``).
     """
     schema = store.schema
     manager = store.indexes
     text = query if isinstance(query, str) else str(query)
     key = (text, schema.version, manager.version,
-           _options_key(compile_kwargs))
+           _options_key(compile_kwargs), wire)
     plan = manager.plan_cache.get(key)
     if plan is not None:
         return plan
-    compiled = compile_query(query, schema, **compile_kwargs)
+    compiled = compile_query(query, schema, wire=wire, **compile_kwargs)
     plan = build_plan(compiled, schema, manager)
     manager.plan_cache.put(key, plan)
     return plan

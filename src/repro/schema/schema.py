@@ -107,9 +107,6 @@ class Schema:
                                           Tuple[ExcuseEntry, ...]]] = None
         # class name -> rows for constraints *declared on* that class.
         self._declared_index: Dict[str, Tuple[IndexedConstraint, ...]] = {}
-        # class name -> attribute -> rows from the whole IS-A closure.
-        self._constraint_index: Dict[
-            str, Dict[str, Tuple[IndexedConstraint, ...]]] = {}
         self._version = 0
         for cdef in classes:
             self.add_class(cdef)
@@ -173,7 +170,6 @@ class Schema:
         self._ancestors.clear()
         self._excuse_table = None
         self._declared_index.clear()
-        self._constraint_index.clear()
         self._version += 1
 
     @property
@@ -367,25 +363,6 @@ class Schema:
         )
         self._declared_index[name] = rows
         return rows
-
-    def constraint_table(
-            self, name: str) -> Dict[str, Tuple[IndexedConstraint, ...]]:
-        """The flattened conformance table of one class: every
-        ``(class, attribute)`` constraint applicable to instances of
-        ``name`` (from the whole IS-A closure), keyed by attribute, with
-        owners in sorted order.  This is the per-class half of the
-        incremental engine's index; per-entity profiles are merged from
-        these by the checker."""
-        cached = self._constraint_index.get(name)
-        if cached is not None:
-            return cached
-        table: Dict[str, List[IndexedConstraint]] = {}
-        for ancestor in sorted(self.ancestors(name)):
-            for row in self.declared_index(ancestor):
-                table.setdefault(row.constraint.attribute, []).append(row)
-        frozen = {attr: tuple(rows) for attr, rows in table.items()}
-        self._constraint_index[name] = frozen
-        return frozen
 
     def is_excused_by_membership(self, owner: str, attribute: str,
                                  member_of: Iterable[str]) -> bool:

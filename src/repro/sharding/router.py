@@ -25,8 +25,9 @@ replica for read purposes and the others masking it out of their
 extents (``worker.MaskedSnapshot``), so scatter-gathered extents and
 query results remain exact unions.
 
-**Scatter-gather reads.**  Queries are parsed once, pruned against
-per-shard signature-profile maps (:mod:`repro.sharding.pruning` -- the
+**Scatter-gather reads.**  A query text is parsed once per schema
+version (a repeat is a cache hit), pruned against per-shard
+signature-profile maps (:mod:`repro.sharding.pruning` -- the
 non-membership deduction rule of :mod:`repro.query.deduction` applied
 per profile), dispatched to the surviving shards in parallel, and
 merged: per-row results are re-sorted by surrogate (shard extents are
@@ -65,6 +66,7 @@ from repro.objects.surrogate import Surrogate
 from repro.ops import EXECUTION_STAT_FIELDS
 from repro.query.ast import Aggregate, Query
 from repro.query.interpreter import ExecutionStats
+from repro.query.indexes import PlanCache
 from repro.query.parser import parse_query
 from repro.sharding import wire
 from repro.sharding.pruning import extract_facts, profile_refuted
@@ -252,7 +254,8 @@ class ShardedStore:
         self._owners: Dict[int, int] = {}       # routed sid -> shard
         self._broadcast: Set[int] = set()       # replicated sids
         self._profile_counts: Dict[str, int] = {}
-        self._maps: List[Optional[List[dict]]] = [None] * n_shards
+        self._maps: List[Optional[List[tuple]]] = [None] * n_shards
+        self._queries = PlanCache()     # see _resolve_query
         self._handles: Dict[int, RemoteHandle] = {}
         #: Last observed commit position per shard (each result
         #: envelope carries the shard's WAL seq / epoch); composed into
@@ -362,12 +365,11 @@ class ShardedStore:
                         "sids": wire.encode_chunks(mask)})
             for shard_id, mask in enumerate(masks)])
         # Profile counts seed future placement from the recovered maps.
-        for shard_id, shard_map in enumerate(self._refresh_maps(
-                range(self.n_shards))):
-            for profile in shard_map:
-                key = "|".join(profile["classes"])
+        for shard_map in self._refresh_maps(range(self.n_shards)):
+            for classes, _total, _clean, count in shard_map:
+                key = self._profile_key(classes)
                 self._profile_counts[key] = (
-                    self._profile_counts.get(key, 0) + profile["count"])
+                    self._profile_counts.get(key, 0) + count)
 
     # -- plumbing -------------------------------------------------------
 
@@ -909,28 +911,30 @@ class ShardedStore:
 
     # -- scatter-gather queries ----------------------------------------
 
-    def _refresh_maps(self, shard_ids) -> List[List[dict]]:
+    def _refresh_maps(self, shard_ids) -> List[List[tuple]]:
+        """Each shard's profiles as ``(classes, total, clean, count)``,
+        the sets frozen once per refresh, not once per query."""
         for shard_id, payload in self._scatter([
                 (i, {"op": "shard_map"}) for i in shard_ids
                 if self._maps[i] is None]):
-            self._maps[shard_id] = payload["profiles"]
+            self._maps[shard_id] = [
+                (frozenset(p["classes"]), frozenset(p["total"]),
+                 bool(p["clean"]), p["count"]) for p in payload["profiles"]]
             self.stats_counters.map_refreshes += 1
         return [self._maps[i] for i in shard_ids]
 
-    def _select_shards(self, query: Query) -> List[int]:
+    def _select_shards(self, facts) -> List[int]:
         """The pruning pre-pass: refresh shard maps, refute profiles,
         dispatch only to shards still holding a live profile."""
         schema = self.schema
-        facts = extract_facts(query, schema)
         maps = self._refresh_maps(range(self.n_shards))
         selected: List[int] = []
         for shard_id, shard_map in enumerate(maps):
             dispatch = False
             used_deduction = False
-            for profile in shard_map:
+            for classes, total, clean, _count in shard_map:
                 refuted, via_deduction = profile_refuted(
-                    schema, facts, frozenset(profile["classes"]),
-                    frozenset(profile["total"]), bool(profile["clean"]))
+                    schema, facts, classes, total, clean)
                 if not refuted:
                     dispatch = True
                     break
@@ -944,12 +948,12 @@ class ShardedStore:
         return selected
 
     @staticmethod
-    def _rewrite_aggregates(select):
+    def _rewrite_aggregates(query: Query):
         """``avg e`` folds don't merge; ``total e``/``count e`` pairs
-        do, exactly.  Returns the dispatched select plus a merge spec."""
+        do, exactly.  Returns the dispatched text plus a merge spec."""
         items: List[Aggregate] = []
         spec: List[Tuple[str, object]] = []
-        for item in select:
+        for item in query.select:
             if item.function == "avg":
                 spec.append(("avg", (len(items), len(items) + 1)))
                 items.append(Aggregate("total", item.operand))
@@ -957,7 +961,8 @@ class ShardedStore:
             else:
                 spec.append((item.function, len(items)))
                 items.append(item)
-        return tuple(items), spec
+        return str(Query(query.var, query.source_class, query.where,
+                         tuple(items))), spec
 
     def _merge_aggregates(self, spec, shard_rows) -> tuple:
         merged = []
@@ -972,12 +977,8 @@ class ShardedStore:
             else:   # min / max over the per-shard partial folds
                 partials = [row[where] for row in shard_rows
                             if row[where] is not INAPPLICABLE]
-                if not partials:
-                    merged.append(INAPPLICABLE)
-                elif function == "min":
-                    merged.append(min(partials))
-                else:
-                    merged.append(max(partials))
+                fold = min if function == "min" else max
+                merged.append(fold(partials) if partials else INAPPLICABLE)
         return tuple(merged)
 
     def query(self, query,
@@ -993,39 +994,46 @@ class ShardedStore:
         return [tuple(codec.decode_value(value, self.handle)
                       for value in values) for values in encoded], stats
 
+    def _resolve_query(self, query) -> tuple:
+        """``(facts, dispatched text, aggregate spec or None)``, cached
+        on ``(text, schema version)``: a repeated text parses nothing."""
+        text = query if isinstance(query, str) else str(query)
+        key = (text, self.schema.version)
+        resolved = self._queries.get(key)
+        if resolved is None:
+            query = parse_query(text)
+            folds = [isinstance(item, Aggregate) for item in query.select]
+            if any(folds) and not all(folds):
+                raise QueryTypeError(
+                    "aggregate and per-row select items cannot be mixed")
+            text, spec = (self._rewrite_aggregates(query) if any(folds)
+                          else (text, None))
+            resolved = (extract_facts(query, self.schema), text, spec)
+            self._queries.put(key, resolved)
+        return resolved
+
     def query_wire(self, query,
                    options: Optional[Dict] = None) -> Dict[str, object]:
-        """Scatter-gather at the wire level: parse once, prune shards,
-        dispatch in parallel, merge rows (by surrogate) or aggregate
-        folds.  The response has the shape the single-store service's
-        ``query`` op produces (sid-tagged rows of *encoded* values, or
-        a merged ``agg`` vector, plus the per-shard execution stats
-        summed, ``rows_returned`` recomputed for aggregate merges) --
-        per-row values are merged without a decode/re-encode
+        """Scatter-gather at the wire level: resolve the text (once),
+        prune shards, dispatch in parallel, merge rows (by surrogate) or
+        aggregate folds.  The response has the shape the single-store
+        service's ``query`` op produces (sid-tagged rows of *encoded*
+        values, or a merged ``agg`` vector, plus the per-shard execution
+        stats summed, ``rows_returned`` recomputed for aggregate merges)
+        -- per-row values are merged without a decode/re-encode
         round-trip, so a network backend serving a sharded store pays
         routing, not re-serialization."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        has_aggregates = any(isinstance(item, Aggregate)
-                             for item in query.select)
-        if has_aggregates and not all(isinstance(item, Aggregate)
-                                      for item in query.select):
-            raise QueryTypeError(
-                "aggregate and per-row select items cannot be mixed")
-        selected = self._select_shards(query)
+        facts, text, spec = self._resolve_query(query)
+        selected = self._select_shards(facts)
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
-        if has_aggregates:
-            dispatched, spec = self._rewrite_aggregates(query.select)
-            query = Query(query.var, query.source_class, query.where,
-                          dispatched)
         payloads = self._broadcast_cmd(
-            {"op": "query", "text": str(query),
-             "options": options or {}}, selected)
+            {"op": "query", "text": text, "options": options or {}},
+            selected)
         stats = {field: sum(payload["stats"][field]
                             for _shard_id, payload in payloads)
                  for field in EXECUTION_STAT_FIELDS}
-        if has_aggregates:
+        if spec is not None:
             shard_rows = [
                 [codec.decode_value(value, self.handle)
                  for value in payload["agg"]]

@@ -66,10 +66,7 @@ class MaskedSnapshot:
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         cached = self._masked.get(class_name)
         if cached is None:
-            members = self._snap.extent_surrogates(class_name)
-            if not isinstance(members, SurrogateSet):
-                members = SurrogateSet(members)
-            cached = members - self._foreign
+            cached = self._snap.extent_surrogates(class_name) - self._foreign
             self._masked[class_name] = cached
         return cached
 

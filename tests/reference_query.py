@@ -17,6 +17,9 @@ the tests as what "the same answer" means:
   with ordinary set algebra, including the two exactness rules of
   ``planner``'s docstring (skip rows are visited; the where-free loop
   only over exact, skip-free visit sets).
+
+:func:`reference_query_op` is the ``query`` op row as it was before
+wire plans, the oracle for the reply shapes at every edge.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ from repro.query.ast import (
     Var,
     When,
 )
+from repro import codec
+from repro.ops import EXECUTION_STAT_FIELDS
 from repro.query.compiler import CompiledQuery, QueryRuntimeError
 from repro.query.interpreter import ExecutionStats
+from repro.query.parser import parse_query
+from repro.query.planner import execute_planned
 from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
 
 
@@ -327,6 +334,28 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
                             where=not proven), stats
     return run_rows(reference, store,
                     store.extent(compiled.source_class), stats), stats
+
+
+def reference_query_op(view, cmd, resolve):
+    """The ``query`` op row before wire plans: parse the text, prepend
+    the query variable to a per-row select so each row carries its
+    entity, run it through ``execute_planned``, then encode the rows in
+    a second pass.  ``ops._query`` must answer exactly this."""
+    query = parse_query(cmd["text"])
+    per_row = not any(isinstance(item, Aggregate) for item in query.select)
+    if per_row:
+        query = Query(query.var, query.source_class, query.where,
+                      (Var(query.var),) + tuple(query.select))
+    rows, stats = execute_planned(query, view, **(cmd.get("options") or {}))
+    stats_out = {field: getattr(stats, field)
+                 for field in EXECUTION_STAT_FIELDS}
+    if per_row:
+        return {"rows": [[row[0].surrogate.id,
+                          [codec.encode_value(v) for v in row[1:]]]
+                         for row in rows],
+                "stats": stats_out}
+    return {"agg": [codec.encode_value(v) for v in rows[0]],
+            "stats": stats_out}
 
 
 # ----------------------------------------------------------------------

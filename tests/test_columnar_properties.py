@@ -4,7 +4,9 @@ Part 1 checks :class:`repro.columnar.SurrogateSet` against a plain
 Python set as the model, under random op sequences that cross chunk
 boundaries and mix in overflow (non-``Surrogate``) members, and under
 the set algebra the query path leans on (``&``/``|``/``-``, the
-reflected forms against plain sets, in-place union, COW copies).
+reflected forms against plain sets, in-place union, COW copies), and
+the id decoder on both sides of its popcount branch (two seeded mutants
+must be killed).
 
 Part 2 is the execution-equivalence claim the compiled closures must
 uphold: for every plan, the compiled executor and the guarded full
@@ -18,10 +20,19 @@ snapshots pinned across an online alter.
 from __future__ import annotations
 
 import functools
+import inspect
+import textwrap
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from repro.columnar import CHUNK_BITS, SurrogateSet
+from repro import columnar
+from repro.columnar import (
+    _SPARSE_BITS,
+    CHUNK_BITS,
+    ObjectColumns,
+    SurrogateSet,
+)
 from repro.errors import ConformanceError, ObjectError
 from repro.objects import ObjectStore
 from repro.objects.surrogate import Surrogate
@@ -103,6 +114,88 @@ def test_surrogate_set_algebra_matches_set_algebra(a, b):
     out = sa | sb
     out.add(Surrogate(10 * CHUNK_BITS))
     assert set(sa) == ma and set(sb) == mb
+
+
+# The decoder, on both sides of its popcount branch: whole ranges make
+# dense chunks, exact popcounts sit at the sparse/dense threshold, and
+# each chunk's bits 0 and CHUNK_BITS - 1 (the last chunk's included) are
+# drawn on purpose.
+
+_N_CHUNKS = 3
+_SPAN = _N_CHUNKS * CHUNK_BITS
+
+_ranges = st.tuples(st.integers(0, _SPAN - 1), st.integers(1, CHUNK_BITS)).map(
+    lambda t: range(t[0], min(t[0] + t[1], _SPAN)))
+
+_at_threshold = st.tuples(
+    st.integers(0, _N_CHUNKS - 1),
+    st.sampled_from((_SPARSE_BITS - 1, _SPARSE_BITS, _SPARSE_BITS + 1)),
+).flatmap(lambda kc: st.sets(st.integers(0, CHUNK_BITS - 1), min_size=kc[1],
+                             max_size=kc[1]).map(
+    lambda bits: {kc[0] * CHUNK_BITS + bit for bit in bits}))
+
+_chunk_edges = st.sets(st.sampled_from([
+    key * CHUNK_BITS + bit for key in range(_N_CHUNKS)
+    for bit in (0, CHUNK_BITS - 1)]))
+
+_decoder_ids = st.tuples(
+    st.lists(_ranges, max_size=3), st.lists(_at_threshold, max_size=2),
+    _chunk_edges, st.sets(st.integers(0, _SPAN - 1), max_size=20),
+).map(lambda t: set().union(*t[0], *t[1], t[2], t[3]))
+
+
+def check_decoder(ids) -> None:
+    model = sorted(ids)
+    sset = SurrogateSet(map(Surrogate, model))
+    assert sset.ids() == model
+    sset.add("overflow")
+    assert list(sset) == [Surrogate(sid) for sid in model] + ["overflow"]
+    columns = ObjectColumns()
+    for sid in model:
+        columns.put(Surrogate(sid), frozenset(), {}, stamp=0)
+    assert [row[0].id for row in columns.capture().rows(sset)] == model
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=_decoder_ids)
+def test_decoder_on_both_branches(ids):
+    check_decoder(ids)
+
+
+def _decoder_mutant(old: str, new: str):
+    """``SurrogateSet.ids`` with one source edit."""
+    source = textwrap.dedent(inspect.getsource(SurrogateSet.ids))
+    assert source.count(old) == 1
+    namespace = dict(vars(columnar))
+    exec(source.replace(old, new), namespace)
+    return namespace["ids"]
+
+
+def _killed_decoder(mutant) -> bool:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, phases=(Phase.generate,))
+    @given(ids=_decoder_ids)
+    def run(ids):
+        check_decoder(ids)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SurrogateSet, "ids", mutant)
+        try:
+            run()
+        except AssertionError:
+            return True
+    return False
+
+
+def test_mutant_sparse_decode_drops_bit_0_is_killed():
+    assert _killed_decoder(_decoder_mutant(
+        'at = digits.rfind("1")', 'at = digits.rfind("1", 0, len(digits) - 1)'))
+
+
+def test_mutant_dense_byte_offset_off_by_one_is_killed():
+    assert _killed_decoder(_decoder_mutant(
+        "offset = base + (byte_index << 3)",
+        "offset = base + (byte_index << 3) + 1"))
 
 
 @settings(max_examples=80, deadline=None)

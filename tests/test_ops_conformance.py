@@ -13,11 +13,18 @@ rejection keeps its type across the socket and across the shard hop is
 asserted at the end through ``RemoteOpError`` and ``ShardWorkerError``.
 The walk is parametrised over the table, so a write row the journal
 skipped fails its own case of the log test.
+
+The last section holds the ``query`` row to the formulation wire plans
+replaced (``tests/reference_query.reference_query_op``) in-process,
+served and sharded, and pins what a repeated request no longer costs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RemoteOpError, ShardWorkerError
 from repro.lang import print_schema
@@ -27,11 +34,17 @@ from repro.net.replication import LocalShipSource, Replica
 from repro.net.server import StoreService
 from repro.objects.store import ObjectStore
 from repro.ops import OPS
+from repro.query import compiler
+from repro.query.compiler import ON_UNSAFE
+from repro.query.parser import parse_query
 from repro.scenarios import build_hospital_schema
+from repro.sharding import router as router_module
 from repro.sharding.router import ShardedStore
 from repro.sharding.worker import ShardServer
+from repro.typesys import EnumSymbol
 
 from tests.faultfs import store_digest
+from tests.reference_query import query_trees, reference_query_op
 
 SCHEMA = build_hospital_schema()
 SCHEMA_TEXT = print_schema(SCHEMA)
@@ -327,6 +340,22 @@ def test_missing_field_is_a_typed_storage_error(edges, name, field):
         assert message == f"op {name!r} requires field {field!r}", label
 
 
+@pytest.mark.parametrize("options", [
+    {"bogus": 1}, [1], "x", {"on_unsafe": "explode"}])
+def test_malformed_query_options_are_a_typed_storage_error(edges, options):
+    """Drift 3: these used to answer ``TypeError`` / ``ValueError`` from
+    inside the planner -- and a router asked its shards first."""
+    _seed(edges)
+    cmd = dict(SCRIPT["query"][1], options=options)
+    router = edges["sharded-2"].backend.router
+    sent = router.stats_counters.commands_sent
+    for label, edge in edges.items():
+        etype, message = _error_type(edge, cmd)
+        assert etype == "StorageError", label
+        assert message.startswith("op 'query' field 'options': "), label
+    assert router.stats_counters.commands_sent == sent
+
+
 def test_malformed_txn_sub_ops_roll_back(edges):
     _seed(edges)
     ward = {"op": "create", "cls": "Ward",
@@ -384,3 +413,157 @@ def test_conformance_rejection_keeps_its_type(edges, tmp_path):
         finally:
             client.close()
             service.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Wire plans: the reply the op row answered before them, at every edge
+# ----------------------------------------------------------------------
+
+WIRE_CLASSES = ("Patient", "Person", "Alcoholic", "Hemorrhaging_Patient",
+                "Physician")
+WIRE_ATTRIBUTES = ("age", "name", "treatedBy", "bloodPressure", "specialty")
+_wire_consts = st.one_of(
+    st.sampled_from((30, 41, 78)), st.sampled_from(("p1", "doc")),
+    st.sampled_from(("Low_BP", "General")).map(EnumSymbol))
+#: Shared query trees (many ill-typed: errors compare by type), plus
+#: well-typed per-row and aggregate texts that prune through the index.
+_wire_texts = st.one_of(
+    query_trees(("p",), WIRE_CLASSES, WIRE_ATTRIBUTES, _wire_consts).map(str),
+    st.sampled_from((
+        "for p in Patient where p.age = 41 select p.name",
+        "for p in Hemorrhaging_Patient where p.age = 30 select p, p.age",
+        "for p in Patient select p, p.treatedBy, p.bloodPressure, p.age",
+        "for p in Patient where p.age > 35 select count, avg p.age, "
+        "min p.name, max p.age, total p.age")))
+_wire_options = st.one_of(st.just({}), st.fixed_dictionaries({
+    "on_unsafe": st.sampled_from(ON_UNSAFE),
+    "eliminate_checks": st.booleans()}))
+
+
+def _populate(store) -> None:
+    """Index on ``age``, two reference entities, twelve patients: plain,
+    hemorrhaging, alcoholic (the excuse branch) and without an age."""
+    kw = {"broadcast": True} if isinstance(store, ShardedStore) else {}
+    store.create_index("age")
+    doc = store.create("Physician", name="doc", age=50,
+                       specialty=EnumSymbol("General"), **kw)
+    psy = store.create("Psychologist", name="psy", age=60,
+                       therapyStyle=EnumSymbol("CBT"), **kw)
+    rows = []
+    for i in range(12):
+        values = {"name": f"p{i}", "age": (30, 41, 78)[i % 3],
+                  "treatedBy": doc}
+        if i % 4 == 1:
+            rows.append((("Patient", "Hemorrhaging_Patient"), dict(
+                values, bloodPressure=EnumSymbol("Low_BP"))))
+        elif i % 4 == 2:
+            rows.append((("Alcoholic",), dict(values, treatedBy=psy)))
+        else:
+            if i % 4 == 3:
+                del values["age"]
+            rows.append((("Patient",), values))
+    store.bulk_load(rows, check="eager")
+
+
+@pytest.fixture(scope="module")
+def wire_edges():
+    single, served = ObjectStore(SCHEMA), ObjectStore(SCHEMA)
+    router = ShardedStore(SCHEMA, 2, processes=False)
+    for store in (single, served, router):
+        _populate(store)
+    service = StoreService(served)
+    service.run_background()
+    client = StoreClient(*service.address, timeout=5.0)
+    yield {
+        "in-process": ConcurrentBackend(single).op_query,
+        "served": lambda cmd: client.call(
+            "query", text=cmd["text"], options=cmd["options"]),
+        "sharded": ShardedBackend(router).op_query,
+    }
+    client.close()
+    service.shutdown()
+    router.close()
+
+
+@contextmanager
+def _parent_formulation():
+    """The ``query`` row running :func:`reference_query_op` instead."""
+    row = OPS["query"]
+    wired = row.run
+    object.__setattr__(row, "run", reference_query_op)
+    try:
+        yield
+    finally:
+        object.__setattr__(row, "run", wired)
+
+
+def _outcome(call, cmd):
+    try:
+        return call(cmd)
+    except Exception as exc:     # compared by (remote) type
+        return getattr(exc, "remote_type", type(exc).__name__)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_wire_texts, options=_wire_options)
+def test_wire_plans_answer_what_the_rewrite_answered(wire_edges, text,
+                                                     options):
+    """Replies -- rows, order, all six stats, or the error type -- equal
+    the parent's formulation (``Var`` prepended, ``execute_planned``,
+    encode) through the same edge."""
+    cmd = {"op": "query", "text": text, "options": options}
+    for label, call in wire_edges.items():
+        wired = _outcome(call, cmd)
+        with _parent_formulation():
+            assert _outcome(call, cmd) == wired, (label, text, options)
+
+
+PER_ROW = "for p in Patient where p.age = 41 select p.name, p"
+AGGREGATE = "for p in Patient select count, avg p.age"
+
+
+@pytest.mark.parametrize("text", [PER_ROW, AGGREGATE])
+def test_a_repeated_request_is_a_plan_hit_without_parse_or_wrapper(
+        monkeypatch, text):
+    store = ObjectStore(SCHEMA)
+    _populate(store)
+    backend = ConcurrentBackend(store)
+    parses = []
+    monkeypatch.setattr(compiler, "parse_query",
+                        lambda t: parses.append(t) or parse_query(t))
+    cmd = {"op": "query", "text": text}
+    first = backend.op_query(cmd)
+    assert parses == [text]             # the miss parses, once
+    snap, qstats = backend.concurrent.snapshot(), store.indexes.qstats
+    hits, misses = qstats.plan_hits, qstats.plan_misses
+    assert backend.op_query(cmd) == first
+    assert (qstats.plan_hits, qstats.plan_misses) == (hits + 1, misses)
+    assert parses == [text]
+    assert snap._wrappers == {}         # rows never became entities
+
+
+def test_a_repeated_text_costs_the_router_no_parse_and_no_frozenset(
+        monkeypatch):
+    router = ShardedStore(SCHEMA, 2, processes=False)
+    try:
+        _populate(router)
+        calls = {"parse": 0, "frozenset": 0}
+
+        def parse(text):
+            calls["parse"] += 1
+            return parse_query(text)
+
+        def frozen(*args):
+            calls["frozenset"] += 1
+            return frozenset(*args)
+
+        monkeypatch.setattr(router_module, "parse_query", parse)
+        monkeypatch.setattr(router_module, "frozenset", frozen,
+                            raising=False)
+        first = router.query_wire(AGGREGATE)
+        assert calls["parse"] == 1 and calls["frozenset"] > 0
+        calls.update(parse=0, frozenset=0)
+        assert router.query_wire(AGGREGATE) == first
+        assert calls == {"parse": 0, "frozenset": 0}
+    finally:
+        router.close()
