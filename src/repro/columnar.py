@@ -26,9 +26,10 @@ machinery for that on the read path:
     against sets/frozensets -- so callers treat a posting list as "a set
     of surrogates" (non-``Surrogate`` members, which unit tests index,
     go to a small overflow set).  Members come out in ascending order
-    from :meth:`SurrogateSet.ids`, the one decoder, with no big-int work
-    per member: a sparse chunk's binary digits are searched once per
-    member, a dense chunk's bytes go through a table.
+    from :meth:`SurrogateSet.ids`, the one decoder (whole or over an id
+    range), with no big-int work per member: a sparse chunk's binary
+    digits are searched once per member, a dense chunk's bytes go
+    through a table.
 
 :class:`ObjectColumns` / :class:`FrozenColumns`
     The per-object state table behind sublinear ``store.snapshot()``.
@@ -41,11 +42,18 @@ machinery for that on the read path:
     with two-level copy-on-write: capture shares the whole chunk table
     by reference (O(1)); the first write after a capture copies the top
     table, and the first write *into a chunk* copies that one chunk.
+    :meth:`FrozenColumns.scan` builds a class's scan row list by
+    *segment* -- one column chunk's part of the extent -- and copies a
+    segment from the previous snapshot's list when both observable facts
+    match: the chunk is the same object and the extent's bits over it
+    are equal.  So a scan after a write gathers only what the write
+    changed.
 
 Counters for the bitset algebra (words ANDed/ORed/ANDNOTed, chunks
-copied by COW) accumulate in the module-level :data:`BITSET_STATS`
-(process-wide, like a CPU performance counter) and surface through
-``store.stats()`` and ``repro stats`` with a ``bitset.`` prefix.
+copied by COW, scan rows carried or gathered) accumulate in the
+module-level :data:`BITSET_STATS` (process-wide, like a CPU performance
+counter) and surface through ``store.stats()`` and ``repro stats`` with
+a ``bitset.`` prefix.
 """
 
 from __future__ import annotations
@@ -70,17 +78,18 @@ __all__ = [
 CHUNK_BITS = 4096
 _CHUNK_SHIFT = 12                      # log2(CHUNK_BITS)
 _CHUNK_MASK = CHUNK_BITS - 1
-_CHUNK_BYTES = CHUNK_BITS // 8
 #: 64-bit machine words per chunk (what the op counters count).
 WORDS_PER_CHUNK = CHUNK_BITS // 64
 
 #: Objects per :class:`ObjectColumns` chunk: small enough that the
 #: first-write-after-snapshot chunk copy is cheap, large enough that the
-#: top table stays tiny (n/256 entries).
+#: top table stays tiny (n/256 entries).  A scan segment is the same
+#: 256-id range of a bitset chunk.
 _COL_SHIFT = 8
+_SEGMENT_MASK = (1 << (1 << _COL_SHIFT)) - 1
 
-#: Chunks up to this popcount decode by a digit search per member,
-#: denser ones scan their 512 bytes through _BYTE_BITS.
+#: Chunks (or range slices) up to this popcount decode by a digit
+#: search per member, denser ones scan their bytes through _BYTE_BITS.
 _SPARSE_BITS = 64
 
 #: byte value -> tuple of set bit offsets, for fast ascending iteration.
@@ -99,6 +108,8 @@ class BitsetStats(_Counters):
         "words_andnot",        # 64-bit words AND-NOTed (differences)
         "chunks_cow_copied",   # bitset chunk-table entries copied by COW
         "column_chunks_copied",  # object-column chunks copied by COW
+        "rows_carried",        # scan rows copied from the prior snapshot
+        "rows_gathered",       # scan rows looked up in column chunks
     )
 
 
@@ -213,26 +224,35 @@ class SurrogateSet:
         members = map(Surrogate, self.ids())
         return chain(members, self._overflow) if self._overflow else members
 
-    def ids(self) -> List[int]:
-        """Ascending bitmap ids (overflow members have no ordinal)."""
+    def ids(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
+        """Ascending bitmap ids (overflow members have no ordinal); with
+        ``stop``, only those in ``[start, stop)``."""
         out: List[int] = []
         append = out.append
         byte_bits = _BYTE_BITS
         chunks = self._chunks
-        for key in sorted(chunks):
-            word = chunks[key]
+        keys = sorted(chunks) if stop is None else range(
+            start >> _CHUNK_SHIFT, ((stop - 1) >> _CHUNK_SHIFT) + 1)
+        for key in keys:
+            word = chunks.get(key, 0)
+            base = key << _CHUNK_SHIFT
+            if stop is not None and word:
+                # Clip to the range: the decoder sees its bits only.
+                low = max(start - base, 0)
+                high = min(stop - base, CHUNK_BITS)
+                word = (word >> low) & ((1 << (high - low)) - 1)
+                base += low
             if word.bit_count() <= _SPARSE_BITS:
                 # Sparse chunk: one C-level search of the binary digits
                 # per member (the last digit is bit 0), no big-int work.
                 digits = bin(word)
-                top = (key << _CHUNK_SHIFT) + len(digits) - 1
+                top = base + len(digits) - 1
                 at = digits.rfind("1")
                 while at > 0:
                     append(top - at)
                     at = digits.rfind("1", 0, at)
                 continue
-            base = key << _CHUNK_SHIFT
-            data = word.to_bytes(_CHUNK_BYTES, "little")
+            data = word.to_bytes((word.bit_length() + 7) >> 3, "little")
             for byte_index, byte in enumerate(data):
                 if byte:
                     offset = base + (byte_index << 3)
@@ -422,12 +442,60 @@ class FrozenColumns:
         for key in sorted(self._chunks):
             yield from sorted(self._chunks[key])
 
-    def rows(self, surrogates: "SurrogateSet") -> list:
+    def gather(self, surrogates: "SurrogateSet",
+               key: Optional[int] = None) -> list:
         """The captured ``(surrogate, memberships, values)`` entry of
         each member, ascending -- what a query's row loop consumes
-        instead of instance wrappers."""
+        instead of instance wrappers: all of them (an index visit set),
+        or those in column chunk ``key`` (a scan segment, one lookup
+        per member)."""
+        if key is None:
+            chunks = self._chunks
+            return [chunks[sid >> _COL_SHIFT][sid] for sid in surrogates.ids()]
+        return list(map(self._chunks[key].__getitem__, surrogates.ids(
+            key << _COL_SHIFT, (key + 1) << _COL_SHIFT)))
+
+    def scan(self, extent: "SurrogateSet", prior: Optional[tuple]) -> tuple:
+        """``(bits, rows, table)``: ``extent``'s rows, ascending, plus
+        what the next snapshot needs to carry them forward -- the
+        extent's chunk words and ``table[key] = (chunk, lo, hi)``, the
+        slice of ``rows`` segment ``key`` fills.  A segment is copied
+        from ``prior`` (the previous snapshot's triple for the class)
+        only if its chunk is the same object and the extent's bits over
+        it are equal; an unchanged bitset chunk costs one compare.
+        Every other segment is gathered; with no ``prior``, all are."""
+        bits = dict(extent._chunks)
+        old_bits, old_rows, old_table = prior or ({}, [], {})
         chunks = self._chunks
-        return [chunks[sid >> _COL_SHIFT][sid] for sid in surrogates.ids()]
+        rows: list = []
+        table: Dict[int, tuple] = {}
+        carried = 0
+        per_word = 1 << (_CHUNK_SHIFT - _COL_SHIFT)
+        for word_key in sorted(bits):
+            word = bits[word_key]
+            old = old_bits.get(word_key)
+            changed = 0 if word == old else word ^ (old or 0)
+            for key in range(word_key * per_word, (word_key + 1) * per_word):
+                entry = old_table.get(key)
+                if changed:
+                    shift = (key << _COL_SHIFT) & _CHUNK_MASK
+                    if not (word >> shift) & _SEGMENT_MASK:
+                        continue
+                    if (changed >> shift) & _SEGMENT_MASK:
+                        entry = None
+                elif entry is None:
+                    continue
+                chunk = chunks[key]
+                lo = len(rows)
+                if entry is not None and entry[0] is chunk:
+                    rows += old_rows[entry[1]:entry[2]]
+                    carried += entry[2] - entry[1]
+                else:
+                    rows += self.gather(extent, key)
+                table[key] = (chunk, lo, len(rows))
+        BITSET_STATS.rows_carried += carried
+        BITSET_STATS.rows_gathered += len(rows) - carried
+        return bits, rows, table
 
 
 class ObjectColumns(FrozenColumns):

@@ -28,6 +28,12 @@ answered from the snapshot's captured state (``snapshot.is_member``
 keys on the surrogate), so class-membership reads are isolated even for
 nested entities.
 
+A scan's row list is carried forward by segment: a snapshot inherits,
+by reference, the row lists and segment tables of the snapshot it
+replaces (O(classes)), and ``scan_rows`` copies every segment whose
+column chunk and extent bits are unchanged, gathering only what the
+writes in between changed (:meth:`repro.columnar.FrozenColumns.scan`).
+
 Snapshots may be shared freely across reader threads: all internal
 lazy caches (extents, row lists, instance wrappers) are populated with
 idempotent inserts, and the planner's plan cache -- shared with the
@@ -145,8 +151,9 @@ class StoreSnapshot:
     the copy-on-write stamp that keeps the captured references frozen.
     """
 
-    def __init__(self, store) -> None:
-        # Called under store._write_lock (from ObjectStore.snapshot()).
+    def __init__(self, store, prior: Optional["StoreSnapshot"]) -> None:
+        # Called under store._write_lock (from ObjectStore.snapshot()),
+        # with the snapshot this one replaces.
         self.epoch: int = store._epoch
         # The schema is pinned by reference: a later schema-epoch swap
         # installs a *new* Schema object on the store, so this snapshot
@@ -180,7 +187,13 @@ class StoreSnapshot:
         # Lazy, idempotently-populated caches (thread-shared).
         self._wrappers: Dict[object, SnapshotInstance] = {}
         self._extent_rows: Dict[str, Tuple[SnapshotInstance, ...]] = {}
-        self._scan_rows: Dict[str, list] = {}
+        # class -> (bits, rows, table), published as one value.
+        self._scan_rows: Dict[str, tuple] = {}
+        # What scan_rows carries forward by segment: the replaced
+        # snapshot's own builds, else what it carried (O(classes)).
+        self._carried: Dict[str, tuple] = (
+            {**prior._carried, **prior._scan_rows}
+            if prior is not None else {})
 
     # ------------------------------------------------------------------
     # Object access
@@ -229,16 +242,19 @@ class StoreSnapshot:
     # a query lets the row escape (``get``).
 
     def scan_rows(self, class_name: str) -> list:
-        cached = self._scan_rows.get(class_name)
-        if cached is None:
-            surrogates = self.extent_surrogates(class_name)
-            cached = self._scan_rows.setdefault(
-                class_name,
-                self._objects.rows(surrogates) if surrogates else [])
-        return cached
+        built = self._scan_rows.get(class_name)
+        if built is None:
+            # One assignment publishes rows and offsets together, so a
+            # racing reader never pairs one build's table with another
+            # build's list; then the prior generation's rows can go.
+            built = self._scan_rows.setdefault(class_name, self._objects.scan(
+                self.extent_surrogates(class_name),
+                self._carried.get(class_name)))
+            self._carried.pop(class_name, None)
+        return built[1]
 
     def visit_rows(self, surrogates) -> list:
-        return self._objects.rows(surrogates)
+        return self._objects.gather(surrogates)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """Captured surrogate set (callers must not mutate it)."""

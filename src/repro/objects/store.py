@@ -237,7 +237,7 @@ class ObjectStore:
                 self.checker.stats.snapshot_reuses += 1
                 return cached
             self._snapshot_stamp += 1
-            snap = StoreSnapshot(self)
+            snap = StoreSnapshot(self, cached)
             self._snapshot_cache = snap
             self.checker.stats.snapshots_built += 1
             return snap
@@ -377,10 +377,10 @@ class ObjectStore:
     # The generated query loop's row source (``repro.query.compiler``).
 
     def scan_rows(self, class_name: str) -> list:
-        return self._columns.rows(self.extent_surrogates(class_name))
+        return self._columns.gather(self.extent_surrogates(class_name))
 
     def visit_rows(self, surrogates) -> list:
-        return self._columns.rows(surrogates)
+        return self._columns.gather(surrogates)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """The live extent as a surrogate set -- the class-membership

@@ -153,7 +153,15 @@ def check_decoder(ids) -> None:
     columns = ObjectColumns()
     for sid in model:
         columns.put(Surrogate(sid), frozenset(), {}, stamp=0)
-    assert [row[0].id for row in columns.capture().rows(sset)] == model
+    frozen = columns.capture()
+    assert [row[0].id for row in frozen.gather(sset)] == model
+    # The range form, over every column chunk and a range across chunks.
+    for key in {sid >> 8 for sid in model}:
+        segment = [sid for sid in model if sid >> 8 == key]
+        assert sset.ids(key << 8, (key + 1) << 8) == segment
+        assert [row[0].id for row in frozen.gather(sset, key)] == segment
+    lo, hi = CHUNK_BITS - 300, 2 * CHUNK_BITS + 5
+    assert sset.ids(lo, hi) == [sid for sid in model if lo <= sid < hi]
 
 
 @settings(max_examples=100, deadline=None)
