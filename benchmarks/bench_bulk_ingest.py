@@ -1,6 +1,6 @@
 """A5 -- bulk ingestion vs the per-object eager write path.
 
-The write-side counterpart of A4: 10k mixed hospital rows (patients
+10k mixed hospital rows (patients
 with exceptional subclasses, wards, physicians referencing a shared
 cast) ingested three ways:
 

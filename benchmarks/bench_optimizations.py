@@ -3,8 +3,8 @@
 An optimization the substrate provides beyond the paper's check
 elimination, quantified so its claim in the docs stays honest:
 ``where p in Alcoholic`` scans the Alcoholic extent instead of all
-Patients.  (Index lookups vs scans on the live store are A4,
-``bench_query_index.py``.)
+Patients.  (Index lookups vs scans are the e2e benchmark's ``sel_us``
+and ``scan_us``.)
 """
 
 import time

@@ -90,10 +90,6 @@ class SchemaEvolutionError(SchemaError):
         self.diagnostics = tuple(diagnostics)
 
 
-class RedundantExcuseWarning(UserWarning):
-    """An excuse was declared where no contradiction exists (harmless)."""
-
-
 class CDLError(ReproError):
     """Base class of class-definition-language front-end errors."""
 
@@ -135,11 +131,6 @@ class ConformanceError(ObjectError):
         self.surrogate = surrogate
         self.class_name = class_name
         self.attribute = attribute
-
-
-class InapplicableAttributeError(ObjectError):
-    """An attribute with range ``None`` was given a value, or an attribute
-    was accessed on an object for which it is inapplicable."""
 
 
 class QueryError(ReproError):

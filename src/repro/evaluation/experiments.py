@@ -102,13 +102,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ("repro.query.compiler",),
         "bench_optimizations.py"),
     Experiment(
-        "A4", "Indexed query execution", "substrate",
-        "excuse-aware secondary indexes plus the pushdown planner beat "
-        "the guarded full scan >= 5x on selective queries with "
-        "identical rows and identical rows_skipped",
-        ("repro.query.indexes", "repro.query.planner"),
-        "bench_query_index.py"),
-    Experiment(
         "A5", "Bulk ingestion pipeline", "substrate",
         "one generated check per signature group makes batched ingest "
         ">= 3x the per-object eager path with identical final state",

@@ -47,11 +47,11 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 from repro.columnar import SurrogateSet
 from repro.errors import NoSuchObjectError, UnknownClassError
 from repro.objects.surrogate import Surrogate
+from repro.query.indexes import IndexManager
 from repro.typesys.values import INAPPLICABLE
 
-#: Shared empty results.
+#: Shared empty result.
 _EMPTY_SET = SurrogateSet()
-_EMPTY_FROZEN: frozenset = frozenset()
 
 
 class SnapshotInstance:
@@ -123,24 +123,19 @@ class SnapshotIndexes:
     def attributes(self) -> Tuple[str, ...]:
         return tuple(sorted(self._postings))
 
-    def lookup(self, attribute: str, value):
-        """Captured posting bucket for ``value`` (callers must not
-        mutate the returned set)."""
-        buckets = self._postings[attribute][1]
-        try:
-            bucket = buckets.get(value)
-        except TypeError:          # unhashable probe matches nothing
-            return _EMPTY_FROZEN
-        return bucket if bucket else _EMPTY_FROZEN
-
-    def selectivity(self, attribute: str, value) -> int:
-        return len(self.lookup(attribute, value))
-
     def inapplicable(self, attribute: str) -> Set:
         return self._postings[attribute][2]
 
     def residue(self, attribute: str) -> Set:
         return self._postings[attribute][3]
+
+    def buckets(self, attribute: str) -> Dict:
+        return self._postings[attribute][1]
+
+    # The live manager's reads through ``buckets``, over these postings.
+    lookup = IndexManager.lookup
+    selectivity = IndexManager.selectivity
+    range = IndexManager.range
 
 
 class StoreSnapshot:

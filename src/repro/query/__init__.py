@@ -27,9 +27,9 @@ occur".  This package implements both:
 * :mod:`repro.query.indexes` / :mod:`repro.query.planner` -- secondary
   attribute indexes (excuse-aware: INAPPLICABLE and unhashable-residue
   posting lists keep indexed results scan-exact), a cost-based planner
-  that pushes sargable ``where`` conjuncts into index probes and
-  extent-set intersections, and a schema-versioned plan cache
-  (benchmark A4).
+  that pushes sargable ``where`` conjuncts into index probes, bucket-key
+  range walks and extent-set intersections, and a schema-versioned plan
+  cache.
 """
 
 from repro.query.ast import (

@@ -54,7 +54,7 @@ class Path(Expr):
 
 @dataclass(frozen=True)
 class Const(Expr):
-    """A literal: integer, string, boolean, or enumeration symbol."""
+    """A literal: integer, real, string, boolean, or enumeration symbol."""
 
     value: object
 
@@ -65,7 +65,7 @@ class Const(Expr):
             return "true" if value else "false"
         if isinstance(value, str):
             return f'"{value}"'
-        return str(value)   # integers and 'Symbol
+        return str(value)   # numbers and 'Symbol
 
 
 @dataclass(frozen=True)

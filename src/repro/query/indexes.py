@@ -50,6 +50,7 @@ must not be mutated by callers.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -62,6 +63,26 @@ from repro.typesys.values import INAPPLICABLE
 _EMPTY: frozenset = frozenset()
 #: ``StoreIndex._owned`` key of the residue posting.
 _RESIDUE = object()
+_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+             ">=": operator.ge}
+
+
+def range_buckets(buckets: Dict[object, SurrogateSet], value, op: str,
+                  const_left: bool) -> Tuple[SurrogateSet, SurrogateSet]:
+    """The range pushdown's walk over either index face's buckets: the
+    union of those whose key satisfies ``key op value`` (``value op key``
+    when ``const_left``: the scan's comparison, in its operand order),
+    and of those whose comparison raised.  Equal values order alike
+    (``docs/SEMANTICS.md`` §8), so only a falsy key drops its bucket."""
+    compare = _ORDERING[op]
+    hits, unordered = [], []
+    for key, bucket in buckets.items():
+        try:
+            if compare(value, key) if const_left else compare(key, value):
+                hits.append(bucket)
+        except Exception:      # visited: the row loop raises it as the scan
+            unordered.append(bucket)
+    return SurrogateSet.union(hits), SurrogateSet.union(unordered)
 
 
 class StoreIndex:
@@ -376,11 +397,8 @@ class IndexManager:
         self.qstats.index_updates += 1
 
     # Planner-side reads -----------------------------------------------
-
-    def lookup(self, attribute: str, value):
-        # Probe counting is the executor's job (it also counts the
-        # extent-set probes this manager never sees).
-        return self._indexes[attribute].lookup(value)
+    # The snapshot face (``SnapshotIndexes``) shares every read made
+    # through ``buckets``.
 
     def inapplicable(self, attribute: str) -> SurrogateSet:
         return self._indexes[attribute].inapplicable
@@ -388,8 +406,23 @@ class IndexManager:
     def residue(self, attribute: str) -> SurrogateSet:
         return self._indexes[attribute].residue
 
+    def buckets(self, attribute: str) -> Dict[object, SurrogateSet]:
+        return self._indexes[attribute]._buckets
+
+    def lookup(self, attribute: str, value):
+        # Probe counting is the executor's job (it also counts the
+        # extent-set probes this manager never sees).
+        try:
+            bucket = self.buckets(attribute).get(value)
+        except TypeError:          # unhashable probe matches nothing
+            return _EMPTY
+        return bucket if bucket else _EMPTY
+
     def selectivity(self, attribute: str, value) -> int:
-        return self._indexes[attribute].selectivity(value)
+        return len(self.lookup(attribute, value))
+
+    def range(self, attribute: str, *conjunct):
+        return range_buckets(self.buckets(attribute), *conjunct)
 
     # Rollback roots (atomic scopes) -----------------------------------
 

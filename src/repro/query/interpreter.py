@@ -21,7 +21,7 @@ from repro.schema.schema import Schema
 @dataclass
 class ExecutionStats:
     """Counters exposed so check elimination and index pruning are
-    measurable (benches E3 and A4)."""
+    measurable (bench E3, the e2e benchmark's query probes)."""
 
     rows_scanned: int = 0
     rows_returned: int = 0

@@ -10,11 +10,12 @@ Grammar::
     relation := postfix ( ('in' | 'not' 'in') IDENT
                         | OP postfix )?
     postfix  := primary ('.' IDENT)*
-    primary  := INT | STRING | SYMBOL | 'true' | 'false'
+    primary  := NUMBER | STRING | SYMBOL | 'true' | 'false'
               | IDENT | '(' expr ')'
               | 'when' expr 'then' expr 'else' expr 'end'
 
-``OP`` is one of ``= != < <= > >=``.
+``OP`` is one of ``= != < <= > >=``.  A ``NUMBER`` is spelled as ``str``
+spells a finite number: ``-1``, or a ``Real`` (``1.5``, ``2e-07``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>--[^\n]*)
-  | (?P<int>\d+)
+  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
   | (?P<symbol>'[A-Za-z_][A-Za-z0-9_#$]*)
   | (?P<string>"[^"\n]*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_#$]*)
@@ -214,9 +215,10 @@ class _QueryParser:
 
     def _parse_primary(self) -> Expr:
         tok = self._peek()
-        if tok.kind == "int":
+        if tok.kind == "number":
             self._advance()
-            return Const(int(tok.text))
+            real = any(c in tok.text for c in ".eE")
+            return Const(float(tok.text) if real else int(tok.text))
         if tok.kind == "string":
             self._advance()
             return Const(tok.text[1:-1])

@@ -58,6 +58,7 @@ from repro.schema.schema import Schema
 from repro.typesys.core import (
     BOOLEAN,
     INTEGER,
+    REAL,
     STRING,
     ClassType,
     EnumerationType,
@@ -352,6 +353,8 @@ class QueryTyper:
             return Possibility("scalar", BOOLEAN)
         if isinstance(value, int):
             return Possibility("scalar", IntRangeType(value, value))
+        if isinstance(value, float):
+            return Possibility("scalar", REAL)
         if isinstance(value, str):
             return Possibility("scalar", STRING)
         if isinstance(value, EnumSymbol):

@@ -16,7 +16,8 @@ the tests as what "the same answer" means:
 * :func:`reference_execute_plan` walks ``plan.pushdowns`` one at a time
   with ordinary set algebra, including the two exactness rules of
   ``planner``'s docstring (skip rows are visited; the where-free loop
-  only over exact, skip-free visit sets).
+  only over exact, skip-free visit sets) and a range's own reading of
+  the bucket keys.
 
 :func:`reference_query_op` is the ``query`` op row as it was before
 wire plans, the oracle for the reply shapes at every edge.
@@ -50,7 +51,7 @@ from repro.ops import EXECUTION_STAT_FIELDS
 from repro.query.compiler import CompiledQuery, QueryRuntimeError
 from repro.query.interpreter import ExecutionStats
 from repro.query.parser import parse_query
-from repro.query.planner import execute_planned
+from repro.query.planner import RANGE_KEY_ROWS, execute_planned
 from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
 
 
@@ -286,6 +287,17 @@ def reference_execute(compiled: CompiledQuery, store,
     return rows, stats
 
 
+def _orders(left, op: str, right) -> bool:
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    assert op == ">=", op
+    return left >= right
+
+
 def reference_execute_plan(plan, store, on_unsafe: str = "skip"
                            ) -> Tuple[List[tuple], ExecutionStats]:
     """Prune through ``plan.pushdowns`` when that wins, else scan."""
@@ -296,20 +308,45 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
     pushdowns = plan.pushdowns
     extent = store.extent_surrogates(compiled.source_class)
     usable = bool(pushdowns) and bool(extent) and all(
-        p.attribute in manager for p in pushdowns if p.kind == "eq")
-    if usable and not any(p.kind == "not-member" for p in pushdowns):
+        p.attribute in manager for p in pushdowns
+        if p.kind in ("eq", "range"))
+    if usable and not any(p.kind in ("not-member", "range")
+                          for p in pushdowns):
         # No pushdown can prune: the algebra is not even attempted.
         usable = min(
             manager.selectivity(p.attribute, p.value)
             + len(manager.inapplicable(p.attribute)) if p.kind == "eq"
             else store.count(p.class_name)
             for p in pushdowns) < len(extent)
+    # A range walk must cost less than the scan it would shorten.
+    usable = usable and all(
+        len(manager.buckets(p.attribute)) * RANGE_KEY_ROWS < len(extent)
+        for p in pushdowns if p.kind == "range")
     if usable:
         cand = set(extent)
         skips: set = set()
-        exact = True
+        exact = not any(p.kind == "range" for p in pushdowns)
         for p in pushdowns:
-            if p.kind == "eq":
+            if p.kind == "range":
+                # Each key compared as the scan compares, in the
+                # conjunct's operand order; a bucket whose key raised is
+                # visited, whatever later pushdowns say, with the rows
+                # the scan skips.
+                matched, raised = set(), set()
+                for key, bucket in manager.buckets(p.attribute).items():
+                    try:
+                        holds = bool(
+                            _orders(p.value, p.op, key) if p.const_left
+                            else _orders(key, p.op, p.value))
+                    except Exception:
+                        raised |= set(bucket)
+                        continue
+                    if holds:
+                        matched |= set(bucket)
+                skips |= (set(manager.inapplicable(p.attribute))
+                          | set(manager.residue(p.attribute)) | raised) & cand
+                cand &= matched
+            elif p.kind == "eq":
                 # Rule 1: rows the scan would skip are visited.
                 skips |= set(manager.inapplicable(p.attribute)) & cand
                 matched = set(manager.lookup(p.attribute, p.value)) & cand

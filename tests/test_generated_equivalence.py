@@ -10,22 +10,33 @@ virtual-class members, the generated function and
 ``on_unsafe`` policy, with and without check elimination, over the live
 store, a snapshot, and a snapshot taken after a write.
 
-Three seeded mutants of the generated side must each be killed within a
+Range conjuncts (``<``, ``<=``, ``>``, ``>=``, the constant on either
+side) meet populations whose ages come from a small pool, so the bucket
+walk pays, and whose ``Estimated_Age_Patient`` members hold the excuse
+branch's string age, so some buckets do not order against the constant.
+
+Six seeded mutants of the generated side must each be killed within a
 bounded, derandomized run; one that survives is a generator bug.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import Phase, given, settings, strategies as st
+import functools
+import re
 
+import pytest
+from hypothesis import Phase, Verbosity, given, settings, strategies as st
+
+from repro.columnar import CHUNK_BITS, SurrogateSet
 from repro.errors import QueryError
+from repro.lang.loader import load_schema
 from repro.objects import CheckMode
 from repro.query import (
     compile_query,
     compiler,
     execute,
     execute_plan,
+    indexes,
     planner,
 )
 from repro.query.ast import (
@@ -40,7 +51,8 @@ from repro.query.ast import (
     Var,
 )
 from repro.query.compiler import _Emitter
-from repro.scenarios import build_hospital_schema, populate_hospital
+from repro.scenarios import populate_hospital
+from repro.scenarios.hospital import HOSPITAL_CDL
 from repro.typesys import EnumSymbol
 from tests.reference_query import (
     expr_trees,
@@ -48,15 +60,23 @@ from tests.reference_query import (
     reference_execute_plan,
 )
 
-SCHEMA = build_hospital_schema()
+#: The hospital plus the paper's conditional type on an indexed
+#: attribute: ``[age : 1..120 + String/Estimated_Age_Patient]``.
+SCHEMA = load_schema(HOSPITAL_CDL + """
+class Estimated_Age_Patient is-a Patient with
+  age: String excuses age on Person;
+end
+""")
 
 CLASSES = ("Patient", "Person", "Alcoholic", "Tubercular_Patient",
-           "Ambulatory_Patient", "Physician", "Psychologist", "Hospital$1")
+           "Ambulatory_Patient", "Physician", "Psychologist", "Hospital$1",
+           "Estimated_Age_Patient")
 ATTRIBUTES = ("age", "name", "ward", "floor", "treatedBy", "treatedAt",
               "location", "state", "accreditation", "bloodPressure",
               "therapyStyle", "affiliatedWith")
 INDEXABLE = ("age", "ward", "bloodPressure", "name")
 UNSETTABLE = ("age", "ward", "bloodPressure", "treatedAt", "name")
+_ORDERING = ("<", "<=", ">", ">=")
 
 _consts = st.one_of(
     st.sampled_from((3, 30, 40, 78)), st.booleans(),
@@ -64,6 +84,15 @@ _consts = st.one_of(
     st.sampled_from(("Normal_BP", "NJ", "CBT")).map(EnumSymbol))
 _exprs = expr_trees(("p",), ATTRIBUTES, CLASSES, _consts, max_leaves=6)
 _p = Var("p")
+_range_consts = st.sampled_from((30, 35, 40, 78, -1, 39.5, "Patient3"))
+_ranges = st.one_of(
+    st.builds(lambda op, a, k: Compare(op, Path(_p, a), Const(k)),
+              st.sampled_from(_ORDERING),
+              st.sampled_from(("age", "age", "name", "ward")),
+              _range_consts),
+    st.builds(lambda op, k: Compare(op, Const(k), Path(_p, "age")),
+              st.sampled_from(_ORDERING), _range_consts),
+)
 #: Conjuncts the planner can push down (or must block).
 _sargable = st.one_of(
     st.builds(lambda a: Compare("=", Path(_p, "age"), Const(a)),
@@ -74,11 +103,18 @@ _sargable = st.one_of(
     st.just(Compare("=", Path(_p, "ward"), Const(3))),
     st.builds(InClass, st.just(_p), st.sampled_from(CLASSES)),
     st.builds(NotInClass, st.just(_p), st.sampled_from(CLASSES)),
+    _ranges,
 )
-_where = st.lists(st.one_of(_sargable, _sargable, _exprs), max_size=3).map(
-    lambda cs: None if not cs else
-    cs[0] if len(cs) == 1 else And(cs[0], cs[1]) if len(cs) == 2
-    else And(And(cs[0], cs[1]), cs[2]))
+def _conjoin(conjuncts):
+    return functools.reduce(And, conjuncts) if conjuncts else None
+
+
+_where = st.lists(st.one_of(_sargable, _sargable, _exprs),
+                  max_size=3).map(_conjoin)
+#: A range conjunct first: nothing before it can block its pushdown.
+_range_where = st.tuples(
+    _ranges, st.lists(st.one_of(_sargable, _exprs), max_size=2)).map(
+    lambda t: _conjoin([t[0], *t[1]]))
 _aggregates = st.one_of(
     st.just(Aggregate("count")),
     st.builds(Aggregate,
@@ -88,23 +124,43 @@ _select = st.one_of(
     st.lists(st.one_of(st.just(_p), _exprs), min_size=1, max_size=2),
     st.lists(_aggregates, min_size=1, max_size=3),
 ).map(tuple)
-_queries = st.builds(
-    Query, st.just("p"), st.sampled_from(("Patient", "Patient", "Person",
-                                          "Alcoholic", "Hospital")),
-    _where, _select)
 _options = st.fixed_dictionaries({
     "on_unsafe": st.sampled_from(("skip", "null", "raise")),
     "eliminate_checks": st.booleans(),
 })
-_cases = st.fixed_dictionaries({
-    "seed": st.integers(0, 10 ** 6),
-    "n": st.integers(6, 16),
-    "indexed": st.sets(st.sampled_from(INDEXABLE), max_size=3),
-    "unsets": st.lists(st.tuples(st.integers(0, 15),
-                                 st.sampled_from(UNSETTABLE)), max_size=6),
-    "queries": st.lists(st.tuples(_queries, _options), min_size=1,
-                        max_size=3),
-})
+#: Every Person's age from a small pool, so few keys serve many rows.
+_age_pools = st.lists(st.sampled_from((30, 40, 78)), min_size=1,
+                      max_size=2)
+
+
+def _cases_over(where, n, ages, indexed, unsettable=UNSETTABLE):
+    queries = st.builds(
+        Query, st.just("p"), st.sampled_from(
+            ("Patient", "Patient", "Person", "Alcoholic", "Hospital")),
+        where, _select)
+    return st.fixed_dictionaries({
+        "seed": st.integers(0, 10 ** 6),
+        "n": st.integers(*n),
+        "ages": ages,
+        "estimated": st.lists(st.integers(0, n[1] - 1), max_size=2),
+        "indexed": indexed,
+        "unsets": st.lists(st.tuples(st.integers(0, n[1] - 1),
+                                     st.sampled_from(unsettable)),
+                           max_size=6),
+        "queries": st.lists(st.tuples(queries, _options), min_size=1,
+                            max_size=3),
+    })
+
+
+_cases = _cases_over(_where, (6, 16), st.none() | _age_pools,
+                     st.sets(st.sampled_from(INDEXABLE), max_size=3))
+#: Populations the range walk pays on (an indexed ``age``, at most four
+#: keys over 16+ rows, some ages unset), queries that lead with a range
+#: conjunct.
+_range_cases = _cases_over(
+    _range_where, (16, 28), _age_pools,
+    st.sets(st.sampled_from(INDEXABLE), max_size=2).map(
+        lambda s: s | {"age"}), ("age",) + UNSETTABLE)
 
 
 def _world(case):
@@ -113,6 +169,16 @@ def _world(case):
         alcoholic_fraction=0.25, tubercular_fraction=0.2,
         ambulatory_fraction=0.2)
     store = pop.store
+    pool = case["ages"]
+    for i, person in enumerate(list(store.extent("Person")) if pool
+                               else ()):
+        store.set_value(person, "age", pool[i % len(pool)],
+                        check=CheckMode.NONE)
+    for index in case["estimated"]:
+        patient = pop.patients[index % len(pop.patients)]
+        store.classify(patient, "Estimated_Age_Patient",
+                       check=CheckMode.NONE)
+        store.set_value(patient, "age", "about 40", check=CheckMode.NONE)
     for index, attribute in case["unsets"]:
         store.unset_value(pop.patients[index % len(pop.patients)],
                           attribute, check=CheckMode.NONE)
@@ -160,14 +226,68 @@ def test_generated_equals_reference(case):
     check_case(case)
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=_range_cases)
+def test_generated_equals_reference_over_ranges(case):
+    check_case(case)
+
+
+def _observed(outcome):
+    """What the scan and any plan must agree on: rows and skips, or the
+    error type."""
+    return outcome if isinstance(outcome, type) else (
+        outcome[0], outcome[1].rows_skipped)
+
+
+@pytest.mark.slow
+def test_ranges_over_three_bitset_chunks():
+    """Range walks whose bucket unions span three bitset chunks (8,192+
+    sids): generated == reference, and both == the guarded scan, on a
+    snapshot, the live store, and a snapshot after a write gives the
+    last patient a string age (a key no constant orders against)."""
+    pop = populate_hospital(schema=SCHEMA, n_patients=8_400, seed=3)
+    store = pop.store
+    assert pop.patients[-1].surrogate.id >= 2 * CHUNK_BITS
+    for patient in pop.patients[::701]:
+        store.unset_value(patient, "age", check=CheckMode.NONE)
+    store.create_index("age")
+    sources = [store.snapshot(), store]
+    last = pop.patients[-1]
+    store.classify(last, "Estimated_Age_Patient", check=CheckMode.NONE)
+    store.set_value(last, "age", "about 40", check=CheckMode.NONE)
+    sources.append(store.snapshot())
+    # The last: nobody is 100, so pruning by it must not drop the row
+    # whose string age raises first.
+    for text in ("p.age > 78", "78 < p.age",
+                 "p.age <= 3 and p not in Alcoholic",
+                 "30 >= p.age and p.age > 25", "p.age > 78 and p.age = 100"):
+        query = f"for p in Patient where {text} select p.name"
+        for on_unsafe in compiler.ON_UNSAFE:
+            for eliminate in (True, False):
+                c = compile_query(query, SCHEMA, on_unsafe=on_unsafe,
+                                  eliminate_checks=eliminate)
+                plan = planner.build_plan(c, SCHEMA, store.indexes)
+                for source in sources:
+                    where = f"{query} {on_unsafe} [{type(source).__name__}]"
+                    got = _outcome(lambda: execute_plan(plan, source))
+                    assert got == _outcome(lambda: reference_execute_plan(
+                        plan, source, on_unsafe)), where
+                    assert _observed(got) == _observed(
+                        _outcome(lambda: execute(c, source))), where
+                    if source is sources[0] and on_unsafe != "raise":
+                        assert got[1].rows_pruned > 0, where
+
+
 # ----------------------------------------------------------------------
 # Seeded mutants
 # ----------------------------------------------------------------------
 
-def _killed(check) -> bool:
+def _killed(check, cases=_cases) -> bool:
+    # Quiet: printing a falsifying case costs more than finding it.
     @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None, phases=(Phase.generate,))
-    @given(case=_cases)
+              database=None, phases=(Phase.generate,),
+              verbosity=Verbosity.quiet)
+    @given(case=cases)
     def run(case):
         check(case)
 
@@ -202,6 +322,39 @@ def test_mutant_skip_rows_pruned_instead_of_visited_is_killed(monkeypatch):
 
     monkeypatch.setattr(compiler, "instantiate", instantiate)
     assert _killed(check_case)
+
+
+def _patch_range_walk(monkeypatch, walk):
+    """Both index faces call the one walk: mutating it mutates both."""
+    real = indexes.range_buckets
+    monkeypatch.setattr(indexes, "range_buckets",
+                        lambda *args: walk(real, *args))
+
+
+def test_mutant_unorderable_bucket_pruned_is_killed(monkeypatch):
+    _patch_range_walk(monkeypatch, lambda real, *args: (
+        real(*args)[0], SurrogateSet()))
+    assert _killed(check_case, _range_cases)
+
+
+def test_mutant_constant_left_operator_not_mirrored_is_killed(monkeypatch):
+    _patch_range_walk(monkeypatch, lambda real, buckets, value, op, _left:
+                      real(buckets, value, op, False))
+    assert _killed(check_case, _range_cases)
+
+
+def test_mutant_range_skip_rows_not_visited_is_killed(monkeypatch):
+    real = compiler.instantiate
+    step = re.compile(r"inap = \(manager\.inapplicable\((_a\d+)\) \| "
+                      r"manager\.residue\(\1\) \| unordered\) & cand")
+
+    def instantiate(name, source, namespace, qstats=None):
+        assert ("manager.range(" in source) == bool(step.search(source))
+        return real(name, step.sub("inap = unordered & cand", source),
+                    namespace, qstats)
+
+    monkeypatch.setattr(compiler, "instantiate", instantiate)
+    assert _killed(check_case, _range_cases)
 
 
 def test_mutant_membership_test_ignores_subclasses_is_killed():

@@ -73,6 +73,19 @@ class TestExpressions:
         assert parse_expr("'Dove") == Const(EnumSymbol("Dove"))
         assert parse_expr("true") == Const(True)
 
+    @pytest.mark.parametrize("text, value", [
+        ("-1", -1), ("1.5", 1.5), ("-0.25", -0.25), ("2e-07", 2e-07),
+        ("1e+16", 1e16), ("5.0", 5.0),
+    ])
+    def test_real_and_negative_literals(self, text, value):
+        # `Real` is a schema primitive; its constants are query literals.
+        const = parse_expr(text)
+        assert const == Const(value) and type(const.value) is type(value)
+        assert parse_expr(f"p.w > {text}") == Compare(
+            ">", Path(Var("p"), "w"), Const(value))
+        assert parse_expr(f"{text} <= p.w") == Compare(
+            "<=", Const(value), Path(Var("p"), "w"))
+
     def test_boolean_precedence(self):
         e = parse_expr("a in X and b in Y or c in Z")
         assert isinstance(e, Or)
@@ -136,10 +149,11 @@ class TestErrors:
 # text that parses to the same tree.
 # --------------------------------------------------------------------------
 
-#: What the lexer can spell: unsigned integers, strings without a quote
-#: or newline (there is no escape syntax), booleans, enum symbols.
+#: What the lexer can spell: integers, finite reals, strings without a
+#: quote or newline (there is no escape syntax), booleans, enum symbols.
 _consts = st.one_of(
-    st.integers(0, 10 ** 9),
+    st.integers(-10 ** 9, 10 ** 9),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.booleans(),
     st.text(alphabet=sorted(set(string.printable) - set('"\n\r\x0b\x0c')),
             max_size=8),

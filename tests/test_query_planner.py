@@ -10,7 +10,7 @@ decision rules are pinned one by one.
 
 import pytest
 
-from repro.objects import ObjectStore
+from repro.objects import CheckMode, ObjectStore
 from repro.query import (
     execute,
     execute_plan,
@@ -18,8 +18,8 @@ from repro.query import (
     plan_query,
 )
 from repro.lang.loader import load_schema
-from repro.query.compiler import _code_object
-from repro.query.planner import split_conjuncts
+from repro.query.compiler import QueryRuntimeError, _code_object
+from repro.query.planner import RANGE_KEY_ROWS, split_conjuncts
 from repro.query.parser import parse_query
 from repro.scenarios import populate_hospital
 
@@ -32,6 +32,21 @@ def world(hospital_schema):
     store.create_index("age")
     store.create_index("ward")
     return pop, store
+
+
+@pytest.fixture(scope="module")
+def ranged(hospital_schema):
+    """Enough patients per distinct age for the range walk to pay, and
+    some with no age at all."""
+    pop = populate_hospital(schema=hospital_schema, n_patients=1000,
+                            seed=21)
+    store = pop.store
+    unset = pop.patients[::97]
+    for patient in unset:
+        store.unset_value(patient, "age", check=CheckMode.NONE)
+    store.create_index("age")
+    assert len(store.indexes.buckets("age")) * RANGE_KEY_ROWS < 1000
+    return store, unset
 
 
 def _plans_equal_scan(query, store, **kwargs):
@@ -79,14 +94,46 @@ class TestPushdownExtraction:
         assert [p.kind for p in plan.pushdowns] == ["member", "not-member"]
 
     def test_residual_path_conjunct_blocks_later_pushdowns(self, world):
-        # `p.age < 50` stays residual and can skip; pruning by the later
-        # equality would silently drop rows the scan counts as skipped.
+        # `p.ward.floor < 5` (a two-step path) stays residual and can
+        # skip; pruning by the later equality would silently drop rows
+        # the scan counts as skipped.
         _pop, store = world
         plan = plan_query(
-            "for p in Patient where p.ward < 5 and p.age = 40 "
+            "for p in Patient where p.ward.floor < 5 and p.age = 40 "
             "select p.name", store)
         assert plan.pushdowns == ()
         assert any("can skip" in reason for _t, reason in plan.blocked)
+
+    @pytest.mark.parametrize("text, op, const_left", [
+        ("p.age > 78", ">", False), ("p.age <= 3", "<=", False),
+        ("78 < p.age", "<", True), ("-1 >= p.age", ">=", True),
+    ])
+    def test_range_pushed_when_indexed_keeping_operand_order(
+            self, world, text, op, const_left):
+        _pop, store = world
+        plan = plan_query(f"for p in Patient where {text} select p.name",
+                          store)
+        [p] = plan.pushdowns
+        assert (p.kind, p.attribute, p.op, p.const_left) == (
+            "range", "age", op, const_left)
+
+    def test_range_blocked_without_index_and_after_a_skipping_residual(
+            self, world):
+        _pop, store = world
+        plan = plan_query(
+            "for p in Patient where p.name < \"m\" and p.age > 3 "
+            "select p.age", store)
+        assert plan.pushdowns == ()
+        assert [reason for _t, reason in plan.blocked] == [
+            "no index on 'name'",
+            "a residual conjunct before it can skip rows"]
+
+    def test_pushed_range_does_not_block_later_pushdowns(self, world):
+        _pop, store = world
+        plan = plan_query(
+            "for p in Patient where p.ward > 3 and p.age = 40 "
+            "select p.name", store)
+        assert [p.kind for p in plan.pushdowns] == ["range", "eq"]
 
     def test_pushed_eq_does_not_block_later_pushdowns(self, world):
         # A *pushed* equality contributes its skip rows to the visit
@@ -194,6 +241,46 @@ class TestExecution:
         assert stats.rows_pruned == 0
         assert store.indexes.qstats.full_scans == base + 1
 
+    @pytest.mark.parametrize("on_unsafe", ["skip", "null", "raise"])
+    def test_range_prunes_and_visits_skip_rows(self, ranged, on_unsafe):
+        store, unset = ranged
+        options = {"on_unsafe": on_unsafe, "eliminate_checks": False}
+        for target in (store, store.snapshot()):
+            for text in ("p.age > 78", "78 < p.age", "p.age <= 3",
+                         "p.age >= 90 and p not in Alcoholic"):
+                query = f"for p in Patient where {text} select p.name"
+                if on_unsafe == "raise":    # an unset age is visited
+                    for run in (execute, execute_planned):
+                        with pytest.raises(QueryRuntimeError):
+                            run(query, target, **options)
+                    continue
+                stats = _plans_equal_scan(query, target, **options)
+                assert stats.rows_pruned > 0, query
+                assert stats.rows_skipped == (
+                    len(unset) if on_unsafe == "skip" else 0), query
+
+    def test_unorderable_keys_are_visited_and_raise_as_the_scan(self, world):
+        # Ward keys are entities: none orders against 3.  No age is 100,
+        # so a later pushdown that pruned them would drop every row the
+        # scan raises on before it gets to the age.
+        _pop, store = world
+        for text in ("p.ward > 3", "p.ward > 3 and p.age = 100"):
+            query = f"for p in Patient where {text} select p.name"
+            with pytest.raises(QueryRuntimeError):
+                execute(query, store)
+            with pytest.raises(QueryRuntimeError):
+                execute_planned(query, store)
+
+    def test_range_walk_refused_falls_back_to_scan(self, world):
+        # ~100 distinct ages over 200 patients: the key walk would cost
+        # more than the scan it is meant to shorten.
+        _pop, store = world
+        query = "for p in Patient where p.age > 90 select p.name"
+        before = store.indexes.qstats.full_scans
+        stats = _plans_equal_scan(query, store)
+        assert (stats.rows_pruned, stats.index_lookups) == (0, 0)
+        assert store.indexes.qstats.full_scans == before + 1
+
     def test_stale_plan_with_dropped_index_scans(self, hospital_schema):
         """A plan object outliving its index runs the guarded scan
         itself, on the live store and on a snapshot that never had the
@@ -262,6 +349,32 @@ class TestExplain:
         assert f"postings: {ambulatory} inapplicable, 0 residue" in text
         assert "source(s) compiled" in text
 
+    @pytest.mark.parametrize("face", ["live", "snapshot"])
+    def test_explain_names_a_range_pushdown(self, ranged, world, face):
+        store, _unset = ranged
+        target = store if face == "live" else store.snapshot()
+        text = plan_query("for p in Patient where 78 < p.age select p.name",
+                          store).explain(target)
+        keys = len(store.indexes.buckets("age"))
+        inapplicable = len(store.indexes.inapplicable("age"))
+        # Every Person over 78, not only patients: the estimate is the
+        # index's, before the extent intersection.
+        older = execute("for p in Person where p.age > 78 select count",
+                        store)[0][0][0]
+        assert (f"[pushdown] 78 < p.age  via index(age) range over {keys} "
+                f"keys + its INAPPLICABLE posting  ~{older} rows") in text
+        assert f"postings: {inapplicable} inapplicable, 0 residue" in text
+        assert "falls back" not in text
+        # Too many distinct ages for 200 patients: explain says why the
+        # executor will scan instead.
+        _pop, small = world
+        target = small if face == "live" else small.snapshot()
+        keys = len(small.indexes.buckets("age"))
+        text = plan_query("for p in Patient where p.age > 78 select p.name",
+                          small).explain(target)
+        assert (f"falls back to the full scan: {keys} keys x "
+                f"{RANGE_KEY_ROWS} >= 200 extent rows") in text
+
     def test_explain_without_store_omits_estimates(self, world):
         _pop, store = world
         plan = plan_query(
@@ -286,6 +399,23 @@ class TestExplain:
         assert "for ref, memberships, values in state:" in out
         assert "_v0 = 37" in out and "_f0 = 'age'" in out
         assert "37" not in out.split("def _plan")[1].split("_a0 =")[0]
+
+    def test_cli_explain_range_with_index(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.scenarios.hospital import HOSPITAL_CDL
+        path = tmp_path / "hospital.cdl"
+        path.write_text(HOSPITAL_CDL)
+        rc = main(["explain", str(path),
+                   "for p in Patient where 78 < p.age select p.name",
+                   "--index", "age"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert ("[pushdown] 78 < p.age  via index(age) range over 0 keys "
+                "+ its INAPPLICABLE posting  ~0 rows") in out
+        assert "falls back to the full scan: 0 keys x" in out
+        assert "manager.range(_a0, _v0, *_r0)" in out
+        assert "_v0 = 78" in out and "_r0 = ('<', True)" in out
+        assert "78" not in out.split("def _plan")[1].split("_a0 =")[0]
 
     def test_cli_explain_without_index_unchanged_prefix(self, tmp_path,
                                                         capsys):

@@ -86,24 +86,6 @@ def test_e4_table_matches_paper_column():
             assert cells[1].strip() == cells[2].strip(), line
 
 
-def test_bench_query_json_structure():
-    data = _bench_json("BENCH_query.json")
-    assert data["experiment"] == "A4-query-index"
-    assert data["n_patients"] >= 10_000
-    queries = data["queries"]
-    assert {"eq", "member+eq", "not-member+eq"} <= set(queries)
-    for name, entry in queries.items():
-        assert entry["indexed_ms"] > 0 and entry["scan_ms"] > 0
-        assert entry["speedup"] > 1.0, name
-        # Indexed and scan agreed row-for-row when generated; the
-        # recorded pruning must be consistent with the population.
-        assert entry["rows_pruned"] + entry["rows"] <= data["n_patients"]
-    # The committed run cleared the acceptance floor on the selective
-    # queries (the benchmark asserts >= 5x when regenerating).
-    assert data["min_selective_speedup"] >= 5.0
-    assert data["plan_cache"]["hits"] > 0
-
-
 def test_bench_bulk_json_structure():
     data = _bench_json("BENCH_bulk.json")
     assert data["experiment"] == "A5-bulk-ingest"

@@ -424,6 +424,8 @@ QUERIES = [
     "for x in Person where x in Patient and x.age >= 20 select x",
     "for y in Patient where y.treatedBy not in Psychologist "
     "and y not in Alcoholic select y.name",
+    # Real and negative literals survive the router's re-dispatched text.
+    "for x in Patient where x.age > -1 and 29.5 < x.age select x.name",
 ]
 
 
