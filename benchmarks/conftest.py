@@ -3,9 +3,8 @@
 Every experiment prints its result table through :func:`report`, which
 writes both to stdout (visible with ``pytest -s``) and to
 ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can be checked
-against regenerated numbers.  Headline numbers additionally go through
-:func:`report_json` into machine-readable ``BENCH_*.json`` files at the
-repo root, which ``tests/test_results_freshness.py`` sanity-checks.
+against regenerated numbers; ``tests/test_results_freshness.py``
+recomputes the deterministic ones.
 
 All benchmark items carry the ``slow`` marker (added here at collection
 time), so the tier-1 run (``pytest -x -q``, with ``-m 'not slow'`` in
@@ -15,7 +14,6 @@ the default addopts) never pays for them; run them explicitly with
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -23,7 +21,6 @@ import pytest
 from repro.scenarios import build_hospital_schema, populate_hospital
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def pytest_collection_modifyitems(config, items):
@@ -39,16 +36,6 @@ def report(experiment: str, text: str) -> None:
     path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
     with open(path, "w") as f:
         f.write(text + "\n")
-
-
-def report_json(name: str, payload: dict) -> None:
-    """Persist one experiment's headline numbers as ``BENCH_<name>.json``
-    at the repo root (machine-readable, for CI trend tracking)."""
-    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {path}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

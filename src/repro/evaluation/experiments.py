@@ -95,81 +95,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "the unshared invariant loses the guard-restored safety proofs",
         ("repro.semantics.checker", "repro.query.typing"),
         "bench_ablations.py"),
-    Experiment(
-        "A2", "Source-extent narrowing", "substrate",
-        "`where p in C` scans C's extent instead of the source's: "
-        "identical answers from a fraction of the rows",
-        ("repro.query.compiler",),
-        "bench_optimizations.py"),
-    Experiment(
-        "A5", "Bulk ingestion pipeline", "substrate",
-        "one generated check per signature group makes batched ingest "
-        ">= 3x the per-object eager path with identical final state",
-        ("repro.objects.bulk", "repro.semantics.compiled"),
-        "bench_bulk_ingest.py"),
-    Experiment(
-        "A6", "Crash-consistent durability", "substrate",
-        "WAL-backed stores keep >= 0.5x the in-memory write rate and "
-        "recover a 10k-object store in < 5 s; every crash point "
-        "recovers a committed prefix (fault-injection sweeps)",
-        ("repro.storage.wal", "repro.storage.recovery"),
-        "bench_wal_durability.py"),
-    Experiment(
-        "A7", "Concurrent serving via MVCC snapshots", "substrate",
-        "snapshot readers never block on the writer: 4 reader threads "
-        "sustain >= 2x the aggregate query throughput of a lock-coupled "
-        "reader while a transactional writer churns a 10k-object store",
-        ("repro.objects.pipeline", "repro.objects.snapshot",
-         "repro.objects.concurrent"),
-        "bench_concurrent.py"),
-    Experiment(
-        "A8", "Online schema evolution", "§6 + substrate",
-        "adding an excused subclass over a 100k+-object store re-checks "
-        "only diff-affected signatures (counter-verified) and leaves "
-        "concurrent snapshot-reader p99 within 2x of the no-writer "
-        "baseline",
-        ("repro.schema.evolution", "repro.schema.diff",
-         "repro.objects.pipeline", "repro.schema.epochs"),
-        "bench_schema_evolution.py"),
-    Experiment(
-        "A10", "Sharded multi-process stores", "substrate",
-        "signature-profile partitioning across worker processes scales "
-        "bulk write throughput >= 2x at 4 shards vs 1 (on >= 4 CPUs), "
-        "while shard maps plus contrapositive deduction prune "
-        "selective class-restricted queries to strictly fewer than N "
-        "shards (counter-verified) with rows and rows_skipped "
-        "identical at every shard count",
-        ("repro.sharding.router", "repro.sharding.worker",
-         "repro.sharding.pruning", "repro.sharding.wire",
-         "repro.query.deduction", "repro.storage.shards"),
-        "bench_sharded.py"),
-    Experiment(
-        "A11", "Networked serving with WAL-shipped replicas",
-        "substrate",
-        "read replicas replaying the primary's shipped WAL records "
-        "scale aggregate read throughput >= 2x at 2 replicas vs 0 "
-        "(on >= 3 CPUs), while a write burst converges on every "
-        "replica at the primary's exact WAL seq under the epoch-token "
-        "wait -- zero gaps, duplicate applies, or stale re-bootstraps, "
-        "counter-verified over the wire",
-        ("repro.net.server", "repro.net.client",
-         "repro.net.replication", "repro.net.protocol",
-         "repro.storage.wal"),
-        "bench_net.py"),
-    Experiment(
-        "A12", "Sharded stores served over the network", "substrate",
-        "one service fronting N shard worker processes serves the "
-        "full op surface through the StoreBackend seam: routed bulk "
-        "loads scale write throughput >= 2x at 4 shards vs 1 (on "
-        ">= 4 CPUs), the rare-cohort query dispatches to exactly 1 of "
-        "N shards and the deduction-refuted query to 0 (verified from "
-        "the service's routed-op counters over the wire), and the "
-        "merged vector ack token spans every shard with token_wait "
-        "returning a covering position",
-        ("repro.net.backends", "repro.net.server", "repro.net.client",
-         "repro.net.tokens", "repro.sharding.router",
-         "repro.sharding.pruning"),
-        "bench_net_sharded.py"),
 )
 
 

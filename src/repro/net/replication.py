@@ -28,7 +28,7 @@ Protocol, replica-side (:class:`Replica`):
    (dropped or reordered batches heal), and a fetch that falls behind a
    primary checkpoint rotation (``stale``) triggers a re-bootstrap;
 4. **lag tracking** -- every batch carries the primary's last committed
-   seq; ``primary_seq - applied_seq`` is the replay lag A11 bounds.
+   seq; ``primary_seq - applied_seq`` is the replay lag.
 
 A **durable** replica journals each shipped record verbatim into its
 own WAL (with its own seq chain kept identical to the primary's), so a

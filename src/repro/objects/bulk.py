@@ -45,8 +45,8 @@ are validated before per-object-path rows are applied.
 The staging and commit loops below are written for throughput -- class
 tuples validated once per distinct tuple, signatures interned, virtual
 anchoring decided per ``(classes, attribute)``, instances built in one
-shot -- because this path's reason to exist is benchmark A5's floor
-over the (already incremental) sequential write path.
+shot -- because this path exists for its throughput over the (already
+incremental) sequential write path (e2e ``bulk_rows_per_s``).
 """
 
 from __future__ import annotations

@@ -248,7 +248,7 @@ class NetStats(_Counters):
 
     The fuzz suite's liveness claim -- malformed input poisons only its
     own connection -- is read off ``protocol_errors`` vs
-    ``requests_served``; A11's lag claim reads ``ship_batches`` /
+    ``requests_served``; replica lag reads ``ship_batches`` /
     ``ship_records`` against the replica's applied counters.
     """
 
@@ -274,8 +274,7 @@ class ReplicationStats(_Counters):
     """Counters maintained by one :class:`~repro.net.replication.Replica`.
 
     ``applied_seq`` / ``primary_seq`` are gauges, not counters: their
-    difference is the replica's replay lag in records, the quantity A11
-    bounds at p99.
+    difference is the replica's replay lag in records.
     """
 
     __slots__ = FIELDS = REPLICATION_COUNTER_FIELDS
@@ -293,8 +292,9 @@ class ShardStats(_Counters):
     """Counters maintained by a :class:`~repro.sharding.ShardedStore`
     router.
 
-    The scatter-gather claim A10 verifies -- selective class-restricted
-    queries dispatch to strictly fewer than N shards -- is read off
+    The scatter-gather claim the e2e ``sharded`` gate asserts --
+    selective class-restricted queries dispatch to strictly fewer than
+    N shards -- is read off
     ``shards_dispatched`` / ``shards_pruned``; ``deduction_prunes``
     separates exclusions the contrapositive rule proved from plain
     signature-profile mismatches.

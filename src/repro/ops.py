@@ -110,8 +110,9 @@ class _Envelope(Op):
 
 class _Query(Op):
     """The ``query`` row also checks ``options`` -- the planner's
-    compile options, a legal ``on_unsafe`` -- so a malformed one is
-    refused before anything runs, and before a router scatters."""
+    compile options, each of its default's type, a legal ``on_unsafe``
+    -- so a malformed one is refused before anything runs, and before a
+    router scatters."""
 
     def check(self, cmd: Dict[str, object]) -> None:
         super().check(cmd)
@@ -123,6 +124,10 @@ class _Query(Op):
             problem = "not a mapping"
         elif options.keys() - known:
             problem = f"unknown {sorted(map(str, options.keys() - known))}"
+        elif mistyped := [f"{name} must be a {type(known[name]).__name__}"
+                          for name, value in options.items()
+                          if type(value) is not type(known[name])]:
+            problem = "; ".join(mistyped)
         elif options.get("on_unsafe", "skip") not in ON_UNSAFE:
             problem = f"on_unsafe must be one of {ON_UNSAFE}"
         else:

@@ -517,8 +517,7 @@ def compile_query(query: Union[str, Query], schema: Schema,
                   eliminate_checks: bool = True,
                   assume_unshared: bool = True,
                   on_unsafe: str = "skip",
-                  raise_on_error: bool = True,
-                  optimize_source: bool = True, *,
+                  raise_on_error: bool = True, *,
                   wire: bool = False) -> CompiledQuery:
     """Compile a query into an executable plan.
 
@@ -526,10 +525,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
     only at accesses the analysis could not prove safe; ``False`` guards
     every access (the paper's no-type-inference baseline).  ``on_unsafe``
     picks the failure policy of guarded accesses: ``"skip"`` the row,
-    return ``"null"`` (INAPPLICABLE), or ``"raise"``.
-    ``optimize_source`` narrows the scanned extent to a subclass named by
-    a ``where``-clause membership conjunct.  ``wire=True`` emits per-row
-    results as the ``query`` op replies with them
+    return ``"null"`` (INAPPLICABLE), or ``"raise"``.  ``wire=True``
+    emits per-row results as the ``query`` op replies with them
     (:meth:`_Emitter.emit_encoded`).
     """
     if isinstance(query, str):
@@ -543,8 +540,7 @@ def compile_query(query: Union[str, Query], schema: Schema,
                        eliminate_checks, on_unsafe)
     env = {query.var: query.source_class}
     facts = FlowFacts().assume(query.var, query.source_class, True)
-    scan_class = (_narrowed_source(query, schema) if optimize_source
-                  else query.source_class)
+    scan_class = _narrowed_source(query, schema)
 
     where = None
     select_facts = facts

@@ -76,7 +76,6 @@ _COMPILE_OPTION_DEFAULTS: Tuple[Tuple[str, object], ...] = (
     ("assume_unshared", True),
     ("on_unsafe", "skip"),
     ("raise_on_error", True),
-    ("optimize_source", True),
 )
 
 #: Scanned rows one bucket key of a range walk costs (it walks while

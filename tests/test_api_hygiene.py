@@ -373,11 +373,11 @@ _BASELINE_SELECTORS = {"engine", "use_index", "prune", "semantics"}
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 20895
+SRC_LINE_CEILING = 20820
 
 #: The same ratchet for prose, in bytes: detail lives in git and the
 #: issue, not in ever-growing reference docs or changelog entries.
-PROSE_BYTE_CEILINGS = {"docs/SEMANTICS.md": 60588, "README.md": 30475}
+PROSE_BYTE_CEILINGS = {"docs/SEMANTICS.md": 60251, "README.md": 28759}
 CHANGES_ENTRY_BYTES = 1200
 FIRST_CAPPED_CHANGES_ENTRY = 25
 

@@ -1,9 +1,9 @@
-"""Crash-point sweep over the A5 bulk-ingest workload (slow).
+"""Crash-point sweep over a mixed bulk-ingest workload (slow).
 
 A bulk batch is one WAL record and therefore one atomicity unit: a crash
 anywhere during ingestion must recover either the pre-batch store or the
-whole batch -- never a partial load.  This sweep runs the A5 workload
-shape (mixed patients / exceptional patients / wards / physicians
+whole batch -- never a partial load.  This sweep runs a mixed workload
+shape (patients / exceptional patients / wards / physicians
 against the shared cast) on the fault-injection filesystem, killing the
 process at every counted filesystem operation under every crash policy,
 and asserts all-or-nothing recovery at each point.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import build_hospital_schema
 from repro.storage.recovery import open_store
 from repro.typesys import EnumSymbol
 
@@ -28,8 +27,8 @@ POLICIES = ("synced", "flushed", "torn")
 
 
 def _row_specs(n):
-    """The A5 mix (see benchmarks/bench_bulk_ingest.py), placeholders
-    resolved against the cast at ingest time."""
+    """The mix, placeholders resolved against the cast at ingest
+    time."""
     rows = []
     for i in range(n):
         k = i % 10

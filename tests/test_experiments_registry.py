@@ -21,17 +21,25 @@ def test_ids_unique():
 
 def test_covers_e1_through_e10_plus_ablations():
     ids = {e.id for e in EXPERIMENTS}
-    # A3 (incremental vs. full engine) and A9 (columnar vs. legacy read
-    # path) were retired with the baselines they rebuilt; A4 (indexed
-    # queries) lives on as the e2e benchmark's sel_us and scan_us.
-    assert ids == ({f"E{i}" for i in range(1, 11)}
-                   | {f"A{i}" for i in range(1, 13)} - {"A3", "A4", "A9"})
+    # The substrate experiments (A2-A12) are retired: what they measured
+    # is an e2e benchmark metric or a tier-1 test (EXPERIMENTS.md).
+    assert ids == {f"E{i}" for i in range(1, 11)} | {"A1"}
 
 
 def test_every_bench_module_exists():
     for e in EXPERIMENTS:
         path = os.path.join(BENCH_DIR, e.bench_module)
         assert os.path.exists(path), e.id
+
+
+def test_every_bench_script_is_registered():
+    # A script outside the registry is a floor nothing asserts, and a
+    # root BENCH_*.json a number nothing regenerates.
+    scripts = {name for name in os.listdir(BENCH_DIR)
+               if name.startswith("bench_") and name.endswith(".py")}
+    assert scripts == {e.bench_module for e in EXPERIMENTS}
+    assert not [name for name in os.listdir(REPO_ROOT)
+                if name.startswith("BENCH_") and name.endswith(".json")]
 
 
 def test_every_code_module_imports():

@@ -124,6 +124,9 @@ def test_replicas_converge_under_sustained_writes(primary_service,
         for replica in replicas:
             assert store_digest(replica.store) == \
                 store_digest(primary_store)
+            # No sequence gap, no stale re-bootstrap under the burst.
+            assert (replica.stats.gaps_detected,
+                    replica.stats.stale_restarts) == (0, 0)
         status = [c.repl_status() for c in rs.replicas]
         assert all(s["lag"] == 0 for s in status)
         rs.close()

@@ -179,6 +179,12 @@ class TestDeltaScoping:
         assert (delta.checker.stats.schema_objects_rechecked
                 < full.checker.stats.schema_objects_rechecked)
         assert delta.checker.stats.schema_objects_skipped >= 80
+        # The delta recheck still covers the store: what it skipped is
+        # exactly what it did not recheck.
+        assert (delta.checker.stats.schema_objects_rechecked
+                + delta.checker.stats.schema_objects_skipped
+                == full.checker.stats.schema_objects_rechecked
+                == len(full))
 
 
 # ---------------------------------------------------------------------------

@@ -340,11 +340,26 @@ def test_missing_field_is_a_typed_storage_error(edges, name, field):
         assert message == f"op {name!r} requires field {field!r}", label
 
 
+@contextmanager
+def _served(backend):
+    """A client of ``backend`` behind a real socket."""
+    service = StoreService(backend)
+    service.run_background()
+    client = StoreClient(*service.address, timeout=5.0)
+    try:
+        yield client
+    finally:
+        client.close()
+        service.shutdown()
+
+
 @pytest.mark.parametrize("options", [
-    {"bogus": 1}, [1], "x", {"on_unsafe": "explode"}])
+    {"bogus": 1}, [1], "x", {"on_unsafe": "explode"},
+    {"eliminate_checks": []}, {"eliminate_checks": "no"}])
 def test_malformed_query_options_are_a_typed_storage_error(edges, options):
     """Drift 3: these used to answer ``TypeError`` / ``ValueError`` from
-    inside the planner -- and a router asked its shards first."""
+    inside the planner -- and a router asked its shards first.  A flag
+    that is not a bool used to be read for its truth value."""
     _seed(edges)
     cmd = dict(SCRIPT["query"][1], options=options)
     router = edges["sharded-2"].backend.router
@@ -353,6 +368,12 @@ def test_malformed_query_options_are_a_typed_storage_error(edges, options):
         etype, message = _error_type(edge, cmd)
         assert etype == "StorageError", label
         assert message.startswith("op 'query' field 'options': "), label
+    for label in ("concurrent", "sharded-2"):   # served, served-sharded
+        with _served(edges[label].backend) as client:
+            with pytest.raises(RemoteOpError) as net_exc:
+                client.call("query", text=cmd["text"], options=options)
+        assert net_exc.value.remote_type == "StorageError", label
+        assert "op 'query' field 'options': " in str(net_exc.value), label
     assert router.stats_counters.commands_sent == sent
 
 
@@ -392,10 +413,7 @@ def test_conformance_rejection_keeps_its_type(edges, tmp_path):
         router.create("Patient", name="old", age=999)
     assert shard_exc.value.remote_type == "ConformanceError"
     for label in ("concurrent", "sharded-2"):
-        service = StoreService(edges[label].backend)
-        service.run_background()
-        client = StoreClient(*service.address, timeout=5.0)
-        try:
+        with _served(edges[label].backend) as client:
             with pytest.raises(RemoteOpError) as net_exc:
                 client.create("Patient", {"name": "old", "age": 999})
             assert net_exc.value.remote_type == "ConformanceError", label
@@ -410,9 +428,6 @@ def test_conformance_rejection_keeps_its_type(edges, tmp_path):
             assert net_exc.value.remote_type == "StorageError", label
             assert client.count("Patient") == 1
             assert client.stats()["net.connections_opened"] == 1
-        finally:
-            client.close()
-            service.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -22,17 +22,20 @@ class TestNarrowing:
         assert stats.rows_scanned == len(pop.alcoholics)
 
     def test_results_identical_to_unoptimized(self, world):
+        # The narrowed query answers what the query written against the
+        # subclass answers, from the subclass's rows only.
         schema, pop = world
-        query = ("for p in Patient where p in Alcoholic and p.age > 30 "
-                 "select p.name")
-        fast = compile_query(query, schema)
-        slow = compile_query(query, schema, optimize_source=False)
-        assert fast.source_class == "Alcoholic"
-        assert slow.source_class == "Patient"
-        rows_fast, stats_fast = execute(fast, pop.store)
-        rows_slow, stats_slow = execute(slow, pop.store)
-        assert rows_fast == rows_slow
-        assert stats_fast.rows_scanned < stats_slow.rows_scanned
+        narrowed = compile_query(
+            "for p in Patient where p in Alcoholic and p.age > 30 "
+            "select p.name", schema)
+        direct = compile_query(
+            "for p in Alcoholic where p.age > 30 select p.name", schema)
+        rows_narrowed, stats_narrowed = execute(narrowed, pop.store)
+        rows_direct, stats_direct = execute(direct, pop.store)
+        assert rows_narrowed == rows_direct
+        alcoholics = len(pop.alcoholics)
+        assert (stats_narrowed.rows_scanned == stats_direct.rows_scanned
+                == alcoholics < pop.store.count("Patient"))
 
     def test_nested_conjunct_found(self, world):
         schema, _pop = world
