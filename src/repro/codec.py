@@ -122,5 +122,6 @@ def encode_values(values: Dict[str, object]) -> Dict[str, object]:
 
 def decode_values(encoded: Dict[str, object],
                   resolve: Callable[[int], object]) -> Dict[str, object]:
-    return {name: decode_value(value, resolve)
-            for name, value in encoded.items()}
+    # Primitives decode to themselves: only a dict is worth a call.
+    return {name: decode_value(value, resolve) if isinstance(value, dict)
+            else value for name, value in encoded.items()}

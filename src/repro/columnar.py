@@ -91,6 +91,8 @@ _SEGMENT_MASK = (1 << (1 << _COL_SHIFT)) - 1
 #: Chunks (or range slices) up to this popcount decode by a digit
 #: search per member, denser ones scan their bytes through _BYTE_BITS.
 _SPARSE_BITS = 64
+#: Fewer surrogates than this are added one by one (cheaper than a build).
+_BUILD_MIN = 12
 
 #: byte value -> tuple of set bit offsets, for fast ascending iteration.
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
@@ -146,6 +148,22 @@ class SurrogateSet:
         out._count = count
         out._overflow = overflow if overflow else None
         return out
+
+    @classmethod
+    def from_ids(cls, ids: Iterable[int]) -> "SurrogateSet":
+        """``Surrogate(i)`` for each ``i`` in ``ids`` (any order, repeats
+        allowed): one ``bytearray`` per touched chunk, turned into its
+        ``int`` once -- no big-int work per member."""
+        rows: Dict[int, bytearray] = {}
+        for sid in ids:
+            row = rows.get(sid >> _CHUNK_SHIFT)
+            if row is None:
+                row = rows[sid >> _CHUNK_SHIFT] = bytearray(CHUNK_BITS >> 3)
+            row[(sid & _CHUNK_MASK) >> 3] |= 1 << (sid & 7)
+        chunks = {key: int.from_bytes(row, "little")
+                  for key, row in rows.items()}
+        return cls._raw(chunks, sum(map(int.bit_count, chunks.values())),
+                        None)
 
     @classmethod
     def union(cls, sets: Iterable["SurrogateSet"]) -> "SurrogateSet":
@@ -207,12 +225,15 @@ class SurrogateSet:
             self._overflow.discard(member)
 
     def update(self, members: Iterable) -> None:
-        if isinstance(members, SurrogateSet):
-            self._ior_bitmap(members)
-            return
-        add = self.add
-        for member in members:
-            add(member)
+        if not isinstance(members, SurrogateSet):
+            members = list(members)
+            if len(members) < _BUILD_MIN or not all(
+                    isinstance(m, Surrogate) for m in members):
+                for member in members:
+                    self.add(member)
+                return
+            members = SurrogateSet.from_ids([m.id for m in members])
+        self._ior_bitmap(members)
 
     def clear(self) -> None:
         self._chunks = {}
@@ -273,19 +294,6 @@ class SurrogateSet:
                     for bit in byte_bits[byte]:
                         append(offset + bit)
         return out
-
-    def isdisjoint(self, other) -> bool:
-        if isinstance(other, SurrogateSet):
-            a, b = self._chunks, other._chunks
-            if len(a) > len(b):
-                a, b = b, a
-            for key, word in a.items():
-                if word & b.get(key, 0):
-                    return False
-            if self._overflow and other._overflow:
-                return self._overflow.isdisjoint(other._overflow)
-            return True
-        return all(member not in self for member in other)
 
     # -- set algebra ----------------------------------------------------
 

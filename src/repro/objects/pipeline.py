@@ -593,7 +593,7 @@ class MutationPipeline:
             # provenance reasoning is sound for eagerly-checked stores.
             self.enforce_unshared(obj, attribute, value)
 
-        timing = stats.active
+        timing = stats.timing
         t0 = stats.clock() if timing else 0.0
 
         # Classify the new value into the virtual classes this assignment
@@ -882,7 +882,6 @@ class MutationPipeline:
         """Make the fast-path objects visible: registration, one extent
         pass per profile, one index pass per batch (single design-version
         bump), dirty marks and counters."""
-        from repro.semantics.checker import expand_signature
         store = self.store
         if not fast:
             return
@@ -917,17 +916,9 @@ class MutationPipeline:
             if deferred:
                 log_append((dirty, surrogate, _MISSING))
                 dirty[surrogate] = None
-        schema = store.schema
-        for signature, entries in groups.items():
-            surrogates = [entry.obj.surrogate for entry in entries]
-            for class_name in expand_signature(schema, signature):
-                members = store._extents.get(class_name)
-                if members is None:
-                    store._extents[class_name] = SurrogateSet(surrogates)
-                    store._extent_cow[class_name] = store._snapshot_stamp
-                else:
-                    self.writable_extent(class_name).update(surrogates)
-                store._extent_cache.pop(class_name, None)
+        self.merge_extents({
+            signature: [entry.obj.surrogate.id for entry in entries]
+            for signature, entries in groups.items()})
         store.indexes.bulk_add(merged, indexed_writes)
         stats = store.checker.stats
         stats.writes += total_writes
@@ -970,6 +961,28 @@ class MutationPipeline:
             store._extents[class_name] = members
             store._extent_cow[class_name] = store._snapshot_stamp
         return members
+
+    def merge_extents(self, groups: Dict[object, List[int]]) -> None:
+        """The batch extent path (bulk merge, image install): ``groups``
+        maps a direct-membership signature to its new members' sids.
+        Each class grows once, by the union of one bitset per signature
+        whose IS-A closure contains it."""
+        from repro.semantics.checker import expand_signature
+        store = self.store
+        by_class: Dict[str, List[SurrogateSet]] = {}
+        for signature, sids in groups.items():
+            members = SurrogateSet.from_ids(sids)
+            for class_name in expand_signature(store.schema, signature):
+                by_class.setdefault(class_name, []).append(members)
+        for class_name, sets in by_class.items():
+            # A fresh set per class: extents never share a container.
+            added = SurrogateSet.union(sets)
+            if class_name in store._extents:
+                self.writable_extent(class_name).update(added)
+            else:
+                store._extents[class_name] = added
+                store._extent_cow[class_name] = store._snapshot_stamp
+            store._extent_cache.pop(class_name, None)
 
     def add_to_extents(self, obj: Instance, class_name: str) -> None:
         """IS-A-closed extent insertion, delta-aware: ancestors that

@@ -262,14 +262,6 @@ class ObjectStore:
             self._columns.put(obj.surrogate, obj._memberships,
                               obj._values, self._snapshot_stamp)
 
-    def _register_object(self, obj: Instance) -> None:
-        """Insert a (re)built instance into the objects map and the
-        columnar state table together (recovery/rebuild entry point; the
-        live create path is the pipeline's ``install_new``)."""
-        self._objects[obj.surrogate] = obj
-        self._columns.put(obj.surrogate, obj._memberships,
-                          obj._values, self._snapshot_stamp)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -405,11 +397,6 @@ class ObjectStore:
 
     def drop_index(self, attribute: str) -> None:
         self._pipeline.execute(IndexCommand(attribute, "drop"))
-
-    def _add_to_extents(self, obj: Instance, class_name: str) -> None:
-        """Recovery/rebuild entry point; live mutation paths go through
-        the pipeline, the single owner of extent maintenance."""
-        self._pipeline.add_to_extents(obj, class_name)
 
     # ------------------------------------------------------------------
     # Online schema evolution

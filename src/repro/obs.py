@@ -22,7 +22,7 @@ forward to any external metrics sink.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: Every counter the engine maintains, in reporting order.
 COUNTER_FIELDS: Tuple[str, ...] = (
@@ -72,29 +72,20 @@ COUNTER_FIELDS: Tuple[str, ...] = (
 
 
 class EngineStats:
-    """Counters and timing hooks shared by a checker/store pair."""
+    """Counters and timings shared by a checker/store pair."""
 
-    __slots__ = COUNTER_FIELDS + ("timing", "timings", "_hooks")
+    __slots__ = COUNTER_FIELDS + ("timing", "timings")
 
     def __init__(self, timing: bool = False) -> None:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
+        #: Whether callers bracket work with :meth:`clock`/:meth:`record`.
         self.timing = timing
         self.timings: Dict[str, float] = {}
-        self._hooks: List[Callable[[str, float], None]] = []
 
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether callers should bracket work with :meth:`clock`/:meth:`record`."""
-        return self.timing or bool(self._hooks)
-
-    def add_hook(self, hook: Callable[[str, float], None]) -> None:
-        """Register a ``(event, seconds)`` callback; implies timing."""
-        self._hooks.append(hook)
 
     @staticmethod
     def clock() -> float:
@@ -102,8 +93,6 @@ class EngineStats:
 
     def record(self, event: str, seconds: float) -> None:
         self.timings[event] = self.timings.get(event, 0.0) + seconds
-        for hook in self._hooks:
-            hook(event, seconds)
 
     # ------------------------------------------------------------------
     # Reporting

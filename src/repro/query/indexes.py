@@ -53,7 +53,7 @@ from __future__ import annotations
 import operator
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.columnar import SurrogateSet
 from repro.obs import QueryStats
@@ -164,6 +164,25 @@ class StoreIndex:
         self.discard(surrogate, old)
         self.add(surrogate, value)
 
+    def add_all(self, objects) -> None:
+        """Index newly live objects, grouped by value under the rules of
+        :meth:`_posting` (``==`` and hash; unhashable values go to the
+        residue): each posting grows by one ``SurrogateSet.update``."""
+        attribute = self.attribute
+        groups: Dict[object, List[object]] = {}
+        residue: List[object] = []
+        for obj in objects:
+            value = obj._values.get(attribute, INAPPLICABLE)
+            try:
+                groups.setdefault(value, []).append(obj.surrogate)
+            except TypeError:
+                residue.append(obj.surrogate)
+                unhashable = value
+        for value, members in groups.items():
+            self._posting(value, True).update(members)
+        if residue:
+            self._posting(unhashable, True).update(residue)
+
     # Lookup -----------------------------------------------------------
 
     def lookup(self, value):
@@ -264,13 +283,17 @@ class IndexManager:
         existing = self._indexes.get(attribute)
         if existing is not None:
             return existing
-        index = StoreIndex(attribute)
-        for obj in self._store.instances():
-            index.add(obj.surrogate, obj.get_value(attribute))
-        # Fresh containers: no snapshot can have captured them yet.
-        index._cow_stamp = self._store._snapshot_stamp
-        self._indexes[attribute] = index
+        index = self._indexes[attribute] = self._fill(StoreIndex(attribute))
         self.version += 1
+        return index
+
+    def _fill(self, index: StoreIndex) -> StoreIndex:
+        """(Re)build ``index`` from the live population in fresh
+        containers, which no snapshot can have captured; the index
+        object keeps its identity."""
+        index.__init__(index.attribute)
+        index.add_all(self._store.instances())
+        index._cow_stamp = self._store._snapshot_stamp
         return index
 
     def drop(self, attribute: str) -> None:
@@ -330,23 +353,7 @@ class IndexManager:
         if not objects:
             return
         for index in self._indexes.values():
-            self._writable(index)
-            attribute = index.attribute
-            buckets = index._buckets
-            owned = index._owned
-            posting_for = index._posting
-            for obj in objects:
-                # Inlined StoreIndex.add for an owned bucket (this loop
-                # dominates deferred bulk merges; instances are live, so
-                # the value dict is read directly).
-                value = obj._values.get(attribute, INAPPLICABLE)
-                try:
-                    posting = buckets.get(value) if value in owned else None
-                except TypeError:
-                    posting = None
-                if posting is None:
-                    posting = posting_for(value, True)
-                posting.add(obj.surrogate)
+            self._writable(index).add_all(objects)
         if self._indexes:
             self.qstats.index_updates += (
                 len(self._indexes) * len(objects) + indexed_writes)
@@ -372,16 +379,7 @@ class IndexManager:
             index = self._indexes.get(attribute)
             if index is None:
                 continue
-            fresh = StoreIndex(attribute)
-            for obj in self._store.instances():
-                fresh.add(obj.surrogate, obj.get_value(attribute))
-            # Swap containers in place (fresh ones -- no snapshot can
-            # hold them) so the index object keeps its identity.
-            index._buckets = fresh._buckets
-            index.inapplicable = fresh.inapplicable
-            index.residue = fresh.residue
-            index._owned = fresh._owned
-            index._cow_stamp = self._store._snapshot_stamp
+            self._fill(index)
             rebuilt += 1
         if rebuilt:
             self.qstats.index_updates += rebuilt

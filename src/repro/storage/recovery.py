@@ -30,9 +30,10 @@ Recovery (:func:`recover_store`):
 
 1. read the MANIFEST; load the schema (unless one is supplied);
 2. load the last good checkpoint, validating length and CRC, and
-   install its image -- rebuilding every derived structure: extents
-   (IS-A closed), virtual-class reference counts, secondary indexes,
-   the dirty ledger, the surrogate allocator;
+   install its image in one pass over its rows -- forward references
+   allowed, a repeated sid refused -- rebuilding every derived
+   structure: extents (IS-A closed), virtual-class reference counts,
+   secondary indexes, the dirty ledger, the surrogate allocator;
 3. replay the WAL tail **through the op table** -- the row a client's
    request would have run, so the conformance invariants are
    re-established by the live path rather than trusted;
@@ -52,9 +53,10 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from time import perf_counter
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.codec import decode_value, encode_values
+from repro.codec import decode_values, encode_values
 from repro.errors import StorageError
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
@@ -76,6 +78,9 @@ MANIFEST_FORMAT = 1
 DURABILITY_WAL = "wal"
 DURABILITY_NONE = "none"
 
+#: Checkpoint frames decoded per ``json.loads`` call.
+_DECODE_BATCH = 256
+
 
 @dataclass
 class RecoveryReport:
@@ -88,6 +93,10 @@ class RecoveryReport:
     truncated_bytes: int = 0
     wal_stopped: str = "clean-end"
     violations: List[Tuple[Instance, object]] = field(default_factory=list)
+    #: Wall seconds of phases 2 (install), 3-4 (WAL tail), 5 (validate).
+    install_s: float = 0.0
+    replay_s: float = 0.0
+    validate_s: float = 0.0
 
     @property
     def conformant(self) -> bool:
@@ -106,6 +115,9 @@ class RecoveryReport:
                          f"({self.wal_stopped})")
         lines.append(f"  validate_all        : "
                      f"{len(self.violations)} violation(s)")
+        lines.append(f"  phase seconds       : install {self.install_s:.3f}, "
+                     f"replay {self.replay_s:.3f}, "
+                     f"validate {self.validate_s:.3f}")
         return "\n".join(lines)
 
 
@@ -162,41 +174,57 @@ def store_image(store) -> Tuple[dict, Iterator[list]]:
 
 
 def install_image(store, header: dict, rows) -> int:
-    """Populate an empty ``store`` from :func:`store_image` data and
-    rebuild every derived structure: objects with their references
-    relinked, extents (IS-A closed), virtual-class reference counts,
-    the dirty ledger, the allocator, the indexes.  Nothing here checks
-    conformance -- an image is state, not history; callers that cannot
-    vouch for it mark it dirty or validate.  Returns the object count."""
+    """Populate an empty ``store`` from :func:`store_image` data in one
+    pass over ``rows`` and rebuild every derived structure: objects with
+    their references relinked, extents (IS-A closed, one build per
+    class), virtual-class reference counts, the dirty ledger, the
+    allocator, the indexes (one build per posting).  Rows may come in
+    any order -- a reference ahead of its row makes a shell the row
+    fills in -- but each sid once, and every referenced sid must come.
+    Nothing here checks conformance -- an image is state, not history;
+    callers that cannot vouch for it mark it dirty or validate.  Returns
+    the object count."""
     if len(store):
         raise StorageError("a store image installs only into an empty "
                            "store")
-    shells: Dict[int, Tuple[Instance, dict]] = {
-        sid: (Instance(Surrogate(sid), classes), values)
-        for sid, classes, values in rows}
+    shells: Dict[int, Instance] = {}
+    pending: Set[int] = set()           # referenced, row not yet seen
 
-    def resolve(sid: int):
-        try:
-            return shells[sid][0]
-        except KeyError:
-            raise StorageError(
-                f"store image references unknown object @{sid}") from None
+    def resolve(sid: int) -> Instance:
+        obj = shells.get(sid)
+        if obj is None:
+            obj = shells[sid] = Instance(Surrogate(sid))
+            pending.add(sid)
+        return obj
 
-    for obj, encoded in shells.values():
-        for name, value in encoded.items():
-            obj._values[name] = decode_value(value, resolve)
-        store._register_object(obj)
-        for class_name in obj.memberships:
-            store._add_to_extents(obj, class_name)
-    # Each entity value sitting on a virtual class's home attribute of
-    # a member of the owner class holds one reference.
+    signatures: Dict[tuple, List[int]] = {}
+    homes = store._virtuals_by_attr
     refs = store._virtual_refs
-    for obj, _encoded in shells.values():
+    for sid, classes, encoded in rows:
+        obj = shells.get(sid)
+        if obj is None:
+            obj = shells[sid] = Instance(Surrogate(sid), classes)
+        elif sid in pending:
+            pending.remove(sid)
+            obj._memberships = set(classes)
+        else:
+            raise StorageError(f"store image repeats object @{sid}")
+        obj._values = decode_values(encoded, resolve)
         for name, value in obj._values.items():
-            if is_entity(value):
+            if name in homes and is_entity(value):
+                # An entity on a virtual class's home attribute of a
+                # member of the owner class holds one reference.
                 for cdef in store._home_virtuals(obj, name):
                     key = (cdef.name, value.surrogate)
                     refs[key] = refs.get(key, 0) + 1
+        store._objects[obj.surrogate] = obj
+        store._columns.put(obj.surrogate, obj._memberships, obj._values,
+                           store._snapshot_stamp)
+        signatures.setdefault(tuple(classes), []).append(sid)
+    if pending:
+        raise StorageError(
+            f"store image references unknown object @{min(pending)}")
+    store._pipeline.merge_extents(signatures)
     for sid_text, attrs in header.get("dirty", {}).items():
         store._dirty[Surrogate(int(sid_text))] = (
             None if attrs is None else set(attrs))
@@ -222,6 +250,12 @@ def _write_checkpoint(fs: FileSystem, directory: str, store,
     atomic_write_bytes(fs, os.path.join(directory, name), data)
     return {"file": name, "length": len(data), "crc": zlib.crc32(data),
             "objects": len(chunks) - 2}
+
+
+def _decoded(payloads: List[bytes]) -> Iterator[tuple]:
+    """Checkpoint frames' ``(sid, classes, values)``, one json.loads."""
+    for record in json.loads(b"[%s]" % b",".join(payloads)):
+        yield record["sid"], record["classes"], record["values"]
 
 
 def _load_checkpoint(fs: FileSystem, directory: str, store,
@@ -253,12 +287,16 @@ def _load_checkpoint(fs: FileSystem, directory: str, store,
             f"checkpoint {entry['file']!r} lacks its header record")
 
     def rows():
-        # Streamed into the installer: a second copy of the population
-        # as rows would double the live containers the collector walks.
+        # Streamed into the installer, one json.loads per batch: the whole
+        # population as rows would double what the collector walks.
         nonlocal consumed
+        batch: List[bytes] = []
         for consumed, payload in frames:
-            record = json.loads(payload.decode("utf-8"))
-            yield record["sid"], record["classes"], record["values"]
+            batch.append(payload)
+            if len(batch) == _DECODE_BATCH:
+                yield from _decoded(batch)
+                batch = []
+        yield from _decoded(batch)
 
     count = install_image(store, dict(header, indexes=indexes), rows())
     if consumed != len(data):
@@ -454,10 +492,13 @@ def recover_store(directory: str, schema=None, durability: str = None,
                                durability=durability, sync=sync, **config)
     report = RecoveryReport(directory=directory)
 
+    started = perf_counter()
     report.checkpoint_objects = _load_checkpoint(
         fs, directory, store, manifest["checkpoint"],
         manifest.get("indexes", ()))
+    report.install_s = perf_counter() - started
 
+    started = perf_counter()
     wal_entry = manifest.get("wal")
     scan = None
     if wal_entry is not None:
@@ -485,6 +526,7 @@ def recover_store(directory: str, schema=None, durability: str = None,
         report.wal_stopped = scan.stopped
         if scan.stopped not in ("clean-end", "missing"):
             report.truncated_bytes = scan.torn_bytes
+    report.replay_s = perf_counter() - started
 
     stats = store.checker.stats
     stats.recoveries += 1
@@ -494,9 +536,11 @@ def recover_store(directory: str, schema=None, durability: str = None,
     if validate:
         # The validate_all sweep, without clearing the dirty ledger --
         # recovery must not mutate the state it just reconstructed.
+        started = perf_counter()
         for obj in store._objects.values():
             for violation in store.checker.check(obj):
                 report.violations.append((obj, violation))
+        report.validate_s = perf_counter() - started
 
     if durability == DURABILITY_WAL:
         if wal_entry is None or scan is None or scan.stopped == "missing":

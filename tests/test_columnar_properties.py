@@ -4,9 +4,10 @@ Part 1 checks :class:`repro.columnar.SurrogateSet` against a plain
 Python set as the model, under random op sequences that cross chunk
 boundaries and mix in overflow (non-``Surrogate``) members, and under
 the set algebra the query path leans on (``&``/``|``/``-``, the
-reflected forms against plain sets, in-place union, COW copies), and
-the id decoder on both sides of its popcount branch (two seeded mutants
-must be killed).
+reflected forms against plain sets, in-place union, COW copies), the
+batch constructor ``from_ids`` against per-member ``add``, and the id
+decoder on both sides of its popcount branch (two seeded mutants must
+be killed).
 
 Part 2 is the execution-equivalence claim the compiled closures must
 uphold: for every plan, the compiled executor and the guarded full
@@ -24,7 +25,7 @@ import inspect
 import textwrap
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro import columnar
 from repro.columnar import (
@@ -204,6 +205,27 @@ def test_mutant_dense_byte_offset_off_by_one_is_killed():
     assert _killed_decoder(_decoder_mutant(
         "offset = base + (byte_index << 3)",
         "offset = base + (byte_index << 3) + 1"))
+
+
+#: Ids at both edges of chunks 0 and 1, and the first of chunk 2.
+_EDGES = [0, CHUNK_BITS - 1, CHUNK_BITS, 2 * CHUNK_BITS - 1, 2 * CHUNK_BITS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.one_of(_ids, st.sampled_from(_EDGES)), max_size=80))
+@example(ids=_EDGES[::-1] + _EDGES)
+def test_from_ids_equals_adding_members_one_by_one(ids):
+    """The batch constructor (any order, repeats) builds the set that
+    per-member ``add`` builds, chunk for chunk; the constructor from
+    ``Surrogate`` members, which routes through it, agrees."""
+    built = SurrogateSet.from_ids(ids)
+    added = SurrogateSet()
+    for sid in ids:
+        added.add(Surrogate(sid))
+    for other in (added, SurrogateSet(map(Surrogate, ids))):
+        assert len(built) == len(other) == len(set(ids))
+        assert built._chunks == other._chunks
+        assert built.ids() == other.ids() == sorted(set(ids))
 
 
 @settings(max_examples=80, deadline=None)

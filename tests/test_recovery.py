@@ -10,15 +10,23 @@ digest after some completed workload step -- whole transactions and
 whole bulk batches, never a hybrid.
 """
 
+import inspect
 import json
+import textwrap
+import time
 
 import pytest
 
-from repro.errors import ConformanceError, StorageError
+from repro.columnar import CHUNK_BITS, SurrogateSet
+from repro.errors import ConformanceError, ReplicationError, StorageError
+from repro.net.replication import install_dump
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.transactions import transaction
+from repro.scenarios import populate_hospital
+from repro.storage import recovery
 from repro.storage.fsio import atomic_write_bytes
-from repro.storage.recovery import open_store, read_manifest
+from repro.storage.recovery import (
+    install_image, open_store, read_manifest, store_image)
 from repro.typesys.values import EnumSymbol, INAPPLICABLE
 
 from tests.faultfs import FaultFS, MemFS, SimulatedCrash, store_digest
@@ -343,6 +351,136 @@ class TestRecoveryCounters:
         assert stats.checkpoints == 0   # counts checkpoints *taken*
         again.checkpoint()
         assert again.checker.stats.checkpoints == 1
+
+    def test_report_names_its_phases(self, store, fs):
+        store.create("Ward", floor=1, name="W")
+        store.checkpoint()
+        store.create("Ward", floor=2, name="X")
+        store.close()
+        started = time.perf_counter()
+        report = _reopen(fs).last_recovery
+        whole = time.perf_counter() - started
+        phases = (report.install_s, report.replay_s, report.validate_s)
+        assert all(phase >= 0 for phase in phases)
+        assert sum(phases) <= whole
+        assert "install" in report.describe()
+
+
+# ----------------------------------------------------------------------
+# The image installer: one pass, rows in any order
+# ----------------------------------------------------------------------
+
+def _image(store, indexes=("age",)):
+    header, rows = store_image(store)
+    return dict(header, indexes=list(indexes)), list(rows)
+
+
+def _installed(schema, header, rows, install=install_image):
+    fresh = ObjectStore(schema)
+    install(fresh, header, rows)
+    return fresh
+
+
+def _shape(store):
+    """Objects, virtual refs and dirty ledger (the digest), plus every
+    extent and every posting as ids."""
+    postings = {
+        attribute: ({repr(key): bucket.ids()
+                     for key, bucket in index._buckets.items()},
+                    index.inapplicable.ids(), index.residue.ids())
+        for attribute in store.indexes.attributes()
+        for index in [store.indexes.get(attribute)]}
+    extents = {name: members.ids()
+               for name, members in store._extents.items() if members}
+    return store_digest(store), extents, postings
+
+
+def _check_reverse_install(source, install=install_image):
+    """Rows in reverse sid order -- every reference is forward -- install
+    the store the in-order rows do, which is the source's state."""
+    header, rows = _image(source)
+    forward = _installed(source.schema, header, rows, install)
+    backward = _installed(source.schema, header, rows[::-1], install)
+    assert _shape(backward) == _shape(forward)
+    assert store_digest(forward) == store_digest(source)
+    return backward
+
+
+class TestImageInstall:
+    def test_reverse_sid_order_installs_the_same_store(
+            self, hospital_population):
+        installed = _check_reverse_install(hospital_population.store)
+        digest = store_digest(installed)
+        assert digest[1], "the population anchors a virtual class"
+        assert installed.indexes.get("age").lookup(
+            hospital_population.patients[0].get_value("age"))
+
+    def test_a_dangling_reference_is_refused(self, hospital_population):
+        # Row 0 is an address the first hospital's location names.
+        header, rows = _image(hospital_population.store)
+        schema = hospital_population.store.schema
+        for order in (rows[1:], rows[1:][::-1]):
+            with pytest.raises(StorageError,
+                               match=r"references unknown object @1$"):
+                _installed(schema, header, order)
+
+    def test_a_repeated_sid_is_refused(self, hospital_population):
+        header, rows = _image(hospital_population.store)
+        sid, classes, _values = rows[-1]
+        with pytest.raises(StorageError, match=f"repeats object @{sid}$"):
+            _installed(hospital_population.store.schema, header,
+                       rows + [[sid, classes, {}]])
+
+    def test_a_catch_up_dump_that_repeats_a_sid_is_refused(
+            self, hospital_population):
+        header, rows = _image(hospital_population.store)
+        sid, classes, _values = rows[-1]
+        dump = dict(header, rows=rows + [[sid, classes, {}]])
+        with pytest.raises(ReplicationError, match=f"repeats object @{sid}"):
+            install_dump(ObjectStore(hospital_population.store.schema),
+                         dump)
+
+    def test_mutant_forward_shell_keeps_empty_memberships_is_killed(
+            self, hospital_population):
+        source = textwrap.dedent(inspect.getsource(recovery.install_image))
+        old = "obj._memberships = set(classes)"
+        assert source.count(old) == 1
+        namespace = dict(vars(recovery))
+        exec(source.replace(old, "pass"), namespace)
+        with pytest.raises(AssertionError):
+            _check_reverse_install(hospital_population.store,
+                                   namespace["install_image"])
+
+    def test_install_does_no_per_member_bitset_work(self, hospital_schema):
+        """Every extent and posting is built from a list of sids: a
+        5,000-object install never adds or probes one member."""
+        source = populate_hospital(hospital_schema, n_patients=4_970,
+                                   seed=5).store
+        assert len(source) >= 5_000
+        header, rows = _image(source)
+
+        def refuse(*_args):
+            raise AssertionError("per-member bitset work")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SurrogateSet, "add", refuse)
+            patch.setattr(SurrogateSet, "__contains__", refuse)
+            installed = _installed(source.schema, header, rows)
+        assert store_digest(installed) == store_digest(source)
+
+
+@pytest.mark.slow
+def test_image_install_over_three_bitset_chunks(hospital_schema):
+    """Reverse-order rows over more than three bitset chunks, with a
+    populated virtual class and an index, against the live store."""
+    source = populate_hospital(hospital_schema, n_patients=12_300,
+                               seed=31).store
+    assert source._allocator._next > 3 * CHUNK_BITS
+    source.create_index("age")
+    header, rows = _image(source)
+    installed = _installed(source.schema, header, rows[::-1])
+    assert _shape(installed) == _shape(source)
+    assert store_digest(installed)[1], "a virtual class is populated"
 
 
 # ----------------------------------------------------------------------
