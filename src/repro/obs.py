@@ -203,7 +203,7 @@ SHARD_COUNTER_FIELDS: Tuple[str, ...] = (
     "rows_merged",         # per-shard result rows merged by the router
     "schema_replications", # schema/evolution commands replicated
     "position_refreshes",  # explicit per-shard position (ping) sweeps
-    "txn_rollbacks",       # sharded transactions rolled back (undone)
+    "txn_rollbacks",       # sharded transactions rolled back
 )
 
 

@@ -230,9 +230,8 @@ def _remove(store, cmd, resolve):
 def _txn(store, cmd, resolve):
     """A pipelined batch of mutations as one atomic transaction: all or
     nothing, one token.  A single store commits it as one WAL record; a
-    sharded store runs it under the router's undo journal (atomic, not
-    isolated -- SEMANTICS.md section 16), which also refuses ``remove``
-    there."""
+    sharded store as one on each shard it touches, not two-phase
+    (SEMANTICS.md section 16)."""
     created = []
     with store.transaction():
         for sub in cmd["ops"]:

@@ -44,6 +44,12 @@ command in flight on it: every send is matched by its receive before the
 next, and multi-shard commands go through one scatter/gather that drains
 exactly what it sent -- so when a shard dies (:class:`ShardCrashedError`)
 the survivors still answer their own questions.
+
+**Transactions.**  A router scope is one ``store.transaction()`` on
+each shard it touches (:mod:`repro.sharding.worker`): the first command
+to a shard inside the scope opens it there, and one scattered ``scope``
+command commits or aborts every joined shard.  Commit is not two-phase:
+a shard that fails its commit leaves the others' commits standing.
 """
 
 from __future__ import annotations
@@ -261,8 +267,10 @@ class ShardedStore:
         #: envelope carries the shard's WAL seq / epoch); composed into
         #: the vector epoch token by :meth:`position_token`.
         self._positions: Dict[int, int] = {i: 0 for i in range(n_shards)}
-        #: Undo log of the open sharded transaction (None = no scope).
-        self._txn_undo: Optional[List] = None
+        #: The open transaction's joined shards (None = no scope), and
+        #: the owner (None: broadcast) of each sid it removed.
+        self._joined: Optional[Set[int]] = None
+        self._removed: Dict[int, Optional[int]] = {}
 
         configs = self._shard_configs(
             schema, directory, durability, sync, check_mode, _reopen)
@@ -410,6 +418,10 @@ class ShardedStore:
     def _send(self, shard_id: int, cmd: Dict[str, object]) -> None:
         if self._closed:
             raise ShardingError("store is closed")
+        joined = self._joined
+        if joined is not None and shard_id not in joined:
+            joined.add(shard_id)
+            cmd = dict(cmd, begin=True)
         self.stats_counters.commands_sent += 1
         self._backends[shard_id].send(wire.encode_command(cmd))
 
@@ -429,18 +441,19 @@ class ShardedStore:
 
     def _scatter(self, commands: Sequence[Tuple[int, Dict[str, object]]]):
         """Send each ``(shard_id, cmd)`` first, then gather: the shards
-        execute concurrently.  Sending stops at the first shard that
-        cannot be reached and a reply is collected from exactly the
-        shards that were, whatever fails -- no shard is left with a
-        command in flight, so no survivor answers the previous question
-        later.  The first failure is raised after the gather."""
+        execute concurrently.  Sending goes on past a shard that cannot
+        be reached (an abort must reach every survivor), and a reply is
+        collected from exactly the shards sent to, whatever fails -- no
+        shard is left with a command in flight, so no survivor answers
+        the previous question later.  The first failure is raised after
+        the gather."""
         sent, payloads, failure = [], [], None
         for shard_id, cmd in commands:
             try:
                 self._send(shard_id, cmd)
             except ShardingError as exc:
-                failure = exc
-                break
+                failure = failure or exc
+                continue
             sent.append(shard_id)
         for shard_id in sent:
             try:
@@ -631,9 +644,6 @@ class ShardedStore:
             self._call(shard, cmd)
             self._owners[sid] = shard
         self.stats_counters.objects_routed += 1
-        if self._txn_undo is not None:
-            self._txn_undo.append(
-                lambda sid=sid: self.remove(self.handle(sid)))
         return self.handle(sid)
 
     def bulk_load(self, rows: Iterable[Tuple[object, Dict[str, object]]],
@@ -642,17 +652,14 @@ class ShardedStore:
         executing across all shard processes concurrently -- this is
         the write path that scales with shard count.  Rows may
         reference broadcast entities and previously committed objects,
-        not other rows of the same batch."""
-        if self._txn_undo is not None:
-            raise ShardingError(
-                "bulk_load is not available inside a sharded "
-                "transaction (batches are all-or-nothing per shard, "
-                "not undoable row by row)")
+        not other rows of the same batch.  The batch is all-or-nothing
+        across shards: outside a transaction it runs in its own."""
+        if self._joined is None:
+            with self.transaction():
+                return self.bulk_load(rows, check)
         per_shard: Dict[int, List[list]] = {}
         assigned: List[Tuple[int, int]] = []
-        # Decoded in full before anything is minted: a row that does
-        # not decode must not move the allocator.
-        for classes, values in list(rows):
+        for classes, values in rows:
             if isinstance(classes, str):
                 classes = (classes,)
             pin = self._admit(classes, values)
@@ -665,9 +672,6 @@ class ShardedStore:
             assigned.append((sid, shard))
         for shard in per_shard:
             self._invalidate(shard)
-        # Each batch is all-or-nothing per shard, not across shards: on
-        # a failure, shards whose batches committed keep them, and none
-        # of this call's rows are registered as routed.
         self._scatter([
             (shard, {"op": "bulk", "rows": shard_rows, "check": check})
             for shard, shard_rows in per_shard.items()])
@@ -676,104 +680,64 @@ class ShardedStore:
         self.stats_counters.bulk_rows_routed += len(assigned)
         return [self.handle(sid) for sid, _shard in assigned]
 
-    def _txn_capture_undo(self, sid: int, cmd: Dict[str, object]):
-        """The inverse of one mutation, captured *before* it applies
-        (a ``set`` undo needs the prior value) but journaled only after
-        it succeeds (a rejected sub-op applied nothing, so its inverse
-        must not replay).  Inverses replay through :meth:`_mutate`
-        itself check-free (``_txn_undo`` is already detached during
-        rollback, so they do not re-log), which keeps broadcast
-        replicas converged through an undo exactly as through the
-        forward write."""
-        op = cmd["op"]
-        if op == "remove":
-            # Undoing a remove needs the full prior state *and* every
-            # inbound reference; out of the supported envelope.
-            raise ShardingError(
-                "remove is not supported inside a sharded transaction "
-                "(its undo cannot be replayed exactly); remove outside "
-                "the transaction scope")
-        if op in ("set", "unset"):
-            attr = cmd["attr"]
-            prior = self.handle(sid)._state()["values"].get(attr)
-            if prior is None:
-                undo = {"op": "unset", "attr": attr}
-            else:
-                undo = {"op": "set", "attr": attr, "value": prior}
-        elif op == "classify":
-            undo = {"op": "declassify", "cls": cmd["cls"]}
-        elif op == "declassify":
-            undo = {"op": "classify", "cls": cmd["cls"]}
-        else:
-            raise ShardingError(
-                f"cannot undo {op!r} inside a sharded transaction")
-        return lambda: self._mutate(sid, undo, CheckMode.NONE)
-
     @contextmanager
     def transaction(self):
-        """An atomic multi-command scope over the sharded population.
-
-        The single store undoes through in-process copy-on-write
-        pre-images; shards cannot share those, so the router keeps a
-        logical **undo journal**: each create/set/unset/classify/
-        declassify inside the scope logs its exact inverse first, and an
-        exception replays the inverses in reverse order (check-free --
-        they restore previously conformant state) before re-raising.
-        The allocator and profile placement
-        counters are restored too, so an aborted transaction leaves the
-        router minting the same sids and placements the single store
-        would after its rollback.  Supported scope: create / set /
-        unset / classify / declassify; ``remove``, ``bulk_load`` and
-        schema/index commands are rejected inside the scope (their
-        inverses cannot be replayed exactly).
-
-        Unlike the single store's transaction this scope is atomic but
-        not isolated: a concurrent reader of the *same router* could
-        observe intermediate states.  The router is single-writer by
-        contract (it is not thread-safe), so within the supported
-        envelope this distinction is unobservable.
-        """
-        if self._txn_undo is not None:
-            raise ShardingError("sharded transactions do not nest")
-        self._txn_undo = []
-        saved_next = self._next_sid
-        saved_profiles = dict(self._profile_counts)
+        """An atomic multi-command scope: a store transaction on each
+        shard it touches (module docstring), so each shard rolls back
+        exactly.  An abort reaches every joined shard that can be
+        reached, and the router restores its own state -- allocator,
+        placement counters, the routing of each sid the scope created
+        or removed -- so it mints what the single store would after its
+        rollback.  Nesting, schema and index changes are refused."""
+        self._no_open_txn("a nested transaction")
+        joined = self._joined = set()
+        self._removed = {}
+        saved = self._next_sid, dict(self._profile_counts)
         try:
             yield self
         except BaseException:
-            undos, self._txn_undo = self._txn_undo, None
-            for undo in reversed(undos):
-                try:
-                    undo()
-                except Exception:   # pragma: no cover - best effort
-                    pass
-            self._next_sid = saved_next
-            self._profile_counts = saved_profiles
-            self.stats_counters.txn_rollbacks += 1
+            self._joined = None
+            try:
+                self._end_scope(joined, "abort")
+            finally:
+                for sid, owner in self._removed.items():
+                    if owner is None:
+                        self._broadcast.add(sid)
+                    else:
+                        self._owners[sid] = owner
+                for sid in range(saved[0], self._next_sid):
+                    self._forget(sid)
+                self._next_sid, self._profile_counts = saved
+                self._maps = [None] * self.n_shards
+                self.stats_counters.txn_rollbacks += 1
             raise
-        else:
-            self._txn_undo = None
+        self._joined = None
+        self._end_scope(joined, "commit")
+
+    def _end_scope(self, joined: Set[int], action: str) -> None:
+        self._scatter([(shard_id, {"op": "scope", "action": action})
+                       for shard_id in sorted(joined)])
+
+    def _forget(self, sid: int) -> None:
+        self._owners.pop(sid, None)
+        self._broadcast.discard(sid)
+        self._handles.pop(sid, None)
 
     def _mutate(self, obj, cmd: Dict[str, object],
                 check: Optional[str]) -> None:
         sid = self._sid_of(obj)
         cmd = dict(cmd, sid=sid)
-        undo = (self._txn_capture_undo(sid, cmd)
-                if self._txn_undo is not None else None)
         if sid in self._broadcast:
             self._replicate(sid, dict(cmd, check=check),
                             dict(cmd, check=CheckMode.NONE))
-            if cmd["op"] == "remove":
-                self._broadcast.discard(sid)
         else:
             shard = self._owner_of(sid)
             self._invalidate(shard)
             self._call(shard, dict(cmd, check=check))
-            if cmd["op"] == "remove":
-                self._owners.pop(sid, None)
-                self._handles.pop(sid, None)
-        if undo is not None:
-            self._txn_undo.append(undo)
+        if cmd["op"] == "remove":
+            if self._joined is not None:
+                self._removed[sid] = self._owners.get(sid)
+            self._forget(sid)
 
     def set_value(self, obj, attribute: str, value,
                   check: Optional[str] = None) -> None:
@@ -802,13 +766,13 @@ class ShardedStore:
 
     # -- schema evolution ----------------------------------------------
 
-    def _no_open_txn(self) -> None:
-        """Schema changes are checked *before* the meta store mutates,
-        so a rejection leaves meta and shards still in lockstep."""
-        if self._txn_undo is not None:
+    def _no_open_txn(self, what: str) -> None:
+        """Refuse ``what`` inside a transaction.  Schema changes are
+        checked *before* the meta store mutates, so a rejection leaves
+        meta and shards still in lockstep."""
+        if self._joined is not None:
             raise ShardingError(
-                "schema changes are not available inside a sharded "
-                "transaction (a replicated epoch cannot be undone)")
+                f"{what} is not available inside a sharded transaction")
 
     def _replicate_schema(self, class_name: str,
                           recheck: str) -> List[Tuple[RemoteHandle, str]]:
@@ -831,13 +795,13 @@ class ShardedStore:
         before any shard hears of it), then replicated to every shard
         in command order -- each shard's ordered pipe guarantees the
         epoch lands between the same mutations everywhere."""
-        self._no_open_txn()
+        self._no_open_txn("a schema change")
         self._meta.alter_class(new_def, recheck="none")
         return self._replicate_schema(new_def.name, recheck)
 
     def add_excuse(self, class_name: str, attribute: str, range_,
                    targets, *, recheck: str = "affected"):
-        self._no_open_txn()
+        self._no_open_txn("a schema change")
         self._meta.add_excuse(class_name, attribute, range_, targets,
                               recheck="none")
         return self._replicate_schema(class_name, recheck)
@@ -845,7 +809,7 @@ class ShardedStore:
     def retract_excuse(self, class_name: str, attribute: str, *,
                        targets=None, drop_attribute: bool = False,
                        recheck: str = "affected"):
-        self._no_open_txn()
+        self._no_open_txn("a schema change")
         self._meta.retract_excuse(class_name, attribute, targets=targets,
                                   drop_attribute=drop_attribute,
                                   recheck="none")
@@ -854,10 +818,7 @@ class ShardedStore:
     # -- physical design ------------------------------------------------
 
     def _index(self, attribute: str, action: str) -> None:
-        if self._txn_undo is not None:
-            raise ShardingError(
-                "index changes are not available inside a sharded "
-                "transaction")
+        self._no_open_txn("an index change")
         self._broadcast_cmd({"op": "index", "attr": attribute,
                              "action": action})
 

@@ -17,9 +17,16 @@ routed ``create`` / ``bulk`` carries its sids the way a logged one
 does.  What is written out below is only the shard's own: the
 ``foreign`` bookkeeping around the ``create`` / ``remove`` / ``get``
 rows and the ops only a router sends (``ids``, ``set_foreign``,
-``shard_map``, ``stats``, ``ping``).
+``shard_map``, ``stats``, ``ping``, ``scope``).
 
-One shard-specific mechanism lives here:
+Two shard-specific mechanisms live here:
+
+* **Scopes** -- a command carrying ``begin`` first opens a
+  ``store.transaction()``, held across commands (one writer, one
+  ordered pipe) until ``scope`` commits or aborts it; an abort restores
+  ``foreign`` too, and :meth:`ShardServer.close` aborts an open scope.
+  ``scope`` is no :data:`~repro.ops.OPS` row: no network client may
+  hold a store's write lock across requests.
 
 * **Masked reads** -- replicated reference entities exist on every
   shard under one sid, but only their owner shard may *report* them:
@@ -117,6 +124,9 @@ class ShardServer:
         #: out of every extent this shard reports.
         self.foreign = SurrogateSet()
         self._map_cache: Optional[Tuple[int, list]] = None
+        #: The open scope: its store transaction and the ``foreign``
+        #: set to restore on abort (None: no scope).
+        self._scope: Optional[Tuple[object, SurrogateSet]] = None
 
     # ------------------------------------------------------------------
     # Framing
@@ -141,6 +151,12 @@ class ShardServer:
     def handle(self, cmd: Dict[str, object]):
         op = cmd.get("op")
         handler = self._HANDLERS.get(op) if isinstance(op, str) else None
+        if cmd.get("begin"):
+            if self._scope is not None:
+                raise ShardingError("a scope is already open")
+            txn = self.store.transaction()
+            txn.__enter__()
+            self._scope = (txn, self.foreign.copy())
         if handler is None:
             raise ShardingError(f"unknown shard command {op!r}")
         return handler(self, cmd)
@@ -167,7 +183,8 @@ class ShardServer:
         return self.store._epoch
 
     def _read_view(self):
-        snap = self.store.snapshot()
+        # Inside a scope the router reads its own writes.
+        snap = self.store.snapshot() if self._scope is None else self.store
         if len(self.foreign):
             return MaskedSnapshot(snap, self.foreign)
         return snap
@@ -189,8 +206,7 @@ class ShardServer:
 
     def _op_get(self, cmd):
         # Read off the live store, not a snapshot: the worker is
-        # single-threaded, and the router reads prior values between
-        # the writes of one transaction.
+        # single-threaded, and a write would make the next snapshot new.
         out = self._run(OPS["get"], cmd, view=self.store)
         out["foreign"] = Surrogate(int(cmd["sid"])) in self.foreign
         return out
@@ -230,7 +246,22 @@ class ShardServer:
         return {"shard": self.shard_id, "epoch": self.store._epoch,
                 "objects": len(self.store)}
 
+    def _op_scope(self, cmd):
+        """End the open scope: ``action`` is ``commit`` or ``abort``."""
+        if self._scope is None:
+            raise ShardingError("no scope is open")
+        (txn, foreign), self._scope = self._scope, None
+        if cmd.get("action") == "commit":
+            txn.__exit__(None, None, None)
+        else:
+            self.foreign = foreign
+            abort = ShardingError("scope aborted")
+            txn.__exit__(type(abort), abort, None)
+        return {}
+
     def close(self) -> None:
+        if self._scope is not None:
+            self._op_scope({"action": "abort"})
         closer = getattr(self.store, "close", None)
         if closer is not None:
             closer()

@@ -183,12 +183,21 @@ class TestShardedServing:
             ])
         assert client.count("Ward") == before    # rolled back
 
-    def test_txn_remove_is_outside_the_envelope(self, client):
-        sid = client.create("Ward", {"floor": 1, "name": "w"})["sid"]
-        with pytest.raises(RemoteOpError) as exc_info:
-            client.txn([{"op": "remove", "sid": sid}])
-        assert exc_info.value.remote_type == "ShardingError"
-        assert client.count("Ward") == 1         # prefix undone
+    def test_remove_inside_a_txn(self, client):
+        kept, gone = (client.create("Ward", {"floor": 1, "name": name})["sid"]
+                      for name in ("kept", "gone"))
+        with pytest.raises(RemoteOpError):
+            client.txn([
+                {"op": "remove", "sid": kept},
+                {"op": "create", "cls": "Patient",
+                 "values": {"name": "bad", "age": 999}},
+            ])
+        assert client.get(kept)["values"]["name"] == "kept"   # back
+        assert client.count("Ward") == 2
+        client.txn([{"op": "remove", "sid": gone}])
+        assert client.count("Ward") == 1
+        with pytest.raises(RemoteOpError):
+            client.get(gone)
 
     def test_bulk_alter_index_validate_checkpoint(self, client):
         out = client.bulk([[["Ward"], {"floor": 1 + i, "name": f"B{i}"}]

@@ -3,15 +3,20 @@
 Part 1 -- Hypothesis equivalence: the same mutation sequence applied to
 a single ``ObjectStore`` and a ``ShardedStore(N)`` for N in {1, 2, 4}
 must agree on every query's rows AND ``rows_skipped``, including across
-an online schema-evolution step.  Partitioning, broadcast masking,
-shard-map pruning, and aggregate merging are all under test at once:
-any of them being inexact shows up as a row or skip-count mismatch.
+an online schema-evolution step and transaction scopes (commits and
+aborts over removes, bulk batches and broadcast entities, with the
+counts read inside each scope).  Partitioning, broadcast masking,
+shard-map pruning, aggregate merging and per-shard rollback are all
+under test at once: any of them being inexact shows up as a row or
+skip-count mismatch.  A router that skips one joined shard's abort is
+killed within the bounded examples.
 
 Part 2 -- real processes: fork/spawn smoke tests, a crash-recovery
 test that kills a worker mid-batch and reopens the directory, the pipe
 transport's own contract (large messages, one command in flight,
-crashes surfacing at once, survivors staying in step) and workers
-exiting when their router is killed.
+crashes surfacing at once, survivors staying in step), workers
+exiting when their router is killed, and a transaction scope whose
+router or worker dies leaving nothing behind.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -127,23 +132,75 @@ def _outcome(exc):
     return type(exc).__name__
 
 
-def _apply(store, patients, entities, op):
-    kind, idx = op[0], op[1]
-    patient = patients[idx]
+class _Abort(Exception):
+    pass
+
+
+def _write(store, patients, entities, op):
+    kind = op[0]
+    sharded = isinstance(store, ShardedStore)
+    if kind == "create":
+        store.create("Patient", name="t", age=op[1],
+                     treatedBy=entities["physician"])
+    elif kind == "bulk":
+        store.bulk_load([("Patient", {"name": f"b{i}", "age": age,
+                                      "treatedBy": entities["physician"]})
+                         for i, age in enumerate(op[1])], check="eager")
+    elif kind == "broadcast":
+        store.create("Physician", name="d2", age=41,
+                     specialty=EnumSymbol("General"),
+                     **({"broadcast": True} if sharded else {}))
+    elif kind == "set":
+        store.set_value(patients[op[1]], op[2], _value(entities, op[3]))
+    elif kind == "unset":
+        store.unset_value(patients[op[1]], op[2])
+    elif kind == "classify":
+        store.classify(patients[op[1]], op[2])
+    elif kind == "declassify":
+        store.declassify(patients[op[1]], op[2])
+    elif kind == "remove":
+        store.remove(patients[op[1]])
+
+
+def _apply(store, patients, entities, op, removed):
+    """Run ``op`` unless it names a removed patient; returns the
+    outcome and the patients it removed.  A ``txn`` runs its sub-ops
+    in one scope, the first refusal (or a requested abort) rolling all
+    of them back, and reports the counts it read inside the scope."""
+    if op[0] != "txn":
+        if op[0] in _NAMED and op[1] in removed:
+            return "skipped", set()
+        try:
+            _write(store, patients, entities, op)
+        except ReproError as exc:
+            return _outcome(exc), set()
+        return None, {op[1]} if op[0] == "remove" else set()
+    gone, reads = set(removed), []
     try:
-        if kind == "set":
-            store.set_value(patient, op[2], _value(entities, op[3]))
-        elif kind == "unset":
-            store.unset_value(patient, op[2])
-        elif kind == "classify":
-            store.classify(patient, op[2])
-        elif kind == "declassify":
-            store.declassify(patient, op[2])
-        elif kind == "remove":
-            store.remove(patient)
+        with store.transaction():
+            for sub in op[1]:
+                if sub[0] in _NAMED and sub[1] in gone:
+                    continue
+                _write(store, patients, entities, sub)
+                if sub[0] == "remove":
+                    gone.add(sub[1])
+                reads.append((store.count("Patient"),
+                              store.count("Physician")))
+            if op[2]:
+                raise _Abort()
+    except _Abort:
+        return ("aborted", reads), set()
     except ReproError as exc:
-        return _outcome(exc)
-    return None
+        return (_outcome(exc), reads), set()
+    return (None, reads), gone - removed
+
+
+def _run(single, sharded, worlds, ops, removed):
+    for op in ops:
+        out_s, gone = _apply(single, *worlds[0], op, removed)
+        out_h, _ = _apply(sharded, *worlds[1], op, removed)
+        assert out_h == out_s, (op, out_s, out_h)
+        removed |= gone
 
 
 _set_op = st.tuples(
@@ -151,19 +208,34 @@ _set_op = st.tuples(
     st.sampled_from(SET_CHOICES),
 ).map(lambda t: (t[0], t[1], t[2][0], t[2][1]))
 
-_ops = st.lists(
-    st.one_of(
-        _set_op,
-        st.tuples(st.just("unset"), st.integers(0, N_PATIENTS - 1),
-                  st.sampled_from(UNSET_CHOICES)),
-        st.tuples(st.just("classify"), st.integers(0, N_PATIENTS - 1),
-                  st.sampled_from(EXTRA_CLASSES)),
-        st.tuples(st.just("declassify"), st.integers(0, N_PATIENTS - 1),
-                  st.sampled_from(EXTRA_CLASSES)),
-        st.tuples(st.just("remove"), st.integers(0, N_PATIENTS - 1)),
-    ),
-    min_size=0, max_size=12,
+#: Op kinds whose second field names a patient.
+_NAMED = ("set", "unset", "classify", "declassify", "remove")
+
+_named_op = st.one_of(
+    _set_op,
+    st.tuples(st.just("unset"), st.integers(0, N_PATIENTS - 1),
+              st.sampled_from(UNSET_CHOICES)),
+    st.tuples(st.just("classify"), st.integers(0, N_PATIENTS - 1),
+              st.sampled_from(EXTRA_CLASSES)),
+    st.tuples(st.just("declassify"), st.integers(0, N_PATIENTS - 1),
+              st.sampled_from(EXTRA_CLASSES)),
+    st.tuples(st.just("remove"), st.integers(0, N_PATIENTS - 1)),
 )
+
+# Ages 200 are refused, so a scope also aborts on a sub-op's refusal.
+_txn_op = st.tuples(
+    st.just("txn"),
+    st.lists(st.one_of(
+        _named_op,
+        st.tuples(st.just("create"), st.sampled_from((30, 45, 200))),
+        st.tuples(st.just("bulk"), st.lists(
+            st.sampled_from((30, 45, 200)), min_size=1, max_size=3)),
+        st.tuples(st.just("broadcast")),
+    ), min_size=1, max_size=5),
+    st.booleans(),      # abort at the end
+)
+
+_ops = st.lists(st.one_of(_named_op, _txn_op), min_size=0, max_size=12)
 
 _queries = st.lists(
     st.tuples(
@@ -187,28 +259,13 @@ def _assert_equivalent(single, sharded, query):
     assert stats_h.rows_returned == stats_s.rows_returned, query
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(n_shards=st.sampled_from((1, 2, 4)), ops=_ops, more_ops=_ops,
-       queries=_queries, alter=st.booleans())
-def test_sharded_store_equals_single_store(n_shards, ops, more_ops,
-                                           queries, alter):
+def check_equivalence(n_shards, ops, more_ops, queries, alter):
     single = ObjectStore(SCHEMA)
     sharded = ShardedStore(SCHEMA, n_shards, processes=False)
     try:
-        pats_s, ents_s = _build_world(single)
-        pats_h, ents_h = _build_world(sharded)
-
+        worlds = (_build_world(single), _build_world(sharded))
         removed = set()
-        for op in ops:
-            if op[1] in removed:
-                continue
-            out_s = _apply(single, pats_s, ents_s, op)
-            out_h = _apply(sharded, pats_h, ents_h, op)
-            assert out_h == out_s, (op, out_s, out_h)
-            if op[0] == "remove" and out_s is None:
-                removed.add(op[1])
-
+        _run(single, sharded, worlds, ops, removed)
         rendered = [_render(c, s) for c, s in queries]
         for query in rendered:
             _assert_equivalent(single, sharded, query)
@@ -218,18 +275,53 @@ def test_sharded_store_equals_single_store(n_shards, ops, more_ops,
             # must land on every shard before the next op executes.
             for store in (single, sharded):
                 store.add_excuse("Alcoholic", "age", (1, 200), ["Person"])
-            for op in more_ops:
-                if op[1] in removed:
-                    continue
-                out_s = _apply(single, pats_s, ents_s, op)
-                out_h = _apply(sharded, pats_h, ents_h, op)
-                assert out_h == out_s, (op, out_s, out_h)
-                if op[0] == "remove" and out_s is None:
-                    removed.add(op[1])
+            _run(single, sharded, worlds, more_ops, removed)
             for query in rendered:
                 _assert_equivalent(single, sharded, query)
+        # What every rollback must have restored: the population, the
+        # replicas and the allocator.
+        assert [len(sharded), sharded.count("Physician")] == \
+            [len(single), single.count("Physician")]
+        assert (sharded.create("Ward", floor=1, name="w").surrogate ==
+                single.create("Ward", floor=1, name="w").surrogate)
     finally:
         sharded.close()
+
+
+_equivalence_args = dict(n_shards=st.sampled_from((1, 2, 4)), ops=_ops,
+                         more_ops=_ops, queries=_queries,
+                         alter=st.booleans())
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**_equivalence_args)
+def test_sharded_store_equals_single_store(n_shards, ops, more_ops,
+                                           queries, alter):
+    check_equivalence(n_shards, ops, more_ops, queries, alter)
+
+
+def test_mutant_one_joined_shards_abort_skipped_is_killed():
+    """The router forgets one joined shard when it aborts: that shard's
+    scope stays open, and the equivalence above must notice."""
+    honest = ShardedStore._end_scope
+
+    def mutant(self, joined, action):
+        if action == "abort" and joined:
+            joined = set(joined) - {max(joined)}
+        honest(self, joined, action)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None, phases=(Phase.generate,),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**_equivalence_args)
+    def run(**args):
+        check_equivalence(**args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShardedStore, "_end_scope", mutant)
+        with pytest.raises((AssertionError, ReproError)):
+            run()
 
 
 # --------------------------------------------------------------------------
@@ -471,11 +563,17 @@ from repro.scenarios import build_hospital_schema
 from repro.sharding.router import ShardedStore
 
 if __name__ == "__main__":
+    directory, start_method, sync, in_scope = sys.argv[1:]
     store = ShardedStore(build_hospital_schema(), 2, processes=True,
-                         directory=sys.argv[1], durability="wal",
-                         sync="group", start_method=sys.argv[2])
+                         directory=directory, durability="wal",
+                         sync=sync, start_method=start_method)
     for i in range(40):
         store.create("Person", name=f"n{i}", age=30)
+    if in_scope == "scope":     # Person and Patient: both shards
+        scope = store.transaction()
+        scope.__enter__()
+        store.create("Person", name="open", age=31)
+        store.create("Patient", name="open", age=31)
     print(*(backend.process.pid for backend in store._backends),
           flush=True)
     time.sleep(120)
@@ -490,15 +588,16 @@ def _running(pid: int) -> bool:
         return False
 
 
-@pytest.mark.parametrize("start_method", START_METHODS)
-def test_workers_do_not_outlive_a_killed_router(tmp_path, start_method):
+def _kill_router(tmp_path, start_method, sync="group", in_scope=""):
+    """Run the router script, kill it, wait for its workers to go; the
+    directory it leaves."""
     script = tmp_path / "router_main.py"
     script.write_text(_ROUTER_SCRIPT)
     directory = str(tmp_path / "orphaned")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     router = subprocess.Popen(
-        [sys.executable, str(script), directory, start_method],
-        stdout=subprocess.PIPE, text=True, env=env)
+        [sys.executable, str(script), directory, start_method, sync,
+         in_scope], stdout=subprocess.PIPE, text=True, env=env)
     try:
         pids = [int(pid) for pid in router.stdout.readline().split()]
         assert len(pids) == 2 and all(_running(pid) for pid in pids)
@@ -509,6 +608,12 @@ def test_workers_do_not_outlive_a_killed_router(tmp_path, start_method):
     while any(_running(pid) for pid in pids):
         assert time.monotonic() < deadline, "shard workers were orphaned"
         time.sleep(0.05)
+    return directory
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_workers_do_not_outlive_a_killed_router(tmp_path, start_method):
+    directory = _kill_router(tmp_path, start_method)
     # The orphans flushed their group-commit buffers on the way out:
     # every acknowledged write is there, and nobody else holds the WAL.
     reopened = ShardedStore.open(directory, processes=True,
@@ -517,5 +622,49 @@ def test_workers_do_not_outlive_a_killed_router(tmp_path, start_method):
         assert reopened.count("Person") == 40
         assert reopened.validate_all() == []
         reopened.create("Person", name="after", age=31)
+    finally:
+        reopened.close()
+
+
+def test_a_router_killed_inside_a_scope_leaves_none_of_it(tmp_path):
+    """The orphans abort the open scope instead of flushing it, though
+    every write in it reached a shard (and ``sync="always"``)."""
+    directory = _kill_router(tmp_path, START_METHODS[0], sync="always",
+                             in_scope="scope")
+    reopened = ShardedStore.open(directory, processes=True)
+    try:
+        assert reopened.count("Person") == 40
+        assert len(reopened) == 40
+        assert reopened.create("Person", name="after", age=31
+                               ).surrogate.id == 41
+    finally:
+        reopened.close()
+
+
+def test_a_worker_killed_mid_scope_aborts_every_survivor(tmp_path):
+    """The scope raises the crash, typed; the abort still reaches the
+    shard after the dead one, so the survivor's next write is its own
+    and nothing of the scope survives reopen."""
+    directory = str(tmp_path / "midscope")
+    sharded = ShardedStore(SCHEMA, 2, processes=True, directory=directory,
+                           durability="wal", sync="always")
+    try:
+        sharded.create("Person", name="kept", age=30)       # shard 0
+        with pytest.raises(ShardCrashedError):
+            with sharded.transaction():
+                sharded.create("Patient", name="in", age=31)    # shard 1
+                sharded.create("Person", name="in", age=31)
+                sharded.crash_shard(0)
+                sharded.create("Person", name="dead", age=32)
+        assert sharded._call(1, {"op": "count", "cls": "Person"}) == \
+            {"count": 0}
+        after = sharded.create("Patient", name="after", age=33)
+        assert sharded._owner_of(after.surrogate.id) == 1
+    finally:
+        sharded.close()
+    reopened = ShardedStore.open(directory, processes=True)
+    try:
+        rows, _stats = reopened.query("for p in Person select p.name")
+        assert sorted(rows) == [("after",), ("kept",)]
     finally:
         reopened.close()

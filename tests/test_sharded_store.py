@@ -16,6 +16,7 @@ from repro.columnar import BitsetStats, SurrogateSet
 from repro import codec
 from repro.errors import (
     ConformanceError,
+    NoSuchObjectError,
     ShardingError,
     ShardWorkerError,
     StorageError,
@@ -299,6 +300,8 @@ def test_anchoring_set_still_asks_who_is_written(counted):
 
 
 def test_bulk_load_is_one_command_per_shard_touched(counted):
+    """One staging command per shard touched, plus the commit that makes
+    the batch all-or-nothing across them."""
     sharded, doc, hosp = counted
     rows = [("Patient", {"name": f"b{i}", "age": 30 + i % 40,
                          "treatedBy": doc, "treatedAt": hosp})
@@ -307,7 +310,7 @@ def test_bulk_load_is_one_command_per_shard_touched(counted):
     sent = _commands(sharded, lambda: loaded.extend(
         sharded.bulk_load(rows)))
     shards = {sharded._owner_of(h.surrogate.id) for h in loaded}
-    assert len(shards) == 2 and sent == len(shards)
+    assert len(shards) == 2 and sent == 2 * len(shards)
     assert sharded.count("Patient") == 700
 
 
@@ -620,9 +623,12 @@ def test_index_ddl_survives_reopen_on_every_shard(tmp_path):
 
 
 def test_sid_reminted_after_a_rollback_replays(tmp_path):
-    """A rolled-back router transaction frees its sids; the shard's log
-    then holds create @k, remove @k, create @k -- the forced-surrogate
-    pin is exact (not a max), on replay as when routed."""
+    """A rolled-back router transaction frees its sids and leaves no
+    trace in the shard's log, which holds the one create of the reminted
+    sid -- the forced-surrogate pin is exact, on replay as when routed."""
+    from repro.storage.fsio import OS_FS
+    from repro.storage.recovery import read_manifest
+    from repro.storage.wal import scan_wal
     directory = str(tmp_path / "shardedstore")
     sharded = ShardedStore(SCHEMA, 1, processes=False,
                            directory=directory, durability="wal")
@@ -633,6 +639,10 @@ def test_sid_reminted_after_a_rollback_replays(tmp_path):
     again = sharded.create("Ward", floor=2, name="kept")
     assert again.surrogate.id == 1
     sharded.close()
+    shard = shard_directory(directory, 0)
+    wal = read_manifest(OS_FS, shard)["wal"]
+    records = scan_wal(OS_FS, os.path.join(shard, wal["file"])).records
+    assert [(r.op, r.fields["sid"]) for r in records] == [("create", 1)]
     reopened = ShardedStore.open(directory, processes=False)
     try:
         assert reopened.get(1).get_value("name") == "kept"
@@ -640,6 +650,83 @@ def test_sid_reminted_after_a_rollback_replays(tmp_path):
                                ).surrogate.id == 2
     finally:
         reopened.close()
+
+
+def _rejected_batch(store):
+    """4 Person rows, 4 Patient rows (another home shard) and a
+    violating row: refused as a whole."""
+    rows = [(cls, {"name": f"{cls}{i}", "age": 30 + i})
+            for cls in ("Person", "Patient") for i in range(4)]
+    with pytest.raises((ConformanceError, ShardWorkerError)):
+        store.bulk_load(rows + [("Person", {"name": "x", "age": 999})],
+                        check="eager")
+
+
+def test_refused_bulk_batch_is_all_or_nothing_across_shards():
+    single = ObjectStore(SCHEMA)
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    try:
+        _rejected_batch(single)
+        _rejected_batch(sharded)
+        for store in (single, sharded):
+            assert (store.count("Person"), store.count("Patient")) == (0, 0)
+            with pytest.raises(NoSuchObjectError):
+                store.get(Surrogate(1))
+            assert store.create("Ward", floor=1, name="w").surrogate.id == 1
+        assert sharded._profile_counts == {"Ward": 1}
+    finally:
+        sharded.close()
+
+
+def test_remove_and_bulk_load_inside_a_transaction(twin):
+    single, sharded = twin
+    for store in (single, sharded):
+        victim = store.extent("Patient")[0]
+        before = len(store), store.count("Patient")
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                store.remove(victim)
+                store.bulk_load([("Ward", {"floor": 1, "name": "w"})],
+                                check="eager")
+                assert store.count("Ward") == 1
+                raise RuntimeError("abort")
+        assert (len(store), store.count("Patient")) == before
+        assert store.count("Ward") == 0
+        assert store.get(victim.surrogate).get_value("name") == "p0"
+        with store.transaction():
+            store.remove(victim)
+        assert store.count("Patient") == before[1] - 1
+    assert _rows(sharded.query("for p in Patient select p.name")[0]) == \
+        _rows(execute_planned("for p in Patient select p.name", single)[0])
+
+
+def test_a_failed_commit_is_not_rolled_back_elsewhere():
+    """Commit is not two-phase: when shard 1 cannot commit, shard 0's
+    part of the scope stands and the router says so, typed."""
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    server = sharded._backends[1].server
+    honest = server.handle
+
+    def commit_fails(cmd):
+        if cmd == {"op": "scope", "action": "commit"}:
+            honest({"op": "scope", "action": "abort"})
+            raise StorageError("disk full")
+        return honest(cmd)
+
+    server.handle = commit_fails
+    try:
+        with pytest.raises(ShardWorkerError) as failure:
+            with sharded.transaction():
+                person = sharded.create("Person", name="a", age=30)
+                patient = sharded.create("Patient", name="b", age=30)
+        assert (failure.value.remote_type, failure.value.shard_id) == \
+            ("StorageError", 1)
+        assert [sharded._owner_of(h.surrogate.id)
+                for h in (person, patient)] == [0, 1]
+        assert person.get_value("name") == "a"
+        assert sharded.count("Person") == 1
+    finally:
+        sharded.close()
 
 
 @pytest.mark.parametrize("policy", ["synced", "flushed", "torn"])
