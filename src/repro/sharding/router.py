@@ -130,8 +130,8 @@ class RemoteHandle:
         return tuple(sorted(self._state()["values"]))
 
     def values_snapshot(self) -> Dict[str, object]:
-        return {name: codec.decode_value(value, self._router.handle)
-                for name, value in self._state()["values"].items()}
+        return codec.decode_values(self._state()["values"],
+                                   self._router.handle)
 
     def __getitem__(self, name: str):
         return self.get_value(name)
@@ -167,26 +167,23 @@ class LocalBackend:
     def recv(self, timeout: Optional[float] = None) -> str:
         return self._pending.pop(0)
 
-    def alive(self) -> bool:
-        return True
-
     def stop(self) -> None:
         self.server.close()
 
 
 class ProcessBackend:
-    """A shard in its own worker process, reached over one duplex pipe
-    carrying the wire texts as bytes: one wake-up per hop, and a dead
-    worker is EOF or a broken pipe -- :class:`ShardCrashedError` at
-    once, not after a poll period.  A pipe ``send`` can block on a
-    worker that is itself blocked sending, so at most one command is in
-    flight: ``send`` refuses while a reply is outstanding (the worker's
-    ready handshake is the first)."""
+    """A shard in its own worker process behind one duplex pipe (a
+    :class:`wire.PipeEnd`: a hop is a write, a poll and a read at each
+    end); a dead worker is EOF or a broken pipe, so ShardCrashedError
+    at once.  A pipe ``send`` can block on a worker that is itself
+    blocked sending, so one command is in flight at most: ``send``
+    refuses while a reply is owed (the ready handshake is the first)."""
 
     def __init__(self, shard_id: int, config: Dict[str, object],
                  ctx) -> None:
         self.shard_id = shard_id
-        self._conn, worker_end = ctx.Pipe()
+        router_end, worker_end = ctx.Pipe()
+        self._pipe = wire.PipeEnd(router_end)
         self._awaiting = True
         self.process = ctx.Process(
             target=shard_worker_main,
@@ -200,7 +197,7 @@ class ProcessBackend:
                 f"shard {self.shard_id} still owes a reply; one command "
                 "is in flight per shard")
         try:
-            self._conn.send_bytes(text.encode("utf-8"))
+            self._pipe.send(text)
         except OSError:
             raise ShardCrashedError(
                 self.shard_id, "worker process died") from None
@@ -208,28 +205,26 @@ class ProcessBackend:
 
     def recv(self, timeout: float = 120.0) -> str:
         try:
-            if not self._conn.poll(timeout):    # a late reply stays owed
+            if not self._pipe.wait(timeout):    # a late reply stays owed
                 raise ShardCrashedError(
-                    self.shard_id, f"no result within {timeout:.0f}s")
+                    self.shard_id, f"no result within {timeout:g}s")
             self._awaiting = False  # a reply, or EOF: a corpse owes nothing
-            return self._conn.recv_bytes().decode("utf-8")
+            return self._pipe.recv()
         except (EOFError, OSError):
             raise ShardCrashedError(
                 self.shard_id, "worker process died") from None
 
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
     def stop(self) -> None:
         """Ask for a clean shutdown (the worker flushes and closes its
-        store before it answers); terminate whatever cannot take it."""
+        store before it answers); kill whatever cannot take it."""
         try:
             self.send(wire.encode_command({"op": "shutdown"}))
             self.recv(timeout=30)
         except ShardingError:
-            self.process.terminate()
-        self.process.join(timeout=5)
-        self._conn.close()
+            self.process.kill()
+        if self._pipe.wait(5):      # EOF: the worker has exited
+            self.process.join()
+        self._pipe.conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -426,14 +421,19 @@ class ShardedStore:
         self._backends[shard_id].send(wire.encode_command(cmd))
 
     def _recv_ok(self, shard_id: int):
-        result = wire.decode_result(self._backends[shard_id].recv())
-        if "seq" in result:     # the single choke point every result
-            self._positions[shard_id] = int(result["seq"])
-        if "error" in result:
-            err = result["error"]
-            raise ShardWorkerError(err["type"], err["msg"],
-                                   shard_id=shard_id)
-        return result["ok"]
+        try:
+            result = wire.decode_result(self._backends[shard_id].recv())
+            if "seq" in result:     # the single choke point every result
+                self._positions[shard_id] = int(result["seq"])
+            if "error" in result:
+                err = result["error"]
+                raise ShardWorkerError(err["type"], err["msg"],
+                                       shard_id=shard_id)
+            return result["ok"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ShardingError(    # typed: a gather drains the others
+                f"shard {shard_id} sent an undecodable reply ({exc!r})"
+            ) from None
 
     def _call(self, shard_id: int, cmd: Dict[str, object]):
         self._send(shard_id, cmd)
@@ -891,21 +891,17 @@ class ShardedStore:
         maps = self._refresh_maps(range(self.n_shards))
         selected: List[int] = []
         for shard_id, shard_map in enumerate(maps):
-            dispatch = False
             used_deduction = False
             for classes, total, clean, _count in shard_map:
                 refuted, via_deduction = profile_refuted(
                     schema, facts, classes, total, clean)
                 if not refuted:
-                    dispatch = True
+                    selected.append(shard_id)
                     break
                 used_deduction = used_deduction or via_deduction
-            if dispatch:
-                selected.append(shard_id)
-            else:
+            else:   # every profile refuted: the shard is pruned
                 self.stats_counters.shards_pruned += 1
-                if used_deduction:
-                    self.stats_counters.deduction_prunes += 1
+                self.stats_counters.deduction_prunes += used_deduction
         return selected
 
     @staticmethod
@@ -952,8 +948,9 @@ class ShardedStore:
             setattr(stats, field, value)
         encoded = ([out["agg"]] if "agg" in out
                    else [values for _sid, values in out["rows"]])
-        return [tuple(codec.decode_value(value, self.handle)
-                      for value in values) for values in encoded], stats
+        return [tuple([codec.decode_value(v, self.handle)   # tagged only
+                       if type(v) is dict else v for v in values])
+                for values in encoded], stats
 
     def _resolve_query(self, query) -> tuple:
         """``(facts, dispatched text, aggregate spec or None)``, cached

@@ -1,16 +1,16 @@
-"""The shard transport's framing: JSON texts and chunk arrays.
+"""The shard transport: the pipe endpoint, JSON texts, chunk arrays.
 
 Every command the router sends to a shard worker -- and every result
-that comes back -- is one JSON text (compact separators, sorted keys
-not required); the commands are op-table requests (:mod:`repro.ops`)
-and their values travel in the one value encoding
-(:mod:`repro.codec`), neither of which this module looks inside.  What
-it owns is the text framing and how partial extents travel: as *chunk
-arrays* -- the bitset's native ``{chunk_index: word}`` form, words
-hex-encoded -- so a 100k-surrogate extent costs a few hundred dict
-entries on the wire instead of 100k ids, and the receiver rebuilds a
-:class:`repro.columnar.SurrogateSet` without ever materializing the
-members.
+that comes back -- is one JSON text from one compact encoder per
+process; the commands are op-table requests (:mod:`repro.ops`) with
+values in the one value encoding (:mod:`repro.codec`), neither of
+which this module looks inside.  It owns the text framing, the pipe
+endpoint both ends carry it over (:class:`PipeEnd`: a hop is a write,
+one ``poll`` on an fd registered once, and a read), and how partial
+extents travel: as *chunk arrays* -- the bitset's ``{chunk_index:
+word}`` form, words in hex -- so a 100k-surrogate extent costs a few
+hundred dict entries instead of 100k ids, and the receiver rebuilds a
+:class:`repro.columnar.SurrogateSet` without materializing members.
 
 The in-process backend round-trips through exactly these JSON texts
 too, so the equivalence property suite exercises the real wire format
@@ -20,30 +20,46 @@ without paying process start-up per Hypothesis example.
 from __future__ import annotations
 
 import json
+import select
 from typing import Dict
 
 from repro.columnar import SurrogateSet
 from repro.errors import StorageError
 
 __all__ = [
-    "decode_chunks", "decode_command", "decode_result",
+    "PipeEnd", "decode_chunks", "decode_command", "decode_result",
     "encode_chunks", "encode_command", "encode_result",
 ]
 
-
-def encode_command(cmd: Dict[str, object]) -> str:
-    return json.dumps(cmd, separators=(",", ":"))
-
-
-def decode_command(text: str) -> Dict[str, object]:
-    return json.loads(text)
-
+#: One encoder per process: one built per call costs microseconds.
+encode_command = json.JSONEncoder(separators=(",", ":")).encode
+decode_command = json.loads
 
 #: Results share the command framing: ``{"ok": payload}`` on success,
 #: ``{"error": {"type": ..., "msg": ...}}`` when the worker's store
 #: raised.
 encode_result = encode_command
 decode_result = decode_command
+
+
+class PipeEnd:
+    """One end of a shard pipe (a ``multiprocessing`` connection)
+    carrying the texts as UTF-8.  Its fd is registered with a poller
+    once, so ``wait`` -- true at a text or at EOF -- is one syscall."""
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self._poller = select.poll()
+        self._poller.register(conn.fileno(), select.POLLIN)
+
+    def wait(self, timeout: float) -> bool:
+        return bool(self._poller.poll(timeout * 1000))   # milliseconds
+
+    def send(self, text: str) -> None:
+        self.conn.send_bytes(text.encode("utf-8"))
+
+    def recv(self) -> str:
+        return self.conn.recv_bytes().decode("utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -141,12 +141,11 @@ class ShardServer:
         # per-shard vector token is updated by the very reply that
         # advanced it; no extra round-trip per write ack.
         try:
-            payload = self.handle(cmd)
+            result = {"ok": self.handle(cmd)}
         except Exception as exc:   # ships the failure back to the router
-            return wire.encode_result({"error": {
-                "type": type(exc).__name__, "msg": str(exc)},
-                "seq": self.position()})
-        return wire.encode_result({"ok": payload, "seq": self.position()})
+            result = {"error": {"type": type(exc).__name__, "msg": str(exc)}}
+        result["seq"] = self.position()
+        return wire.encode_result(result)
 
     def handle(self, cmd: Dict[str, object]):
         op = cmd.get("op")
@@ -291,30 +290,27 @@ def shard_worker_main(shard_id: int, config: Dict[str, object],
     ``fork`` other children of the router inherit its pipe ends, so EOF
     alone is not reliable -- a new parent pid on an idle wake-up."""
     router_pid = os.getppid()
-
-    def send(result: Dict[str, object]) -> None:
-        conn.send_bytes(wire.encode_result(result).encode("utf-8"))
-
+    pipe = wire.PipeEnd(conn)
     try:
         server = ShardServer(shard_id=shard_id, **config)
     except Exception as exc:
-        send({"error": {"type": type(exc).__name__, "msg": str(exc)}})
+        pipe.send(wire.encode_result(
+            {"error": {"type": type(exc).__name__, "msg": str(exc)}}))
         return
-    send({"ok": {"ready": True, "objects": len(server.store)},
-          "seq": server.position()})
+    pipe.send(server.reply({"op": "ping"}))     # the ready handshake
     try:
         while True:
-            while not conn.poll(ORPHAN_CHECK_SECONDS):
+            while not pipe.wait(ORPHAN_CHECK_SECONDS):
                 if os.getppid() != router_pid:
                     raise EOFError("the router exited")
-            cmd = wire.decode_command(conn.recv_bytes().decode("utf-8"))
+            cmd = wire.decode_command(pipe.recv())
             op = cmd.get("op")
             if op == "shutdown":
                 server.close()
-                send({"ok": {}})
+                pipe.send(wire.encode_result({"ok": {}}))
                 return
             if op == "crash":
                 os._exit(1)
-            conn.send_bytes(server.reply(cmd).encode("utf-8"))
+            pipe.send(server.reply(cmd))
     except (EOFError, OSError):     # the router is gone, maybe mid-reply
         server.close()

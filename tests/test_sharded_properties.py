@@ -524,6 +524,76 @@ def test_second_send_with_a_reply_outstanding_is_refused():
         sharded.close()
 
 
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_a_reply_that_times_out_stays_owed(start_method):
+    """The poller's timeout, given in seconds, waits that long; the late
+    reply is still owed, so the next receive returns it and no later
+    question is answered with it."""
+    sharded = ShardedStore(SCHEMA, 2, processes=True,
+                           start_method=start_method)
+    try:
+        sharded.create("Person", name="a", age=30)
+        backend = sharded._backends[0]
+        pid = backend.process.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            sharded._send(0, {"op": "ping"})
+            started = time.monotonic()
+            with pytest.raises(ShardCrashedError, match="no result within"):
+                backend.recv(timeout=0.5)
+            assert 0.45 <= time.monotonic() - started < 5
+            with pytest.raises(ShardingError, match="in flight"):
+                sharded._send(0, {"op": "ping"})
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        assert sharded._recv_ok(0)["shard"] == 0
+        assert sharded.count("Person") == 1
+    finally:
+        sharded.close()
+
+
+@pytest.mark.skipif("fork" not in START_METHODS, reason="needs fork")
+def test_no_selector_is_built_per_hop(monkeypatch):
+    """``multiprocessing.connection.wait`` builds a selector per call;
+    forked workers inherit the patch, so neither end of any hop below
+    -- nor ``close`` -- may go through it."""
+    import multiprocessing.connection
+
+    def no_selectors(*args, **kwargs):
+        raise AssertionError("a selector was built for a shard hop")
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", no_selectors)
+    sharded = ShardedStore(SCHEMA, 2, processes=True, start_method="fork")
+    try:
+        doc = sharded.create("Physician", name="d", age=40,
+                             specialty=EnumSymbol("General"),
+                             broadcast=True)
+        patient = sharded.create("Patient", name="p", age=37,
+                                 treatedBy=doc)
+        sharded.classify(patient, "Hemorrhaging_Patient")
+        sharded.set_value(patient, "age", 38)
+        assert sharded.get(patient.surrogate.id).get_value("age") == 38
+        sharded.bulk_load([("Patient", {"name": f"b{i}", "age": 79})
+                           for i in range(20)])
+        rows, _stats = sharded.query(
+            "for x in Hemorrhaging_Patient where x.age = 38 select x.name")
+        assert rows == [("p",)]
+        rows, _stats = sharded.query(
+            "for p in Patient where p.age > 78 select p.name")
+        assert len(rows) == 20
+        with sharded.transaction():
+            sharded.set_value(patient, "age", 39)
+        with pytest.raises(RuntimeError):
+            with sharded.transaction():
+                sharded.set_value(patient, "age", 40)
+                raise RuntimeError("abort")
+        assert patient.get_value("age") == 39
+    finally:
+        sharded.close()
+    assert not any(backend.process.is_alive()
+                   for backend in sharded._backends)
+
+
 def test_survivors_answer_their_own_questions_after_a_crash():
     """A broadcast that meets a dead shard must drain the replies it
     already asked the live shards for; undrained, every later reply

@@ -341,6 +341,33 @@ def test_closed_store_refuses_every_command(counted):
             call()
 
 
+@pytest.mark.parametrize("garbled", ["{", "[1]", "7", '{"seq": 3}',
+                                     '{"error": "boom"}'])
+def test_an_undecodable_reply_is_typed_and_the_gather_drains(counted,
+                                                             garbled):
+    """Shard 0's answer to one ``count`` is not a result envelope: a
+    ``ShardingError`` naming the shard, raised after the other shards'
+    replies are drained -- so none of them answers the previous
+    question later."""
+    sharded, _doc, _hosp = counted
+    sharded.create("Patient", name="p", age=30)
+    backend = sharded._backends[0]
+    real_recv = backend.recv
+
+    def recv_once_garbled(timeout=None):
+        real_recv(timeout)      # the real reply arrived, then got mangled
+        backend.recv = real_recv
+        return garbled
+
+    backend.recv = recv_once_garbled
+    with pytest.raises(ShardingError, match="shard 0") as caught:
+        sharded.count("Patient")
+    assert not isinstance(caught.value, ShardWorkerError)
+    for shard_id in range(sharded.n_shards):
+        assert sharded._call(shard_id, {"op": "ping"})["shard"] == shard_id
+    assert sharded.count("Patient") == 1
+
+
 # --------------------------------------------------------------------------
 # Pruning pre-pass units
 # --------------------------------------------------------------------------
