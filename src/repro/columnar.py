@@ -566,9 +566,15 @@ class ObjectColumns(FrozenColumns):
         chunk[sid] = (surrogate, memberships, values)
 
     def drop(self, sid: int, stamp: int) -> None:
-        chunk = self._writable_chunk(sid >> _COL_SHIFT, stamp)
+        key = sid >> _COL_SHIFT
+        chunk = self._writable_chunk(key, stamp)
         if chunk.pop(sid, None) is not None:
             self._count -= 1
+        if not chunk:
+            # Ids are never reused: an emptied chunk would stay in the
+            # table, and every privatization would copy it, forever.
+            del self._chunks[key]
+            del self._chunk_stamp[key]
 
     def reinstall(self, frozen: FrozenColumns) -> None:
         """Point the table back at a captured one (scope rollback).  The

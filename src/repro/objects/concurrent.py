@@ -119,7 +119,8 @@ class ConcurrentStore:
         return self.snapshot().is_member(obj, class_name)
 
     def stats(self):
-        """Epoch-consistent stats from the newest available snapshot."""
+        """The newest available snapshot's stats: that epoch's gauges,
+        counters as of the call."""
         return self.snapshot().stats()
 
     def __len__(self) -> int:

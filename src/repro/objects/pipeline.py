@@ -57,11 +57,12 @@ from repro.errors import (
     SchemaEvolutionError,
     UnknownClassError,
 )
+from repro.lang import print_schema
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
 from repro.schema.diff import EvolutionRegion, affected_region, diff_schemas
 from repro.schema.evolution import apply_change
-from repro.semantics.checker import Violation
+from repro.semantics.checker import Violation, expand_signature
 from repro.typesys.values import INAPPLICABLE, is_entity
 
 
@@ -280,7 +281,6 @@ class AlterClassCommand(MutationCommand):
         return self.result
 
     def journal(self, pipe, journal):
-        from repro.lang import print_schema
         # The whole successor schema rides in the record: replay needs no
         # out-of-band state, and the CDL print/load round-trip is the
         # same one checkpoints already depend on.
@@ -967,7 +967,6 @@ class MutationPipeline:
         maps a direct-membership signature to its new members' sids.
         Each class grows once, by the union of one bitset per signature
         whose IS-A closure contains it."""
-        from repro.semantics.checker import expand_signature
         store = self.store
         by_class: Dict[str, List[SurrogateSet]] = {}
         for signature, sids in groups.items():

@@ -48,6 +48,7 @@ from repro.columnar import SurrogateSet
 from repro.errors import NoSuchObjectError, UnknownClassError
 from repro.objects.surrogate import Surrogate
 from repro.query.indexes import IndexManager
+from repro.query.planner import execute_planned
 from repro.typesys.values import INAPPLICABLE
 
 #: Shared empty result.
@@ -144,6 +145,8 @@ class StoreSnapshot:
     Build through ``store.snapshot()`` -- it serializes with writers,
     reuses the cached snapshot when the epoch has not moved, and advances
     the copy-on-write stamp that keeps the captured references frozen.
+    A capture takes references and two lengths, nothing else: ``stats()``
+    derives the epoch's gauges from them and reads counters live.
     """
 
     def __init__(self, store, prior: Optional["StoreSnapshot"]) -> None:
@@ -166,19 +169,15 @@ class StoreSnapshot:
         self._objects = store._columns.capture()
         self._extents: Dict[str, object] = dict(store._extents)
         self.indexes = SnapshotIndexes(store.indexes)
-        # Gauges, captured as plain ints (the live maps move on).
-        self._extent_entries = sum(
-            len(members) for members in self._extents.values())
+        # The two gauges whose live maps move on; the others are
+        # computed from the captured state when stats() runs.
         self._n_virtual_refs = len(store._virtual_refs)
         self._n_dirty = len(store._dirty)
-        self._n_indexes = len(store.indexes)
-        self._plans_in_cache = len(store.indexes.plan_cache)
-        self._counters = store.checker.stats.snapshot()
-        self._query_counters = store.indexes.qstats.snapshot()
-        # The store's injected sink (defaults to the process-wide
-        # BITSET_STATS) -- so a snapshot taken inside a shard worker
-        # reports that worker's own algebra counters.
-        self._bitset_counters = store.bitset_stats.snapshot()
+        # Counters are read when stats() runs, from the live objects.
+        # The bitset sink is the store's (by default the process-wide
+        # BITSET_STATS), so a shard worker reports its own counters.
+        self._engine_stats = store.checker.stats
+        self._bitset_stats = store.bitset_stats
         # Lazy, idempotently-populated caches (thread-shared).
         self._wrappers: Dict[object, SnapshotInstance] = {}
         self._extent_rows: Dict[str, Tuple[SnapshotInstance, ...]] = {}
@@ -278,44 +277,32 @@ class StoreSnapshot:
         """Plan-cache-aware query execution against this epoch; returns
         ``(rows, ExecutionStats)`` exactly like
         :func:`repro.query.planner.execute_planned` on a live store."""
-        from repro.query.planner import execute_planned
         return execute_planned(query, self, **compile_kwargs)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
-    def stats(self, live_counters: Optional[Dict] = None,
-              live_query: Optional[Dict] = None,
-              live_bitset: Optional[Dict] = None,
-              n_indexes: Optional[int] = None,
-              plans_in_cache: Optional[int] = None) -> Dict[str, object]:
-        """The store's ``stats()`` dict as of this epoch.
+    def stats(self) -> Dict[str, object]:
+        """The store's ``stats()`` dict: gauges as of this epoch,
+        counters as of the call.
 
-        Gauges (object/extent/dirty/refcount populations) always come
-        from the captured state.  Counters default to their captured
-        values; the live store passes its current ones instead (they are
-        monotone and tick on read-only work the epoch never sees).
+        Gauges (object/extent/dirty/refcount/index populations) come
+        from the captured state.  Counters, and the size of the plan
+        cache every epoch shares, are read from the live objects: they
+        are monotone and tick on read-only work no epoch records.
         """
-        snap = dict(live_counters if live_counters is not None
-                    else self._counters)
+        snap = self._engine_stats.snapshot()
         snap["schema_epoch"] = self.schema_epoch
         snap["objects"] = len(self._objects)
-        snap["extent_entries"] = self._extent_entries
+        snap["extent_entries"] = sum(map(len, self._extents.values()))
         snap["virtual_refs"] = self._n_virtual_refs
         snap["dirty_objects"] = self._n_dirty
-        snap["indexes"] = (n_indexes if n_indexes is not None
-                           else self._n_indexes)
-        snap["plans_in_cache"] = (
-            plans_in_cache if plans_in_cache is not None
-            else self._plans_in_cache)
-        query_counters = (live_query if live_query is not None
-                          else self._query_counters)
-        for name, value in query_counters.items():
+        snap["indexes"] = len(self.indexes)
+        snap["plans_in_cache"] = len(self.indexes.plan_cache)
+        for name, value in self.indexes.qstats.snapshot().items():
             snap[f"query.{name}"] = value
-        bitset_counters = (live_bitset if live_bitset is not None
-                           else self._bitset_counters)
-        for name, value in bitset_counters.items():
+        for name, value in self._bitset_stats.snapshot().items():
             snap[f"bitset.{name}"] = value
         return snap
 

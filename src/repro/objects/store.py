@@ -86,9 +86,11 @@ from repro.objects.pipeline import (
     ValidateCommand,
     _MISSING,
 )
+from repro.objects.snapshot import StoreSnapshot
 from repro.objects.surrogate import Surrogate, SurrogateAllocator
 from repro.query.indexes import IndexManager, StoreIndex
 from repro.schema.attribute import AttributeDef, ExcuseRef
+from repro.schema.builder import as_type
 from repro.schema.classdef import ClassDef
 from repro.schema.epochs import SchemaEpochRegistry
 from repro.schema.schema import Schema
@@ -192,13 +194,7 @@ class ObjectStore:
         no epoch records).
         """
         with self._write_lock:
-            snap = self.snapshot()
-            return snap.stats(
-                live_counters=self.checker.stats.snapshot(),
-                live_query=self.indexes.qstats.snapshot(),
-                live_bitset=self.bitset_stats.snapshot(),
-                n_indexes=len(self.indexes),
-                plans_in_cache=len(self.indexes.plan_cache))
+            return self.snapshot().stats()
 
     def _mark_dirty(self, obj: Instance,
                     attribute: Optional[str] = None) -> None:
@@ -228,7 +224,6 @@ class ObjectStore:
         lock.  Inside a transaction scope the pre-transaction epoch is
         served -- a snapshot never exposes uncommitted state.
         """
-        from repro.objects.snapshot import StoreSnapshot
         with self._write_lock:
             cached = self._snapshot_cache
             if cached is not None and (
@@ -433,7 +428,6 @@ class ObjectStore:
         declaration of the attribute keeps its other excuses; the range
         is replaced.  Runs through :meth:`alter_class`.
         """
-        from repro.schema.builder import as_type
         cdef = self.schema.get(class_name)
         refs: List[ExcuseRef] = []
         existing = cdef.attribute(attribute)

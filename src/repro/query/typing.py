@@ -68,6 +68,7 @@ from repro.typesys.core import (
     Type,
 )
 from repro.typesys.operations import disjoint, meet
+from repro.typesys.subtyping import is_subtype
 from repro.typesys.values import EnumSymbol
 
 
@@ -249,7 +250,6 @@ class QueryTyper:
 
     def _infer_aggregate(self, expr: Aggregate, env: Dict[str, str],
                          facts: FlowFacts) -> List[Possibility]:
-        from repro.typesys.core import REAL
         if expr.operand is None:
             return [Possibility("scalar", INTEGER)]
         operand_poss = self.infer(expr.operand, env, facts)
@@ -696,7 +696,6 @@ class QueryTyper:
             return all(
                 any(self.schema.is_subclass(bp, ap) for bp in b.pos)
                 for ap in a.pos)
-        from repro.typesys.subtyping import is_subtype
         return is_subtype(b.type, a.type, self.schema)
 
     def _finding(self, severity: str, expr: Expr, reason: str,

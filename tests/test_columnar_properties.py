@@ -526,3 +526,46 @@ def test_random_schemas_three_way(data):
         query = f"for x in {source}{where} select {select}"
 
         _compiled_equals_scan(store, query)
+
+
+# --------------------------------------------------------------------------
+# Part 3: the column table holds the chunks of live objects only
+# --------------------------------------------------------------------------
+
+def _live_chunk_keys(store):
+    return {obj.surrogate.id >> columnar._COL_SHIFT
+            for obj in store.instances()}
+
+
+def test_emptied_column_chunks_leave_the_table():
+    """Ids are never reused, so bulk/remove cycles must not grow the
+    table the first write after each capture copies."""
+    store = ObjectStore(build_hospital_schema())
+    survivors = []
+    for cycle in range(6):
+        store.bulk_load([{"class": "Person", "name": f"b{cycle}.{i}"}
+                         for i in range(300)])
+        batch = [obj for obj in store.extent("Person")
+                 if obj not in survivors]
+        survivors.append(batch[-1])
+        for obj in batch[:-1]:
+            store.remove(obj)
+        assert set(store._columns._chunks) == _live_chunk_keys(store)
+    # An open snapshot still reads the rows the table dropped.
+    last = survivors[-1]
+    snap = store.snapshot()
+    store.remove(last)
+    assert set(store._columns._chunks) == _live_chunk_keys(store)
+    assert snap.get(last.surrogate).get_value("name") == "b5.299"
+    assert len(snap) == len(survivors)
+    # A rolled-back scope restores the chunks it emptied.
+    table = dict(store._columns._chunks)
+    with pytest.raises(_Abort):
+        with transaction(store):
+            for obj in survivors[:-1]:
+                store.remove(obj)
+            assert not store._columns._chunks
+            raise _Abort
+    assert store._columns._chunks == table
+    assert [store.get(obj.surrogate) for obj in survivors[:-1]] \
+        == survivors[:-1]

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConformanceError
-from repro.objects import ConcurrentStore, ObjectStore
+from repro.objects import CheckMode, ConcurrentStore, ObjectStore
 from repro.scenarios import build_hospital_schema
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
@@ -303,3 +303,71 @@ def test_readers_race_to_build_one_snapshots_row_lists():
         assert row_list is leader[1]
         # `select p` handed out the snapshot's one wrapper per object.
         assert all(a[0] is b[0] for a, b in zip(rows[0], leader[0][0]))
+
+
+def test_stats_gauges_come_from_one_epoch():
+    """Readers call ``stats()`` while a writer commits: every dict's
+    gauges are one committed epoch's, and a reader's counters (read
+    live) never go backwards."""
+    store = ObjectStore(SCHEMA, check_mode=CheckMode.DEFERRED)
+    address = store.create("Address", city="Zurich")
+    store.set_value(address, "country", EnumSymbol("Switzerland"))
+    swiss = store.create("Hospital", location=address)
+    tb = store.create("Tubercular_Patient", name="t", age=40)
+    shared = ConcurrentStore(store)
+    gauges = ("objects", "extent_entries", "dirty_objects", "virtual_refs",
+              "indexes")
+
+    def gauges_of(stats):
+        return tuple(stats[name] for name in gauges)
+
+    committed = {gauges_of(store.stats())}
+    stop = threading.Event()
+    seen: list = []
+    errors: list = []
+
+    def reader():
+        mine = []
+        try:
+            while not stop.is_set():
+                mine.append(shared.stats())
+        except BaseException as exc:
+            errors.append(exc)
+        seen.append(mine)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    for t in readers:
+        t.start()
+    try:
+        person = None
+        for i in range(150):
+            step = i % 6
+            if step == 0:
+                person = shared.create("Person", name=f"p{i}", age=30)
+            elif step == 1:
+                shared.classify(person, "Patient")
+            elif step == 2:
+                if "age" in store.indexes:
+                    shared.drop_index("age")
+                else:
+                    shared.create_index("age")
+            elif step == 3:
+                shared.set_value(tb, "treatedAt", swiss)
+            elif step == 4:
+                shared.unset_value(tb, "treatedAt")
+            else:
+                shared.validate_dirty()
+            committed.add(gauges_of(store.stats()))
+    finally:
+        stop.set()
+        for t in readers:
+            t.join()
+    assert not errors, errors[0]
+    assert len(committed) > 100
+    for mine in seen:
+        assert mine
+        for stats in mine:
+            assert gauges_of(stats) in committed, stats
+        for name in ("writes", "classifies", "snapshots_built"):
+            series = [stats[name] for stats in mine]
+            assert series == sorted(series), name

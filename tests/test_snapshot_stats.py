@@ -1,17 +1,20 @@
 """What ``stats()`` reports, on the live store and on its snapshots.
 
 A fixed trace pins ``store.stats()`` key for key, so a change to how a
-snapshot captures or reports its state cannot move the output.
+snapshot captures or reports its state cannot move the output.  A
+snapshot's gauges are its epoch's; its counters are read at the call.
 """
 
 import pytest
 
 from repro.columnar import BitsetStats
 from repro.errors import ConformanceError
-from repro.objects import ObjectStore
+from repro.obs import EngineStats, _Counters
+from repro.objects import CheckMode, ObjectStore
 from repro.objects.transactions import transaction
 from repro.query.compiler import _code_object
 from repro.scenarios.hospital import build_hospital_schema
+from repro.typesys import EnumSymbol
 
 
 def run_trace():
@@ -76,3 +79,62 @@ PINNED_STATS = {
 
 def test_store_stats_on_a_fixed_trace():
     assert run_trace() == PINNED_STATS
+
+
+def test_fresh_snapshots_copy_no_counters(monkeypatch):
+    """A capture takes references: the counter dicts are built when
+    ``stats()`` runs, never per epoch."""
+    calls = []
+
+    def counting(original):
+        def snapshot(self):
+            calls.append(type(self).__name__)
+            return original(self)
+        return snapshot
+
+    monkeypatch.setattr(EngineStats, "snapshot",
+                        counting(EngineStats.snapshot))
+    monkeypatch.setattr(_Counters, "snapshot", counting(_Counters.snapshot))
+    store = ObjectStore(build_hospital_schema())
+    store.create_index("age")
+    person = store.create("Person", name="a", age=30)
+    built = store.checker.stats.snapshots_built
+    for age in range(31, 51):
+        store.set_value(person, "age", age)
+        before = len(calls)
+        store.snapshot()
+        assert len(calls) == before
+    assert store.checker.stats.snapshots_built == built + 20
+    store.stats()
+    assert sorted(set(calls)) == ["BitsetStats", "EngineStats", "QueryStats"]
+
+
+def _swiss_hospital(store):
+    address = store.create("Address", check=CheckMode.NONE, city="Zurich")
+    store.set_value(address, "country", EnumSymbol("Switzerland"),
+                    check=CheckMode.NONE)
+    return store.create("Hospital", check=CheckMode.NONE, location=address)
+
+
+def test_snapshot_stats_gauges_are_the_epochs_counters_are_live():
+    store = ObjectStore(build_hospital_schema(),
+                        check_mode=CheckMode.DEFERRED,
+                        bitset_stats=BitsetStats())
+    doc = store.create("Physician", name="doc", age=50)
+    store.create("Patient", name="p", age=30, treatedBy=doc)
+    snap = store.snapshot()
+    gauges = ("objects", "extent_entries", "dirty_objects", "virtual_refs",
+              "indexes")
+    then = snap.stats()
+    store.create_index("age")
+    tb = store.create("Tubercular_Patient", name="t", age=40, treatedBy=doc)
+    store.set_value(tb, "treatedAt", _swiss_hospital(store))
+    store.run_query("for p in Patient where p.age = 40 select p.name")
+    live = store.stats()
+    now = snap.stats()
+    assert {g: now[g] for g in gauges} == {g: then[g] for g in gauges}
+    assert all(live[g] > then[g] for g in gauges), (then, live)
+    counters = [k for k in live if k not in gauges + ("schema_epoch",)]
+    assert {k: now[k] for k in counters} == {k: live[k] for k in counters}
+    assert now["writes"] > then["writes"]
+    assert now["query.plan_misses"] == then["query.plan_misses"] + 1
