@@ -555,7 +555,9 @@ class ObjectColumns(FrozenColumns):
             self._chunks[key] = chunk
             self._chunk_stamp[key] = stamp
             return chunk
-        return self._chunks[key]
+        # A chunk drop() emptied this generation is gone; its successor
+        # is private too.
+        return self._chunks.setdefault(key, {})
 
     def put(self, surrogate: Surrogate, memberships, values,
             stamp: int) -> None:
@@ -574,7 +576,6 @@ class ObjectColumns(FrozenColumns):
             # Ids are never reused: an emptied chunk would stay in the
             # table, and every privatization would copy it, forever.
             del self._chunks[key]
-            del self._chunk_stamp[key]
 
     def reinstall(self, frozen: FrozenColumns) -> None:
         """Point the table back at a captured one (scope rollback).  The
