@@ -555,8 +555,7 @@ class ObjectColumns(FrozenColumns):
             self._chunks[key] = chunk
             self._chunk_stamp[key] = stamp
             return chunk
-        # A chunk drop() emptied this generation is gone; its successor
-        # is private too.
+        # (A chunk drop() emptied is gone; a new one is private too.)
         return self._chunks.setdefault(key, {})
 
     def put(self, surrogate: Surrogate, memberships, values,

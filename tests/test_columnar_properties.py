@@ -569,3 +569,10 @@ def test_emptied_column_chunks_leave_the_table():
     assert store._columns._chunks == table
     assert [store.get(obj.surrogate) for obj in survivors[:-1]] \
         == survivors[:-1]
+    # Emptied and refilled within one generation: the writer's own chunk.
+    snap = store.snapshot()
+    store.remove(store.create("Person", name="x"))
+    fresh = store.create("Person", name="y")
+    assert set(store._columns._chunks) == _live_chunk_keys(store)
+    assert fresh.surrogate not in snap
+    assert len(snap) == len(survivors) - 1
