@@ -424,7 +424,8 @@ class CompiledQuery:
     def loop_source(self, where: bool = True) -> List[str]:
         """Body lines of the row loop: consume the local ``state`` -- a
         sized sequence of ``(ref, memberships, values)`` -- fill
-        ``stats`` and return the result rows.  ``where=False`` is the
+        ``stats`` (``rows_scanned``/``rows_skipped`` add to what a proven
+        run counted) and return the result rows.  ``where=False`` is the
         same template minus the where block, for visit sets already
         proven to satisfy it."""
         emitter = self.emitter
@@ -462,9 +463,9 @@ class CompiledQuery:
             "checks = skipped = 0",
             "for ref, memberships, values in state:",
             *indent(row),
-            "stats.rows_scanned = len(state)",
+            "stats.rows_scanned += len(state)",
             f"stats.rows_returned = {returned}",
-            "stats.rows_skipped = skipped",
+            "stats.rows_skipped += skipped",
             "stats.checks_executed = checks",
             f"return {result}",
         ]

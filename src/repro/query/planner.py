@@ -20,12 +20,12 @@ in ``rows_skipped``) when a guarded access hits INAPPLICABLE, and the
 planner must reproduce that behaviour bit for bit.  Two rules make the
 indexed plan provably scan-equivalent:
 
-1. **Skip rows are visited, not pruned.**  For every pushed equality the
-   executor unions in the index's INAPPLICABLE posting (restricted to
-   the candidates so far) *before* intersecting with the value posting;
-   a range adds its residue and the buckets whose comparison raised.
-   Those rows are then run through the unchanged compiled ``where``
-   expression, which skips/raises/nulls them exactly as the scan would.
+1. **Skip rows are never pruned.**  For every pushed equality the
+   executor takes the index's INAPPLICABLE posting (restricted to the
+   candidates so far) aside *before* intersecting with the value
+   posting; a range adds its residue and the buckets whose comparison
+   raised.  The row loop skips/raises/nulls them as the scan would; a
+   run that proves its rows under ``"skip"`` counts them instead.
 2. **A pushdown is only legal while the residual prefix cannot skip.**
    Conjuncts are evaluated left to right with short-circuit ``and``; a
    row pruned by conjunct *j* is silently dropped by the scan only if no
@@ -35,10 +35,10 @@ indexed plan provably scan-equivalent:
    conjuncts themselves never break the rule: memberships cannot skip,
    and equalities and ranges contribute their skip rows to the visit set.
 
-Rows that survive pruning run through the same generated row loop as
-the scan, over the surrogate-sorted visit set, so results, order, and
-``rows_skipped`` all match the full scan exactly (property-tested in
-``tests/test_planner_equivalence_properties.py``).
+Rows that survive pruning run the scan's generated row loop (minus the
+``where`` in a run that proved them) over the surrogate-sorted visit
+set, so results, order, and ``rows_skipped`` match the full scan
+(property-tested in ``tests/test_planner_equivalence_properties.py``).
 
 Costing is deliberately simple: posting sizes and ``store.count()`` are
 exact, so the executor compares the materialized visit set against the
@@ -156,6 +156,7 @@ class QueryPlan:
                 lines.append(
                     f"             falls back to the full scan: {keys} keys"
                     f" x {RANGE_KEY_ROWS} >= {rows} extent rows")
+            lines.append(f"             loop: {self._loop(p, manager)}")
         for text in self.residual:
             lines.append(f"  [residual] {text}  -- guarded row loop")
         for text, reason in self.blocked:
@@ -170,6 +171,24 @@ class QueryPlan:
                 f"{qstats.compiled_execs} generated execution(s), "
                 f"{qstats.sources_compiled} source(s) compiled")
         return "\n".join(lines)
+
+    def _loop(self, p: Pushdown, manager) -> str:
+        """Which row loop a pruning run takes, and why (_prune_or_scan)."""
+        policy = self.compiled.emitter.on_unsafe
+        if self.residual or self.compiled.aggregates is not None:
+            return ("visits skip rows: a residual conjunct or an aggregate"
+                    " reads every row")
+        if policy != "skip" and any(q.attribute for q in self.pushdowns):
+            return (f"visits skip rows: on_unsafe={policy!r} must see them"
+                    " (proves its rows when there are none)")
+        unsure = 0
+        if p.attribute in manager:
+            unsure = len(manager.residue(p.attribute)) + (len(manager.range(
+                p.attribute, p.value, p.op, p.const_left)[1])
+                if p.kind == "range" else 0)
+        return (f"visits skip rows: {unsure} residue or unorderable rows "
+                "may meet the candidates" if unsure
+                else "proves its rows; skip rows counted")
 
     def _estimate(self, p: Pushdown, store) -> int:
         manager = store.indexes
@@ -346,13 +365,17 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     compiled, pushdowns = plan.compiled, plan.pushdowns
     probes = any(p.attribute for p in pushdowns)
     # When every where conjunct was pushed down (empty residual) and no
-    # aggregates fold, a candidate reached through *exact* value
-    # postings -- no residue merged, no INAPPLICABLE rows to visit -- is
-    # already proven to satisfy the whole where clause: its value sits
-    # in the probe's hash bucket (same ``==`` the comparison uses) and
-    # memberships were intersected directly.  Such runs take the
-    # where-free loop; any residue/skip contamination re-checks.  A range
-    # (a walk) proves nothing: its visited rows always run the where.
+    # aggregates fold, an *exact* run -- no residue row and no
+    # unorderable bucket met the candidates -- proves them: each value
+    # sits in a bucket whose key satisfies its conjunct (`==` as the
+    # scan compares; a range key orders as its values do, SEMANTICS §8)
+    # and memberships were intersected directly, so they take the
+    # where-free loop.  Each skip row passed every earlier conjunct and
+    # is INAPPLICABLE on its own: under "skip" the run counts it in
+    # rows_skipped and in rows_scanned (still the visit set's size)
+    # without visiting it; under "null" and "raise" it must be visited,
+    # so only a run without any proves.  Everything else visits
+    # cand | skips through the guarded loop.
     estimates, guards, walks = [], [], []
     for i, p in enumerate(pushdowns):
         if p.attribute:
@@ -368,7 +391,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         else:
             env[f"_c{i}"] = p.class_name
             estimates.append(f"store.count(_c{i})")
-    no_where = not plan.residual and compiled.aggregates is None and not walks
+    no_where = not plan.residual and compiled.aggregates is None
     lines = ["visit = None"]
     if no_where:
         lines.append("proven = False")
@@ -390,33 +413,28 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         steps.append("skips = None")
     if no_where and probes:
         steps.append("exact = True")
+    # Residue and unorderable rows: visited, and the run is inexact.
+    inexact = ["    exact = False"] if no_where else []
     for i, p in enumerate(pushdowns):
+        inap = f"inap = manager.inapplicable(_a{i}) & cand"
         if p.kind == "range":
             steps += [
                 f"hits, unordered = manager.range(_a{i}, _v{i}, *_r{i})",
-                f"inap = (manager.inapplicable(_a{i}) | "
-                f"manager.residue(_a{i}) | unordered) & cand",
+                inap,
+                f"res = (manager.residue(_a{i}) | unordered) & cand",
+                "if res:", "    inap = inap | res", *inexact,
                 "skips = inap if skips is None else skips | inap",
                 "cand = hits & cand",
             ]
         elif p.kind == "eq":
             steps += [
-                f"inap = manager.inapplicable(_a{i}) & cand",
+                inap,
                 "skips = inap if skips is None else skips | inap",
                 f"matched = manager.lookup(_a{i}, _v{i}) & cand",
-                f"residue = manager.residue(_a{i})",
-                "if residue:",
+                f"res = manager.residue(_a{i}) & cand",
+                "if res:", "    matched = matched | res", *inexact,
+                "cand = matched",
             ]
-            if no_where:
-                steps += [
-                    "    res = residue & cand",
-                    "    if res:",
-                    "        matched = matched | res",
-                    "        exact = False",
-                ]
-            else:
-                steps.append("    matched = matched | (residue & cand)")
-            steps.append("cand = matched")
         elif p.kind == "member":
             steps.append(f"cand = cand & store.extent_surrogates(_c{i})")
         else:
@@ -424,16 +442,21 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     steps += [
         f"qstats.index_lookups += {len(pushdowns)}",
         f"stats.index_lookups = {len(pushdowns)}",
-        # Skip rows are visited, not pruned (module docstring, rule 1).
-        "visit = cand | skips" if probes else "visit = cand",
-        "pruned = scan_rows - len(visit)",
-        "if pruned <= 0:",
-        "    visit = None",
+        # cand and skips are disjoint: a row is in one posting per index.
+        "pruned = scan_rows - len(cand)" + (" - len(skips)" if probes
+                                             else ""),
     ]
-    if no_where:
-        # Membership-only pushdowns are always exact.
-        steps += ["else:", "    proven = exact and not skips" if probes
-                  else "    proven = True"]
+    visit = "    visit = cand | skips" if probes else "    visit = cand"
+    if no_where and probes and compiled.emitter.on_unsafe == "skip":
+        steps += ["if pruned > 0 and exact:", "    proven = True",
+                  "    visit = cand",
+                  "    stats.rows_scanned = stats.rows_skipped = len(skips)",
+                  "elif pruned > 0:", visit]
+    else:
+        steps += ["if pruned > 0:", visit]
+        if no_where:
+            steps.append("    proven = exact and not skips" if probes
+                         else "    proven = True")
     algebra += indent(steps)
     # Stale-design guard first: every pushed equality or range still
     # needs its index.

@@ -15,9 +15,10 @@ the tests as what "the same answer" means:
   here independently of the emitter;
 * :func:`reference_execute_plan` walks ``plan.pushdowns`` one at a time
   with ordinary set algebra, including the two exactness rules of
-  ``planner``'s docstring (skip rows are visited; the where-free loop
-  only over exact, skip-free visit sets) and a range's own reading of
-  the bucket keys.
+  ``planner``'s docstring (skip rows are never pruned; the where-free
+  loop only over exact runs, whose skip rows are counted under "skip"
+  and must be absent under "null"/"raise") and a range's own reading
+  of the bucket keys.
 
 :func:`reference_query_op` is the ``query`` op row as it was before
 wire plans, the oracle for the reply shapes at every edge.
@@ -325,7 +326,7 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
     if usable:
         cand = set(extent)
         skips: set = set()
-        exact = not any(p.kind == "range" for p in pushdowns)
+        exact = True
         for p in pushdowns:
             if p.kind == "range":
                 # Each key compared as the scan compares, in the
@@ -343,11 +344,12 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
                         continue
                     if holds:
                         matched |= set(bucket)
-                skips |= (set(manager.inapplicable(p.attribute))
-                          | set(manager.residue(p.attribute)) | raised) & cand
+                unsure = (set(manager.residue(p.attribute)) | raised) & cand
+                exact = exact and not unsure
+                skips |= set(manager.inapplicable(p.attribute)) & cand | unsure
                 cand &= matched
             elif p.kind == "eq":
-                # Rule 1: rows the scan would skip are visited.
+                # Rule 1: rows the scan would skip are never pruned.
                 skips |= set(manager.inapplicable(p.attribute)) & cand
                 matched = set(manager.lookup(p.attribute, p.value)) & cand
                 residue = set(manager.residue(p.attribute)) & cand
@@ -364,8 +366,13 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
         pruned = len(extent) - len(visit)
         if pruned > 0:
             stats.rows_pruned = pruned
+            # An exact run's skip rows fail their own conjunct: under
+            # "skip" they are counted unvisited, else they must be absent.
             proven = (not plan.residual and compiled.aggregates is None
-                      and exact and not skips)
+                      and exact and (on_unsafe == "skip" or not skips))
+            if proven:
+                visit = cand
+                stats.rows_scanned = stats.rows_skipped = len(skips)
             objects = [store.get(s) for s in sorted(visit)]
             return run_rows(reference, store, objects, stats,
                             where=not proven), stats

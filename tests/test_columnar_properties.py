@@ -29,7 +29,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro import columnar
 from repro.columnar import (
-    _SPARSE_BITS,
+    _SPARSE_SHIFT,
     CHUNK_BITS,
     ObjectColumns,
     SurrogateSet,
@@ -124,16 +124,19 @@ def test_surrogate_set_algebra_matches_set_algebra(a, b):
 
 _N_CHUNKS = 3
 _SPAN = _N_CHUNKS * CHUNK_BITS
+#: The sparse/dense popcount of a chunk whose top bit is set.
+_SPARSE = CHUNK_BITS >> _SPARSE_SHIFT
 
 _ranges = st.tuples(st.integers(0, _SPAN - 1), st.integers(1, CHUNK_BITS)).map(
     lambda t: range(t[0], min(t[0] + t[1], _SPAN)))
 
 _at_threshold = st.tuples(
     st.integers(0, _N_CHUNKS - 1),
-    st.sampled_from((_SPARSE_BITS - 1, _SPARSE_BITS, _SPARSE_BITS + 1)),
-).flatmap(lambda kc: st.sets(st.integers(0, CHUNK_BITS - 1), min_size=kc[1],
-                             max_size=kc[1]).map(
-    lambda bits: {kc[0] * CHUNK_BITS + bit for bit in bits}))
+    st.sampled_from((_SPARSE - 1, _SPARSE, _SPARSE + 1)),
+).flatmap(lambda kc: st.sets(st.integers(0, CHUNK_BITS - 2),
+                             min_size=kc[1] - 1, max_size=kc[1] - 1).map(
+    lambda bits: {kc[0] * CHUNK_BITS + bit
+                  for bit in bits | {CHUNK_BITS - 1}}))
 
 _chunk_edges = st.sets(st.sampled_from([
     key * CHUNK_BITS + bit for key in range(_N_CHUNKS)

@@ -14,8 +14,11 @@ Range conjuncts (``<``, ``<=``, ``>``, ``>=``, the constant on either
 side) meet populations whose ages come from a small pool, so the bucket
 walk pays, and whose ``Estimated_Age_Patient`` members hold the excuse
 branch's string age, so some buckets do not order against the constant.
+Wheres that push down whole meet the same populations: those runs may
+prove their rows and count their skip rows instead of visiting them.
+Every plan also agrees with the guarded scan on rows and skips.
 
-Six seeded mutants of the generated side must each be killed within a
+Eight seeded mutants of the generated side must each be killed within a
 bounded, derandomized run; one that survives is a generator bug.
 """
 
@@ -50,7 +53,7 @@ from repro.query.ast import (
     Query,
     Var,
 )
-from repro.query.compiler import _Emitter
+from repro.query.compiler import QueryRuntimeError, _Emitter
 from repro.scenarios import populate_hospital
 from repro.scenarios.hospital import HOSPITAL_CDL
 from repro.typesys import EnumSymbol
@@ -161,6 +164,12 @@ _range_cases = _cases_over(
     _range_where, (16, 28), _age_pools,
     st.sets(st.sampled_from(INDEXABLE), max_size=2).map(
         lambda s: s | {"age"}), ("age",) + UNSETTABLE)
+#: The same populations under wheres that push down whole: the runs
+#: that may prove their rows.
+_proven_cases = _cases_over(
+    st.lists(_sargable, min_size=1, max_size=3).map(_conjoin), (16, 28),
+    _age_pools, st.sets(st.sampled_from(INDEXABLE), max_size=2).map(
+        lambda s: s | {"age"}), ("age",) + UNSETTABLE)
 
 
 def _world(case):
@@ -195,6 +204,13 @@ def _outcome(run):
         return type(exc)
 
 
+def _observed(outcome):
+    """What the scan and any plan must agree on: rows and skips, or the
+    error type."""
+    return outcome if isinstance(outcome, type) else (
+        outcome[0], outcome[1].rows_skipped)
+
+
 def check_case(case, compile=compile_query) -> None:
     pop, store = _world(case)
     before = store.snapshot()
@@ -213,11 +229,14 @@ def check_case(case, compile=compile_query) -> None:
         plan = planner.build_plan(c, SCHEMA, store.indexes)
         for source in sources:
             where = f"{c.query} [{type(source).__name__}]"
-            assert _outcome(lambda: execute(c, source)) == _outcome(
+            scan = _outcome(lambda: execute(c, source))
+            assert scan == _outcome(
                 lambda: reference_execute(c, source, on_unsafe)), where
-            assert _outcome(lambda: execute_plan(plan, source)) == _outcome(
+            got = _outcome(lambda: execute_plan(plan, source))
+            assert got == _outcome(
                 lambda: reference_execute_plan(plan, source, on_unsafe)
             ), where
+            assert _observed(got) == _observed(scan), where
 
 
 @settings(max_examples=120, deadline=None)
@@ -232,11 +251,10 @@ def test_generated_equals_reference_over_ranges(case):
     check_case(case)
 
 
-def _observed(outcome):
-    """What the scan and any plan must agree on: rows and skips, or the
-    error type."""
-    return outcome if isinstance(outcome, type) else (
-        outcome[0], outcome[1].rows_skipped)
+@settings(max_examples=60, deadline=None)
+@given(case=_proven_cases)
+def test_generated_equals_reference_over_proven_runs(case):
+    check_case(case)
 
 
 @pytest.mark.slow
@@ -278,6 +296,101 @@ def test_ranges_over_three_bitset_chunks():
                         assert got[1].rows_pruned > 0, where
 
 
+class _Counting:
+    """A row source that records how many rows each ``visit_rows`` call
+    hands the row loop."""
+
+    def __init__(self, store):
+        self.store, self.handed = store, []
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def visit_rows(self, surrogates):
+        rows = self.store.visit_rows(surrogates)
+        self.handed.append(len(rows))
+        return rows
+
+
+def _handed(source, text, on_unsafe):
+    """``(outcome, rows handed to the loop, plan)`` of one planned run,
+    the outcome checked against the reference and the scan."""
+    query = f"for p in Patient where {text} select p.name"
+    c = compile_query(query, SCHEMA, on_unsafe=on_unsafe)
+    plan = planner.build_plan(c, SCHEMA, source.indexes)
+    counting = _Counting(source)
+    got = _outcome(lambda: execute_plan(plan, counting))
+    assert got == _outcome(
+        lambda: reference_execute_plan(plan, source, on_unsafe)), query
+    assert _observed(got) == _observed(_outcome(lambda: execute(c, source)))
+    assert len(counting.handed) == 1, query     # pruned, not scanned
+    return got, counting.handed[0], plan
+
+
+def test_a_proven_run_hands_the_loop_only_its_answer_rows():
+    """Under "skip", an exact eq or range run loops over its answer rows
+    and counts the INAPPLICABLE ones; under "null"/"raise", or once an
+    unorderable key exists, the loop gets the whole visit set."""
+    pop = populate_hospital(schema=SCHEMA, n_patients=300, seed=5)
+    store = pop.store
+    for i, person in enumerate(list(store.extent("Person"))):
+        store.set_value(person, "age", (30, 40, 78)[i % 3],
+                        check=CheckMode.NONE)
+    unset = pop.patients[::29]
+    for patient in unset:
+        store.unset_value(patient, "age", check=CheckMode.NONE)
+    store.create_index("age")
+    for source in (store, store.snapshot()):
+        for text in ("p.age = 40", "p.age > 35", "35 < p.age"):
+            (rows, stats), handed, plan = _handed(source, text, "skip")
+            assert handed == stats.rows_returned == len(rows) > 0
+            assert stats.rows_skipped == len(unset)
+            assert stats.rows_scanned == handed + len(unset)
+            assert "loop: proves its rows; skip rows counted" in (
+                plan.explain(source))
+            (_rows, stats), visited, _plan = _handed(source, text, "null")
+            assert visited == handed + len(unset) == stats.rows_scanned
+            error, handed, plan = _handed(source, text, "raise")
+            assert (error, handed) == (QueryRuntimeError, visited)
+            assert "on_unsafe='raise' must see them" in plan.explain(source)
+    # A string age: its bucket does not order against 35, so the range
+    # run is inexact and the loop raises on it as the scan does.
+    estimated = next(p for p in pop.patients if p.get_value("age") == 30)
+    store.classify(estimated, "Estimated_Age_Patient", check=CheckMode.NONE)
+    store.set_value(estimated, "age", "about 40", check=CheckMode.NONE)
+    (_rows, stats), handed, _plan = _handed(store, "p.age = 40", "skip")
+    assert handed == stats.rows_returned
+    error, handed, plan = _handed(store, "p.age > 35", "skip")
+    assert (error, handed) == (QueryRuntimeError, visited + 1)
+    assert "visits skip rows: 1 residue or unorderable rows" in (
+        plan.explain(store))
+
+
+@pytest.mark.slow
+def test_proven_runs_over_three_bitset_chunks():
+    """Proven eq, range and membership runs whose INAPPLICABLE rows lie
+    in every bitset chunk: generated == reference == the scan, and under
+    "skip" the loop is handed the answer rows only."""
+    pop = populate_hospital(schema=SCHEMA, n_patients=8_400, seed=3)
+    store = pop.store
+    unset = pop.patients[::97]
+    assert {p.surrogate.id // CHUNK_BITS for p in unset} == {0, 1, 2}
+    for patient in unset:
+        store.unset_value(patient, "age", check=CheckMode.NONE)
+    store.create_index("age")
+    for source in (store.snapshot(), store):
+        for text in ("p.age > 78", "p.age = 40", "78 <= p.age",
+                     "p.age <= 3 and p not in Alcoholic",
+                     "30 >= p.age and p.age > 25"):
+            for on_unsafe in compiler.ON_UNSAFE:
+                got, handed, _plan = _handed(source, text, on_unsafe)
+                if on_unsafe == "skip":
+                    assert handed == got[1].rows_returned, text
+                    assert got[1].rows_skipped >= len(unset) // 2, text
+                elif on_unsafe == "null":
+                    assert handed == got[1].rows_scanned, text
+
+
 # ----------------------------------------------------------------------
 # Seeded mutants
 # ----------------------------------------------------------------------
@@ -312,16 +425,30 @@ def test_mutant_guard_omitted_on_a_checked_path_is_killed():
     assert _killed(lambda case: check_case(case, compile))
 
 
-def test_mutant_skip_rows_pruned_instead_of_visited_is_killed(monkeypatch):
+def _mutate_source(monkeypatch, *edits):
+    """Every generated function with each ``(pattern, replacement)``
+    regex edit applied; the returned list collects how many applied."""
     real = compiler.instantiate
+    applied = []
 
     def instantiate(name, source, namespace, qstats=None):
-        assert "visit = cand | skips" in source or "skips" not in source
-        return real(name, source.replace("visit = cand | skips",
-                                         "visit = cand"), namespace, qstats)
+        for pattern, replacement in edits:
+            source, n = re.subn(pattern, replacement, source)
+            applied.append(n)
+        return real(name, source, namespace, qstats)
 
     monkeypatch.setattr(compiler, "instantiate", instantiate)
-    assert _killed(check_case)
+    return applied
+
+
+def test_mutant_skip_rows_pruned_instead_of_visited_is_killed(monkeypatch):
+    """Skip rows neither visited nor counted: dropped from the visit set
+    of a guarded run, and from the count of a proven one."""
+    applied = _mutate_source(
+        monkeypatch, (r"visit = cand \| skips", "visit = cand"),
+        (r"stats\.rows_skipped = len\(skips\)", "stats.rows_skipped = 0"))
+    assert _killed(check_case, _range_cases)
+    assert sum(applied)
 
 
 def _patch_range_walk(monkeypatch, walk):
@@ -344,17 +471,39 @@ def test_mutant_constant_left_operator_not_mirrored_is_killed(monkeypatch):
 
 
 def test_mutant_range_skip_rows_not_visited_is_killed(monkeypatch):
-    real = compiler.instantiate
-    step = re.compile(r"inap = \(manager\.inapplicable\((_a\d+)\) \| "
-                      r"manager\.residue\(\1\) \| unordered\) & cand")
-
-    def instantiate(name, source, namespace, qstats=None):
-        assert ("manager.range(" in source) == bool(step.search(source))
-        return real(name, step.sub("inap = unordered & cand", source),
-                    namespace, qstats)
-
-    monkeypatch.setattr(compiler, "instantiate", instantiate)
+    """A range step drops its INAPPLICABLE posting."""
+    applied = _mutate_source(monkeypatch, (
+        r"(manager\.range\([^\n]*\n\s*)"
+        r"inap = manager\.inapplicable\(_a\d+\) & cand",
+        r"\1inap = unordered & cand"))
     assert _killed(check_case, _range_cases)
+    assert sum(applied)
+
+
+def test_mutant_proof_ignores_residue_or_unordered_bucket_is_killed(
+        monkeypatch):
+    """A run stays exact when a residue row or an unorderable bucket
+    met the candidates: they are counted as skipped, not visited."""
+    applied = _mutate_source(monkeypatch, (r"exact = False", "pass"))
+    assert _killed(check_case, _proven_cases)
+    assert sum(applied)
+
+
+def test_mutant_skip_rows_counted_under_null_or_raise_is_killed(
+        monkeypatch):
+    """The planner emits the "skip" proof for every policy."""
+    real = planner._prune_or_scan
+
+    def prune_or_scan(plan, *args):
+        emitter = plan.compiled.emitter
+        policy, emitter.on_unsafe = emitter.on_unsafe, "skip"
+        try:
+            return real(plan, *args)
+        finally:
+            emitter.on_unsafe = policy
+
+    monkeypatch.setattr(planner, "_prune_or_scan", prune_or_scan)
+    assert _killed(check_case, _proven_cases)
 
 
 def test_mutant_membership_test_ignores_subclasses_is_killed():

@@ -211,7 +211,8 @@ class TestExecution:
 
     def test_skip_rows_are_visited(self, world):
         # Ambulatory patients are excused from `ward`: the guarded scan
-        # skips them, so the indexed plan must visit and skip them too.
+        # skips them, so the indexed plan must skip them too (a run that
+        # proves its rows counts them without a visit).
         _pop, store = world
         stats = _plans_equal_scan(
             "for p in Patient where p.ward = 3 select p.name", store)
