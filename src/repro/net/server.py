@@ -85,7 +85,7 @@ from repro.net.backends import (
     ShardedBackend,
     StoreBackend,
 )
-from repro.net.replication import Replica, encode_record
+from repro.net.replication import BATCH_RECORDS, Replica, encode_record
 from repro.obs import NetStats
 from repro.ops import OPS, SERVICE_OPS
 
@@ -479,9 +479,11 @@ class StoreService:
         return self._require_ship().handshake()
 
     def _op_repl_fetch(self, cmd):
+        # The reply is one frame: a replica asks for at most one batch.
+        wanted = int(cmd.get("max_records") or BATCH_RECORDS)
         batch = self._require_ship().fetch(
             int(cmd["after_seq"]),
-            max_records=int(cmd.get("max_records") or 512))
+            max_records=min(max(wanted, 1), BATCH_RECORDS))
         return {"records": [encode_record(r) for r in batch.records],
                 "primary_seq": batch.primary_seq,
                 "base_seq": batch.base_seq,

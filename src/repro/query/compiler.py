@@ -5,12 +5,12 @@ can avoid the introduction of run-time safety tests in those cases where
 it has determined that no type error can occur, and thereby considerably
 increase the efficiency of the code generated."
 
-The compiler walks the query, re-running the flow analysis at every
-attribute access and comparison *in its control-flow context* (the same
-expression inside a ``when p in Alcoholic`` branch and outside it gets
-independent decisions), and emits one Python *expression* per node.  An
-access the analysis proves safe is a bare fetch; an access with findings
-is a guarded fetch that counts itself, tests for INAPPLICABLE/ill-typed
+One typing pass decides every attribute access in its control-flow
+context (``TypeReport.decisions``: the same expression inside a ``when
+p in Alcoholic`` branch and outside it is decided twice); the compiler
+walks the query in the same order, reads each access's decision and
+emits one Python *expression* per node.  A proven access is a bare
+fetch; a checked one counts itself, tests for INAPPLICABLE/ill-typed
 values at run time and (by default) skips the offending row.
 ``eliminate_checks=False`` guards *every* access -- the "no type
 inference" baseline benchmark E3 measures against.
@@ -52,8 +52,10 @@ from repro.query.ast import (
     When,
     split_conjuncts,
 )
+from repro.query.analysis import analyze
 from repro.query.parser import parse_expr, parse_query
-from repro.query.typing import FlowFacts, QueryTyper, TypeReport
+from repro.query.typing import (
+    AccessDecision, FlowFacts, QueryTyper, TypeReport)
 from repro.schema.schema import Schema
 from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
 
@@ -142,24 +144,20 @@ class _Emitter:
     ``fused=True`` is the query row loop: the variable is the current
     row, present only as the locals ``ref``/``memberships``/``values``.
     ``fused=False`` is a predicate over an arbitrary entity held in the
-    local ``obj``, read through the entity protocol.
+    local ``obj``, read through the entity protocol.  Each access reads
+    the next of the typer's ``decisions`` (they are in emission order).
     """
 
     def __init__(self, schema: Schema, var: str, fused: bool,
-                 assume_unshared: bool, eliminate_checks: bool,
+                 decisions: List[AccessDecision],
                  on_unsafe: str) -> None:
         if on_unsafe not in ON_UNSAFE:
             raise ValueError(f"bad on_unsafe policy {on_unsafe!r}")
         self.schema = schema
         self.var = var
         self.fused = fused
-        self.assume_unshared = assume_unshared
-        self.eliminate_checks = eliminate_checks
+        self.decisions = iter(decisions)
         self.on_unsafe = on_unsafe
-        self.checks_inserted = 0
-        self.accesses_total = 0
-        #: (access text, checked?, reason) per attribute access.
-        self.decisions: List[Tuple[str, bool, str]] = []
         #: Bound values, by generated name.
         self.namespace: Dict[str, object] = {}
         #: ``store`` methods the expressions call through a local.
@@ -179,31 +177,6 @@ class _Emitter:
         name = self._name(prefix)
         self.namespace[name] = value
         return name
-
-    def _typer(self) -> QueryTyper:
-        return QueryTyper(self.schema, self.assume_unshared)
-
-    def _check_decision(self, expr: Expr, env: Dict[str, str],
-                        facts: FlowFacts) -> Tuple[bool, str]:
-        """Whether this access needs a run-time check, and why (not)."""
-        if not self.eliminate_checks:
-            return True, "check elimination disabled"
-        typer = self._typer()
-        possibilities = typer.infer(expr, env, facts)
-        wanted = str(expr)
-        for finding in typer.findings:
-            if finding.expr == wanted:
-                return True, finding.reason
-        # The fetch itself can yield INAPPLICABLE (an excused None range):
-        # guard it even though the failure only materializes on use.
-        for p in possibilities:
-            if p.kind == "inapplicable":
-                return True, "value may be INAPPLICABLE " + (
-                    "under " + ", ".join(
-                        f"{k} {'in' if pos else 'not in'} {c}"
-                        for k, c, pos in sorted(p.assumptions))
-                    if p.assumptions else "unconditionally")
-        return False, "proven safe"
 
     def _fail(self, *message, null: str = "INAP") -> str:
         """What a failed guard evaluates to under the policy (the
@@ -238,8 +211,7 @@ class _Emitter:
 
     # ------------------------------------------------------------------
 
-    def emit(self, expr: Expr, env: Dict[str, str],
-             facts: FlowFacts) -> _Code:
+    def emit(self, expr: Expr) -> _Code:
         if isinstance(expr, Var):
             if expr.name != self.var:
                 raise QueryTypeError(f"unbound variable {expr.name!r}")
@@ -253,7 +225,7 @@ class _Emitter:
                          isinstance(expr.value, bool))
 
         if isinstance(expr, Path):
-            return self._emit_path(expr, env, facts)
+            return self._emit_path(expr)
 
         if isinstance(expr, (InClass, NotInClass)):
             negated = "not " if isinstance(expr, NotInClass) else ""
@@ -266,7 +238,7 @@ class _Emitter:
                 test = f"{subclasses}.isdisjoint(memberships)"
                 return _Code(f"({'' if negated else 'not '}{test})",
                              False, True)
-            inner = self.emit(expr.expr, env, facts).src
+            inner = self.emit(expr.expr).src
             self.store_locals["_member"] = "is_member"
             temp = self._name()
             name = self._bind("_g", expr.class_name)
@@ -275,54 +247,50 @@ class _Emitter:
                 f"and _member({temp}, {name})))", False, True)
 
         if isinstance(expr, Not):
-            inner = self.emit(expr.operand, env, facts).src
+            inner = self.emit(expr.operand).src
             return _Code(f"(not {inner})", False, True)
 
         if isinstance(expr, (And, Or)):
             holds = isinstance(expr, And)
-            left = self.emit(expr.left, env, facts)
-            right = self.emit(expr.right, env, self._typer()._apply_condition(
-                expr.left, facts, holds))
+            left, right = self.emit(expr.left), self.emit(expr.right)
             operands = [c.src if c.boolean else f"bool({c.src})"
                         for c in (left, right)]
             return _Code(f"({operands[0]} {'and' if holds else 'or'} "
                          f"{operands[1]})", False, True)
 
         if isinstance(expr, Compare):
-            return self._emit_compare(expr, env, facts)
+            return self._emit_compare(expr)
 
         if isinstance(expr, When):
-            cond = self.emit(expr.condition, env, facts).src
-            typer = self._typer()
-            then = self.emit(expr.then, env, typer._apply_condition(
-                expr.condition, facts, True))
-            other = self.emit(expr.otherwise, env, typer._apply_condition(
-                expr.condition, facts, False))
+            cond = self.emit(expr.condition).src
+            then, other = self.emit(expr.then), self.emit(expr.otherwise)
             return _Code(f"({then.src} if {cond} else {other.src})",
                          then.inap or other.inap,
                          then.boolean and other.boolean)
 
         raise QueryTypeError(f"cannot compile expression {expr!r}")
 
-    def emit_encoded(self, expr: Expr, env: Dict[str, str],
-                     facts: FlowFacts) -> str:
+    def emit_encoded(self, expr: Expr) -> str:
         """``expr`` as a wire row carries it (:mod:`repro.codec`): the
         row itself by its sid, never a wrapper; a primitive as it is;
         anything else through ``encode_value``."""
         if expr == Var(self.var):
             return "_ref(ref.id)"
         temp = self._name()
-        return (f"({temp} if ({temp} := {self.emit(expr, env, facts).src})"
+        return (f"({temp} if ({temp} := {self.emit(expr).src})"
                 f".__class__ in _PLAIN else _encode({temp}))")
 
-    def _emit_path(self, expr: Path, env: Dict[str, str],
-                   facts: FlowFacts) -> _Code:
+    def _checked(self, expr: Path) -> bool:
+        """The typer's decision on ``expr``: the next one, which must be
+        this very node's (a node that occurs twice was decided twice)."""
+        node, checked, _reason = next(self.decisions)
+        assert node is expr, f"decision for {node} read at {expr}"
+        return checked
+
+    def _emit_path(self, expr: Path) -> _Code:
         on_row = self.fused and expr.base == Var(self.var)
-        base = None if on_row else self.emit(expr.base, env, facts).src
-        self.accesses_total += 1
-        checked, reason = self._check_decision(expr, env, facts)
-        description = str(expr)
-        self.decisions.append((description, checked, reason))
+        base = None if on_row else self.emit(expr.base).src
+        checked = self._checked(expr)
         attribute = self._bind("_f", expr.attribute)
 
         if not checked:
@@ -330,7 +298,7 @@ class _Emitter:
                 return _Code(f"values.get({attribute}, INAP)", True, False)
             return _Code(f"{base}.get_value({attribute})", True, False)
 
-        self.checks_inserted += 1
+        description = str(expr)
         inap = self.on_unsafe == "null"
         value = self._name()
         missing = self._fail(description, ": attribute ",
@@ -350,10 +318,8 @@ class _Emitter:
             f"{holder}.get_value({attribute})) is INAP else {value}))",
             inap, False)
 
-    def _emit_compare(self, expr: Compare, env: Dict[str, str],
-                      facts: FlowFacts) -> _Code:
-        left = self.emit(expr.left, env, facts)
-        right = self.emit(expr.right, env, facts)
+    def _emit_compare(self, expr: Compare) -> _Code:
+        left, right = self.emit(expr.left), self.emit(expr.right)
         if expr.op not in ("=", "!=", "<", "<=", ">", ">="):
             raise QueryTypeError(f"unknown operator {expr.op!r}")
         if expr.op not in ("=", "!="):
@@ -389,6 +355,7 @@ class CompiledQuery:
     source_class: str
     checks_inserted: int
     accesses_total: int
+    #: (access text, checked?, reason) per access, in emission order.
     decisions: List[Tuple[str, bool, str]]
     emitter: _Emitter = field(repr=False)
     #: Sources: the where clause, then one per select item (per-row
@@ -514,6 +481,11 @@ def _narrowed_source(query: Query, schema: Schema) -> str:
     return source
 
 
+def _all_checked(decisions: List[AccessDecision]) -> List[AccessDecision]:
+    return [d._replace(checked=True, reason="check elimination disabled")
+            for d in decisions]
+
+
 def compile_query(query: Union[str, Query], schema: Schema,
                   eliminate_checks: bool = True,
                   assume_unshared: bool = True,
@@ -532,22 +504,16 @@ def compile_query(query: Union[str, Query], schema: Schema,
     """
     if isinstance(query, str):
         query = parse_query(query)
-    typer = QueryTyper(schema, assume_unshared=assume_unshared)
-    report = typer.analyze_query(query)
-    if raise_on_error and report.errors:
-        raise QueryTypeError("; ".join(str(e) for e in report.errors))
-
-    emitter = _Emitter(schema, query.var, True, assume_unshared,
-                       eliminate_checks, on_unsafe)
-    env = {query.var: query.source_class}
-    facts = FlowFacts().assume(query.var, query.source_class, True)
+    report = analyze(query, schema, assume_unshared=assume_unshared,
+                     raise_on_error=raise_on_error)
+    decisions = (report.decisions if eliminate_checks
+                 else _all_checked(report.decisions))
+    emitter = _Emitter(schema, query.var, True, decisions, on_unsafe)
     scan_class = _narrowed_source(query, schema)
 
     where = None
-    select_facts = facts
     if query.where is not None:
-        where = emitter.emit(query.where, env, facts).src
-        select_facts = typer._apply_condition(query.where, facts, True)
+        where = emitter.emit(query.where).src
 
     aggregates = None
     select: Tuple[str, ...] = ()
@@ -556,13 +522,13 @@ def compile_query(query: Union[str, Query], schema: Schema,
             raise QueryTypeError(
                 "aggregate and per-row select items cannot be mixed")
         aggregates = tuple(
-            (e.function, emitter.emit(e.operand, env, select_facts).src
+            (e.function, emitter.emit(e.operand).src
              if e.operand is not None else None)
             for e in query.select)
     else:
-        select = tuple(emitter.emit_encoded(e, env, select_facts) if wire
-                       else emitter.emit(e, env, select_facts).src
-                       for e in query.select)
+        select = tuple(emitter.emit_encoded(e) if wire
+                       else emitter.emit(e).src for e in query.select)
+    assert next(emitter.decisions, None) is None, "an access went unread"
     emitter.namespace["_source"] = scan_class
     if emitter.ordering:    # the one message the loop itself formats
         emitter.namespace["_text"] = str(query)
@@ -570,9 +536,9 @@ def compile_query(query: Union[str, Query], schema: Schema,
         query=query,
         report=report,
         source_class=scan_class,
-        checks_inserted=emitter.checks_inserted,
-        accesses_total=emitter.accesses_total,
-        decisions=emitter.decisions,
+        checks_inserted=sum(d.checked for d in decisions),
+        accesses_total=len(decisions),
+        decisions=[(str(d.expr), d.checked, d.reason) for d in decisions],
         emitter=emitter,
         where=where,
         select=select,
@@ -592,16 +558,15 @@ def compile_predicate(schema: Schema, class_name: str,
     touched was missing.
     """
     expr = parse_expr(text)
-    env = {"self": class_name}
-    facts = FlowFacts().assume("self", class_name, True)
     typer = QueryTyper(schema)
-    typer.infer(expr, env, facts)
+    typer.infer(expr, {"self": class_name},
+                FlowFacts().assume("self", class_name, True))
     errors = [f for f in typer.findings if f.severity == "error"]
     if errors:
         raise QueryTypeError("; ".join(str(e) for e in errors))
-    emitter = _Emitter(schema, "self", False, assume_unshared=True,
-                       eliminate_checks=False, on_unsafe="skip")
-    src = emitter.emit(expr, env, facts).src
+    emitter = _Emitter(schema, "self", False,
+                       _all_checked(typer.decisions), on_unsafe="skip")
+    src = emitter.emit(expr).src
     return emitter.function("_predicate", "store, obj", [
         "checks = 0",
         "try:",

@@ -40,11 +40,11 @@ from repro.query.ast import (
     Var,
     When,
 )
+from repro.typesys.values import EnumSymbol
 
 #: Aggregate function names (context-sensitive: only at select items, so
 #: they stay usable as ordinary identifiers elsewhere).
 _AGGREGATES = ("count", "min", "max", "avg", "total")
-from repro.typesys.values import EnumSymbol
 
 _TOKEN_RE = re.compile(
     r"""

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.errors import QueryTypeError, UnknownClassError
 from repro.query.ast import (
@@ -136,6 +137,14 @@ class UnsafeFinding:
         return text
 
 
+class AccessDecision(NamedTuple):
+    """Whether one attribute access needs a run-time check, and why."""
+
+    expr: Path
+    checked: bool
+    reason: str
+
+
 class FlowFacts:
     """Membership facts per path key, accumulated along control flow."""
 
@@ -186,6 +195,8 @@ class TypeReport:
     select_possibilities: List[List[Possibility]] = field(
         default_factory=list)
     findings: List[UnsafeFinding] = field(default_factory=list)
+    #: One per attribute access (occurrence), in inference order.
+    decisions: List[AccessDecision] = field(default_factory=list)
 
     @property
     def errors(self) -> List[UnsafeFinding]:
@@ -215,6 +226,7 @@ class QueryTyper:
         self.schema = schema
         self.assume_unshared = assume_unshared
         self.findings: List[UnsafeFinding] = []
+        self.decisions: List[AccessDecision] = []
 
     # ------------------------------------------------------------------
     # Entry points
@@ -222,7 +234,7 @@ class QueryTyper:
 
     def analyze_query(self, query: Query) -> TypeReport:
         """Type the whole query, collecting findings."""
-        self.findings = []
+        self.findings, self.decisions = [], []
         if not self.schema.has_class(query.source_class):
             raise UnknownClassError(query.source_class)
         env = {query.var: query.source_class}
@@ -246,6 +258,7 @@ class QueryTyper:
                 self._flag_inapplicable_output(expr, possibilities)
             report.select_possibilities.append(possibilities)
         report.findings = list(self.findings)
+        report.decisions = list(self.decisions)
         return report
 
     def _infer_aggregate(self, expr: Aggregate, env: Dict[str, str],
@@ -366,6 +379,7 @@ class QueryTyper:
     def _infer_path(self, expr: Path, env: Dict[str, str],
                     facts: FlowFacts) -> List[Possibility]:
         base_poss = self.infer(expr.base, env, facts)
+        first = len(self.findings)   # the findings this access raises
         base_key = expr.base.key()
         attribute = expr.attribute
         results: List[Possibility] = []
@@ -409,8 +423,21 @@ class QueryTyper:
                 "error", expr,
                 f"attribute {attribute!r} is not applicable to "
                 f"{expr.base}", frozenset())
-        results = self._apply_path_facts(expr, results, facts)
-        return self._dedupe(results)
+        results = self._dedupe(self._apply_path_facts(expr, results, facts))
+        # Its own finding guards the access; so does a fetch that may yield
+        # INAPPLICABLE (an excused None range), though only a use fails.
+        inapplicable = [p for p in results if p.kind == "inapplicable"]
+        if len(self.findings) > first:
+            decision = (True, self.findings[first].reason)
+        elif inapplicable:
+            assumptions = sorted(inapplicable[0].assumptions)
+            decision = (True, "value may be INAPPLICABLE " + (
+                "under " + ", ".join(map(render_assumption, assumptions))
+                if assumptions else "unconditionally"))
+        else:
+            decision = (False, "proven safe")
+        self.decisions.append(AccessDecision(expr, *decision))
+        return results
 
     def _apply_path_facts(self, expr: Path, results: List[Possibility],
                           facts: FlowFacts) -> List[Possibility]:

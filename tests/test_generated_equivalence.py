@@ -35,6 +35,7 @@ from repro.errors import QueryError
 from repro.lang.loader import load_schema
 from repro.objects import CheckMode
 from repro.query import (
+    analyze,
     compile_query,
     compiler,
     execute,
@@ -52,8 +53,10 @@ from repro.query.ast import (
     Path,
     Query,
     Var,
+    When,
 )
 from repro.query.compiler import QueryRuntimeError, _Emitter
+from repro.query.typing import QueryTyper
 from repro.scenarios import populate_hospital
 from repro.scenarios.hospital import HOSPITAL_CDL
 from repro.typesys import EnumSymbol
@@ -136,11 +139,17 @@ _age_pools = st.lists(st.sampled_from((30, 40, 78)), min_size=1,
                       max_size=2)
 
 
-def _cases_over(where, n, ages, indexed, unsettable=UNSETTABLE):
-    queries = st.builds(
+def _queries_over(where):
+    return st.builds(
         Query, st.just("p"), st.sampled_from(
             ("Patient", "Patient", "Person", "Alcoholic", "Hospital")),
         where, _select)
+
+
+def _cases_over(where, n, ages, indexed, unsettable=UNSETTABLE,
+                queries=None):
+    if queries is None:
+        queries = _queries_over(where)
     return st.fixed_dictionaries({
         "seed": st.integers(0, 10 ** 6),
         "n": st.integers(*n),
@@ -170,6 +179,22 @@ _proven_cases = _cases_over(
     st.lists(_sargable, min_size=1, max_size=3).map(_conjoin), (16, 28),
     _age_pools, st.sets(st.sampled_from(INDEXABLE), max_size=2).map(
         lambda s: s | {"age"}), ("age",) + UNSETTABLE)
+#: Accesses that only a membership guard proves safe, with the guard.
+_GUARDED = (
+    (InClass(_p, "Alcoholic"), Path(Path(_p, "treatedBy"), "therapyStyle")),
+    (NotInClass(_p, "Tubercular_Patient"),
+     Path(Path(Path(_p, "treatedAt"), "location"), "state")),
+    (NotInClass(_p, "Ambulatory_Patient"), Path(Path(_p, "ward"), "floor")),
+)
+#: Each guard as the where clause or as a ``when`` around its access.
+_guarded_cases = _cases_over(
+    None, (6, 16), st.none(), st.sets(st.sampled_from(INDEXABLE),
+                                      max_size=2),
+    queries=st.builds(
+        lambda pair, when: Query(
+            "p", "Patient", None, (When(*pair, Const(0)),)) if when
+        else Query("p", "Patient", pair[0], (pair[1],)),
+        st.sampled_from(_GUARDED), st.booleans()))
 
 
 def _world(case):
@@ -251,10 +276,44 @@ def test_generated_equals_reference_over_ranges(case):
     check_case(case)
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=_guarded_cases)
+def test_generated_equals_reference_under_guards(case):
+    check_case(case)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_proven_cases)
 def test_generated_equals_reference_over_proven_runs(case):
     check_case(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=_queries_over(_where))
+def test_report_and_guards_agree(query):
+    """Every access ``analyze()`` reports an unsafe finding for is
+    CHECKED in the plan, and every CHECKED reason is a finding's reason
+    on that access or the INAPPLICABLE-fetch reason."""
+    try:
+        compiled = compile_query(query, SCHEMA, raise_on_error=False)
+        guard_all = compile_query(query, SCHEMA, raise_on_error=False,
+                                  eliminate_checks=False)
+    except QueryError:
+        return      # e.g. aggregates mixed with per-row items
+    report = analyze(query, SCHEMA)
+    assert compiled.report.findings == report.findings
+    checked = {text for text, check, _ in compiled.decisions if check}
+    accessed = {text for text, _, _ in compiled.decisions}
+    for finding in report.unsafe:
+        if finding.expr in accessed:
+            assert finding.expr in checked, finding
+    reasons = {(f.expr, f.reason) for f in report.findings}
+    for text, check, reason in compiled.decisions:
+        assert not check or (text, reason) in reasons or reason.startswith(
+            "value may be INAPPLICABLE "), (text, reason)
+    assert guard_all.decisions == [
+        (text, True, "check elimination disabled")
+        for text, _, _ in compiled.decisions]
 
 
 @pytest.mark.slow
@@ -411,18 +470,44 @@ def _killed(check, cases=_cases) -> bool:
     return False
 
 
-def test_mutant_guard_omitted_on_a_checked_path_is_killed():
-    """The emitted code ignores a CHECKED verdict the plan reports."""
+def _honest_report(owner, name, hook):
+    """``compile`` whose generated code runs with ``owner.name`` replaced
+    by ``hook`` while the plan reports the honest decisions (what the
+    reference guards by)."""
     def compile(query, schema, **options):
         honest = compile_query(query, schema, **options)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Emitter, "_check_decision",
-                          lambda self, *args: (False, "mutant"))
+            patch.setattr(owner, name, hook)
             mutant = compile_query(query, schema, **options)
         mutant.decisions = honest.decisions
         return mutant
 
+    return compile
+
+
+def _ignores_the_typers_decision(emitter, expr):
+    """The emitter ignores the typer's decision: it reads it (so the
+    order still lines up) and emits a bare fetch."""
+    next(emitter.decisions)
+    return False
+
+
+def _before_the_condition(typer, condition, facts, truth):
+    """The typer records a decision under the facts before the
+    condition: a guard teaches it nothing."""
+    return facts
+
+
+def test_mutant_guard_omitted_on_a_checked_path_is_killed():
+    compile = _honest_report(_Emitter, "_checked",
+                             _ignores_the_typers_decision)
     assert _killed(lambda case: check_case(case, compile))
+
+
+def test_mutant_decision_under_the_facts_before_the_condition_is_killed():
+    compile = _honest_report(QueryTyper, "_apply_condition",
+                             _before_the_condition)
+    assert _killed(lambda case: check_case(case, compile), _guarded_cases)
 
 
 def _mutate_source(monkeypatch, *edits):

@@ -20,7 +20,7 @@ from repro.errors import (
 from repro.lang import print_schema
 from repro.net import tokens as epoch_tokens
 from repro.net.client import ReplicaSetClient, StoreClient, ref
-from repro.net.replication import NetShipSource, Replica
+from repro.net.replication import BATCH_RECORDS, NetShipSource, Replica
 from repro.net.server import StoreService
 from repro.scenarios import build_hospital_schema
 from repro.storage.recovery import open_store
@@ -250,6 +250,28 @@ class TestReplicaServing:
             rclient.close()
         finally:
             service.shutdown()
+            replica.close()
+            ship.close()
+
+    def test_fetch_is_clamped_to_one_batch(self, primary_service, client):
+        """A ``repl_fetch`` asking for 10**6 records gets at most
+        ``BATCH_RECORDS`` of them; a replica pulling with a larger
+        ``batch_records`` still catches up, one batch per round."""
+        ship = StoreClient(*primary_service.address, timeout=IO_TIMEOUT)
+        replica = Replica(NetShipSource(ship))
+        try:
+            writes = BATCH_RECORDS + 8
+            for i in range(writes):
+                client.create("Ward", {"floor": 1 + i % 40,
+                                       "name": f"w{i}"})
+            reply = client.call("repl_fetch", after_seq=0,
+                                max_records=10 ** 6)
+            assert len(reply["records"]) == BATCH_RECORDS
+            assert replica.sync(batch_records=10 ** 6) == writes
+            assert replica.stats.sync_rounds == 2
+            assert store_digest(replica.store) == \
+                store_digest(primary_service._store)
+        finally:
             replica.close()
             ship.close()
 

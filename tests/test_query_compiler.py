@@ -3,9 +3,13 @@
 import pytest
 
 from repro.errors import QueryTypeError
-from repro.query import compile_query, execute
+from repro.objects import ObjectStore
+from repro.query import compile_query, execute, plan_query
+from repro.query.ast import Expr, InClass, Path, Query, Var, When
 from repro.query.compiler import QueryRuntimeError
+from repro.query.typing import QueryTyper
 from repro.typesys import EnumSymbol, INAPPLICABLE
+from tests.reference_query import reference_execute
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +170,57 @@ class TestQueryTextEntryPoint:
         _schema, pop = world
         rows, _ = execute("for p in Patient select p.age", pop.store)
         assert len(rows) == len(pop.patients)
+
+
+def _path_nodes(node) -> int:
+    """Attribute accesses in an AST, counted per occurrence."""
+    if isinstance(node, tuple):
+        return sum(map(_path_nodes, node))
+    if not isinstance(node, (Expr, Query)):
+        return 0
+    return isinstance(node, Path) + sum(map(_path_nodes, vars(node).values()))
+
+
+class TestOneTypingPass:
+    def test_a_shared_path_node_is_decided_per_occurrence(self, world):
+        """One ``Path`` object in both branches of ``when p in
+        Alcoholic``: proven in ``then``, checked in ``else``."""
+        schema, pop = world
+        p = Var("p")
+        style = Path(Path(p, "treatedBy"), "therapyStyle")
+        query = Query("p", "Patient", None,
+                      (When(InClass(p, "Alcoholic"), style, style),))
+        compiled = compile_query(query, schema, raise_on_error=False)
+        assert [checked for _, checked, _ in compiled.decisions] == [
+            False, False, False, True]
+        assert compiled.decisions[1][2] == "proven safe"
+        unshared = compile_query(
+            "for p in Patient select when p in Alcoholic then "
+            "p.treatedBy.therapyStyle else p.treatedBy.therapyStyle end",
+            schema, raise_on_error=False)
+        assert compiled.decisions == unshared.decisions
+        rows, stats = execute(compiled, pop.store)
+        assert (rows, stats) == reference_execute(compiled, pop.store)
+        assert stats.rows_returned == len(pop.alcoholics)
+
+    def test_a_cold_compile_types_each_access_once(self, world,
+                                                   monkeypatch):
+        schema, _pop = world
+        typed = []
+        real = QueryTyper._infer_path
+
+        def counting(self, expr, env, facts):
+            typed.append(expr)
+            return real(self, expr, env, facts)
+
+        monkeypatch.setattr(QueryTyper, "_infer_path", counting)
+        text = ("for p in Patient where p.age > 30 and p not in "
+                "Tubercular_Patient select p.treatedAt.location.state, "
+                "when p in Alcoholic then p.treatedBy.therapyStyle "
+                "else p.name end")
+        compiled = compile_query(text, schema)
+        assert len(typed) == _path_nodes(compiled.query) == 7
+        store = ObjectStore(schema)
+        plan_query(text, store)     # cold: one typing pass
+        plan_query(text, store)     # a plan hit types nothing
+        assert len(typed) == 14
