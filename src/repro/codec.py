@@ -18,10 +18,15 @@ entity (by identity)  ``{"$": "ref", "id": sid}``
 Entities travel by surrogate id; :func:`decode_value` hands each id to
 the caller's ``resolve(sid)``, the one seam that decides what an id
 means at that edge (a live instance, a router handle, the id itself).
+
+Every edge writes its JSON text with one encoder, :data:`dumps`: compact,
+key-sorted, ASCII, no per-container cycle check since every payload is a
+tree (a cyclic one still raises ``RecursionError`` before any text).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, Optional
 
 from repro.errors import StorageError
@@ -32,8 +37,11 @@ from repro.typesys.values import (
     is_entity,
 )
 
-__all__ = ["NA", "decode_value", "decode_values", "encode_value",
+__all__ = ["NA", "decode_value", "decode_values", "dumps", "encode_value",
            "encode_values", "is_encoded", "ref", "ref_sid"]
+
+dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                         check_circular=False).encode
 
 #: The encoding of ``INAPPLICABLE`` (shared: encoders never mutate it).
 NA = {"$": "na"}

@@ -59,9 +59,8 @@ PROTO_NAME = "repro-net"
 PROTO_VERSION = 1
 
 
-def encode_frame(payload: Dict[str, object]) -> bytes:
-    """One message as one WAL-framed canonical-JSON record."""
-    return frame_record(payload)
+#: One message as one WAL-framed canonical-JSON record.
+encode_frame = frame_record
 
 
 def decode_payload(payload: bytes) -> Dict[str, object]:

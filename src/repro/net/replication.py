@@ -44,11 +44,12 @@ replayed past it (:class:`~repro.errors.ReplicaLagError` otherwise).
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ReplicationError, StorageError
+from repro.errors import RemoteOpError, ReplicationError, StorageError
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.obs import ReplicationStats
@@ -231,8 +232,6 @@ class NetShipSource:
         from a fresh dump once -- the dump op is read-only, so a
         restart is merely a newer consistent dump.
         """
-        import json
-        from repro.errors import RemoteOpError
         for attempt in range(2):
             page = self.client.call("repl_dump")
             if "dump" in page:          # single-frame fast path

@@ -63,10 +63,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import logging
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.codec import dumps
 from repro.errors import (
     NetError,
     NotPrimaryError,
@@ -510,9 +510,7 @@ class StoreService:
         chunk_size = max(1, self.max_frame // 4)
         dump_id = cmd.get("dump_id")
         if dump_id is None:
-            dump = self._require_ship().dump()
-            text = json.dumps(dump, separators=(",", ":"),
-                              sort_keys=True)
+            text = dumps(self._require_ship().dump())
             dump_id = next(self._dump_ids)
             self._dumps[dump_id] = text
             while len(self._dumps) > DUMP_CACHE_LIMIT:

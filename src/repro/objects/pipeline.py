@@ -451,7 +451,7 @@ class MutationPipeline:
         try:
             for name, value in values.items():
                 self.apply_set_value(obj, name, value, mode)
-        except ConformanceError:
+        except BaseException:
             self.apply_remove(obj)
             raise
         return obj

@@ -1,9 +1,9 @@
 """The shard transport: the pipe endpoint, JSON texts, chunk arrays.
 
 Every command the router sends to a shard worker -- and every result
-that comes back -- is one JSON text from one compact encoder per
-process; the commands are op-table requests (:mod:`repro.ops`) with
-values in the one value encoding (:mod:`repro.codec`), neither of
+that comes back -- is one JSON text from :data:`repro.codec.dumps`
+(keys sorted); the commands are op-table requests (:mod:`repro.ops`)
+with values in the one value encoding (:mod:`repro.codec`), neither of
 which this module looks inside.  It owns the text framing, the pipe
 endpoint both ends carry it over (:class:`PipeEnd`: a hop is a write,
 one ``poll`` on an fd registered once, and a read), and how partial
@@ -23,6 +23,7 @@ import json
 import select
 from typing import Dict
 
+from repro.codec import dumps
 from repro.columnar import SurrogateSet
 from repro.errors import StorageError
 
@@ -31,8 +32,7 @@ __all__ = [
     "encode_chunks", "encode_command", "encode_result",
 ]
 
-#: One encoder per process: one built per call costs microseconds.
-encode_command = json.JSONEncoder(separators=(",", ":")).encode
+encode_command = dumps
 decode_command = json.loads
 
 #: Results share the command framing: ``{"ok": payload}`` on success,

@@ -57,6 +57,7 @@ import struct
 import zlib
 from typing import Iterator, List, Optional, Tuple
 
+from repro.codec import dumps
 from repro.errors import StorageError
 from repro.storage.fsio import OS_FS, FileSystem
 
@@ -74,15 +75,8 @@ def frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-#: Shared canonical-JSON encoder (``json.dumps`` with non-default options
-#: builds a fresh ``JSONEncoder`` per call -- measurable on the WAL hot
-#: path, where every committed mutation encodes one record).
-_encode_json = json.JSONEncoder(separators=(",", ":"),
-                                sort_keys=True).encode
-
-
 def frame_record(record: dict) -> bytes:
-    return frame(_encode_json(record).encode("utf-8"))
+    return frame(dumps(record).encode("utf-8"))
 
 
 def iter_frames(data: bytes, offset: int = 0
@@ -271,21 +265,17 @@ class WriteAheadLog:
 
     def append_fields(self, op: str, fields: dict) -> int:
         """:meth:`append` taking the fields as an already-built dict the
-        log may keep (the journal's hot path -- one dict, no kwargs
-        re-expansion, framing inlined)."""
-        if self.stats is not None:
-            self.stats.wal_records += 1
+        log may keep (the journal's hot path); a record that cannot be
+        encoded raises before it takes a sequence number."""
+        seq = self.last_seq + 1
         if self._marks:
             self._buffer.append((op, fields))
-            return self.last_seq + 1
-        seq = self.last_seq + 1
-        record = dict(fields)
-        record["seq"] = seq
-        record["op"] = op
-        self.last_seq = seq
-        payload = _encode_json(record).encode("utf-8")
-        self._write_out(
-            _HEADER.pack(len(payload), zlib.crc32(payload)) + payload, 1)
+        else:
+            data = frame_record(dict(fields, seq=seq, op=op))
+            self.last_seq = seq
+            self._write_out(data, 1)
+        if self.stats is not None:
+            self.stats.wal_records += 1
         return seq
 
     def begin(self) -> None:
@@ -298,22 +288,27 @@ class WriteAheadLog:
         written plain), so recovery replays the group all-or-nothing."""
         if not self._marks:
             raise StorageError("WAL commit without begin")
-        self._marks.pop()
-        if self._marks or not self._buffer:
+        if len(self._marks) > 1 or not self._buffer:
+            self._marks.pop()
             return
         seq = self.last_seq + 1
         if len(self._buffer) == 1:
             op, fields = self._buffer[0]
-            record = {"seq": seq, "op": op}
-            record.update(fields)
+            record = dict(fields, seq=seq, op=op)
         else:
             record = {"seq": seq, "op": "txn",
                       "ops": [dict(fields, op=op)
                               for op, fields in self._buffer]}
+        try:
+            data = frame_record(record)
+        except BaseException:
+            self.abort()                # unencodable: dropped whole
+            raise
+        self._marks.pop()
         count = len(self._buffer)
         self._buffer.clear()
         self.last_seq = seq
-        self._write_out(frame_record(record), count)
+        self._write_out(data, count)
 
     def abort(self) -> None:
         """Discard the innermost group's buffered operations; nothing

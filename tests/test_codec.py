@@ -1,6 +1,7 @@
 """The one value codec (``repro/codec.py``): every store value survives
 ``decode(encode(v))`` through real JSON text, and anything else is a
-typed ``StorageError``.  The WAL, the checkpoint file, the catch-up
+typed ``StorageError``; every edge writes its text with the one
+encoder, ``codec.dumps``.  The WAL, the checkpoint file, the catch-up
 dump, the shard pipe and the network protocol all carry values in this
 encoding, so this is their fuzz suite too."""
 
@@ -13,9 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro import codec
 from repro.errors import StorageError
+from repro.net import protocol
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
+from repro.obs import EngineStats
+from repro.sharding import wire
+from repro.storage.wal import WriteAheadLog, frame_record
 from repro.typesys.values import INAPPLICABLE, EnumSymbol, RecordValue
+
+from tests.faultfs import MemFS
 
 #: sid -> the entity a reference decodes to (identity must survive).
 ENTITIES = {sid: Instance(Surrogate(sid), ("Ward",))
@@ -86,3 +93,56 @@ def test_references_by_id():
     assert codec.ref_sid("plain") is None
     assert codec.is_encoded(codec.ref(7)) and codec.is_encoded(codec.NA)
     assert not codec.is_encoded({"a": 1}) and not codec.is_encoded(7)
+
+
+# ----------------------------------------------------------------------
+# The one text encoder (``codec.dumps``) behind every edge
+# ----------------------------------------------------------------------
+
+def _record():
+    values = {"name": "Zoë Ångström", "weight": 71.5,
+              "ward": INAPPLICABLE, "treatedBy": ENTITIES[7],
+              "home": RecordValue({"zip": 8001, "city": "Zürich"})}
+    return {"seq": 4, "op": "create", "sid": 9, "cls": "Patient",
+            "values": codec.encode_values(values)}
+
+
+#: Compact, key-sorted, ASCII: the WAL and socket bytes of every earlier
+#: release, and (keys now sorted) the shard-pipe text.
+GOLDEN_TEXT = (
+    '{"cls":"Patient","op":"create","seq":4,"sid":9,"values":{"home":'
+    '{"$":"rec","fields":{"city":"Z\\u00fcrich","zip":8001}},"name":'
+    '"Zo\\u00eb \\u00c5ngstr\\u00f6m","treatedBy":{"$":"ref","id":7},'
+    '"ward":{"$":"na"},"weight":71.5}}')
+GOLDEN_FRAME = b"\x00\x00\x00\xdc\xcc\xd3\x18\xf9" + GOLDEN_TEXT.encode()
+
+
+def test_every_edge_encodes_the_golden_bytes():
+    assert codec.dumps(_record()) == GOLDEN_TEXT
+    assert frame_record(_record()) == GOLDEN_FRAME
+    assert protocol.encode_frame(_record()) == GOLDEN_FRAME
+    assert wire.encode_command(_record()) == GOLDEN_TEXT
+    assert wire.encode_result(_record()) == GOLDEN_TEXT
+
+
+def test_a_cyclic_payload_raises_and_leaves_the_log_as_it_was():
+    cyclic = _record()
+    cyclic["values"]["self"] = cyclic
+    for encode in (frame_record, protocol.encode_frame,
+                   wire.encode_command, codec.dumps):
+        with pytest.raises(RecursionError):
+            encode(cyclic)
+
+    wal = WriteAheadLog("/w/log", fs=MemFS(), stats=EngineStats())
+    wal.append("create", sid=1)
+    before = (wal.offset, wal.last_seq, wal.stats.wal_records)
+    with pytest.raises(RecursionError):
+        wal.append_fields("create", cyclic)
+    assert (wal.offset, wal.last_seq, wal.stats.wal_records) == before
+    wal.begin()
+    wal.append_fields("create", cyclic)
+    with pytest.raises(RecursionError):
+        wal.commit()
+    assert (wal.offset, wal.last_seq, wal.stats.wal_records) == before
+    assert not wal.in_group
+    assert wal.append("create", sid=2) == before[1] + 1

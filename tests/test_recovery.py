@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.columnar import CHUNK_BITS, SurrogateSet
+from repro import load_schema
 from repro.errors import ConformanceError, ReplicationError, StorageError
 from repro.net.replication import install_dump
 from repro.objects.store import CheckMode, ObjectStore
@@ -32,6 +33,9 @@ from repro.typesys.values import EnumSymbol, INAPPLICABLE
 from tests.faultfs import FaultFS, MemFS, SimulatedCrash, store_digest
 
 DIR = "/store"
+
+#: An attribute with no range: any int passes conformance.
+_ITEM_CDL = "class Item with\n  weight: Integer;\nend\n"
 
 
 @pytest.fixture()
@@ -136,6 +140,39 @@ class TestRoundTrip:
         digest = store_digest(store)
         store.close()
         assert store_digest(_reopen(fs)) == digest
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_an_unencodable_record_takes_no_seq(self, fs, in_txn):
+        # A value JSON refuses (an int over the str-conversion limit)
+        # applies in memory, then fails to encode: the log must stay
+        # a clean chain, so every later acknowledged write survives.
+        store = open_store(DIR, load_schema(_ITEM_CDL), durability="wal",
+                           fs=fs, sync="always")
+        item = store.create("Item", weight=1)
+        with pytest.raises(ValueError):
+            if in_txn:
+                with transaction(store):
+                    store.create("Item", weight=2)
+                    store.set_value(item, "weight", 10 ** 5000)
+            else:
+                store.set_value(item, "weight", 10 ** 5000)
+        acked = [store.create("Item", weight=w).surrogate for w in (3, 4)]
+        store.close()
+        again = _reopen(fs)
+        assert again.last_recovery.wal_stopped == "clean-end"
+        assert again.get(item.surrogate).get_value("weight") == 1
+        assert all(again.get(sid).get_value("weight") == w
+                   for sid, w in zip(acked, (3, 4)))
+
+    def test_a_create_failing_past_conformance_leaves_no_object(self,
+                                                                 store):
+        # Rendering the violation of an over-long int raises ValueError,
+        # not ConformanceError; the half-built object must still go.
+        before = len(store)
+        with pytest.raises(ValueError):
+            store.create("Person", age=10 ** 5000)
+        assert len(store) == before
+        assert not store.extent("Person")
 
     def test_virtual_class_state_reconstructed(self, store, fs,
                                                hospital_schema):
