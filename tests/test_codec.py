@@ -107,8 +107,8 @@ def _record():
             "values": codec.encode_values(values)}
 
 
-#: Compact, key-sorted, ASCII: the WAL and socket bytes of every earlier
-#: release, and (keys now sorted) the shard-pipe text.
+#: Compact, key-sorted, ASCII: one text for the WAL, the socket and the
+#: shard pipe.
 GOLDEN_TEXT = (
     '{"cls":"Patient","op":"create","seq":4,"sid":9,"values":{"home":'
     '{"$":"rec","fields":{"city":"Z\\u00fcrich","zip":8001}},"name":'
