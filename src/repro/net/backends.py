@@ -7,9 +7,9 @@ per request op plus a handful of gauges (``position`` / ``last_seq`` /
 ``epoch`` / ``object_count``).  Three backends cover the store shapes
 the library grows:
 
-* :class:`ConcurrentBackend` -- a single store behind a
-  :class:`~repro.objects.concurrent.ConcurrentStore` facade: reads from
-  MVCC snapshots, writes through the serialized pipeline.
+* :class:`ConcurrentBackend` -- a single store: reads from MVCC
+  snapshots that never wait for a writer (``snapshot(wait=False)``),
+  writes through the serialized pipeline.
 * :class:`ReplicaBackend` -- a WAL-following
   :class:`~repro.net.replication.Replica`: reads at the replay
   position (honoring epoch tokens), no writes.
@@ -52,7 +52,6 @@ from typing import Dict, Optional
 
 from repro.net import tokens
 from repro.net.replication import LocalShipSource, Replica
-from repro.objects.concurrent import ConcurrentStore
 from repro.objects.surrogate import Surrogate
 from repro.ops import OPS, Op
 
@@ -145,15 +144,9 @@ class ConcurrentBackend(SnapshotBackend):
     writes through the serialized pipeline."""
 
     def __init__(self, store) -> None:
-        self.concurrent = (store if isinstance(store, ConcurrentStore)
-                           else ConcurrentStore(store))
-        self._target = self.concurrent
-        if getattr(self.store, "_journal", None) is not None:
-            self.ship = LocalShipSource(self.store)
-
-    @property
-    def store(self):
-        return self.concurrent.store
+        self.store = self._target = store
+        if getattr(store, "_journal", None) is not None:
+            self.ship = LocalShipSource(store)
 
     def close(self) -> None:
         closer = getattr(self.store, "close", None)
@@ -162,7 +155,7 @@ class ConcurrentBackend(SnapshotBackend):
 
     def _view(self, cmd):
         # A primary is never behind its own log: tokens need no check.
-        return self.concurrent.snapshot()
+        return self.store.snapshot(wait=False)
 
     def _resolve(self, sid: int):
         return self.store.get(Surrogate(sid))

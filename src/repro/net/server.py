@@ -152,9 +152,6 @@ class StoreService:
         self.backend = _wrap_backend(store, replica)
         self.replica = replica
         self.role = "primary" if self.backend.writable else "replica"
-        #: The single-store concurrency facade when one exists (tests
-        #: and embedders reach through it); None for sharded backends.
-        self.concurrent = getattr(self.backend, "concurrent", None)
         self.host = host
         self.port = port
         self.max_frame = max_frame

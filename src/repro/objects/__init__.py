@@ -11,10 +11,8 @@ This is the database substrate the paper presumes (Sections 2c, 3c, 5.6):
   referencing attributes change;
 * writes are checked against the excuse semantics (eagerly by default);
 * every mutation flows through one command pipeline
-  (:mod:`repro.objects.pipeline`), reads can run against immutable MVCC
-  snapshots (:mod:`repro.objects.snapshot`), and
-  :class:`~repro.objects.concurrent.ConcurrentStore` serves both to
-  multiple threads;
+  (:mod:`repro.objects.pipeline`), and reads can run against immutable
+  MVCC snapshots (:mod:`repro.objects.snapshot`) from any thread;
 * the per-individual run-time exception mechanism of Borgida 1985
   (reference [4]) is provided as a baseline in
   :mod:`repro.objects.exceptional`.
@@ -29,7 +27,6 @@ from repro.objects.pipeline import (
     TransactionError,
 )
 from repro.objects.snapshot import SnapshotInstance, StoreSnapshot
-from repro.objects.concurrent import ConcurrentStore
 from repro.objects.bulk import BulkReport, BulkSession
 from repro.objects.exceptional import (
     ExceptionRecord,
@@ -40,7 +37,6 @@ __all__ = [
     "BulkReport",
     "BulkSession",
     "CheckMode",
-    "ConcurrentStore",
     "ExceptionRecord",
     "ExceptionalIndividualRegistry",
     "Instance",

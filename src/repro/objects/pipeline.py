@@ -24,8 +24,7 @@ stage sequence:
 The pipeline also owns the store's **write lock**: commands, transaction
 scopes and snapshot capture all serialize through ``store._write_lock``,
 which is what makes :meth:`~repro.objects.store.ObjectStore.snapshot`
-reads safe from other threads (see :mod:`repro.objects.snapshot` and
-:mod:`repro.objects.concurrent`).
+reads safe from other threads (see :mod:`repro.objects.snapshot`).
 
 Copy-on-write discipline
 ------------------------
@@ -421,6 +420,12 @@ class MutationPipeline:
                         if problems:
                             raise TransactionError("; ".join(
                                 str(v) for _obj, v in problems[:5]))
+                    if journal is not None:
+                        # Inside the scope: a commit that raises rolls
+                        # the scope back.  The log has already dropped
+                        # the group then, so it is not aborted again.
+                        group, journal = journal, None
+                        group.commit()
             except BaseException:
                 self._txn_depth -= 1
                 del self._pending[mark:]
@@ -428,8 +433,6 @@ class MutationPipeline:
                     journal.abort()
                 raise
             self._txn_depth -= 1
-            if journal is not None:
-                journal.commit()
             if self._txn_depth == 0 and self._pending:
                 pending, self._pending = self._pending, []
                 for command in pending:

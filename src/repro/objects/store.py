@@ -31,8 +31,8 @@ Each committed command bumps the store **epoch**; :meth:`snapshot`
 returns an immutable epoch-stamped :class:`~repro.objects.snapshot.
 StoreSnapshot` (copy-on-write: capture is by reference, writers
 privatize before mutating), which is what :meth:`run_query`,
-:meth:`stats` and the :class:`~repro.objects.concurrent.ConcurrentStore`
-facade read.  The store's own ``extent``/``get`` remain *live* views --
+:meth:`stats` and threaded readers use (``snapshot(wait=False)``
+never waits for a writer).  The store's own ``extent``/``get`` remain *live* views --
 read-your-own-writes inside a transaction -- while snapshots are always
 committed state.
 
@@ -215,16 +215,33 @@ class ObjectStore:
     # MVCC snapshots
     # ------------------------------------------------------------------
 
-    def snapshot(self):
+    def snapshot(self, wait: bool = True):
         """An immutable view of the last committed epoch (see
         :class:`~repro.objects.snapshot.StoreSnapshot`).
 
-        Reused while the epoch stands still; otherwise the copy-on-write
-        stamp advances and a fresh capture is taken under the write
-        lock.  Inside a transaction scope the pre-transaction epoch is
-        served -- a snapshot never exposes uncommitted state.
+        The one cached capture is returned while its epoch is current,
+        without taking the write lock; otherwise the copy-on-write stamp
+        advances and a fresh capture is taken under the lock.  Inside a
+        transaction scope the pre-transaction epoch is served -- a
+        snapshot never exposes uncommitted state.  With ``wait=False`` a
+        reader that finds the lock held by another thread is served the
+        previous committed epoch at once (it blocks only for the first
+        capture, when there is none).
         """
-        with self._write_lock:
+        # Racy on purpose: _epoch only moves under the lock, after a
+        # command applied or a rollback finished, so equality proves the
+        # cache current at some instant.  That holds as long as no
+        # snapshot is captured between two epoch bumps of one lock hold
+        # outside a transaction scope (inside one, _txn_depth serves the
+        # pre-scope cache).
+        cached = self._snapshot_cache
+        if cached is not None and cached.epoch == self._epoch:
+            self.checker.stats.snapshot_reuses += 1
+            return cached
+        lock = self._write_lock
+        if not lock.acquire(wait or cached is None):
+            return cached
+        try:
             cached = self._snapshot_cache
             if cached is not None and (
                     self._pipeline._txn_depth > 0
@@ -236,6 +253,8 @@ class ObjectStore:
             self._snapshot_cache = snap
             self.checker.stats.snapshots_built += 1
             return snap
+        finally:
+            lock.release()
 
     def run_query(self, query, **compile_kwargs):
         """Plan-cache-aware query execution against the last committed

@@ -8,8 +8,8 @@ one :class:`Op` row of :data:`OPS`: its name, the request fields it
 requires and accepts, how the transport must treat it (``write`` /
 ``idempotent`` / ``fenced`` / ``in_txn``), the ``StoreClient`` methods
 that issue it, and **one** body ``run(target, cmd, resolve) -> payload``
-written against the method surface ``ObjectStore``, ``ConcurrentStore``
-and ``ShardedStore`` share.  The edges derive their handlers, their
+written against the method surface the two store shapes,
+``ObjectStore`` and ``ShardedStore``, share.  The edges derive their handlers, their
 dispatch sets and their client stubs from this table; what an edge
 keeps of its own (ack tokens, the router lock, the ``foreign`` set) is
 a hook around a row, never a second copy of it.

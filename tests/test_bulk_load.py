@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.errors import ConformanceError, ReproError, UnknownClassError
-from repro.objects import BulkSession, ConcurrentStore, ObjectStore
+from repro.objects import BulkSession, ObjectStore
 from repro.objects.store import CheckMode
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
@@ -389,16 +389,16 @@ class TestScopeOpensAtCommit:
 
     def test_failed_commit_keeps_another_threads_write(
             self, hospital_schema):
-        shared = ConcurrentStore(ObjectStore(hospital_schema))
-        session = shared.bulk_session(check="eager")
+        store = ObjectStore(hospital_schema)
+        session = store.bulk_session(check="eager")
         session.add("Person", name="ok", age=30)
         writer = threading.Thread(
-            target=lambda: shared.create("Person", name="theirs", age=40))
+            target=lambda: store.create("Person", name="theirs", age=40))
         writer.start()
         writer.join()
         session.add("Person", name="bad", age=999)
         with pytest.raises(ConformanceError):
             session.commit()
-        assert shared.snapshot(wait=True).count("Person") == 1
+        assert store.snapshot().count("Person") == 1
         assert [p.get_value("name")
-                for p in shared.store.extent("Person")] == ["theirs"]
+                for p in store.extent("Person")] == ["theirs"]

@@ -1,13 +1,14 @@
 """Concurrent serving properties: interleavings and torn-read freedom.
 
-Two families of evidence that :class:`~repro.objects.concurrent.
-ConcurrentStore` serves the same store semantics under threads:
+Two families of evidence that one :class:`~repro.objects.store.
+ObjectStore` serves the same semantics under threads -- writes through
+its pipeline lock, reads through ``snapshot(wait=False)``:
 
 * **Interleaving equivalence** (Hypothesis): a random command sequence
-  applied directly to a plain single-threaded store and the same
-  sequence applied through the facade -- while N reader threads hammer
-  ``snapshot()`` the whole time -- accepts/rejects identically and
-  leaves identical final state.
+  applied to a plain single-threaded store and the same sequence
+  applied to a store while N reader threads hammer
+  ``snapshot(wait=False)`` the whole time accepts/rejects identically
+  and leaves identical final state.
 * **No torn reads**: every snapshot a reader ever obtains is internally
   consistent (extents closed under IS-A, every extent member resolvable)
   and transaction-atomic (a reader can never see one half of a
@@ -20,18 +21,25 @@ the write lock, so they are racy by design; state is not.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConformanceError
-from repro.objects import CheckMode, ConcurrentStore, ObjectStore
+from repro.net.replication import LocalShipSource, Replica
+from repro.objects import CheckMode, ObjectStore
 from repro.scenarios import build_hospital_schema
+from repro.storage.recovery import open_store
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
 
 pytestmark = pytest.mark.concurrent
+
+#: Seconds a call that must return at once may take before the test
+#: fails (instead of hanging on a lock it should not have waited for).
+TIMEOUT = 10.0
 
 SCHEMA = build_hospital_schema()
 
@@ -74,7 +82,7 @@ class _World:
         return EnumSymbol(key)
 
     def apply(self, target, op) -> bool:
-        """Run one op against ``target`` (store or facade); True=accepted."""
+        """Run one op against ``target``; True=accepted."""
         kind, idx = op[0], op[1]
         patient = self.patients[idx]
         try:
@@ -119,10 +127,10 @@ def _check_snapshot_consistency(snap):
         assert snap.count(class_name) == len(snap.extent(class_name))
 
 
-def _reader(shared, stop, errors):
+def _reader(store, stop, errors):
     try:
         while not stop.is_set():
-            snap = shared.snapshot()
+            snap = store.snapshot(wait=False)
             _check_snapshot_consistency(snap)
     except BaseException as exc:          # surfaced by the main thread
         errors.append(exc)
@@ -150,11 +158,11 @@ _ops = st.lists(
 def test_facade_with_readers_equals_single_thread(ops):
     solo = _World()
     threaded = _World()
-    shared = ConcurrentStore(threaded.store)
+    store = threaded.store
 
     stop = threading.Event()
     errors: list = []
-    readers = [threading.Thread(target=_reader, args=(shared, stop, errors))
+    readers = [threading.Thread(target=_reader, args=(store, stop, errors))
                for _ in range(3)]
     for t in readers:
         t.start()
@@ -164,7 +172,7 @@ def test_facade_with_readers_equals_single_thread(ops):
             if op[1] in removed:
                 continue
             verdict_solo = solo.apply(solo.store, op)
-            verdict_threaded = threaded.apply(shared, op)
+            verdict_threaded = threaded.apply(store, op)
             assert verdict_solo == verdict_threaded, (op, verdict_solo)
             if op[0] == "remove" and verdict_solo:
                 removed.add(op[1])
@@ -175,7 +183,7 @@ def test_facade_with_readers_equals_single_thread(ops):
     assert not errors, errors[0]
     assert solo.state() == threaded.state()
     # The final snapshot converges on the final committed state.
-    final = shared.snapshot(wait=True)
+    final = store.snapshot()
     assert final.epoch == threaded.store._epoch
     assert len(final) == len(threaded.store)
 
@@ -188,7 +196,7 @@ def test_no_torn_transaction_reads():
     pair out of step proves a torn read.
     """
     world = _World()
-    shared = ConcurrentStore(world.store)
+    store = world.store
     patient = world.patients[0]
 
     stop = threading.Event()
@@ -197,7 +205,7 @@ def test_no_torn_transaction_reads():
     def reader():
         try:
             while not stop.is_set():
-                snap = shared.snapshot()
+                snap = store.snapshot(wait=False)
                 row = snap.get(patient.surrogate)
                 age = row.get_value("age")
                 name = row.get_value("name")
@@ -212,30 +220,30 @@ def test_no_torn_transaction_reads():
     try:
         for i in range(200):
             age = 20 + (i % 80)
-            with shared.transaction():
-                shared.set_value(patient, "age", age)
-                shared.set_value(patient, "name", f"v{age}")
+            with store.transaction():
+                store.set_value(patient, "age", age)
+                store.set_value(patient, "name", f"v{age}")
     finally:
         stop.set()
         for t in readers:
             t.join()
     assert not errors, errors[0]
-    final = shared.snapshot(wait=True).get(patient.surrogate)
+    final = store.snapshot().get(patient.surrogate)
     assert final.get_value("name") == f"v{final.get_value('age')}"
 
 
 def test_interleaved_writers_serialize():
-    """Two writer threads hammering the same facade serialize through the
+    """Two writer threads hammering the same store serialize through the
     pipeline lock: every accepted create lands, state stays consistent."""
     world = _World()
-    shared = ConcurrentStore(world.store)
+    store = world.store
     per_thread = 50
     errors: list = []
 
     def writer(tag):
         try:
             for i in range(per_thread):
-                shared.create("Patient", name=f"{tag}{i}", age=30)
+                store.create("Patient", name=f"{tag}{i}", age=30)
         except BaseException as exc:
             errors.append(exc)
 
@@ -246,7 +254,7 @@ def test_interleaved_writers_serialize():
     for t in threads:
         t.join()
     assert not errors, errors[0]
-    snap = shared.snapshot(wait=True)
+    snap = store.snapshot()
     assert snap.count("Patient") == N_PATIENTS + 2 * per_thread
     _check_snapshot_consistency(snap)
 
@@ -314,7 +322,6 @@ def test_stats_gauges_come_from_one_epoch():
     store.set_value(address, "country", EnumSymbol("Switzerland"))
     swiss = store.create("Hospital", location=address)
     tb = store.create("Tubercular_Patient", name="t", age=40)
-    shared = ConcurrentStore(store)
     gauges = ("objects", "extent_entries", "dirty_objects", "virtual_refs",
               "indexes")
 
@@ -330,7 +337,7 @@ def test_stats_gauges_come_from_one_epoch():
         mine = []
         try:
             while not stop.is_set():
-                mine.append(shared.stats())
+                mine.append(store.snapshot(wait=False).stats())
         except BaseException as exc:
             errors.append(exc)
         seen.append(mine)
@@ -343,20 +350,20 @@ def test_stats_gauges_come_from_one_epoch():
         for i in range(150):
             step = i % 6
             if step == 0:
-                person = shared.create("Person", name=f"p{i}", age=30)
+                person = store.create("Person", name=f"p{i}", age=30)
             elif step == 1:
-                shared.classify(person, "Patient")
+                store.classify(person, "Patient")
             elif step == 2:
                 if "age" in store.indexes:
-                    shared.drop_index("age")
+                    store.drop_index("age")
                 else:
-                    shared.create_index("age")
+                    store.create_index("age")
             elif step == 3:
-                shared.set_value(tb, "treatedAt", swiss)
+                store.set_value(tb, "treatedAt", swiss)
             elif step == 4:
-                shared.unset_value(tb, "treatedAt")
+                store.unset_value(tb, "treatedAt")
             else:
-                shared.validate_dirty()
+                store.validate_dirty()
             committed.add(gauges_of(store.stats()))
     finally:
         stop.set()
@@ -371,3 +378,132 @@ def test_stats_gauges_come_from_one_epoch():
         for name in ("writes", "classifies", "snapshots_built"):
             series = [stats[name] for stats in mine]
             assert series == sorted(series), name
+
+
+# ----------------------------------------------------------------------
+# snapshot(): a current cache is read without the lock; wait=False
+# serves the previous epoch while another thread holds it
+# ----------------------------------------------------------------------
+
+def _call(fn):
+    """Run ``fn`` on a daemon thread: ``(thread, result list)``."""
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _at_once(fn):
+    thread, out = _call(fn)
+    thread.join(TIMEOUT)
+    assert not thread.is_alive(), "blocked on the write lock"
+    return out[0]
+
+
+def test_a_reader_is_served_while_another_thread_holds_the_lock():
+    store = ObjectStore(SCHEMA)
+    person = store.create("Person", name="a", age=30)
+    first = store.snapshot()
+    held, write, moved, release = (threading.Event() for _ in range(4))
+
+    def writer():
+        with store._write_lock:
+            held.set()
+            write.wait(TIMEOUT)
+            store.set_value(person, "age", 44)
+            moved.set()
+            release.wait(TIMEOUT)
+
+    holder = threading.Thread(target=writer, daemon=True)
+    holder.start()
+    try:
+        assert held.wait(TIMEOUT)
+        # Current cache: no lock taken, in either mode.
+        assert _at_once(store.snapshot) is first
+        assert _at_once(lambda: store.snapshot(wait=False)) is first
+        write.set()
+        assert moved.wait(TIMEOUT)
+        # The epoch moved under the held lock: wait=False gets the
+        # previous epoch at once, a waiting reader blocks until release.
+        assert _at_once(lambda: store.snapshot(wait=False)) is first
+        waiting, out = _call(store.snapshot)
+        waiting.join(0.2)
+        assert waiting.is_alive() and not out
+    finally:
+        write.set()
+        release.set()
+        holder.join(TIMEOUT)
+    waiting.join(TIMEOUT)
+    assert not waiting.is_alive()
+    fresh = out[0]
+    assert fresh.epoch == store._epoch > first.epoch
+    assert fresh.get(person.surrogate).get_value("age") == 44
+    assert first.get(person.surrogate).get_value("age") == 30
+
+
+def test_replica_readers_never_see_part_of_a_shipped_transaction():
+    """``Replica._apply_record`` replays a ``txn`` record as one step
+    under the write lock; ``read_view`` readers (on the lock-free path
+    whenever the cache is current) see it all or not at all."""
+    from repro.objects.transactions import transaction
+    from tests.faultfs import MemFS
+
+    primary = open_store("/primary", SCHEMA, durability="wal", fs=MemFS())
+    patient = primary.create("Patient", name="p0", age=40)
+    replica = Replica(LocalShipSource(primary))
+    stop = threading.Event()
+    errors: list = []
+    views = [0]
+
+    def reader():
+        try:
+            while not stop.is_set():
+                snap, _seq = replica.read_view()
+                row = snap.get(patient.surrogate)
+                age, name = row.get_value("age"), row.get_value("name")
+                assert name == "p0" or name == f"v{age}", (age, name)
+                views[0] += 1
+        except BaseException as exc:
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader, daemon=True)
+               for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    for t in readers:
+        t.start()
+    try:
+        for i in range(150):
+            age = 20 + (i % 80)
+            with transaction(primary):
+                primary.set_value(patient, "age", age)
+                primary.set_value(patient, "name", f"v{age}")
+            replica.sync()
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        for t in readers:
+            t.join(TIMEOUT)
+    assert not errors, errors[0]
+    assert not any(t.is_alive() for t in readers)
+    assert views[0] > 0
+    assert replica.store.get(patient.surrogate).get_value("name") == "v89"
+
+
+@pytest.mark.parametrize("wait", [False, True])
+def test_a_checkpoint_only_reopen_serves_its_population(tmp_path, wait):
+    # A checkpoint install does not move the epoch: the reopened store
+    # is at epoch 0 with objects in it, so no cache may read as current
+    # before the first capture.
+    directory = str(tmp_path / "db")
+    store = ObjectStore.open(directory, SCHEMA)
+    for i in range(5):
+        store.create("Patient", name=f"p{i}", age=30 + i)
+    store.checkpoint()
+    store.close()
+    again = ObjectStore.open(directory)
+    assert again._epoch == 0 and len(again) == 5
+    first = _at_once(lambda: again.snapshot(wait=wait))
+    assert first.count("Patient") == 5
+    assert _at_once(lambda: again.snapshot(wait=not wait)) is first
+    again.close()

@@ -341,7 +341,7 @@ def test_token_wait_sees_a_write_made_behind_the_service(service, client):
         client.token_wait(token, timeout=IO_TIMEOUT)))
     thread.start()
     _until(lambda: len(service._waiters) == 1)
-    service.concurrent.create("Ward", floor=1, name="embedder")
+    service.backend.store.create("Ward", floor=1, name="embedder")
     thread.join(IO_TIMEOUT)
     assert done and tokens.covers(done[0]["position"], token)
 

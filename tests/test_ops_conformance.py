@@ -549,7 +549,7 @@ def test_a_repeated_request_is_a_plan_hit_without_parse_or_wrapper(
     cmd = {"op": "query", "text": text}
     first = backend.op_query(cmd)
     assert parses == [text]             # the miss parses, once
-    snap, qstats = backend.concurrent.snapshot(), store.indexes.qstats
+    snap, qstats = store.snapshot(wait=False), store.indexes.qstats
     hits, misses = qstats.plan_hits, qstats.plan_misses
     assert backend.op_query(cmd) == first
     assert (qstats.plan_hits, qstats.plan_misses) == (hits + 1, misses)

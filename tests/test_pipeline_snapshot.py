@@ -9,7 +9,7 @@ mid-transaction, and observers only ever see committed commands.
 import pytest
 
 from repro.errors import ConformanceError, NoSuchObjectError
-from repro.objects import ConcurrentStore, ObjectStore
+from repro.objects import ObjectStore
 from repro.objects.pipeline import CheckMode
 from repro.objects.transactions import transaction
 from repro.query.planner import execute_planned
@@ -338,38 +338,42 @@ class TestSnapshotRows:
 
 
 # ---------------------------------------------------------------------------
-# ConcurrentStore facade basics (single-threaded behavior)
+# Thread-facing reads on the store itself (single-threaded behavior; the
+# names predate the ConcurrentStore facade's fold into snapshot(wait=))
 # ---------------------------------------------------------------------------
 
 class TestConcurrentFacade:
     def test_reads_follow_commits(self, hospital_schema):
-        shared = ConcurrentStore(ObjectStore(hospital_schema))
-        p = shared.create("Person", name="a", age=30)
-        assert shared.count("Person") == 1
-        assert shared.get(p.surrogate).get_value("age") == 30
-        shared.set_value(p, "age", 44)
-        assert shared.get(p.surrogate).get_value("age") == 44
-        assert len(shared) == 1
+        store = ObjectStore(hospital_schema)
+        p = store.create("Person", name="a", age=30)
+        assert store.snapshot(wait=False).count("Person") == 1
+        assert store.snapshot(wait=False).get(
+            p.surrogate).get_value("age") == 30
+        store.set_value(p, "age", 44)
+        assert store.snapshot(wait=False).get(
+            p.surrogate).get_value("age") == 44
+        assert len(store.snapshot(wait=False)) == 1
 
     def test_transaction_scope_through_facade(self, hospital_schema):
-        shared = ConcurrentStore(ObjectStore(hospital_schema))
+        store = ObjectStore(hospital_schema)
         with pytest.raises(RuntimeError):
-            with shared.transaction():
-                shared.create("Person", name="a", age=30)
+            with store.transaction():
+                store.create("Person", name="a", age=30)
                 raise RuntimeError("abort")
-        assert shared.count("Person") == 0
+        assert store.snapshot(wait=False).count("Person") == 0
 
     def test_stats_and_queries(self, hospital_schema):
-        shared = ConcurrentStore(ObjectStore(hospital_schema))
+        store = ObjectStore(hospital_schema)
         for i in range(5):
-            shared.create("Person", name=f"p{i}", age=30 + i)
-        rows, _ = shared.query("for p in Person select p.name")
+            store.create("Person", name=f"p{i}", age=30 + i)
+        rows, _ = store.snapshot(wait=False).run_query(
+            "for p in Person select p.name")
         assert len(rows) == 5
-        with shared.store._write_lock:
+        with store._write_lock:
             rows_locked, _ = execute_planned(
-                "for p in Person select p.name", shared.store)
+                "for p in Person select p.name", store)
         assert [tuple(r) for r in rows] == [tuple(r) for r in rows_locked]
-        assert shared.stats()["objects"] == 5
+        assert store.snapshot(wait=False).stats()["objects"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,32 @@ class TestRoundTrip:
         assert all(again.get(sid).get_value("weight") == w
                    for sid, w in zip(acked, (3, 4)))
 
+    def test_a_transaction_whose_commit_raises_is_rolled_back(self, fs):
+        # The live store, not just the reopened one: a scope whose WAL
+        # group fails to encode leaves no write, no pending command for
+        # the next scope's observers, and the ValueError unmasked.
+        store = open_store(DIR, load_schema(_ITEM_CDL), durability="wal",
+                           fs=fs, sync="always")
+        item = store.create("Item", weight=1)
+        seen = []
+        store.observers.append(lambda command: seen.append(
+            type(command).__name__))
+        before = store.snapshot()
+        with pytest.raises(ValueError):
+            with transaction(store):
+                store.create("Item", weight=2)
+                store.set_value(item, "weight", 10 ** 5000)
+        assert store.count("Item") == 1
+        assert item.get_value("weight") == 1
+        assert store.snapshot().count("Item") == 1
+        assert store.snapshot().epoch > before.epoch
+        assert store._pipeline._pending == []
+        assert seen == []
+        with transaction(store):
+            store.create("Item", weight=3)
+        assert seen == ["CreateCommand"]
+        assert store.count("Item") == 2
+
     def test_a_create_failing_past_conformance_leaves_no_object(self,
                                                                  store):
         # Rendering the violation of an over-long int raises ValueError,

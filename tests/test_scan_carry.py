@@ -39,7 +39,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from repro import columnar
 from repro.columnar import FrozenColumns
 from repro.errors import ObjectError, SchemaError
-from repro.objects import ConcurrentStore, ObjectStore
+from repro.objects import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.schema.classdef import ClassDef
 from tests.test_rollback_properties import (
@@ -255,14 +255,13 @@ def test_carried_and_gathered_counter_deltas():
 def test_readers_carry_forward_while_the_writer_commits():
     store = ObjectStore(SCHEMA)
     _fill(store, 5_000, ("Patient",))
-    shared = ConcurrentStore(store)
     handles = list(store.extent("Patient"))
     stop, errors, epochs = threading.Event(), [], set()
 
     def reader():
         try:
             while not stop.is_set():
-                snap = shared.snapshot()
+                snap = store.snapshot(wait=False)
                 for name in ("Patient", "Person", "Ambulatory_Patient"):
                     rows = snap.scan_rows(name)
                     want = reference_scan_rows(snap, name)
@@ -278,14 +277,14 @@ def test_readers_carry_forward_while_the_writer_commits():
             for i in range(200):
                 obj = rng.choice(handles)
                 if i % 4 == 0:
-                    handles.append(shared.create("Patient", name="n", age=5))
+                    handles.append(store.create("Patient", name="n", age=5))
                 elif i % 4 == 1:
                     handles.remove(obj)
-                    shared.remove(obj)
+                    store.remove(obj)
                 elif i % 4 == 2 and "Ambulatory_Patient" not in obj.memberships:
-                    shared.classify(obj, "Ambulatory_Patient")
+                    store.classify(obj, "Ambulatory_Patient")
                 else:
-                    shared.set_value(obj, "age", i % 100 + 1)
+                    store.set_value(obj, "age", i % 100 + 1)
                 time.sleep(1e-4)       # a gap in which readers take k+1
         except Exception as exc:
             errors.append(exc)
