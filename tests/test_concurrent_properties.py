@@ -30,10 +30,13 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConformanceError
 from repro.net.replication import LocalShipSource, Replica
 from repro.objects import CheckMode, ObjectStore
+from repro.objects.transactions import transaction
 from repro.scenarios import build_hospital_schema
 from repro.storage.recovery import open_store
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
+
+from tests.faultfs import MemFS
 
 pytestmark = pytest.mark.concurrent
 
@@ -445,9 +448,6 @@ def test_replica_readers_never_see_part_of_a_shipped_transaction():
     """``Replica._apply_record`` replays a ``txn`` record as one step
     under the write lock; ``read_view`` readers (on the lock-free path
     whenever the cache is current) see it all or not at all."""
-    from repro.objects.transactions import transaction
-    from tests.faultfs import MemFS
-
     primary = open_store("/primary", SCHEMA, durability="wal", fs=MemFS())
     patient = primary.create("Patient", name="p0", age=40)
     replica = Replica(LocalShipSource(primary))
