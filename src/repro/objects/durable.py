@@ -72,9 +72,6 @@ class StoreJournal:
     def begin(self) -> None:
         self.wal.begin()
 
-    def commit(self) -> None:
-        self.wal.commit()
-
     def abort(self) -> None:
         self.wal.abort()
 

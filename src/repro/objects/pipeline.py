@@ -412,6 +412,7 @@ class MutationPipeline:
                 journal.begin()
             self._txn_depth += 1
             mark = len(self._pending)
+            sealed = None
             try:
                 with UndoScope(store):
                     yield
@@ -421,11 +422,10 @@ class MutationPipeline:
                             raise TransactionError("; ".join(
                                 str(v) for _obj, v in problems[:5]))
                     if journal is not None:
-                        # Inside the scope: a commit that raises rolls
-                        # the scope back.  The log has already dropped
-                        # the group then, so it is not aborted again.
-                        group, journal = journal, None
-                        group.commit()
+                        # An unencodable group rolls the scope back; the
+                        # log has dropped it already (no second abort).
+                        wal, journal = journal.wal, None
+                        sealed = wal.seal()
             except BaseException:
                 self._txn_depth -= 1
                 del self._pending[mark:]
@@ -433,6 +433,9 @@ class MutationPipeline:
                     journal.abort()
                 raise
             self._txn_depth -= 1
+            if sealed:
+                # The record holds its seq: an I/O error keeps the writes.
+                wal.write_out(*sealed)
             if self._txn_depth == 0 and self._pending:
                 pending, self._pending = self._pending, []
                 for command in pending:

@@ -273,7 +273,7 @@ class WriteAheadLog:
         else:
             data = frame_record(dict(fields, seq=seq, op=op))
             self.last_seq = seq
-            self._write_out(data, 1)
+            self.write_out(data, 1)
         if self.stats is not None:
             self.stats.wal_records += 1
         return seq
@@ -286,11 +286,18 @@ class WriteAheadLog:
         """Close the innermost group; the outermost close writes the
         buffered operations as ONE framed record (a single-op group is
         written plain), so recovery replays the group all-or-nothing."""
+        sealed = self.seal()
+        if sealed:
+            self.write_out(*sealed)
+
+    def seal(self) -> Optional[Tuple[bytes, int]]:
+        """:meth:`commit` short of :meth:`write_out`: an unencodable group
+        raises here, dropped whole and taking no sequence number."""
         if not self._marks:
             raise StorageError("WAL commit without begin")
         if len(self._marks) > 1 or not self._buffer:
             self._marks.pop()
-            return
+            return None
         seq = self.last_seq + 1
         if len(self._buffer) == 1:
             op, fields = self._buffer[0]
@@ -308,7 +315,7 @@ class WriteAheadLog:
         count = len(self._buffer)
         self._buffer.clear()
         self.last_seq = seq
-        self._write_out(data, count)
+        return data, count
 
     def abort(self) -> None:
         """Discard the innermost group's buffered operations; nothing
@@ -324,7 +331,7 @@ class WriteAheadLog:
     def in_group(self) -> bool:
         return bool(self._marks)
 
-    def _write_out(self, data: bytes, records: int) -> None:
+    def write_out(self, data: bytes, records: int) -> None:
         self.offset += len(data)
         if self.stats is not None:
             self.stats.wal_commits += 1

@@ -338,8 +338,8 @@ class TestSnapshotRows:
 
 
 # ---------------------------------------------------------------------------
-# Thread-facing reads on the store itself (single-threaded behavior; the
-# names predate the ConcurrentStore facade's fold into snapshot(wait=))
+# Thread-facing reads on the store itself: snapshot(wait=False), single
+# threaded
 # ---------------------------------------------------------------------------
 
 class TestConcurrentFacade:

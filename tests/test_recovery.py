@@ -190,6 +190,35 @@ class TestRoundTrip:
         assert seen == ["CreateCommand"]
         assert store.count("Item") == 2
 
+    @pytest.mark.parametrize("sync, op", [("always", "sync"),
+                                          ("group", "write")])
+    def test_a_transaction_whose_log_write_fails_stays(self, sync, op):
+        # An I/O error after the record took its seq: the bytes are in
+        # the file or still buffered, so a reopen brings the scope back.
+        # The live store must agree and keep it too.
+        class FailOnce(MemFS):
+            failing = None
+
+            def _count(self, name):
+                if name == self.failing:
+                    self.failing = None
+                    raise OSError(f"injected {name} failure")
+
+        fs = FailOnce()
+        store = open_store(DIR, load_schema(_ITEM_CDL), durability="wal",
+                           fs=fs, sync=sync, sync_every=1)
+        item = store.create("Item", weight=1)
+        fs.failing = op
+        with pytest.raises(OSError, match="injected"):
+            with transaction(store):
+                store.create("Item", weight=2)
+                store.set_value(item, "weight", 5)
+        assert store.count("Item") == 2
+        assert store.snapshot().count("Item") == 2
+        digest = store_digest(store)
+        store.close()
+        assert store_digest(_reopen(fs)) == digest
+
     def test_a_create_failing_past_conformance_leaves_no_object(self,
                                                                  store):
         # Rendering the violation of an over-long int raises ValueError,
