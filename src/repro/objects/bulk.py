@@ -24,8 +24,8 @@ them in one merge:
   anything becomes visible (results are plain data, and the merge is
   deterministic in staging order);
 * extents, index postings and the dirty ledger are updated in one pass
-  per batch, and the index design version is bumped **once** so plans
-  cached mid-batch never outlive the merge.
+  per batch; the index design version stays, so cached plans survive
+  the merge (they read cardinalities per execution).
 
 Semantics are all-or-nothing: any failure (a conformance violation, an
 unshared-structure violation, an unknown class) restores the store --

@@ -886,8 +886,8 @@ class MutationPipeline:
 
     def bulk_merge(self, fast, groups, mode: str) -> None:
         """Make the fast-path objects visible: registration, one extent
-        pass per profile, one index pass per batch (single design-version
-        bump), dirty marks and counters."""
+        pass per profile, one index pass per batch, dirty marks and
+        counters."""
         store = self.store
         if not fast:
             return

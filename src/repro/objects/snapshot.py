@@ -101,9 +101,9 @@ class SnapshotIndexes:
 
     Posting *containers* are captured by reference (the manager's hooks
     privatize an index before mutating it); the plan cache and query
-    counters are shared with the live store -- plans are keyed on the
-    captured design version, so a plan built against this snapshot never
-    collides with one built against a later physical design.
+    counters are shared with the live store.  Plans are keyed on the
+    captured design version, which only index create/drop moves: views
+    under one design share each plan, each with its own postings.
     """
 
     __slots__ = ("version", "plan_cache", "qstats", "_postings")

@@ -33,7 +33,8 @@ branch-sensitive populations get their own posting lists:
 The :class:`IndexManager` owns all of a store's indexes plus the plan
 cache the planner keys on ``(query text, schema version, index version,
 compile options)``; creating or dropping an index bumps ``version`` so
-cached plans that baked in the old physical design stop matching.
+cached plans that baked in the old physical design stop matching.  Data
+changes never move it: a plan reads cardinalities per execution.
 
 Columnar postings
 -----------------
@@ -220,8 +221,8 @@ class StoreIndex:
 class PlanCache:
     """A bounded LRU of compiled query plans.
 
-    Keys embed the schema and index-design version counters, so a stale
-    plan simply never matches again -- no eager invalidation pass."""
+    Keys embed the schema and index-design versions, all a plan bakes
+    in, so a stale plan simply never matches again -- no eager pass."""
 
     def __init__(self, capacity: int = 256,
                  stats: Optional[QueryStats] = None) -> None:
@@ -336,19 +337,13 @@ class IndexManager:
         self.qstats.index_updates += len(self._indexes)
 
     def bulk_add(self, objects, indexed_writes: int = 0) -> None:
-        """Index a batch of newly-live objects in one pass per index and
-        bump the design version **once** for the whole batch.
+        """Index a batch of newly-live objects in one pass per index.
 
         Equivalent to ``on_create`` + ``on_value_change`` per object (no
         value for an indexed attribute: the INAPPLICABLE posting).
         ``indexed_writes`` is the number of staged writes that touched
         indexed attributes, so ``index_updates`` advances as the
         sequential path would.
-
-        The version bump is deliberate and conservative: plans compiled
-        while the batch was staged were costed against pre-batch
-        cardinalities, and the monotone version counter is the plan
-        cache's only invalidation mechanism (see ``PlanCache``).
         """
         if not objects:
             return
@@ -357,7 +352,6 @@ class IndexManager:
         if self._indexes:
             self.qstats.index_updates += (
                 len(self._indexes) * len(objects) + indexed_writes)
-        self.version += 1
 
     def on_schema_change(self, affected_attributes) -> int:
         """Rebuild the postings of every index whose attribute the schema
@@ -370,9 +364,9 @@ class IndexManager:
         mutation paths run again, and the exactness contract ("an
         indexed plan agrees with the scan row-for-row") is cheap to
         re-establish by re-deriving the affected postings from the live
-        population.  Returns the number of indexes rebuilt; bumps the
-        design version once when any were, so cached plans costed
-        against the old cardinalities stop matching.
+        population.  Returns the number of indexes rebuilt.  The design
+        version stays: the alter already moved ``schema.version``, which
+        every plan key carries.
         """
         rebuilt = 0
         for attribute in sorted(affected_attributes):
@@ -381,9 +375,7 @@ class IndexManager:
                 continue
             self._fill(index)
             rebuilt += 1
-        if rebuilt:
-            self.qstats.index_updates += rebuilt
-            self.version += 1
+        self.qstats.index_updates += rebuilt
         return rebuilt
 
     def on_value_change(self, surrogate, attribute: str, old,

@@ -107,8 +107,6 @@ class QueryPlan:
     residual: Tuple[str, ...]
     #: (conjunct text, reason) pairs for sargable-but-not-pushed ones.
     blocked: Tuple[Tuple[str, str], ...]
-    schema_version: int
-    index_version: int
     #: The function ``build_plan`` generates for this exact pushdown
     #: sequence (:func:`_compile_executor`).  Not part of plan identity.
     executor: Callable = field(init=False, repr=False, compare=False)
@@ -274,8 +272,6 @@ def build_plan(compiled: CompiledQuery, schema: Schema,
         pushdowns=tuple(pushdowns),
         residual=tuple(residual),
         blocked=tuple(blocked),
-        schema_version=schema.version,
-        index_version=manager.version,
     )
     plan.executor = _compile_executor(plan, manager.qstats)
     return plan

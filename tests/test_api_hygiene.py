@@ -373,7 +373,7 @@ _BASELINE_SELECTORS = {"engine", "use_index", "prune", "semantics"}
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 20687
+SRC_LINE_CEILING = 20675
 
 #: The same ratchet for prose, in bytes: detail lives in git and the
 #: issue, not in ever-growing reference docs or changelog entries.
@@ -560,6 +560,43 @@ def test_one_snapshot_cache():
                     getattr(node.func, "attr", None)) == "StoreSnapshot"]
     assert not offenders, (
         "take snapshots through store.snapshot(): " + ", ".join(offenders))
+
+
+#: The only ``IndexManager`` methods that may move its design version.
+_DESIGN_VERSION_WRITERS = {"__init__", "create", "drop", "reinstall"}
+
+
+def test_index_design_version_moves_only_with_the_index_set():
+    """Every plan key carries ``IndexManager.version``; a plan bakes in
+    the set of indexed attributes and reads cardinalities per execution.
+    So the version moves when that set does (``create``, ``drop``, a
+    ``reinstall`` that changes it) and nowhere else: a bump on a data
+    change would throw away plans that read nothing it changed."""
+    offenders = []
+    for rel, tree in _src_trees():
+        methods = {id(func): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for func in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            owners = {"indexes", "manager"}
+            if methods.get(id(func)) == "IndexManager":
+                if func.name in _DESIGN_VERSION_WRITERS:
+                    continue
+                owners.add("self")
+            offenders += [
+                f"{rel}:{node.lineno} ({func.name})"
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Assign, ast.AugAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Attribute)
+                and target.attr == "version"
+                and getattr(target.value, "id",
+                            getattr(target.value, "attr", None)) in owners]
+    assert not offenders, (
+        "IndexManager.version moves only in "
+        f"{sorted(_DESIGN_VERSION_WRITERS)}: " + ", ".join(offenders))
 
 
 def test_the_wire_has_one_parser_and_the_service_never_polls():

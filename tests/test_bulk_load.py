@@ -17,6 +17,7 @@ import pytest
 from repro.errors import ConformanceError, ReproError, UnknownClassError
 from repro.objects import BulkSession, ObjectStore
 from repro.objects.store import CheckMode
+from repro.query import plan_query
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
 
@@ -131,18 +132,32 @@ class TestBasics:
         assert stats.writes == 14
         assert stats.classifies == 0
 
-    def test_index_postings_and_single_version_bump(self, hospital_store):
-        hospital_store.create_index("age")
-        version = hospital_store.indexes.version
-        hospital_store.bulk_load(_patient_rows(6), check="eager")
-        assert hospital_store.indexes.version == version + 1
-        index = hospital_store.indexes.get("age")
-        assert len(index) == 6
-        assert index.lookup(30)  # p0's age
+    def test_index_postings_and_cached_plans_survive(self, hospital_store):
+        """A batch moves postings, not the physical design: a plan cached
+        before it keeps serving the live store (which now sees the
+        batch's rows) and a snapshot taken before it (which does not)."""
+        store = hospital_store
+        store.create_index("age")
+        store.create("Patient", name="pre", age=30)
+        text = "for p in Patient where p.age = 30 select p.name"
+        assert store.run_query(text)[0] == [("pre",)]
+        before = store.snapshot()
+        version = store.indexes.version
+        qstats = store.indexes.qstats
+        misses = qstats.plan_misses
+        store.bulk_load(_patient_rows(6), check="eager")
+        assert store.indexes.version == version
+        assert store.run_query(text)[0] == [("pre",), ("p0",)]
+        assert before.run_query(text)[0] == [("pre",)]
+        assert qstats.plan_misses == misses
+        assert plan_query(text, before) is plan_query(text, store)
+        index = store.indexes.get("age")
+        assert len(index) == 7
+        assert len(index.lookup(30)) == 2     # pre and p0
         # An unset indexed attribute lands on the INAPPLICABLE posting,
         # exactly as the incremental hooks would leave it.
-        hospital_store.bulk_load([("Ward", {"floor": 1, "name": "W"})])
-        ward = hospital_store.extent("Ward")[0]
+        store.bulk_load([("Ward", {"floor": 1, "name": "W"})])
+        ward = store.extent("Ward")[0]
         assert ward.surrogate in index.inapplicable
 
 

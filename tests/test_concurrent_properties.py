@@ -31,12 +31,14 @@ from repro.errors import ConformanceError
 from repro.net.replication import LocalShipSource, Replica
 from repro.objects import CheckMode, ObjectStore
 from repro.objects.transactions import transaction
+from repro.query import compile_query
 from repro.scenarios import build_hospital_schema
 from repro.storage.recovery import open_store
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
 
 from tests.faultfs import MemFS
+from tests.reference_query import reference_execute
 
 pytestmark = pytest.mark.concurrent
 
@@ -507,3 +509,56 @@ def test_a_checkpoint_only_reopen_serves_its_population(tmp_path, wait):
     assert first.count("Patient") == 5
     assert _at_once(lambda: again.snapshot(wait=not wait)) is first
     again.close()
+
+
+# ----------------------------------------------------------------------
+# One cached plan across bulk batches: a batch changes postings, not the
+# physical design
+# ----------------------------------------------------------------------
+
+def test_one_cached_plan_serves_readers_across_bulk_batches():
+    """Readers re-run one text on their own snapshots while a writer
+    bulk-loads and removes batches.  Every answer is the reference scan
+    of the reader's snapshot, and the text is planned exactly once."""
+    store = ObjectStore(SCHEMA)
+    store.create_index("age")
+    text = "for p in Patient where p.age = 30 select p.name"
+    compiled = compile_query(text, SCHEMA)
+    qstats = store.indexes.qstats
+    misses = qstats.plan_misses
+    design = store.indexes.version
+    assert store.run_query(text)[0] == []
+    stop = threading.Event()
+    errors: list = []
+    runs: list = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                snap = store.snapshot(wait=False)
+                rows, _stats = snap.run_query(text)
+                assert rows == reference_execute(compiled, snap)[0]
+                runs.append(len(rows))
+        except BaseException as exc:
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    for t in readers:
+        t.start()
+    try:
+        for i in range(40):
+            report = store.bulk_load(
+                [{"class": "Patient", "name": f"b{i}.{j}", "age": 30 + j % 3}
+                 for j in range(8)], check="eager")
+            with store.transaction():
+                for obj in report.instances[::2]:
+                    store.remove(obj)
+    finally:
+        stop.set()
+        for t in readers:
+            t.join()
+    assert not errors, errors[0]
+    assert runs and store.run_query(text)[0] == reference_execute(
+        compiled, store.snapshot())[0]
+    assert store.indexes.version == design
+    assert qstats.plan_misses == misses + 1

@@ -259,6 +259,31 @@ class TestQueryConsistency:
         # cached plans (keyed on it) would be served for fresh queries.
         assert v0 < v1 < v2
 
+    @pytest.mark.parametrize("setup, command", [
+        (None, lambda s: s.alter_class(alcoholic_def())),
+        (lambda s: s.alter_class(ClassDef("Alcoholic", ("Patient",), ())),
+         lambda s: s.add_excuse("Alcoholic", "treatedBy", "Psychologist",
+                                ["Patient"])),
+        (lambda s: s.alter_class(alcoholic_def()),
+         lambda s: s.retract_excuse("Alcoholic", "treatedBy",
+                                    drop_attribute=True)),
+    ], ids=["alter_class", "add_excuse", "retract_excuse"])
+    def test_every_schema_command_raises_schema_version(self, store, setup,
+                                                        command):
+        """Every plan key carries ``schema.version``, so a committed
+        schema command stops each cached plan matching on its own; the
+        index design version (here with a rebuilt index) stays."""
+        store.create_index("treatedBy")
+        if setup is not None:
+            setup(store)
+        rebuilds = store.checker.stats.schema_index_rebuilds
+        version = store.schema.version
+        design = store.indexes.version
+        command(store)
+        assert store.schema.version > version
+        assert store.checker.stats.schema_index_rebuilds == rebuilds + 1
+        assert store.indexes.version == design
+
     def test_run_query_replans_after_retract(self, store):
         store.alter_class(alcoholic_def())
         shrink = store.create("Psychologist", name="freud", age=60)
@@ -293,13 +318,19 @@ class TestQueryConsistency:
         serial = store.indexes._indexes["serial"]
         treated_buckets = treated._buckets
         serial_buckets = serial._buckets
+        text = "for p in Patient where p.name = \"ann\" select p.name"
+        store.run_query(text)
         base_version = store.indexes.version
         base_rebuilds = store.checker.stats.schema_index_rebuilds
+        base_misses = store.indexes.qstats.plan_misses
         store.alter_class(alcoholic_def())
         # The medical alter touches treatedBy: that index gets fresh
-        # containers (identity-preserving swap) and the design version
-        # bumps; the serial index must be left alone.
-        assert store.indexes.version > base_version
+        # containers (identity-preserving swap) and the serial index is
+        # left alone.  The set of indexes did not change, so the design
+        # version stays; the cached plan misses on schema.version alone.
+        assert store.indexes.version == base_version
+        assert store.run_query(text)[0] == [("ann",)]
+        assert store.indexes.qstats.plan_misses == base_misses + 1
         assert store.checker.stats.schema_index_rebuilds == \
             base_rebuilds + 1
         assert store.indexes._indexes["treatedBy"] is treated
