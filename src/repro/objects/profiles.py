@@ -6,12 +6,12 @@ structurally incompatible values gets "a logical file with a distinct
 record format"; then "the type deduction algorithm can ... reduce the
 run-time search for the file where some particular object's attribute
 value is located".  :func:`profile_catalog` is that partition in one walk
-(per signature: members, the attributes set on *every* member, and
-whether none is dirty) -- a shard's ``shard_map`` is this catalog
-serialised.  :func:`record_format` is a signature's fields and kinds
-(a ``None``-ranged attribute gets no field; surrogates never force a
-partition).  :func:`scan_attribute` is the deduction-pruned search that
-experiment E7 measures against the unpruned reading in the tests.
+of the instances' own fields (per signature: members, the attributes set
+on *every* member, and whether none is dirty) -- a shard's ``shard_map``
+is this walk, serialised per request.  :func:`record_format` is a
+signature's fields and kinds (a ``None``-ranged attribute gets no field;
+surrogates never force a partition).  :func:`scan_attribute` is the
+deduction-pruned search that E7 measures against the unpruned reading.
 """
 
 from __future__ import annotations
@@ -59,22 +59,21 @@ class ScanStats:
 def profile_catalog(store, exclude=()) -> Dict[FrozenSet[str], Profile]:
     """``{signature: Profile}`` over ``store``'s objects whose surrogate
     is not in ``exclude``, in first-seen order."""
-    dirty = {surrogate.id for surrogate in store._dirty}
+    dirty, skip = store._dirty, set(exclude)
     catalog: Dict[FrozenSet[str], Profile] = {}
     for obj in store.instances():
         surrogate = obj.surrogate
-        if surrogate in exclude:
+        if surrogate in skip:
             continue
-        key = obj.memberships
+        key = frozenset(obj._memberships)
         profile = catalog.get(key)
         if profile is None:
             catalog[key] = Profile(tuple(sorted(key)), [obj],
-                                   set(obj.value_names()),
-                                   surrogate.id not in dirty)
+                                   set(obj._values), surrogate not in dirty)
         else:
             profile.members.append(obj)
-            profile.total.intersection_update(obj.value_names())
-            if surrogate.id in dirty:
+            profile.total.intersection_update(obj._values)
+            if surrogate in dirty:
                 profile.clean = False
     return catalog
 

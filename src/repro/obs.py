@@ -199,7 +199,7 @@ SHARD_COUNTER_FIELDS: Tuple[str, ...] = (
     "shards_dispatched",   # per-query shard dispatches, summed
     "shards_pruned",       # shards a query never touched (pre-pass)
     "deduction_prunes",    # profile exclusions proven by deduction
-    "map_refreshes",       # shard-map fetches (stale after mutations)
+    "map_refreshes",       # shard-map fetches (a stale map that prunes)
     "rows_merged",         # per-shard result rows merged by the router
     "schema_replications", # schema/evolution commands replicated
     "position_refreshes",  # explicit per-shard position (ping) sweeps

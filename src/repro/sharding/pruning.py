@@ -44,8 +44,8 @@ by row:
   or residue-producing mutations -- on that shard.
 
 Pruning never looks at positive path facts (``x.a in D`` proves no
-non-membership without disjointness information) and degrades to
-dispatch-everywhere whenever a shard map is unavailable.
+non-membership without disjointness information).  Only a refutation
+needs a current map: the router re-fetches a stale map only to prune.
 """
 
 from __future__ import annotations

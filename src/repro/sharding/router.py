@@ -255,7 +255,8 @@ class ShardedStore:
         self._owners: Dict[int, int] = {}       # routed sid -> shard
         self._broadcast: Set[int] = set()       # replicated sids
         self._profile_counts: Dict[str, int] = {}
-        self._maps: List[Optional[List[tuple]]] = [None] * n_shards
+        self._maps: List[List[tuple]] = [[] for _ in range(n_shards)]
+        self._stale: Set[int] = set(range(n_shards))   # written since
         self._queries = PlanCache()     # see _resolve_query
         self._handles: Dict[int, RemoteHandle] = {}
         #: Last observed commit position per shard (each result
@@ -473,7 +474,7 @@ class ShardedStore:
                 range(self.n_shards) if shard_ids is None else shard_ids)])
 
     def _invalidate(self, shard_id: int) -> None:
-        self._maps[shard_id] = None
+        self._stale.add(shard_id)
 
     def _replicate(self, sid: int, cmd: Dict[str, object],
                    replica_cmd: Dict[str, object]) -> None:
@@ -708,7 +709,7 @@ class ShardedStore:
                 for sid in range(saved[0], self._next_sid):
                     self._forget(sid)
                 self._next_sid, self._profile_counts = saved
-                self._maps = [None] * self.n_shards
+                self._stale.update(range(self.n_shards))
                 self.stats_counters.txn_rollbacks += 1
             raise
         self._joined = None
@@ -874,34 +875,39 @@ class ShardedStore:
 
     def _refresh_maps(self, shard_ids) -> List[List[tuple]]:
         """Each shard's profiles as ``(classes, total, clean, count)``,
-        the sets frozen once per refresh, not once per query."""
+        fetched for the stale ones, the sets frozen once per fetch."""
         for shard_id, payload in self._scatter([
                 (i, {"op": "shard_map"}) for i in shard_ids
-                if self._maps[i] is None]):
+                if i in self._stale]):
             self._maps[shard_id] = [
                 (frozenset(p["classes"]), frozenset(p["total"]),
                  bool(p["clean"]), p["count"]) for p in payload["profiles"]]
+            self._stale.discard(shard_id)
             self.stats_counters.map_refreshes += 1
         return [self._maps[i] for i in shard_ids]
 
     def _select_shards(self, facts) -> List[int]:
-        """The pruning pre-pass: refresh shard maps, refute profiles,
-        dispatch only to shards still holding a live profile."""
+        """The pruning pre-pass: decide each shard on the map held, then
+        re-fetch the stale maps that prune and decide those again (only
+        a refutation needs a current map: SEMANTICS.md section 14)."""
         schema = self.schema
-        maps = self._refresh_maps(range(self.n_shards))
-        selected: List[int] = []
-        for shard_id, shard_map in enumerate(maps):
-            used_deduction = False
+        def verdict(shard_map):     # None: some profile survives facts
+            deduced = False
             for classes, total, clean, _count in shard_map:
                 refuted, via_deduction = profile_refuted(
                     schema, facts, classes, total, clean)
                 if not refuted:
-                    selected.append(shard_id)
-                    break
-                used_deduction = used_deduction or via_deduction
-            else:   # every profile refuted: the shard is pruned
-                self.stats_counters.shards_pruned += 1
-                self.stats_counters.deduction_prunes += used_deduction
+                    return None
+                deduced = deduced or via_deduction
+            return deduced
+        verdicts = [verdict(shard_map) for shard_map in self._maps]
+        stale = [i for i, pruned in enumerate(verdicts)
+                 if pruned is not None and i in self._stale]
+        for shard_id, shard_map in zip(stale, self._refresh_maps(stale)):
+            verdicts[shard_id] = verdict(shard_map)
+        selected = [i for i, pruned in enumerate(verdicts) if pruned is None]
+        self.stats_counters.shards_pruned += self.n_shards - len(selected)
+        self.stats_counters.deduction_prunes += verdicts.count(True)
         return selected
 
     @staticmethod

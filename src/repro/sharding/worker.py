@@ -123,7 +123,6 @@ class ShardServer:
         #: Replicated reference entities owned by another shard: masked
         #: out of every extent this shard reports.
         self.foreign = SurrogateSet()
-        self._map_cache: Optional[Tuple[int, list]] = None
         #: The open scope: its store transaction and the ``foreign``
         #: set to restore on abort (None: no scope).
         self._scope: Optional[Tuple[object, SurrogateSet]] = None
@@ -222,18 +221,13 @@ class ShardServer:
 
     def _op_set_foreign(self, cmd):
         self.foreign = wire.decode_chunks(cmd["sids"])
-        self._map_cache = None      # the epoch did not move; the map did
         return {"foreign": len(self.foreign)}
 
     def _op_shard_map(self, cmd):
-        epoch = self.store._epoch
-        cached = self._map_cache
-        if cached is None or cached[0] != epoch:
-            cached = self._map_cache = (epoch, [
-                {"classes": list(p.classes), "count": len(p.members),
-                 "total": sorted(p.total), "clean": p.clean}
-                for p in profile_catalog(self.store, self.foreign).values()])
-        return {"epoch": epoch, "profiles": cached[1]}
+        return {"epoch": self.store._epoch, "profiles": [
+            {"classes": list(p.classes), "count": len(p.members),
+             "total": sorted(p.total), "clean": p.clean}
+            for p in profile_catalog(self.store, self.foreign).values()]}
 
     def _op_stats(self, cmd):
         out = dict(self.store.stats())

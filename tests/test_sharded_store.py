@@ -444,6 +444,115 @@ def test_selective_queries_dispatch_to_fewer_shards(twin):
 
 
 # --------------------------------------------------------------------------
+# Map refresh: a stale map is fetched again only where it would prune
+# --------------------------------------------------------------------------
+
+HEMORRHAGING = "for x in Hemorrhaging_Patient select x.name"
+
+
+@pytest.fixture()
+def split():
+    """Patients on both of two shards (a routed physician pins four of
+    them to shard 0), the one Hemorrhaging_Patient on shard 1."""
+    single = ObjectStore(SCHEMA)
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    patients = {}
+    for store in (single, sharded):
+        kw = {"broadcast": True} if store is sharded else {}
+        hosp = store.create("Hospital",
+                            accreditation=EnumSymbol("Federal"), **kw)
+        doc = store.create("Physician", name="doc", age=40,
+                           specialty=EnumSymbol("General"), **kw)
+        pin = store.create("Physician", name="pin", age=41,
+                           specialty=EnumSymbol("General"))
+        patients[store] = [store.create(
+            "Patient", name=f"p{i}", age=30 + i, treatedAt=hosp,
+            treatedBy=doc if i < 4 else pin,
+            bloodPressure=EnumSymbol("Low_BP")) for i in range(8)]
+        store.classify(patients[store][0], "Hemorrhaging_Patient")
+    owners = [sharded._owner_of(sharded._sid_of(p))
+              for p in patients[sharded]]
+    assert owners == [1] * 4 + [0] * 4
+    return single, sharded, patients
+
+
+def _on_both(split, run) -> None:
+    single, sharded, patients = split
+    for store in (single, sharded):
+        run(store, patients[store])
+
+
+def _counted_query(split, text) -> dict:
+    """Run ``text`` on both stores, assert the sharded rows and skips
+    are the single store's, and return the sharded counter deltas."""
+    single, sharded, _patients = split
+    base = sharded.stats_counters.snapshot()
+    rows_h, stats_h = sharded.query(text)
+    rows_s, stats_s = execute_planned(text, single)
+    assert _rows(rows_h) == _rows(rows_s)
+    assert stats_h.rows_skipped == stats_s.rows_skipped
+    after = sharded.stats_counters.snapshot()
+    return {name: after[name] - base[name] for name in (
+        "map_refreshes", "shards_dispatched", "shards_pruned")}
+
+
+def _write_both_shards(store, patients) -> None:
+    store.set_value(patients[1], "age", 60)     # shard 1
+    store.set_value(patients[5], "age", 61)     # shard 0
+
+
+def test_a_stale_map_that_keeps_its_shard_is_not_fetched(split):
+    _counted_query(split, "for x in Patient select x.name")
+    _on_both(split, _write_both_shards)
+    assert _counted_query(split, "for x in Patient select x.name") == {
+        "map_refreshes": 0, "shards_dispatched": 2, "shards_pruned": 0}
+
+
+def test_only_the_stale_map_that_prunes_is_fetched(split):
+    _counted_query(split, "for x in Patient select x.name")
+    _on_both(split, _write_both_shards)
+    assert _counted_query(split, HEMORRHAGING) == {
+        "map_refreshes": 1, "shards_dispatched": 1, "shards_pruned": 1}
+
+
+def _check_gained_profile(split, after_warm=lambda: None) -> None:
+    """Shard 0's map prunes the query; then a Hemorrhaging_Patient is
+    made there.  The stale map is fetched again and the shard asked."""
+    _counted_query(split, HEMORRHAGING)
+    after_warm()
+    _on_both(split, lambda store, patients: store.classify(
+        patients[5], "Hemorrhaging_Patient"))
+    assert _counted_query(split, HEMORRHAGING) == {
+        "map_refreshes": 1, "shards_dispatched": 2, "shards_pruned": 0}
+
+
+def test_a_stale_map_that_prunes_a_gained_profile_is_fetched(split):
+    _check_gained_profile(split)
+
+
+def test_mutant_stale_refutation_trusted_is_killed(split, monkeypatch):
+    """The router prunes on the map it holds, fetched or not."""
+    def trusting():
+        monkeypatch.setattr(ShardedStore, "_refresh_maps",
+                            lambda self, ids: [self._maps[i] for i in ids])
+
+    with pytest.raises(AssertionError):
+        _check_gained_profile(split, trusting)
+
+
+def test_a_profile_that_left_is_dispatched_to_exactly(split):
+    """Shard 1's last Hemorrhaging_Patient leaves: its stale map still
+    keeps the shard, which answers no row and no skip."""
+    text = ("for x in Patient where x in Hemorrhaging_Patient "
+            "and x.age > 30 select x.name")
+    _counted_query(split, text)
+    _on_both(split, lambda store, patients: store.declassify(
+        patients[0], "Hemorrhaging_Patient"))
+    assert _counted_query(split, text) == {
+        "map_refreshes": 0, "shards_dispatched": 1, "shards_pruned": 1}
+
+
+# --------------------------------------------------------------------------
 # Scatter-gather equivalence (spot checks; the property suite does more)
 # --------------------------------------------------------------------------
 
