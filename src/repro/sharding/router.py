@@ -256,7 +256,7 @@ class ShardedStore:
         self._broadcast: Set[int] = set()       # replicated sids
         self._profile_counts: Dict[str, int] = {}
         self._maps: List[List[tuple]] = [[] for _ in range(n_shards)]
-        self._stale: Set[int] = set(range(n_shards))   # written since
+        self._stale: Set[int] = set(range(n_shards))   # written since fetched
         self._queries = PlanCache()     # see _resolve_query
         self._handles: Dict[int, RemoteHandle] = {}
         #: Last observed commit position per shard (each result
