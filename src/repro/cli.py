@@ -448,7 +448,7 @@ def cmd_replica(args) -> int:
 
 
 def cmd_alter(args) -> int:
-    from repro.objects.store import ObjectStore
+    from repro.net.backends import open_backend
     from repro.schema.evolution import apply_change
 
     target_schema = _read_schema(args.schema)
@@ -456,15 +456,14 @@ def cmd_alter(args) -> int:
         print(f"error: {args.schema!r} does not define "
               f"{args.class_name!r}", file=sys.stderr)
         return 2
-    new_def = target_schema.get(args.class_name)
-
-    store = ObjectStore.open(args.directory)
+    backend = open_backend(args.directory)    # as ``repro serve`` does
     try:
         if args.dry_run:
             # Propagate into a detached copy: diagnostics without
             # committing anything to the store or its WAL.
-            trial = store.schema.copy()
-            diagnostics, rolled_back = apply_change(trial, new_def)
+            diagnostics, rolled_back = apply_change(
+                backend.store.schema.copy(),
+                target_schema.get(args.class_name))
             for d in diagnostics:
                 print(d)
             verdict = ("would be rejected" if rolled_back
@@ -472,23 +471,18 @@ def cmd_alter(args) -> int:
             print(f"dry run: change to {args.class_name!r} {verdict} "
                   f"({len(diagnostics)} diagnostic(s))")
             return 1 if rolled_back else 0
-
-        problems = store.alter_class(new_def, recheck=args.recheck)
-        stats = store.checker.stats
-        epoch = store.schema_epochs.current
-        print(f"schema epoch {epoch.number}: altered "
-              f"{args.class_name!r} ({len(epoch.changes)} change(s), "
-              f"recheck={args.recheck})")
-        print(f"  objects rechecked : {stats.schema_objects_rechecked}")
-        print(f"  objects skipped   : {stats.schema_objects_skipped}")
-        print(f"  profiles retained : {stats.schema_profiles_retained}")
-        for obj, violation in problems[:args.max_violations]:
-            print(f"  {obj.surrogate}: {violation}")
+        problems = backend.op_alter({
+            "schema": print_schema(target_schema), "cls": args.class_name,
+            "recheck": args.recheck})["violations"]
+        print(f"altered {args.class_name!r} (recheck={args.recheck}): "
+              f"{len(problems)} violation(s)")
+        for sid, violation in problems[:args.max_violations]:
+            print(f"  @{sid}: {violation}")
         if len(problems) > args.max_violations:
             print(f"  ... and {len(problems) - args.max_violations} more")
         return 1 if problems else 0
     finally:
-        store.close()
+        backend.close()
 
 
 def _store_directories(directory: str) -> List[str]:

@@ -14,9 +14,9 @@ the library grows:
   :class:`~repro.net.replication.Replica`: reads at the replay
   position (honoring epoch tokens), no writes.
 * :class:`ShardedBackend` -- a
-  :class:`~repro.sharding.router.ShardedStore` router: writes are
-  routed/broadcast to owner shards, queries scatter-gather with
-  deduction pruning, and every op runs off the event loop (the router
+  :class:`~repro.sharding.router.ShardedStore` router: each request
+  goes to ``router.execute`` as the client encoded it and is routed by
+  its row's reach, and every op runs off the event loop (the router
   blocks on the worker pipes).
 
 **Positions are vector tokens** (:mod:`repro.net.tokens`): a backend's
@@ -30,12 +30,13 @@ scalar gauge for display and the legacy hello field.
 :data:`repro.ops.OPS`; :func:`_install` gives each backend class an
 ``op_<name>`` per row that validates the request against the row and
 hands it to ``_serve(row, cmd)``, which runs a read against the
-backend's ``_view`` and a write against its ``_target`` (sids through
+backend's ``_view`` and a write against its ``store`` (sids through
 ``_resolve``) and puts the ack on the payload -- so a backend says
-only what is its own: which view, which target, which lock around the
-call.  Only the sharded backend's
-``query`` and ``get`` are written out: they stay at the wire level
-instead of decoding through the router's handles.
+only what is its own: which view, which store, which lock around the
+call.  The sharded backend runs no row body: its ``_serve`` hands the
+request, values as the client encoded them, to the router's
+``execute``, which routes it by reach rather than re-implementing the
+store methods.
 
 A row marked ``fenced`` always runs on the service's executor; a
 backend whose every op blocks (on IPC, on a lock) says so with
@@ -66,8 +67,8 @@ __all__ = [
 
 class StoreBackend:
     """The contract (see module docstring).  A subclass says which
-    view serves a read (``_view``), what a write runs against and how
-    a sid resolves (``_target`` / ``_resolve``), and its gauges."""
+    view serves a read (``_view``), how a write's sid resolves
+    (``_resolve``), and its gauges."""
 
     #: Whether mutations are accepted (the service refuses writes with
     #: ``NotPrimaryError`` when False).
@@ -83,13 +84,13 @@ class StoreBackend:
 
     def _serve(self, row: Op, cmd):
         """One table row: a read against the view, a write against the
-        target with this backend's ack on the payload."""
+        store with this backend's ack on the payload."""
         if not row.write:
             return row.run(self._view(cmd), cmd, None)
-        payload = row.run(self._target, cmd, self._resolve)
-        out = {"token": self.position(), "epoch": self.epoch()}
-        out.update(payload)
-        return out
+        return self._ack(row.run(self.store, cmd, self._resolve))
+
+    def _ack(self, payload):
+        return {"token": self.position(), "epoch": self.epoch(), **payload}
 
     def position(self) -> Dict[str, int]:
         raise NotImplementedError
@@ -112,14 +113,11 @@ class StoreBackend:
 
 
 def _install(cls, rows) -> None:
-    """Give ``cls`` an ``op_<name>(cmd)`` handler for each row it does
-    not define itself.  The handlers live in the class's own
-    ``__dict__`` (the service looks them up by name; tests and the
-    benchmark's tracer patch them there)."""
+    """Give ``cls`` an ``op_<name>(cmd)`` handler for each row, in the
+    class's own ``__dict__`` (the service looks them up by name; tests
+    and the benchmark's tracer patch them there)."""
     for row in rows:
         name = "op_" + row.name
-        if name in vars(cls):
-            continue
 
         def handler(self, cmd, _row=row):
             _row.check(cmd)
@@ -144,7 +142,7 @@ class ConcurrentBackend(SnapshotBackend):
     writes through the serialized pipeline."""
 
     def __init__(self, store) -> None:
-        self.store = self._target = store
+        self.store = store
         if getattr(store, "_journal", None) is not None:
             self.ship = LocalShipSource(store)
 
@@ -227,16 +225,12 @@ class ShardedBackend(StoreBackend):
     blocking = True
 
     def __init__(self, router) -> None:
-        self.router = self._target = router
+        self.store = self.router = router
         self._lock = threading.Lock()
         # Publish exact positions before any command has flowed (a
         # reopened durable store must hand out covering tokens
         # immediately).
         router.refresh_positions()
-
-    @property
-    def store(self):
-        return self.router
 
     def describe(self) -> Dict[str, object]:
         return {"shards": self.router.n_shards}
@@ -257,46 +251,23 @@ class ShardedBackend(StoreBackend):
     def epoch(self) -> int:
         return self.last_seq()
 
-    def object_count(self) -> int:
-        return len(self.router)
-
     # -- ops ------------------------------------------------------------
 
-    def _view(self, cmd):
-        # The router is its own read view: it answers ``count`` /
-        # ``extent_surrogates`` / ``schema`` by broadcast.
-        return self.router
-
-    def _resolve(self, sid: int):
-        return self.router.get(sid)     # NoSuchObjectError if unrouted
-
     def _serve(self, row: Op, cmd):
-        if row.write and self.net_stats is not None:
-            self.net_stats.writes_routed += 1
+        """The router routes the request (the handler's row names the
+        op), its fields as the client encoded them; the counters it
+        moved land in ``net_stats``."""
+        stats, counters = self.net_stats, self.router.stats_counters
+        if row.write and stats is not None:
+            stats.writes_routed += 1
         with self._lock:
-            return super()._serve(row, cmd)
-
-    def op_query(self, cmd):
-        OPS["query"].check(cmd)
-        counters = self.router.stats_counters
-        before = (counters.shards_dispatched, counters.shards_pruned)
-        with self._lock:
-            out = self.router.query_wire(cmd["text"],
-                                         cmd.get("options") or {})
-        if self.net_stats is not None:
-            self.net_stats.shards_scattered += (
-                counters.shards_dispatched - before[0])
-            self.net_stats.shards_pruned += (
-                counters.shards_pruned - before[1])
-        return out
-
-    def op_get(self, cmd):
-        OPS["get"].check(cmd)
-        with self._lock:
-            state = self.router.get(int(cmd["sid"]))._state()
-        # The worker's foreign flag is a sharding detail; the wire
-        # shape matches the single-store service.
-        return {"classes": state["classes"], "values": state["values"]}
+            before = counters.shards_dispatched, counters.shards_pruned
+            payload = self.router.execute(dict(cmd, op=row.name))
+            if stats is not None:
+                stats.shards_scattered += (
+                    counters.shards_dispatched - before[0])
+                stats.shards_pruned += counters.shards_pruned - before[1]
+            return self._ack(payload) if row.write else payload
 
 
 _install(SnapshotBackend, [row for row in OPS.values() if not row.write])

@@ -46,23 +46,11 @@ from repro.errors import (
 from repro import codec
 from repro.codec import ref
 from repro.net import protocol, tokens
-from repro.ops import IDEMPOTENT, OPS
+from repro.ops import IDEMPOTENT, OPS, request
 from repro.sharding import wire
 
 __all__ = ["Connection", "ReplicaSetClient", "StoreClient", "ref"]
 
-
-def _encode_value(value):
-    # Already-encoded wire forms (``ref(sid)``, enum/record encodings a
-    # caller round-tripped from a read) pass through untouched.
-    if codec.is_encoded(value):
-        return value
-    return codec.encode_value(value)
-
-
-def _encode_values(values: Optional[Dict]) -> Dict[str, object]:
-    return {name: _encode_value(value)
-            for name, value in (values or {}).items()}
 
 DEFAULT_TIMEOUT = 5.0
 DEFAULT_POOL = 2
@@ -334,70 +322,7 @@ class StoreClient:
         plain seq or a vector token -- :mod:`repro.net.tokens`)."""
         return self.call("token_wait", token=token, timeout=timeout)
 
-    # -- writes --------------------------------------------------------
-
-    def create(self, cls: str, values: Optional[Dict] = None,
-               check: Optional[str] = None, *,
-               broadcast: bool = False):
-        fields: Dict[str, object] = {
-            "cls": cls, "values": _encode_values(values),
-            "check": check}
-        if broadcast:
-            # Only meaningful against a sharded backend (replicate the
-            # entity to every shard); single-store servers ignore it.
-            fields["broadcast"] = True
-        return self.call("create", **fields)
-
-    def set_value(self, sid: int, attr: str, value,
-                  check: Optional[str] = None):
-        return self.call("set", sid=sid, attr=attr,
-                         value=_encode_value(value), check=check)
-
-    def unset_value(self, sid: int, attr: str,
-                    check: Optional[str] = None):
-        return self.call("unset", sid=sid, attr=attr, check=check)
-
-    def classify(self, sid: int, cls: str, check: Optional[str] = None):
-        return self.call("classify", sid=sid, cls=cls, check=check)
-
-    def declassify(self, sid: int, cls: str,
-                   check: Optional[str] = None):
-        return self.call("declassify", sid=sid, cls=cls, check=check)
-
-    def remove(self, sid: int):
-        return self.call("remove", sid=sid)
-
-    def txn(self, ops: Sequence[Dict[str, object]]):
-        encoded = []
-        for op in ops:
-            if "values" in op:
-                op = dict(op, values=_encode_values(op["values"]))
-            if "value" in op:
-                op = dict(op, value=_encode_value(op["value"]))
-            encoded.append(op)
-        return self.call("txn", ops=encoded)
-
-    def bulk(self, rows, check: Optional[str] = None):
-        encoded = [[list(classes), _encode_values(values)]
-                   for classes, values in rows]
-        return self.call("bulk", rows=encoded, check=check)
-
-    def alter(self, schema_text: str, cls: str,
-              recheck: str = "affected"):
-        return self.call("alter", schema=schema_text, cls=cls,
-                         recheck=recheck)
-
-    def create_index(self, attr: str):
-        return self.call("index", attr=attr, action="create")
-
-    def drop_index(self, attr: str):
-        return self.call("index", attr=attr, action="drop")
-
-    def validate(self, scope: str = "all"):
-        return self.call("validate", scope=scope)
-
-    def checkpoint(self):
-        return self.call("checkpoint")
+    # The writes (``create`` ... ``checkpoint``) are derived: ``_stub``.
 
 
 class ReplicaSetClient:
@@ -466,6 +391,18 @@ def _forward(method: str, write: bool):
     return stub
 
 
+def _stub(row, method: str, fixed: Dict[str, object]):
+    """``StoreClient.<method>``: the request the call makes of ``row``
+    (:func:`repro.ops.request`), answered with the ack."""
+    def stub(self, *args, **kwargs):
+        cmd = request(row, fixed, args, kwargs)
+        return self.call(cmd.pop("op"), **cmd)
+    stub.__name__ = method
+    return stub
+
+
 for _row in OPS.values():
-    for _method in _row.stubs:
+    for _method, _fixed in _row.stubs.items():
+        if _row.write:
+            setattr(StoreClient, _method, _stub(_row, _method, _fixed))
         setattr(ReplicaSetClient, _method, _forward(_method, _row.write))

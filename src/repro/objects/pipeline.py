@@ -260,13 +260,14 @@ class AlterClassCommand(MutationCommand):
     """
 
     op = "alter"
+    RECHECK = ("affected", "lazy", "full", "none")
     __slots__ = ("new_def", "recheck", "verb", "diagnostics", "region",
                  "result")
 
     def __init__(self, new_def, recheck: str = "affected",
                  verb: str = "alter-class") -> None:
         super().__init__(None)
-        if recheck not in ("affected", "lazy", "full", "none"):
+        if recheck not in self.RECHECK:
             raise ValueError(f"unknown recheck mode {recheck!r}")
         self.new_def = new_def
         self.recheck = recheck

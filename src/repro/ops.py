@@ -5,14 +5,16 @@ store behind :class:`~repro.net.backends.ConcurrentBackend`, a sharded
 router behind :class:`~repro.net.backends.ShardedBackend`, and one
 shard behind :class:`~repro.sharding.worker.ShardServer`.  Each op is
 one :class:`Op` row of :data:`OPS`: its name, the request fields it
-requires and accepts, how the transport must treat it (``write`` /
-``idempotent`` / ``fenced`` / ``in_txn``), the ``StoreClient`` methods
-that issue it, and **one** body ``run(target, cmd, resolve) -> payload``
-written against the method surface the two store shapes,
-``ObjectStore`` and ``ShardedStore``, share.  The edges derive their handlers, their
-dispatch sets and their client stubs from this table; what an edge
-keeps of its own (ack tokens, the router lock, the ``foreign`` set) is
-a hook around a row, never a second copy of it.
+requires and accepts (and the legal values of the enumerated ones),
+how the transport must treat it (``write`` / ``idempotent`` /
+``fenced`` / ``in_txn``), how a router reaches its shards with it, the
+methods that issue it, and **one** body ``run(target, cmd, resolve) ->
+payload`` written against ``ObjectStore``.  The edges derive their
+handlers, dispatch sets and method stubs from this table: a router
+routes a request by its row's ``reach`` rather than re-implementing the
+store methods (:meth:`~repro.sharding.router.ShardedStore.execute`).
+What an edge keeps of its own (ack tokens, the router lock, the
+``foreign`` set) is a hook around a row, never a second copy of it.
 
 The log is an edge too.  A durable store journals each committed
 command in this vocabulary -- what a client would have sent, plus the
@@ -35,32 +37,47 @@ ack: the edge that knows its commit position adds one.
 
 A request is validated against its row *before* the body runs
 (:func:`lookup`, :meth:`Op.check`): an unknown op, a missing required
-field or malformed ``query`` options is a typed
+field, a field of the wrong shape, an enumerated value the row does
+not list or malformed ``query`` options is a typed
 :class:`~repro.errors.StorageError`, an operation failure the
 connection survives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Tuple
 
 from repro import codec
 from repro.errors import StorageError
 from repro.lang.loader import load_schema
 from repro.lang.printer import print_schema
+from repro.objects.pipeline import AlterClassCommand, CheckMode
 from repro.objects.surrogate import Surrogate
 from repro.query import planner
 from repro.query.compiler import ON_UNSAFE
 from repro.sharding import wire
 
 __all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
-           "SERVICE_OPS", "lookup", "replay"]
+           "SERVICE_OPS", "encode_request", "lookup", "replay", "request",
+           "transact"]
 
 #: ExecutionStats fields shipped back per query, in order.
 EXECUTION_STAT_FIELDS: Tuple[str, ...] = (
     "rows_scanned", "rows_returned", "rows_skipped",
     "checks_executed", "rows_pruned", "index_lookups")
+
+
+#: What a structural field must be (a null stands for an absent
+#: optional field).  A logged or routed bulk row has its sid in front.
+_SHAPES = {"sid": ("an int", lambda sid: type(sid) is int),
+           "values": ("a mapping", lambda values: type(values) is dict),
+           "rows": ("a list of [classes, values]", lambda rows: (
+               type(rows) is list and all(
+                   type(row) is list and len(row) in (2, 3)
+                   and type(row[-2]) is list and type(row[-1]) is dict
+                   for row in rows))),
+           "ops": ("a list", lambda ops: type(ops) is list)}
 
 
 @dataclass(frozen=True)
@@ -72,6 +89,11 @@ class Op:
     #: Request fields that must be present / may be present.
     required: Tuple[str, ...] = ()
     optional: Tuple[str, ...] = ()
+    #: How a router takes the request to its shards: ``sid``, ``admit``,
+    #: ``all``, ``meta``, ``query`` or ``txn`` (``ShardedStore.execute``).
+    reach: str = "sid"
+    #: The legal values of an enumerated field (null: the default).
+    choices: Dict[str, tuple] = field(default_factory=dict)
     #: Mutates (or sweeps) the store: refused by replicas, acked with
     #: an epoch token, counted as a write.
     write: bool = False
@@ -82,14 +104,27 @@ class Op:
     fenced: bool = False
     #: May appear as a ``txn`` sub-op.
     in_txn: bool = False
-    #: The ``StoreClient`` methods that issue this op.
-    stubs: Tuple[str, ...] = ()
+    #: The ``StoreClient`` / ``ObjectStore`` methods that issue this op,
+    #: each with the fields its name fixes (:func:`request`).
+    stubs: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    methods: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     def check(self, cmd: Dict[str, object]) -> None:
-        for field in self.required:
-            if field not in cmd:
+        for name in self.required:
+            if name not in cmd:
                 raise StorageError(
-                    f"op {self.name!r} requires field {field!r}")
+                    f"op {self.name!r} requires field {name!r}")
+        for name, (shape, holds) in _SHAPES.items():
+            value = cmd.get(name)
+            if (name in cmd and not holds(value)
+                    and (value is not None or name in self.required)):
+                raise StorageError(f"op {self.name!r} field {name!r} "
+                                   f"must be {shape}")
+        for name, legal in self.choices.items():
+            value = cmd.get(name)
+            if value is not None and value not in legal:
+                raise StorageError(f"op {self.name!r} field {name!r} "
+                                   f"must be one of {legal}")
 
 
 class _Envelope(Op):
@@ -117,7 +152,7 @@ class _Query(Op):
     def check(self, cmd: Dict[str, object]) -> None:
         super().check(cmd)
         options = cmd.get("options")
-        if options is None:
+        if options is None or options == {}:
             return
         known = dict(planner._COMPILE_OPTION_DEFAULTS)
         if not isinstance(options, dict):
@@ -153,8 +188,8 @@ def _query(view, cmd, resolve):
     plan = planner.plan_query(cmd["text"], view, wire=True,
                               **(cmd.get("options") or {}))
     rows, stats = planner.execute_plan(plan, view)
-    stats_out = {field: getattr(stats, field)
-                 for field in EXECUTION_STAT_FIELDS}
+    stats_out = {name: getattr(stats, name)
+                 for name in EXECUTION_STAT_FIELDS}
     if plan.compiled.aggregates is None:
         return {"rows": rows, "stats": stats_out}
     return {"agg": [codec.encode_value(v) for v in rows[0]],
@@ -162,7 +197,7 @@ def _query(view, cmd, resolve):
 
 
 def _get(view, cmd, resolve):
-    obj = view.get(Surrogate(int(cmd["sid"])))
+    obj = view.get(Surrogate(cmd["sid"]))
     return {"classes": sorted(obj.memberships),
             "values": codec.encode_values(obj.values_snapshot())}
 
@@ -185,60 +220,60 @@ def _schema(view, cmd, resolve):
 # ----------------------------------------------------------------------
 
 def _create(store, cmd, resolve):
-    values = codec.decode_values(cmd.get("values") or {}, resolve)
-    placement = {}
-    if cmd.get("broadcast") and hasattr(store, "n_shards"):
-        # Replicate the entity to every shard; a single store already
-        # holds the one copy there is, so the flag is moot there.
-        placement["broadcast"] = True
+    # ``broadcast`` asks a router to replicate the entity to every
+    # shard; a single store already holds the one copy there is.
     obj = store.create(cmd["cls"], check=cmd.get("check"),
-                       **placement, **values)
+                       **codec.decode_values(cmd.get("values") or {},
+                                             resolve))
     return {"sid": obj.surrogate.id}
 
 
 def _set(store, cmd, resolve):
-    obj = resolve(int(cmd["sid"]))
-    store.set_value(obj, cmd["attr"],
+    store.set_value(resolve(cmd["sid"]), cmd["attr"],
                     codec.decode_value(cmd["value"], resolve),
                     check=cmd.get("check"))
     return {}
 
 
 def _unset(store, cmd, resolve):
-    store.unset_value(resolve(int(cmd["sid"])), cmd["attr"],
+    store.unset_value(resolve(cmd["sid"]), cmd["attr"],
                       check=cmd.get("check"))
     return {}
 
 
 def _classify(store, cmd, resolve):
-    store.classify(resolve(int(cmd["sid"])), cmd["cls"],
+    store.classify(resolve(cmd["sid"]), cmd["cls"],
                    check=cmd.get("check"))
     return {}
 
 
 def _declassify(store, cmd, resolve):
-    store.declassify(resolve(int(cmd["sid"])), cmd["cls"],
+    store.declassify(resolve(cmd["sid"]), cmd["cls"],
                      check=cmd.get("check"))
     return {}
 
 
 def _remove(store, cmd, resolve):
-    store.remove(resolve(int(cmd["sid"])))
+    store.remove(resolve(cmd["sid"]))
     return {}
 
 
-def _txn(store, cmd, resolve):
+def transact(store, subs, run) -> Dict[str, object]:
     """A pipelined batch of mutations as one atomic transaction: all or
-    nothing, one token.  A single store commits it as one WAL record; a
-    sharded store as one on each shard it touches, not two-phase
-    (SEMANTICS.md section 16)."""
+    nothing, one token.  ``run`` is a row body in a single store (one
+    WAL record), ``execute`` in a router (a scope per shard touched)."""
     created = []
     with store.transaction():
-        for sub in cmd["ops"]:
-            payload = lookup(sub).run(store, sub, resolve)
+        for sub in subs:
+            payload = run(sub)
             if "sid" in payload:
                 created.append(payload["sid"])
     return {"created": created}
+
+
+def _txn(store, cmd, resolve):
+    return transact(store, cmd["ops"],
+                    lambda sub: lookup(sub).run(store, sub, resolve))
 
 
 def _bulk(store, cmd, resolve):
@@ -248,10 +283,8 @@ def _bulk(store, cmd, resolve):
     # a row may reference an earlier one.
     rows = ((tuple(row[-2]), codec.decode_values(row[-1], resolve))
             for row in cmd["rows"])
-    loaded = store.bulk_load(rows, check=cmd.get("check") or "deferred")
-    # A single store reports the batch; a sharded one hands back the
-    # routed handles.
-    return {"objects": getattr(loaded, "objects", len(cmd["rows"]))}
+    report = store.bulk_load(rows, check=cmd.get("check") or "deferred")
+    return {"objects": report.objects}
 
 
 def _violations(problems) -> Dict[str, object]:
@@ -285,43 +318,66 @@ def _checkpoint(store, cmd, resolve):
     return {}
 
 
-def _read(name, run, required=(), optional=(), stub=None, row=Op) -> Op:
+def _read(name, run, required=(), optional=(), stub=None, row=Op,
+          **flags) -> Op:
     return row(name, run, required, optional + ("token",),
-               idempotent=True, stubs=(stub or name,))
+               idempotent=True, stubs={stub or name: {}}, **flags)
 
 
-def _write(name, run, required=(), optional=(), *, stubs=None,
+def _write(name, run, required=(), optional=(), *, stubs=None, row=Op,
            **flags) -> Op:
-    return Op(name, run, required, optional, write=True,
-              stubs=stubs or (name,), **flags)
+    return row(name, run, required, optional, write=True,
+               stubs=stubs or {name: {}}, **flags)
+
+
+_INDEX_METHODS = {"create_index": {"action": "create"},
+                  "drop_index": {"action": "drop"}}
+#: A row write's ``check``: when conformance is enforced.
+_CHECK = {"check": (CheckMode.EAGER, CheckMode.DEFERRED, CheckMode.NONE)}
+
+
+def _routed(name, run, required, optional=(), *, method=None):
+    method = {method or name: {}}
+    return _write(name, run, required, optional, in_txn=True,
+                  choices=_CHECK if "check" in optional else {},
+                  stubs=method, methods=method)
 
 
 #: The table.  Order is the documentation order (reads, row writes,
 #: batch and design writes).
 OPS: Dict[str, Op] = {row.name: row for row in (
-    _read("query", _query, ("text",), ("options",), row=_Query),
+    _read("query", _query, ("text",), ("options",), row=_Query,
+          reach="query"),
     _read("get", _get, ("sid",)),
-    _read("count", _count, ("cls",)),
-    _read("extent", _extent, ("cls",), stub="extent_ids"),
-    _read("schema", _schema),
+    _read("count", _count, ("cls",), reach="all",
+          methods={"count": {}}),
+    _read("extent", _extent, ("cls",), stub="extent_ids", reach="all",
+          methods={"extent_surrogates": {}}),
+    _read("schema", _schema, reach="meta"),
     _write("create", _create, ("cls",),
-           ("values", "check", "broadcast"), in_txn=True),
-    _write("set", _set, ("sid", "attr", "value"), ("check",),
-           in_txn=True, stubs=("set_value",)),
-    _write("unset", _unset, ("sid", "attr"), ("check",), in_txn=True,
-           stubs=("unset_value",)),
-    _write("classify", _classify, ("sid", "cls"), ("check",),
-           in_txn=True),
-    _write("declassify", _declassify, ("sid", "cls"), ("check",),
-           in_txn=True),
-    _write("remove", _remove, ("sid",), in_txn=True),
-    _Envelope("txn", _txn, ("ops",), write=True, stubs=("txn",)),
-    _write("bulk", _bulk, ("rows",), ("check",), fenced=True),
-    _write("alter", _alter, ("schema", "cls"), ("recheck",)),
-    _write("index", _index, ("attr",), ("action",),
-           stubs=("create_index", "drop_index")),
-    _write("validate", _validate, (), ("scope",)),
-    _write("checkpoint", _checkpoint, fenced=True),
+           ("values", "check", "broadcast"), reach="admit",
+           choices=_CHECK, in_txn=True),
+    _routed("set", _set, ("sid", "attr", "value"), ("check",),
+            method="set_value"),
+    _routed("unset", _unset, ("sid", "attr"), ("check",),
+            method="unset_value"),
+    _routed("classify", _classify, ("sid", "cls"), ("check",)),
+    _routed("declassify", _declassify, ("sid", "cls"), ("check",)),
+    _routed("remove", _remove, ("sid",)),
+    _write("txn", _txn, ("ops",), row=_Envelope, reach="txn"),
+    _write("bulk", _bulk, ("rows",), ("check",), reach="admit",
+           fenced=True,
+           choices={"check": (CheckMode.EAGER, CheckMode.DEFERRED)}),
+    _write("alter", _alter, ("schema", "cls"), ("recheck",),
+           reach="meta", choices={"recheck": AlterClassCommand.RECHECK}),
+    _write("index", _index, ("attr",), ("action",), reach="all",
+           choices={"action": ("create", "drop")},
+           stubs=_INDEX_METHODS, methods=_INDEX_METHODS),
+    _write("validate", _validate, (), ("scope",), reach="all",
+           choices={"scope": ("all", "dirty")},
+           methods={"validate_all": {}, "validate_dirty": {"scope": "dirty"}}),
+    _write("checkpoint", _checkpoint, reach="all", fenced=True,
+           methods={"checkpoint": {}}),
 )}
 
 #: Transport-level ops the service answers itself (liveness, counters,
@@ -334,6 +390,49 @@ SERVICE_OPS = frozenset({
 #: Ops a client may retry on a fresh connection.
 IDEMPOTENT = SERVICE_OPS | {name for name, row in OPS.items()
                             if row.idempotent}
+
+
+# ----------------------------------------------------------------------
+# Method calls as requests (the client's and the router's stubs)
+# ----------------------------------------------------------------------
+
+def _wire(value):
+    # Plain values and wire forms (``codec.ref(sid)``, a read) pass as is.
+    if type(value) in (int, str) or codec.is_encoded(value):
+        return value
+    return codec.encode_value(value)
+
+
+def _wire_values(values) -> Dict[str, object]:
+    return {name: value if type(value) in (int, str) else _wire(value)
+            for name, value in (values or {}).items()}
+
+
+def encode_request(cmd: Dict[str, object]) -> Dict[str, object]:
+    """``cmd``, a new request, with its live values put in wire form."""
+    if "value" in cmd:
+        cmd["value"] = _wire(cmd["value"])
+    if "values" in cmd:
+        cmd["values"] = _wire_values(cmd["values"])
+    if "rows" in cmd:
+        cmd["rows"] = [[[classes] if isinstance(classes, str)
+                        else list(classes), _wire_values(values)]
+                       for classes, values in cmd["rows"]]
+    if "ops" in cmd:
+        cmd["ops"] = [encode_request(dict(sub)) if isinstance(sub, dict)
+                      else sub for sub in cmd["ops"]]
+    return cmd
+
+
+def request(row: Op, fixed: Dict[str, object], args, kwargs
+            ) -> Dict[str, object]:
+    """The request a method call makes of ``row``: positional arguments
+    fill its fields in order (``required + optional`` is the argument
+    order ``ObjectStore`` and ``StoreClient`` share), keywords by name,
+    ``fixed`` the fields the method's name implies."""
+    cmd = dict(fixed, op=row.name, **kwargs)
+    cmd.update(zip(row.required + row.optional, args))
+    return encode_request(cmd)
 
 
 # ----------------------------------------------------------------------

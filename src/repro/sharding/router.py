@@ -10,6 +10,16 @@ checking, extent maintenance and journaling happen in its own process)
 or in-process (:class:`LocalBackend`, same code and same JSON
 round-trip, used by the equivalence property suite).
 
+**Requests.**  The router routes op-table requests (:data:`repro.ops.OPS`)
+by reach rather than re-implementing the store methods.  One entry,
+:meth:`ShardedStore.execute`, takes a request with its values encoded
+as a client sends them: ``sid`` goes to the owner shard (then the other
+replicas of a broadcast entity), ``admit`` is placed and minted here,
+``all`` is broadcast and merged, ``meta`` is checked on the meta store
+and then broadcast, ``query`` is a pruned scatter, ``txn`` one router
+transaction.  The ``ObjectStore``-like methods are request builders
+derived from the rows.
+
 **Routing.**  The router owns surrogate allocation, so a sharded store
 mints exactly the ids the single store would.  New objects are placed
 by *signature profile* (their direct-class signature): each profile
@@ -66,10 +76,13 @@ from repro.errors import (
 )
 from repro.lang.printer import print_schema
 from repro.obs import ShardStats
-from repro.objects.pipeline import CheckMode
+from repro.objects.pipeline import AlterClassCommand, CheckMode
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
-from repro.ops import EXECUTION_STAT_FIELDS
+from repro.ops import (
+    EXECUTION_STAT_FIELDS, OPS, Op, encode_request, lookup, request,
+    transact,
+)
 from repro.query.ast import Aggregate, Query
 from repro.query.interpreter import ExecutionStats
 from repro.query.indexes import PlanCache
@@ -80,7 +93,7 @@ from repro.sharding.worker import ShardServer, shard_worker_main
 from repro.storage.shards import (
     read_shard_manifest, shard_directory, write_shard_manifest,
 )
-from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
+from repro.typesys.values import INAPPLICABLE
 
 __all__ = ["LocalBackend", "ProcessBackend", "RemoteHandle",
            "ShardedStore"]
@@ -128,10 +141,6 @@ class RemoteHandle:
 
     def value_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._state()["values"]))
-
-    def values_snapshot(self) -> Dict[str, object]:
-        return codec.decode_values(self._state()["values"],
-                                   self._router.handle)
 
     def __getitem__(self, name: str):
         return self.get_value(name)
@@ -381,18 +390,12 @@ class ShardedStore:
     def schema(self):
         return self._meta.schema
 
-    def _routed(self, sid: int) -> bool:
-        return sid in self._owners or sid in self._broadcast
-
     def handle(self, sid: int) -> RemoteHandle:
-        """The canonical proxy for a (global) surrogate id.  Only a
-        routed sid is cached: ids arrive from outside (the wire), and a
-        proxy per bogus id would grow without bound."""
+        """The canonical proxy for a (global) surrogate id.  An id from
+        outside (the wire) gets here only once the routing holds it."""
         handle = self._handles.get(sid)
         if handle is None:
-            handle = RemoteHandle(self, Surrogate(sid))
-            if self._routed(sid):
-                self._handles[sid] = handle
+            handle = self._handles[sid] = RemoteHandle(self, Surrogate(sid))
         return handle
 
     @staticmethod
@@ -408,7 +411,7 @@ class ShardedStore:
         try:
             return self._owners[sid]
         except KeyError:
-            raise ShardingError(
+            raise NoSuchObjectError(
                 f"surrogate {sid} is not routed by this store") from None
 
     def _send(self, shard_id: int, cmd: Dict[str, object]) -> None:
@@ -473,8 +476,10 @@ class ShardedStore:
             (shard_id, cmd) for shard_id in (
                 range(self.n_shards) if shard_ids is None else shard_ids)])
 
-    def _invalidate(self, shard_id: int) -> None:
+    def _write(self, shard_id: int, cmd: Dict[str, object]):
+        """A write to one shard: its map is stale from here on."""
         self._stale.add(shard_id)
+        return self._call(shard_id, cmd)
 
     def _replicate(self, sid: int, cmd: Dict[str, object],
                    replica_cmd: Dict[str, object]) -> None:
@@ -483,12 +488,10 @@ class ShardedStore:
         reaches no replica, keeping every shard identical), then every
         other shard takes ``replica_cmd``."""
         owner = sid % self.n_shards
-        self._invalidate(owner)
-        self._call(owner, cmd)
+        self._write(owner, cmd)
         others = [i for i in range(self.n_shards) if i != owner]
+        self._stale.update(others)
         if others:
-            for shard_id in others:
-                self._invalidate(shard_id)
             self._broadcast_cmd(replica_cmd, others)
 
     # -- vector epoch position ------------------------------------------
@@ -530,156 +533,277 @@ class ShardedStore:
         return (start + count % self._span_of(count)) % self.n_shards
 
     def _pin_of(self, values: Dict[str, object]) -> Optional[int]:
-        """The shard routed entity references pin a create to (replicas
-        resolve everywhere, so broadcast references never pin)."""
-        pinned: Optional[int] = None
+        """The shard the entities ``values`` (encoded) reference pin a
+        create to (replicas resolve everywhere: they never pin)."""
+        owners: Set[int] = set()
+        codec.decode_values(values, lambda sid: sid in self._broadcast
+                            or owners.add(self._owner_of(sid)))
+        if len(owners) > 1:
+            raise ShardingError(
+                f"create references entities on shards {sorted(owners)}; "
+                "co-locate them or make the shared entity a broadcast "
+                "entity")
+        return owners.pop() if owners else None
 
-        def visit(value):
-            nonlocal pinned
-            if isinstance(value, RecordValue):
-                for name in value.field_names():
-                    visit(value.get_value(name))
-                return
-            if not is_entity(value):
-                return
-            sid = value.surrogate.id
-            if sid in self._broadcast:
-                return
-            owner = self._owner_of(sid)
-            if pinned is None:
-                pinned = owner
-            elif pinned != owner:
-                raise ShardingError(
-                    "create references entities on two shards "
-                    f"({pinned} and {owner}); co-locate them or make "
-                    "the shared entity a broadcast entity")
-        for value in values.values():
-            visit(value)
-        return pinned
-
-    def _guard_virtual_anchor(self, attribute: str, value,
-                              classes) -> None:
-        """Reject anchoring a broadcast replica into a virtual class:
-        the membership would materialize only on the writer's shard,
-        while the replica's reading owner is another shard -- the
-        scatter-gathered virtual extent would silently miss it.  Fires
-        only when the written object is (becoming) a member of the
-        virtual class's origin owner, i.e. when the write would anchor.
-        ``classes()`` names the written object's direct classes; it is
-        asked (for a set, of the worker) only when the schema says
-        ``attribute`` is some virtual class's origin.
-        """
-        if not (is_entity(value)
-                and value.surrogate.id in self._broadcast):
+    def _guard_anchor(self, sid: Optional[int], classes, values) -> None:
+        """Refuse a write that puts a broadcast replica in a virtual
+        class (a membership on one shard only).  ``classes`` / encoded
+        ``values`` are what the request writes; None is asked of the
+        owner shard, once, if a virtual origin needs it."""
+        broadcast = self._broadcast
+        if values is not None and broadcast.isdisjoint(
+                map(codec.ref_sid, values.values())):
             return
-        anchored = [cdef for cdef in self.schema.virtual_classes()
-                    if cdef.origin is not None
-                    and cdef.origin.attribute == attribute]
-        if not anchored:
-            return
-        closure = set().union(*map(self.schema.ancestors, classes()))
-        for cdef in anchored:
-            if cdef.origin.owner_class in closure:
-                raise ShardingError(
-                    f"setting {attribute!r} would anchor broadcast "
-                    f"entity {value.surrogate} into virtual class "
-                    f"{cdef.name!r} on one shard only; route the "
-                    "entity instead of broadcasting it")
+        schema, state = self.schema, {}
 
-    def _guard_virtual_classify(self, obj, class_name: str) -> None:
-        """The classify-side of the anchoring guard: joining the origin
-        owner of a virtual class anchors every already-set origin value
-        -- reject if any of those values is a broadcast replica."""
-        origins = [cdef.origin for cdef in self.schema.virtual_classes()
-                   if cdef.origin is not None
-                   and cdef.origin.owner_class
-                   in self.schema.ancestors(class_name)]
-        if not origins:
-            return
-        sid = self._sid_of(obj)
-        values = self.handle(sid)._state()["values"]
-        for origin in origins:
-            target = codec.ref_sid(values.get(origin.attribute))
-            if target in self._broadcast:
-                raise ShardingError(
-                    f"classifying {sid} as {class_name!r} would anchor "
-                    f"broadcast entity @{target} into a virtual "
-                    f"class via {origin.attribute!r}; route that entity "
-                    "instead of broadcasting it")
+        def asked(key: str):
+            if not state:
+                state.update(self.handle(sid)._state())
+            return state[key]
 
-    # -- mutations ------------------------------------------------------
+        def joins(members, owner: str) -> bool:
+            return any(owner in schema.ancestors(name) for name in members)
 
-    def _admit(self, classes: Sequence[str],
-               values: Dict[str, object]) -> Optional[int]:
-        """The router's own checks on a new object -- known classes, no
-        broadcast anchor -- and the shard its references pin it to."""
+        for cdef in schema.virtual_classes():
+            origin = cdef.origin
+            if origin is None or (classes is not None
+                                  and not joins(classes, origin.owner_class)):
+                continue
+            written = asked("values") if values is None else values
+            target = codec.ref_sid(written.get(origin.attribute))
+            if target not in broadcast or (
+                    classes is None
+                    and not joins(asked("classes"), origin.owner_class)):
+                continue
+            raise ShardingError(
+                f"this write would anchor broadcast entity @{target} into "
+                f"virtual class {cdef.name!r} via {origin.attribute!r} on "
+                "one shard only; route that entity instead of "
+                "broadcasting it")
+
+    def _admit(self, classes: Sequence[str], values: Dict[str, object],
+               place: bool = True) -> Optional[int]:
+        """Check a new object (known classes, no broadcast anchor) and
+        find its shard: pinned by its references, else (``place``)
+        placed by its profile."""
         for class_name in classes:
             if not self.schema.has_class(class_name):
                 raise UnknownClassError(class_name)
-        for attribute, value in values.items():
-            self._guard_virtual_anchor(attribute, value, lambda: classes)
-        return self._pin_of(values)
+        self._guard_anchor(None, classes, values)
+        pin = self._pin_of(values)
+        if pin is None and place:
+            return self._place(self._profile_key(classes))
+        return pin
 
-    def create(self, class_name: str, check: Optional[str] = None,
-               broadcast: bool = False, **values) -> RemoteHandle:
-        pin = self._admit((class_name,), values)
+    # -- requests -------------------------------------------------------
+
+    def execute(self, cmd: Dict[str, object]) -> Dict[str, object]:
+        """One op-table request, values encoded as a client sends them:
+        checked against its row, routed by the row's ``reach``."""
+        row = lookup(cmd)
+        return getattr(self, "_reach_" + row.reach)(row, cmd)
+
+    @staticmethod
+    def _shard_cmd(row: Op, cmd: Dict[str, object]) -> Dict[str, object]:
+        """The row's fields only: never a client's ``foreign``/``begin``."""
+        return {name: cmd[name] for name in ("op",) + row.required
+                + row.optional if name in cmd}
+
+    def _reach_sid(self, row: Op, cmd: Dict[str, object]):
+        sid = cmd["sid"]
+        owner = self._owner_of(sid)
+        cmd = self._shard_cmd(row, cmd)
+        if not row.write:
+            return self._call(owner, cmd)
+        if codec.ref_sid(cmd.get("value")) in self._broadcast:
+            self._guard_anchor(sid, None, {cmd["attr"]: cmd["value"]})
+        elif row.name == "classify" and self.schema.has_class(cmd["cls"]):
+            self._guard_anchor(sid, (cmd["cls"],), None)
+        if sid in self._broadcast:
+            self._replicate(sid, cmd, dict(cmd, check=CheckMode.NONE))
+        else:
+            self._write(owner, cmd)
+        if row.name == "remove":
+            if self._joined is not None:
+                self._removed[sid] = self._owners.get(sid)
+            self._forget(sid)
+        return {}
+
+    def _reach_admit(self, row: Op, cmd: Dict[str, object]):
+        if row.name == "bulk":
+            return self._load(cmd)
+        class_name, values = cmd["cls"], cmd.get("values") or {}
+        broadcast = cmd.get("broadcast")
+        shard = self._admit((class_name,), values, place=not broadcast)
+        if broadcast and shard is not None:
+            raise ShardingError(
+                "a broadcast create cannot reference routed "
+                "entities (replicas could not resolve them)")
+        # The single store burns a surrogate on a rejected create (the
+        # allocator never rolls back); mirror that so the id sequences
+        # stay aligned.
         sid = self._next_sid
+        self._next_sid += 1
         cmd = {"op": "create", "sid": sid, "cls": class_name,
-               "values": codec.encode_values(values), "check": check}
+               "values": values, "check": cmd.get("check")}
         if broadcast:
-            if pin is not None:
-                raise ShardingError(
-                    "a broadcast create cannot reference routed "
-                    "entities (replicas could not resolve them)")
-            self._next_sid += 1
             self._replicate(sid, cmd, dict(cmd, foreign=True))
             self._broadcast.add(sid)
         else:
-            shard = pin if pin is not None else self._place(
-                self._profile_key((class_name,)))
-            # The single store burns a surrogate on a rejected create
-            # (the allocator never rolls back); mirror that so the id
-            # sequences stay aligned.
-            self._next_sid += 1
-            self._invalidate(shard)
-            self._call(shard, cmd)
+            self._write(shard, cmd)
             self._owners[sid] = shard
         self.stats_counters.objects_routed += 1
-        return self.handle(sid)
+        return {"sid": sid}
 
-    def bulk_load(self, rows: Iterable[Tuple[object, Dict[str, object]]],
-                  check: str = CheckMode.DEFERRED) -> List[RemoteHandle]:
-        """Stage ``(classes, values)`` rows as one batch *per shard*,
-        executing across all shard processes concurrently -- this is
-        the write path that scales with shard count.  Rows may
-        reference broadcast entities and previously committed objects,
-        not other rows of the same batch.  The batch is all-or-nothing
-        across shards: outside a transaction it runs in its own."""
+    def _load(self, cmd: Dict[str, object]):
+        """One staged batch *per shard*, all shards at once: the write
+        path that scales.  Rows may reference broadcast entities and
+        committed objects, not each other; the batch is all-or-nothing
+        (outside a transaction it runs in its own)."""
         if self._joined is None:
             with self.transaction():
-                return self.bulk_load(rows, check)
+                return self._load(cmd)
         per_shard: Dict[int, List[list]] = {}
         assigned: List[Tuple[int, int]] = []
-        for classes, values in rows:
-            if isinstance(classes, str):
-                classes = (classes,)
-            pin = self._admit(classes, values)
-            shard = pin if pin is not None else self._place(
-                self._profile_key(classes))
+        for row in cmd["rows"]:
+            classes, values = row[-2], row[-1]
+            shard = self._admit(classes, values)
             sid = self._next_sid
             self._next_sid += 1
-            per_shard.setdefault(shard, []).append(
-                [sid, list(classes), codec.encode_values(values)])
+            per_shard.setdefault(shard, []).append([sid, classes, values])
             assigned.append((sid, shard))
-        for shard in per_shard:
-            self._invalidate(shard)
+        self._stale.update(per_shard)
         self._scatter([
-            (shard, {"op": "bulk", "rows": shard_rows, "check": check})
+            (shard, {"op": "bulk", "rows": shard_rows,
+                     "check": cmd.get("check")})
             for shard, shard_rows in per_shard.items()])
         self._owners.update(assigned)
         self.stats_counters.objects_routed += len(assigned)
         self.stats_counters.bulk_rows_routed += len(assigned)
-        return [self.handle(sid) for sid, _shard in assigned]
+        return {"objects": len(assigned)}
+
+    def _reach_all(self, row: Op, cmd: Dict[str, object]):
+        if row.name == "index":
+            self._no_open_txn("an index change")
+        elif row.name == "checkpoint" and self.directory is None:
+            return {}       # in-memory shards have nothing to write
+        return self._gather(self._shard_cmd(row, cmd))
+
+    def _gather(self, cmd: Dict[str, object]) -> Dict[str, object]:
+        """``cmd`` on every shard, the payloads merged: extents union
+        (disjoint, so exact), counts add, violation lists concatenate."""
+        merged: Dict[str, object] = {}
+        for _shard_id, payload in self._broadcast_cmd(cmd):
+            for key, value in payload.items():
+                if key == "extent":
+                    value = wire.decode_chunks(value)
+                if key in merged:
+                    value = (merged[key] | value if key == "extent"
+                             else merged[key] + value)
+                merged[key] = value
+        if "extent" in merged:
+            merged["extent"] = wire.encode_chunks(merged["extent"])
+        return merged
+
+    def _reach_meta(self, row: Op, cmd: Dict[str, object]):
+        if not row.write:
+            return row.run(self._meta, cmd, None)
+        return self._evolve(
+            cmd["cls"], cmd.get("recheck") or "affected",
+            lambda meta: row.run(meta, dict(cmd, recheck="none"), None))
+
+    def _reach_query(self, row: Op, cmd: Dict[str, object]):
+        return self.query_wire(cmd["text"], cmd.get("options"))
+
+    def _reach_txn(self, row: Op, cmd: Dict[str, object]):
+        return transact(self, cmd["ops"], self.execute)
+
+    def _reply(self, payload: Dict[str, object]):
+        """What ``ObjectStore``'s method returns for a payload."""
+        if "count" in payload:
+            return payload["count"]
+        if "extent" in payload:
+            return wire.decode_chunks(payload["extent"])
+        if "violations" in payload:
+            return [(self.handle(sid), message)
+                    for sid, message in payload["violations"]]
+        return None
+
+    # -- request builders (the rest are derived: ``_request``) ----------
+
+    def create(self, class_name: str, check: Optional[str] = None,
+               broadcast: bool = False, **values) -> RemoteHandle:
+        return self.handle(self.execute(encode_request({
+            "op": "create", "cls": class_name, "values": values,
+            "check": check, "broadcast": broadcast}))["sid"])
+
+    def bulk_load(self, rows: Iterable[Tuple[object, Dict[str, object]]],
+                  check: str = CheckMode.DEFERRED) -> List[RemoteHandle]:
+        """``(classes, values)`` rows as one batch (``_load``)."""
+        first = self._next_sid
+        self.execute(encode_request({"op": "bulk", "rows": rows,
+                                     "check": check}))
+        return [self.handle(sid) for sid in range(first, self._next_sid)]
+
+    def get(self, surrogate) -> RemoteHandle:
+        """A routed object's handle (else ``NoSuchObjectError``)."""
+        sid = self._sid_of(surrogate)
+        self._owner_of(sid)
+        return self.handle(sid)
+
+    def extent(self, class_name: str) -> Tuple[RemoteHandle, ...]:
+        return tuple(self.handle(sid)
+                     for sid in self.extent_surrogates(class_name).ids())
+
+    def __len__(self) -> int:
+        return len(self._owners) + len(self._broadcast)
+
+    # -- schema evolution ----------------------------------------------
+
+    def _no_open_txn(self, what: str) -> None:
+        """Refuse ``what`` inside a transaction.  Schema changes are
+        checked *before* the meta store mutates, so a rejection leaves
+        meta and shards still in lockstep."""
+        if self._joined is not None:
+            raise ShardingError(
+                f"{what} is not available inside a sharded transaction")
+
+    def _evolve(self, class_name: str, recheck: str,
+                change) -> Dict[str, object]:
+        """``change`` on the meta store, then the class's definition to
+        every shard in command order (module docstring)."""
+        self._no_open_txn("a schema change")
+        if recheck not in AlterClassCommand.RECHECK:
+            raise ValueError(f"unknown recheck mode {recheck!r}")
+        change(self._meta)
+        self._stale.update(range(self.n_shards))
+        payload = self._gather({
+            "op": "alter", "schema": print_schema(self._meta.schema),
+            "cls": class_name, "recheck": recheck})
+        self.stats_counters.schema_replications += 1
+        return payload
+
+    def alter_class(self, new_def, *, recheck: str = "affected"):
+        return self._reply(self._evolve(
+            new_def.name, recheck,
+            lambda meta: meta.alter_class(new_def, recheck="none")))
+
+    def add_excuse(self, class_name: str, attribute: str, range_,
+                   targets, *, recheck: str = "affected"):
+        return self._reply(self._evolve(
+            class_name, recheck, lambda meta: meta.add_excuse(
+                class_name, attribute, range_, targets, recheck="none")))
+
+    def retract_excuse(self, class_name: str, attribute: str, *,
+                       targets=None, drop_attribute: bool = False,
+                       recheck: str = "affected"):
+        return self._reply(self._evolve(
+            class_name, recheck, lambda meta: meta.retract_excuse(
+                class_name, attribute, targets=targets,
+                drop_attribute=drop_attribute, recheck="none")))
+
+
+    # -- transactions ---------------------------------------------------
 
     @contextmanager
     def transaction(self):
@@ -723,153 +847,6 @@ class ShardedStore:
         self._owners.pop(sid, None)
         self._broadcast.discard(sid)
         self._handles.pop(sid, None)
-
-    def _mutate(self, obj, cmd: Dict[str, object],
-                check: Optional[str]) -> None:
-        sid = self._sid_of(obj)
-        cmd = dict(cmd, sid=sid)
-        if sid in self._broadcast:
-            self._replicate(sid, dict(cmd, check=check),
-                            dict(cmd, check=CheckMode.NONE))
-        else:
-            shard = self._owner_of(sid)
-            self._invalidate(shard)
-            self._call(shard, dict(cmd, check=check))
-        if cmd["op"] == "remove":
-            if self._joined is not None:
-                self._removed[sid] = self._owners.get(sid)
-            self._forget(sid)
-
-    def set_value(self, obj, attribute: str, value,
-                  check: Optional[str] = None) -> None:
-        self._guard_virtual_anchor(
-            attribute, value,
-            lambda: self.handle(self._sid_of(obj)).memberships)
-        self._mutate(obj, {"op": "set", "attr": attribute,
-                           "value": codec.encode_value(value)}, check)
-
-    def unset_value(self, obj, attribute: str,
-                    check: Optional[str] = None) -> None:
-        self._mutate(obj, {"op": "unset", "attr": attribute}, check)
-
-    def classify(self, obj, class_name: str,
-                 check: Optional[str] = None) -> None:
-        if self.schema.has_class(class_name):
-            self._guard_virtual_classify(obj, class_name)
-        self._mutate(obj, {"op": "classify", "cls": class_name}, check)
-
-    def declassify(self, obj, class_name: str,
-                   check: Optional[str] = None) -> None:
-        self._mutate(obj, {"op": "declassify", "cls": class_name}, check)
-
-    def remove(self, obj) -> None:
-        self._mutate(obj, {"op": "remove"}, None)
-
-    # -- schema evolution ----------------------------------------------
-
-    def _no_open_txn(self, what: str) -> None:
-        """Refuse ``what`` inside a transaction.  Schema changes are
-        checked *before* the meta store mutates, so a rejection leaves
-        meta and shards still in lockstep."""
-        if self._joined is not None:
-            raise ShardingError(
-                f"{what} is not available inside a sharded transaction")
-
-    def _replicate_schema(self, class_name: str,
-                          recheck: str) -> List[Tuple[RemoteHandle, str]]:
-        text = print_schema(self._meta.schema)
-        cmd = {"op": "alter", "schema": text, "cls": class_name,
-               "recheck": recheck}
-        for shard_id in range(self.n_shards):
-            self._invalidate(shard_id)
-        payloads = self._broadcast_cmd(cmd)
-        self.stats_counters.schema_replications += 1
-        return self._violations(payloads)
-
-    def _violations(self, payloads) -> List[Tuple[RemoteHandle, str]]:
-        return [(self.handle(int(sid)), message)
-                for _shard_id, payload in payloads
-                for sid, message in payload["violations"]]
-
-    def alter_class(self, new_def, *, recheck: str = "affected"):
-        """Validated once against the meta store (rejection aborts
-        before any shard hears of it), then replicated to every shard
-        in command order -- each shard's ordered pipe guarantees the
-        epoch lands between the same mutations everywhere."""
-        self._no_open_txn("a schema change")
-        self._meta.alter_class(new_def, recheck="none")
-        return self._replicate_schema(new_def.name, recheck)
-
-    def add_excuse(self, class_name: str, attribute: str, range_,
-                   targets, *, recheck: str = "affected"):
-        self._no_open_txn("a schema change")
-        self._meta.add_excuse(class_name, attribute, range_, targets,
-                              recheck="none")
-        return self._replicate_schema(class_name, recheck)
-
-    def retract_excuse(self, class_name: str, attribute: str, *,
-                       targets=None, drop_attribute: bool = False,
-                       recheck: str = "affected"):
-        self._no_open_txn("a schema change")
-        self._meta.retract_excuse(class_name, attribute, targets=targets,
-                                  drop_attribute=drop_attribute,
-                                  recheck="none")
-        return self._replicate_schema(class_name, recheck)
-
-    # -- physical design ------------------------------------------------
-
-    def _index(self, attribute: str, action: str) -> None:
-        self._no_open_txn("an index change")
-        self._broadcast_cmd({"op": "index", "attr": attribute,
-                             "action": action})
-
-    def create_index(self, attribute: str) -> None:
-        self._index(attribute, "create")
-
-    def drop_index(self, attribute: str) -> None:
-        self._index(attribute, "drop")
-
-    # -- reads ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._owners) + len(self._broadcast)
-
-    def get(self, surrogate) -> RemoteHandle:
-        """The handle of a routed object; like ``ObjectStore.get``,
-        an id this store does not hold is ``NoSuchObjectError``."""
-        sid = self._sid_of(surrogate)
-        if not self._routed(sid):
-            raise NoSuchObjectError(
-                f"surrogate {sid} is not routed by this store")
-        return self.handle(sid)
-
-    def count(self, class_name: str) -> int:
-        payloads = self._broadcast_cmd({"op": "count",
-                                        "cls": class_name})
-        return sum(payload["count"] for _sid, payload in payloads)
-
-    def extent_surrogates(self, class_name: str) -> SurrogateSet:
-        """The union of the per-shard masked extents, gathered as chunk
-        arrays (disjoint by construction, so the union is exact)."""
-        payloads = self._broadcast_cmd({"op": "extent",
-                                        "cls": class_name})
-        union = SurrogateSet()
-        for _sid, payload in payloads:
-            union |= wire.decode_chunks(payload["extent"])
-        return union
-
-    def extent(self, class_name: str) -> Tuple[RemoteHandle, ...]:
-        return tuple(self.handle(sid)
-                     for sid in self.extent_surrogates(class_name).ids())
-
-    def validate_all(self) -> List[Tuple[RemoteHandle, str]]:
-        return self._violations(self._broadcast_cmd({"op": "validate"}))
-
-    def validate_dirty(self) -> List[Tuple[RemoteHandle, str]]:
-        """Re-check only objects each shard marked dirty since its last
-        sweep (each worker keeps its own dirty set)."""
-        return self._violations(self._broadcast_cmd(
-            {"op": "validate", "scope": "dirty"}))
 
     # -- scatter-gather queries ----------------------------------------
 
@@ -948,7 +925,8 @@ class ShardedStore:
               **options) -> Tuple[List[tuple], ExecutionStats]:
         """Scatter-gather execution, returning ``(rows, stats)`` like
         ``execute_planned``: the decoded form of :meth:`query_wire`."""
-        out = self.query_wire(query, options)
+        out = self.execute({"op": "query", "options": options, "text":
+                            query if isinstance(query, str) else str(query)})
         stats = ExecutionStats()
         for field, value in out["stats"].items():
             setattr(stats, field, value)
@@ -1045,12 +1023,6 @@ class ShardedStore:
 
     # -- lifecycle ------------------------------------------------------
 
-    def checkpoint(self) -> None:
-        """Each durable shard checkpoints its own directory; in-memory
-        shards have nothing to write."""
-        if self.directory is not None:
-            self._broadcast_cmd({"op": "checkpoint"})
-
     def crash_shard(self, shard_id: int) -> None:
         """Test hook: make the worker die instantly (no flush, no
         shutdown), as a real process crash would."""
@@ -1079,3 +1051,23 @@ class ShardedStore:
     def __repr__(self) -> str:
         return (f"<ShardedStore shards={self.n_shards} "
                 f"objects={len(self)}>")
+
+
+def _request(row: Op, method: str, fixed: Dict[str, object]):
+    """``ObjectStore.<method>`` as :func:`repro.ops.request` over
+    :meth:`ShardedStore.execute`, answered as ``ObjectStore`` answers."""
+
+    def call(self, *args, **kwargs):
+        cmd = request(row, fixed, args, kwargs)
+        if "sid" in cmd:
+            cmd["sid"] = self._sid_of(cmd["sid"])
+        return self._reply(self.execute(cmd))
+
+    call.__name__ = method
+    call.__qualname__ = f"ShardedStore.{method}"
+    return call
+
+
+for _row in OPS.values():
+    for _method, _fixed in _row.methods.items():
+        setattr(ShardedStore, _method, _request(_row, _method, _fixed))

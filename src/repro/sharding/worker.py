@@ -15,9 +15,9 @@ against this shard's masked view, writes through
 (so a sharded store mints exactly the ids a single store would), and a
 routed ``create`` / ``bulk`` carries its sids the way a logged one
 does.  What is written out below is only the shard's own: the
-``foreign`` bookkeeping around the ``create`` / ``remove`` / ``get``
-rows and the ops only a router sends (``ids``, ``set_foreign``,
-``shard_map``, ``stats``, ``ping``, ``scope``).
+``foreign`` bookkeeping around the ``create`` / ``remove`` rows, the
+live-store ``get`` and the ops only a router sends (``ids``,
+``set_foreign``, ``shard_map``, ``stats``, ``ping``, ``scope``).
 
 Two shard-specific mechanisms live here:
 
@@ -199,15 +199,13 @@ class ShardServer:
 
     def _op_remove(self, cmd):
         out = self._run(OPS["remove"], cmd)
-        self.foreign.discard(Surrogate(int(cmd["sid"])))
+        self.foreign.discard(Surrogate(cmd["sid"]))
         return out
 
     def _op_get(self, cmd):
         # Read off the live store, not a snapshot: the worker is
         # single-threaded, and a write would make the next snapshot new.
-        out = self._run(OPS["get"], cmd, view=self.store)
-        out["foreign"] = Surrogate(int(cmd["sid"])) in self.foreign
-        return out
+        return self._run(OPS["get"], cmd, view=self.store)
 
     # ------------------------------------------------------------------
     # Shard-only ops

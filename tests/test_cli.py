@@ -360,3 +360,52 @@ class TestSharded:
         assert main(["load", str(schema_path), str(rows_path),
                      "--shards", "2", "--check", "eager"]) == 1
         assert "batch rejected" in capsys.readouterr().err
+
+
+class TestAlter:
+    """``repro alter`` runs the ``alter`` row against the backend its
+    directory calls for, as ``repro serve`` does."""
+
+    EVOLVED = HOSPITAL_CDL + "\nclass Convalescent is-a Patient with\nend\n"
+
+    def _schema_file(self, tmp_path):
+        path = tmp_path / "evolved.cdl"
+        path.write_text(self.EVOLVED)
+        return str(path)
+
+    def test_single_store(self, tmp_path, capsys):
+        from repro.lang import load_schema
+        from repro.objects.store import ObjectStore
+        directory = str(tmp_path / "clinic")
+        ObjectStore.open(directory, load_schema(HOSPITAL_CDL)).close()
+        path = self._schema_file(tmp_path)
+        assert main(["alter", directory, path, "Convalescent",
+                     "--dry-run"]) == 0
+        assert "would be accepted" in capsys.readouterr().out
+        assert main(["alter", directory, path, "Convalescent"]) == 0
+        assert ("altered 'Convalescent' (recheck=affected): "
+                "0 violation(s)") in capsys.readouterr().out
+        reopened = ObjectStore.open(directory)
+        assert reopened.schema.has_class("Convalescent")
+        reopened.close()
+        assert main(["alter", directory, path, "Nope"]) == 2
+
+    @pytest.mark.sharded
+    def test_sharded_directory(self, tmp_path, capsys):
+        from repro.lang import load_schema
+        from repro.sharding.router import ShardedStore
+        directory = str(tmp_path / "sharded")
+        ShardedStore(load_schema(HOSPITAL_CDL), 2, processes=False,
+                     directory=directory, durability="wal").close()
+        assert main(["alter", directory, self._schema_file(tmp_path),
+                     "Convalescent", "--recheck", "full"]) == 0
+        assert ("altered 'Convalescent' (recheck=full): 0 violation(s)"
+                in capsys.readouterr().out)
+        reopened = ShardedStore.open(directory, processes=False)
+        try:
+            for shard_id in range(2):
+                text = reopened._call(shard_id, {"op": "schema"})["schema"]
+                assert "class Convalescent" in text
+            assert reopened.create("Convalescent", name="c", age=30)
+        finally:
+            reopened.close()

@@ -21,6 +21,7 @@ served and sharded, and pins what a repeated request no longer costs.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -91,10 +92,11 @@ class ShardEdge:
             return cmd
         if cmd.get("op") == "create":
             return dict(cmd, sid=self._mint())
-        if cmd.get("op") == "bulk" and "rows" in cmd:
-            return dict(cmd, rows=[[self._mint(), classes, values]
-                                   for classes, values in cmd["rows"]])
-        if cmd.get("op") == "txn" and "ops" in cmd:
+        if cmd.get("op") == "bulk" and isinstance(cmd.get("rows"), list):
+            return dict(cmd, rows=[[self._mint()] + row
+                                   if isinstance(row, list) else row
+                                   for row in cmd["rows"]])
+        if cmd.get("op") == "txn" and isinstance(cmd.get("ops"), list):
             return dict(cmd, ops=[self._routed(sub) for sub in cmd["ops"]])
         return cmd
 
@@ -375,6 +377,49 @@ def test_malformed_query_options_are_a_typed_storage_error(edges, options):
         assert net_exc.value.remote_type == "StorageError", label
         assert "op 'query' field 'options': " in str(net_exc.value), label
     assert router.stats_counters.commands_sent == sent
+
+
+#: A value the paper's rule forbids: ``Ward.floor`` is an int.
+_NONCONFORMING = {"op": "set", "sid": 2, "attr": "floor",
+                  "value": "notanint", "check": "bogus"}
+
+
+@pytest.mark.parametrize("cmd", [pytest.param(cmd, id=name) for name, cmd in {
+    "txn-ops-5": {"op": "txn", "ops": 5},
+    "bulk-rows-5": {"op": "bulk", "rows": 5},
+    "bulk-row-5": {"op": "bulk", "rows": [5]},
+    "create-values-5": {"op": "create", "cls": "Ward", "values": 5},
+    "get-sid-abc": {"op": "get", "sid": "abc"},
+    "remove-sid-null": {"op": "remove", "sid": None},
+    "set-check-bogus": _NONCONFORMING,
+    "txn-set-check-bogus": {"op": "txn", "ops": [_NONCONFORMING]},
+    "bulk-check-bogus": {"op": "bulk", "check": "bogus",
+                         "rows": [[["Ward"], {"floor": 4, "name": "b"}]]},
+    "index-action-bogus": {"op": "index", "attr": "age",
+                           "action": "bogus"},
+    "validate-scope-bogus": {"op": "validate", "scope": "bogus"},
+    "alter-recheck-bogus": {"op": "alter", "schema": EVOLVED_TEXT,
+                            "cls": "Convalescent", "recheck": "bogus"},
+}.items()])
+def test_malformed_request_is_a_typed_storage_error(edges, cmd):
+    """A field the row does not allow is refused before anything runs,
+    and before a router asks a shard.  These used to be obeyed as
+    something else -- a ``check`` other than ``eager`` ran deferred and
+    stored the value, a bogus ``action`` built an index, a bogus
+    ``scope`` swept everything -- or to escape untyped (``TypeError``,
+    ``AttributeError``, ``ValueError``)."""
+    _seed(edges)
+    router = edges["sharded-2"].backend.router
+    sent = router.stats_counters.commands_sent
+    for label, edge in edges.items():
+        etype, message = _error_type(edge, cmd)
+        assert etype == "StorageError", (label, message)
+        assert re.match(r"op '\w+' field '\w+' must be ", message), label
+    assert router.stats_counters.commands_sent == sent
+    for label, edge in edges.items():
+        ward = edge.call({"op": "get", "sid": 2})
+        assert ward["values"]["floor"] == 1, label
+        assert edge.call({"op": "schema"})["schema"] == SCHEMA_TEXT, label
 
 
 def test_malformed_txn_sub_ops_roll_back(edges):

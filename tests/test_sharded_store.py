@@ -891,3 +891,109 @@ def test_shard_manifest_is_never_torn(policy):
         done = FaultFS(dict(base))
         write_shard_manifest("/s", 4, "wal", "always", fs=done)
         assert json.loads(done.crash_state(policy)[path])["shards"] == 4
+
+
+def test_a_refused_schema_change_leaves_meta_and_shards_in_lockstep():
+    """An unknown ``recheck`` used to commit on the meta store and then
+    fail on every shard: the router went on admitting creates of a
+    class no shard knew.  It is refused before meta changes -- as a
+    request and through each of the three methods."""
+    from repro.lang import load_schema, print_schema
+    from repro.net.backends import ShardedBackend
+    text = print_schema(SCHEMA)
+    evolved = text + "\nclass Convalescent is-a Patient with\nend\n"
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    backend = ShardedBackend(sharded)
+    try:
+        with pytest.raises(StorageError, match="field 'recheck'"):
+            backend.op_alter({"op": "alter", "schema": evolved,
+                              "cls": "Convalescent", "recheck": "bogus"})
+        for change in (
+                lambda: sharded.alter_class(
+                    load_schema(evolved).get("Convalescent"),
+                    recheck="bogus"),
+                lambda: sharded.add_excuse(
+                    "Alcoholic", "treatedBy", "Psychologist", ["Patient"],
+                    recheck="bogus"),
+                lambda: sharded.retract_excuse(
+                    "Alcoholic", "treatedBy", drop_attribute=True,
+                    recheck="bogus")):
+            with pytest.raises(ValueError, match="unknown recheck mode"):
+                change()
+        assert print_schema(sharded.schema) == text
+        for shard_id in range(2):
+            assert sharded._call(shard_id, {"op": "schema"}) == {
+                "schema": text}
+        with pytest.raises(UnknownClassError):
+            sharded.create("Convalescent", name="c", age=30)
+        assert backend.op_alter({"op": "alter", "schema": evolved,
+                                 "cls": "Convalescent"})["violations"] == []
+        assert sharded.create("Convalescent", name="c", age=30)
+        assert sharded.count("Convalescent") == 1
+    finally:
+        sharded.close()
+
+
+def test_anchoring_guard_reads_the_request():
+    """One guard on the request: a create or bulk row is judged on what
+    it carries, a ``set`` asks the shard for the classes, a
+    ``classify`` for the values -- and a broadcast replica is never
+    anchored into the virtual class by any of them, served or not."""
+    from repro.net.backends import ShardedBackend
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    backend = ShardedBackend(sharded)
+    try:
+        hosp = sharded.create("Hospital", broadcast=True,
+                              accreditation=EnumSymbol("Federal"))
+        ref = codec.ref(hosp.surrogate.id)
+        refused = [
+            {"op": "create", "cls": "Tubercular_Patient",
+             "values": {"name": "t", "age": 30, "treatedAt": ref}},
+            {"op": "bulk", "rows": [[["Tubercular_Patient"], {
+                "name": "t", "age": 30, "treatedAt": ref}]]},
+        ]
+        patient = sharded.create("Patient", name="p", age=30,
+                                 treatedAt=hosp)
+        tubercular = sharded.create("Tubercular_Patient", name="q", age=30)
+        refused += [
+            {"op": "classify", "sid": patient.surrogate.id,
+             "cls": "Tubercular_Patient"},
+            {"op": "set", "sid": tubercular.surrogate.id,
+             "attr": "treatedAt", "value": ref},
+            {"op": "txn", "ops": [{"op": "set", "sid": patient.surrogate.id,
+                                   "attr": "age", "value": 31},
+                                  {"op": "classify",
+                                   "sid": patient.surrogate.id,
+                                   "cls": "Tubercular_Patient"}]},
+        ]
+        for cmd in refused:
+            with pytest.raises(ShardingError, match="anchor"):
+                getattr(backend, "op_" + cmd["op"])(cmd)
+        assert sharded.count("Hospital$1") == 0
+        assert patient.get_value("age") == 30       # the txn rolled back
+        assert sharded.count("Tubercular_Patient") == 1
+    finally:
+        sharded.close()
+
+
+def test_a_request_reaches_a_shard_with_its_row_fields_only():
+    """The router forwards a client's request as it came, but only the
+    fields its row declares: what a router alone says to a shard --
+    ``foreign`` (mask this replica), ``begin`` (open a scope) -- never
+    gets through from outside."""
+    from repro.net.backends import ShardedBackend
+    sharded = ShardedStore(SCHEMA, 2, processes=False)
+    backend = ShardedBackend(sharded)
+    try:
+        sid = backend.op_create({"cls": "Ward", "foreign": True,
+                                 "begin": True,
+                                 "values": {"floor": 1, "name": "w"}})["sid"]
+        backend.op_set({"sid": sid, "attr": "floor", "value": 2,
+                        "begin": True})
+        assert backend.op_count({"cls": "Ward"}) == {"count": 1}
+        with sharded.transaction():     # no scope was left open
+            sharded.create("Ward", floor=3, name="v")
+        assert sharded.count("Ward") == 2
+        assert sharded.get(sid).get_value("floor") == 2
+    finally:
+        sharded.close()
