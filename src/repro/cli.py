@@ -348,9 +348,7 @@ def cmd_load(args) -> int:
             print(f"persisted {len(store)} objects to "
                   f"{args.persist}{layout}")
     finally:
-        close = getattr(store, "close", None)
-        if close is not None:
-            close()
+        store.close()
     return 0
 
 

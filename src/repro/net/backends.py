@@ -28,15 +28,15 @@ scalar gauge for display and the legacy hello field.
 
 **Handlers are derived, not written.**  Every op is one row of
 :data:`repro.ops.OPS`; :func:`_install` gives each backend class an
-``op_<name>`` per row that validates the request against the row and
-hands it to ``_serve(row, cmd)``, which runs a read against the
-backend's ``_view`` and a write against its ``store`` (sids through
+``op_<name>`` per row that hands the request to ``_serve(row, cmd)``,
+which checks it against the row, runs a read against the backend's
+``_view`` and a write against its ``store`` (sids through
 ``_resolve``) and puts the ack on the payload -- so a backend says
 only what is its own: which view, which store, which lock around the
 call.  The sharded backend runs no row body: its ``_serve`` hands the
 request, values as the client encoded them, to the router's
-``execute``, which routes it by reach rather than re-implementing the
-store methods.
+``execute``, which checks it once and routes it by reach rather than
+re-implementing the store methods.
 
 A row marked ``fenced`` always runs on the service's executor; a
 backend whose every op blocks (on IPC, on a lock) says so with
@@ -83,8 +83,9 @@ class StoreBackend:
     net_stats = None
 
     def _serve(self, row: Op, cmd):
-        """One table row: a read against the view, a write against the
-        store with this backend's ack on the payload."""
+        """One table row, checked: a read against the view, a write
+        against the store with this backend's ack on the payload."""
+        row.check(cmd)
         if not row.write:
             return row.run(self._view(cmd), cmd, None)
         return self._ack(row.run(self.store, cmd, self._resolve))
@@ -109,7 +110,8 @@ class StoreBackend:
         return {}
 
     def close(self) -> None:
-        pass
+        """Close what the backend serves (a store, a router)."""
+        self.store.close()
 
 
 def _install(cls, rows) -> None:
@@ -120,7 +122,6 @@ def _install(cls, rows) -> None:
         name = "op_" + row.name
 
         def handler(self, cmd, _row=row):
-            _row.check(cmd)
             return self._serve(_row, cmd)
 
         handler.__name__ = name
@@ -146,11 +147,6 @@ class ConcurrentBackend(SnapshotBackend):
         if getattr(store, "_journal", None) is not None:
             self.ship = LocalShipSource(store)
 
-    def close(self) -> None:
-        closer = getattr(self.store, "close", None)
-        if closer is not None:
-            closer()
-
     def _view(self, cmd):
         # A primary is never behind its own log: tokens need no check.
         return self.store.snapshot(wait=False)
@@ -161,14 +157,10 @@ class ConcurrentBackend(SnapshotBackend):
     # -- gauges ---------------------------------------------------------
 
     def position(self) -> Dict[str, int]:
-        """One component: the WAL seq when durable (what a write ack
-        returns and replicas replay), the store epoch otherwise (no
-        replicas can exist to lag, but token_wait on an ack must still
+        """One component: the store's commit position (in memory its
+        epoch: no replica can lag, but token_wait on an ack must still
         succeed immediately)."""
-        journal = getattr(self.store, "_journal", None)
-        if journal is not None:
-            return tokens.as_token(journal.wal.last_seq)
-        return tokens.as_token(self.store._epoch)
+        return tokens.as_token(self.store.position())
 
     def last_seq(self) -> int:
         journal = getattr(self.store, "_journal", None)
@@ -235,9 +227,6 @@ class ShardedBackend(StoreBackend):
     def describe(self) -> Dict[str, object]:
         return {"shards": self.router.n_shards}
 
-    def close(self) -> None:
-        self.router.close()
-
     # -- gauges ---------------------------------------------------------
 
     def position(self) -> Dict[str, int]:
@@ -254,9 +243,9 @@ class ShardedBackend(StoreBackend):
     # -- ops ------------------------------------------------------------
 
     def _serve(self, row: Op, cmd):
-        """The router routes the request (the handler's row names the
-        op), its fields as the client encoded them; the counters it
-        moved land in ``net_stats``."""
+        """The router checks and routes the request (the handler's row
+        names the op), its fields as the client encoded them; the
+        counters it moved land in ``net_stats``."""
         stats, counters = self.net_stats, self.router.stats_counters
         if row.write and stats is not None:
             stats.writes_routed += 1

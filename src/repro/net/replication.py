@@ -339,9 +339,7 @@ class Replica:
         """The primary rotated its WAL past our position: discard and
         re-install from a fresh dump."""
         if self.store is not None:
-            closer = getattr(self.store, "close", None)
-            if closer is not None:
-                closer()
+            self.store.close()
         if self.directory is not None:
             for name in list(self.fs.listdir(self.directory)):
                 self.fs.remove(os.path.join(self.directory, name))
@@ -482,9 +480,8 @@ class Replica:
         return self.store.snapshot(), applied
 
     def close(self) -> None:
-        closer = getattr(self.store, "close", None)
-        if closer is not None:
-            closer()
+        if self.store is not None:
+            self.store.close()
 
     def __repr__(self) -> str:
         return (f"<Replica applied_seq={self.applied_seq} "

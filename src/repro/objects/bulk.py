@@ -58,7 +58,7 @@ from typing import (
 
 from repro.errors import ConformanceError, UnknownClassError
 from repro.objects.instance import Instance
-from repro.objects.pipeline import BulkCommand
+from repro.objects.pipeline import BulkCommand, refuse_check
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.semantics.checker import Violation, expand_signature
@@ -115,10 +115,7 @@ class BulkSession:
 
     def __init__(self, store: ObjectStore,
                  check: str = CheckMode.DEFERRED) -> None:
-        if check not in (CheckMode.EAGER, CheckMode.DEFERRED):
-            raise ValueError(
-                f"bulk check mode must be 'eager' or 'deferred', "
-                f"got {check!r}")
+        refuse_check("bulk", check, CheckMode.BULK)
         self._store = store
         self._mode = check
         self._staged: List[_Staged] = []

@@ -54,6 +54,7 @@ from repro.columnar import SurrogateSet
 from repro.errors import (
     ConformanceError,
     SchemaEvolutionError,
+    StorageError,
     UnknownClassError,
 )
 from repro.lang import print_schema
@@ -71,6 +72,13 @@ class CheckMode:
     EAGER = "eager"      # on every write (default)
     DEFERRED = "deferred"  # only via validate_all()
     NONE = "none"        # never (benchmarking substrate only)
+    ALL = (EAGER, DEFERRED, NONE)
+    BULK = (EAGER, DEFERRED)    # a batch is checked, now or later
+
+
+def refuse_check(op: str, check, legal: Tuple[str, ...]) -> None:
+    if check not in legal:      # as the request row refuses it (repro.ops)
+        raise StorageError(f"op {op!r} field 'check' must be one of {legal}")
 
 
 class TransactionError(Exception):
@@ -99,6 +107,8 @@ class MutationCommand:
     __slots__ = ("check", "mutated")
 
     def __init__(self, check: Optional[str] = None) -> None:
+        if check is not None:
+            refuse_check(self.op, check, CheckMode.ALL)
         self.check = check
         self.mutated = False
 

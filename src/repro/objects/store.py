@@ -617,6 +617,15 @@ class ObjectStore:
         (:class:`~repro.objects.durable.DurableObjectStore`)."""
         raise StorageError("store is not durable; nothing to checkpoint")
 
+    def close(self) -> None:
+        """An in-memory store holds nothing to flush."""
+
+    def position(self) -> int:
+        """The commit position: the WAL seq while journaling (what a
+        reopen recovers and a replica replays to), else the epoch."""
+        journal = self._journal
+        return self._epoch if journal is None else journal.wal.last_seq
+
     def _require_live(self, obj: Instance) -> None:
         if self._objects.get(obj.surrogate) is not obj:
             raise NoSuchObjectError(str(obj.surrogate))

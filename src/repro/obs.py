@@ -71,71 +71,6 @@ COUNTER_FIELDS: Tuple[str, ...] = (
 )
 
 
-class EngineStats:
-    """Counters and timings shared by a checker/store pair."""
-
-    __slots__ = COUNTER_FIELDS + ("timing", "timings")
-
-    def __init__(self, timing: bool = False) -> None:
-        for name in COUNTER_FIELDS:
-            setattr(self, name, 0)
-        #: Whether callers bracket work with :meth:`clock`/:meth:`record`.
-        self.timing = timing
-        self.timings: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    # Timing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def clock() -> float:
-        return time.perf_counter()
-
-    def record(self, event: str, seconds: float) -> None:
-        self.timings[event] = self.timings.get(event, 0.0) + seconds
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """All counters (and accumulated timings, when enabled)."""
-        out: Dict[str, object] = {
-            name: getattr(self, name) for name in COUNTER_FIELDS
-        }
-        for event, seconds in sorted(self.timings.items()):
-            out[f"time.{event}"] = round(seconds, 6)
-        return out
-
-    def reset(self) -> None:
-        for name in COUNTER_FIELDS:
-            setattr(self, name, 0)
-        self.timings.clear()
-
-    # ------------------------------------------------------------------
-    # Rollback support (bulk ingestion's all-or-nothing semantics)
-    # ------------------------------------------------------------------
-
-    def capture(self) -> Dict[str, object]:
-        """Counter + timing state, restorable via :meth:`restore`."""
-        state: Dict[str, object] = {
-            name: getattr(self, name) for name in COUNTER_FIELDS
-        }
-        state["__timings__"] = dict(self.timings)
-        return state
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for name in COUNTER_FIELDS:
-            setattr(self, name, state[name])
-        self.timings.clear()
-        self.timings.update(state["__timings__"])  # type: ignore[arg-type]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v}" for k, v in self.snapshot().items() if v)
-        return f"EngineStats({inner})"
-
-
 class _Counters:
     """Bare integer counters, named by the subclass's ``FIELDS`` (which
     are also its ``__slots__``), in reporting order."""
@@ -153,10 +88,57 @@ class _Counters:
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
 
+    def capture(self) -> Dict[str, object]:
+        """Counter state, restorable via :meth:`restore` (a rollback)."""
+        return _Counters.snapshot(self)
+
+    def restore(self, state: Dict[str, object]) -> None:
+        for name in self.FIELDS:
+            setattr(self, name, state[name])
+
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{k}={v}" for k, v in self.snapshot().items() if v)
         return f"{type(self).__name__}({inner})"
+
+
+class EngineStats(_Counters):
+    """Counters and timings shared by a checker/store pair."""
+
+    __slots__ = COUNTER_FIELDS + ("timing", "timings")
+    FIELDS = COUNTER_FIELDS
+
+    def __init__(self, timing: bool = False) -> None:
+        #: Whether callers bracket work with :meth:`clock`/:meth:`record`.
+        self.timing = timing
+        self.timings: Dict[str, float] = {}
+        super().__init__()
+
+    @staticmethod
+    def clock() -> float:
+        return time.perf_counter()
+
+    def record(self, event: str, seconds: float) -> None:
+        self.timings[event] = self.timings.get(event, 0.0) + seconds
+
+    def snapshot(self) -> Dict[str, object]:
+        """All counters (and accumulated timings, when enabled)."""
+        out: Dict[str, object] = super().snapshot()
+        for event, seconds in sorted(self.timings.items()):
+            out[f"time.{event}"] = round(seconds, 6)
+        return out
+
+    def reset(self) -> None:
+        super().reset()
+        self.timings.clear()
+
+    def capture(self) -> Dict[str, object]:
+        return dict(super().capture(), __timings__=dict(self.timings))
+
+    def restore(self, state: Dict[str, object]) -> None:
+        super().restore(state)
+        self.timings.clear()
+        self.timings.update(state["__timings__"])  # type: ignore[arg-type]
 
 
 #: Every query-layer counter, in reporting order.
@@ -179,14 +161,6 @@ class QueryStats(_Counters):
     """Counters shared by a store's index manager and the planner."""
 
     __slots__ = FIELDS = QUERY_COUNTER_FIELDS
-
-    def capture(self) -> Dict[str, int]:
-        """Counter state, restorable via :meth:`restore`."""
-        return self.snapshot()
-
-    def restore(self, state: Dict[str, int]) -> None:
-        for name in QUERY_COUNTER_FIELDS:
-            setattr(self, name, state[name])
 
 
 #: Every router-side sharding counter, in reporting order.

@@ -333,7 +333,7 @@ def _write(name, run, required=(), optional=(), *, stubs=None, row=Op,
 _INDEX_METHODS = {"create_index": {"action": "create"},
                   "drop_index": {"action": "drop"}}
 #: A row write's ``check``: when conformance is enforced.
-_CHECK = {"check": (CheckMode.EAGER, CheckMode.DEFERRED, CheckMode.NONE)}
+_CHECK = {"check": CheckMode.ALL}
 
 
 def _routed(name, run, required, optional=(), *, method=None):
@@ -367,7 +367,7 @@ OPS: Dict[str, Op] = {row.name: row for row in (
     _write("txn", _txn, ("ops",), row=_Envelope, reach="txn"),
     _write("bulk", _bulk, ("rows",), ("check",), reach="admit",
            fenced=True,
-           choices={"check": (CheckMode.EAGER, CheckMode.DEFERRED)}),
+           choices={"check": CheckMode.BULK}),
     _write("alter", _alter, ("schema", "cls"), ("recheck",),
            reach="meta", choices={"recheck": AlterClassCommand.RECHECK}),
     _write("index", _index, ("attr",), ("action",), reach="all",

@@ -72,7 +72,7 @@ from repro import codec
 from repro.columnar import SurrogateSet
 from repro.errors import (
     NoSuchObjectError, QueryTypeError, ShardCrashedError, ShardingError,
-    ShardWorkerError, UnknownClassError,
+    ShardWorkerError, StorageError, UnknownClassError,
 )
 from repro.lang.printer import print_schema
 from repro.obs import ShardStats
@@ -182,11 +182,11 @@ class LocalBackend:
 
 class ProcessBackend:
     """A shard in its own worker process behind one duplex pipe (a
-    :class:`wire.PipeEnd`: a hop is a write, a poll and a read at each
-    end); a dead worker is EOF or a broken pipe, so ShardCrashedError
-    at once.  A pipe ``send`` can block on a worker that is itself
-    blocked sending, so one command is in flight at most: ``send``
-    refuses while a reply is owed (the ready handshake is the first)."""
+    :class:`wire.PipeEnd`: a hop is one write, a poll and one read at
+    each end); a dead worker is EOF or a broken pipe, so
+    ShardCrashedError at once.  ``send`` refuses while a reply is owed
+    (the ready handshake is the first): with one command in flight, no
+    send blocks on a worker blocked sending, no read meets a second frame."""
 
     def __init__(self, shard_id: int, config: Dict[str, object],
                  ctx) -> None:
@@ -686,7 +686,7 @@ class ShardedStore:
         if row.name == "index":
             self._no_open_txn("an index change")
         elif row.name == "checkpoint" and self.directory is None:
-            return {}       # in-memory shards have nothing to write
+            raise StorageError("store is not durable; nothing to checkpoint")
         return self._gather(self._shard_cmd(row, cmd))
 
     def _gather(self, cmd: Dict[str, object]) -> Dict[str, object]:

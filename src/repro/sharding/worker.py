@@ -143,7 +143,7 @@ class ShardServer:
             result = {"ok": self.handle(cmd)}
         except Exception as exc:   # ships the failure back to the router
             result = {"error": {"type": type(exc).__name__, "msg": str(exc)}}
-        result["seq"] = self.position()
+        result["seq"] = self.store.position()
         return wire.encode_result(result)
 
     def handle(self, cmd: Dict[str, object]):
@@ -170,15 +170,6 @@ class ShardServer:
 
     def _resolve(self, sid: int):
         return self.store.get(Surrogate(sid))
-
-    def position(self) -> int:
-        """This shard's commit position: its WAL seq when durable (what
-        a reopened worker recovers to), the store epoch otherwise --
-        one component of the router's vector epoch token."""
-        journal = getattr(self.store, "_journal", None)
-        if journal is not None:
-            return journal.wal.last_seq
-        return self.store._epoch
 
     def _read_view(self):
         # Inside a scope the router reads its own writes.
@@ -253,9 +244,7 @@ class ShardServer:
     def close(self) -> None:
         if self._scope is not None:
             self._op_scope({"action": "abort"})
-        closer = getattr(self.store, "close", None)
-        if closer is not None:
-            closer()
+        self.store.close()
 
 
 def _table_handler(row: Op):
@@ -304,5 +293,5 @@ def shard_worker_main(shard_id: int, config: Dict[str, object],
             if op == "crash":
                 os._exit(1)
             pipe.send(server.reply(cmd))
-    except (EOFError, OSError):     # the router is gone, maybe mid-reply
-        server.close()
+    except (EOFError, OSError, ShardingError):
+        server.close()  # the router is gone (maybe mid-reply) or broke the pipe

@@ -14,7 +14,9 @@ import threading
 
 import pytest
 
-from repro.errors import ConformanceError, ReproError, UnknownClassError
+from repro.errors import (
+    ConformanceError, ReproError, StorageError, UnknownClassError,
+)
 from repro.objects import BulkSession, ObjectStore
 from repro.objects.store import CheckMode
 from repro.query import plan_query
@@ -306,9 +308,9 @@ class TestSessionProtocol:
         session.abort()
 
     def test_mode_validation(self, hospital_store):
-        with pytest.raises(ValueError):
+        with pytest.raises(StorageError, match="must be one of"):
             BulkSession(hospital_store, check=CheckMode.NONE)
-        with pytest.raises(ValueError):
+        with pytest.raises(StorageError, match="must be one of"):
             hospital_store.bulk_load([], check="off")
 
     def test_bulk_load_rejects_malformed_row(self, hospital_store):

@@ -216,7 +216,10 @@ class TestShardedServing:
         ack = client.alter(schema_text, "Ward")
         assert ack["violations"] == []
         client.drop_index("floor")
-        client.checkpoint()            # no-op on non-durable shards
+        # Refused as the in-memory single store refuses it.
+        with pytest.raises(RemoteOpError, match="not durable") as refused:
+            client.checkpoint()
+        assert refused.value.remote_type == "StorageError"
 
     def test_extent_ids_union_all_shards(self, client):
         sids = [client.create("Patient",

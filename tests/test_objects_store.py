@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     ConformanceError,
     NoSuchObjectError,
+    StorageError,
     UnknownClassError,
 )
 from repro.objects import ObjectStore
@@ -125,6 +126,35 @@ class TestEnforcement:
         p = store.create("Patient", name="p", age=20, treatedBy=doc)
         store.unset_value(p, "treatedBy")
         assert p.get_value("treatedBy") is INAPPLICABLE
+
+    def test_an_unknown_check_is_refused_before_apply_or_journal(
+            self, hospital_schema, tmp_path):
+        """Not obeyed as "deferred": nothing applies, nothing reaches
+        the WAL, and a reopen replays only the accepted create."""
+        directory = str(tmp_path / "store")
+        store = ObjectStore.open(directory, hospital_schema,
+                                 durability="wal")
+        p = store.create("Patient", name="p", age=20)
+        refused = "field 'check' must be one of"
+        for attempt in (
+                lambda: store.set_value(p, "age", "old", check="bogus"),
+                lambda: store.unset_value(p, "age", check="bogus"),
+                lambda: store.classify(p, "Alcoholic", check="bogus"),
+                lambda: store.create("Person", check="bogus", age="x"),
+                lambda: store.bulk_load([(("Person",), {"age": "x"})],
+                                        check="bogus")):
+            with pytest.raises(StorageError, match=refused):
+                attempt()
+        assert p.get_value("age") == 20
+        assert p.memberships == {"Patient"} and len(store) == 1
+        store.close()
+        reopened = ObjectStore.open(directory)
+        try:
+            assert reopened.last_recovery.replayed == 1
+            assert reopened.last_recovery.conformant
+            assert reopened.validate_all() == []
+        finally:
+            reopened.close()
 
 
 class TestClassify:

@@ -665,15 +665,15 @@ def _kill_router(tmp_path, start_method, sync="group", in_scope=""):
     script.write_text(_ROUTER_SCRIPT)
     directory = str(tmp_path / "orphaned")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    router = subprocess.Popen(
-        [sys.executable, str(script), directory, start_method, sync,
-         in_scope], stdout=subprocess.PIPE, text=True, env=env)
-    try:
-        pids = [int(pid) for pid in router.stdout.readline().split()]
-        assert len(pids) == 2 and all(_running(pid) for pid in pids)
-    finally:
-        router.kill()
-        router.wait(timeout=10)
+    with subprocess.Popen(
+            [sys.executable, str(script), directory, start_method, sync,
+             in_scope], stdout=subprocess.PIPE, text=True, env=env) as router:
+        try:
+            pids = [int(pid) for pid in router.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        finally:
+            router.kill()
+            router.wait(timeout=10)
     deadline = time.monotonic() + 8
     while any(_running(pid) for pid in pids):
         assert time.monotonic() < deadline, "shard workers were orphaned"

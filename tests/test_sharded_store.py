@@ -8,7 +8,10 @@ in ``test_sharded_properties.py`` under the ``sharded`` marker.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -100,6 +103,90 @@ def test_chunk_codec_survives_json_framing():
                                 "extent": wire.encode_chunks(members)})
     decoded = wire.decode_command(text)
     assert wire.decode_chunks(decoded["extent"]) == members
+
+
+# --------------------------------------------------------------------------
+# The pipe endpoint, both ends in this process
+# --------------------------------------------------------------------------
+
+@pytest.fixture()
+def pipe_pair():
+    """Both ends of one ``multiprocessing`` pipe as ``wire.PipeEnd``
+    objects, and the raw connections (closing one is EOF at the other)."""
+    left, right = multiprocessing.Pipe()
+    yield wire.PipeEnd(left), wire.PipeEnd(right), left, right
+    left.close()
+    right.close()
+
+
+def test_a_long_text_arrives_over_several_reads_whole(pipe_pair,
+                                                      monkeypatch):
+    sender, receiver, _, _ = pipe_pair
+    text = wire.encode_command({"op": "bulk", "rows": [
+        [i, ["Person"], {"name": f"n{i}"}] for i in range(60_000)]})
+    assert len(text) >= 1 << 20
+    reads, got = [], []
+    real_read = os.read
+    monkeypatch.setattr(wire.os, "read", lambda fd, size: (
+        fd == receiver._fd and reads.append(size)) or real_read(fd, size))
+    reader = threading.Thread(target=lambda: got.append(receiver.recv()))
+    reader.start()
+    sender.send(text)       # blocks until the reader drains the pipe
+    reader.join(10)
+    assert got == [text]
+    assert len(reads) >= 2 and reads[0] == wire.FIRST_READ
+
+
+def test_a_non_ascii_text_round_trips(pipe_pair):
+    sender, receiver, _, _ = pipe_pair
+    text = wire.encode_command({"name": "Zürich — 病院 🏥"})
+    sender.send(text)
+    assert receiver.wait(1) and receiver.recv() == text
+    receiver.send("")
+    assert sender.recv() == ""
+
+
+def test_a_frame_split_inside_its_header_comes_out_whole(pipe_pair):
+    _, receiver, left, _ = pipe_pair
+    frame = (2).to_bytes(wire.HEADER, "big") + b"{}"
+    os.write(left.fileno(), frame[:2])
+    got = []
+    reader = threading.Thread(target=lambda: got.append(receiver.recv()))
+    reader.start()
+    time.sleep(0.05)        # the reader's first read holds 2 bytes
+    os.write(left.fileno(), frame[2:])
+    reader.join(10)
+    assert got == ["{}"]
+
+
+def test_eof_mid_frame_is_eof(pipe_pair):
+    _, receiver, left, _ = pipe_pair
+    os.write(left.fileno(), (100).to_bytes(wire.HEADER, "big") + b"{}")
+    left.close()
+    with pytest.raises(EOFError):
+        receiver.recv()
+    with pytest.raises(EOFError):       # and at a frame boundary
+        receiver.recv()
+
+
+def test_bytes_past_a_frame_are_a_protocol_fault(pipe_pair):
+    _, receiver, left, _ = pipe_pair
+    os.write(left.fileno(), (2).to_bytes(wire.HEADER, "big") + b"{}{}")
+    with pytest.raises(ShardingError, match="2 bytes past the end"):
+        receiver.recv()
+
+
+def test_a_text_too_long_for_the_header_is_refused(pipe_pair):
+    class HugeBytes(bytes):
+        def __len__(self):
+            return 1 << 32
+
+    class Huge(str):
+        def encode(self, *args):
+            return HugeBytes()
+
+    with pytest.raises(ShardingError, match="too long"):
+        pipe_pair[0].send(Huge())
 
 
 def test_value_codec_roundtrips_enums_and_refs():
