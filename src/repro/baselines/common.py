@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import SchemaError
 from repro.schema.builder import SchemaBuilder
 from repro.schema.schema import Schema
 from repro.typesys.core import STRING
@@ -94,9 +95,17 @@ class InheritanceMechanism:
         sibling redefines the attribute to the exceptional range with no
         intent marker).  Returns ``(schema_or_None, detected)`` --
         ``detected`` is True when the mechanism's tooling flags the
-        mistake (the paper's verifiability).
+        mistake (the paper's verifiability): building its encoding
+        (``self._builder(scenario, error_sibling)``) raises.
         """
-        raise NotImplementedError
+        if not scenario.sibling_subclasses:
+            return None, False
+        builder = self._builder(
+            scenario, error_sibling=scenario.sibling_subclasses[0])
+        try:
+            return builder.build(), False
+        except SchemaError:
+            return None, True
 
     # Common scaffolding ---------------------------------------------------
 

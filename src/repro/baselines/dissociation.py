@@ -14,16 +14,14 @@ subclass.  The paper's two objections, both made executable here:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.errors import SchemaError
 from repro.baselines.common import (
     ExceptionScenario,
     InheritanceMechanism,
     MechanismResult,
 )
 from repro.schema.builder import SchemaBuilder
-from repro.schema.schema import Schema
 
 
 class DissociationMechanism(InheritanceMechanism):
@@ -68,17 +66,3 @@ class DissociationMechanism(InheritanceMechanism):
             notes={"derived": scenario.exceptional_subclass +
                    " is not IS-A " + scenario.superclass},
         )
-
-    def build_with_error(self, scenario: ExceptionScenario
-                         ) -> Tuple[Optional[Schema], bool]:
-        if not scenario.sibling_subclasses:
-            return None, False
-        builder = self._builder(
-            scenario, error_sibling=scenario.sibling_subclasses[0])
-        try:
-            schema = builder.build()
-        except SchemaError:
-            # Siblings still use strict inheritance, so the accidental
-            # contradiction is flagged.
-            return None, True
-        return schema, False

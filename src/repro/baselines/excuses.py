@@ -3,16 +3,14 @@ comparison against the Section 4.2 alternatives."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.errors import SchemaError
 from repro.baselines.common import (
     ExceptionScenario,
     InheritanceMechanism,
     MechanismResult,
 )
 from repro.schema.builder import SchemaBuilder
-from repro.schema.schema import Schema
 
 
 class ExcuseMechanism(InheritanceMechanism):
@@ -51,15 +49,3 @@ class ExcuseMechanism(InheritanceMechanism):
             superclass_modified=False,
             notes={"excuses": str(len(scenario.all_contradictions()))},
         )
-
-    def build_with_error(self, scenario: ExceptionScenario
-                         ) -> Tuple[Optional[Schema], bool]:
-        if not scenario.sibling_subclasses:
-            return None, False
-        builder = self._builder(
-            scenario, error_sibling=scenario.sibling_subclasses[0])
-        try:
-            schema = builder.build()
-        except SchemaError:
-            return None, True
-        return schema, False

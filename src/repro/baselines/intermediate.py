@@ -12,16 +12,14 @@ subclass forces a choice among them.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.errors import SchemaError
 from repro.baselines.common import (
     ExceptionScenario,
     InheritanceMechanism,
     MechanismResult,
 )
 from repro.schema.builder import SchemaBuilder
-from repro.schema.schema import Schema
 from repro.typesys.core import STRING
 
 
@@ -99,15 +97,3 @@ class IntermediateClassMechanism(InheritanceMechanism):
             superclass_modified=True,
             notes={"anchors": str(len(anchors))},
         )
-
-    def build_with_error(self, scenario: ExceptionScenario
-                         ) -> Tuple[Optional[Schema], bool]:
-        if not scenario.sibling_subclasses:
-            return None, False
-        builder = self._builder(
-            scenario, error_sibling=scenario.sibling_subclasses[0])
-        try:
-            schema = builder.build()
-        except SchemaError:
-            return None, True
-        return schema, False

@@ -11,16 +11,14 @@ of inheritance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.errors import SchemaError
 from repro.baselines.common import (
     ExceptionScenario,
     InheritanceMechanism,
     MechanismResult,
 )
 from repro.schema.builder import SchemaBuilder
-from repro.schema.schema import Schema
 from repro.typesys.core import STRING
 
 
@@ -89,16 +87,3 @@ class ReconciliationMechanism(InheritanceMechanism):
             superclass_modified=True,
             notes={"generalized_ranges": ", ".join(invented)},
         )
-
-    def build_with_error(self, scenario: ExceptionScenario
-                         ) -> Tuple[Optional[Schema], bool]:
-        if not scenario.sibling_subclasses:
-            return None, False
-        builder = self._builder(
-            scenario, error_sibling=scenario.sibling_subclasses[0])
-        try:
-            schema = builder.build()
-        except SchemaError:
-            return None, True
-        # Built cleanly: the widened superclass range hid the mistake.
-        return schema, False

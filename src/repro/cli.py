@@ -50,6 +50,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro import codec
 from repro.errors import ReproError
 from repro.lang import load_schema, print_schema
 from repro.query.analysis import analyze
@@ -475,7 +476,7 @@ def cmd_alter(args) -> int:
         print(f"altered {args.class_name!r} (recheck={args.recheck}): "
               f"{len(problems)} violation(s)")
         for sid, violation in problems[:args.max_violations]:
-            print(f"  @{sid}: {violation}")
+            print(f"  @{sid}: {codec.decode_violation(violation, int)}")
         if len(problems) > args.max_violations:
             print(f"  ... and {len(problems) - args.max_violations} more")
         return 1 if problems else 0

@@ -22,6 +22,12 @@ means at that edge (a live instance, a router handle, the id itself).
 Every edge writes its JSON text with one encoder, :data:`dumps`: compact,
 key-sorted, ASCII, no per-container cycle check since every payload is a
 tree (a cyclic one still raises ``RecursionError`` before any text).
+
+Errors cross every edge through :func:`encode_error`: ``{"type": class
+name, "msg": str(exc), "fields": vars(exc)}``, each field a value as
+above, a ``{"$": "violation"}`` record (as a ``violations`` reply lists
+them), a list (a tuple) or a ``{"$": "map"}``; one that fails is left out.
+A non-library exception (a bug) travels as a ``StorageError`` naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Optional
 
-from repro.errors import StorageError
+from repro import errors
+from repro.errors import ReproError, StorageError, Violation
 from repro.typesys.values import (
     INAPPLICABLE,
     EnumSymbol,
@@ -37,8 +44,10 @@ from repro.typesys.values import (
     is_entity,
 )
 
-__all__ = ["NA", "decode_value", "decode_values", "dumps", "encode_value",
-           "encode_values", "is_encoded", "ref", "ref_sid"]
+__all__ = ["NA", "decode_error", "decode_value", "decode_values",
+           "decode_violation", "dumps", "encode_error", "encode_value",
+           "encode_values", "encode_violation", "is_encoded", "ref",
+           "ref_sid"]
 
 dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
                          check_circular=False).encode
@@ -133,3 +142,68 @@ def decode_values(encoded: Dict[str, object],
     # Primitives decode to themselves: only a dict is worth a call.
     return {name: decode_value(value, resolve) if isinstance(value, dict)
             else value for name, value in encoded.items()}
+
+
+def encode_violation(violation: Violation) -> Dict[str, object]:
+    return {"$": "violation", "kind": violation.kind,
+            "class": violation.class_name, "attr": violation.attribute,
+            "value": encode_value(violation.value), "rule": violation.rule}
+
+
+def decode_violation(encoded, resolve: Callable[[int], object]) -> Violation:
+    return Violation(encoded["kind"], encoded["class"], encoded["attr"],
+                     decode_value(encoded["value"], resolve), encoded["rule"])
+
+
+#: Every library error class by name: what :func:`decode_error` builds.
+_ERRORS = {cls.__name__: cls for cls in vars(errors).values()
+           if isinstance(cls, type) and issubclass(cls, ReproError)}
+
+
+def _encode_field(value):
+    if isinstance(value, tuple):
+        return [_encode_field(item) for item in value]
+    if isinstance(value, dict):
+        return {"$": "map", "items": {str(key): _encode_field(item)
+                                      for key, item in value.items()}}
+    return (encode_violation(value) if isinstance(value, Violation)
+            else encode_value(value))
+
+
+def _decode_field(encoded, resolve):
+    if isinstance(encoded, list):
+        return tuple(_decode_field(item, resolve) for item in encoded)
+    tag = encoded.get("$") if isinstance(encoded, dict) else None
+    if tag == "map":
+        return {key: _decode_field(item, resolve)
+                for key, item in encoded["items"].items()}
+    return (decode_violation(encoded, resolve) if tag == "violation"
+            else decode_value(encoded, resolve))
+
+
+def encode_error(exc: BaseException) -> Dict[str, object]:
+    """The wire form of a raised exception (see the module docstring)."""
+    if not isinstance(exc, ReproError):
+        return {"type": "StorageError", "msg": f"{type(exc).__name__}: {exc}"}
+    fields = {}
+    for name, value in vars(exc).items():
+        try:
+            fields[name] = _encode_field(value)
+        except StorageError:    # not encodable: left out
+            pass
+    return {"type": type(exc).__name__, "msg": str(exc), "fields": fields}
+
+
+def decode_error(payload, resolve: Callable[[int], object] = int
+                 ) -> ReproError:
+    """The exception :func:`encode_error` encoded, entity values
+    through ``resolve``; an unknown class name is a ``StorageError``."""
+    name, msg = payload.get("type"), payload.get("msg", "")
+    cls = _ERRORS.get(name)
+    if cls is None:
+        return StorageError(f"{name}: {msg}")
+    exc = cls.__new__(cls)
+    exc.args = (msg,)
+    exc.__dict__.update((field, _decode_field(value, resolve)) for field, value
+                        in payload.get("fields", {}).items())
+    return exc

@@ -5,15 +5,56 @@ caller can catch library failures without catching unrelated Python errors.
 The sub-hierarchies mirror the subsystems: schema definition, the class
 definition language (CDL), run-time object conformance, query analysis, and
 storage.
+
+This module is also the name table of :func:`repro.codec.encode_error`:
+an error crosses the shard pipe and the socket as its own class, message
+and fields -- a rejection keeps its :class:`Violation`; any other
+exception (a bug) arrives as a :class:`StorageError` naming its type.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Tuple
+
+from repro.typesys.values import value_repr
 
 
 class ReproError(Exception):
     """Base class of all errors raised by the library."""
+
+    # Kept only for benchmarks/e2e/shapes.py until its next change.
+    remote_type = property(lambda self: type(self).__name__)
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed constraint on one entity: what the paper's
+    verifiability asks a rejection to name (Sections 5-6)."""
+
+    #: constraint, inapplicable-attribute, missing-value, shared-virtual
+    kind: str
+    class_name: str
+    attribute: str
+    value: object
+    rule: str = ""
+
+    def __str__(self) -> str:
+        if self.kind == "inapplicable-attribute":
+            return (f"attribute {self.attribute!r} is not applicable "
+                    f"(no membership class declares it); value "
+                    f"{value_repr(self.value)}")
+        if self.kind == "missing-value":
+            return (f"attribute {self.attribute!r} required by "
+                    f"{self.class_name!r} has no value")
+        if self.kind == "shared-virtual":
+            return (f"{value_repr(self.value)} belongs to virtual class "
+                    f"{self.class_name!r} ({self.rule}) and may only be "
+                    "referenced through that attribute "
+                    "(strict_virtual_extents)")
+        return (f"value {value_repr(self.value)} violates "
+                f"({self.class_name!r}, {self.attribute!r}); rule: "
+                f"{self.rule}")
 
 
 class SchemaError(ReproError):
@@ -117,20 +158,28 @@ class ConformanceError(ObjectError):
     Raised when the paper's semantic rule fails for some constraint
     ``(C, p)``: the value is neither in the declared range nor covered by
     membership in an excusing class whose excusing range admits it.
+    ``violation`` is the failed check; ``sid`` the object's surrogate id.
     """
 
-    def __init__(self, surrogate: object, class_name: str, attribute: str,
-                 detail: str = "") -> None:
-        message = (
-            f"object {surrogate} violates constraint on "
-            f"({class_name!r}, {attribute!r})"
-        )
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-        self.surrogate = surrogate
-        self.class_name = class_name
-        self.attribute = attribute
+    def __init__(self, sid: int, violation: Violation) -> None:
+        super().__init__(
+            f"object @{sid} violates constraint on "
+            f"({violation.class_name!r}, {violation.attribute!r}): "
+            f"{violation}")
+        self.sid = sid
+        self.violation = violation
+
+    class_name = property(lambda self: self.violation.class_name)
+    attribute = property(lambda self: self.violation.attribute)
+
+
+class TransactionError(ObjectError):
+    """Commit-time validation of a transaction found violations; the
+    scope rolled back.  ``records`` holds every ``(sid, Violation)``."""
+
+    def __init__(self, records: Tuple[Tuple[int, Violation], ...]) -> None:
+        super().__init__("; ".join(str(v) for _sid, v in records[:5]))
+        self.records = tuple(records)
 
 
 class QueryError(ReproError):
@@ -148,6 +197,10 @@ class QuerySyntaxError(QueryError):
 
 class QueryTypeError(QueryError):
     """A query expression is ill-typed (a definite error, not a warning)."""
+
+
+class QueryRuntimeError(QueryError):
+    """An unguarded (or ``on_unsafe='raise'``) access failed at run time."""
 
 
 class StorageError(ReproError):
@@ -273,30 +326,5 @@ class ReplicationError(NetError):
     mismatch, bootstrap failure, or a record that failed to replay)."""
 
 
-class RemoteOpError(NetError):
-    """The server reported a failure executing a request.
-
-    Mirrors :class:`ShardWorkerError`: the original exception was raised
-    server-side and its class name travels back as ``remote_type``."""
-
-    def __init__(self, remote_type: str, message: str) -> None:
-        super().__init__(f"{remote_type}: {message}")
-        self.remote_type = remote_type
-
-
-class ShardWorkerError(ShardingError):
-    """A shard worker reported a failure executing a routed command.
-
-    The original exception was raised in the worker process; its class
-    name travels back over the wire as ``remote_type`` so callers can
-    distinguish e.g. a remote ``ConformanceError`` from a protocol
-    fault without the router having to reconstruct arbitrary exception
-    constructors.
-    """
-
-    def __init__(self, remote_type: str, message: str,
-                 shard_id: Optional[int] = None) -> None:
-        where = f" (shard {shard_id})" if shard_id is not None else ""
-        super().__init__(f"{remote_type}{where}: {message}")
-        self.remote_type = remote_type
-        self.shard_id = shard_id
+# Kept only for benchmarks/e2e/shapes.py until its next change.
+RemoteOpError = ShardWorkerError = ReproError

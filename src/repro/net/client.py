@@ -18,12 +18,11 @@ token, so a replica that has not replayed your write yet answers
 :class:`~repro.errors.ReplicaLagError` and the read falls back to the
 primary (monotonic read-your-writes without blocking the replica).
 
-Typed remote errors: an ``{"error": ...}`` response re-raises as
-:class:`~repro.errors.NotPrimaryError`, :class:`~repro.errors.
-ReplicaLagError`, or :class:`~repro.errors.RemoteOpError` carrying the
-remote type name; a ``fatal`` frame (the server rejected our framing)
-raises :class:`~repro.errors.ProtocolError` and poisons the
-connection.
+Typed remote errors: an ``{"error": ...}`` response re-raises as the
+server's own exception (:func:`repro.codec.decode_error`: same class,
+message and fields; entity values as surrogate ids); a ``fatal`` frame
+(the server rejected our framing) raises its
+:class:`~repro.errors.ProtocolError` and poisons the connection.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import (
     ConnectionLostError,
     NetError,
-    NotPrimaryError,
     ProtocolError,
-    RemoteOpError,
     ReplicaLagError,
+    ReproError,
     RequestTimeoutError,
 )
 from repro import codec
@@ -119,6 +117,9 @@ class Connection:
             while True:
                 message = decoder.next_message()
                 if message is not None:
+                    if message.get("fatal"):    # framing lost: dies
+                        self.alive = False
+                        raise codec.decode_error(message["error"])
                     if rid is not None and message.get("id") != rid:
                         raise ProtocolError(
                             f"response id {message.get('id')!r} does "
@@ -204,21 +205,9 @@ class StoreClient:
 
     @staticmethod
     def _result(response: Dict[str, object]):
-        if response.get("fatal"):
-            error = response.get("error") or {}
-            raise ProtocolError(
-                f"server rejected our framing: {error.get('msg')}")
         error = response.get("error")
         if error is not None:
-            etype = error.get("type")
-            msg = error.get("msg", "")
-            if etype == "NotPrimaryError":
-                raise NotPrimaryError(msg)
-            if etype == "ReplicaLagError":
-                raise ReplicaLagError(error.get("token"),
-                                      int(error.get("applied_seq")
-                                          or 0))
-            raise RemoteOpError(etype or "StorageError", msg)
+            raise codec.decode_error(error)
         return response["ok"]
 
     def call(self, op: str, **fields):
@@ -268,11 +257,10 @@ class StoreClient:
                 conn.send(message)
             results: List[object] = []
             for message in messages:
+                response = conn.recv(message["id"])
                 try:
-                    results.append(
-                        self._result(conn.recv(message["id"])))
-                except (NotPrimaryError, ReplicaLagError,
-                        RemoteOpError) as exc:
+                    results.append(self._result(response))
+                except ReproError as exc:
                     results.append(exc)
         except Exception:
             conn.close()

@@ -49,7 +49,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import RemoteOpError, ReplicationError, StorageError
+from repro.errors import ReplicationError, StorageError
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.obs import ReplicationStats
@@ -245,7 +245,7 @@ class NetShipSource:
                         offset=received)
                     parts.append(page["chunk"])
                     received += len(page["chunk"])
-            except RemoteOpError:
+            except StorageError:        # the server's expired cursor
                 if attempt:
                     raise
                 continue                # cursor expired: restart once

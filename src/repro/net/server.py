@@ -66,15 +66,15 @@ import itertools
 import logging
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import codec
 from repro.codec import dumps
 from repro.errors import (
+    FrameTooLargeError,
     NetError,
     NotPrimaryError,
     ProtocolError,
-    RemoteOpError,
     ReplicaLagError,
     ReplicationError,
-    ShardWorkerError,
     StorageError,
     StoreBusyError,
 )
@@ -376,15 +376,7 @@ class StoreService:
                 stats.reads_served += 1
             return {"id": rid, "ok": result}
         stats.op_errors += 1
-        error = {"type": type(exc).__name__, "msg": str(exc)}
-        if isinstance(exc, (ShardWorkerError, RemoteOpError)):
-            # A failure relayed from a shard worker: surface the
-            # original class name, as a direct service would.
-            error["type"] = exc.remote_type
-        if isinstance(exc, ReplicaLagError):
-            error["token"] = exc.token
-            error["applied_seq"] = exc.applied_seq
-        return {"id": rid, "error": error}
+        return {"id": rid, "error": codec.encode_error(exc)}
 
     def _position_moved(self) -> None:
         """``backend.position()`` may have advanced (a served write, an
@@ -582,6 +574,13 @@ class _Connection(asyncio.BufferedProtocol):
 
     def _encode(self, message: Dict[str, object]) -> bytes:
         data = protocol.encode_frame(message)
+        length = len(data) - protocol.HEADER_SIZE
+        if length > self.service.max_frame:
+            # The peer's decoder would refuse it and lose the stream:
+            # answer the request with the typed error instead.
+            error = FrameTooLargeError(length, self.service.max_frame)
+            data = protocol.encode_frame(
+                {"id": message.get("id"), "error": codec.encode_error(error)})
         self.stats.frames_out += 1
         self.stats.bytes_out += len(data)
         return data
@@ -621,9 +620,8 @@ class _Connection(asyncio.BufferedProtocol):
                     unsent = 0
         except ProtocolError as exc:
             self.stats.protocol_errors += 1
-            out.append(self._encode({
-                "error": {"type": type(exc).__name__, "msg": str(exc)},
-                "fatal": True}))
+            out.append(self._encode({"error": codec.encode_error(exc),
+                                     "fatal": True}))
             idle = self._closing = True
         if out:
             transport.write(b"".join(out))

@@ -18,14 +18,11 @@ This is the database substrate the paper presumes (Sections 2c, 3c, 5.6):
   :mod:`repro.objects.exceptional`.
 """
 
+from repro.errors import TransactionError
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
 from repro.objects.store import CheckMode, ObjectStore
-from repro.objects.pipeline import (
-    MutationCommand,
-    MutationPipeline,
-    TransactionError,
-)
+from repro.objects.pipeline import MutationCommand, MutationPipeline
 from repro.objects.snapshot import SnapshotInstance, StoreSnapshot
 from repro.objects.bulk import BulkReport, BulkSession
 from repro.objects.exceptional import (

@@ -352,10 +352,8 @@ class BulkSession:
         if failures:
             pos, violations = min(failures, key=lambda f: f[0])
             checker.stats.violations_found += len(violations)
-            first = violations[0]
-            raise ConformanceError(
-                self._staged[pos].obj.surrogate, first.class_name,
-                first.attribute, str(first))
+            raise ConformanceError(self._staged[pos].obj.surrogate.id,
+                                   violations[0])
 
     def _require_open(self) -> None:
         if self._closed:

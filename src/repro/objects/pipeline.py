@@ -55,6 +55,7 @@ from repro.errors import (
     ConformanceError,
     SchemaEvolutionError,
     StorageError,
+    TransactionError,
     UnknownClassError,
 )
 from repro.lang import print_schema
@@ -79,10 +80,6 @@ class CheckMode:
 def refuse_check(op: str, check, legal: Tuple[str, ...]) -> None:
     if check not in legal:      # as the request row refuses it (repro.ops)
         raise StorageError(f"op {op!r} field 'check' must be one of {legal}")
-
-
-class TransactionError(Exception):
-    """Raised when commit-time validation fails inside a transaction."""
 
 
 #: Undo-log marker (see :class:`UndoScope`): the key had no binding.
@@ -430,8 +427,8 @@ class MutationPipeline:
                     if validate_on_commit:
                         problems = store.validate_all()
                         if problems:
-                            raise TransactionError("; ".join(
-                                str(v) for _obj, v in problems[:5]))
+                            raise TransactionError(tuple(
+                                (obj.surrogate.id, v) for obj, v in problems))
                     if journal is not None:
                         # An unencodable group rolls the scope back; the
                         # log has dropped it already (no second abort).
@@ -556,9 +553,7 @@ class MutationPipeline:
             self.cascade_virtuals(obj, class_name, -1)
             obj._remove_membership(class_name)
             self.rebuild_extents_for(obj)
-            raise ConformanceError(
-                blamed.surrogate, violations[0].class_name,
-                violations[0].attribute, str(violations[0]))
+            raise ConformanceError(blamed.surrogate.id, violations[0])
         return True
 
     def apply_declassify(self, obj: Instance, class_name: str,
@@ -586,9 +581,7 @@ class MutationPipeline:
             obj._add_membership(class_name)
             self.add_to_extents(obj, class_name)
             self.cascade_virtuals(obj, class_name, +1)
-            raise ConformanceError(
-                obj.surrogate, hard[0].class_name,
-                hard[0].attribute, str(hard[0]))
+            raise ConformanceError(obj.surrogate.id, hard[0])
         if violations:
             store._mark_dirty(obj)
         return True
@@ -648,9 +641,7 @@ class MutationPipeline:
                 self.release_virtual_targets(obj, attribute, value)
             if timing:
                 stats.record("write.eager", stats.clock() - t0)
-            v = violations[0]
-            raise ConformanceError(blamed.surrogate, v.class_name,
-                                   v.attribute, str(v))
+            raise ConformanceError(blamed.surrogate.id, violations[0])
         if timing:
             stats.record("write.eager", stats.clock() - t0)
 
@@ -1153,11 +1144,8 @@ class MutationPipeline:
             if cdef is None or not cdef.virtual:
                 continue
             if m not in homes:
-                raise ConformanceError(
-                    obj.surrogate, m, attribute,
-                    f"{value.surrogate} belongs to virtual class {m!r} "
-                    f"({cdef.origin}) and may only be referenced through "
-                    "that attribute (strict_virtual_extents)")
+                raise ConformanceError(obj.surrogate.id, Violation(
+                    "shared-virtual", m, attribute, value, str(cdef.origin)))
 
 
 # ----------------------------------------------------------------------

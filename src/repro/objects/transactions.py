@@ -27,7 +27,7 @@ Usage::
 
 from __future__ import annotations
 
-from repro.objects.pipeline import TransactionError
+from repro.errors import TransactionError
 from repro.objects.store import ObjectStore
 
 __all__ = ["TransactionError", "transaction"]

@@ -288,8 +288,8 @@ def _bulk(store, cmd, resolve):
 
 
 def _violations(problems) -> Dict[str, object]:
-    return {"violations": [[obj.surrogate.id, str(violation)]
-                           for obj, violation in problems]}
+    return {"violations": [[obj.surrogate.id, codec.encode_violation(v)]
+                           for obj, v in problems]}
 
 
 def _alter(store, cmd, resolve):

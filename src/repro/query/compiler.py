@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro import codec
-from repro.errors import QueryError, QueryTypeError
+from repro.errors import QueryRuntimeError, QueryTypeError
 from repro.query.ast import (
     Aggregate,
     And,
@@ -58,10 +58,6 @@ from repro.query.typing import (
     AccessDecision, FlowFacts, QueryTyper, TypeReport)
 from repro.schema.schema import Schema
 from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
-
-
-class QueryRuntimeError(QueryError):
-    """An unguarded (or ``on_unsafe='raise'``) access failed at run time."""
 
 
 class _Skip(Exception):

@@ -18,40 +18,16 @@ row subsets of the one table (:meth:`CompiledProfileChecker.subset`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.errors import Violation
 from repro.query.compiler import indent, instantiate
 from repro.schema.schema import IndexedConstraint, Schema
 from repro.semantics.candidates import ExcuseSemantics
 from repro.typesys.core import (
     AnyEntityType, AnyType, ClassType, ConditionalType, EnumerationType,
     IntRangeType, NoneType, PrimitiveType, Type, UnionType)
-from repro.typesys.values import (
-    EnumSymbol, entity_is_member, type_contains, value_repr)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed constraint on one entity."""
-
-    kind: str  # "constraint" | "inapplicable-attribute" | "missing-value"
-    class_name: str
-    attribute: str
-    value: object
-    rule: str = ""
-
-    def __str__(self) -> str:
-        if self.kind == "inapplicable-attribute":
-            return (f"attribute {self.attribute!r} is not applicable "
-                    f"(no membership class declares it); value "
-                    f"{value_repr(self.value)}")
-        if self.kind == "missing-value":
-            return (f"attribute {self.attribute!r} required by "
-                    f"{self.class_name!r} has no value")
-        return (f"value {value_repr(self.value)} violates "
-                f"({self.class_name!r}, {self.attribute!r}); rule: "
-                f"{self.rule}")
+from repro.typesys.values import EnumSymbol, entity_is_member, type_contains
 
 
 def expand_signature(schema: Schema,

@@ -71,8 +71,8 @@ from zlib import crc32
 from repro import codec
 from repro.columnar import SurrogateSet
 from repro.errors import (
-    NoSuchObjectError, QueryTypeError, ShardCrashedError, ShardingError,
-    ShardWorkerError, StorageError, UnknownClassError,
+    NoSuchObjectError, QueryTypeError, ReproError, ShardCrashedError,
+    ShardingError, StorageError, UnknownClassError,
 )
 from repro.lang.printer import print_schema
 from repro.obs import ShardStats
@@ -430,11 +430,11 @@ class ShardedStore:
             if "seq" in result:     # the single choke point every result
                 self._positions[shard_id] = int(result["seq"])
             if "error" in result:
-                err = result["error"]
-                raise ShardWorkerError(err["type"], err["msg"],
-                                       shard_id=shard_id)
+                exc = codec.decode_error(result["error"], self.handle)
+                exc.shard_id = shard_id     # routed: names its shard
+                raise exc
             return result["ok"]
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise ShardingError(    # typed: a gather drains the others
                 f"shard {shard_id} sent an undecodable reply ({exc!r})"
             ) from None
@@ -462,7 +462,7 @@ class ShardedStore:
         for shard_id in sent:
             try:
                 payloads.append((shard_id, self._recv_ok(shard_id)))
-            except ShardingError as exc:    # worker error or crash
+            except ReproError as exc:   # a worker's error, or a crash
                 failure = failure or exc
         if failure is not None:
             raise failure
@@ -725,8 +725,8 @@ class ShardedStore:
         if "extent" in payload:
             return wire.decode_chunks(payload["extent"])
         if "violations" in payload:
-            return [(self.handle(sid), message)
-                    for sid, message in payload["violations"]]
+            return [(self.handle(sid), codec.decode_violation(v, self.handle))
+                    for sid, v in payload["violations"]]
         return None
 
     # -- request builders (the rest are derived: ``_request``) ----------

@@ -39,8 +39,7 @@ encode_command = dumps
 decode_command = json.loads
 
 #: Results share the command framing: ``{"ok": payload}`` on success,
-#: ``{"error": {"type": ..., "msg": ...}}`` when the worker's store
-#: raised.
+#: ``{"error": codec.encode_error(exc)}`` when the worker raised.
 encode_result = encode_command
 decode_result = decode_command
 

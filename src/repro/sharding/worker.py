@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
+from repro import codec
 from repro.columnar import BITSET_STATS, SurrogateSet
 from repro.errors import ShardingError
 from repro.lang.loader import load_schema
@@ -142,7 +143,7 @@ class ShardServer:
         try:
             result = {"ok": self.handle(cmd)}
         except Exception as exc:   # ships the failure back to the router
-            result = {"error": {"type": type(exc).__name__, "msg": str(exc)}}
+            result = {"error": codec.encode_error(exc)}
         result["seq"] = self.store.position()
         return wire.encode_result(result)
 
@@ -275,8 +276,7 @@ def shard_worker_main(shard_id: int, config: Dict[str, object],
     try:
         server = ShardServer(shard_id=shard_id, **config)
     except Exception as exc:
-        pipe.send(wire.encode_result(
-            {"error": {"type": type(exc).__name__, "msg": str(exc)}}))
+        pipe.send(wire.encode_result({"error": codec.encode_error(exc)}))
         return
     pipe.send(server.reply({"op": "ping"}))     # the ready handshake
     try:

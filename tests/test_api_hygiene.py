@@ -301,6 +301,50 @@ def test_value_tags_are_known_to_one_module():
     assert spelled == ["codec.py"]
 
 
+def _names_an_exception_type(node) -> bool:
+    """``type(exc).__name__``: an error flattened to its class name."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__name__"
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "type" and node.value.args
+            and isinstance(node.value.args[0], ast.Name)
+            and node.value.args[0].id == "exc")
+
+
+def test_error_payloads_are_built_in_one_module():
+    """An error crosses an edge as ``codec.encode_error`` /
+    ``decode_error`` build it: nobody else spells the payload's
+    ``"msg"`` key or names an exception by its type's name."""
+    offenders = [
+        f"{rel}:{node.lineno}" for rel, tree in _src_trees()
+        if rel != "codec.py"
+        for node in [*_keys_in(tree), *ast.walk(tree)]
+        if (isinstance(node, ast.Constant) and node.value == "msg")
+        or _names_an_exception_type(node)]
+    assert not offenders, ", ".join(offenders)
+
+
+#: The names an error used to be relayed under (``remote_type`` the
+#: type name it carried), and the lines ``errors.py`` keeps them on
+#: until the benchmark stops importing them.
+_RELAY_NAMES = re.compile(r"\b(RemoteOpError|ShardWorkerError|remote_type)\b")
+_RELAY_KEPT = {"RemoteOpError = ShardWorkerError = ReproError",
+               "remote_type = property(lambda self: type(self).__name__)"}
+
+
+def test_no_error_is_relayed_under_another_name():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for top in ("src", "tests") for path in sorted(
+            (root / top).rglob("*.py"))
+        if path != pathlib.Path(__file__).resolve()
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _RELAY_NAMES.search(line) and not (
+            path.name == "errors.py" and line.strip() in _RELAY_KEPT)]
+    assert not offenders, ", ".join(offenders)
+
+
 def test_the_sharded_backend_writes_no_handler_of_its_own():
     """Every ``ShardedBackend.op_<name>`` is derived from its row and
     hands the request to ``ShardedStore.execute``: none is written out
@@ -407,7 +451,7 @@ _BASELINE_SELECTORS = {"engine", "use_index", "prune", "semantics"}
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 20665
+SRC_LINE_CEILING = 20658
 
 #: The same ratchet for prose, in bytes: detail lives in git and the
 #: issue, not in ever-growing reference docs or changelog entries.

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import codec
-from repro.errors import StorageError
+from repro import errors
+from repro.errors import StorageError, Violation
 from repro.net import protocol
 from repro.objects.instance import Instance
 from repro.objects.surrogate import Surrogate
@@ -146,3 +147,31 @@ def test_a_cyclic_payload_raises_and_leaves_the_log_as_it_was():
     assert (wal.offset, wal.last_seq, wal.stats.wal_records) == before
     assert not wal.in_group
     assert wal.append("create", sid=2) == before[1] + 1
+
+
+_VIOLATION = Violation("constraint", "Patient", "age", 999, "rule")
+#: One instance of every library error with fields of each kind: plain,
+#: tuple, vector token (a dict), ``Violation`` and ``(sid, Violation)``.
+_ERRORS = [
+    errors.UnknownClassError("X"), errors.CDLSyntaxError("m", 1, 2),
+    errors.AmbiguousInheritanceError("C", "a", ("X", "Y")),
+    errors.ConformanceError(3, _VIOLATION),
+    errors.TransactionError(((3, _VIOLATION),)),
+    errors.ReplicaLagError({"0": 4, "1": 2}, 3),
+    errors.FrameTooLargeError(10, 5), errors.QueryRuntimeError("q")]
+
+
+@pytest.mark.parametrize("exc", _ERRORS, ids=lambda e: type(e).__name__)
+def test_every_error_round_trips_as_itself(exc):
+    again = codec.decode_error(json.loads(codec.dumps(
+        codec.encode_error(exc))))
+    assert (type(again), str(again), vars(again)) == (
+        type(exc), str(exc), vars(exc))
+
+
+def test_an_unencodable_field_is_left_out_and_a_bug_is_a_storage_error():
+    exc = errors.SchemaEvolutionError("X", "bad", (object(),))
+    again = codec.decode_error(codec.encode_error(exc))
+    assert (str(again), vars(again)) == (str(exc), {"class_name": "X"})
+    bug = codec.decode_error(codec.encode_error(KeyError("k")))
+    assert (type(bug), str(bug)) == (StorageError, "KeyError: 'k'")

@@ -10,6 +10,7 @@ from repro.errors import (
     UnexcusedContradictionError,
     UnknownAttributeError,
     UnknownClassError,
+    Violation,
 )
 from repro.objects import Instance, Surrogate
 from repro.objects.surrogate import SurrogateAllocator
@@ -43,8 +44,10 @@ class TestErrors:
             assert "line 3" in str(err)
 
     def test_conformance_error_fields(self):
-        err = ConformanceError(Surrogate(5), "Patient", "age", "too old")
-        assert err.attribute == "age"
+        violation = Violation("constraint", "Patient", "age", 999, "too old")
+        err = ConformanceError(5, violation)
+        assert (err.sid, err.violation) == (5, violation)
+        assert (err.class_name, err.attribute) == ("Patient", "age")
         assert "too old" in str(err)
 
     def test_ambiguous_inheritance_lists_candidates(self):

@@ -288,6 +288,21 @@ class TestServerFuzz:
             sock.close()
         assert client.ping()["role"] == "primary"
 
+    def test_a_fatal_frame_arrives_as_its_own_error(self, service):
+        """The client raises the server's typed framing error, with its
+        fields, and the connection is dead."""
+        from repro.net.client import Connection
+        conn = Connection(*service.address, timeout=IO_TIMEOUT)
+        try:
+            conn.sock.sendall(struct.pack(">II", 1 << 31, 0))
+            with pytest.raises(FrameTooLargeError) as caught:
+                conn.recv()
+            assert (caught.value.length, caught.value.limit) == (
+                1 << 31, 64 * 1024)
+            assert not conn.alive
+        finally:
+            conn.close()
+
     def test_crc_corrupt_frame(self, service, client):
         sock = _raw(service)
         try:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
+    ConformanceError,
+    FrameTooLargeError,
     NotPrimaryError,
-    RemoteOpError,
     ReplicaLagError,
+    UnknownClassError,
 )
 from repro.lang import print_schema
 from repro.net import tokens as epoch_tokens
@@ -85,12 +87,12 @@ class TestPrimaryOps:
         assert len(client.extent_ids("Patient")) == 4
 
     def test_conformance_errors_are_typed_and_non_fatal(self, client):
-        with pytest.raises(RemoteOpError) as exc_info:
+        with pytest.raises(ConformanceError) as exc_info:
             client.create("Patient", {"name": "x", "age": 999})
-        assert exc_info.value.remote_type == "ConformanceError"
-        with pytest.raises(RemoteOpError) as exc_info:
+        assert exc_info.value.violation.value == 999
+        with pytest.raises(UnknownClassError) as exc_info:
             client.create("NoSuchClass", {})
-        assert exc_info.value.remote_type == "UnknownClassError"
+        assert exc_info.value.name == "NoSuchClass"
         # The connection (and server) survive op failures.
         assert client.ping()["role"] == "primary"
 
@@ -101,21 +103,22 @@ class TestPrimaryOps:
         and declassifying the excusing class is rejected intact."""
         psy = client.create("Psychologist",
                             {"name": "dr", "age": 50})["sid"]
-        with pytest.raises(RemoteOpError) as exc_info:
+        with pytest.raises(ConformanceError) as exc_info:
             client.create("Patient", {"name": "eve", "age": 33,
                                       "treatedBy": ref(psy)})
-        assert exc_info.value.remote_type == "ConformanceError"
+        # The offending entity arrives as its surrogate id.
+        assert exc_info.value.violation.value == psy
         sid = client.create("Patient", {"name": "fay", "age": 35}
                             )["sid"]
         client.classify(sid, "Alcoholic")
         client.set_value(sid, "treatedBy", ref(psy))
         assert client.get(sid)["values"]["treatedBy"] == psy
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(ConformanceError):
             client.declassify(sid, "Alcoholic")
         got = client.get(sid)
         assert sorted(got["classes"]) == ["Alcoholic", "Patient"]
         # Refs work inside transactions too (atomic on rejection).
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(ConformanceError):
             client.txn([
                 {"op": "create", "cls": "Patient",
                  "values": {"name": "gil", "age": 30,
@@ -132,7 +135,7 @@ class TestPrimaryOps:
         ])
         assert len(ack["created"]) == 2
         before = client.count("Ward")
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(ConformanceError):
             client.txn([
                 {"op": "create", "cls": "Ward",
                  "values": {"floor": 4, "name": "W3"}},
@@ -170,8 +173,34 @@ class TestPrimaryOps:
             {"op": "count", "cls": "Ward"},
         ])
         assert "sid" in results[0]
-        assert isinstance(results[1], RemoteOpError)
+        assert isinstance(results[1], UnknownClassError)
         assert results[2]["count"] >= 1
+
+    def test_an_oversize_reply_is_a_typed_error_not_a_dead_connection(
+            self, tmp_path):
+        """A reply over the frame limit would make the client's decoder
+        lose the stream; the server answers the same request with the
+        typed ``FrameTooLargeError`` instead, and the connection lives."""
+        store = open_store(str(tmp_path / "primary"),
+                           build_hospital_schema())
+        service = StoreService(store, max_frame=4096)
+        service.run_background()
+        client = StoreClient(*service.address, timeout=IO_TIMEOUT,
+                             max_frame=4096)
+        try:
+            client.pipeline([{"op": "create", "cls": "Ward",
+                              "values": {"floor": 1, "name": "w" * 60}}
+                             for _ in range(80)])
+            with pytest.raises(FrameTooLargeError) as caught:
+                client.query("for w in Ward select w.name")
+            assert caught.value.limit == 4096
+            assert caught.value.length > 4096
+            assert client.count("Ward") == 80
+            assert service.stats.connections_opened == 1
+        finally:
+            client.close()
+            service.shutdown()
+            store.close()
 
     def test_tokens_are_monotonic(self, client):
         tokens = [client.create("Ward",

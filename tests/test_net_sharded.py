@@ -13,7 +13,10 @@ import threading
 
 import pytest
 
-from repro.errors import RemoteOpError, ReplicaLagError, StoreBusyError
+from repro.errors import (
+    ConformanceError, NoSuchObjectError, ReplicaLagError, StorageError,
+    StoreBusyError,
+)
 from repro.net import tokens as epoch_tokens
 from repro.net.backends import ConcurrentBackend, ShardedBackend
 from repro.net.client import StoreClient, ref
@@ -66,9 +69,8 @@ class TestShardedServing:
         assert client.count("Patient") == 0
 
     def test_get_unrouted_is_typed(self, client):
-        with pytest.raises(RemoteOpError) as exc_info:
+        with pytest.raises(NoSuchObjectError):
             client.get(10**6)
-        assert exc_info.value.remote_type == "NoSuchObjectError"
 
     def test_broadcast_create_and_refs(self, client):
         doc = client.create("Psychologist",
@@ -81,10 +83,10 @@ class TestShardedServing:
         assert client.get(sid)["values"]["treatedBy"] == doc
         # The excuse machinery holds across shards: a plain Patient
         # treated by a Psychologist is still a conformance error.
-        with pytest.raises(RemoteOpError) as exc_info:
+        with pytest.raises(ConformanceError) as exc_info:
             client.create("Patient", {"name": "eve", "age": 33,
                                       "treatedBy": ref(doc)})
-        assert exc_info.value.remote_type == "ConformanceError"
+        assert exc_info.value.violation.value == doc
 
     def test_scatter_gather_query_and_counters(self, client,
                                                sharded_service):
@@ -174,7 +176,7 @@ class TestShardedServing:
         ])
         assert len(ack["created"]) == 2
         before = client.count("Ward")
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(ConformanceError):
             client.txn([
                 {"op": "create", "cls": "Ward",
                  "values": {"floor": 4, "name": "W3"}},
@@ -186,7 +188,7 @@ class TestShardedServing:
     def test_remove_inside_a_txn(self, client):
         kept, gone = (client.create("Ward", {"floor": 1, "name": name})["sid"]
                       for name in ("kept", "gone"))
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(ConformanceError):
             client.txn([
                 {"op": "remove", "sid": kept},
                 {"op": "create", "cls": "Patient",
@@ -196,7 +198,7 @@ class TestShardedServing:
         assert client.count("Ward") == 2
         client.txn([{"op": "remove", "sid": gone}])
         assert client.count("Ward") == 1
-        with pytest.raises(RemoteOpError):
+        with pytest.raises(NoSuchObjectError):
             client.get(gone)
 
     def test_bulk_alter_index_validate_checkpoint(self, client):
@@ -217,9 +219,9 @@ class TestShardedServing:
         assert ack["violations"] == []
         client.drop_index("floor")
         # Refused as the in-memory single store refuses it.
-        with pytest.raises(RemoteOpError, match="not durable") as refused:
+        with pytest.raises(StorageError, match="not durable") as refused:
             client.checkpoint()
-        assert refused.value.remote_type == "StorageError"
+        assert type(refused.value) is StorageError
 
     def test_extent_ids_union_all_shards(self, client):
         sids = [client.create("Patient",
@@ -266,9 +268,8 @@ class TestAlterFence:
             loader = threading.Thread(target=run_bulk)
             loader.start()
             assert started.wait(timeout=IO_TIMEOUT)
-            with pytest.raises(RemoteOpError) as exc_info:
+            with pytest.raises(StoreBusyError):
                 c2.alter(schema_text, "Ward")
-            assert exc_info.value.remote_type == "StoreBusyError"
             release.set()
             loader.join(timeout=IO_TIMEOUT)
             assert not errors

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetError, RemoteOpError
+from repro.errors import ConformanceError, ReproError
 from repro.net import tokens as epoch_tokens
 from repro.net.backends import open_backend
 from repro.net.client import StoreClient, ref
@@ -119,9 +119,7 @@ class _World:
                 client.declassify(sid, op[2])
             elif kind == "remove":
                 client.remove(sid)
-        except RemoteOpError as exc:
-            return exc.remote_type
-        except NetError as exc:          # pragma: no cover
+        except ReproError as exc:        # the server's own type
             return type(exc).__name__
         return None
 
@@ -269,7 +267,7 @@ def test_aborted_txn_leaves_both_services_identical(n_shards):
              "values": {"name": "bad", "age": 999}},
         ]
         for world in (single, sharded):
-            with pytest.raises(RemoteOpError):
+            with pytest.raises(ConformanceError):
                 world.client.txn(bad)
         assert single.digest() == before_s
         assert sharded.digest() == before_h

@@ -9,8 +9,8 @@ shipped to a ``Replica``).
 
 The edges are durable (``checkpoint`` needs a directory) and driven at
 the ``op_<name>(cmd)`` / ``handle(cmd)`` seam, below the socket; that a
-rejection keeps its type across the socket and across the shard hop is
-asserted at the end through ``RemoteOpError`` and ``ShardWorkerError``.
+rejection arrives as itself -- type, message and ``Violation`` record --
+across the socket and across the shard hop is asserted at the end.
 The walk is parametrised over the table, so a write row the journal
 skipped fails its own case of the log test.
 
@@ -27,7 +27,8 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RemoteOpError, ShardWorkerError
+from repro import codec
+from repro.errors import ConformanceError, StorageError
 from repro.lang import print_schema
 from repro.net.backends import ConcurrentBackend, ShardedBackend
 from repro.net.client import StoreClient
@@ -211,7 +212,7 @@ def _error_type(edge, cmd):
     with pytest.raises(Exception) as exc_info:
         edge.call(cmd)
     exc = exc_info.value
-    return getattr(exc, "remote_type", type(exc).__name__), str(exc)
+    return type(exc).__name__, str(exc)
 
 
 def _seed(edges, extra=()):
@@ -372,10 +373,11 @@ def test_malformed_query_options_are_a_typed_storage_error(edges, options):
         assert message.startswith("op 'query' field 'options': "), label
     for label in ("concurrent", "sharded-2"):   # served, served-sharded
         with _served(edges[label].backend) as client:
-            with pytest.raises(RemoteOpError) as net_exc:
+            with pytest.raises(StorageError) as net_exc:
                 client.call("query", text=cmd["text"], options=options)
-        assert net_exc.value.remote_type == "StorageError", label
-        assert "op 'query' field 'options': " in str(net_exc.value), label
+        assert type(net_exc.value) is StorageError, label
+        assert str(net_exc.value).startswith("op 'query' field 'options': "), \
+            label
     assert router.stats_counters.commands_sent == sent
 
 
@@ -450,29 +452,100 @@ def test_conformance_rejection_keeps_its_type(edges, tmp_path):
            "values": {"name": "old", "age": 999}}
     for label, edge in edges.items():
         assert _error_type(edge, bad)[0] == "ConformanceError", label
-    # ... and across the hops: the shard transport relays it as
-    # ShardWorkerError, the socket as RemoteOpError, both carrying the
-    # original type name.
-    router = edges["sharded-2"].backend.router
-    with pytest.raises(ShardWorkerError) as shard_exc:
-        router.create("Patient", name="old", age=999)
-    assert shard_exc.value.remote_type == "ConformanceError"
     for label in ("concurrent", "sharded-2"):
         with _served(edges[label].backend) as client:
-            with pytest.raises(RemoteOpError) as net_exc:
+            with pytest.raises(ConformanceError):
                 client.create("Patient", {"name": "old", "age": 999})
-            assert net_exc.value.remote_type == "ConformanceError", label
             # A malformed request is an op error: same connection,
             # next request answered.
-            with pytest.raises(RemoteOpError) as net_exc:
+            with pytest.raises(StorageError) as net_exc:
                 client.call("set", attr="age", value=1)
-            assert net_exc.value.remote_type == "StorageError", label
-            assert "requires field 'sid'" in str(net_exc.value)
-            with pytest.raises(RemoteOpError) as net_exc:
+            assert str(net_exc.value) == "op 'set' requires field 'sid'"
+            with pytest.raises(StorageError) as net_exc:
                 client.call(None)
-            assert net_exc.value.remote_type == "StorageError", label
+            assert type(net_exc.value) is StorageError, label
             assert client.count("Patient") == 1
             assert client.stats()["net.connections_opened"] == 1
+
+
+def test_a_rejection_crosses_every_edge_as_itself(edges):
+    """The same rejected create, in-process, served, sharded and served
+    sharded: one type, one message, one ``Violation`` record -- no edge
+    prefixes its name or flattens the record to text.  Each edge has
+    its own store, seeded alike, so the burnt sid is the same."""
+    _seed(edges)
+    bad = {"name": "old", "age": 999}
+    calls = {
+        "in-process": lambda: edges["concurrent"].backend.store.create(
+            "Patient", **bad),
+        "sharded": lambda: edges["sharded-1"].backend.router.create(
+            "Patient", **bad),
+    }
+    seen = {}
+    for label, call in calls.items():
+        with pytest.raises(ConformanceError) as caught:
+            call()
+        seen[label] = caught.value
+    for label, edge in (("served", "log"), ("served-sharded", "sharded-2")):
+        with _served(edges[edge].backend) as client:
+            with pytest.raises(ConformanceError) as caught:
+                client.create("Patient", bad)
+        seen[label] = caught.value
+    reference = seen["in-process"]
+    assert reference.violation.value == 999
+    assert reference.violation.attribute == "age"
+    for label, exc in seen.items():
+        assert (type(exc), str(exc), exc.violation, exc.sid) == (
+            ConformanceError, str(reference), reference.violation,
+            reference.sid), label
+    # A routed error also names the shard that refused it.
+    assert seen["sharded"].shard_id == 0
+
+
+def test_a_non_library_exception_arrives_as_a_storage_error(edges):
+    """A bug in a worker (anything not a ``ReproError``) arrives as a
+    ``StorageError`` whose message names its type -- at the router and
+    through the socket."""
+    _seed(edges)
+    router = edges["sharded-2"].backend.router
+    for backend in router._backends:
+        honest = backend.server.handle
+
+        def broken(cmd, honest=honest):
+            if cmd.get("op") == "count":
+                raise KeyError("boom")
+            return honest(cmd)
+        backend.server.handle = broken
+    with pytest.raises(StorageError) as caught:
+        router.count("Patient")
+    assert (type(caught.value), str(caught.value)) == (
+        StorageError, "KeyError: 'boom'")
+    with _served(edges["sharded-2"].backend) as client:
+        with pytest.raises(StorageError) as caught:
+            client.count("Patient")
+    assert (type(caught.value), str(caught.value)) == (
+        StorageError, "KeyError: 'boom'")
+
+
+def test_validation_reports_the_same_violation_records():
+    """A deferred violation: the router's ``validate_all()`` yields the
+    ``Violation`` records the single store's does, and a client's
+    ``validate`` carries them encoded."""
+    single = ObjectStore(SCHEMA)
+    router = ShardedStore(SCHEMA, 2, processes=False)
+    try:
+        for store in (single, router):
+            store.create("Ward", floor=1, name="w")
+            store.create("Patient", check="deferred", name="old", age=999)
+        local = [(obj.surrogate.id, v) for obj, v in single.validate_all()]
+        routed = [(h.surrogate.id, v) for h, v in router.validate_all()]
+        assert local and routed == local
+        assert local[0][1].value == 999
+        with _served(ConcurrentBackend(single)) as client:
+            assert client.validate("all")["violations"] == [
+                [sid, codec.encode_violation(v)] for sid, v in local]
+    finally:
+        router.close()
 
 
 # ----------------------------------------------------------------------
@@ -560,8 +633,8 @@ def _parent_formulation():
 def _outcome(call, cmd):
     try:
         return call(cmd)
-    except Exception as exc:     # compared by (remote) type
-        return getattr(exc, "remote_type", type(exc).__name__)
+    except Exception as exc:     # compared by type
+        return type(exc).__name__
 
 
 @settings(max_examples=80, deadline=None)

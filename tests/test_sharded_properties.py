@@ -37,7 +37,6 @@ from repro.errors import (
     ReproError,
     ShardCrashedError,
     ShardingError,
-    ShardWorkerError,
 )
 from repro.objects import ObjectStore
 from repro.query.planner import execute_planned
@@ -123,13 +122,9 @@ def _value(entities, key):
 
 
 def _outcome(exc):
-    """Normalise an exception to a comparable tag: remote worker
-    failures carry the original error's type name."""
-    if exc is None:
-        return None
-    if isinstance(exc, ShardWorkerError):
-        return exc.remote_type
-    return type(exc).__name__
+    """Normalise an exception to a comparable tag: a worker's failure
+    arrives as its own type."""
+    return None if exc is None else type(exc).__name__
 
 
 class _Abort(Exception):

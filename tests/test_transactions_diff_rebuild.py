@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ConformanceError
+from repro import codec
+from repro.errors import ConformanceError, ReproError, Violation
 from repro.objects import ObjectStore
 from repro.objects.store import CheckMode
 from repro.objects.transactions import TransactionError, transaction
@@ -59,6 +60,24 @@ class TestTransactions:
             with transaction(store, validate_on_commit=True):
                 store.create("Person", name="bad", age=999)
         assert store.count("Person") == 0
+
+    def test_validate_on_commit_failure_is_a_library_error(
+            self, hospital_schema):
+        """Caught by ``except ReproError``, and it carries its records."""
+        store = ObjectStore(hospital_schema, check_mode=CheckMode.NONE)
+        try:
+            with transaction(store, validate_on_commit=True):
+                bad = store.create("Person", name="bad", age=999)
+        except ReproError as exc:
+            caught = exc
+        assert isinstance(caught, TransactionError)
+        [(sid, violation)] = caught.records
+        assert sid == bad.surrogate.id
+        assert isinstance(violation, Violation) and violation.value == 999
+        assert str(caught) == str(violation)
+        again = codec.decode_error(codec.encode_error(caught))
+        assert (type(again), str(again), again.records) == (
+            TransactionError, str(caught), caught.records)
 
     def test_virtual_refcounts_restored(self, hospital_schema):
         pop = populate_hospital(schema=hospital_schema, n_patients=20,
