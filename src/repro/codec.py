@@ -21,22 +21,25 @@ means at that edge (a live instance, a router handle, the id itself).
 
 Every edge writes its JSON text with one encoder, :data:`dumps`: compact,
 key-sorted, ASCII, no per-container cycle check since every payload is a
-tree (a cyclic one still raises ``RecursionError`` before any text).
+tree (a cyclic one still raises ``RecursionError`` before any text);
+where a record is framed, :func:`record_text` makes its refusal typed.
 
 Errors cross every edge through :func:`encode_error`: ``{"type": class
 name, "msg": str(exc), "fields": vars(exc)}``, each field a value as
 above, a ``{"$": "violation"}`` record (as a ``violations`` reply lists
-them), a list (a tuple) or a ``{"$": "map"}``; one that fails is left out.
+them), a ``{"$": "diagnostic"}`` schema finding, a list (a tuple) or a
+``{"$": "map"}``; one that fails is left out.
 A non-library exception (a bug) travels as a ``StorageError`` naming it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Callable, Dict, Optional
 
 from repro import errors
-from repro.errors import ReproError, StorageError, Violation
+from repro.errors import Diagnostic, ReproError, StorageError, Violation
 from repro.typesys.values import (
     INAPPLICABLE,
     EnumSymbol,
@@ -46,11 +49,22 @@ from repro.typesys.values import (
 
 __all__ = ["NA", "decode_error", "decode_value", "decode_values",
            "decode_violation", "dumps", "encode_error", "encode_value",
-           "encode_values", "encode_violation", "is_encoded", "ref",
-           "ref_sid"]
+           "encode_values", "encode_violation", "is_encoded", "record_text",
+           "ref", "ref_sid"]
 
 dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
                          check_circular=False).encode
+
+
+def record_text(record: Dict[str, object]) -> str:
+    """:data:`dumps` where a record is framed: one JSON refuses (an int
+    past ``sys.get_int_max_str_digits()``) is a ``StorageError``."""
+    try:
+        return dumps(record)
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"op {record.get('op')!r}: record cannot be "
+                           f"encoded ({exc})") from None
+
 
 #: The encoding of ``INAPPLICABLE`` (shared: encoders never mutate it).
 NA = {"$": "na"}
@@ -166,8 +180,11 @@ def _encode_field(value):
     if isinstance(value, dict):
         return {"$": "map", "items": {str(key): _encode_field(item)
                                       for key, item in value.items()}}
-    return (encode_violation(value) if isinstance(value, Violation)
-            else encode_value(value))
+    if isinstance(value, Violation):
+        return encode_violation(value)
+    if isinstance(value, Diagnostic):
+        return {"$": "diagnostic", **dataclasses.asdict(value)}
+    return encode_value(value)
 
 
 def _decode_field(encoded, resolve):
@@ -177,8 +194,11 @@ def _decode_field(encoded, resolve):
     if tag == "map":
         return {key: _decode_field(item, resolve)
                 for key, item in encoded["items"].items()}
-    return (decode_violation(encoded, resolve) if tag == "violation"
-            else decode_value(encoded, resolve))
+    if tag == "violation":
+        return decode_violation(encoded, resolve)
+    if tag == "diagnostic":
+        return Diagnostic(**{k: v for k, v in encoded.items() if k != "$"})
+    return decode_value(encoded, resolve)
 
 
 def encode_error(exc: BaseException) -> Dict[str, object]:

@@ -15,7 +15,7 @@ exception (a bug) arrives as a :class:`StorageError` naming its type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.typesys.values import value_repr
 
@@ -55,6 +55,27 @@ class Violation:
         return (f"value {value_repr(self.value)} violates "
                 f"({self.class_name!r}, {self.attribute!r}); rule: "
                 f"{self.rule}")
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One schema validation finding (:mod:`repro.schema.validation`):
+    what a rejected schema change names, as a violation does a write."""
+
+    severity: str  # "error" | "warning"
+    code: str
+    class_name: str
+    attribute: str
+    message: str
+    contradicted: Optional[str] = None
+
+    @property
+    def is_error(self) -> bool:
+        return self.severity == "error"
+
+    def __str__(self) -> str:
+        site = f"{self.class_name}.{self.attribute}"
+        return f"{self.severity}[{self.code}] {site}: {self.message}"
 
 
 class SchemaError(ReproError):

@@ -144,7 +144,7 @@ class ConcurrentBackend(SnapshotBackend):
 
     def __init__(self, store) -> None:
         self.store = store
-        if getattr(store, "_journal", None) is not None:
+        if getattr(store, "_wal", None) is not None:
             self.ship = LocalShipSource(store)
 
     def _view(self, cmd):
@@ -163,8 +163,8 @@ class ConcurrentBackend(SnapshotBackend):
         return tokens.as_token(self.store.position())
 
     def last_seq(self) -> int:
-        journal = getattr(self.store, "_journal", None)
-        return journal.wal.last_seq if journal is not None else 0
+        wal = getattr(self.store, "_wal", None)
+        return wal.last_seq if wal is not None else 0
 
     def epoch(self) -> int:
         return self.store._epoch

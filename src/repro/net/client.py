@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import (
     ConnectionLostError,
+    FrameTooLargeError,
     NetError,
     ProtocolError,
     ReplicaLagError,
@@ -95,6 +96,7 @@ class Connection:
             self.close()        # every failed hello, not just a wrong one
             raise
         self.role = self.hello.get("role")
+        self.server_max_frame = self.hello.get("max_frame", protocol.MAX_FRAME)
 
     def _lost(self, exc: OSError, doing: str) -> NetError:
         """The typed error for a socket failure; the connection dies."""
@@ -103,9 +105,16 @@ class Connection:
             return RequestTimeoutError(f"timed out {doing}")
         return ConnectionLostError(f"connection lost {doing}: {exc}")
 
-    def send(self, message: Dict[str, object]) -> None:
+    def send(self, *messages: Dict[str, object]) -> None:
+        """Write ``messages`` in one send; one over the ``max_frame`` the
+        hello announced is refused before any byte: the connection lives."""
+        frames = [protocol.encode_frame(message) for message in messages]
+        for data in frames:
+            length = len(data) - protocol.HEADER_SIZE
+            if length > self.server_max_frame:
+                raise FrameTooLargeError(length, self.server_max_frame)
         try:
-            self.sock.sendall(protocol.encode_frame(message))
+            self.sock.sendall(b"".join(frames))
         except OSError as exc:
             raise self._lost(exc, "sending a request") from exc
 
@@ -231,8 +240,9 @@ class StoreClient:
                 conn.close()
                 last_exc = exc
                 continue
-            except ProtocolError:
-                conn.close()
+            except Exception:
+                # A refused send leaves it alive; recv's errors kill it.
+                self._release(conn)
                 raise
             self._release(conn)
             return self._result(response)
@@ -253,8 +263,11 @@ class StoreClient:
             messages.append(message)
         conn = self._acquire()
         try:
-            for message in messages:
-                conn.send(message)
+            conn.send(*messages)
+        except Exception:
+            self._release(conn)     # alive iff nothing was written
+            raise
+        try:
             results: List[object] = []
             for message in messages:
                 response = conn.recv(message["id"])

@@ -118,8 +118,8 @@ def dump_store(store) -> Dict[str, object]:
     the seq beside it.
     """
     from repro.lang import print_schema
-    journal = getattr(store, "_journal", None)
-    if journal is None:
+    wal = getattr(store, "_wal", None)
+    if wal is None:
         raise ReplicationError(
             "replication needs a WAL-durable primary "
             '(open the store with durability="wal")')
@@ -128,7 +128,7 @@ def dump_store(store) -> Dict[str, object]:
         return dict(header, rows=list(rows),
                     schema=print_schema(store.schema),
                     config=store_config(store),
-                    seq=journal.wal.last_seq)
+                    seq=wal.last_seq)
 
 
 def install_dump(store: ObjectStore, dump: Dict[str, object]) -> None:
@@ -155,7 +155,7 @@ class LocalShipSource:
     """
 
     def __init__(self, store, net_stats=None) -> None:
-        if getattr(store, "_journal", None) is None:
+        if getattr(store, "_wal", None) is None:
             raise ReplicationError(
                 "replication needs a WAL-durable primary "
                 '(open the store with durability="wal")')
@@ -165,7 +165,7 @@ class LocalShipSource:
     def handshake(self) -> Dict[str, object]:
         from repro.lang import print_schema
         store = self.store
-        wal = store._journal.wal
+        wal = store._wal
         return {
             "schema": print_schema(store.schema),
             "config": store_config(store),
@@ -180,7 +180,7 @@ class LocalShipSource:
         # process-side buffers, which must not interleave with an
         # in-flight append.
         with store._write_lock:
-            wal = store._journal.wal
+            wal = store._wal
             base = wal.segment_base
             if after_seq < base:
                 # The segment containing after_seq+1 was rotated out by
@@ -309,16 +309,12 @@ class Replica:
             store = ObjectStore.open(self.directory, schema=schema,
                                      durability="wal", fs=self.fs,
                                      sync=self.sync_policy, **config)
-            journal = store._journal
-            journal.pause()
-            try:
+            with store._pipeline.unlogged():
                 install_dump(store, dump)
-            finally:
-                journal.resume()
             # Align the replica's WAL seq chain with the primary's, then
             # checkpoint: the dump becomes the replica's durable base
             # and its fresh segment starts exactly at the dump seq.
-            journal.wal.last_seq = dump["seq"]
+            store._wal.last_seq = dump["seq"]
             store.checkpoint()
         self.store = store
         self.applied_seq = dump["seq"]
@@ -332,7 +328,7 @@ class Replica:
         store = ObjectStore.open(self.directory, fs=self.fs,
                                  sync=self.sync_policy, **self._config)
         self.store = store
-        self.applied_seq = store._journal.wal.last_seq
+        self.applied_seq = store._wal.last_seq
         self.stats.applied_seq = self.applied_seq
 
     def _rebootstrap(self) -> None:
@@ -389,27 +385,26 @@ class Replica:
         guarantee the primary's transaction scope gave it.
         """
         store = self.store
-        journal = getattr(store, "_journal", None)
+        wal = store._wal
         with store._write_lock:
-            if journal is not None:
-                if journal.wal.last_seq != self.applied_seq:
+            if wal is not None:
+                if wal.last_seq != self.applied_seq:
                     raise ReplicationError(
-                        f"replica WAL at seq {journal.wal.last_seq} "
-                        f"diverged from replay position "
-                        f"{self.applied_seq}")
-                journal.pause()
+                        f"replica WAL at seq {wal.last_seq} diverged "
+                        f"from replay position {self.applied_seq}")
+                # Verbatim: the shipped record is the one this log gets,
+                # framed before its replay like any record.
+                fields = dict(record.fields)
+                data = wal.frame(record.op, fields)
             try:
-                replay(store, record.op, record.fields, self._resolve)
+                with store._pipeline.unlogged():
+                    replay(store, record.op, record.fields, self._resolve)
             except Exception as exc:
                 raise ReplicationError(
                     f"shipped record seq {record.seq} ({record.op}) "
                     f"failed to replay: {exc}") from exc
-            finally:
-                if journal is not None:
-                    journal.resume()
-            if journal is not None:
-                seq = journal.wal.append_fields(record.op,
-                                                dict(record.fields))
+            if wal is not None:
+                seq = wal.put(record.op, fields, data)
                 if seq != record.seq:
                     raise ReplicationError(
                         f"replica journaled seq {seq} for shipped "

@@ -301,9 +301,11 @@ class StoreService:
 
     def _hello(self) -> Dict[str, object]:
         """The first frame on every connection: protocol identity,
-        version, role, and where the endpoint stands."""
+        version, role, the largest frame it reads, and where the
+        endpoint stands."""
         hello = {"proto": protocol.PROTO_NAME,
                  "version": protocol.PROTO_VERSION, "role": self.role,
+                 "max_frame": self.max_frame,
                  "epoch": self.backend.epoch(),
                  "last_seq": self.backend.last_seq(),
                  "position": self.backend.position()}

@@ -245,11 +245,11 @@ class BulkSession:
     def commit(self) -> BulkReport:
         """Merge the staged rows into the store, all or nothing.
 
-        The batch is one pipeline command: validation, merge, fallback
-        rows, the single WAL record and the epoch bump all happen inside
-        :meth:`repro.objects.pipeline.MutationPipeline.apply_bulk` (the
-        per-row fallback applies run nested, so they are never journaled
-        individually)."""
+        The batch is one pipeline command, :class:`BulkCommand`: its one
+        WAL record is framed before
+        :meth:`repro.objects.pipeline.MutationPipeline.apply_bulk`
+        validates and merges (the per-row fallback applies run nested,
+        so they are never logged individually)."""
         self._require_open()
         self._closed = True
         staged = self._staged

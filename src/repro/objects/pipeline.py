@@ -10,16 +10,23 @@ single home for that orchestration.  A mutation is a typed
 :class:`MutationPipeline`, and every command flows through one ordered
 stage sequence:
 
-1. **admit** -- liveness / schema checks (raises before anything moves);
-2. **apply** -- conformance checking (the rows of the signature's
+1. **admit** -- checks that move nothing (an alter validates its
+   successor schema on a clone);
+2. **frame record** -- on a WAL store, the command's record
+   (:meth:`MutationCommand.record`) is encoded: one the log cannot
+   encode refuses the command before anything moves;
+3. **apply** -- conformance checking (the rows of the signature's
    generated check a command can affect) interleaved with extent,
    virtual-class and secondary-index maintenance, rolling its own work
    back on violation;
-3. **journal** -- on a durable store, the surviving command is appended
-   to the WAL as one logical record (nested commands -- a bulk batch's
-   per-object fallback, a failing create's internal removal -- never
-   reach the log because only depth-1 commands are journaled);
-4. **commit** -- the store epoch is bumped and observers are notified.
+4. **put / seal** -- a command that mutated puts its record (a lone one
+   takes its seq; a scope's joins the group its ``UndoScope`` seals);
+   the frame of one that changed nothing is dropped;
+5. **epoch and observers** -- the epoch is bumped, observers notified.
+
+The one commit rule: a write is visible iff its record holds a seq.
+Only depth-1 commands are logged, and only here
+(``tests/test_api_hygiene.py``).
 
 The pipeline also owns the store's **write lock**: commands, transaction
 scopes and snapshot capture all serialize through ``store._write_lock``,
@@ -49,7 +56,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.codec import encode_value, encode_values
+from repro.codec import NA, encode_value, encode_values
 from repro.columnar import SurrogateSet
 from repro.errors import (
     ConformanceError,
@@ -96,8 +103,9 @@ class MutationCommand:
     ``mutated`` reports whether the apply stage changed committed state:
     no-op commands (classify to an existing membership, declassify of an
     absent one) and rolled-back attempts leave it False, so they neither
-    reach the journal nor bump the store epoch -- a cached snapshot
-    stays valid across them.
+    reach the log nor bump the store epoch -- a cached snapshot stays
+    valid across them.  :meth:`record`, built before :meth:`apply`, is
+    the :mod:`repro.ops` request that runs it plus any sid it mints.
     """
 
     op = "?"
@@ -112,13 +120,14 @@ class MutationCommand:
     def mode(self, store) -> str:
         return self.check if self.check is not None else store.check_mode
 
-    def apply(self, pipe: "MutationPipeline"):
+    def admit(self, pipe: "MutationPipeline") -> None:
+        """Raise before the record is framed and anything moves."""
+
+    def record(self, store) -> Tuple[str, dict]:
         raise NotImplementedError
 
-    def journal(self, pipe: "MutationPipeline", journal) -> None:
-        """Append this command's logical WAL record (depth-1 commands on
-        a journaling store only): the :mod:`repro.ops` request that
-        would have run it, plus the sid of anything it minted."""
+    def apply(self, pipe: "MutationPipeline"):
+        raise NotImplementedError
 
     def _checked(self, store, fields: dict) -> dict:
         if self.check is not None and self.check != store.check_mode:
@@ -143,10 +152,11 @@ class CreateCommand(MutationCommand):
         self.mutated = True
         return self.result
 
-    def journal(self, pipe, journal):
-        fields = {"sid": self.result.surrogate.id, "cls": self.class_name,
+    def record(self, store):
+        # apply_create mints the allocator's next sid.
+        fields = {"sid": store._allocator._next, "cls": self.class_name,
                   "values": encode_values(self.values)}
-        journal.record("create", self._checked(pipe.store, fields))
+        return "create", self._checked(store, fields)
 
 
 class RemoveCommand(MutationCommand):
@@ -162,8 +172,8 @@ class RemoveCommand(MutationCommand):
         pipe.apply_remove(self.obj)
         self.mutated = True
 
-    def journal(self, pipe, journal):
-        journal.record("remove", {"sid": self.sid})
+    def record(self, store):
+        return "remove", {"sid": self.sid}
 
 
 class ClassifyCommand(MutationCommand):
@@ -180,28 +190,18 @@ class ClassifyCommand(MutationCommand):
         self.mutated = pipe.apply_classify(
             self.obj, self.class_name, self.mode(pipe.store))
 
-    def journal(self, pipe, journal):
+    def record(self, store):
         fields = {"sid": self.obj.surrogate.id, "cls": self.class_name}
-        journal.record("classify", self._checked(pipe.store, fields))
+        return self.op, self._checked(store, fields)
 
 
-class DeclassifyCommand(MutationCommand):
+class DeclassifyCommand(ClassifyCommand):
     op = "declassify"
-    __slots__ = ("obj", "class_name")
-
-    def __init__(self, obj: Instance, class_name: str,
-                 check: Optional[str] = None) -> None:
-        super().__init__(check)
-        self.obj = obj
-        self.class_name = class_name
+    __slots__ = ()
 
     def apply(self, pipe):
         self.mutated = pipe.apply_declassify(
             self.obj, self.class_name, self.mode(pipe.store))
-
-    def journal(self, pipe, journal):
-        fields = {"sid": self.obj.surrogate.id, "cls": self.class_name}
-        journal.record("declassify", self._checked(pipe.store, fields))
 
 
 class SetValueCommand(MutationCommand):
@@ -215,21 +215,20 @@ class SetValueCommand(MutationCommand):
         self.attribute = attribute
         self.value = value
 
-    def apply(self, pipe):
+    def admit(self, pipe):
         pipe.store._require_live(self.obj)
+
+    def apply(self, pipe):
         pipe.apply_set_value(self.obj, self.attribute, self.value,
                              self.mode(pipe.store))
         self.mutated = True
 
-    def journal(self, pipe, journal):
+    def record(self, store):
+        fields = {"sid": self.obj.surrogate.id, "attr": self.attribute}
         if self.value is INAPPLICABLE:
-            op = "unset"
-            fields = {"sid": self.obj.surrogate.id, "attr": self.attribute}
-        else:
-            op = "set"
-            fields = {"sid": self.obj.surrogate.id, "attr": self.attribute,
-                      "value": encode_value(self.value)}
-        journal.record(op, self._checked(pipe.store, fields))
+            return "unset", self._checked(store, fields)
+        fields["value"] = encode_value(self.value)
+        return "set", self._checked(store, fields)
 
 
 class ValidateCommand(MutationCommand):
@@ -248,8 +247,8 @@ class ValidateCommand(MutationCommand):
         self.mutated = True
         return self.result
 
-    def journal(self, pipe, journal):
-        journal.record("validate", {"scope": self.scope})
+    def record(self, store):
+        return "validate", {"scope": self.scope}
 
 
 class AlterClassCommand(MutationCommand):
@@ -268,8 +267,8 @@ class AlterClassCommand(MutationCommand):
 
     op = "alter"
     RECHECK = ("affected", "lazy", "full", "none")
-    __slots__ = ("new_def", "recheck", "verb", "diagnostics", "region",
-                 "result")
+    __slots__ = ("new_def", "recheck", "verb", "diagnostics", "successor",
+                 "region", "result")
 
     def __init__(self, new_def, recheck: str = "affected",
                  verb: str = "alter-class") -> None:
@@ -280,23 +279,41 @@ class AlterClassCommand(MutationCommand):
         self.recheck = recheck
         self.verb = verb
         self.diagnostics: List = []
+        self.successor = None
         self.region: Optional[EvolutionRegion] = None
         self.result: List[Tuple[Instance, Violation]] = []
+
+    def admit(self, pipe):
+        # Validated on a clone, which is what the record carries.
+        name = self.new_def.name
+        if pipe._txn_depth:
+            raise SchemaEvolutionError(
+                name, "schema changes cannot run inside a transaction "
+                "scope (they are their own atomic unit)")
+        successor = pipe.store.schema.copy()
+        self.diagnostics, rolled_back = apply_change(successor, self.new_def)
+        if rolled_back:
+            raise SchemaEvolutionError(
+                name, "; ".join(
+                    str(d) for d in self.diagnostics
+                    if d.code == "unexcused-contradiction"),
+                self.diagnostics)
+        self.successor = successor
+
+    def record(self, store):
+        # The whole successor schema rides in the record: replay needs no
+        # out-of-band state, and the CDL print/load round-trip is the
+        # same one checkpoints already depend on.
+        return "alter", {
+            "cls": self.new_def.name,
+            "verb": self.verb,
+            "recheck": self.recheck,
+            "schema": print_schema(self.successor),
+        }
 
     def apply(self, pipe):
         self.result = pipe.apply_alter(self)
         return self.result
-
-    def journal(self, pipe, journal):
-        # The whole successor schema rides in the record: replay needs no
-        # out-of-band state, and the CDL print/load round-trip is the
-        # same one checkpoints already depend on.
-        journal.record("alter", {
-            "cls": self.new_def.name,
-            "verb": self.verb,
-            "recheck": self.recheck,
-            "schema": print_schema(pipe.store.schema),
-        })
 
 
 class IndexCommand(MutationCommand):
@@ -324,9 +341,8 @@ class IndexCommand(MutationCommand):
         self.mutated = indexes.version != design
         return self.result
 
-    def journal(self, pipe, journal):
-        journal.record("index", {"attr": self.attribute,
-                                 "action": self.action})
+    def record(self, store):
+        return "index", {"attr": self.attribute, "action": self.action}
 
 
 class BulkCommand(MutationCommand):
@@ -344,8 +360,14 @@ class BulkCommand(MutationCommand):
         self.fast, self.slow, self.groups = pipe.apply_bulk(self.session)
         self.mutated = bool(self.session._staged)
 
-    def journal(self, pipe, journal):
-        journal.log_bulk(self.session._staged, self.session._mode)
+    def record(self, store):
+        """One record per batch (all-or-nothing); staging minted the sids."""
+        rows = [[entry.obj.surrogate.id, list(entry.classes),
+                 {name: encode_value(entry.values[name])
+                  if name in entry.values else NA
+                  for name in entry.write_attrs}]
+                for entry in self.session._staged]
+        return "bulk", {"check": self.session._mode, "rows": rows}
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +380,15 @@ class MutationPipeline:
     Holds the store's write lock for the duration of each command (and
     of whole transaction scopes), tracks nesting depth so internal
     re-entrant applies (a failing create's removal, a bulk batch's
-    per-object fallback rows) are never journaled and never bump the
+    per-object fallback rows) are never logged and never bump the
     epoch, and owns all extent / virtual-class / index maintenance.
     """
 
     def __init__(self, store) -> None:
         self.store = store
         self._depth = 0
+        #: Open :meth:`unlogged` scopes: commands apply without records.
+        self._unlogged = 0
         #: Open transaction scopes (all on the lock-holding thread).
         self._txn_depth = 0
         #: Commands committed inside an open transaction: observer
@@ -379,15 +403,22 @@ class MutationPipeline:
     def execute(self, command: MutationCommand):
         store = self.store
         with store._write_lock:
+            command.admit(self)
+            wal = (store._wal if not (self._depth or self._unlogged)
+                   else None)
+            if wal is not None:
+                # Framed at last_seq + 1 under the lock, or None inside
+                # a transaction: the record then joins the scope's group.
+                op, fields = command.record(store)
+                data = wal.frame(op, fields)
             self._depth += 1
             try:
                 result = command.apply(self)
             finally:
                 self._depth -= 1
             if self._depth == 0 and command.mutated:
-                journal = store._journal
-                if journal is not None:
-                    command.journal(self, journal)
+                if wal is not None:
+                    wal.put(op, fields, data)
                 store._epoch += 1
                 if self._txn_depth:
                     self._pending.append(command)
@@ -413,11 +444,11 @@ class MutationPipeline:
             # inside the scope (stats(), same-thread snapshot()) are
             # served this pre-transaction epoch, never partial state.
             store.snapshot()
-            journal = store._journal
-            if journal is not None:
+            wal = open_group = None if self._unlogged else store._wal
+            if wal is not None:
                 # Group commit: records buffered until the scope exits
                 # cleanly, discarded (sequence rolled back) on abort.
-                journal.begin()
+                wal.begin()
             self._txn_depth += 1
             mark = len(self._pending)
             sealed = None
@@ -429,16 +460,16 @@ class MutationPipeline:
                         if problems:
                             raise TransactionError(tuple(
                                 (obj.surrogate.id, v) for obj, v in problems))
-                    if journal is not None:
+                    if wal is not None:
                         # An unencodable group rolls the scope back; the
                         # log has dropped it already (no second abort).
-                        wal, journal = journal.wal, None
+                        open_group = None
                         sealed = wal.seal()
             except BaseException:
                 self._txn_depth -= 1
                 del self._pending[mark:]
-                if journal is not None:
-                    journal.abort()
+                if open_group is not None:
+                    wal.abort()
                 raise
             self._txn_depth -= 1
             if sealed:
@@ -449,6 +480,15 @@ class MutationPipeline:
                 for command in pending:
                     for observer in store.observers:
                         observer(command)
+
+    @contextmanager
+    def unlogged(self):
+        """Commands apply without records (a replica re-logs verbatim)."""
+        self._unlogged += 1
+        try:
+            yield
+        finally:
+            self._unlogged -= 1
 
     # ------------------------------------------------------------------
     # Apply stage: create / remove
@@ -697,14 +737,12 @@ class MutationPipeline:
     def apply_alter(self, command) -> List[Tuple[Instance, Violation]]:
         """Apply one schema change to the live store and migrate.
 
-        The change is validated against a *clone* of the current schema
-        first (``apply_change``); a rejected change raises before
-        anything observable moves.  The surviving clone is then swapped
-        in as the next schema epoch -- open snapshots keep their
-        reference to the prior schema and continue reading against it --
-        and the derived state is migrated delta-scoped: only signature
-        profiles, extents and index postings inside the diff's affected
-        region are touched.
+        The clone the command's admission validated
+        (``apply_change``) is swapped in as the next schema epoch --
+        open snapshots keep their reference to the prior schema and
+        continue reading against it -- and the derived state is
+        migrated delta-scoped: only signature profiles, extents and
+        index postings inside the diff's affected region are touched.
 
         Object-level nonconformance surfaced by the re-check does *not*
         roll the change back: like virtual-class residue, the objects
@@ -713,25 +751,11 @@ class MutationPipeline:
         *schema* must be contradiction-free, the data catches up).
         """
         store = self.store
-        name = command.new_def.name
-        if self._txn_depth:
-            raise SchemaEvolutionError(
-                name, "schema changes cannot run inside a transaction "
-                "scope (they are their own atomic unit)")
         stats = store.checker.stats
-        old_schema = store.schema
-        new_schema = old_schema.copy()
-        diagnostics, rolled_back = apply_change(new_schema, command.new_def)
-        command.diagnostics = diagnostics
-        if rolled_back:
-            raise SchemaEvolutionError(
-                name, "; ".join(
-                    str(d) for d in diagnostics
-                    if d.code == "unexcused-contradiction"),
-                diagnostics)
+        old_schema, new_schema = store.schema, command.successor
         changes = diff_schemas(old_schema, new_schema)
         if not changes:
-            return []   # no-op: no epoch, no journal record
+            return []   # no-op: no epoch, no record
         region = affected_region(old_schema, new_schema, changes)
         command.region = region
 

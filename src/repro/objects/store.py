@@ -175,9 +175,9 @@ class ObjectStore:
         self.indexes = IndexManager(self)
         # The single mutation path (commands, stages, write lock).
         self._pipeline = MutationPipeline(self)
-        # Durability journal (a StoreJournal); attached by the durable
-        # subclass / recovery, None for a purely in-memory store.
-        self._journal = None
+        # The write-ahead log the pipeline records into; attached by
+        # recovery, None for a purely in-memory store.
+        self._wal = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -623,8 +623,8 @@ class ObjectStore:
     def position(self) -> int:
         """The commit position: the WAL seq while journaling (what a
         reopen recovers and a replica replays to), else the epoch."""
-        journal = self._journal
-        return self._epoch if journal is None else journal.wal.last_seq
+        wal = self._wal
+        return self._epoch if wal is None else wal.last_seq
 
     def _require_live(self, obj: Instance) -> None:
         if self._objects.get(obj.surrogate) is not obj:

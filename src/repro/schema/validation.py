@@ -31,10 +31,9 @@ is declared by a class ``E`` with ``C`` IS-A ``E`` and ``S <= S_E``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.errors import UnexcusedContradictionError
+from repro.errors import Diagnostic, UnexcusedContradictionError
 from repro.schema.classdef import ClassDef
 from repro.schema.schema import Constraint, Schema
 from repro.typesys.core import Type
@@ -44,26 +43,6 @@ from repro.typesys.subtyping import is_subtype
 
 class UnsatisfiableAttributeWarning(UserWarning):
     """No value can satisfy all applicable constraints on an attribute."""
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding."""
-
-    severity: str  # "error" | "warning"
-    code: str
-    class_name: str
-    attribute: str
-    message: str
-    contradicted: Optional[str] = None
-
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
-
-    def __str__(self) -> str:
-        site = f"{self.class_name}.{self.attribute}"
-        return f"{self.severity}[{self.code}] {site}: {self.message}"
 
 
 class SchemaValidator:

@@ -26,7 +26,7 @@ import os
 import select
 from typing import Dict
 
-from repro.codec import dumps
+from repro.codec import dumps, record_text
 from repro.columnar import SurrogateSet
 from repro.errors import ShardingError, StorageError
 
@@ -35,12 +35,13 @@ __all__ = [
     "encode_chunks", "encode_command", "encode_result",
 ]
 
-encode_command = dumps
+#: A command JSON refuses is a ``StorageError`` naming its op.
+encode_command = record_text
 decode_command = json.loads
 
 #: Results share the command framing: ``{"ok": payload}`` on success,
 #: ``{"error": codec.encode_error(exc)}`` when the worker raised.
-encode_result = encode_command
+encode_result = dumps
 decode_result = decode_command
 
 

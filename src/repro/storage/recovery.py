@@ -326,19 +326,18 @@ def store_config(store) -> dict:
 def checkpoint_store(store: "DurableObjectStore") -> dict:
     """Atomically snapshot ``store`` into its directory and rotate the
     WAL; returns the new manifest."""
-    from repro.objects.durable import StoreJournal
     fs = store.fs
     directory = store.directory
-    journal = store._journal
+    wal = store._wal
     old = getattr(store, "_manifest", None) or {}
     generation = old.get("generation", 0) + 1
 
-    if journal is not None:
-        if journal.wal.in_group:
+    if wal is not None:
+        if wal.in_group:
             raise StorageError(
                 "cannot checkpoint inside an open transaction")
-        journal.wal.flush()
-        base_seq = journal.wal.last_seq
+        wal.flush()
+        base_seq = wal.last_seq
     else:
         base_seq = 0
 
@@ -375,14 +374,10 @@ def checkpoint_store(store: "DurableObjectStore") -> dict:
 
     _write_manifest(fs, directory, manifest)
 
-    # Swap the journal to the fresh segment, then GC the old generation.
-    if journal is not None:
-        journal.wal.close()
-    if new_wal is not None:
-        if journal is not None:
-            journal.wal = new_wal
-        else:
-            store._journal = StoreJournal(new_wal)
+    # Swap the log to the fresh segment, then GC the old generation.
+    if wal is not None:
+        wal.close()
+    store._wal = new_wal
     old_gen = old.get("generation")
     if old_gen is not None and old_gen != generation:
         old_ckpt = (old.get("checkpoint") or {}).get("file")
@@ -411,7 +406,7 @@ def open_store(directory: str, schema=None, durability: str = None,
     forwarded to :class:`~repro.objects.store.ObjectStore` (for existing
     stores they override the persisted configuration).
     """
-    from repro.objects.durable import DurableObjectStore, StoreJournal
+    from repro.objects.durable import DurableObjectStore
     fs = fs or OS_FS
     if fs.exists(_manifest_path(directory)):
         return recover_store(directory, schema=schema,
@@ -450,7 +445,7 @@ def open_store(directory: str, schema=None, durability: str = None,
                             sync=sync, sync_every=sync_every, base_seq=0,
                             stats=store.checker.stats)
         manifest["wal"] = {"file": "wal-1.log", "base_seq": 0}
-        store._journal = StoreJournal(wal)
+        store._wal = wal
     _write_manifest(fs, directory, manifest)
     store._manifest = manifest
     return store
@@ -462,7 +457,7 @@ def recover_store(directory: str, schema=None, durability: str = None,
                   **store_kwargs) -> "DurableObjectStore":
     """Recover a store from its directory (module docstring, phases
     1-5); the report lands on ``store.last_recovery``."""
-    from repro.objects.durable import DurableObjectStore, StoreJournal
+    from repro.objects.durable import DurableObjectStore
     fs = fs or OS_FS
     manifest = read_manifest(fs, directory)
     durability = durability or manifest.get("durability", DURABILITY_WAL)
@@ -559,7 +554,7 @@ def recover_store(directory: str, schema=None, durability: str = None,
                 sync=sync, sync_every=sync_every,
                 base_seq=report.last_seq,
                 segment_base=wal_entry.get("base_seq", 0), stats=stats)
-        store._journal = StoreJournal(wal)
+        store._wal = wal
 
     store._manifest = manifest
     store.last_recovery = report

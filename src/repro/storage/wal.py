@@ -3,9 +3,9 @@ records.
 
 Every mutation that survives the :class:`~repro.objects.store.ObjectStore`
 checked paths -- ``create`` / ``set`` / ``unset`` / ``classify`` /
-``declassify`` / ``remove`` / ``bulk-commit`` -- is appended here as one
-logical record, *after* the in-memory apply succeeds and *before* the call
-returns to the caller.  Recovery (:mod:`repro.storage.recovery`) replays
+``declassify`` / ``remove`` / ``bulk-commit`` -- is one logical record,
+framed *before* the command applies and put (given its seq) after, before
+the call returns.  Recovery (:mod:`repro.storage.recovery`) replays
 the tail through the same checked paths, so the recovered store
 re-establishes exactly the conformance invariants the live engine
 enforced.
@@ -26,8 +26,8 @@ recovery can truncate the torn tail.
 Group commit
 ------------
 
-Records appended inside a :meth:`WriteAheadLog.begin` /
-:meth:`WriteAheadLog.commit` scope (a store transaction) are buffered and
+Records put inside a :meth:`WriteAheadLog.begin` /
+:meth:`WriteAheadLog.seal` scope (a store transaction) are buffered and
 hit the file at commit as **one** ``txn`` record embedding the group's
 operations (one frame, one write, one flush) -- so a torn write can only
 drop the transaction *whole*, never surface half of it; :meth:`abort`
@@ -57,7 +57,7 @@ import struct
 import zlib
 from typing import Iterator, List, Optional, Tuple
 
-from repro.codec import dumps
+from repro.codec import record_text
 from repro.errors import StorageError
 from repro.storage.fsio import OS_FS, FileSystem
 
@@ -76,7 +76,7 @@ def frame(payload: bytes) -> bytes:
 
 
 def frame_record(record: dict) -> bytes:
-    return frame(dumps(record).encode("utf-8"))
+    return frame(record_text(record).encode("utf-8"))
 
 
 def iter_frames(data: bytes, offset: int = 0
@@ -252,47 +252,50 @@ class WriteAheadLog:
             self.offset = len(WAL_MAGIC)
 
     # ------------------------------------------------------------------
-    # Appending
+    # Appending: frame now, put later
     # ------------------------------------------------------------------
 
-    def append(self, op: str, **fields) -> int:
-        """Log one record; returns its sequence number.  Outside a group
-        the record is committed (written + flushed/synced) immediately;
-        inside a group it is buffered -- the whole group later becomes
-        one ``txn`` record, so it consumes one sequence number at commit
-        (the provisional number returned here)."""
-        return self.append_fields(op, fields)
-
-    def append_fields(self, op: str, fields: dict) -> int:
-        """:meth:`append` taking the fields as an already-built dict the
-        log may keep (the journal's hot path); a record that cannot be
-        encoded raises before it takes a sequence number."""
-        seq = self.last_seq + 1
+    def frame(self, op: str, fields: dict) -> Optional[bytes]:
+        """The record framed as the next seq's, or None inside a group
+        (framed whole at :meth:`seal`); unencodable: ``StorageError``."""
         if self._marks:
-            self._buffer.append((op, fields))
-        else:
-            data = frame_record(dict(fields, seq=seq, op=op))
-            self.last_seq = seq
-            self.write_out(data, 1)
+            return None
+        return frame_record(dict(fields, seq=self.last_seq + 1, op=op))
+
+    def put(self, op: str, fields: dict, data: Optional[bytes]) -> int:
+        """The record takes its seq: ``data`` (its :meth:`frame`) is written
+        out, or ``fields`` (kept as-is) join the open group's seal."""
         if self.stats is not None:
             self.stats.wal_records += 1
-        return seq
+        if self._marks:
+            self._buffer.append((op, fields))
+            return self.last_seq + 1
+        self.last_seq += 1
+        self.write_out(data, 1)
+        return self.last_seq
+
+    def append_fields(self, op: str, fields: dict) -> int:
+        """:meth:`frame` then :meth:`put` (the e2e harness's probe)."""
+        return self.put(op, fields, self.frame(op, fields))
+
+    def append(self, op: str, **fields) -> int:
+        return self.append_fields(op, fields)
 
     def begin(self) -> None:
         """Open (or nest) a group-commit scope."""
         self._marks.append(len(self._buffer))
 
     def commit(self) -> None:
-        """Close the innermost group; the outermost close writes the
-        buffered operations as ONE framed record (a single-op group is
-        written plain), so recovery replays the group all-or-nothing."""
+        """:meth:`seal` then :meth:`write_out` (the e2e harness's probe)."""
         sealed = self.seal()
         if sealed:
             self.write_out(*sealed)
 
     def seal(self) -> Optional[Tuple[bytes, int]]:
-        """:meth:`commit` short of :meth:`write_out`: an unencodable group
-        raises here, dropped whole and taking no sequence number."""
+        """Close the innermost group; the outermost frames its records as
+        ONE record (a single-record group plain) that takes its seq, and
+        returns ``(data, records)`` for :meth:`write_out`.  Unencodable:
+        raises, the group dropped whole, no seq taken."""
         if not self._marks:
             raise StorageError("WAL commit without begin")
         if len(self._marks) > 1 or not self._buffer:
@@ -318,7 +321,7 @@ class WriteAheadLog:
         return data, count
 
     def abort(self) -> None:
-        """Discard the innermost group's buffered operations; nothing
+        """Discard the innermost group's buffered records; nothing
         reaches the file and no sequence number is consumed."""
         if not self._marks:
             raise StorageError("WAL abort without begin")

@@ -135,30 +135,46 @@ def test_a_cyclic_payload_raises_and_leaves_the_log_as_it_was():
             encode(cyclic)
 
     wal = WriteAheadLog("/w/log", fs=MemFS(), stats=EngineStats())
-    wal.append("create", sid=1)
+    wal.put("create", {"sid": 1}, wal.frame("create", {"sid": 1}))
     before = (wal.offset, wal.last_seq, wal.stats.wal_records)
     with pytest.raises(RecursionError):
-        wal.append_fields("create", cyclic)
+        wal.frame("create", cyclic)
     assert (wal.offset, wal.last_seq, wal.stats.wal_records) == before
     wal.begin()
-    wal.append_fields("create", cyclic)
+    wal.put("create", cyclic, wal.frame("create", cyclic))
     with pytest.raises(RecursionError):
-        wal.commit()
+        wal.seal()
     assert (wal.offset, wal.last_seq, wal.stats.wal_records) == before
     assert not wal.in_group
-    assert wal.append("create", sid=2) == before[1] + 1
+    assert wal.put("create", {"sid": 2}, wal.frame("create", {"sid": 2})
+                   ) == before[1] + 1
+
+
+def test_an_unencodable_record_is_refused_typed_where_it_is_framed():
+    huge = dict(_record(), op="set", value=10 ** 5000)
+    for encode in (frame_record, protocol.encode_frame,
+                   wire.encode_command):
+        with pytest.raises(StorageError, match="^op 'set': record cannot"):
+            encode(huge)
+    wal = WriteAheadLog("/w/log", fs=MemFS(), stats=EngineStats())
+    with pytest.raises(StorageError, match="^op 'set'"):
+        wal.frame("set", {"sid": 1, "value": 10 ** 5000})
+    assert (wal.last_seq, wal.stats.wal_records) == (0, 0)
 
 
 _VIOLATION = Violation("constraint", "Patient", "age", 999, "rule")
 #: One instance of every library error with fields of each kind: plain,
-#: tuple, vector token (a dict), ``Violation`` and ``(sid, Violation)``.
+#: tuple, vector token (a dict), ``Violation``, ``(sid, Violation)`` and
+#: schema ``Diagnostic``s.
 _ERRORS = [
     errors.UnknownClassError("X"), errors.CDLSyntaxError("m", 1, 2),
     errors.AmbiguousInheritanceError("C", "a", ("X", "Y")),
     errors.ConformanceError(3, _VIOLATION),
     errors.TransactionError(((3, _VIOLATION),)),
     errors.ReplicaLagError({"0": 4, "1": 2}, 3),
-    errors.FrameTooLargeError(10, 5), errors.QueryRuntimeError("q")]
+    errors.FrameTooLargeError(10, 5), errors.QueryRuntimeError("q"),
+    errors.SchemaEvolutionError("C", "bad", (errors.Diagnostic(
+        "error", "unexcused-contradiction", "C", "a", "m", "B"),))]
 
 
 @pytest.mark.parametrize("exc", _ERRORS, ids=lambda e: type(e).__name__)

@@ -52,10 +52,10 @@ def _populate(primary, n):
     """n mutations; returns {seq: digest} -- the committed-prefix
     oracle a crashed replica must land inside, one entry per WAL
     record (the unit shipping replays at)."""
-    oracle = {primary._journal.wal.last_seq: full_digest(primary)}
+    oracle = {primary._wal.last_seq: full_digest(primary)}
 
     def note():
-        oracle[primary._journal.wal.last_seq] = full_digest(primary)
+        oracle[primary._wal.last_seq] = full_digest(primary)
 
     for i in range(n):
         if i % 3 == 2:
@@ -71,7 +71,7 @@ def _populate(primary, n):
 
 def _sync_until_converged(primary, replica, max_rounds=60,
                           batch_records=512):
-    target = primary._journal.wal.last_seq
+    target = primary._wal.last_seq
     for _ in range(max_rounds):
         replica.sync(max_rounds=1, batch_records=batch_records)
         if replica.applied_seq >= target:
@@ -118,7 +118,7 @@ class TestFaultyTransport:
                                     schedule=schedule)
         replica = Replica(transport)
         _populate(primary, n_ops)
-        target = primary._journal.wal.last_seq
+        target = primary._wal.last_seq
         for _ in range(80):
             replica.sync(max_rounds=1, batch_records=batch)
             if replica.applied_seq >= target:
@@ -205,11 +205,11 @@ class TestReplicaCrash:
         assert revived.applied_seq in oracle
         assert full_digest(revived.store) == oracle[revived.applied_seq]
         if not crashed:
-            assert revived.applied_seq == primary._journal.wal.last_seq
+            assert revived.applied_seq == primary._wal.last_seq
 
         # ... and catching up from the prefix converges identically.
         revived.sync()
-        assert revived.applied_seq == primary._journal.wal.last_seq
+        assert revived.applied_seq == primary._wal.last_seq
         assert full_digest(revived.store) == full_digest(primary)
         revived.close()
         primary.close()

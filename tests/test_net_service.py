@@ -17,6 +17,7 @@ from repro.errors import (
     FrameTooLargeError,
     NotPrimaryError,
     ReplicaLagError,
+    StorageError,
     UnknownClassError,
 )
 from repro.lang import print_schema
@@ -180,7 +181,9 @@ class TestPrimaryOps:
             self, tmp_path):
         """A reply over the frame limit would make the client's decoder
         lose the stream; the server answers the same request with the
-        typed ``FrameTooLargeError`` instead, and the connection lives."""
+        typed ``FrameTooLargeError`` instead, and the connection lives.
+        A request over it is the client's own refusal, same type; so is
+        one it cannot encode, as a ``StorageError``."""
         store = open_store(str(tmp_path / "primary"),
                            build_hospital_schema())
         service = StoreService(store, max_frame=4096)
@@ -195,6 +198,21 @@ class TestPrimaryOps:
                 client.query("for w in Ward select w.name")
             assert caught.value.limit == 4096
             assert caught.value.length > 4096
+            assert client.count("Ward") == 80
+            # A request over the limit the hello announced is refused
+            # before it is sent, alone or in a pipeline.
+            ward = {"floor": 1, "name": "w" * 5000}
+            for send in (lambda: client.create("Ward", ward),
+                         lambda: client.pipeline([
+                             {"op": "count", "cls": "Ward"},
+                             {"op": "create", "cls": "Ward",
+                              "values": ward}])):
+                with pytest.raises(FrameTooLargeError) as caught:
+                    send()
+                assert caught.value.limit == 4096
+                assert caught.value.length > 4096
+            with pytest.raises(StorageError, match="cannot be encoded"):
+                client.create("Ward", {"floor": 10 ** 5000, "name": "x"})
             assert client.count("Ward") == 80
             assert service.stats.connections_opened == 1
         finally:

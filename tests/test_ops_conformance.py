@@ -28,7 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import codec
-from repro.errors import ConformanceError, StorageError
+from repro.errors import (
+    ConformanceError, SchemaEvolutionError, StorageError,
+)
 from repro.lang import print_schema
 from repro.net.backends import ConcurrentBackend, ShardedBackend
 from repro.net.client import StoreClient
@@ -265,14 +267,14 @@ def test_the_log_replays_what_every_edge_ran(edges, name):
     primary = log.backend.store
     # Bootstrapped before the command, so it arrives as a record.
     replica = Replica(LocalShipSource(primary))
-    seq = primary._journal.wal.last_seq
+    seq = primary._wal.last_seq
     generation = primary._manifest["generation"]
     for edge in edges.values():
         edge.call(cmd)
     if name == "checkpoint":        # the log's own rotation
         assert primary._manifest["generation"] == generation + 1
     else:                           # one command, one record
-        assert primary._journal.wal.last_seq == seq + 1
+        assert primary._wal.last_seq == seq + 1
     live = _state(primary)
     replica.sync()
     assert _state(replica.store) == live
@@ -500,6 +502,38 @@ def test_a_rejection_crosses_every_edge_as_itself(edges):
             reference.sid), label
     # A routed error also names the shard that refused it.
     assert seen["sharded"].shard_id == 0
+
+
+#: A class change the live schema contradicts (its ``Cancer_Patient``'s
+#: Oncologist is no Psychologist), in a text that is valid on its own.
+CONTRADICTED = {"op": "alter", "cls": "Patient", "schema": (
+    SCHEMA_TEXT.replace("  treatedBy: Physician;\n",
+                        "  treatedBy: Psychologist;\n")
+    .replace("  treatedBy: Oncologist;\n", ""))}
+
+
+def test_a_schema_rejection_carries_its_diagnostics_at_every_edge(edges):
+    """A refused ``alter`` names its schema ``Diagnostic``s in-process,
+    served, sharded and served sharded."""
+    seen = {}
+    for label, call in (
+            ("in-process", edges["concurrent"].call),
+            ("sharded", edges["sharded-2"].backend.router.execute)):
+        with pytest.raises(SchemaEvolutionError) as caught:
+            call(CONTRADICTED)
+        seen[label] = caught.value
+    for label, edge in (("served", "log"), ("served-sharded", "sharded-2")):
+        with _served(edges[edge].backend) as client:
+            with pytest.raises(SchemaEvolutionError) as caught:
+                client.call(**CONTRADICTED)
+        seen[label] = caught.value
+    reference = seen["in-process"]
+    assert "unexcused-contradiction" in {
+        d.code for d in reference.diagnostics}
+    for label, exc in seen.items():
+        assert (type(exc), str(exc), exc.diagnostics) == (
+            SchemaEvolutionError, str(reference),
+            reference.diagnostics), label
 
 
 def test_a_non_library_exception_arrives_as_a_storage_error(edges):

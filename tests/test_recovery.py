@@ -71,7 +71,7 @@ class TestOpenFresh:
 
     def test_durability_none_has_no_wal(self, fs, hospital_schema):
         s = open_store(DIR, hospital_schema, durability="none", fs=fs)
-        assert s._journal is None
+        assert s._wal is None
         assert "wal" not in read_manifest(fs, DIR)
 
 
@@ -141,21 +141,40 @@ class TestRoundTrip:
         store.close()
         assert store_digest(_reopen(fs)) == digest
 
-    @pytest.mark.parametrize("in_txn", [False, True])
-    def test_an_unencodable_record_takes_no_seq(self, fs, in_txn):
-        # A value JSON refuses (an int over the str-conversion limit)
-        # applies in memory, then fails to encode: the log must stay
-        # a clean chain, so every later acknowledged write survives.
+    @pytest.mark.parametrize("refused", [
+        "create", "set", "bulk-eager", "bulk-deferred", "txn"])
+    def test_an_unencodable_record_takes_no_seq(self, fs, refused):
+        # A value JSON refuses (an int over the str-conversion limit):
+        # the command is refused before it applies, so what a reader
+        # sees is what a reopen rebuilds, and the log stays a clean
+        # chain under every later acknowledged write.
         store = open_store(DIR, load_schema(_ITEM_CDL), durability="wal",
                            fs=fs, sync="always")
         item = store.create("Item", weight=1)
-        with pytest.raises(ValueError):
-            if in_txn:
+        seen = []
+        store.observers.append(seen.append)
+        position, epoch = store.position(), store._epoch
+        huge = 10 ** 5000
+        with pytest.raises(StorageError, match="cannot be encoded"):
+            if refused == "create":
+                store.create("Item", weight=huge)
+            elif refused == "set":
+                store.set_value(item, "weight", huge)
+            elif refused == "txn":
                 with transaction(store):
                     store.create("Item", weight=2)
-                    store.set_value(item, "weight", 10 ** 5000)
+                    store.set_value(item, "weight", huge)
             else:
-                store.set_value(item, "weight", 10 ** 5000)
+                store.bulk_load([("Item", {"weight": huge})],
+                                check=refused.split("-")[1])
+        assert store.position() == position
+        if refused != "txn":        # a rolled-back scope bumps it once
+            assert store._epoch == epoch
+        assert seen == []
+        assert (len(store), item.get_value("weight")) == (1, 1)
+        reopened = _reopen(fs)
+        assert store_digest(reopened) == store_digest(store)
+        reopened.close()
         acked = [store.create("Item", weight=w).surrogate for w in (3, 4)]
         store.close()
         again = _reopen(fs)
@@ -167,7 +186,7 @@ class TestRoundTrip:
     def test_a_transaction_whose_commit_raises_is_rolled_back(self, fs):
         # The live store, not just the reopened one: a scope whose WAL
         # group fails to encode leaves no write, no pending command for
-        # the next scope's observers, and the ValueError unmasked.
+        # the next scope's observers, and the typed refusal unmasked.
         store = open_store(DIR, load_schema(_ITEM_CDL), durability="wal",
                            fs=fs, sync="always")
         item = store.create("Item", weight=1)
@@ -175,7 +194,7 @@ class TestRoundTrip:
         store.observers.append(lambda command: seen.append(
             type(command).__name__))
         before = store.snapshot()
-        with pytest.raises(ValueError):
+        with pytest.raises(StorageError):
             with transaction(store):
                 store.create("Item", weight=2)
                 store.set_value(item, "weight", 10 ** 5000)
@@ -219,10 +238,12 @@ class TestRoundTrip:
         store.close()
         assert store_digest(_reopen(fs)) == digest
 
-    def test_a_create_failing_past_conformance_leaves_no_object(self,
-                                                                 store):
+    def test_a_create_failing_past_conformance_leaves_no_object(
+            self, hospital_schema):
         # Rendering the violation of an over-long int raises ValueError,
-        # not ConformanceError; the half-built object must still go.
+        # not ConformanceError; the half-built object must still go.  In
+        # memory: a WAL store refuses the record before the apply.
+        store = ObjectStore(hospital_schema)
         before = len(store)
         with pytest.raises(ValueError):
             store.create("Person", age=10 ** 5000)

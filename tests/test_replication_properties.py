@@ -167,7 +167,7 @@ def _primary(fs, sync="always"):
 
 
 def _assert_converged(primary, replica):
-    assert replica.applied_seq == primary._journal.wal.last_seq
+    assert replica.applied_seq == primary._wal.last_seq
     assert replica.lag == 0
     assert full_digest(replica.store) == full_digest(primary)
 
@@ -278,7 +278,7 @@ def test_checkpoint_rotation_rebootstraps(ops):
     primary = _primary(fs)
     replica = Replica(LocalShipSource(primary))
     _run(primary, ops)
-    mutated = primary._journal.wal.last_seq > replica.applied_seq
+    mutated = primary._wal.last_seq > replica.applied_seq
     # Rotate the WAL: the replica's position now predates the live
     # segment, so its next fetch reports stale.
     primary.checkpoint()
@@ -301,7 +301,7 @@ def test_read_your_writes_token_contract():
     primary = _primary(fs)
     replica = Replica(LocalShipSource(primary))
     primary.create("Patient", name="ann", age=30)
-    token = primary._journal.wal.last_seq
+    token = primary._wal.last_seq
     with pytest.raises(ReplicaLagError):
         replica.read_view(token)
     replica.sync()

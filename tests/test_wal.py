@@ -31,6 +31,17 @@ def _wal(fs, **kwargs):
     return WriteAheadLog("/w/log", fs=fs, **kwargs)
 
 
+def _append(wal, op, **fields):
+    """Frame now, put later: one record, as the pipeline logs it."""
+    return wal.put(op, fields, wal.frame(op, fields))
+
+
+def _commit(wal):
+    sealed = wal.seal()
+    if sealed:
+        wal.write_out(*sealed)
+
+
 class TestFraming:
     def test_frame_roundtrip(self):
         payload = b'{"seq":1}'
@@ -57,8 +68,8 @@ class TestFraming:
 class TestAppendScan:
     def test_records_replayable_in_order(self, fs):
         wal = _wal(fs)
-        assert wal.append("create", sid=1) == 1
-        assert wal.append("set", sid=1, attr="a") == 2
+        assert _append(wal, "create", sid=1) == 1
+        assert _append(wal, "set", sid=1, attr="a") == 2
         wal.close()
         scan = scan_wal(fs, "/w/log")
         assert [(r.seq, r.op) for r in scan.records] == [
@@ -81,8 +92,8 @@ class TestAppendScan:
 
     def test_torn_tail_detected_and_bounded(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1)
-        wal.append("create", sid=2)
+        _append(wal, "create", sid=1)
+        _append(wal, "create", sid=2)
         wal.close()
         whole = fs.read_bytes("/w/log")
         for cut in range(1, 9):
@@ -94,9 +105,9 @@ class TestAppendScan:
 
     def test_bit_flip_truncates_from_flip_point(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1)
+        _append(wal, "create", sid=1)
         mid = wal.offset
-        wal.append("create", sid=2)
+        _append(wal, "create", sid=2)
         wal.close()
         fs.bit_flip("/w/log", mid + 10)
         scan = scan_wal(fs, "/w/log")
@@ -105,7 +116,7 @@ class TestAppendScan:
 
     def test_sequence_break_stops_scan(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1)
+        _append(wal, "create", sid=1)
         wal.close()
         # Hand-append a record that skips seq 2.
         rogue = frame_record({"seq": 3, "op": "create", "sid": 3})
@@ -118,7 +129,7 @@ class TestAppendScan:
 
     def test_undecodable_payload_stops_scan(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1)
+        _append(wal, "create", sid=1)
         wal.close()
         handle = fs.open_append("/w/log")
         handle.write(frame(b"[1, 2, 3]"))   # valid JSON, not a record
@@ -129,19 +140,39 @@ class TestAppendScan:
 
     def test_base_seq_offsets_the_chain(self, fs):
         wal = _wal(fs, base_seq=41)
-        assert wal.append("set", sid=9) == 42
+        assert _append(wal, "set", sid=9) == 42
         wal.close()
         assert [r.seq for r in scan_wal(fs, "/w/log", base_seq=41).records
                 ] == [42]
         # Scanning with the wrong base reports a break, replays nothing.
         assert scan_wal(fs, "/w/log", base_seq=0).records == []
 
+    def test_a_frame_is_dropped_unless_put(self, fs):
+        wal = _wal(fs)
+        wal.frame("set", {"sid": 1})       # its command changed nothing
+        assert _append(wal, "set", sid=2) == 1
+        wal.close()
+        assert [(r.seq, r.fields["sid"]) for r in scan_wal(fs, "/w/log")
+                .records] == [(1, 2)]
+
+    def test_one_call_append_is_frame_then_put(self, fs):
+        # The e2e harness probes append_fields and traces append/commit.
+        wal = _wal(fs)
+        assert wal.append("create", sid=1) == 1
+        assert wal.append_fields("set", {"sid": 1}) == 2
+        wal.begin()
+        wal.append("set", sid=2)
+        wal.commit()
+        wal.close()
+        assert [(r.seq, r.op) for r in scan_wal(fs, "/w/log").records] == [
+            (1, "create"), (2, "set"), (3, "set")]
+
     def test_reopen_appends_after_existing_records(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1)
+        _append(wal, "create", sid=1)
         wal.close()
         wal2 = _wal(fs, base_seq=1)
-        wal2.append("create", sid=2)
+        _append(wal2, "create", sid=2)
         wal2.close()
         assert [r.seq for r in scan_wal(fs, "/w/log").records] == [1, 2]
 
@@ -151,10 +182,10 @@ class TestGroupCommit:
         wal = _wal(fs)
         before = fs.size("/w/log")
         wal.begin()
-        wal.append("set", sid=1)
-        wal.append("set", sid=2)
+        _append(wal, "set", sid=1)
+        _append(wal, "set", sid=2)
         assert fs.size("/w/log") == before      # buffered, not written
-        wal.commit()
+        _commit(wal)
         wal.close()
         records = scan_wal(fs, "/w/log").records
         assert [(r.seq, r.op) for r in records] == [(1, "txn")]
@@ -164,11 +195,11 @@ class TestGroupCommit:
         # Transaction atomicity across recovery hinges on the group
         # occupying ONE frame: any torn suffix removes it entirely.
         wal = _wal(fs)
-        wal.append("create", sid=1)
+        _append(wal, "create", sid=1)
         wal.begin()
-        wal.append("set", sid=1, attr="a")
-        wal.append("set", sid=1, attr="b")
-        wal.commit()
+        _append(wal, "set", sid=1, attr="a")
+        _append(wal, "set", sid=1, attr="b")
+        _commit(wal)
         wal.close()
         whole = fs.read_bytes("/w/log")
         first_end = scan_wal(fs, "/w/log").records[0].end_offset
@@ -179,11 +210,11 @@ class TestGroupCommit:
 
     def test_abort_leaves_no_trace_and_rolls_seq_back(self, fs):
         wal = _wal(fs)
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         wal.begin()
-        wal.append("set", sid=2)
+        _append(wal, "set", sid=2)
         wal.abort()
-        seq = wal.append("set", sid=3)
+        seq = _append(wal, "set", sid=3)
         wal.close()
         assert seq == 2
         scan = scan_wal(fs, "/w/log")
@@ -194,12 +225,12 @@ class TestGroupCommit:
         wal = _wal(fs)
         before = fs.size("/w/log")
         wal.begin()
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         wal.begin()
-        wal.append("set", sid=2)
-        wal.commit()
+        _append(wal, "set", sid=2)
+        _commit(wal)
         assert fs.size("/w/log") == before
-        wal.commit()
+        _commit(wal)
         wal.close()
         records = scan_wal(fs, "/w/log").records
         assert [(r.seq, r.op) for r in records] == [(1, "txn")]
@@ -208,11 +239,11 @@ class TestGroupCommit:
     def test_inner_abort_keeps_outer_records(self, fs):
         wal = _wal(fs)
         wal.begin()
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         wal.begin()
-        wal.append("set", sid=2)
+        _append(wal, "set", sid=2)
         wal.abort()
-        wal.commit()
+        _commit(wal)
         wal.close()
         assert [(r.seq, r.fields["sid"])
                 for r in scan_wal(fs, "/w/log").records] == [(1, 1)]
@@ -220,29 +251,29 @@ class TestGroupCommit:
     def test_unbalanced_commit_raises(self, fs):
         wal = _wal(fs)
         with pytest.raises(StorageError):
-            wal.commit()
+            wal.seal()
         with pytest.raises(StorageError):
             wal.abort()
 
     def test_flush_inside_group_raises(self, fs):
         wal = _wal(fs)
         wal.begin()
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         with pytest.raises(StorageError):
             wal.flush()
-        wal.commit()
+        _commit(wal)
         wal.close()
 
 
 class TestSyncPolicies:
     def test_always_syncs_every_commit(self, fs):
         wal = _wal(fs, sync="always")
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         assert fs.files["/w/log"].durable == fs.files["/w/log"].cached
 
     def test_group_buffers_until_flush(self, fs):
         wal = _wal(fs, sync="group", sync_every=1000)
-        wal.append("set", sid=1)
+        _append(wal, "set", sid=1)
         file = fs.files["/w/log"]
         # Batched: the record sits in the process-side buffer (it would
         # be lost in a crash -- the documented bounded loss window) ...
@@ -255,7 +286,7 @@ class TestSyncPolicies:
     def test_group_syncs_every_n_records(self, fs):
         wal = _wal(fs, sync="group", sync_every=3)
         for i in range(3):
-            wal.append("set", sid=i)
+            _append(wal, "set", sid=i)
         file = fs.files["/w/log"]
         assert file.durable == file.cached
 
@@ -297,8 +328,8 @@ class TestValueCodec:
 class TestDump:
     def test_dump_renders_records_and_torn_tail(self, fs):
         wal = _wal(fs)
-        wal.append("create", sid=1, cls="Ward", mode="eager", values={})
-        wal.append("bulk", mode="deferred", rows=[{}, {}])
+        _append(wal, "create", sid=1, cls="Ward", mode="eager", values={})
+        _append(wal, "bulk", mode="deferred", rows=[{}, {}])
         wal.close()
         handle = fs.open_append("/w/log")
         handle.write(b"\xff\xff garbage")
@@ -318,15 +349,15 @@ class TestStatsCounters:
         stats = EngineStats()
         wal = _wal(fs, stats=stats, sync="always")
         wal.begin()
-        wal.append("set", sid=1)
-        wal.append("set", sid=2)
-        wal.commit()
+        _append(wal, "set", sid=1)
+        _append(wal, "set", sid=2)
+        _commit(wal)
         assert stats.wal_records == 2
         assert stats.wal_commits == 1
         assert stats.wal_syncs >= 1
         assert stats.wal_bytes > 0
         wal.begin()
-        wal.append("set", sid=3)
+        _append(wal, "set", sid=3)
         wal.abort()
         assert stats.wal_records == 2   # rolled back with the abort
         wal.close()
