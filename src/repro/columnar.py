@@ -47,19 +47,21 @@ machinery for that on the read path:
     segment from the previous snapshot's list when both observable facts
     match: the chunk is the same object and the extent's bits over it
     are equal.  So a scan after a write gathers only what the write
-    changed.
+    changed.  :meth:`FrozenColumns.visit` reuses a plan's visit rows by
+    the same rule: the same table (held by weak reference), equal bits.
 
 Counters for the bitset algebra (words ANDed/ORed/ANDNOTed, chunks
-copied by COW, scan rows carried or gathered) accumulate in the
-module-level :data:`BITSET_STATS` (process-wide, like a CPU performance
-counter) and surface through ``store.stats()`` and ``repro stats`` with
-a ``bitset.`` prefix.
+copied by COW) accumulate in the module-level :data:`BITSET_STATS`
+(process-wide, like a CPU performance counter); scan and visit rows
+carried or gathered go to the reading store's sink.  All surface
+through ``store.stats()`` and ``repro stats`` with a ``bitset.`` prefix.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from weakref import ref
 
 from repro.objects.surrogate import Surrogate
 from repro.obs import _Counters
@@ -115,8 +117,8 @@ class BitsetStats(_Counters):
         "words_andnot",        # 64-bit words AND-NOTed (differences)
         "chunks_cow_copied",   # bitset chunk-table entries copied by COW
         "column_chunks_copied",  # object-column chunks copied by COW
-        "rows_carried",        # scan rows copied from the prior snapshot
-        "rows_gathered",       # scan rows looked up in column chunks
+        "rows_carried",        # scan/visit rows reused, not looked up
+        "rows_gathered",       # scan/visit rows looked up in column chunks
     )
 
 
@@ -447,7 +449,7 @@ class FrozenColumns:
     allocates nothing per row.
     """
 
-    __slots__ = ("_chunks", "_count")
+    __slots__ = ("_chunks", "_count", "__weakref__")
 
     def __init__(self, chunks: Dict[int, Dict[int, tuple]],
                  count: int) -> None:
@@ -482,7 +484,28 @@ class FrozenColumns:
         return list(map(self._chunks[key].__getitem__, surrogates.ids(
             key << _COL_SHIFT, (key + 1) << _COL_SHIFT)))
 
-    def scan(self, extent: "SurrogateSet", prior: Optional[tuple]) -> tuple:
+    def visit(self, surrogates: "SurrogateSet", memo: Optional[list],
+              stats: BitsetStats) -> list:
+        """``gather(surrogates)``, or the rows a plan's one-element
+        ``memo`` holds as ``(weakref to the table, bits, rows)`` while
+        :meth:`_holds`; a miss refills it in one assignment."""
+        bits = surrogates._chunks
+        held = memo[0] if memo else None
+        if held is not None and self._holds(held, bits):
+            stats.rows_carried += len(held[2])
+            return held[2]
+        rows = self.gather(surrogates)
+        stats.rows_gathered += len(rows)
+        if memo:     # (bits copied: the caller's set may change)
+            memo[0] = (ref(self), dict(bits), rows)
+        return rows
+
+    def _holds(self, held: tuple, bits: Dict[int, int]) -> bool:
+        # This very table (a dead reference is None), the same bits.
+        return held[0]() is self and held[1] == bits
+
+    def scan(self, extent: "SurrogateSet", prior: Optional[tuple],
+             stats: BitsetStats) -> tuple:
         """``(bits, rows, table)``: ``extent``'s rows, ascending, plus
         what the next snapshot needs to carry them forward -- the
         extent's chunk words and ``table[key] = (chunk, lo, hi)``, the
@@ -520,8 +543,8 @@ class FrozenColumns:
                 else:
                     rows += self.gather(extent, key)
                 table[key] = (chunk, lo, len(rows))
-        BITSET_STATS.rows_carried += carried
-        BITSET_STATS.rows_gathered += len(rows) - carried
+        stats.rows_carried += carried
+        stats.rows_gathered += len(rows) - carried
         return bits, rows, table
 
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import codec
@@ -433,9 +434,14 @@ class StoreService:
         or a vector token; the covering test is per component.  Woken
         by :meth:`_position_moved`, and every ``TOKEN_RECHECK`` anyway."""
         want = tokens.as_token(cmd.get("token"))
+        timeout = cmd.get("timeout", 1.0)
+        # Refused before parking: a NaN deadline never passes.
+        if not (type(timeout) is int or type(timeout) is float
+                and math.isfinite(timeout)):
+            raise StorageError(
+                "op 'token_wait' field 'timeout' must be a finite number")
         loop = self._loop
-        deadline = loop.time() + min(float(cmd.get("timeout", 1.0)),
-                                     MAX_TOKEN_WAIT)
+        deadline = loop.time() + min(timeout, MAX_TOKEN_WAIT)
         while not tokens.covers(self.backend.position(), want):
             remaining = deadline - loop.time()
             if remaining <= 0:

@@ -33,6 +33,9 @@ by reference, the row lists and segment tables of the snapshot it
 replaces (O(classes)), and ``scan_rows`` copies every segment whose
 column chunk and extent bits are unchanged, gathering only what the
 writes in between changed (:meth:`repro.columnar.FrozenColumns.scan`).
+A plan re-run on one snapshot with equal visit bits takes the rows its
+memo slot holds (:meth:`repro.columnar.FrozenColumns.visit`); the live
+store, whose columns mutate in place, gathers every time.
 
 Snapshots may be shared freely across reader threads: all internal
 lazy caches (extents, row lists, instance wrappers) are populated with
@@ -243,12 +246,12 @@ class StoreSnapshot:
             # build's list; then the prior generation's rows can go.
             built = self._scan_rows.setdefault(class_name, self._objects.scan(
                 self.extent_surrogates(class_name),
-                self._carried.get(class_name)))
+                self._carried.get(class_name), self._bitset_stats))
             self._carried.pop(class_name, None)
         return built[1]
 
-    def visit_rows(self, surrogates) -> list:
-        return self._objects.gather(surrogates)
+    def visit_rows(self, surrogates, memo=None) -> list:
+        return self._objects.visit(surrogates, memo, self._bitset_stats)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """Captured surrogate set (callers must not mutate it)."""

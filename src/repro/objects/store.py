@@ -385,8 +385,11 @@ class ObjectStore:
     def scan_rows(self, class_name: str) -> list:
         return self._columns.gather(self.extent_surrogates(class_name))
 
-    def visit_rows(self, surrogates) -> list:
-        return self._columns.gather(surrogates)
+    def visit_rows(self, surrogates, memo=None) -> list:
+        # No memo: the live columns mutate in place.
+        rows = self._columns.gather(surrogates)
+        self.bitset_stats.rows_gathered += len(rows)
+        return rows
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """The live extent as a surrogate set -- the class-membership

@@ -373,6 +373,8 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     # so only a run without any proves.  Everything else visits
     # cand | skips through the guarded loop.
     estimates, guards, walks = [], [], []
+    # The plan's one visit memo slot (StoreSnapshot.visit_rows).
+    env["_memo"] = [None]
     for i, p in enumerate(pushdowns):
         if p.attribute:
             env[f"_a{i}"], env[f"_v{i}"] = p.attribute, p.value
@@ -465,7 +467,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         "    stats.rows_pruned = pruned",
         # Bitset visit sets iterate in ascending surrogate order -- the
         # scan's extent order -- so no sort is needed.
-        "    state = store.visit_rows(visit)",
+        "    state = store.visit_rows(visit, _memo)",
     ]
     if no_where:
         lines += ["if proven:"] + indent(compiled.loop_source(where=False))

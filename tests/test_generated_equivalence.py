@@ -365,8 +365,8 @@ class _Counting:
     def __getattr__(self, name):
         return getattr(self.store, name)
 
-    def visit_rows(self, surrogates):
-        rows = self.store.visit_rows(surrogates)
+    def visit_rows(self, surrogates, memo):
+        rows = self.store.visit_rows(surrogates, memo)
         self.handed.append(len(rows))
         return rows
 

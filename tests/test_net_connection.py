@@ -21,6 +21,7 @@ from repro.errors import (
     FrameTruncatedError,
     ReplicaLagError,
     RequestTimeoutError,
+    StorageError,
 )
 from repro.net import server as server_module
 from repro.net import tokens
@@ -353,6 +354,21 @@ def test_token_wait_timeout_is_clamped(service, client, monkeypatch):
         client.token_wait(10 ** 9, timeout=10 ** 6)
     assert time.monotonic() - start < 2.0
     assert service.stats.token_wait_timeouts == 1
+
+
+@pytest.mark.parametrize("timeout", [
+    float("nan"), float("inf"), -float("inf"), "1", [1], True])
+def test_token_wait_refuses_a_timeout_that_is_not_a_finite_number(
+        service, client, timeout):
+    # A NaN deadline never passes: the wait would re-arm its timer on
+    # every loop pass and never answer.
+    start = time.monotonic()
+    with pytest.raises(StorageError, match="field 'timeout' must be a "
+                                           "finite number"):
+        client.token_wait(10 ** 9, timeout=timeout)
+    assert time.monotonic() - start < 2.0
+    assert not service._waiters
+    assert service.stats.token_wait_timeouts == 0
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,16 @@ claims:
   writer commits and other readers build *k+1* from *k*'s table.
 * **Three bitset chunks** (``slow``): the same trace over 8,200+
   objects, so unchanged and changed chunk words both occur.
+
+A plan's index visit rows are memoised by the same rule
+(:meth:`repro.columnar.FrozenColumns.visit`): its memo slot is reused
+only for the same captured table (by weak reference) and equal visit
+bits.  Runs of one plan on one snapshot gather once; a committed write,
+another store, other bits or the live store gather again -- each with
+exact counter deltas, against ``tests/reference_query.py``.  Three
+mutants, installed over named hooks, are killed; six threads share one
+cached plan while a writer commits (``concurrent``); two visit sets that
+differ only in their third bitset chunk are told apart (``slow``).
 """
 
 from __future__ import annotations
@@ -37,11 +47,14 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro import columnar
-from repro.columnar import FrozenColumns
+from repro.columnar import FrozenColumns, SurrogateSet
 from repro.errors import ObjectError, SchemaError
 from repro.objects import ObjectStore
 from repro.objects.surrogate import Surrogate
+from repro.query.planner import execute_plan, plan_query
 from repro.schema.classdef import ClassDef
+from repro.sharding.worker import MaskedSnapshot
+from tests.reference_query import reference_execute_plan
 from tests.test_rollback_properties import (
     BULK_ROWS, SCHEMA, _ScopedWorld, _base, _bulk, _flat, _nested,
 )
@@ -247,6 +260,20 @@ def test_carried_and_gathered_counter_deltas():
     assert scan_delta()[1] == (1, 10_000)                  # its segment only
 
 
+def test_row_counters_tick_the_reading_stores_sink():
+    store = ObjectStore(SCHEMA, bitset_stats=columnar.BitsetStats())
+    _fill(store, 300, ("Patient",))
+    process = columnar.BITSET_STATS.snapshot()
+    store.snapshot().scan_rows("Patient")
+    store.snapshot().scan_rows("Patient")
+    stats = store.stats()
+    assert (stats["bitset.rows_gathered"], stats["bitset.rows_carried"]) == (
+        300, 0)
+    assert {k: v for k, v in columnar.BITSET_STATS.snapshot().items()
+            if k.startswith("rows_")} == {
+        k: v for k, v in process.items() if k.startswith("rows_")}
+
+
 # ----------------------------------------------------------------------
 # Threads
 # ----------------------------------------------------------------------
@@ -321,3 +348,263 @@ def test_readers_carry_forward_while_the_writer_commits():
        ops=st.lists(_step, max_size=10))
 def test_carried_scan_rows_over_three_bitset_chunks(filler, ops):
     check_trace(filler, ops)
+
+
+# ----------------------------------------------------------------------
+# A plan's visit memo
+# ----------------------------------------------------------------------
+
+#: A proven equality: its visit set is exactly the answer rows.
+SEL = "for p in Patient where p.age = 7 select p.name"
+#: Patient ``i`` (sid ``i + 1``) is ``1 + i % 50`` years old.
+AGED_7 = 7
+
+
+def _patients(n: int) -> ObjectStore:
+    store = ObjectStore(SCHEMA)
+    store.bulk_load([(("Patient",), {"name": f"p{i}", "age": 1 + i % 50})
+                     for i in range(n)], check="eager")
+    store.create_index("age")
+    return store
+
+
+def _counted(store, run):
+    """``run()`` and its ``(rows_gathered, rows_carried)`` delta."""
+    before = store.stats()
+    out = run()
+    after = store.stats()
+    return out, tuple(after[f"bitset.{name}"] - before[f"bitset.{name}"]
+                      for name in ("rows_gathered", "rows_carried"))
+
+
+def _aged_7(view) -> list:
+    """The cold reading of ``SEL``'s visit rows: each extent member's
+    captured row whose age is 7."""
+    rows = (view._objects.get(s.id) for s in view.extent_surrogates("Patient"))
+    return [row for row in rows if row[2].get("age") == 7]
+
+
+def _run(plan, view):
+    """One run, which must equal the reference on ``view``; returns the
+    rows, the counter delta and the rows the memo holds."""
+    got, delta = _counted(view, lambda: execute_plan(plan, view))
+    assert got == reference_execute_plan(plan, view)
+    held = plan.executor._bindings["_memo"][0]
+    return got[0], delta, held[2] if held else None
+
+
+def check_runs_on_one_snapshot_gather_once() -> None:
+    store = _patients(2_000)
+    snap = store.snapshot()
+    plan = plan_query(SEL, snap)
+    rows, delta, held = _run(plan, snap)
+    assert (len(rows), delta) == (40, (40, 0))
+    for _ in range(4):
+        again, delta, still = _run(plan, snap)
+        assert (again, delta) == (rows, (0, 40)) and still is held
+
+
+def check_a_committed_write_regathers() -> None:
+    store = _patients(2_000)
+    plan = plan_query(SEL, store.snapshot())
+    _run(plan, store.snapshot())
+    renamed = store.get(Surrogate(AGED_7))
+    writes = [
+        # The bits stay equal: only the table's identity tells.
+        lambda: store.set_value(renamed, "name", "renamed"),
+        lambda: store.set_value(store.get(Surrogate(AGED_7 + 50)), "age", 8),
+        lambda: store.set_value(store.get(Surrogate(1)), "age", 7),
+    ]
+    for count, write in zip((40, 39, 40), writes):
+        write()
+        snap = store.snapshot()
+        rows, delta, held = _run(plan, snap)
+        assert delta == (count, 0)
+        cold = _aged_7(snap)
+        assert len(held) == count and all(a is b for a, b in zip(held, cold))
+        assert ("renamed",) in rows
+        assert _run(plan, snap)[1] == (0, count)
+
+
+def check_the_live_store_reuses_nothing() -> None:
+    store = _patients(2_000)
+    store.snapshot()        # so the next write replaces the row's dicts
+    plan = plan_query(SEL, store)
+    rows, delta, held = _run(plan, store)
+    assert (delta, held) == ((40, 0), None)
+    store.set_value(store.get(Surrogate(AGED_7)), "name", "renamed")
+    again, delta, held = _run(plan, store)
+    assert (delta, held) == ((40, 0), None)
+    assert again == [("renamed",)] + rows[1:]
+
+
+def check_one_plan_on_two_stores_shares_no_rows() -> None:
+    one, two = _patients(2_000), _patients(2_000)
+    two.set_value(two.get(Surrogate(AGED_7)), "name", "only in two")
+    plan = plan_query(SEL, one.snapshot())
+    for store in (one, two, one, two):
+        snap = store.snapshot()
+        rows, delta, held = _run(plan, snap)
+        assert delta == (40, 0)
+        assert all(a is b for a, b in zip(held, _aged_7(snap)))
+        assert (rows[0] == ("only in two",)) == (store is two)
+
+
+def check_a_memo_follows_the_visit_bits() -> None:
+    store = _patients(2_000)
+    snap = store.snapshot()
+    memo = [None]
+    a = SurrogateSet.from_ids(range(1, 2_000, 7))
+    b = SurrogateSet.from_ids([*range(1, 1_994, 7), 1_995])
+    assert len(a) == len(b) and a != b
+    # a again after b: the slot holds b's rows by then.
+    for visit, reused in ((a, False), (b, False), (b, True), (a, False)):
+        want = [snap._objects.get(sid) for sid in visit.ids()]
+        rows, delta = _counted(store, lambda: snap.visit_rows(visit, memo))
+        assert len(rows) == len(want) and all(
+            x is y for x, y in zip(rows, want))
+        assert delta == ((0, len(want)) if reused else (len(want), 0))
+
+
+_MEMO_CLAIMS = (
+    check_runs_on_one_snapshot_gather_once,
+    check_a_committed_write_regathers,
+    check_the_live_store_reuses_nothing,
+    check_one_plan_on_two_stores_shares_no_rows,
+    check_a_memo_follows_the_visit_bits,
+)
+
+
+@pytest.mark.parametrize("claim", _MEMO_CLAIMS,
+                         ids=lambda claim: claim.__name__[6:])
+def test_visit_memo(claim):
+    claim()
+
+
+# Mutants of the memo, each installed over a named hook.
+
+def _without_identity(self, held, bits):
+    return held[1] == bits
+
+
+def _without_bits(self, held, bits):
+    return held[0]() is self
+
+
+def _live_memo(self, surrogates, memo=None):
+    return self._columns.visit(surrogates, memo, self.bitset_stats)
+
+
+def _memo_mutant_killed(owner, hook: str, mutant) -> bool:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, hook, mutant)
+        for claim in _MEMO_CLAIMS:
+            try:
+                claim()
+            except AssertionError:
+                return True
+    return False
+
+
+def test_mutant_memo_without_the_identity_check_is_killed():
+    assert _memo_mutant_killed(FrozenColumns, "_holds", _without_identity)
+
+
+def test_mutant_memo_without_the_bits_check_is_killed():
+    assert _memo_mutant_killed(FrozenColumns, "_holds", _without_bits)
+
+
+def test_mutant_memo_honoured_on_the_live_store_is_killed():
+    assert _memo_mutant_killed(ObjectStore, "visit_rows", _live_memo)
+
+
+@pytest.mark.concurrent
+def test_readers_share_one_plan_while_the_writer_commits():
+    store = _patients(2_000)
+    shared = plan_query(SEL, store.snapshot())
+    misses = store.indexes.qstats.plan_misses
+    handles = list(store.extent("Patient"))
+    stop, errors, epochs = threading.Event(), [], set()
+
+    def reader():
+        try:
+            while not stop.is_set():
+                snap = store.snapshot(wait=False)
+                got = snap.run_query(SEL)
+                plan = plan_query(SEL, snap)
+                assert got == reference_execute_plan(plan, snap)
+                epochs.add(snap.epoch)
+        except Exception as exc:
+            errors.append(exc)
+
+    def writer():
+        rng = random.Random(45)
+        try:
+            for i in range(200):
+                obj = rng.choice(handles)
+                if i % 4 == 0:
+                    handles.append(store.create("Patient", name="n", age=7))
+                elif i % 4 == 1:
+                    handles.remove(obj)
+                    store.remove(obj)
+                elif i % 4 == 2:
+                    store.set_value(obj, "name", f"w{i}")
+                else:
+                    store.set_value(obj, "age", rng.choice((7, 8)))
+                time.sleep(1e-4)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=reader) for _ in range(6)]
+    try:
+        for t in readers:
+            t.start()
+        writing = threading.Thread(target=writer)
+        writing.start()
+        writing.join(timeout=60)
+        assert not writing.is_alive()
+        stop.set()
+        for t in readers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+    assert len(epochs) > 1
+    # One plan served every run.
+    assert store.indexes.qstats.plan_misses == misses
+    assert plan_query(SEL, store.snapshot()) is shared
+
+
+def _first_chunk_only(self, held, bits):
+    return held[0]() is self and held[1].get(0) == bits.get(0)
+
+
+@pytest.mark.slow
+def test_visit_memo_over_three_bitset_chunks():
+    """Two foreign masks over one snapshot that differ only in the third
+    bitset chunk give one plan two visit sets with equal first and
+    second chunk words: each run must gather its own rows, and a compare
+    of the first chunk alone is caught."""
+    store = _patients(9_000)
+    snap = store.snapshot()
+    plan = plan_query(SEL, snap)
+    masks = [MaskedSnapshot(snap, SurrogateSet.from_ids([sid]))
+             for sid in (8_207, 8_257)]        # both 7, both in chunk 2
+
+    def claim():
+        for view in masks + masks:
+            (rows, _), delta = _counted(store, lambda: execute_plan(plan, view))
+            assert (rows, _) == reference_execute_plan(plan, view)
+            assert delta == (179, 0)
+        assert _counted(store, lambda: execute_plan(plan, masks[1]))[1] == (
+            0, 179)
+
+    claim()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FrozenColumns, "_holds", _first_chunk_only)
+        with pytest.raises(AssertionError):
+            claim()
