@@ -49,12 +49,6 @@ machinery for that on the read path:
     are equal.  So a scan after a write gathers only what the write
     changed.  :meth:`FrozenColumns.visit` reuses a plan's visit rows by
     the same rule: the same table (held by weak reference), equal bits.
-
-Counters for the bitset algebra (words ANDed/ORed/ANDNOTed, chunks
-copied by COW) accumulate in the module-level :data:`BITSET_STATS`
-(process-wide, like a CPU performance counter); scan and visit rows
-carried or gathered go to the reading store's sink.  All surface
-through ``store.stats()`` and ``repro stats`` with a ``bitset.`` prefix.
 """
 
 from __future__ import annotations
@@ -67,7 +61,6 @@ from repro.objects.surrogate import Surrogate
 from repro.obs import _Counters
 
 __all__ = [
-    "BITSET_STATS",
     "BitsetStats",
     "CHUNK_BITS",
     "FrozenColumns",
@@ -109,7 +102,10 @@ _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
 
 
 class BitsetStats(_Counters):
-    """Process-wide counters for the columnar set algebra."""
+    """One store's counters for the columnar set algebra, surfaced by
+    ``store.stats()`` with a ``bitset.`` prefix.  The store hands its
+    sink to each operation it runs; the operators, and any call given
+    no sink, count nothing."""
 
     __slots__ = FIELDS = (
         "words_anded",         # 64-bit words ANDed (intersections)
@@ -120,10 +116,6 @@ class BitsetStats(_Counters):
         "rows_carried",        # scan/visit rows reused, not looked up
         "rows_gathered",       # scan/visit rows looked up in column chunks
     )
-
-
-#: The module-wide counter instance every SurrogateSet reports into.
-BITSET_STATS = BitsetStats()
 
 
 class SurrogateSet:
@@ -173,7 +165,8 @@ class SurrogateSet:
                         None)
 
     @classmethod
-    def union(cls, sets: Iterable["SurrogateSet"]) -> "SurrogateSet":
+    def union(cls, sets: Iterable["SurrogateSet"],
+              stats=None) -> "SurrogateSet":
         """All of ``sets``, counted once at the end (a 4096-bit popcount
         costs more than the OR)."""
         chunks: Dict[int, int] = {}
@@ -181,16 +174,18 @@ class SurrogateSet:
         for members in sets:
             for key, word in members._chunks.items():
                 chunks[key] = chunks.get(key, 0) | word
-            BITSET_STATS.words_ored += WORDS_PER_CHUNK * len(members._chunks)
+            if stats is not None:
+                stats.words_ored += WORDS_PER_CHUNK * len(members._chunks)
             overflow.update(members._overflow or ())
         return cls._raw(chunks, sum(w.bit_count() for w in chunks.values()),
                         overflow)
 
-    def copy(self) -> "SurrogateSet":
+    def copy(self, stats=None) -> "SurrogateSet":
         """An independent set sharing the (immutable) chunk payloads --
         the COW privatization copy: O(chunk count), not O(members)."""
         chunks = dict(self._chunks)
-        BITSET_STATS.chunks_cow_copied += len(chunks)
+        if stats is not None:
+            stats.chunks_cow_copied += len(chunks)
         return SurrogateSet._raw(
             chunks, self._count,
             set(self._overflow) if self._overflow else None)
@@ -231,7 +226,7 @@ class SurrogateSet:
         elif self._overflow is not None:
             self._overflow.discard(member)
 
-    def update(self, members: Iterable) -> None:
+    def update(self, members: Iterable, stats=None) -> None:
         if not isinstance(members, SurrogateSet):
             members = list(members)
             if len(members) < _BUILD_MIN or not all(
@@ -240,7 +235,7 @@ class SurrogateSet:
                     self.add(member)
                 return
             members = SurrogateSet.from_ids([m.id for m in members])
-        self._ior_bitmap(members)
+        self._ior_bitmap(members, stats)
 
     def clear(self) -> None:
         self._chunks = {}
@@ -303,6 +298,8 @@ class SurrogateSet:
         return out
 
     # -- set algebra ----------------------------------------------------
+    # ``and_``/``or_``/``sub`` are ``&``/``|``/``-`` with a BitsetStats
+    # sink to count into; the operators are them called with none.
 
     def _coerced(self, other) -> Optional["SurrogateSet"]:
         if isinstance(other, SurrogateSet):
@@ -311,7 +308,7 @@ class SurrogateSet:
             return SurrogateSet(other)
         return None
 
-    def _ior_bitmap(self, other: "SurrogateSet") -> None:
+    def _ior_bitmap(self, other: "SurrogateSet", stats=None) -> None:
         chunks = self._chunks
         added = 0
         for key, word in other._chunks.items():
@@ -320,14 +317,15 @@ class SurrogateSet:
             if merged != mine:
                 added += merged.bit_count() - mine.bit_count()
                 chunks[key] = merged
-        BITSET_STATS.words_ored += WORDS_PER_CHUNK * len(other._chunks)
+        if stats is not None:
+            stats.words_ored += WORDS_PER_CHUNK * len(other._chunks)
         self._count += added
         if other._overflow:
             if self._overflow is None:
                 self._overflow = set()
             self._overflow |= other._overflow
 
-    def __and__(self, other) -> "SurrogateSet":
+    def and_(self, other, stats=None) -> "SurrogateSet":
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -341,14 +339,15 @@ class SurrogateSet:
             if merged:
                 chunks[key] = merged
                 count += merged.bit_count()
-        BITSET_STATS.words_anded += WORDS_PER_CHUNK * len(a)
+        if stats is not None:
+            stats.words_anded += WORDS_PER_CHUNK * len(a)
         overflow = (self._overflow & other._overflow
                     if self._overflow and other._overflow else None)
         return SurrogateSet._raw(chunks, count, overflow)
 
-    __rand__ = __and__
+    __and__ = __rand__ = and_
 
-    def __or__(self, other) -> "SurrogateSet":
+    def or_(self, other, stats=None) -> "SurrogateSet":
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -366,16 +365,17 @@ class SurrogateSet:
                 count -= (mine.bit_count() + word.bit_count()
                           - merged.bit_count())
                 chunks[key] = merged
-        BITSET_STATS.words_ored += WORDS_PER_CHUNK * len(b)
+        if stats is not None:
+            stats.words_ored += WORDS_PER_CHUNK * len(b)
         if self._overflow or other._overflow:
             overflow = set(self._overflow or ()) | set(other._overflow or ())
         else:
             overflow = None
         return SurrogateSet._raw(chunks, count, overflow)
 
-    __ror__ = __or__
+    __or__ = __ror__ = or_
 
-    def __sub__(self, other) -> "SurrogateSet":
+    def sub(self, other, stats=None) -> "SurrogateSet":
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -392,11 +392,14 @@ class SurrogateSet:
                     continue
             chunks[key] = word
             count += word.bit_count()
-        BITSET_STATS.words_andnot += WORDS_PER_CHUNK * touched
+        if stats is not None:
+            stats.words_andnot += WORDS_PER_CHUNK * touched
         overflow = (self._overflow - other._overflow
                     if self._overflow and other._overflow
                     else set(self._overflow) if self._overflow else None)
         return SurrogateSet._raw(chunks, count, overflow)
+
+    __sub__ = sub
 
     def __rsub__(self, other) -> "SurrogateSet":
         coerced = self._coerced(other)
@@ -405,11 +408,7 @@ class SurrogateSet:
         return coerced.__sub__(self)
 
     def __ior__(self, other) -> "SurrogateSet":
-        coerced = self._coerced(other)
-        if coerced is None:
-            self.update(other)
-            return self
-        self._ior_bitmap(coerced)
+        self.update(other)
         return self
 
     # -- comparison -----------------------------------------------------
@@ -560,15 +559,17 @@ class ObjectColumns(FrozenColumns):
     write at stamp ``s`` first privatizes the top table (once per
     snapshot generation), then the touched chunk (once per chunk per
     generation) -- so writers pay O(n/256) *once* after each snapshot
-    instead of every snapshot paying O(n).
+    instead of every snapshot paying O(n).  Chunk copies tick the
+    owning store's ``stats``.
     """
 
-    __slots__ = ("_chunk_stamp", "_stamp")
+    __slots__ = ("_chunk_stamp", "_stamp", "_stats")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: BitsetStats) -> None:
         super().__init__({}, 0)
         self._chunk_stamp: Dict[int, int] = {}
         self._stamp = -1
+        self._stats = stats
 
     def _writable_chunk(self, key: int, stamp: int) -> Dict[int, tuple]:
         if self._stamp != stamp:
@@ -579,7 +580,7 @@ class ObjectColumns(FrozenColumns):
             self._stamp = stamp
         if self._chunk_stamp.get(key) != stamp:
             chunk = dict(self._chunks.get(key, ()))
-            BITSET_STATS.column_chunks_copied += 1
+            self._stats.column_chunks_copied += 1
             self._chunks[key] = chunk
             self._chunk_stamp[key] = stamp
             return chunk

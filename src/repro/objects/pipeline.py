@@ -899,7 +899,7 @@ class MutationPipeline:
             for cdef in store.schema.virtual_classes():
                 members = store._extents.get(cdef.name)
                 if members:
-                    virtual_members |= members
+                    virtual_members.update(members, store.bitset_stats)
             if virtual_members:
                 for entries in groups.values():
                     for entry in entries:
@@ -989,7 +989,7 @@ class MutationPipeline:
         store = self.store
         members = store._extents[class_name]
         if store._extent_cow.get(class_name) != store._snapshot_stamp:
-            members = members.copy()
+            members = members.copy(store.bitset_stats)
             store._extents[class_name] = members
             store._extent_cow[class_name] = store._snapshot_stamp
         return members
@@ -1007,9 +1007,10 @@ class MutationPipeline:
                 by_class.setdefault(class_name, []).append(members)
         for class_name, sets in by_class.items():
             # A fresh set per class: extents never share a container.
-            added = SurrogateSet.union(sets)
+            added = SurrogateSet.union(sets, store.bitset_stats)
             if class_name in store._extents:
-                self.writable_extent(class_name).update(added)
+                self.writable_extent(class_name).update(
+                    added, store.bitset_stats)
             else:
                 store._extents[class_name] = added
                 store._extent_cow[class_name] = store._snapshot_stamp

@@ -103,18 +103,20 @@ class SnapshotIndexes:
     epoch.
 
     Posting *containers* are captured by reference (the manager's hooks
-    privatize an index before mutating it); the plan cache and query
-    counters are shared with the live store.  Plans are keyed on the
-    captured design version, which only index create/drop moves: views
-    under one design share each plan, each with its own postings.
+    privatize an index before mutating it); the plan cache and the query
+    and bitset counters are shared with the live store.  Plans are keyed
+    on the captured design version, which only index create/drop moves:
+    views under one design share each plan, each with its own postings.
     """
 
-    __slots__ = ("version", "plan_cache", "qstats", "_postings")
+    __slots__ = ("version", "plan_cache", "qstats", "bitset_stats",
+                 "_postings")
 
     def __init__(self, manager) -> None:
         self.version = manager.version
         self.plan_cache = manager.plan_cache
         self.qstats = manager.qstats
+        self.bitset_stats = manager.bitset_stats
         # attr -> (index, buckets, inapplicable, residue), all refs.
         self._postings = manager.capture()
 
@@ -177,10 +179,8 @@ class StoreSnapshot:
         self._n_virtual_refs = len(store._virtual_refs)
         self._n_dirty = len(store._dirty)
         # Counters are read when stats() runs, from the live objects.
-        # The bitset sink is the store's (by default the process-wide
-        # BITSET_STATS), so a shard worker reports its own counters.
         self._engine_stats = store.checker.stats
-        self._bitset_stats = store.bitset_stats
+        self.bitset_stats = store.bitset_stats
         # Lazy, idempotently-populated caches (thread-shared).
         self._wrappers: Dict[object, SnapshotInstance] = {}
         self._extent_rows: Dict[str, Tuple[SnapshotInstance, ...]] = {}
@@ -246,12 +246,12 @@ class StoreSnapshot:
             # build's list; then the prior generation's rows can go.
             built = self._scan_rows.setdefault(class_name, self._objects.scan(
                 self.extent_surrogates(class_name),
-                self._carried.get(class_name), self._bitset_stats))
+                self._carried.get(class_name), self.bitset_stats))
             self._carried.pop(class_name, None)
         return built[1]
 
     def visit_rows(self, surrogates, memo=None) -> list:
-        return self._objects.visit(surrogates, memo, self._bitset_stats)
+        return self._objects.visit(surrogates, memo, self.bitset_stats)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """Captured surrogate set (callers must not mutate it)."""
@@ -305,7 +305,7 @@ class StoreSnapshot:
         snap["plans_in_cache"] = len(self.indexes.plan_cache)
         for name, value in self.indexes.qstats.snapshot().items():
             snap[f"query.{name}"] = value
-        for name, value in self._bitset_stats.snapshot().items():
+        for name, value in self.bitset_stats.snapshot().items():
             snap[f"bitset.{name}"] = value
         return snap
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.columnar import BITSET_STATS, BitsetStats, ObjectColumns, SurrogateSet
+from repro.columnar import BitsetStats, ObjectColumns, SurrogateSet
 from repro.errors import (
     NoSuchObjectError,
     SchemaEvolutionError,
@@ -71,7 +71,6 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownClassError,
 )
-from repro.obs import EngineStats
 from repro.objects.instance import Instance
 from repro.objects.pipeline import (
     AlterClassCommand,
@@ -111,28 +110,20 @@ class ObjectStore:
     def __init__(self, schema: Schema,
                  check_mode: str = CheckMode.EAGER,
                  strict_virtual_extents: bool = True,
-                 require_values: bool = False,
-                 stats: Optional[EngineStats] = None,
-                 bitset_stats: Optional[BitsetStats] = None) -> None:
+                 require_values: bool = False) -> None:
         self.schema = schema
-        self.checker = ConformanceChecker(
-            schema, require_values=require_values, stats=stats)
+        self.checker = ConformanceChecker(schema, require_values=require_values)
         self.check_mode = check_mode
         self.strict_virtual_extents = strict_virtual_extents
-        # The bitset-counter sink stats() reports.  Defaults to the
-        # process-wide BITSET_STATS the set algebra ticks; a shard
-        # worker (or any embedder) may inject its own sink so reported
-        # numbers are attributable to this store's process rather than
-        # silently read from whichever process asks.
-        self.bitset_stats = (bitset_stats if bitset_stats is not None
-                             else BITSET_STATS)
+        #: Ticked by the bitset work this store runs; stats() reports it.
+        self.bitset_stats = BitsetStats()
         self._allocator = SurrogateAllocator()
         self._objects: Dict[Surrogate, Instance] = {}
         # Chunked id -> (surrogate, memberships, values) row table: what a
         # snapshot captures in O(1) instead of copying _objects (see
         # repro.columnar).  Kept in lockstep with _objects and with
         # every container reassignment (_prepare_write, rollback).
-        self._columns = ObjectColumns()
+        self._columns = ObjectColumns(self.bitset_stats)
         self._extents: Dict[str, SurrogateSet] = {}
         # (virtual class name, surrogate) -> number of referencing sites.
         self._virtual_refs: Dict[Tuple[str, Surrogate], int] = {}
@@ -387,9 +378,7 @@ class ObjectStore:
 
     def visit_rows(self, surrogates, memo=None) -> list:
         # No memo: the live columns mutate in place.
-        rows = self._columns.gather(surrogates)
-        self.bitset_stats.rows_gathered += len(rows)
-        return rows
+        return self._columns.visit(surrogates, None, self.bitset_stats)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """The live extent as a surrogate set -- the class-membership

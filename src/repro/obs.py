@@ -13,10 +13,10 @@ maintenance work the write path spends keeping the indexes current.
 
 Counters are plain attributes (an increment is one ``LOAD_ATTR`` +
 ``INPLACE_ADD``; cheap enough for the eager-write path the engine is
-optimizing).  Timing is opt-in: with ``timing=True`` (or any hook
-registered) the store brackets each checked mutation and records wall
-time per event class; hooks receive ``(event, duration_seconds)`` and can
-forward to any external metrics sink.
+optimizing), owned by the store or service whose work ticks them.
+Timing is opt-in: with ``EngineStats(timing=True)`` (``repro stats
+--timing``) each attribute write adds its wall time to ``write.eager``
+or ``write.unchecked``, which ``stats()`` reports as ``time.<event>``.
 """
 
 from __future__ import annotations

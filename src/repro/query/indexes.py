@@ -69,7 +69,8 @@ _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 
 def range_buckets(buckets: Dict[object, SurrogateSet], value, op: str,
-                  const_left: bool) -> Tuple[SurrogateSet, SurrogateSet]:
+                  const_left: bool,
+                  stats=None) -> Tuple[SurrogateSet, SurrogateSet]:
     """The range pushdown's walk over either index face's buckets: the
     union of those whose key satisfies ``key op value`` (``value op key``
     when ``const_left``: the scan's comparison, in its operand order),
@@ -83,7 +84,8 @@ def range_buckets(buckets: Dict[object, SurrogateSet], value, op: str,
                 hits.append(bucket)
         except Exception:      # visited: the row loop raises it as the scan
             unordered.append(bucket)
-    return SurrogateSet.union(hits), SurrogateSet.union(unordered)
+    return (SurrogateSet.union(hits, stats),
+            SurrogateSet.union(unordered, stats))
 
 
 class StoreIndex:
@@ -93,10 +95,11 @@ class StoreIndex:
     moves or removes a posting says which value it was under."""
 
     __slots__ = ("attribute", "_buckets", "inapplicable", "residue",
-                 "_cow_stamp", "_owned")
+                 "_cow_stamp", "_owned", "_stats")
 
-    def __init__(self, attribute: str) -> None:
+    def __init__(self, attribute: str, stats=None) -> None:
         self.attribute = attribute
+        self._stats = stats         # the owning store's BitsetStats
         self._buckets: Dict[object, SurrogateSet] = {}
         #: Live objects with no value for the attribute.
         self.inapplicable = SurrogateSet()
@@ -126,14 +129,14 @@ class StoreIndex:
         if value is INAPPLICABLE:
             if INAPPLICABLE not in owned:
                 owned.add(INAPPLICABLE)
-                self.inapplicable = self.inapplicable.copy()
+                self.inapplicable = self.inapplicable.copy(self._stats)
             return self.inapplicable
         try:
             bucket = self._buckets.get(value)
         except TypeError:
             if _RESIDUE not in owned:
                 owned.add(_RESIDUE)
-                self.residue = self.residue.copy()
+                self.residue = self.residue.copy(self._stats)
             return self.residue
         if bucket is None:
             if not create:
@@ -142,7 +145,7 @@ class StoreIndex:
         elif value in owned:
             return bucket
         else:
-            bucket = bucket.copy()
+            bucket = bucket.copy(self._stats)
         owned.add(value)
         self._buckets[value] = bucket
         return bucket
@@ -180,9 +183,9 @@ class StoreIndex:
                 residue.append(obj.surrogate)
                 unhashable = value
         for value, members in groups.items():
-            self._posting(value, True).update(members)
+            self._posting(value, True).update(members, self._stats)
         if residue:
-            self._posting(unhashable, True).update(residue)
+            self._posting(unhashable, True).update(residue, self._stats)
 
     # Lookup -----------------------------------------------------------
 
@@ -274,6 +277,7 @@ class IndexManager:
         #: Bumped whenever the set of indexes changes (physical design).
         self.version = 0
         self.qstats = QueryStats()
+        self.bitset_stats = store.bitset_stats
         self.plan_cache = PlanCache(stats=self.qstats)
 
     # Administration ---------------------------------------------------
@@ -292,7 +296,7 @@ class IndexManager:
         """(Re)build ``index`` from the live population in fresh
         containers, which no snapshot can have captured; the index
         object keeps its identity."""
-        index.__init__(index.attribute)
+        index.__init__(index.attribute, self.bitset_stats)
         index.add_all(self._store.instances())
         index._cow_stamp = self._store._snapshot_stamp
         return index
@@ -412,7 +416,8 @@ class IndexManager:
         return len(self.lookup(attribute, value))
 
     def range(self, attribute: str, *conjunct):
-        return range_buckets(self.buckets(attribute), *conjunct)
+        return range_buckets(self.buckets(attribute), *conjunct,
+                             self.bitset_stats)
 
     # Rollback roots (atomic scopes) -----------------------------------
 

@@ -334,7 +334,8 @@ def _compile_executor(plan: QueryPlan, qstats=None) -> Callable:
 
     The function takes ``(store, stats)`` -- any store-like object with
     an index manager, so one cached plan serves the live store and every
-    snapshot -- and returns the row list.  Rows arrive as
+    snapshot -- and returns the row list.  Its set algebra counts into
+    the manager's ``bitset_stats``, the store's own sink.  Rows arrive as
     ``(ref, memberships, values)`` from ``store.scan_rows`` /
     ``store.visit_rows``.  When the physical design moved underneath the
     plan (a pushed equality's index was dropped) it runs the guarded
@@ -390,7 +391,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
             env[f"_c{i}"] = p.class_name
             estimates.append(f"store.count(_c{i})")
     no_where = not plan.residual and compiled.aggregates is None
-    lines = ["visit = None"]
+    lines = ["bitset = manager.bitset_stats", "visit = None"]
     if no_where:
         lines.append("proven = False")
     algebra = ["extent_set = store.extent_surrogates(_source)",
@@ -414,29 +415,32 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     # Residue and unorderable rows: visited, and the run is inexact.
     inexact = ["    exact = False"] if no_where else []
     for i, p in enumerate(pushdowns):
-        inap = f"inap = manager.inapplicable(_a{i}) & cand"
+        inap = f"inap = cand.and_(manager.inapplicable(_a{i}), bitset)"
+        skips = "skips = inap if skips is None else skips.or_(inap, bitset)"
         if p.kind == "range":
             steps += [
                 f"hits, unordered = manager.range(_a{i}, _v{i}, *_r{i})",
                 inap,
-                f"res = (manager.residue(_a{i}) | unordered) & cand",
-                "if res:", "    inap = inap | res", *inexact,
-                "skips = inap if skips is None else skips | inap",
-                "cand = hits & cand",
+                f"res = cand.and_(manager.residue(_a{i}).or_(unordered, "
+                "bitset), bitset)",
+                "if res:", "    inap = inap.or_(res, bitset)", *inexact,
+                skips,
+                "cand = cand.and_(hits, bitset)",
             ]
         elif p.kind == "eq":
             steps += [
                 inap,
-                "skips = inap if skips is None else skips | inap",
-                f"matched = manager.lookup(_a{i}, _v{i}) & cand",
-                f"res = manager.residue(_a{i}) & cand",
-                "if res:", "    matched = matched | res", *inexact,
+                skips,
+                f"matched = cand.and_(manager.lookup(_a{i}, _v{i}), bitset)",
+                f"res = cand.and_(manager.residue(_a{i}), bitset)",
+                "if res:", "    matched = matched.or_(res, bitset)",
+                *inexact,
                 "cand = matched",
             ]
-        elif p.kind == "member":
-            steps.append(f"cand = cand & store.extent_surrogates(_c{i})")
         else:
-            steps.append(f"cand = cand - store.extent_surrogates(_c{i})")
+            op = "and_" if p.kind == "member" else "sub"
+            steps.append(
+                f"cand = cand.{op}(store.extent_surrogates(_c{i}), bitset)")
     steps += [
         f"qstats.index_lookups += {len(pushdowns)}",
         f"stats.index_lookups = {len(pushdowns)}",
@@ -444,7 +448,8 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         "pruned = scan_rows - len(cand)" + (" - len(skips)" if probes
                                              else ""),
     ]
-    visit = "    visit = cand | skips" if probes else "    visit = cand"
+    visit = ("    visit = cand.or_(skips, bitset)" if probes
+             else "    visit = cand")
     if no_where and probes and compiled.emitter.on_unsafe == "skip":
         steps += ["if pruned > 0 and exact:", "    proven = True",
                   "    visit = cand",

@@ -997,8 +997,8 @@ class ShardedStore:
     # -- observability --------------------------------------------------
 
     def shard_stats(self) -> List[Dict[str, object]]:
-        """Per-shard ``store.stats()`` dicts (each from its own process
-        and its own injected bitset-counter sink), in shard order."""
+        """Per-shard ``store.stats()`` dicts, in shard order: each
+        shard's own counters, kept per store, in any backend."""
         payloads = self._broadcast_cmd({"op": "stats"})
         return [payload for _sid, payload in payloads]
 

@@ -1,11 +1,11 @@
 """Shard worker: one full :class:`ObjectStore` behind a command loop.
 
 Each shard is an ordinary store -- its own mutation pipeline, WAL
-directory, columnar extents, plan cache, and per-process
-``BITSET_STATS`` -- wrapped by :class:`ShardServer`, which decodes JSON
-commands (``wire.py``), executes them against the store, and encodes
-results.  :func:`shard_worker_main` is the ``multiprocessing`` entry
-point (top-level, so it is spawn-safe): it serves one duplex pipe, one
+directory, columnar extents, plan cache, and counters -- wrapped by
+:class:`ShardServer`, which decodes JSON commands (``wire.py``),
+executes them against the store, and encodes results.
+:func:`shard_worker_main` is the ``multiprocessing`` entry point
+(top-level, so it is spawn-safe): it serves one duplex pipe, one
 command at a time, and exits when its router is gone; the in-process
 backend drives the very same :class:`ShardServer` through the very
 same JSON texts.
@@ -43,7 +43,7 @@ import os
 from typing import Dict, Optional, Tuple
 
 from repro import codec
-from repro.columnar import BITSET_STATS, SurrogateSet
+from repro.columnar import SurrogateSet
 from repro.errors import ShardingError
 from repro.lang.loader import load_schema
 from repro.objects.pipeline import CheckMode
@@ -74,7 +74,8 @@ class MaskedSnapshot:
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         cached = self._masked.get(class_name)
         if cached is None:
-            cached = self._snap.extent_surrogates(class_name) - self._foreign
+            cached = self._snap.extent_surrogates(class_name).sub(
+                self._foreign, self._snap.bitset_stats)
             self._masked[class_name] = cached
         return cached
 
@@ -117,10 +118,6 @@ class ShardServer:
             if schema is None:
                 raise ShardingError("an in-memory shard needs a schema")
             self.store = ObjectStore(schema, check_mode=check_mode)
-        # Report this process's own bitset counters (satellite: the
-        # sink is injectable; in a worker process the module global IS
-        # this shard's sink).
-        self.store.bitset_stats = BITSET_STATS
         #: Replicated reference entities owned by another shard: masked
         #: out of every extent this shard reports.
         self.foreign = SurrogateSet()
@@ -155,7 +152,7 @@ class ShardServer:
                 raise ShardingError("a scope is already open")
             txn = self.store.transaction()
             txn.__enter__()
-            self._scope = (txn, self.foreign.copy())
+            self._scope = (txn, self.foreign.copy(self.store.bitset_stats))
         if handler is None:
             raise ShardingError(f"unknown shard command {op!r}")
         return handler(self, cmd)

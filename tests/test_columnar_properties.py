@@ -154,7 +154,7 @@ def check_decoder(ids) -> None:
     assert sset.ids() == model
     sset.add("overflow")
     assert list(sset) == [Surrogate(sid) for sid in model] + ["overflow"]
-    columns = ObjectColumns()
+    columns = ObjectColumns(columnar.BitsetStats())
     for sid in model:
         columns.put(Surrogate(sid), frozenset(), {}, stamp=0)
     frozen = columns.capture()

@@ -530,7 +530,7 @@ def test_mutant_skip_rows_pruned_instead_of_visited_is_killed(monkeypatch):
     """Skip rows neither visited nor counted: dropped from the visit set
     of a guarded run, and from the count of a proven one."""
     applied = _mutate_source(
-        monkeypatch, (r"visit = cand \| skips", "visit = cand"),
+        monkeypatch, (r"visit = cand\.or_\(skips, bitset\)", "visit = cand"),
         (r"stats\.rows_skipped = len\(skips\)", "stats.rows_skipped = 0"))
     assert _killed(check_case, _range_cases)
     assert sum(applied)
@@ -550,8 +550,8 @@ def test_mutant_unorderable_bucket_pruned_is_killed(monkeypatch):
 
 
 def test_mutant_constant_left_operator_not_mirrored_is_killed(monkeypatch):
-    _patch_range_walk(monkeypatch, lambda real, buckets, value, op, _left:
-                      real(buckets, value, op, False))
+    _patch_range_walk(monkeypatch, lambda real, buckets, value, op, _left,
+                      *sink: real(buckets, value, op, False, *sink))
     assert _killed(check_case, _range_cases)
 
 
@@ -559,8 +559,8 @@ def test_mutant_range_skip_rows_not_visited_is_killed(monkeypatch):
     """A range step drops its INAPPLICABLE posting."""
     applied = _mutate_source(monkeypatch, (
         r"(manager\.range\([^\n]*\n\s*)"
-        r"inap = manager\.inapplicable\(_a\d+\) & cand",
-        r"\1inap = unordered & cand"))
+        r"inap = cand\.and_\(manager\.inapplicable\(_a\d+\), bitset\)",
+        r"\1inap = cand.and_(unordered, bitset)"))
     assert _killed(check_case, _range_cases)
     assert sum(applied)
 

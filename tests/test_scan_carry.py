@@ -17,7 +17,9 @@ claims:
   4095/4096; segments empty.  Three seeded mutants of the builder are
   killed in bounded, derandomized runs.
 * **The counters are exact.**  ``bitset.rows_gathered`` /
-  ``bitset.rows_carried`` deltas on a 10,000-patient store.
+  ``bitset.rows_carried`` deltas on a 10,000-patient store; two stores
+  in one process, also each read by its own thread (``concurrent``),
+  count only their own work.
 * **Threads** (``concurrent``): readers scan snapshot *k* while the
   writer commits and other readers build *k+1* from *k*'s table.
 * **Three bitset chunks** (``slow``): the same trace over 8,200+
@@ -260,18 +262,39 @@ def test_carried_and_gathered_counter_deltas():
     assert scan_delta()[1] == (1, 10_000)                  # its segment only
 
 
-def test_row_counters_tick_the_reading_stores_sink():
-    store = ObjectStore(SCHEMA, bitset_stats=columnar.BitsetStats())
-    _fill(store, 300, ("Patient",))
-    process = columnar.BITSET_STATS.snapshot()
-    store.snapshot().scan_rows("Patient")
-    store.snapshot().scan_rows("Patient")
-    stats = store.stats()
-    assert (stats["bitset.rows_gathered"], stats["bitset.rows_carried"]) == (
-        300, 0)
-    assert {k: v for k, v in columnar.BITSET_STATS.snapshot().items()
-            if k.startswith("rows_")} == {
-        k: v for k, v in process.items() if k.startswith("rows_")}
+def _bitset(store) -> dict:
+    return {k: v for k, v in store.stats().items() if k.startswith("bitset.")}
+
+
+def _bitset_work(store) -> dict:
+    """Writes between snapshots, then pruned and full reads: work that
+    ticks every bitset counter.  Returns the deltas of ``store``'s own
+    counters."""
+    before = _bitset(store)
+    store.create_index("age")
+    handles = list(store.extent("Patient"))[:3]
+    for i, obj in enumerate(handles):
+        store.snapshot()
+        store.set_value(obj, "age", 41 + i)
+        store.classify(obj, "Ambulatory_Patient")
+        snap = store.snapshot()
+        snap.run_query("for p in Patient where p.age = 41 select p.name")
+        snap.run_query(
+            "for p in Patient where p not in Ambulatory_Patient select p.name")
+        snap.scan_rows("Patient")
+    return {k: v - before[k] for k, v in _bitset(store).items()}
+
+
+def test_two_stores_in_one_process_report_disjoint_counts():
+    busy, idle = ObjectStore(SCHEMA), ObjectStore(SCHEMA)
+    for store in (busy, idle):
+        _fill(store, 300, ("Patient",))
+    resting = _bitset(idle)
+    work = _bitset_work(busy)
+    assert _bitset(idle) == resting
+    assert all(work.values()), work
+    # The same work on the other store counts the same, on that store.
+    assert _bitset_work(idle) == work
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +359,36 @@ def test_readers_carry_forward_while_the_writer_commits():
     assert not errors, errors[0]
     assert len(epochs) > 1         # readers scanned while commits landed
     assert_scans_match(store)
+
+
+@pytest.mark.concurrent
+def test_stores_read_by_their_own_threads_report_disjoint_counts():
+    stores = [ObjectStore(SCHEMA) for _ in range(3)]
+    for store in stores:
+        _fill(store, 300, ("Patient",))
+    alone = _bitset_work(stores.pop())
+    results, errors = {}, []
+
+    def run(i, store):
+        try:
+            results[i] = _bitset_work(store)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=run, args=pair)
+               for pair in enumerate(stores)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+    assert results == {0: alone, 1: alone}
 
 
 # ----------------------------------------------------------------------

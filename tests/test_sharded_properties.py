@@ -15,8 +15,9 @@ Part 2 -- real processes: fork/spawn smoke tests, a crash-recovery
 test that kills a worker mid-batch and reopens the directory, the pipe
 transport's own contract (large messages, one command in flight,
 crashes surfacing at once, survivors staying in step), workers
-exiting when their router is killed, and a transaction scope whose
-router or worker dies leaving nothing behind.
+exiting when their router is killed, a transaction scope whose
+router or worker dies leaving nothing behind, and the same bitset
+counts from in-process and worker-process shards.
 """
 
 from __future__ import annotations
@@ -351,6 +352,35 @@ def test_process_backend_end_to_end(start_method):
         assert stats["routed_objects"] == len(sharded)
     finally:
         sharded.close()
+
+
+def _bitset_trace(processes: bool) -> dict:
+    sharded = ShardedStore(SCHEMA, 2, processes=processes)
+    try:
+        pats, ents = _build_world(sharded)
+        sharded.create_index("age")
+        sharded.bulk_load([
+            ("Patient", {"name": f"b{i}", "age": 99,
+                         "treatedBy": ents["physician"]})
+            for i in range(20)
+        ])
+        for patient in pats[:3]:
+            sharded.classify(patient, "Hemorrhaging_Patient")
+            sharded.query("for p in Patient where p.age = 99 select p.name")
+            sharded.query("for p in Patient where p not in "
+                          "Hemorrhaging_Patient select p.name")
+        return {k: v for k, v in sharded.stats().items()
+                if k.startswith("bitset.")}
+    finally:
+        sharded.close()
+
+
+def test_both_backends_count_the_same_bitset_work():
+    """Each shard reports its own store's counters, in a worker process
+    or in this one, so the aggregates agree."""
+    in_process = _bitset_trace(processes=False)
+    assert in_process["bitset.words_anded"] > 0
+    assert _bitset_trace(processes=True) == in_process
 
 
 def test_worker_crash_is_reported_and_recovered(tmp_path):

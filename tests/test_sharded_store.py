@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.columnar import BitsetStats, SurrogateSet
+from repro.columnar import SurrogateSet
 from repro import codec
 from repro.errors import (
     ConformanceError,
@@ -734,16 +734,36 @@ def test_alter_violations_are_aggregated_not_vetoed(twin):
 # Stats
 # --------------------------------------------------------------------------
 
-def test_injectable_bitset_sink_isolates_counters():
-    sink = BitsetStats()
-    store = ObjectStore(SCHEMA, bitset_stats=sink)
-    plain = ObjectStore(SCHEMA)
-    assert store.bitset_stats is sink
-    assert plain.bitset_stats is not sink
-    stats = store.stats()
-    snap = sink.snapshot()
-    for name, value in snap.items():
-        assert stats[f"bitset.{name}"] == value
+def _bitset(stats) -> dict:
+    return {k: v for k, v in stats.items() if k.startswith("bitset.")}
+
+
+def _queries(store, run) -> None:
+    store.create_index("age")
+    for age in (21, 30, 55):
+        run(f"for p in Patient where p.age = {age} select p.name")
+    run("for p in Patient where p not in Hemorrhaging_Patient select p.name")
+
+
+def test_in_process_shards_report_their_own_bitset_counts(twin):
+    _single, sharded = twin
+    _queries(sharded, sharded.query)
+    per_shard = [_bitset(shard) for shard in sharded.shard_stats()]
+    assert len({tuple(counts.values()) for counts in per_shard}) > 1
+    aggregate = _bitset(sharded.stats())
+    assert aggregate == {name: sum(counts[name] for counts in per_shard)
+                         for name in aggregate}
+    assert aggregate["bitset.words_anded"] > 0
+
+
+def test_another_stores_work_moves_no_sharded_counter(twin):
+    single, sharded = twin
+    before = [_bitset(shard) for shard in sharded.shard_stats()]
+    moved = _bitset(single.stats())
+    _queries(single, single.run_query)
+    single.set_value(single.extent("Patient")[0], "age", 60)
+    assert _bitset(single.stats()) != moved
+    assert [_bitset(shard) for shard in sharded.shard_stats()] == before
 
 
 def test_sharded_stats_shapes(twin):

@@ -7,7 +7,6 @@ snapshot's gauges are its epoch's; its counters are read at the call.
 
 import pytest
 
-from repro.columnar import BitsetStats
 from repro.errors import ConformanceError
 from repro.obs import EngineStats, _Counters
 from repro.objects import CheckMode, ObjectStore
@@ -24,7 +23,7 @@ def run_trace():
     first's one visit row).  The code memo is process-wide: cleared, so
     ``query.sources_compiled`` repeats."""
     _code_object.cache_clear()
-    store = ObjectStore(build_hospital_schema(), bitset_stats=BitsetStats())
+    store = ObjectStore(build_hospital_schema())
     doc = store.create("Physician", name="doc", age=50)
     shrink = store.create("Psychologist", name="shrink", age=45)
     patients = [store.create("Patient", name=f"p{i}", age=20 + i,
@@ -71,9 +70,9 @@ PINNED_STATS = {
     'query.index_scans': 2, 'query.full_scans': 0, 'query.index_lookups': 2,
     'query.rows_pruned': 12, 'query.index_updates': 6,
     'query.compiled_execs': 2, 'query.sources_compiled': 1,
-    'bitset.words_anded': 0, 'bitset.words_ored': 0,
-    'bitset.words_andnot': 0, 'bitset.chunks_cow_copied': 0,
-    'bitset.column_chunks_copied': 0, 'bitset.rows_carried': 1,
+    'bitset.words_anded': 128, 'bitset.words_ored': 0,
+    'bitset.words_andnot': 0, 'bitset.chunks_cow_copied': 6,
+    'bitset.column_chunks_copied': 3, 'bitset.rows_carried': 1,
     'bitset.rows_gathered': 1,
 }
 
@@ -119,8 +118,7 @@ def _swiss_hospital(store):
 
 def test_snapshot_stats_gauges_are_the_epochs_counters_are_live():
     store = ObjectStore(build_hospital_schema(),
-                        check_mode=CheckMode.DEFERRED,
-                        bitset_stats=BitsetStats())
+                        check_mode=CheckMode.DEFERRED)
     doc = store.create("Physician", name="doc", age=50)
     store.create("Patient", name="p", age=30, treatedBy=doc)
     snap = store.snapshot()
