@@ -47,15 +47,16 @@ machinery for that on the read path:
     segment from the previous snapshot's list when both observable facts
     match: the chunk is the same object and the extent's bits over it
     are equal.  So a scan after a write gathers only what the write
-    changed.  :meth:`FrozenColumns.visit` reuses a plan's visit rows by
-    the same rule: the same table (held by weak reference), equal bits.
+    changed.  A plan keeps the visit rows it gathered in its one memo
+    slot, keyed by weak reference on the read-only view it ran on: the
+    access path, never the answer, and never on the live store or in a
+    worker scope (:func:`repro.query.planner._compile_executor`).
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-from weakref import ref
 
 from repro.objects.surrogate import Surrogate
 from repro.obs import _Counters
@@ -448,7 +449,7 @@ class FrozenColumns:
     allocates nothing per row.
     """
 
-    __slots__ = ("_chunks", "_count", "__weakref__")
+    __slots__ = ("_chunks", "_count")
 
     def __init__(self, chunks: Dict[int, Dict[int, tuple]],
                  count: int) -> None:
@@ -471,37 +472,14 @@ class FrozenColumns:
             yield from sorted(self._chunks[key])
 
     def gather(self, surrogates: "SurrogateSet",
-               key: Optional[int] = None) -> list:
+               stats: BitsetStats) -> list:
         """The captured ``(surrogate, memberships, values)`` entry of
         each member, ascending -- what a query's row loop consumes
-        instead of instance wrappers: all of them (an index visit set),
-        or those in column chunk ``key`` (a scan segment, one lookup
-        per member)."""
-        if key is None:
-            chunks = self._chunks
-            return [chunks[sid >> _COL_SHIFT][sid] for sid in surrogates.ids()]
-        return list(map(self._chunks[key].__getitem__, surrogates.ids(
-            key << _COL_SHIFT, (key + 1) << _COL_SHIFT)))
-
-    def visit(self, surrogates: "SurrogateSet", memo: Optional[list],
-              stats: BitsetStats) -> list:
-        """``gather(surrogates)``, or the rows a plan's one-element
-        ``memo`` holds as ``(weakref to the table, bits, rows)`` while
-        :meth:`_holds`; a miss refills it in one assignment."""
-        bits = surrogates._chunks
-        held = memo[0] if memo else None
-        if held is not None and self._holds(held, bits):
-            stats.rows_carried += len(held[2])
-            return held[2]
-        rows = self.gather(surrogates)
+        instead of instance wrappers -- counted in ``rows_gathered``."""
+        chunks = self._chunks
+        rows = [chunks[sid >> _COL_SHIFT][sid] for sid in surrogates.ids()]
         stats.rows_gathered += len(rows)
-        if memo:     # (bits copied: the caller's set may change)
-            memo[0] = (ref(self), dict(bits), rows)
         return rows
-
-    def _holds(self, held: tuple, bits: Dict[int, int]) -> bool:
-        # This very table (a dead reference is None), the same bits.
-        return held[0]() is self and held[1] == bits
 
     def scan(self, extent: "SurrogateSet", prior: Optional[tuple],
              stats: BitsetStats) -> tuple:
@@ -539,8 +517,9 @@ class FrozenColumns:
                 if entry is not None and entry[0] is chunk:
                     rows += old_rows[entry[1]:entry[2]]
                     carried += entry[2] - entry[1]
-                else:
-                    rows += self.gather(extent, key)
+                else:     # one lookup per member of the segment
+                    rows += map(chunk.__getitem__, extent.ids(
+                        key << _COL_SHIFT, (key + 1) << _COL_SHIFT))
                 table[key] = (chunk, lo, len(rows))
         stats.rows_carried += carried
         stats.rows_gathered += len(rows) - carried

@@ -33,9 +33,9 @@ by reference, the row lists and segment tables of the snapshot it
 replaces (O(classes)), and ``scan_rows`` copies every segment whose
 column chunk and extent bits are unchanged, gathering only what the
 writes in between changed (:meth:`repro.columnar.FrozenColumns.scan`).
-A plan re-run on one snapshot with equal visit bits takes the rows its
-memo slot holds (:meth:`repro.columnar.FrozenColumns.visit`); the live
-store, whose columns mutate in place, gathers every time.
+A plan re-run on one snapshot skips its set algebra: its memo slot keys
+on ``memo_ref``, a weak reference to the snapshot; the live store, whose
+columns mutate in place, has none (``repro.query.planner``).
 
 Snapshots may be shared freely across reader threads: all internal
 lazy caches (extents, row lists, instance wrappers) are populated with
@@ -46,6 +46,7 @@ live store -- takes its own lock.
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Set, Tuple
+from weakref import ref
 
 from repro.columnar import SurrogateSet
 from repro.errors import NoSuchObjectError, UnknownClassError
@@ -181,6 +182,7 @@ class StoreSnapshot:
         # Counters are read when stats() runs, from the live objects.
         self._engine_stats = store.checker.stats
         self.bitset_stats = store.bitset_stats
+        self.memo_ref = ref(self)       # a plan memo's key (weak)
         # Lazy, idempotently-populated caches (thread-shared).
         self._wrappers: Dict[object, SnapshotInstance] = {}
         self._extent_rows: Dict[str, Tuple[SnapshotInstance, ...]] = {}
@@ -250,8 +252,8 @@ class StoreSnapshot:
             self._carried.pop(class_name, None)
         return built[1]
 
-    def visit_rows(self, surrogates, memo=None) -> list:
-        return self._objects.visit(surrogates, memo, self.bitset_stats)
+    def visit_rows(self, surrogates) -> list:
+        return self._objects.gather(surrogates, self.bitset_stats)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """Captured surrogate set (callers must not mutate it)."""

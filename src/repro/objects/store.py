@@ -107,6 +107,9 @@ _EMPTY_EXTENT = SurrogateSet()
 class ObjectStore:
     """Holds instances, their extents, and enforces the schema."""
 
+    #: No plan memoises a run here (``StoreSnapshot.memo_ref``).
+    memo_ref = None
+
     def __init__(self, schema: Schema,
                  check_mode: str = CheckMode.EAGER,
                  strict_virtual_extents: bool = True,
@@ -374,11 +377,10 @@ class ObjectStore:
     # The generated query loop's row source (``repro.query.compiler``).
 
     def scan_rows(self, class_name: str) -> list:
-        return self._columns.gather(self.extent_surrogates(class_name))
+        return self.visit_rows(self.extent_surrogates(class_name))
 
-    def visit_rows(self, surrogates, memo=None) -> list:
-        # No memo: the live columns mutate in place.
-        return self._columns.visit(surrogates, None, self.bitset_stats)
+    def visit_rows(self, surrogates) -> list:
+        return self._columns.gather(surrogates, self.bitset_stats)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         """The live extent as a surrogate set -- the class-membership

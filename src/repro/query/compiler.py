@@ -120,7 +120,7 @@ def instantiate(name: str, source: str, namespace: Dict[str, object],
         qstats.sources_compiled += _code_object.cache_info().misses - misses
     env = {**_RUNTIME, **namespace}
     exec(code, env)
-    function = env[name]
+    function = env.pop(name)    # no cycle through its own globals
     # Introspectable (explain, tests).
     function._source, function._bindings = source, namespace
     return function

@@ -340,6 +340,13 @@ def _compile_executor(plan: QueryPlan, qstats=None) -> Callable:
     ``store.visit_rows``.  When the physical design moved underneath the
     plan (a pushed equality's index was dropped) it runs the guarded
     full scan: anything missing means scan, never a wrong answer.
+
+    A pushdown plan has one memo slot, keyed on the view's ``memo_ref``
+    (a weak reference a ``StoreSnapshot`` or ``MaskedSnapshot`` holds to
+    itself): a re-run on the same read-only view takes its outcome and
+    visit rows from it, skipping the set algebra.  It holds the access
+    path, never the answer (the row loop runs every call); the live
+    store and a worker scope's view have ``memo_ref = None``.
     """
     compiled = plan.compiled
     env: Dict[str, object] = {}
@@ -374,8 +381,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     # so only a run without any proves.  Everything else visits
     # cand | skips through the guarded loop.
     estimates, guards, walks = [], [], []
-    # The plan's one visit memo slot (StoreSnapshot.visit_rows).
-    env["_memo"] = [None]
+    env["_memo"] = [None]     # (view's memo_ref, outcome, rows)
     for i, p in enumerate(pushdowns):
         if p.attribute:
             env[f"_a{i}"], env[f"_v{i}"] = p.attribute, p.value
@@ -391,9 +397,13 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
             env[f"_c{i}"] = p.class_name
             estimates.append(f"store.count(_c{i})")
     no_where = not plan.residual and compiled.aggregates is None
-    lines = ["bitset = manager.bitset_stats", "visit = None"]
-    if no_where:
-        lines.append("proven = False")
+    outcome = "lookups, pruned, proven, unvisited, state"
+    lines = ["bitset = manager.bitset_stats", "view = store.memo_ref",
+             "held = _memo[0]", "if held is not None and held[0] is view:",
+             f"    _, {outcome} = held", "    if state is not None:",
+             "        bitset.rows_carried += len(state)", "else:"]
+    miss = ["visit = None", "lookups = pruned = unvisited = 0",
+            "proven = False"]
     algebra = ["extent_set = store.extent_surrogates(_source)",
                "scan_rows = len(extent_set)"]
     # Pre-estimate from index stats / extent counts: skip the set
@@ -442,8 +452,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
             steps.append(
                 f"cand = cand.{op}(store.extent_surrogates(_c{i}), bitset)")
     steps += [
-        f"qstats.index_lookups += {len(pushdowns)}",
-        f"stats.index_lookups = {len(pushdowns)}",
+        f"lookups = {len(pushdowns)}",
         # cand and skips are disjoint: a row is in one posting per index.
         "pruned = scan_rows - len(cand)" + (" - len(skips)" if probes
                                              else ""),
@@ -452,8 +461,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
              else "    visit = cand")
     if no_where and probes and compiled.emitter.on_unsafe == "skip":
         steps += ["if pruned > 0 and exact:", "    proven = True",
-                  "    visit = cand",
-                  "    stats.rows_scanned = stats.rows_skipped = len(skips)",
+                  "    visit = cand", "    unvisited = len(skips)",
                   "elif pruned > 0:", visit]
     else:
         steps += ["if pruned > 0:", visit]
@@ -465,14 +473,21 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     # needs its index.
     if guards:
         algebra = [f"if {' and '.join(guards)}:"] + indent(algebra)
-    lines += algebra + ["if visit is None:"] + indent(scan) + [
+    miss += algebra + [
+        # Bitset visit sets iterate in ascending surrogate order -- the
+        # scan's extent order -- so no sort is needed.
+        "state = None if visit is None else store.visit_rows(visit)",
+        "if view is not None:", f"    _memo[0] = (view, {outcome})"]
+    lines += indent(miss) + [
+        "qstats.index_lookups += lookups",
+        "stats.index_lookups = lookups",
+        "if state is None:", *indent(scan),
         "else:",
         "    qstats.index_scans += 1",
         "    qstats.rows_pruned += pruned",
         "    stats.rows_pruned = pruned",
-        # Bitset visit sets iterate in ascending surrogate order -- the
-        # scan's extent order -- so no sort is needed.
-        "    state = store.visit_rows(visit, _memo)",
+        # Nonzero only in a run that proved its rows under "skip".
+        "    stats.rows_scanned = stats.rows_skipped = unvisited",
     ]
     if no_where:
         lines += ["if proven:"] + indent(compiled.loop_source(where=False))

@@ -34,13 +34,15 @@ Two shard-specific mechanisms live here:
   :class:`MaskedSnapshot` that subtracts the ``foreign`` replica set
   from every extent, so unions over shards are exact.  Membership and
   value reads stay unmasked (a replica answers ``x.treatedBy in
-  Physician`` locally, exactly as the single store would).
+  Physician`` locally, exactly as the single store would).  One masked
+  view serves the reads of one snapshot and ``foreign`` set.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Dict, Optional, Tuple
+from weakref import ref
 
 from repro import codec
 from repro.columnar import SurrogateSet
@@ -62,14 +64,16 @@ ORPHAN_CHECK_SECONDS = 1.0
 class MaskedSnapshot:
     """A store snapshot with foreign replica sids subtracted from every
     extent (and therefore from counts and index candidate sets, which
-    all start from the source extent).  get/is_member stay unmasked."""
+    all start from the source extent).  get/is_member stay unmasked.
+    A plan memo keys on this view, never on the snapshot behind it."""
 
-    __slots__ = ("_snap", "_foreign", "_masked")
+    __slots__ = ("_snap", "_foreign", "_masked", "memo_ref", "__weakref__")
 
     def __init__(self, snap, foreign: SurrogateSet) -> None:
         self._snap = snap
         self._foreign = foreign
         self._masked: Dict[str, SurrogateSet] = {}
+        self.memo_ref = None if snap.memo_ref is None else ref(self)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
         cached = self._masked.get(class_name)
@@ -124,6 +128,7 @@ class ShardServer:
         #: The open scope: its store transaction and the ``foreign``
         #: set to restore on abort (None: no scope).
         self._scope: Optional[Tuple[object, SurrogateSet]] = None
+        self._masked: Optional[MaskedSnapshot] = None   # kept by _read_view
 
     # ------------------------------------------------------------------
     # Framing
@@ -170,11 +175,16 @@ class ShardServer:
         return self.store.get(Surrogate(sid))
 
     def _read_view(self):
-        # Inside a scope the router reads its own writes.
+        # Inside a scope the router reads its own writes; no view is kept.
         snap = self.store.snapshot() if self._scope is None else self.store
-        if len(self.foreign):
-            return MaskedSnapshot(snap, self.foreign)
-        return snap
+        if not len(self.foreign):
+            return snap
+        view = self._masked
+        if view is None or view._snap is not snap or (
+                view._foreign is not self.foreign):
+            view = MaskedSnapshot(snap, self.foreign)
+            self._masked = view if self._scope is None else None
+        return view
 
     # ------------------------------------------------------------------
     # Hooks around table rows: replica bookkeeping
@@ -184,11 +194,13 @@ class ShardServer:
         out = self._run(OPS["create"], cmd)
         if cmd.get("foreign"):
             self.foreign.add(Surrogate(out["sid"]))
+            self._masked = None
         return out
 
     def _op_remove(self, cmd):
         out = self._run(OPS["remove"], cmd)
         self.foreign.discard(Surrogate(cmd["sid"]))
+        self._masked = None
         return out
 
     def _op_get(self, cmd):

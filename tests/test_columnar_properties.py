@@ -158,12 +158,14 @@ def check_decoder(ids) -> None:
     for sid in model:
         columns.put(Surrogate(sid), frozenset(), {}, stamp=0)
     frozen = columns.capture()
-    assert [row[0].id for row in frozen.gather(sset)] == model
-    # The range form, over every column chunk and a range across chunks.
+    stats = columnar.BitsetStats()
+    assert [row[0].id for row in frozen.gather(sset, stats)] == model
+    # The range form, over every column chunk (a cold scan gathers each
+    # segment through it) and a range across chunks.
     for key in {sid >> 8 for sid in model}:
         segment = [sid for sid in model if sid >> 8 == key]
         assert sset.ids(key << 8, (key + 1) << 8) == segment
-        assert [row[0].id for row in frozen.gather(sset, key)] == segment
+    assert [row[0].id for row in frozen.scan(sset, None, stats)[1]] == model
     lo, hi = CHUNK_BITS - 300, 2 * CHUNK_BITS + 5
     assert sset.ids(lo, hi) == [sid for sid in model if lo <= sid < hi]
 

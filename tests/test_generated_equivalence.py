@@ -8,7 +8,9 @@ virtual-class members, the generated function and
 ``tests/reference_query.py`` agree on rows, order, all six
 ``ExecutionStats`` fields and the *type* of any error raised -- for every
 ``on_unsafe`` policy, with and without check elimination, over the live
-store, a snapshot, and a snapshot taken after a write.
+store, a snapshot, and a snapshot taken after a write, run twice: the
+second run on one snapshot takes the plan's memo (set algebra skipped),
+so a hit must be indistinguishable from a cold run.
 
 Range conjuncts (``<``, ``<=``, ``>``, ``>=``, the constant on either
 side) meet populations whose ages come from a small pool, so the bucket
@@ -247,9 +249,10 @@ def check_case(case, compile=compile_query) -> None:
         except QueryError:
             continue    # e.g. aggregates mixed with per-row items
     sources = [store, before]
-    # A committed write, then a snapshot that has to rebuild its rows.
+    # A committed write, then a snapshot that has to rebuild its rows;
+    # its second run takes the plan's memo, which must not show.
     store.set_value(pop.patients[0], "age", 41, check=CheckMode.NONE)
-    sources.append(store.snapshot())
+    sources += [store.snapshot()] * 2
     for c, on_unsafe in compiled:
         plan = planner.build_plan(c, SCHEMA, store.indexes)
         for source in sources:
@@ -365,8 +368,8 @@ class _Counting:
     def __getattr__(self, name):
         return getattr(self.store, name)
 
-    def visit_rows(self, surrogates, memo):
-        rows = self.store.visit_rows(surrogates, memo)
+    def visit_rows(self, surrogates):
+        rows = self.store.visit_rows(surrogates)
         self.handed.append(len(rows))
         return rows
 
@@ -531,7 +534,7 @@ def test_mutant_skip_rows_pruned_instead_of_visited_is_killed(monkeypatch):
     of a guarded run, and from the count of a proven one."""
     applied = _mutate_source(
         monkeypatch, (r"visit = cand\.or_\(skips, bitset\)", "visit = cand"),
-        (r"stats\.rows_skipped = len\(skips\)", "stats.rows_skipped = 0"))
+        (r"unvisited = len\(skips\)", "unvisited = 0"))
     assert _killed(check_case, _range_cases)
     assert sum(applied)
 

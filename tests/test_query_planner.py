@@ -8,6 +8,9 @@ design moves.  The exactness half is also property-tested in
 decision rules are pinned one by one.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.objects import CheckMode, ObjectStore
@@ -186,6 +189,23 @@ class TestPlanCache:
         default = plan_query(q, store)
         unchecked = plan_query(q, store, eliminate_checks=False)
         assert unchecked is not default
+
+    def test_an_evicted_plan_is_freed_without_the_collector(self, world):
+        """A generated function is not in its own globals: the plan an
+        eviction drops is freed at once, memo slot filled or not."""
+        _pop, store = world
+        q = "for p in Patient where p.age = 36 select p.name"
+        gc.disable()
+        try:
+            store.indexes.plan_cache.clear()
+            plan = plan_query(q, store)
+            execute_plan(plan, store.snapshot())
+            executor = weakref.ref(plan.executor)
+            del plan
+            store.indexes.plan_cache.clear()
+            assert executor() is None
+        finally:
+            gc.enable()
 
     def test_unknown_option_rejected(self, world):
         _pop, store = world
