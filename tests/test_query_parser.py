@@ -1,5 +1,6 @@
 """Query language parser."""
 
+import re
 import string
 
 import pytest
@@ -142,6 +143,26 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError):
             parse_query("for p in Patient select p.name @ 3")
 
+    @pytest.mark.parametrize("text, line, column", [
+        # A stray character on line 1.
+        ("for p in Patient select p.name @ 3", 1, 32),
+        # A stray character on line 3, after a comment.
+        ("for p in Patient -- all of them\nwhere p.age > 3\n"
+         "select @ p.name", 3, 8),
+        # An unclosed `(`: at the end of the text, and before it.
+        ("for p in Patient\nselect (", 2, 9),
+        ("for p in Patient select (p.name", 1, 32),
+        # A trailing `p.`.
+        ("for p in Patient select p.", 1, 27),
+        # An unterminated string: its opening quote lexes as nothing.
+        ('for p in Patient\nwhere p.name = "abc\nselect p', 2, 16),
+    ])
+    def test_error_positions(self, text, line, column):
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_query(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value).endswith(f"(line {line}, column {column})")
+
 
 # --------------------------------------------------------------------------
 # str() is the wire form: the shard router re-sends ``str(query)`` to
@@ -173,6 +194,81 @@ def test_every_query_survives_str(query):
     assert parse_query(text) == query, text
     # ``Const(True) == Const(1)`` in Python; the text tells them apart.
     assert str(parse_query(text)) == text
+
+
+# --------------------------------------------------------------------------
+# Blanks, newlines and comments between tokens change nothing but the
+# positions a syntax error reports: its line and column are those of
+# the offset where the text stopped lexing or parsing.
+# --------------------------------------------------------------------------
+
+#: The tokens ``str(query)`` spells, in the lexer's order of preference.
+_TOKEN = re.compile(r"""
+    "[^"\n]*" | '[A-Za-z_][A-Za-z0-9_#$]* | -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?
+  | [A-Za-z_][A-Za-z0-9_#$]* | <= | >= | != | [=<>().,]""", re.VERBOSE)
+
+#: What may stand between two tokens; a comment runs to its newline.
+_filler = st.lists(st.one_of(
+    st.sampled_from((" ", "  ", "\t", "\n", "\n\n", "\r\n")),
+    st.text(alphabet=sorted(set(string.printable) - set("\n\r\x0b\x0c")),
+            max_size=6).map(lambda body: f"--{body}\n"),
+), max_size=3).map("".join)
+
+
+def _pieces(text: str):
+    """``text`` as (piece, is_token) pairs that concatenate to it."""
+    pieces, end = [], 0
+    for m in _TOKEN.finditer(text):
+        assert text[end:m.start()].strip() == "", text
+        pieces += [(text[end:m.start()], False), (m.group(), True)]
+        end = m.end()
+    assert text[end:] == "", text
+    return pieces
+
+
+def _position(text: str, offset: int):
+    """The (line, column) of ``offset``, both counted from 1."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+def check_blanks_and_a_stray_character(query, data):
+    spread, clear = [], set()
+    # Offsets where a stray `@` ends lexing there: not inside a token
+    # other than a name, nor inside a comment.
+    for piece, is_token in _pieces(str(query)) + [("", False)]:
+        at = sum(map(len, spread))
+        clear.add(at)
+        if not is_token:
+            piece += data.draw(_filler)
+            inside = [m.span() for m in re.finditer(r"--[^\n]*", piece)]
+            clear.update(at + i for i in range(len(piece) + 1)
+                         if not any(a < i <= b for a, b in inside))
+        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_#$]*", piece):
+            clear.update(range(at, at + len(piece)))
+        spread.append(piece)
+    text = "".join(spread)
+    assert parse_query(text) == query, text
+    offset = data.draw(st.sampled_from(sorted(clear)))
+    stray = text[:offset] + "@" + text[offset:]
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_query(stray)
+    assert "unexpected character '@'" in str(info.value), repr(stray)
+    assert (info.value.line, info.value.column) == _position(
+        stray, offset), repr(stray)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_query_trees, st.data())
+def test_blanks_and_comments_between_tokens(query, data):
+    check_blanks_and_a_stray_character(query, data)
+
+
+@pytest.mark.slow
+@settings(max_examples=2_000, deadline=None)
+@given(_query_trees, st.data())
+def test_blanks_and_comments_between_tokens_at_length(query, data):
+    check_blanks_and_a_stray_character(query, data)
 
 
 @pytest.mark.parametrize("text", [
