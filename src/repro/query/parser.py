@@ -21,8 +21,7 @@ spells a finite number: ``-1``, or a ``Real`` (``1.5``, ``2e-07``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import (
@@ -46,64 +45,61 @@ from repro.typesys.values import EnumSymbol
 #: they stay usable as ordinary identifiers elsewhere).
 _AGGREGATES = ("count", "min", "max", "avg", "total")
 
+#: One match per token: the blanks and comments before it, then the
+#: token itself, the end of the text, or a character nothing lexes.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<symbol>'[A-Za-z_][A-Za-z0-9_#$]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_#$]*)
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<punct>[().,])
+    (?:\s+|--[^\n]*)*
+    (?:
+      (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+    | (?P<symbol>'[A-Za-z_][A-Za-z0-9_#$]*)
+    | (?P<string>"[^"\n]*")
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_#$]*)
+    | (?P<op><=|>=|!=|=|<|>)
+    | (?P<punct>[().,])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_KEYWORDS = {"for", "in", "where", "select", "when", "then", "else", "end",
-             "and", "or", "not", "true", "false"}
+#: Tokens that are their own kind: keywords and punctuation.
+_SPELLED = {"for", "in", "where", "select", "when", "then", "else", "end",
+            "and", "or", "not", "true", "false", "(", ")", ".", ","}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _syntax_error(text: str, offset: int, message: str) -> QuerySyntaxError:
+    """``message`` at ``offset`` of ``text``, by line and column."""
+    return QuerySyntaxError(message, text.count("\n", 0, offset) + 1,
+                            offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> List[_Tok]:
     tokens: List[_Tok] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(
-                f"unexpected character {text[pos]!r}", line,
-                pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind in ("ws", "comment"):
-            line += value.count("\n")
-            if "\n" in value:
-                line_start = m.start() + value.rindex("\n") + 1
-            pos = m.end()
-            continue
-        column = m.start() - line_start + 1
-        if kind == "ident" and value in _KEYWORDS:
-            tokens.append(_Tok(value, value, line, column))
-        else:
-            tokens.append(_Tok(kind, value, line, column))
-        pos = m.end()
-    tokens.append(_Tok("eof", "", line, len(text) - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        value, offset = m[group], m.start(group)
+        if group == "bad":
+            raise _syntax_error(text, offset,
+                                f"unexpected character {value!r}")
+        tokens.append(_Tok(value if value in _SPELLED else group, value,
+                           offset))
+        if group == "eof":
+            break
     return tokens
 
 
 class _QueryParser:
-    def __init__(self, tokens: List[_Tok]) -> None:
-        self._tokens = tokens
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._tokens = _tokenize(text)
         self._pos = 0
 
     def _peek(self) -> _Tok:
@@ -120,11 +116,13 @@ class _QueryParser:
             return self._advance()
         return None
 
+    def _error(self, tok: _Tok, message: str) -> QuerySyntaxError:
+        return _syntax_error(self._text, tok.offset, message)
+
     def _expect(self, kind: str, what: str) -> _Tok:
         tok = self._peek()
         if tok.kind != kind:
-            raise QuerySyntaxError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.column)
+            raise self._error(tok, f"expected {what}, found {tok.text!r}")
         return self._advance()
 
     # Grammar ------------------------------------------------------------
@@ -139,8 +137,7 @@ class _QueryParser:
             where = self.parse_expr()
         self._expect("select", "'select'")
         select = [self._parse_select_item()]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._accept(","):
             select.append(self._parse_select_item())
         self._expect("eof", "end of query")
         return Query(var, source, where, tuple(select))
@@ -148,16 +145,13 @@ class _QueryParser:
     def _parse_select_item(self) -> Expr:
         tok = self._peek()
         if tok.kind == "ident" and tok.text in _AGGREGATES:
-            following = self._tokens[self._pos + 1]
+            following = self._tokens[self._pos + 1].kind
             # `count` may stand bare; a following `.` means the name was
             # an ordinary variable after all (e.g. `count.x`).
-            if following.kind == "punct" and following.text == ".":
+            if following == ".":
                 return self.parse_expr()
             self._advance()
-            if tok.text == "count" and (
-                    following.kind == "eof"
-                    or (following.kind == "punct"
-                        and following.text == ",")):
+            if tok.text == "count" and following in ("eof", ","):
                 return Aggregate("count", None)
             operand = self.parse_expr()
             return Aggregate(tok.text, operand)
@@ -185,54 +179,34 @@ class _QueryParser:
 
     def _parse_relation(self) -> Expr:
         left = self._parse_postfix()
-        tok = self._peek()
-        if tok.kind == "in":
-            self._advance()
-            name = self._expect("ident", "class name").text
-            return InClass(left, name)
-        if tok.kind == "not":
-            # `x not in C`
-            self._advance()
+        if self._accept("in"):
+            return InClass(left, self._expect("ident", "class name").text)
+        if self._accept("not"):     # `x not in C`
             self._expect("in", "'in' after 'not'")
-            name = self._expect("ident", "class name").text
-            return NotInClass(left, name)
-        if tok.kind == "op":
+            return NotInClass(left, self._expect("ident", "class name").text)
+        if self._peek().kind == "op":
             op = self._advance().text
-            right = self._parse_postfix()
-            return Compare(op, left, right)
+            return Compare(op, left, self._parse_postfix())
         return left
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
-        while True:
-            tok = self._peek()
-            if tok.kind == "punct" and tok.text == ".":
-                self._advance()
-                attr = self._expect("ident", "attribute name").text
-                expr = Path(expr, attr)
-            else:
-                return expr
+        while self._accept("."):
+            expr = Path(expr, self._expect("ident", "attribute name").text)
+        return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self._peek()
+        tok = self._advance()
         if tok.kind == "number":
-            self._advance()
             real = any(c in tok.text for c in ".eE")
             return Const(float(tok.text) if real else int(tok.text))
         if tok.kind == "string":
-            self._advance()
             return Const(tok.text[1:-1])
         if tok.kind == "symbol":
-            self._advance()
             return Const(EnumSymbol(tok.text[1:]))
-        if tok.kind == "true":
-            self._advance()
-            return Const(True)
-        if tok.kind == "false":
-            self._advance()
-            return Const(False)
+        if tok.kind in ("true", "false"):
+            return Const(tok.kind == "true")
         if tok.kind == "when":
-            self._advance()
             condition = self.parse_expr()
             self._expect("then", "'then'")
             then = self.parse_expr()
@@ -241,29 +215,22 @@ class _QueryParser:
             self._expect("end", "'end'")
             return When(condition, then, otherwise)
         if tok.kind == "ident":
-            self._advance()
             return Var(tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self._advance()
+        if tok.kind == "(":
             expr = self.parse_expr()
-            closing = self._expect("punct", "')'")
-            if closing.text != ")":
-                raise QuerySyntaxError("expected ')'", closing.line,
-                                       closing.column)
+            self._expect(")", "')'")
             return expr
-        raise QuerySyntaxError(
-            f"expected an expression, found {tok.text!r}",
-            tok.line, tok.column)
+        raise self._error(tok, f"expected an expression, found {tok.text!r}")
 
 
 def parse_query(text: str) -> Query:
     """Parse query text into a :class:`~repro.query.ast.Query`."""
-    return _QueryParser(_tokenize(text)).parse_query()
+    return _QueryParser(text).parse_query()
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a standalone expression (used by tests)."""
-    parser = _QueryParser(_tokenize(text))
+    parser = _QueryParser(text)
     expr = parser.parse_expr()
     parser._expect("eof", "end of expression")
     return expr

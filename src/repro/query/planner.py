@@ -45,13 +45,15 @@ exact, so the executor compares the materialized visit set against the
 extent and falls back to the scan when pruning bought nothing (or a
 range walk would cost more than the scan, :data:`RANGE_KEY_ROWS`).  Plans
 are cached per store, keyed on (query text, schema version, index-design
-version, compile options, wire) -- a repeated query skips parse, type
-analysis, compilation, and pushdown extraction entirely.
+version, compile options, wire): a hit skips parse, typing, compilation
+and pushdown extraction; a miss pays them for its own text only, as the
+pushdown lines are assembled once per plan shape (:func:`_prelude`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.query.ast import (
@@ -171,7 +173,7 @@ class QueryPlan:
         return "\n".join(lines)
 
     def _loop(self, p: Pushdown, manager) -> str:
-        """Which row loop a pruning run takes, and why (_prune_or_scan)."""
+        """Which row loop a pruning run takes, and why (:func:`_prelude`)."""
         policy = self.compiled.emitter.on_unsafe
         if self.residual or self.compiled.aggregates is not None:
             return ("visits skip rows: a residual conjunct or an aggregate"
@@ -281,7 +283,13 @@ def build_plan(compiled: CompiledQuery, schema: Schema,
 # Planning with the plan cache
 # ----------------------------------------------------------------------
 
+#: The options key of a call that passes none.
+_DEFAULT_OPTIONS = tuple(default for _, default in _COMPILE_OPTION_DEFAULTS)
+
+
 def _options_key(compile_kwargs: Dict[str, object]) -> Tuple:
+    if not compile_kwargs:
+        return _DEFAULT_OPTIONS
     unknown = set(compile_kwargs) - {k for k, _ in _COMPILE_OPTION_DEFAULTS}
     if unknown:
         raise TypeError(
@@ -329,8 +337,9 @@ def _compile_executor(plan: QueryPlan, qstats=None) -> Callable:
     Probe constants, attribute and class names are bound into the
     function's namespace (``_a0``/``_v0``/``_c0``), never spelled in the
     source, so plans of one shape share a memoised code object
-    (:func:`repro.query.compiler.instantiate`) and a plan-cache miss
-    costs string assembly plus the ``exec`` of a ``def``.
+    (:func:`repro.query.compiler.instantiate`) and pushdown lines
+    (:func:`_prelude`): a plan-cache miss pays for parsing, typing and
+    emitting its own text, and for the ``exec`` of a ``def``.
 
     The function takes ``(store, stats)`` -- any store-like object with
     an index manager, so one cached plan serves the live store and every
@@ -350,53 +359,67 @@ def _compile_executor(plan: QueryPlan, qstats=None) -> Callable:
     """
     compiled = plan.compiled
     env: Dict[str, object] = {}
-    scan = ["qstats.full_scans += 1",
-            "state = store.scan_rows(_source)"]
+    body = list(_SCAN)
+    if plan.pushdowns:
+        no_where = not plan.residual and compiled.aggregates is None
+        body = list(_prelude(tuple(p.kind for p in plan.pushdowns),
+                             no_where, compiled.emitter.on_unsafe))
+        if no_where:
+            body += ["if proven:"] + indent(compiled.loop_source(where=False))
+        # The names _prelude reads: the memo slot, probe values, classes.
+        env["_memo"] = [None]     # (view's memo_ref, outcome, rows)
+        for i, p in enumerate(plan.pushdowns):
+            if p.attribute:
+                env[f"_a{i}"], env[f"_v{i}"] = p.attribute, p.value
+            if p.kind == "range":
+                env[f"_r{i}"] = (p.op, p.const_left)
+            if p.class_name:
+                env[f"_c{i}"] = p.class_name
     return compiled.emitter.function("_plan", "store, stats", [
         "manager = store.indexes",
         "qstats = manager.qstats",
         "qstats.compiled_execs += 1",
-        *(_prune_or_scan(plan, env, scan) if plan.pushdowns else scan),
+        *body,
         *compiled.loop_source(),
     ], env, qstats)
 
 
-def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
-                   scan: List[str]) -> List[str]:
+#: The rows of a run that does not prune.
+_SCAN = ("qstats.full_scans += 1", "state = store.scan_rows(_source)")
+
+
+@lru_cache(maxsize=256)
+def _prelude(kinds: Tuple[str, ...], no_where: bool,
+             on_unsafe: str) -> Tuple[str, ...]:
     """Body lines that leave the rows to loop over in ``state``: the
-    visit set the pushdowns computed when it prunes, else ``scan``;
-    binds the probe constants into ``env``."""
-    compiled, pushdowns = plan.compiled, plan.pushdowns
-    probes = any(p.attribute for p in pushdowns)
-    # When every where conjunct was pushed down (empty residual) and no
-    # aggregates fold, an *exact* run -- no residue row and no
-    # unorderable bucket met the candidates -- proves them: each value
-    # sits in a bucket whose key satisfies its conjunct (`==` as the
-    # scan compares; a range key orders as its values do, SEMANTICS §8)
-    # and memberships were intersected directly, so they take the
-    # where-free loop.  Each skip row passed every earlier conjunct and
-    # is INAPPLICABLE on its own: under "skip" the run counts it in
-    # rows_skipped and in rows_scanned (still the visit set's size)
-    # without visiting it; under "null" and "raise" it must be visited,
-    # so only a run without any proves.  Everything else visits
-    # cand | skips through the guarded loop.
+    visit set the pushdowns of ``kinds`` computed when it prunes, else
+    the scan's.  A pure function of the plan's shape, so plans of one
+    shape assemble it once; ``eq`` and ``range`` probe an index."""
+    probes = any(kind in ("eq", "range") for kind in kinds)
+    # When every where conjunct was pushed down (no_where: empty
+    # residual, no aggregate) an *exact* run -- no residue row and no
+    # unorderable bucket met the candidates -- proves its rows: each
+    # value sits in a bucket whose key satisfies its conjunct (`==` as
+    # the scan compares; a range key orders as its values do, SEMANTICS
+    # §8) and memberships were intersected directly, so they take the
+    # caller's where-free loop (`if proven:`).  Each skip row passed
+    # every earlier conjunct and is INAPPLICABLE on its own: under "skip"
+    # the run counts it in rows_skipped and in rows_scanned (still the
+    # visit set's size) without visiting it; under "null" and "raise" it
+    # must be visited, so only a run without any proves.  Everything
+    # else visits cand | skips through the guarded loop.
     estimates, guards, walks = [], [], []
-    env["_memo"] = [None]     # (view's memo_ref, outcome, rows)
-    for i, p in enumerate(pushdowns):
-        if p.attribute:
-            env[f"_a{i}"], env[f"_v{i}"] = p.attribute, p.value
+    for i, kind in enumerate(kinds):
+        if kind in ("eq", "range"):
             guards.append(f"_a{i} in manager")
-        if p.kind == "eq":
+        if kind == "eq":
             estimates.append(f"manager.selectivity(_a{i}, _v{i}) + "
                              f"len(manager.inapplicable(_a{i}))")
-        elif p.kind == "range":
-            env[f"_r{i}"] = (p.op, p.const_left)
+        elif kind == "range":
             walks.append(f"len(manager.buckets(_a{i})) * {RANGE_KEY_ROWS}"
                          " < scan_rows")
         else:
-            env[f"_c{i}"] = p.class_name
             estimates.append(f"store.count(_c{i})")
-    no_where = not plan.residual and compiled.aggregates is None
     outcome = "lookups, pruned, proven, unvisited, state"
     lines = ["bitset = manager.bitset_stats", "view = store.memo_ref",
              "held = _memo[0]", "if held is not None and held[0] is view:",
@@ -410,7 +433,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
     # algebra when no pushdown can possibly prune.  A not-member or
     # range pushdown has no cheap upper bound, so its presence disables
     # the shortcut; a range walk must still cost less than the scan.
-    if any(p.kind in ("not-member", "range") for p in pushdowns):
+    if any(kind in ("not-member", "range") for kind in kinds):
         test = "scan_rows"
     elif len(estimates) == 1:
         test = f"scan_rows and {estimates[0]} < scan_rows"
@@ -424,10 +447,10 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         steps.append("exact = True")
     # Residue and unorderable rows: visited, and the run is inexact.
     inexact = ["    exact = False"] if no_where else []
-    for i, p in enumerate(pushdowns):
+    for i, kind in enumerate(kinds):
         inap = f"inap = cand.and_(manager.inapplicable(_a{i}), bitset)"
         skips = "skips = inap if skips is None else skips.or_(inap, bitset)"
-        if p.kind == "range":
+        if kind == "range":
             steps += [
                 f"hits, unordered = manager.range(_a{i}, _v{i}, *_r{i})",
                 inap,
@@ -437,7 +460,7 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
                 skips,
                 "cand = cand.and_(hits, bitset)",
             ]
-        elif p.kind == "eq":
+        elif kind == "eq":
             steps += [
                 inap,
                 skips,
@@ -448,18 +471,18 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
                 "cand = matched",
             ]
         else:
-            op = "and_" if p.kind == "member" else "sub"
+            op = "and_" if kind == "member" else "sub"
             steps.append(
                 f"cand = cand.{op}(store.extent_surrogates(_c{i}), bitset)")
     steps += [
-        f"lookups = {len(pushdowns)}",
+        f"lookups = {len(kinds)}",
         # cand and skips are disjoint: a row is in one posting per index.
         "pruned = scan_rows - len(cand)" + (" - len(skips)" if probes
                                              else ""),
     ]
     visit = ("    visit = cand.or_(skips, bitset)" if probes
              else "    visit = cand")
-    if no_where and probes and compiled.emitter.on_unsafe == "skip":
+    if no_where and probes and on_unsafe == "skip":
         steps += ["if pruned > 0 and exact:", "    proven = True",
                   "    visit = cand", "    unvisited = len(skips)",
                   "elif pruned > 0:", visit]
@@ -478,20 +501,17 @@ def _prune_or_scan(plan: QueryPlan, env: Dict[str, object],
         # scan's extent order -- so no sort is needed.
         "state = None if visit is None else store.visit_rows(visit)",
         "if view is not None:", f"    _memo[0] = (view, {outcome})"]
-    lines += indent(miss) + [
+    return tuple(lines + indent(miss) + [
         "qstats.index_lookups += lookups",
         "stats.index_lookups = lookups",
-        "if state is None:", *indent(scan),
+        "if state is None:", *indent(list(_SCAN)),
         "else:",
         "    qstats.index_scans += 1",
         "    qstats.rows_pruned += pruned",
         "    stats.rows_pruned = pruned",
         # Nonzero only in a run that proved its rows under "skip".
         "    stats.rows_scanned = stats.rows_skipped = unvisited",
-    ]
-    if no_where:
-        lines += ["if proven:"] + indent(compiled.loop_source(where=False))
-    return lines
+    ])
 
 
 # ----------------------------------------------------------------------

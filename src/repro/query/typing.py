@@ -412,10 +412,18 @@ class QueryTyper:
                     f"attribute access on non-entity type {bp.type}",
                     bp.assumptions)
                 continue
-            results.extend(
-                self._access_entity(expr, bp, base_key, attribute, facts))
-            if not self._attribute_applicable(bp, attribute):
+            owners = self.schema.owner_rows(bp.pos, attribute)
+            if not owners:
                 failures += 1
+                self._finding(
+                    "unsafe", expr,
+                    f"attribute {attribute!r} is not applicable when "
+                    f"{expr.base} is only a "
+                    f"{' & '.join(sorted(bp.pos)) or 'AnyEntity'}",
+                    bp.assumptions)
+                continue
+            results.extend(self._access_entity(
+                expr, bp, owners, base_key, attribute, facts))
 
         if failures == len(base_poss) and base_poss:
             # Upgrade: the access fails under *every* possibility.
@@ -470,51 +478,22 @@ class QueryTyper:
                 p, pos=frozenset(pos), neg=frozenset(neg)))
         return refined
 
-    def _attribute_applicable(self, bp: Possibility,
-                              attribute: str) -> bool:
-        if bp.kind != "entity":
-            return False
-        return any(
-            self.schema.get(ancestor).attribute(attribute) is not None
-            for c in bp.pos if self.schema.has_class(c)
-            for ancestor in self.schema.ancestors(c)
-        )
-
     def _access_entity(self, expr: Path, bp: Possibility,
+                       owners: Sequence[Tuple[str, Type]],
                        base_key: Optional[str], attribute: str,
                        facts: FlowFacts) -> List[Possibility]:
-        schema = self.schema
-        # 1. Applicable constraints: declarations of `attribute` on any
-        #    class the value is known to belong to (IS-A closed).
-        owners: List[Tuple[str, Type]] = []
-        seen_owners: Set[str] = set()
-        for c in sorted(bp.pos):
-            if not schema.has_class(c):
-                continue
-            for ancestor in sorted(schema.ancestors(c)):
-                if ancestor in seen_owners:
-                    continue
-                decl = schema.get(ancestor).attribute(attribute)
-                if decl is not None:
-                    seen_owners.add(ancestor)
-                    owners.append((ancestor, decl.range))
-        if not owners:
-            self._finding(
-                "unsafe", expr,
-                f"attribute {attribute!r} is not applicable when "
-                f"{expr.base} is only a "
-                f"{' & '.join(sorted(bp.pos)) or 'AnyEntity'}",
-                bp.assumptions)
-            return []
-
-        # 2. Disjunct options per constraint: the declared range plus one
+        """The possibilities of ``bp.attribute``.  ``owners`` are the
+        applicable constraints: declarations of ``attribute`` on any
+        class the value is known to belong to (IS-A closed,
+        :meth:`Schema.owner_rows`)."""
+        # 1. Disjunct options per constraint: the declared range plus one
         #    option per *live* excuse (resolved against what we know about
         #    the owner's memberships).
         option_sets: List[List[Tuple[Type, FrozenSet[Assumption]]]] = []
         for owner, declared in owners:
             options: List[Tuple[Type, FrozenSet[Assumption]]] = [
                 (declared, frozenset())]
-            for entry in schema.excuses_against(owner, attribute):
+            for entry in self.schema.excuses_against(owner, attribute):
                 excusing = entry.excusing_class
                 if self._owner_known_in(bp, base_key, excusing, facts):
                     options.append((entry.range, frozenset()))
@@ -528,12 +507,12 @@ class QueryTyper:
                                     excusing, True)})))
             option_sets.append(options)
 
-        # 3. Provenance: virtual classes the value provably cannot belong
+        # 2. Provenance: virtual classes the value provably cannot belong
         #    to (see module docstring).
         provenance_neg = self._provenance_neg(bp, base_key, attribute,
                                               facts)
 
-        # 4. Cross product of disjunct choices = candidate possibilities.
+        # 3. Cross product of disjunct choices = candidate possibilities.
         results: List[Possibility] = []
         for combo in itertools.product(*option_sets):
             assumptions = bp.assumptions.union(

@@ -107,6 +107,10 @@ class Schema:
                                           Tuple[ExcuseEntry, ...]]] = None
         # class name -> rows for constraints *declared on* that class.
         self._declared_index: Dict[str, Tuple[IndexedConstraint, ...]] = {}
+        # (classes, attribute) -> owner_rows(classes, attribute).
+        self._owner_rows: Dict[Tuple[frozenset, str],
+                               Tuple[Tuple[str, Type], ...]] = {}
+        self._virtual: Optional[Tuple[ClassDef, ...]] = None
         self._version = 0
         for cdef in classes:
             self.add_class(cdef)
@@ -170,6 +174,8 @@ class Schema:
         self._ancestors.clear()
         self._excuse_table = None
         self._declared_index.clear()
+        self._owner_rows.clear()
+        self._virtual = None
         self._version += 1
 
     @property
@@ -314,6 +320,25 @@ class Schema:
         found.sort(key=lambda c: (-specificity(c), c.owner))
         return tuple(found)
 
+    def owner_rows(self, classes: frozenset,
+                   attribute: str) -> Tuple[Tuple[str, Type], ...]:
+        """``(owner, declared range)`` for every class that declares
+        ``attribute`` and that a member of all of ``classes`` IS-A, each
+        owner once: ``classes`` by name, each one's ancestors by name.
+        Unknown names contribute nothing.  Cached until the next schema
+        mutation."""
+        key = (classes, attribute)
+        cached = self._owner_rows.get(key)
+        if cached is None:
+            rows: Dict[str, Type] = {}
+            for c in sorted(classes & self._classes.keys()):
+                for ancestor in sorted(self.ancestors(c)):
+                    decl = self.get(ancestor).attribute(attribute)
+                    if decl is not None:
+                        rows.setdefault(ancestor, decl.range)
+            cached = self._owner_rows[key] = tuple(rows.items())
+        return cached
+
     def _excuses(self) -> Dict[Tuple[str, str], Tuple[ExcuseEntry, ...]]:
         if self._excuse_table is None:
             index: Dict[Tuple[str, str], List[ExcuseEntry]] = {}
@@ -418,25 +443,24 @@ class Schema:
     # ------------------------------------------------------------------
 
     def virtual_classes(self) -> Tuple[ClassDef, ...]:
-        return tuple(c for c in self._classes.values() if c.virtual)
+        """Cached until the next schema mutation."""
+        if self._virtual is None:
+            self._virtual = tuple(
+                c for c in self._classes.values() if c.virtual)
+        return self._virtual
 
     def virtual_classes_with_origin_owner(
             self, owner_class: str) -> Tuple[ClassDef, ...]:
         """Virtual classes embedded at some attribute of ``owner_class``."""
-        return tuple(
-            c for c in self._classes.values()
-            if c.virtual and c.origin is not None
-            and c.origin.owner_class == owner_class
-        )
+        return tuple(c for c in self.virtual_classes()
+                     if c.origin is not None
+                     and c.origin.owner_class == owner_class)
 
     def virtual_classes_with_origin(self, owner_class: str,
                                     attribute: str) -> Tuple[ClassDef, ...]:
         return tuple(
-            c for c in self._classes.values()
-            if c.virtual and c.origin is not None
-            and c.origin.owner_class == owner_class
-            and c.origin.attribute == attribute
-        )
+            c for c in self.virtual_classes_with_origin_owner(owner_class)
+            if c.origin.attribute == attribute)
 
     def copy(self) -> "Schema":
         """A mutable clone sharing the (frozen) class definitions.

@@ -65,14 +65,18 @@ class MaskedSnapshot:
     """A store snapshot with foreign replica sids subtracted from every
     extent (and therefore from counts and index candidate sets, which
     all start from the source extent).  get/is_member stay unmasked.
-    A plan memo keys on this view, never on the snapshot behind it."""
+    A plan memo keys on this view, never on the snapshot behind it.
+    One view serves the reads of one snapshot (or of one command in a
+    scope), so it keeps each class's masked extent and rows."""
 
-    __slots__ = ("_snap", "_foreign", "_masked", "memo_ref", "__weakref__")
+    __slots__ = ("_snap", "_foreign", "_masked", "_rows", "memo_ref",
+                 "__weakref__")
 
     def __init__(self, snap, foreign: SurrogateSet) -> None:
         self._snap = snap
         self._foreign = foreign
         self._masked: Dict[str, SurrogateSet] = {}
+        self._rows: Dict[str, list] = {}
         self.memo_ref = None if snap.memo_ref is None else ref(self)
 
     def extent_surrogates(self, class_name: str) -> SurrogateSet:
@@ -87,12 +91,15 @@ class MaskedSnapshot:
         return len(self.extent_surrogates(class_name))
 
     def scan_rows(self, class_name: str) -> list:
-        masked = self.extent_surrogates(class_name)
-        if len(masked) == self._snap.count(class_name):
-            # Nothing of this class is foreign: the snapshot's own
-            # (cached) row list is the masked one.
-            return self._snap.scan_rows(class_name)
-        return self._snap.visit_rows(masked)
+        rows = self._rows.get(class_name)
+        if rows is None:
+            masked = self.extent_surrogates(class_name)
+            # Nothing of this class foreign: the snapshot's own rows.
+            rows = self._rows[class_name] = (
+                self._snap.scan_rows(class_name)
+                if len(masked) == self._snap.count(class_name)
+                else self._snap.visit_rows(masked))
+        return rows
 
     def __getattr__(self, name: str):   # only what no extent flows through
         if name not in ("get", "is_member", "visit_rows", "indexes", "schema"):

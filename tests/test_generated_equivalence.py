@@ -580,17 +580,9 @@ def test_mutant_proof_ignores_residue_or_unordered_bucket_is_killed(
 def test_mutant_skip_rows_counted_under_null_or_raise_is_killed(
         monkeypatch):
     """The planner emits the "skip" proof for every policy."""
-    real = planner._prune_or_scan
-
-    def prune_or_scan(plan, *args):
-        emitter = plan.compiled.emitter
-        policy, emitter.on_unsafe = emitter.on_unsafe, "skip"
-        try:
-            return real(plan, *args)
-        finally:
-            emitter.on_unsafe = policy
-
-    monkeypatch.setattr(planner, "_prune_or_scan", prune_or_scan)
+    real = planner._prelude
+    monkeypatch.setattr(planner, "_prelude", lambda kinds, no_where, _policy:
+                        real(kinds, no_where, "skip"))
     assert _killed(check_case, _proven_cases)
 
 

@@ -737,6 +737,22 @@ def test_a_worker_reuses_its_masked_view_until_a_foreign_create():
     server.close()
 
 
+def test_a_masked_view_gathers_a_masked_class_once():
+    """With a foreign replica present, a view's first scan of its class
+    gathers the class's own rows; a second scan gathers nothing."""
+    server = ShardServer(0, 2, schema_text=HOSPITAL_CDL)
+    for sid in range(1, 5):
+        server.handle({"op": "create", "cls": "Physician", "sid": sid,
+                       "values": {"name": f"doc{sid}"}, "foreign": sid == 1})
+    view = server._read_view()
+    first, delta = _counted(server.store, lambda: view.scan_rows("Physician"))
+    assert [row[0].id for row in first] == [2, 3, 4]
+    assert delta == (3, 0, 0)
+    again, delta = _counted(server.store, lambda: view.scan_rows("Physician"))
+    assert delta == (0, 0, 0) and again is first
+    server.close()
+
+
 @pytest.mark.sharded
 def test_shard_workers_skip_the_algebra_of_a_repeated_query():
     """Over two worker processes, one of them holding a foreign replica:

@@ -1,5 +1,8 @@
 """Schema registry, hierarchy queries, constraints, and excuse registry."""
 
+import inspect
+import textwrap
+
 import pytest
 
 from repro.errors import (
@@ -8,7 +11,13 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownClassError,
 )
+from repro import load_schema
+from repro.objects import ObjectStore
+from repro.scenarios.hospital import HOSPITAL_CDL
 from repro.schema import AttributeDef, ClassDef, ExcuseRef, Schema
+from repro.schema import schema as schema_module
+from repro.schema.classdef import VirtualOrigin
+from repro.schema.evolution import apply_change
 from repro.typesys import (
     STRING,
     ClassType,
@@ -183,3 +192,106 @@ class TestTypeTranslation:
     def test_relaxed_constraint_unknown_attribute(self, schema):
         with pytest.raises(UnknownAttributeError):
             schema.relaxed_constraint("Patient", "name")  # owned by Person
+
+
+# ---------------------------------------------------------------------------
+# Cached owner rows and virtual classes: after every mutation they equal a
+# fresh walk of the class definitions, which reads no schema cache.
+# ---------------------------------------------------------------------------
+
+def _fresh_ancestors(schema, name):
+    found, stack = set(), [name]
+    while stack:
+        current = stack.pop()
+        if current not in found:
+            found.add(current)
+            stack.extend(schema.get(current).parents)
+    return found
+
+
+def fresh_owner_rows(schema, classes, attribute):
+    """``(owner, declared range)`` per declaring ancestor, each owner
+    once: classes by name, each one's ancestors by name."""
+    rows = {}
+    for name in sorted(classes):
+        if name in schema.class_names():
+            for ancestor in sorted(_fresh_ancestors(schema, name)):
+                decl = schema.get(ancestor).attribute(attribute)
+                if decl is not None and ancestor not in rows:
+                    rows[ancestor] = decl.range
+    return tuple(rows.items())
+
+
+def assert_caches_fresh(schema):
+    names = sorted(schema.class_names())
+    attributes = sorted({a.name for c in schema.classes()
+                         for a in c.attributes}) + ["nope"]
+    probes = ([frozenset({n}) for n in names + ["Frail", "Nobody"]]
+              + [frozenset(pair) for pair in zip(names, names[1:])]
+              + [frozenset()])
+    for classes in probes:
+        for attribute in attributes:
+            assert schema.owner_rows(classes, attribute) == fresh_owner_rows(
+                schema, classes, attribute), (sorted(classes), attribute)
+    assert schema.virtual_classes() == tuple(
+        c for c in schema.classes() if c.virtual)
+
+
+_FRAIL = ClassDef("Frail", ("Patient",), (attr("frailty", STRING),))
+_VIRTUAL = ClassDef("Ward$1", ("Ward",), (attr("floor", STRING),),
+                    virtual=True, origin=VirtualOrigin("Patient", "ward"))
+
+
+def check_mutations():
+    """Each schema mutation, its caches warm before it."""
+    schema = load_schema(HOSPITAL_CDL)
+    steps = [
+        lambda: schema.add_class(_FRAIL),
+        lambda: schema.add_class(_VIRTUAL),
+        lambda: schema.replace_class(ClassDef(
+            "Frail", ("Employee",), (attr("age", IntRangeType(60, 120)),))),
+        lambda: schema.replace_class(ClassDef(
+            "Ward$1", ("Ward",), (), virtual=False)),
+        lambda: schema.remove_class("Ward$1"),
+        lambda: schema.remove_class("Frail"),
+    ]
+    for step in steps:
+        assert_caches_fresh(schema)
+        step()
+    assert_caches_fresh(schema)
+    # A replacement that would close an IS-A cycle is rolled back.
+    schema.add_class(_FRAIL)
+    assert_caches_fresh(schema)
+    with pytest.raises(CyclicHierarchyError):
+        schema.replace_class(ClassDef("Patient", ("Frail",), ()))
+    assert_caches_fresh(schema)
+    # The online-evolution primitive, committed and rolled back.
+    assert apply_change(schema, ClassDef("Frail", ("Patient",), (
+        attr("treatedBy", ClassType("Psychologist"), "Patient"),))) == (
+        [], False)
+    assert_caches_fresh(schema)
+    diagnostics, rolled_back = apply_change(schema, ClassDef(
+        "Frail", ("Patient",), (attr("treatedBy", ClassType("Ward")),)))
+    assert rolled_back and diagnostics
+    assert_caches_fresh(schema)
+    # An online alter on a live store: its next schema epoch.
+    store = ObjectStore(load_schema(HOSPITAL_CDL))
+    assert_caches_fresh(store.schema)
+    store.alter_class(_FRAIL)
+    assert_caches_fresh(store.schema)
+
+
+def test_cached_owner_rows_and_virtual_classes_follow_every_mutation():
+    check_mutations()
+
+
+@pytest.mark.parametrize("line", [
+    "self._owner_rows.clear()", "self._virtual = None"])
+def test_mutant_cache_not_cleared_in_invalidate_is_killed(monkeypatch, line):
+    source = textwrap.dedent(inspect.getsource(Schema._invalidate))
+    assert source.count(line) == 1
+    namespace = dict(vars(schema_module))
+    exec(source.replace(line, "pass"), namespace)
+    monkeypatch.setattr(Schema, "_invalidate", namespace["_invalidate"])
+    with pytest.raises(AssertionError):
+        check_mutations()
