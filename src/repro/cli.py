@@ -116,7 +116,11 @@ def cmd_explain(args) -> int:
           "spelled):")
     print(plan.executor._source)
     for name, value in sorted(plan.executor._bindings.items()):
-        print(f"  {name} = {value!r}")
+        if isinstance(value, (set, frozenset)) and value:   # not hash order
+            members = ", ".join(sorted(map(repr, value)))
+            print(f"  {name} = {type(value).__name__}({{{members}}})")
+        else:
+            print(f"  {name} = {value!r}")
     return 0
 
 

@@ -27,34 +27,23 @@ machinery for that on the read path:
     of surrogates" (non-``Surrogate`` members, which unit tests index,
     go to a small overflow set).  Members come out in ascending order
     from :meth:`SurrogateSet.ids`, the one decoder (whole or over an id
-    range), with no big-int work per member: a sparse chunk's binary
-    digits are searched once per member, a dense chunk's bytes go
-    through a table.
+    range), with no big-int work per member (see ``_SPARSE_SHIFT``).
 
 :class:`ObjectColumns` / :class:`FrozenColumns`
-    The per-object state table behind sublinear ``store.snapshot()``.
-    The write side privatizes an instance's membership/value containers
-    by *reassignment* (see ``ObjectStore._prepare_write``), so a
-    snapshot cannot lazily read them off the instance -- it needs the
-    container references frozen at capture time.  Instead of copying a
-    ``{surrogate: (refs)}`` dict per snapshot (O(n)), the store keeps
-    this chunked table of ``id -> (surrogate, memberships, values)`` rows
-    with two-level copy-on-write: capture shares the whole chunk table
-    by reference (O(1)); the first write after a capture copies the top
-    table, and the first write *into a chunk* copies that one chunk.
-    :meth:`FrozenColumns.scan` builds a class's scan row list by
-    *segment* -- one column chunk's part of the extent -- and copies a
-    segment from the previous snapshot's list when both observable facts
-    match: the chunk is the same object and the extent's bits over it
-    are equal.  So a scan after a write gathers only what the write
-    changed.  A plan keeps the visit rows it gathered in its one memo
-    slot, keyed by weak reference on the read-only view it ran on: the
-    access path, never the answer, and never on the live store or in a
-    worker scope (:func:`repro.query.planner._compile_executor`).
+    The per-object state table behind O(1) ``store.snapshot()``.  The
+    write side privatizes an instance's containers by *reassignment*
+    (``ObjectStore._prepare_write``), so a snapshot needs their
+    references frozen at capture: this chunked table of ``id ->
+    (surrogate, memberships, values)`` rows, shared by two-level
+    copy-on-write.  A scan after a write gathers only the segments the
+    write changed (:meth:`FrozenColumns.scan`); a plan keeps its visit
+    rows per read-only view, by weak reference
+    (:func:`repro.query.planner._compile_executor`).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -84,9 +73,9 @@ WORDS_PER_CHUNK = CHUNK_BITS // 64
 _COL_SHIFT = 8
 _SEGMENT_MASK = (1 << (1 << _COL_SHIFT)) - 1
 
-#: A chunk (or range slice) decodes by a digit search per member while
-#: at most one in 2**_SPARSE_SHIFT of its bits is set, else it scans its
-#: bytes through _BYTE_BITS; both costs grow with its bit length.
+#: A chunk (or range slice) with at most one in 2**_SPARSE_SHIFT bits set
+#: decodes by a digit search per member, memoised (_sparse_ids, <= 128 ids
+#: an entry), else through _BYTE_BITS; both cold costs grow with its length.
 #: Crossovers (Intel Xeon, CPython 3.11, median us of 40 alternating
 #: rounds, digit vs byte): ~150 set bits of a 4096-bit chunk (144: 40.8
 #: vs 42.8, 160: 55.1 vs 53.9), ~8 of a 256-id slice (6: 4.1 vs 4.2,
@@ -100,6 +89,20 @@ _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(bit for bit in range(8) if byte & (1 << bit))
     for byte in range(256)
 )
+
+
+@lru_cache(maxsize=256)
+def _sparse_ids(base: int, word: int) -> Tuple[int, ...]:
+    """A sparse word's ids at ``base``: one C-level search of its binary
+    digits per member (the last digit is bit 0), memoised on the pair."""
+    digits = bin(word)
+    top = base + len(digits) - 1
+    out = []
+    at = digits.rfind("1")
+    while at > 0:
+        out.append(top - at)
+        at = digits.rfind("1", 0, at)
+    return tuple(out)
 
 
 class BitsetStats(_Counters):
@@ -280,15 +283,8 @@ class SurrogateSet:
                 high = min(stop - base, CHUNK_BITS)
                 word = (word >> low) & ((1 << (high - low)) - 1)
                 base += low
-            if word.bit_count() << _SPARSE_SHIFT <= word.bit_length():
-                # Sparse chunk: one C-level search of the binary digits
-                # per member (the last digit is bit 0), no big-int work.
-                digits = bin(word)
-                top = base + len(digits) - 1
-                at = digits.rfind("1")
-                while at > 0:
-                    append(top - at)
-                    at = digits.rfind("1", 0, at)
+            if word and word.bit_count() << _SPARSE_SHIFT <= word.bit_length():
+                out += _sparse_ids(base, word)
                 continue
             data = word.to_bytes((word.bit_length() + 7) >> 3, "little")
             for byte_index, byte in enumerate(data):

@@ -307,7 +307,7 @@ class StoreClient:
 
     def extent_ids(self, cls: str, token=None) -> List[int]:
         chunks = self._read_at("extent", token, cls=cls)["extent"]
-        return sorted(s.id for s in wire.decode_chunks(chunks))
+        return wire.decode_chunks(chunks).ids()
 
     def schema(self, token=None) -> str:
         return self._read_at("schema", token)["schema"]

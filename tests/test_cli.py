@@ -1,5 +1,9 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -117,6 +121,21 @@ class TestExplain:
         assert code == 0
         out = capsys.readouterr().out
         assert "CHECKED" in out and "unchecked" in out
+
+    def test_set_bindings_print_the_same_under_any_hash_seed(self, tmp_path):
+        """A set-valued binding prints its members sorted, so explain's
+        output does not depend on ``PYTHONHASHSEED``."""
+        path = tmp_path / "hospital.cdl"
+        path.write_text(HOSPITAL_CDL)
+        query = "for p in Patient where p in Patient or p.age > 3 select p.name"
+        outputs = [subprocess.run(
+            [sys.executable, "-m", "repro.cli", "explain", str(path), query],
+            capture_output=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                     PYTHONHASHSEED=seed)).stdout for seed in "123"]
+        assert b"_s0 = frozenset({'Alcoholic', 'Ambulatory_Patient'," \
+            in outputs[0] and b"_f0 = 'age'" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_all_checked_flag(self, good_schema, capsys):
         assert main(["explain", good_schema,

@@ -6,8 +6,8 @@ boundaries and mix in overflow (non-``Surrogate``) members, and under
 the set algebra the query path leans on (``&``/``|``/``-``, the
 reflected forms against plain sets, in-place union, COW copies), the
 batch constructor ``from_ids`` against per-member ``add``, and the id
-decoder on both sides of its popcount branch (two seeded mutants must
-be killed).
+decoder on both sides of its popcount branch and of its sparse memo's
+bound (three seeded mutants must be killed).
 
 Part 2 is the execution-equivalence claim the compiled closures must
 uphold: for every plan, the compiled executor and the guarded full
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import functools
 import inspect
+import sys
 import textwrap
+import threading
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -176,40 +178,165 @@ def test_decoder_on_both_branches(ids):
     check_decoder(ids)
 
 
-def _decoder_mutant(old: str, new: str):
-    """``SurrogateSet.ids`` with one source edit."""
-    source = textwrap.dedent(inspect.getsource(SurrogateSet.ids))
+def _word_keyed(function):
+    """A memo that forgets the chunk base: the first base a word was
+    decoded at answers for every base."""
+    memo = {}
+
+    @functools.wraps(function)
+    def decode(base, word):
+        if word not in memo:
+            memo[word] = function(base, word)
+        return memo[word]
+    decode.cache_clear = memo.clear
+    return decode
+
+
+def _decoder_mutant(old: str, new: str, target=SurrogateSet.ids):
+    """``target`` (``SurrogateSet.ids`` or the memoised sparse decode
+    ``columnar._sparse_ids``) with one source edit."""
+    source = textwrap.dedent(inspect.getsource(target))
     assert source.count(old) == 1
-    namespace = dict(vars(columnar))
+    namespace = dict(vars(columnar), _word_keyed=_word_keyed)
     exec(source.replace(old, new), namespace)
-    return namespace["ids"]
+    return namespace[target.__name__]
 
 
 def _killed_decoder(mutant) -> bool:
     @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None, phases=(Phase.generate,))
+              database=None, phases=(Phase.explicit, Phase.generate))
     @given(ids=_decoder_ids)
+    @example(ids={5, 77, CHUNK_BITS + 5, CHUNK_BITS + 77})
     def run(ids):
         check_decoder(ids)
 
+    owner = SurrogateSet if mutant.__name__ == "ids" else columnar
+    # A correct decode left in a memo would mask the mutant.
+    memos = [columnar._sparse_ids, mutant]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SurrogateSet, "ids", mutant)
+        patch.setattr(owner, mutant.__name__, mutant)
         try:
+            for memo in memos:
+                getattr(memo, "cache_clear", lambda: None)()
             run()
         except AssertionError:
             return True
+        finally:
+            for memo in memos:
+                getattr(memo, "cache_clear", lambda: None)()
     return False
 
 
 def test_mutant_sparse_decode_drops_bit_0_is_killed():
     assert _killed_decoder(_decoder_mutant(
-        'at = digits.rfind("1")', 'at = digits.rfind("1", 0, len(digits) - 1)'))
+        'at = digits.rfind("1")', 'at = digits.rfind("1", 0, len(digits) - 1)',
+        columnar._sparse_ids))
+
+
+def test_mutant_sparse_memo_key_drops_chunk_base_is_killed():
+    """Chunks 0 and 1 of the ``@example`` hold equal words."""
+    assert _killed_decoder(_decoder_mutant(
+        "@lru_cache(maxsize=256)", "@_word_keyed", columnar._sparse_ids))
 
 
 def test_mutant_dense_byte_offset_off_by_one_is_killed():
     assert _killed_decoder(_decoder_mutant(
         "offset = base + (byte_index << 3)",
         "offset = base + (byte_index << 3) + 1"))
+
+
+# The sparse decode's memo: keyed on (chunk base, chunk word), so a
+# fresh set with an unchanged word decodes from it; dense chunks never
+# enter it, and at its bound every answer still equals a cold decode.
+
+def _cold(sset) -> list:
+    columnar._sparse_ids.cache_clear()
+    return sset.ids()
+
+
+def test_a_fresh_snapshot_after_a_write_decodes_its_visit_set_from_memo():
+    store = ObjectStore(SCHEMA)
+    store.create_index("age")
+    store.bulk_load([{"class": "Person", "name": f"n{i}",
+                      "age": 40 if i % 64 == 0 else 41}
+                     for i in range(640)])
+    other = next(p for p in store.extent("Person")
+                 if p.get_value("age") == 41)
+    query = "for p in Person where p.age = 40 select p.name"
+    columnar._sparse_ids.cache_clear()
+    rows, _stats = store.snapshot().run_query(query)
+    before = columnar._sparse_ids.cache_info()
+    assert len(rows) == 10 and before.misses == 1
+    store.set_value(other, "age", 42)
+    assert store.snapshot().run_query(query)[0] == rows
+    after = columnar._sparse_ids.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_dense_chunk_adds_no_memo_entry():
+    columnar._sparse_ids.cache_clear()
+    dense = SurrogateSet.from_ids(range(0, CHUNK_BITS, 2))
+    assert dense.ids() == list(range(0, CHUNK_BITS, 2))
+    assert dense.ids(256, 512) == list(range(256, 512, 2))
+    assert columnar._sparse_ids.cache_info().currsize == 0
+
+
+def test_the_memo_holds_256_words_and_still_decodes_each_one():
+    sets = [SurrogateSet.from_ids({i, 3000 + i}) for i in range(300)]
+    columnar._sparse_ids.cache_clear()
+    warm = [sset.ids() for sset in sets] + [sset.ids() for sset in sets]
+    assert columnar._sparse_ids.cache_info().currsize == 256
+    cold = [_cold(sset) for sset in sets]
+    assert warm == cold + cold
+    assert cold == [[i, 3000 + i] for i in range(300)]
+    # Every caller gets a fresh list.
+    sets[0].ids().append(-1)
+    assert sets[0].ids() == [0, 3000]
+
+
+@pytest.mark.concurrent
+def test_threads_decode_through_the_shared_memo():
+    shared = [SurrogateSet.from_ids({7 + k, 4100 + k, 9000}) for k in range(8)]
+    own = [[SurrogateSet.from_ids({t * 97 + k, 2 * CHUNK_BITS + k})
+            for k in range(60)] for t in range(6)]
+    want = {id(sset): _cold(sset)
+            for sset in shared + [s for sets in own for s in sets]}
+    errors, start = [], threading.Barrier(6)
+
+    def decode(mine):
+        try:
+            start.wait()
+            for _round in range(20):
+                for sset in shared + mine:
+                    assert sset.ids() == want[id(sset)]
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=decode, args=(mine,)) for mine in own]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+
+
+@pytest.mark.slow
+@settings(max_examples=200, deadline=None)
+@given(ids=_decoder_ids, fillers=st.integers(0, 300))
+def test_decoder_over_three_chunks_across_memo_eviction(ids, fillers):
+    """A three-chunk set decodes the same before and after ``fillers``
+    distinct sparse words push its own words out of the memo."""
+    check_decoder(ids)
+    for i in range(fillers):
+        assert SurrogateSet.from_ids({i, _SPAN - 1 - i}).ids() \
+            == [i, _SPAN - 1 - i]
+    check_decoder(ids)
 
 
 #: Ids at both edges of chunks 0 and 1, and the first of chunk 2.
