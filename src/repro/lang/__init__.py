@@ -47,8 +47,8 @@ from repro.lang.ast import (
     RecordTypeExpr,
     RefinedTypeExpr,
 )
-from repro.lang.lexer import Token, tokenize
-from repro.lang.parser import parse
+from repro.lang.lexer import Token
+from repro.lang.parser import parse, tokenize
 from repro.lang.loader import load_schema
 from repro.lang.printer import print_class, print_schema
 

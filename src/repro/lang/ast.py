@@ -82,7 +82,6 @@ class ClassDecl:
     name: str
     parents: Tuple[str, ...]
     attrs: Tuple[AttrDecl, ...]
-    line: int = 0
 
 
 @dataclass(frozen=True)

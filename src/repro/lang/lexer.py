@@ -1,189 +1,102 @@
-"""Tokenizer for the class definition language."""
+"""One lexer for CDL and the query language.
+
+Both languages name the same classes, attributes and ``'symbols``, so
+they share one spelling of each atom, and whatever a schema can declare
+a query can name.  A language builds its master pattern with
+:func:`master` from these atoms plus its own keywords and punctuation;
+one ``finditer`` match per token then yields ``(kind, text, offset)``.
+A token's ``text`` is what was written (quotes included); its kind is
+the text itself for a keyword or punctuation, else the name of the
+group that matched.  Line and column are computed from the offset only
+when an error is raised.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import AbstractSet, List, NamedTuple, Optional, Tuple
 
-from repro.errors import CDLSyntaxError
-
-#: Token kinds.
-CLASS = "CLASS"
-IS_A = "IS_A"
-WITH = "WITH"
-END = "END"
-EXCUSES = "EXCUSES"
-ON = "ON"
-NONE_KW = "NONE"
-IDENT = "IDENT"
-SYMBOL = "SYMBOL"     # 'Dove
-INT = "INT"
-STRING_LIT = "STRING"
-DOTDOT = "DOTDOT"     # ..
-ELLIPSIS = "ELLIPSIS"  # ...
-LBRACE = "LBRACE"
-RBRACE = "RBRACE"
-LBRACKET = "LBRACKET"
-RBRACKET = "RBRACKET"
-COLON = "COLON"
-SEMI = "SEMI"
-COMMA = "COMMA"
-EOF = "EOF"
-
-_KEYWORDS = {
-    "class": CLASS,
-    "with": WITH,
-    "end": END,
-    "excuses": EXCUSES,
-    "on": ON,
-    "None": NONE_KW,
-    "isa": IS_A,
-}
-
-_PUNCT = {
-    "{": LBRACE,
-    "}": RBRACE,
-    "[": LBRACKET,
-    "]": RBRACKET,
-    ":": COLON,
-    ";": SEMI,
-    ",": COMMA,
-}
+#: Blanks and ``--`` line comments, skipped before every token.
+BLANKS = r"(?:\s+|--[^\n]*)*"
+#: A letter or ``_``, then letters, digits, ``_``, ``#`` (the paper's
+#: ``room#``) or ``$`` (generated virtual class names such as
+#: ``Hospital$1``).  Letters and digits are Unicode.
+IDENT = r"[^\W\d][\w#$]*"
+#: ``'`` and then identifier characters; digits may lead (``'1st``).
+SYMBOL = r"'[\w#$]+"
+STRING = r'"[^"\n]*"'
+INT = r"-?\d+"
 
 
-@dataclass(frozen=True)
-class Token:
+def master(*alternatives: str) -> "re.Pattern[str]":
+    """A language's pattern: blanks, then one of ``alternatives`` (named
+    groups, tried in order), the end of the text, or a character that
+    nothing lexes."""
+    return re.compile(
+        BLANKS + "(?:" + "|".join(alternatives)
+        + r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
+
+
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
+    offset: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def position(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
-def _is_ident_part(ch: str) -> bool:
-    # `#` appears in the paper's `room#`; `$` appears in generated virtual
-    # class names, accepted so printed schemas re-parse.
-    return ch.isalnum() or ch in "_#$"
+class TokenStream:
+    """A recursive-descent parser's view of its text, one token at a time.
 
+    A subclass names its language: ``pattern`` (from :func:`master`),
+    ``spelled`` (the keywords and punctuation that are their own kind)
+    and ``error_class`` (called with message, line and column).
+    """
 
-def tokenize(text: str) -> List[Token]:
-    """Tokenize CDL source; raises :class:`CDLSyntaxError` on bad input."""
-    tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    pattern: "re.Pattern[str]"
+    spelled: AbstractSet[str]
+    error_class: type
 
-    def error(message: str) -> CDLSyntaxError:
-        return CDLSyntaxError(message, line, col)
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+        spelled = self.spelled
+        tokens: List[Token] = []
+        for m in self.pattern.finditer(text):
+            group = m.lastgroup
+            value, offset = m[group], m.start(group)
+            token = Token(value if value in spelled else group, value,
+                          offset)
+            if group == "bad":
+                raise self.error(token, f"unexpected character {value!r}")
+            tokens.append(token)
+            if group == "eof":
+                break
+        self.tokens = tokens
 
-    while i < n:
-        ch = text[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
+    def advance(self) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind != "eof":
+            self.pos += 1
+        return token
 
-        # -- line comment
-        if ch == "-" and text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
+    def accept(self, kind: str) -> Optional[Token]:
+        if self.tokens[self.pos].kind == kind:
+            return self.advance()
+        return None
 
-        start_col = col
+    def expect(self, kind: str, what: str) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind != kind:
+            raise self.error(token, f"expected {what}, found {token.text!r}")
+        return self.advance()
 
-        if ch == ".":
-            if text.startswith("...", i):
-                tokens.append(Token(ELLIPSIS, "...", line, start_col))
-                i += 3
-                col += 3
-                continue
-            if text.startswith("..", i):
-                tokens.append(Token(DOTDOT, "..", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise error("unexpected '.'")
-
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        if ch == "'":
-            j = i + 1
-            while j < n and _is_ident_part(text[j]):
-                j += 1
-            if j == i + 1:
-                raise error("expected symbol name after '")
-            tokens.append(Token(SYMBOL, text[i + 1:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise error("unterminated string literal")
-                j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            tokens.append(Token(STRING_LIT, text[i + 1:j], line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token(INT, text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_part(text[j]):
-                j += 1
-            word = text[i:j]
-            # `is-a` / `is a` / `is_a` all lex to IS_A.
-            if word == "is":
-                k = j
-                if k < n and text[k] in "-_":
-                    k += 1
-                elif k < n and text[k] == " ":
-                    k += 1
-                if k < n and text[k] == "a" and (
-                        k + 1 >= n or not _is_ident_part(text[k + 1])):
-                    tokens.append(Token(IS_A, text[i:k + 1], line,
-                                        start_col))
-                    col += k + 1 - i
-                    i = k + 1
-                    continue
-                raise error("expected 'is-a'")
-            if word == "is_a" or word == "is-a":
-                tokens.append(Token(IS_A, word, line, start_col))
-            else:
-                kind = _KEYWORDS.get(word, IDENT)
-                tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(EOF, "", line, col))
-    return tokens
+    def error(self, token: Token, message: str) -> Exception:
+        return self.error_class(message, *position(self.text, token.offset))

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import CDLSyntaxError
-from repro.lang import lexer as lx
 from repro.lang.ast import (
     AttrDecl,
     ClassDecl,
@@ -19,141 +18,133 @@ from repro.lang.ast import (
     RefinedTypeExpr,
     TypeExpr,
 )
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import (
+    IDENT, INT, STRING, SYMBOL, Token, TokenStream, master)
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    # Token plumbing -----------------------------------------------------
-
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != lx.EOF:
-            self._pos += 1
-        return token
-
-    def _check(self, kind: str) -> bool:
-        return self._peek().kind == kind
-
-    def _accept(self, kind: str) -> Optional[Token]:
-        if self._check(kind):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: str, what: str) -> Token:
-        token = self._peek()
-        if token.kind != kind:
-            raise CDLSyntaxError(
-                f"expected {what}, found {token.text!r}",
-                token.line, token.column)
-        return self._advance()
+class _Parser(TokenStream):
+    # `is-a`, `is a`, `is_a` and `isa` are one keyword; `isaac` is a name.
+    pattern = master(
+        r"(?P<isa>is[-_ ]?a(?![\w#$]))",
+        rf"(?P<int>{INT})",
+        rf"(?P<symbol>{SYMBOL})",
+        rf"(?P<string>{STRING})",
+        rf"(?P<ident>{IDENT})",
+        r"(?P<punct>\.\.\.?|[{}\[\]:;,])",
+    )
+    spelled = frozenset({"class", "with", "end", "excuses", "on", "None",
+                         "..", "...", "{", "}", "[", "]", ":", ";", ","})
+    error_class = CDLSyntaxError
 
     # Grammar ------------------------------------------------------------
 
     def parse_program(self) -> Program:
         classes: List[ClassDecl] = []
-        while not self._check(lx.EOF):
+        while not self.accept("eof"):
             classes.append(self.parse_class())
         return Program(tuple(classes))
 
     def parse_class(self) -> ClassDecl:
-        head = self._expect(lx.CLASS, "'class'")
-        name = self._expect(lx.IDENT, "class name").text
+        self.expect("class", "'class'")
+        name = self.expect("ident", "class name").text
         parents: List[str] = []
-        if self._accept(lx.IS_A):
-            parents.append(self._expect(lx.IDENT, "parent class").text)
-            while self._accept(lx.COMMA):
-                parents.append(self._expect(lx.IDENT, "parent class").text)
-        self._expect(lx.WITH, "'with'")
-        attrs = self._parse_attr_list(stop_kinds=(lx.CLASS, lx.END, lx.EOF))
-        self._accept(lx.END)
-        return ClassDecl(name, tuple(parents), tuple(attrs), head.line)
+        if self.accept("isa"):
+            parents.append(self.expect("ident", "parent class").text)
+            while self.accept(","):
+                parents.append(self.expect("ident", "parent class").text)
+        self.expect("with", "'with'")
+        attrs = self._parse_attr_list(stop_kinds=("class", "end", "eof"))
+        self.accept("end")
+        return ClassDecl(name, tuple(parents), tuple(attrs))
 
     def _parse_attr_list(self, stop_kinds: Tuple[str, ...]) -> List[AttrDecl]:
         attrs: List[AttrDecl] = []
         while True:
-            token = self._peek()
+            token = self.peek()
             if token.kind in stop_kinds:
                 break
             attrs.append(self.parse_attr())
-            if not self._accept(lx.SEMI):
+            if not self.accept(";"):
                 # Semicolons separate attributes; the last one may omit it
                 # only right before a stop token.
-                token = self._peek()
+                token = self.peek()
                 if token.kind not in stop_kinds:
-                    raise CDLSyntaxError(
-                        f"expected ';' between attributes, found "
-                        f"{token.text!r}", token.line, token.column)
+                    raise self.error(
+                        token, "expected ';' between attributes, found "
+                        f"{token.text!r}")
         return attrs
 
     def parse_attr(self) -> AttrDecl:
-        name = self._expect(lx.IDENT, "attribute name").text
-        self._expect(lx.COLON, "':'")
+        name = self.expect("ident", "attribute name").text
+        self.expect(":", "':'")
         type_expr = self.parse_type()
         excuses: List[ExcuseDecl] = []
-        while self._accept(lx.EXCUSES):
-            attr = self._expect(lx.IDENT, "excused attribute").text
-            self._expect(lx.ON, "'on'")
-            target = self._expect(lx.IDENT, "excused class").text
+        while self.accept("excuses"):
+            attr = self.expect("ident", "excused attribute").text
+            self.expect("on", "'on'")
+            target = self.expect("ident", "excused class").text
             excuses.append(ExcuseDecl(attr, target))
         return AttrDecl(name, type_expr, tuple(excuses))
 
     def parse_type(self) -> TypeExpr:
-        token = self._peek()
-        if token.kind == lx.NONE_KW:
-            self._advance()
+        token = self.peek()
+        if token.kind == "None":
+            self.advance()
             return NoneTypeExpr()
-        if token.kind == lx.INT:
-            lo = int(self._advance().text)
-            self._expect(lx.DOTDOT, "'..'")
-            hi = int(self._expect(lx.INT, "range upper bound").text)
+        if token.kind == "int":
+            lo = int(self.advance().text)
+            self.expect("..", "'..'")
+            hi = int(self.expect("int", "range upper bound").text)
             return RangeTypeExpr(lo, hi)
-        if token.kind == lx.LBRACE:
+        if token.kind == "{":
             return self._parse_enum()
-        if token.kind == lx.LBRACKET:
+        if token.kind == "[":
             return RecordTypeExpr(tuple(self._parse_bracket_body()))
-        if token.kind == lx.IDENT:
-            name = self._advance().text
-            if self._check(lx.LBRACKET):
+        if token.kind == "ident":
+            name = self.advance().text
+            if self.peek().kind == "[":
                 return RefinedTypeExpr(
                     name, tuple(self._parse_bracket_body()))
             return NamedTypeExpr(name)
-        raise CDLSyntaxError(
-            f"expected a type, found {token.text!r}",
-            token.line, token.column)
+        raise self.error(token, f"expected a type, found {token.text!r}")
 
     def _parse_enum(self) -> EnumTypeExpr:
-        self._expect(lx.LBRACE, "'{'")
+        self.expect("{", "'{'")
         symbols: List[str] = []
         elided = False
         while True:
-            if self._accept(lx.ELLIPSIS):
+            if self.accept("..."):
                 elided = True
             else:
-                symbols.append(
-                    self._expect(lx.SYMBOL, "a 'Symbol").text)
-            if not self._accept(lx.COMMA):
+                symbols.append(self.expect("symbol", "a 'Symbol").text[1:])
+            if not self.accept(","):
                 break
-        self._expect(lx.RBRACE, "'}'")
+        self.expect("}", "'}'")
         if not symbols:
-            token = self._peek()
-            raise CDLSyntaxError("enumeration needs at least one symbol",
-                                 token.line, token.column)
+            raise self.error(self.peek(),
+                             "enumeration needs at least one symbol")
         return EnumTypeExpr(tuple(symbols), elided)
 
     def _parse_bracket_body(self) -> List[AttrDecl]:
-        self._expect(lx.LBRACKET, "'['")
-        attrs = self._parse_attr_list(stop_kinds=(lx.RBRACKET,))
-        self._expect(lx.RBRACKET, "']'")
+        self.expect("[", "'['")
+        attrs = self._parse_attr_list(stop_kinds=("]",))
+        self.expect("]", "']'")
         return attrs
+
+
+def tokenize(text: str) -> List[Token]:
+    """The CDL tokens of ``text``, the last one of kind ``eof``."""
+    return _Parser(text).tokens
+
+
+def spells(kind: str, text: str) -> bool:
+    """Whether CDL reads ``text`` back as exactly one ``kind`` token: an
+    ``ident`` that is no keyword, or a ``'symbol``."""
+    m = _Parser.pattern.match(text)
+    return (m.lastgroup == kind and m.span(kind) == (0, len(text))
+            and text not in _Parser.spelled)
 
 
 def parse(text: str) -> Program:
     """Parse CDL source text into a :class:`Program` AST."""
-    return _Parser(tokenize(text)).parse_program()
+    return _Parser(text).parse_program()

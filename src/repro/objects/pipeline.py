@@ -22,7 +22,7 @@ stage sequence:
 4. **put / seal** -- a command that mutated puts its record (a lone one
    takes its seq; a scope's joins the group its ``UndoScope`` seals);
    the frame of one that changed nothing is dropped;
-5. **epoch and observers** -- the epoch is bumped, observers notified.
+5. **epoch** -- the epoch is bumped.
 
 The one commit rule: a write is visible iff its record holds a seq.
 Only depth-1 commands are logged, and only here
@@ -268,7 +268,7 @@ class AlterClassCommand(MutationCommand):
     op = "alter"
     RECHECK = ("affected", "lazy", "full", "none")
     __slots__ = ("new_def", "recheck", "verb", "diagnostics", "successor",
-                 "region", "result")
+                 "result")
 
     def __init__(self, new_def, recheck: str = "affected",
                  verb: str = "alter-class") -> None:
@@ -280,7 +280,6 @@ class AlterClassCommand(MutationCommand):
         self.verb = verb
         self.diagnostics: List = []
         self.successor = None
-        self.region: Optional[EvolutionRegion] = None
         self.result: List[Tuple[Instance, Violation]] = []
 
     def admit(self, pipe):
@@ -391,10 +390,6 @@ class MutationPipeline:
         self._unlogged = 0
         #: Open transaction scopes (all on the lock-holding thread).
         self._txn_depth = 0
-        #: Commands committed inside an open transaction: observer
-        #: notification is deferred to scope commit (and dropped on
-        #: rollback), so observers only ever see durable commands.
-        self._pending: List[MutationCommand] = []
 
     # ------------------------------------------------------------------
     # Stage driver
@@ -420,11 +415,6 @@ class MutationPipeline:
                 if wal is not None:
                     wal.put(op, fields, data)
                 store._epoch += 1
-                if self._txn_depth:
-                    self._pending.append(command)
-                else:
-                    for observer in store.observers:
-                        observer(command)
             return result
 
     @contextmanager
@@ -450,7 +440,6 @@ class MutationPipeline:
                 # cleanly, discarded (sequence rolled back) on abort.
                 wal.begin()
             self._txn_depth += 1
-            mark = len(self._pending)
             sealed = None
             try:
                 with UndoScope(store):
@@ -467,7 +456,6 @@ class MutationPipeline:
                         sealed = wal.seal()
             except BaseException:
                 self._txn_depth -= 1
-                del self._pending[mark:]
                 if open_group is not None:
                     wal.abort()
                 raise
@@ -475,11 +463,6 @@ class MutationPipeline:
             if sealed:
                 # The record holds its seq: an I/O error keeps the writes.
                 wal.write_out(*sealed)
-            if self._txn_depth == 0 and self._pending:
-                pending, self._pending = self._pending, []
-                for command in pending:
-                    for observer in store.observers:
-                        observer(command)
 
     @contextmanager
     def unlogged(self):
@@ -539,7 +522,6 @@ class MutationPipeline:
         for class_name, members in store._extents.items():
             if surrogate in members:
                 self.writable_extent(class_name).discard(surrogate)
-                store._extent_cache.pop(class_name, None)
         log = store._undo_log
         if log is not None:
             log.append((store._objects, surrogate, obj))
@@ -757,7 +739,6 @@ class MutationPipeline:
         if not changes:
             return []   # no-op: no epoch, no record
         region = affected_region(old_schema, new_schema, changes)
-        command.region = region
 
         # Swap in the successor epoch.  Everything derived from the old
         # schema object either moves with the swap (checker profiles,
@@ -772,16 +753,6 @@ class MutationPipeline:
         self.migrate_extents(old_schema, changes)
         stats.schema_index_rebuilds += store.indexes.on_schema_change(
             region.attributes)
-        # Every derived read-side structure re-derives at the epoch
-        # swap -- cached plans stop matching, affected postings rebuild
-        # above -- and the memoized extent tuples must not be the one
-        # survivor.  Structural migrations already dropped the memos
-        # they touched; attribute-level deltas (add_excuse /
-        # retract_excuse rebuilding residue postings) reach here with
-        # the memos still primed, so drop them for the affected region
-        # (delta-scoped, like the index rebuild).
-        for class_name in region.classes:
-            store._extent_cache.pop(class_name, None)
         problems = self.recheck_after_alter(region, command.recheck)
         stats.schema_changes += 1
         command.mutated = True
@@ -1014,12 +985,11 @@ class MutationPipeline:
             else:
                 store._extents[class_name] = added
                 store._extent_cow[class_name] = store._snapshot_stamp
-            store._extent_cache.pop(class_name, None)
 
     def add_to_extents(self, obj: Instance, class_name: str) -> None:
         """IS-A-closed extent insertion, delta-aware: ancestors that
-        already contain the object are left untouched -- their cached
-        sorted snapshots stay valid (no needless invalidation)."""
+        already contain the object are left untouched (no needless
+        copy-on-write)."""
         store = self.store
         surrogate = obj.surrogate
         extents = store._extents
@@ -1028,16 +998,14 @@ class MutationPipeline:
             if members is None:
                 extents[ancestor] = SurrogateSet((surrogate,))
                 store._extent_cow[ancestor] = store._snapshot_stamp
-                store._extent_cache.pop(ancestor, None)
             elif surrogate not in members:
                 self.writable_extent(ancestor).add(surrogate)
-                store._extent_cache.pop(ancestor, None)
 
     def rebuild_extents_for(self, obj: Instance) -> None:
         """Re-derive the object's extent entries from its remaining
         memberships, delta-aware: only classes whose membership actually
-        changes are touched (and only their cached extents invalidated),
-        so a membership-neutral mutation invalidates nothing."""
+        changes are touched, so a membership-neutral mutation copies no
+        extent."""
         store = self.store
         keep: Set[str] = set()
         for m in obj.memberships:
@@ -1047,10 +1015,8 @@ class MutationPipeline:
             if class_name in keep:
                 if surrogate not in members:
                     self.writable_extent(class_name).add(surrogate)
-                    store._extent_cache.pop(class_name, None)
             elif surrogate in members:
                 self.writable_extent(class_name).discard(surrogate)
-                store._extent_cache.pop(class_name, None)
 
     # ------------------------------------------------------------------
     # Membership-delta checking
@@ -1243,11 +1209,6 @@ class UndoScope:
                 mapping[key] = prior
         del log[self._mark:]
         store._columns.reinstall(self._columns)
-        # Only a replaced (= touched) extent set can have a stale memo.
-        live = store._extents
-        for name in live.keys() | self._extents.keys():
-            if live.get(name) is not self._extents.get(name):
-                store._extent_cache.pop(name, None)
         store._extents = self._extents
         store._extent_cow = self._extent_cow
         store.indexes.reinstall(self._indexes)

@@ -26,7 +26,7 @@ Every mutation entry point -- ``create``/``remove``, ``classify``/
 batches -- is a thin constructor for a typed command executed by the
 store's :class:`~repro.objects.pipeline.MutationPipeline`, the single
 owner of conformance checking, extent/virtual-class maintenance,
-secondary-index maintenance, WAL journaling, and observer notification.
+secondary-index maintenance and WAL journaling.
 Each committed command bumps the store **epoch**; :meth:`snapshot`
 returns an immutable epoch-stamped :class:`~repro.objects.snapshot.
 StoreSnapshot` (copy-on-write: capture is by reference, writers
@@ -144,9 +144,6 @@ class ObjectStore:
         # other objects (values entering virtual classes) are journaled
         # here as (instance, closure delta) so they can be checked.
         self._join_log: Optional[List[Tuple[Instance, frozenset]]] = None
-        # Sorted extent snapshots, per class, served by extent() until a
-        # membership/extent mutation invalidates them.
-        self._extent_cache: Dict[str, Tuple[Instance, ...]] = {}
         # --- MVCC state (see objects/snapshot.py) ---------------------
         # Writers serialize on this lock; snapshot capture does too.
         self._write_lock = threading.RLock()
@@ -162,9 +159,6 @@ class ObjectStore:
         #: ``(mapping, key, prior)`` entries while an atomic scope is open
         #: (:class:`~repro.objects.pipeline.UndoScope`), else None.
         self._undo_log: Optional[List[tuple]] = None
-        #: Called with each committed command (post-commit, in order);
-        #: inside a transaction, deferred to scope commit.
-        self.observers: List = []
         # Secondary attribute indexes + the planner's plan cache.
         self.indexes = IndexManager(self)
         # The single mutation path (commands, stages, write lock).
@@ -357,22 +351,13 @@ class ObjectStore:
     def extent(self, class_name: str) -> Tuple[Instance, ...]:
         """The current *live* extent, superclass extents included (the
         latest state, uncommitted transaction writes visible to their
-        own thread; use :meth:`snapshot` for a stable committed view).
-
-        The sorted snapshot is cached per class and invalidated only by
-        mutations that actually change the class's membership set, so
-        repeated scans do not pay the O(n log n) sort per call."""
+        own thread; use :meth:`snapshot` for a stable committed view)."""
         if not self.schema.has_class(class_name):
             raise UnknownClassError(class_name)
-        cached = self._extent_cache.get(class_name)
-        if cached is not None:
-            return cached
         surrogates = self._extents.get(class_name, _EMPTY_EXTENT)
         # Bitset iteration is already ascending by surrogate id -- the
         # sorted-extent contract holds with no O(n log n) sort.
-        result = tuple(self._objects[s] for s in surrogates)
-        self._extent_cache[class_name] = result
-        return result
+        return tuple(self._objects[s] for s in surrogates)
 
     # The generated query loop's row source (``repro.query.compiler``).
 

@@ -9,11 +9,11 @@ extent, and the virtual-class reference counts are restored exactly.
 
 The machinery lives in the unified mutation pipeline
 (:mod:`repro.objects.pipeline`): the scope holds the store's write lock,
-buffers observer notifications until commit, group-commits the WAL, and
-rolls back through an :class:`~repro.objects.pipeline.UndoScope`: begin
-takes references to the copy-on-write roots, the writes inside leave
-their pre-images behind, and an abort costs what the scope touched --
-never a copy of the store.  Instances (and index handles) keep their
+group-commits the WAL, and rolls back through an
+:class:`~repro.objects.pipeline.UndoScope`: begin takes references to
+the copy-on-write roots, the writes inside leave their pre-images
+behind, and an abort costs what the scope touched -- never a copy of
+the store.  Instances (and index handles) keep their
 identity across rollback; outside references stay valid and see the
 restored state.  This module is the stable public entry point.
 

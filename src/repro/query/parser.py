@@ -2,28 +2,31 @@
 
 Grammar::
 
-    query    := 'for' IDENT 'in' IDENT ('where' expr)? 'select' expr (',' expr)*
+    query    := 'for' IDENT 'in' NAME ('where' expr)? 'select' expr (',' expr)*
     expr     := or
     or       := and ('or' and)*
     and      := unary ('and' unary)*
     unary    := 'not' unary | relation
-    relation := postfix ( ('in' | 'not' 'in') IDENT
+    relation := postfix ( ('in' | 'not' 'in') NAME
                         | OP postfix )?
-    postfix  := primary ('.' IDENT)*
+    postfix  := primary ('.' NAME)*
     primary  := NUMBER | STRING | SYMBOL | 'true' | 'false'
               | IDENT | '(' expr ')'
               | 'when' expr 'then' expr 'else' expr 'end'
 
-``OP`` is one of ``= != < <= > >=``.  A ``NUMBER`` is spelled as ``str``
-spells a finite number: ``-1``, or a ``Real`` (``1.5``, ``2e-07``).
+``OP`` is one of ``= != < <= > >=``.  A class or attribute ``NAME`` is
+an ``IDENT`` or a keyword (CDL lets a schema use ``select`` as a name).
+A ``NUMBER`` is spelled as ``str`` spells a finite number: ``-1``, or a
+``Real`` (``1.5``, ``2e-07``).  Identifiers, symbols, strings, blanks
+and ``--`` comments are spelled as in CDL (:mod:`repro.lang.lexer`), so
+a query can name whatever a schema declares.
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, NamedTuple, Optional
-
 from repro.errors import QuerySyntaxError
+from repro.lang.lexer import (
+    IDENT, INT, STRING, SYMBOL, TokenStream, master)
 from repro.query.ast import (
     Aggregate,
     And,
@@ -45,112 +48,56 @@ from repro.typesys.values import EnumSymbol
 #: they stay usable as ordinary identifiers elsewhere).
 _AGGREGATES = ("count", "min", "max", "avg", "total")
 
-#: One match per token: the blanks and comments before it, then the
-#: token itself, the end of the text, or a character nothing lexes.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|--[^\n]*)*
-    (?:
-      (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-    | (?P<symbol>'[A-Za-z_][A-Za-z0-9_#$]*)
-    | (?P<string>"[^"\n]*")
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_#$]*)
-    | (?P<op><=|>=|!=|=|<|>)
-    | (?P<punct>[().,])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
+_KEYWORDS = frozenset({"for", "in", "where", "select", "when", "then",
+                       "else", "end", "and", "or", "not", "true", "false"})
+
+
+class _QueryParser(TokenStream):
+    pattern = master(
+        rf"(?P<number>{INT}(?:\.\d+)?(?:[eE][-+]?\d+)?)",
+        rf"(?P<symbol>{SYMBOL})",
+        rf"(?P<string>{STRING})",
+        rf"(?P<ident>{IDENT})",
+        r"(?P<op><=|>=|!=|=|<|>)",
+        r"(?P<punct>[().,])",
     )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    spelled = _KEYWORDS | {"(", ")", ".", ","}
+    error_class = QuerySyntaxError
 
-#: Tokens that are their own kind: keywords and punctuation.
-_SPELLED = {"for", "in", "where", "select", "when", "then", "else", "end",
-            "and", "or", "not", "true", "false", "(", ")", ".", ","}
-
-
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    offset: int
-
-
-def _syntax_error(text: str, offset: int, message: str) -> QuerySyntaxError:
-    """``message`` at ``offset`` of ``text``, by line and column."""
-    return QuerySyntaxError(message, text.count("\n", 0, offset) + 1,
-                            offset - text.rfind("\n", 0, offset))
-
-
-def _tokenize(text: str) -> List[_Tok]:
-    tokens: List[_Tok] = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        value, offset = m[group], m.start(group)
-        if group == "bad":
-            raise _syntax_error(text, offset,
-                                f"unexpected character {value!r}")
-        tokens.append(_Tok(value if value in _SPELLED else group, value,
-                           offset))
-        if group == "eof":
-            break
-    return tokens
-
-
-class _QueryParser:
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-
-    def _peek(self) -> _Tok:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Tok:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
-
-    def _accept(self, kind: str) -> Optional[_Tok]:
-        if self._peek().kind == kind:
-            return self._advance()
-        return None
-
-    def _error(self, tok: _Tok, message: str) -> QuerySyntaxError:
-        return _syntax_error(self._text, tok.offset, message)
-
-    def _expect(self, kind: str, what: str) -> _Tok:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise self._error(tok, f"expected {what}, found {tok.text!r}")
-        return self._advance()
+    def name(self, what: str) -> str:
+        """A ``NAME``: what follows ``in`` or ``.`` is a name even when
+        it is a keyword."""
+        token = self.peek()
+        if token.kind != "ident" and token.kind not in _KEYWORDS:
+            raise self.error(token, f"expected {what}, found {token.text!r}")
+        return self.advance().text
 
     # Grammar ------------------------------------------------------------
 
     def parse_query(self) -> Query:
-        self._expect("for", "'for'")
-        var = self._expect("ident", "variable name").text
-        self._expect("in", "'in'")
-        source = self._expect("ident", "class name").text
+        self.expect("for", "'for'")
+        var = self.expect("ident", "variable name").text
+        self.expect("in", "'in'")
+        source = self.name("class name")
         where = None
-        if self._accept("where"):
+        if self.accept("where"):
             where = self.parse_expr()
-        self._expect("select", "'select'")
+        self.expect("select", "'select'")
         select = [self._parse_select_item()]
-        while self._accept(","):
+        while self.accept(","):
             select.append(self._parse_select_item())
-        self._expect("eof", "end of query")
+        self.expect("eof", "end of query")
         return Query(var, source, where, tuple(select))
 
     def _parse_select_item(self) -> Expr:
-        tok = self._peek()
+        tok = self.peek()
         if tok.kind == "ident" and tok.text in _AGGREGATES:
-            following = self._tokens[self._pos + 1].kind
+            following = self.tokens[self.pos + 1].kind
             # `count` may stand bare; a following `.` means the name was
             # an ordinary variable after all (e.g. `count.x`).
             if following == ".":
                 return self.parse_expr()
-            self._advance()
+            self.advance()
             if tok.text == "count" and following in ("eof", ","):
                 return Aggregate("count", None)
             operand = self.parse_expr()
@@ -162,41 +109,41 @@ class _QueryParser:
 
     def _parse_or(self) -> Expr:
         left = self._parse_and()
-        while self._accept("or"):
+        while self.accept("or"):
             left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expr:
         left = self._parse_unary()
-        while self._accept("and"):
+        while self.accept("and"):
             left = And(left, self._parse_unary())
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._accept("not"):
+        if self.accept("not"):
             return Not(self._parse_unary())
         return self._parse_relation()
 
     def _parse_relation(self) -> Expr:
         left = self._parse_postfix()
-        if self._accept("in"):
-            return InClass(left, self._expect("ident", "class name").text)
-        if self._accept("not"):     # `x not in C`
-            self._expect("in", "'in' after 'not'")
-            return NotInClass(left, self._expect("ident", "class name").text)
-        if self._peek().kind == "op":
-            op = self._advance().text
+        if self.accept("in"):
+            return InClass(left, self.name("class name"))
+        if self.accept("not"):     # `x not in C`
+            self.expect("in", "'in' after 'not'")
+            return NotInClass(left, self.name("class name"))
+        if self.peek().kind == "op":
+            op = self.advance().text
             return Compare(op, left, self._parse_postfix())
         return left
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
-        while self._accept("."):
-            expr = Path(expr, self._expect("ident", "attribute name").text)
+        while self.accept("."):
+            expr = Path(expr, self.name("attribute name"))
         return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self._advance()
+        tok = self.advance()
         if tok.kind == "number":
             real = any(c in tok.text for c in ".eE")
             return Const(float(tok.text) if real else int(tok.text))
@@ -208,19 +155,19 @@ class _QueryParser:
             return Const(tok.kind == "true")
         if tok.kind == "when":
             condition = self.parse_expr()
-            self._expect("then", "'then'")
+            self.expect("then", "'then'")
             then = self.parse_expr()
-            self._expect("else", "'else'")
+            self.expect("else", "'else'")
             otherwise = self.parse_expr()
-            self._expect("end", "'end'")
+            self.expect("end", "'end'")
             return When(condition, then, otherwise)
         if tok.kind == "ident":
             return Var(tok.text)
         if tok.kind == "(":
             expr = self.parse_expr()
-            self._expect(")", "')'")
+            self.expect(")", "')'")
             return expr
-        raise self._error(tok, f"expected an expression, found {tok.text!r}")
+        raise self.error(tok, f"expected an expression, found {tok.text!r}")
 
 
 def parse_query(text: str) -> Query:
@@ -232,5 +179,5 @@ def parse_expr(text: str) -> Expr:
     """Parse a standalone expression (used by tests)."""
     parser = _QueryParser(text)
     expr = parser.parse_expr()
-    parser._expect("eof", "end of expression")
+    parser.expect("eof", "end of expression")
     return expr

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchemaError, UnknownClassError
+from repro.lang.parser import spells
 from repro.schema.attribute import AttributeDef, ExcuseRef
 from repro.schema.classdef import ClassDef
 from repro.schema.schema import Schema
@@ -62,6 +63,28 @@ def as_type(value, known_classes: Iterable[str] = ()) -> Type:
         return RecordType({k: as_type(v, known_classes)
                            for k, v in value.items()})
     raise SchemaError(f"cannot interpret {value!r} as a type")
+
+
+def require_cdl_names(cdef: ClassDef) -> None:
+    """Raise :class:`SchemaError` on the first class, attribute or
+    enumeration-symbol name of ``cdef`` that ``print_schema`` would write
+    as CDL that does not read back."""
+    def need(kind: str, text: str, what: str) -> None:
+        if not spells(kind, text):
+            raise SchemaError(f"{what} cannot be written in CDL")
+
+    need("ident", cdef.name, f"class {cdef.name!r}")
+    stack = [(cdef.name, a.name, a.range) for a in cdef.attributes]
+    while stack:
+        owner, name, range_ = stack.pop()
+        need("ident", name, f"attribute {name!r} of {owner!r}")
+        if isinstance(range_, EnumerationType):
+            for symbol in range_.symbols:
+                need("symbol", f"'{symbol}",
+                     f"symbol {symbol!r} of {owner}.{name}")
+        elif isinstance(range_, RecordType):
+            stack.extend((f"{owner}.{name}", field, ftype)
+                         for field, ftype in range_.fields)
 
 
 class ClassBuilder:
@@ -134,9 +157,10 @@ class SchemaBuilder:
         """Materialize the schema.
 
         Classes are added in dependency (parents-first) order, embeddings
-        are realized into virtual classes, and -- unless ``validate`` is
-        False -- the full validator runs; errors raise, warnings are
-        appended to ``collect`` when given.
+        are realized into virtual classes, a name CDL cannot write back
+        raises, and -- unless ``validate`` is False -- the full validator
+        runs; errors raise, warnings are appended to ``collect`` when
+        given.
         """
         schema = Schema()
         factory = VirtualClassFactory(schema)
@@ -154,6 +178,8 @@ class SchemaBuilder:
                 class_properties=tuple(
                     sorted(builder._class_properties.items())),
                 doc=builder.doc))
+        for cdef in schema.classes():
+            require_cdl_names(cdef)
         if validate:
             validator = SchemaValidator(schema)
             diagnostics = validator.validate()

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Set, Tuple
 
+from repro.schema.builder import require_cdl_names
 from repro.schema.classdef import ClassDef
 from repro.schema.schema import Schema
 from repro.schema.validation import Diagnostic, SchemaValidator
@@ -117,8 +118,10 @@ def apply_change(schema: Schema,
     the schema is unchanged and the diagnostics explain why.  This is
     the primitive the online evolution pipeline applies to a *clone* of
     a live store's schema before swapping the clone in as the next
-    epoch.
+    epoch.  A name CDL cannot write back raises :class:`SchemaError`
+    with the schema untouched.
     """
+    require_cdl_names(new_def)
     adding = not schema.has_class(new_def.name)
     old: Optional[ClassDef] = None
     if adding:

@@ -412,18 +412,12 @@ class TestExtentMigration:
 
 
 # ---------------------------------------------------------------------------
-# Extent-cache invalidation on the retract direction (satellite bugfix)
+# Extents across the retract direction
 # ---------------------------------------------------------------------------
 
 class TestExtentCacheAcrossRetract:
-    """``extent()`` memoizes each class's sorted row tuple.  Forward
-    alters invalidate it through the extent-migration stages (covered
-    above); the *retract* direction used to leave the memo untouched --
-    it happened to stay value-correct, but it was the only derived
-    read-side cache that silently outlived a schema epoch swap (plans,
-    postings and snapshots all re-derive).  These tests pin the
-    contract: an epoch swap that rebuilds an attribute's postings also
-    drops the affected classes' extent memos."""
+    """A retract, applied or refused, swaps or keeps the schema epoch
+    but moves no membership: every ``extent()`` stays exact."""
 
     def _retractable(self, store):
         store.alter_class(alcoholic_def())
@@ -434,25 +428,16 @@ class TestExtentCacheAcrossRetract:
     def test_retract_excuse_drops_affected_extent_memos(self, store):
         store.create_index("treatedBy")
         self._retractable(store)
-        before = {cls: store.extent(cls)
-                  for cls in ("Alcoholic", "Patient", "Person",
-                              "Equipment")}
+        classes = ("Alcoholic", "Patient", "Person", "Equipment")
+        before = {cls: store.extent(cls) for cls in classes}
         store.retract_excuse("Alcoholic", "treatedBy",
                              drop_attribute=True)
-        # treatedBy's postings were rebuilt for the new epoch; the
-        # extent memos of the affected region (Alcoholic and Patient,
-        # whose treatedBy constraints the retraction re-scopes) must
-        # not be served across the swap...
-        for cls in ("Alcoholic", "Patient"):
-            assert store.extent(cls) is not before[cls], cls
+        # treatedBy's postings were rebuilt for the new epoch; no
+        # membership moved, inside the affected region or outside it.
+        for cls in classes:
+            assert store.extent(cls) == before[cls], cls
             assert store.extent(cls) == tuple(
                 store._objects[s] for s in store._extents[cls])
-        # ...while classes outside the delta's reach -- the untouched
-        # Person ancestor constraints, the disjoint Equipment hierarchy
-        # -- keep their memos (delta-scoped invalidation, like the
-        # index rebuild above).
-        assert store.extent("Person") is before["Person"]
-        assert store.extent("Equipment") is before["Equipment"]
 
     def test_partial_retract_also_invalidates(self, store):
         al = self._retractable(store)
@@ -463,7 +448,7 @@ class TestExtentCacheAcrossRetract:
         # Retracting it while the treatedBy excuse stays is an
         # excuses-changed delta -- still an epoch swap, still rebuilt.
         store.retract_excuse("Alcoholic", "age")
-        assert store.extent("Alcoholic") is not before
+        assert store.extent("Alcoholic") == before
         assert al in store.extent("Alcoholic")
 
     def test_query_agrees_with_scan_after_retract(self, store):
@@ -489,5 +474,5 @@ class TestExtentCacheAcrossRetract:
         before = store.extent("Alcoholic")
         with pytest.raises(SchemaEvolutionError):
             store.retract_excuse("Alcoholic", "treatedBy")
-        # No epoch swap happened, so the memo legitimately survives.
-        assert store.extent("Alcoholic") is before
+        # No epoch swap happened, and no membership moved.
+        assert store.extent("Alcoholic") == before

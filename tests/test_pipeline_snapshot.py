@@ -3,7 +3,8 @@
 Covers the PR-5 acceptance criteria: a snapshot taken before a committed
 mutation never observes it (for every one of the five mutation entry
 paths), epochs move only on real state changes, ``stats()`` is safe
-mid-transaction, and observers only ever see committed commands.
+mid-transaction, and a transaction's writes take their log position only
+at commit.
 """
 
 import pytest
@@ -157,6 +158,8 @@ class TestEpochs:
         assert store._epoch == e0 + 1
         store.set_value(p, "age", 31)
         assert store._epoch == e0 + 2
+        store.classify(p, "Patient")
+        assert store._epoch == e0 + 3
 
     def test_noop_classify_declassify_do_not_bump(self, store):
         p = store.create("Patient", name="a", age=30)
@@ -189,6 +192,24 @@ class TestEpochs:
         # the aborted interval must not be trusted.
         assert store._epoch > e0
 
+    def test_a_scope_takes_its_seq_at_commit_and_none_on_abort(
+            self, hospital_schema, tmp_path):
+        store = ObjectStore.open(str(tmp_path), hospital_schema,
+                                 durability="wal")
+        p = store.create("Person", name="a", age=30)
+        seq = store.position()
+        with transaction(store):
+            store.set_value(p, "age", 31)
+            store.classify(p, "Patient")
+            assert store.position() == seq     # nothing committed yet
+        assert store.position() == seq + 1
+        with pytest.raises(RuntimeError):
+            with transaction(store):
+                store.set_value(p, "age", 32)
+                raise RuntimeError("abort")
+        assert store.position() == seq + 1
+        store.close()
+
     def test_index_admin_bumps_epoch(self, store):
         store.create("Person", name="a", age=30)
         snap = store.snapshot()
@@ -207,35 +228,6 @@ class TestEpochs:
         stats = store.stats()
         assert stats["snapshot_reuses"] >= 1
         assert stats["snapshots_built"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# Membership-unchanged operations keep cached extents (satellite fix)
-# ---------------------------------------------------------------------------
-
-class TestExtentCacheDelta:
-    def test_noop_membership_ops_keep_sorted_extent_cache(self, store):
-        p = store.create("Patient", name="a", age=30)
-        _ = store.extent("Person")
-        assert "Person" in store._extent_cache
-        store.classify(p, "Patient")
-        store.declassify(p, "Person")
-        assert "Person" in store._extent_cache
-
-    def test_value_write_keeps_extent_cache(self, store):
-        p = store.create("Person", name="a", age=30)
-        _ = store.extent("Person")
-        store.set_value(p, "age", 31)
-        assert "Person" in store._extent_cache
-
-    def test_unrelated_class_cache_survives_classify(self, hospital_schema):
-        store = ObjectStore(hospital_schema)
-        store.create("Hospital")
-        p = store.create("Person", name="a", age=30)
-        _ = store.extent("Hospital")
-        store.classify(p, "Patient")
-        # Patient's ancestors changed; Hospital's extent did not.
-        assert "Hospital" in store._extent_cache
 
 
 # ---------------------------------------------------------------------------
@@ -260,44 +252,6 @@ class TestStatsMidTransaction:
         assert {"objects", "extent_entries", "virtual_refs",
                 "dirty_objects", "indexes", "plans_in_cache"} <= keys
         assert {"snapshots_built", "snapshot_reuses"} <= keys
-
-
-# ---------------------------------------------------------------------------
-# Observers: committed commands only, in order
-# ---------------------------------------------------------------------------
-
-class TestObservers:
-    def test_observer_sees_committed_commands(self, store):
-        seen = []
-        store.observers.append(lambda cmd: seen.append(cmd.op))
-        p = store.create("Person", name="a", age=30)
-        store.set_value(p, "age", 31)
-        store.classify(p, "Patient")
-        assert seen == ["create", "set", "classify"]
-
-    def test_noops_and_rejections_unseen(self, store):
-        p = store.create("Person", name="a", age=30)
-        seen = []
-        store.observers.append(lambda cmd: seen.append(cmd.op))
-        store.classify(p, "Person")        # no-op
-        with pytest.raises(ConformanceError):
-            store.set_value(p, "age", 999)
-        assert seen == []
-
-    def test_transaction_defers_and_drops(self, store):
-        p = store.create("Person", name="a", age=30)
-        seen = []
-        store.observers.append(lambda cmd: seen.append(cmd.op))
-        with transaction(store):
-            store.set_value(p, "age", 31)
-            assert seen == []          # deferred until commit
-        assert seen == ["set"]
-        seen.clear()
-        with pytest.raises(RuntimeError):
-            with transaction(store):
-                store.set_value(p, "age", 32)
-                raise RuntimeError("abort")
-        assert seen == []              # dropped on rollback
 
 
 # ---------------------------------------------------------------------------
