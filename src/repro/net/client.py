@@ -293,9 +293,13 @@ class StoreClient:
         return self.call(op, **fields)
 
     def query(self, text: str, token=None, **options):
-        if options:
-            return self._read_at("query", token, text=text, options=options)
-        return self._read_at("query", token, text=text)
+        """The ``query`` reply; a per-row one also carries ``rows``: its
+        columns zipped into ``(sid, encoded values tuple)`` pairs."""
+        fields = {"options": options} if options else {}
+        out = self._read_at("query", token, text=text, **fields)
+        if "sids" in out:
+            out["rows"] = list(zip(out["sids"], zip(*out["cols"])))
+        return out
 
     def get(self, sid: int, token=None):
         out = self._read_at("get", token, sid=sid)

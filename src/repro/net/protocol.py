@@ -54,9 +54,10 @@ HEADER_SIZE = _HEADER.size
 #: balloon the receive buffer.
 MAX_FRAME = 8 * 1024 * 1024
 
-#: Protocol identity carried in the hello frame.
+#: Protocol identity carried in the hello frame (version 2: a ``query``
+#: reply carries ``sids`` and ``cols``, not rows).
 PROTO_NAME = "repro-net"
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 
 #: One message as one WAL-framed canonical-JSON record.

@@ -28,8 +28,8 @@ re-running a logged mutation *is* the live path.
 read (``get`` / ``count`` / ``extent_surrogates`` / ``schema``, and
 whatever a plan reads).  A ``query`` runs as a *wire plan*: the request
 text is the plan-cache key (parsed on a miss only), and the generated
-loop appends the reply rows ``[sid, [encoded values]]`` itself, the sid
-read off the row -- no entity wrapper, no second pass.
+loop appends one flat row ``(sid, encoded values...)``, transposed once
+into the reply's ``sids`` and ``cols`` (one list per select item).
 ``resolve(sid)`` maps a surrogate id to the entity the target's
 mutators accept and raises :class:`~repro.errors.NoSuchObjectError` for
 an id the store does not hold -- at every edge.  The payload carries no
@@ -59,8 +59,8 @@ from repro.query.compiler import ON_UNSAFE
 from repro.sharding import wire
 
 __all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
-           "SERVICE_OPS", "encode_request", "lookup", "replay", "request",
-           "transact"]
+           "SERVICE_OPS", "columns", "encode_request", "lookup", "replay",
+           "request", "transact"]
 
 #: ExecutionStats fields shipped back per query, in order.
 EXECUTION_STAT_FIELDS: Tuple[str, ...] = (
@@ -184,6 +184,11 @@ def lookup(cmd: Dict[str, object]) -> Op:
 # Reads (target: a snapshot-like view)
 # ----------------------------------------------------------------------
 
+def columns(rows, width: int) -> list:
+    """Flat rows ``(sid, v0, ...)`` as the sids and ``width`` columns."""
+    return [list(col) for col in zip(*rows)] or [[] for _ in range(width + 1)]
+
+
 def _query(view, cmd, resolve):
     plan = planner.plan_query(cmd["text"], view, wire=True,
                               **(cmd.get("options") or {}))
@@ -191,7 +196,8 @@ def _query(view, cmd, resolve):
     stats_out = {name: getattr(stats, name)
                  for name in EXECUTION_STAT_FIELDS}
     if plan.compiled.aggregates is None:
-        return {"rows": rows, "stats": stats_out}
+        sids, *cols = columns(rows, len(plan.compiled.select))
+        return {"sids": sids, "cols": cols, "stats": stats_out}
     return {"agg": [codec.encode_value(v) for v in rows[0]],
             "stats": stats_out}
 

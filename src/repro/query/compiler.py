@@ -359,7 +359,7 @@ class CompiledQuery:
     where: Optional[str]
     select: Tuple[str, ...] = ()
     aggregates: Optional[Tuple[Tuple[str, Optional[str]], ...]] = None
-    #: Per-row results leave as wire rows ``[sid, [encoded...]]``.
+    #: Per-row results leave as flat wire rows ``(sid, encoded...)``.
     wire: bool = False
 
     @property
@@ -399,7 +399,7 @@ class CompiledQuery:
             before = ["out = []", "append = out.append"]
             items = ", ".join(self.select)
             row = emitter.guarded(row + [
-                f"append([ref.id, [{items}]])" if self.wire
+                f"append((ref.id, {items}))" if self.wire
                 else f"append(({items},))"])
             returned, result = "len(out)", "out"
         else:
@@ -495,8 +495,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
     every access (the paper's no-type-inference baseline).  ``on_unsafe``
     picks the failure policy of guarded accesses: ``"skip"`` the row,
     return ``"null"`` (INAPPLICABLE), or ``"raise"``.  ``wire=True``
-    emits per-row results as the ``query`` op replies with them
-    (:meth:`_Emitter.emit_encoded`).
+    emits each row as one flat tuple ``(sid, encoded values...)``
+    (:meth:`_Emitter.emit_encoded`), which the ``query`` op transposes.
     """
     if isinstance(query, str):
         query = parse_query(query)

@@ -309,7 +309,7 @@ def plan_query(query: Union[str, Query], store, *, wire: bool = False,
     compilation, and pushdown extraction; any schema mutation or index
     create/drop simply stops the old key from matching.  ``wire`` is
     the edge's choice, not a compile option: a wire plan returns the
-    ``query`` op's reply rows (``compile_query(wire=True)``).
+    ``query`` op's flat reply rows (``compile_query(wire=True)``).
     """
     schema = store.schema
     manager = store.indexes

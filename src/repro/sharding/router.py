@@ -65,6 +65,7 @@ a shard that fails its commit leaves the others' commits standing.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from zlib import crc32
 
@@ -80,8 +81,8 @@ from repro.objects.pipeline import AlterClassCommand, CheckMode
 from repro.objects.store import ObjectStore
 from repro.objects.surrogate import Surrogate
 from repro.ops import (
-    EXECUTION_STAT_FIELDS, OPS, Op, encode_request, lookup, request,
-    transact,
+    EXECUTION_STAT_FIELDS, OPS, Op, columns, encode_request, lookup,
+    request, transact,
 )
 from repro.query.ast import Aggregate, Query
 from repro.query.interpreter import ExecutionStats
@@ -103,6 +104,23 @@ __all__ = ["LocalBackend", "ProcessBackend", "RemoteHandle",
 #: profiles stay on one shard so profile pruning skips whole workers;
 #: big profiles spread so bulk writes use every core.
 SPAN_THRESHOLD = 512
+
+
+def merged_columns(replies: Sequence[Dict[str, list]], width: int):
+    """Shard ``query`` replies as one ``[sids, *cols]`` in surrogate
+    order: shard extents are disjoint, so it is the single store's."""
+    if len(replies) == 1:
+        return [replies[0]["sids"], *replies[0]["cols"]]
+    return columns(sorted(chain.from_iterable(
+        zip(reply["sids"], *reply["cols"]) for reply in replies)), width)
+
+
+def decoded(column: list, handle) -> list:
+    """A reply column, its tagged values decoded if it holds any."""
+    if dict not in set(map(type, column)):
+        return column
+    return [codec.decode_value(v, handle) if type(v) is dict else v
+            for v in column]
 
 
 class RemoteHandle:
@@ -927,18 +945,13 @@ class ShardedStore:
         ``execute_planned``: the decoded form of :meth:`query_wire`."""
         out = self.execute({"op": "query", "options": options, "text":
                             query if isinstance(query, str) else str(query)})
-        stats = ExecutionStats()
-        for field, value in out["stats"].items():
-            setattr(stats, field, value)
-        encoded = ([out["agg"]] if "agg" in out
-                   else [values for _sid, values in out["rows"]])
-        return [tuple([codec.decode_value(v, self.handle)   # tagged only
-                       if type(v) is dict else v for v in values])
-                for values in encoded], stats
+        cols = [[v] for v in out["agg"]] if "agg" in out else out["cols"]
+        return (list(zip(*[decoded(col, self.handle) for col in cols])),
+                ExecutionStats(**out["stats"]))
 
     def _resolve_query(self, query) -> tuple:
-        """``(facts, dispatched text, aggregate spec or None)``, cached
-        on ``(text, schema version)``: a repeated text parses nothing."""
+        """``(facts, sent text, aggregate spec or None, select width)``,
+        cached per ``(text, schema version)``: a repeat parses nothing."""
         text = query if isinstance(query, str) else str(query)
         key = (text, self.schema.version)
         resolved = self._queries.get(key)
@@ -950,22 +963,23 @@ class ShardedStore:
                     "aggregate and per-row select items cannot be mixed")
             text, spec = (self._rewrite_aggregates(query) if any(folds)
                           else (text, None))
-            resolved = (extract_facts(query, self.schema), text, spec)
+            resolved = (extract_facts(query, self.schema), text, spec,
+                        len(query.select))
             self._queries.put(key, resolved)
         return resolved
 
     def query_wire(self, query,
                    options: Optional[Dict] = None) -> Dict[str, object]:
         """Scatter-gather at the wire level: resolve the text (once),
-        prune shards, dispatch in parallel, merge rows (by surrogate) or
-        aggregate folds.  The response has the shape the single-store
-        service's ``query`` op produces (sid-tagged rows of *encoded*
+        prune shards, dispatch in parallel, merge columns (by surrogate)
+        or aggregate folds.  The response has the shape the single-store
+        service's ``query`` op produces (``sids`` and ``cols`` of *encoded*
         values, or a merged ``agg`` vector, plus the per-shard execution
         stats summed, ``rows_returned`` recomputed for aggregate merges)
-        -- per-row values are merged without a decode/re-encode
-        round-trip, so a network backend serving a sharded store pays
-        routing, not re-serialization."""
-        facts, text, spec = self._resolve_query(query)
+        -- columns are merged without a decode/re-encode round-trip, so
+        a network backend serving a sharded store pays routing, not
+        re-serialization."""
+        facts, text, spec, width = self._resolve_query(query)
         selected = self._select_shards(facts)
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
@@ -976,23 +990,16 @@ class ShardedStore:
                             for _shard_id, payload in payloads)
                  for field in EXECUTION_STAT_FIELDS}
         if spec is not None:
-            shard_rows = [
-                [codec.decode_value(value, self.handle)
-                 for value in payload["agg"]]
-                for _shard_id, payload in payloads]
+            shard_rows = [decoded(payload["agg"], self.handle)
+                          for _shard_id, payload in payloads]
             merged = self._merge_aggregates(spec, shard_rows)
             stats["rows_returned"] = 1
             self.stats_counters.rows_merged += 1
             return {"agg": [codec.encode_value(v) for v in merged],
                     "stats": stats}
-        rows: List[List[object]] = []
-        for _shard_id, payload in payloads:
-            rows.extend(payload["rows"])
-        # Shard extents are disjoint, so sorting by surrogate re-creates
-        # the single store's extent order.
-        rows.sort(key=lambda row: row[0])
-        self.stats_counters.rows_merged += len(rows)
-        return {"rows": rows, "stats": stats}
+        sids, *cols = merged_columns([out for _shard, out in payloads], width)
+        self.stats_counters.rows_merged += len(sids)
+        return {"sids": sids, "cols": cols, "stats": stats}
 
     # -- observability --------------------------------------------------
 

@@ -383,8 +383,8 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
 def reference_query_op(view, cmd, resolve):
     """The ``query`` op row before wire plans: parse the text, prepend
     the query variable to a per-row select so each row carries its
-    entity, run it through ``execute_planned``, then encode the rows in
-    a second pass.  ``ops._query`` must answer exactly this."""
+    entity, run it through ``execute_planned``, then encode each column
+    in a second pass.  ``ops._query`` must answer exactly this."""
     query = parse_query(cmd["text"])
     per_row = not any(isinstance(item, Aggregate) for item in query.select)
     if per_row:
@@ -394,9 +394,9 @@ def reference_query_op(view, cmd, resolve):
     stats_out = {field: getattr(stats, field)
                  for field in EXECUTION_STAT_FIELDS}
     if per_row:
-        return {"rows": [[row[0].surrogate.id,
-                          [codec.encode_value(v) for v in row[1:]]]
-                         for row in rows],
+        return {"sids": [row[0].surrogate.id for row in rows],
+                "cols": [[codec.encode_value(row[i]) for row in rows]
+                         for i in range(1, len(query.select))],
                 "stats": stats_out}
     return {"agg": [codec.encode_value(v) for v in rows[0]],
             "stats": stats_out}

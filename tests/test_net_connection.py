@@ -19,6 +19,7 @@ import pytest
 from repro.errors import (
     ConnectionLostError,
     FrameTruncatedError,
+    ProtocolError,
     ReplicaLagError,
     RequestTimeoutError,
     StorageError,
@@ -26,7 +27,7 @@ from repro.errors import (
 from repro.net import server as server_module
 from repro.net import tokens
 from repro.net.client import Connection, StoreClient
-from repro.net.protocol import FrameDecoder, encode_frame
+from repro.net.protocol import PROTO_VERSION, FrameDecoder, encode_frame
 from repro.net.server import StoreService
 from repro.objects.store import ObjectStore
 from repro.scenarios import build_hospital_schema
@@ -378,6 +379,8 @@ def test_token_wait_refuses_a_timeout_that_is_not_a_finite_number(
 @pytest.mark.parametrize("hello, error", [
     (None, RequestTimeoutError),                 # accepts, says nothing
     (encode_frame({"proto": "repro-net"})[:-3], FrameTruncatedError),
+    (encode_frame({"proto": "repro-net", "version": PROTO_VERSION - 1}),
+     ProtocolError),                             # another version
 ])
 def test_failed_hello_closes_the_socket(monkeypatch, hello, error):
     listener = socket.socket()

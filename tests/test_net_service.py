@@ -83,7 +83,8 @@ class TestPrimaryOps:
             client.create("Patient", {"name": f"p{i}", "age": 20 + i})
         out = client.query(
             "for p in Patient where p.age >= 22 select p.name")
-        assert sorted(v[0] for _, v in out["rows"]) == ["p2", "p3"]
+        assert sorted(out["cols"][0]) == ["p2", "p3"]
+        assert sorted(v for _, v in out["rows"]) == [("p2",), ("p3",)]
         assert out["stats"]["rows_scanned"] == 4
         assert len(client.extent_ids("Patient")) == 4
 

@@ -120,20 +120,19 @@ class TestShardedServing:
         # Person spans both profiles: full scatter, nothing pruned.
         out, scattered, pruned = deltas(
             "for x in Person where x.age >= 23 select x.name")
-        assert sorted(v[0] for _, v in out["rows"]) \
-            == ["d0", "d1", "d2", "d3", "p3"]
+        assert sorted(out["cols"][0]) == ["d0", "d1", "d2", "d3", "p3"]
         assert (scattered, pruned) == (2, 0)
         # Patient-only: one shard dispatched, the other refuted by its
         # shard map before any bytes cross the wire.
         out, scattered, pruned = deltas(
             "for p in Patient where p.age >= 22 select p.name")
-        assert sorted(v[0] for _, v in out["rows"]) == ["p2", "p3"]
+        assert sorted(out["cols"][0]) == ["p2", "p3"]
         assert (scattered, pruned) == (1, 1)
         # Deduction-refuted on every shard: scatters nowhere.
         out, scattered, pruned = deltas(
             "for y in Patient where y.treatedBy not in Physician "
             "and y.treatedBy not in Psychologist select y.name")
-        assert out["rows"] == []
+        assert (out["sids"], out["cols"]) == ([], [[]])
         assert (scattered, pruned) == (0, 2)
         assert client.stats()["net.position"] == store.position_token()
 

@@ -165,8 +165,7 @@ def _assert_wire_equivalent(single, sharded, query):
     if "agg" in a or "agg" in b:
         assert a.get("agg") == b.get("agg"), query
     else:
-        assert sorted(map(repr, a["rows"])) \
-            == sorted(map(repr, b["rows"])), query
+        assert (a["sids"], a["cols"]) == (b["sids"], b["cols"]), query
     for field in ("rows_skipped", "rows_returned"):
         assert a["stats"][field] == b["stats"][field], query
 
@@ -349,9 +348,9 @@ def test_process_backed_sharded_service_smoke():
             token = epoch_tokens.merge(token, ack["token"])
         out = client.token_wait(token, timeout=30.0)
         assert epoch_tokens.covers(out["position"], token)
-        rows = client.query("for p in Patient where p.age >= 23 "
-                            "select p.name")["rows"]
-        assert sorted(v[0] for _, v in rows) == ["p3", "p4", "p5"]
+        names = client.query("for p in Patient where p.age >= 23 "
+                             "select p.name")["cols"][0]
+        assert sorted(names) == ["p3", "p4", "p5"]
         out = client.bulk([[["Patient"],
                             {"name": f"b{i}", "age": 30,
                              "treatedBy": ref(doc)}]

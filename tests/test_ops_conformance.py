@@ -14,9 +14,11 @@ across the socket and across the shard hop is asserted at the end.
 The walk is parametrised over the table, so a write row the journal
 skipped fails its own case of the log test.
 
-The last section holds the ``query`` row to the formulation wire plans
-replaced (``tests/reference_query.reference_query_op``) in-process,
-served and sharded, and pins what a repeated request no longer costs.
+The last section holds the ``query`` row's column replies to the
+formulation wire plans replaced (``tests/reference_query.
+reference_query_op``) and to each other -- in-process, served, sharded,
+served-sharded, replica and log replay -- kills two mutants of the
+column readers, and pins what a repeated request no longer costs.
 """
 
 from __future__ import annotations
@@ -25,19 +27,21 @@ import re
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import codec
 from repro.errors import (
     ConformanceError, SchemaEvolutionError, StorageError,
 )
 from repro.lang import print_schema
-from repro.net.backends import ConcurrentBackend, ShardedBackend
+from repro.net.backends import (
+    ConcurrentBackend, ReplicaBackend, ShardedBackend,
+)
 from repro.net.client import StoreClient
 from repro.net.replication import LocalShipSource, Replica
 from repro.net.server import StoreService
 from repro.objects.store import ObjectStore
-from repro.ops import OPS
+from repro.ops import EXECUTION_STAT_FIELDS, OPS
 from repro.query import compiler
 from repro.query.compiler import ON_UNSAFE
 from repro.query.parser import parse_query
@@ -237,6 +241,9 @@ def test_same_command_same_payload_and_ack(edges, name):
         if reference is None:
             reference = seen
         assert seen == reference, label
+    if name == "query":         # rows leave as columns
+        assert reference == {"sids": [1], "cols": [["ann"]],
+                             "stats": sorted(EXECUTION_STAT_FIELDS)}
 
 
 #: What a client can see of the state a command left behind.
@@ -283,6 +290,8 @@ def test_the_log_replays_what_every_edge_ran(edges, name):
     seen = {label: [_comparable(edge, edge.call(read)) for read in READS]
             for label, edge in edges.items()}
     assert all(view == seen["log"] for view in seen.values()), seen
+    assert [len(view["cols"]) for view in seen["log"] if "cols" in view] \
+        == [2, 1]               # one column per select item
 
 
 @pytest.mark.parametrize("name", [n for n, row in OPS.items()
@@ -632,24 +641,62 @@ def _populate(store) -> None:
     store.bulk_load(rows, check="eager")
 
 
+class _WireEdges(dict):
+    """The ``query`` row at every edge, over the same population: the
+    single store in-process, served, replicated (records replayed, not
+    a dump) and read back from its log; the two-shard router in-process
+    and served.  ``single`` and ``router`` answer ``run_query`` and
+    ``query`` for the decoded rows."""
+
+    def __init__(self, root) -> None:
+        self.single = ObjectStore.open(str(root / "single"), SCHEMA)
+        self.router = ShardedStore(SCHEMA, 2, processes=False)
+        self.replica = Replica(LocalShipSource(self.single))
+        served, logged = ObjectStore(SCHEMA), ObjectStore.open(
+            str(root / "log"), SCHEMA)
+        self.served_router = served_router = ShardedStore(
+            SCHEMA, 2, processes=False)
+        for store in (self.single, self.router, served, logged,
+                      served_router):
+            _populate(store)
+        self.replica.sync()
+        logged.close()
+        self.logged = ObjectStore.open(str(root / "log"))
+        self.services = [StoreService(store)
+                         for store in (served, served_router)]
+        self.clients = []
+        for service in self.services:
+            service.run_background()
+            self.clients.append(StoreClient(*service.address, timeout=5.0))
+        self.update({
+            "in-process": ConcurrentBackend(self.single).op_query,
+            "served": self._over(self.clients[0]),
+            "sharded": ShardedBackend(self.router).op_query,
+            "served-sharded": self._over(self.clients[1]),
+            "replica": ReplicaBackend(self.replica).op_query,
+            "log": ConcurrentBackend(self.logged).op_query,
+        })
+
+    @staticmethod
+    def _over(client):
+        return lambda cmd: client.call(
+            "query", text=cmd["text"], options=cmd["options"])
+
+    def close(self) -> None:
+        for client in self.clients:
+            client.close()
+        for service in self.services:
+            service.shutdown()
+        for store in (self.router, self.served_router, self.replica,
+                      self.single, self.logged):
+            store.close()
+
+
 @pytest.fixture(scope="module")
-def wire_edges():
-    single, served = ObjectStore(SCHEMA), ObjectStore(SCHEMA)
-    router = ShardedStore(SCHEMA, 2, processes=False)
-    for store in (single, served, router):
-        _populate(store)
-    service = StoreService(served)
-    service.run_background()
-    client = StoreClient(*service.address, timeout=5.0)
-    yield {
-        "in-process": ConcurrentBackend(single).op_query,
-        "served": lambda cmd: client.call(
-            "query", text=cmd["text"], options=cmd["options"]),
-        "sharded": ShardedBackend(router).op_query,
-    }
-    client.close()
-    service.shutdown()
-    router.close()
+def wire_edges(tmp_path_factory):
+    edges = _WireEdges(tmp_path_factory.mktemp("wire"))
+    yield edges
+    edges.close()
 
 
 @contextmanager
@@ -664,25 +711,128 @@ def _parent_formulation():
         object.__setattr__(row, "run", wired)
 
 
-def _outcome(call, cmd):
+def _outcome(call, *args, **kwargs):
     try:
-        return call(cmd)
-    except Exception as exc:     # compared by type
-        return type(exc).__name__
+        return call(*args, **kwargs)
+    except Exception as exc:     # compared by the type the wire relays
+        return codec.encode_error(exc)["type"]
+
+
+def _by_sid(rows):
+    """Decoded rows with every entity (snapshot instance or router
+    handle) as its surrogate id."""
+    if isinstance(rows, str):
+        return rows
+    return [tuple(v.surrogate.id if hasattr(v, "surrogate") else v
+                  for v in row) for row in rows[0]]
+
+
+def _check_wire_text(edges, text, options):
+    """Per edge, the reply -- sids, columns, order, all six stats, or the
+    error type -- equals the parent's formulation; across edges, the
+    reply less its stats is one; the router's decoded rows are the
+    single store's."""
+    cmd = {"op": "query", "text": text, "options": options}
+    replies = {}
+    for label, call in edges.items():
+        wired = _outcome(call, cmd)
+        with _parent_formulation():
+            assert _outcome(call, cmd) == wired, (label, text, options)
+        replies[label] = wired if isinstance(wired, str) else {
+            key: value for key, value in wired.items() if key != "stats"}
+    reference = replies["in-process"]
+    assert all(reply == reference for reply in replies.values()), \
+        (text, options, replies)
+    assert _by_sid(_outcome(edges.router.query, text, **options)) \
+        == _by_sid(_outcome(edges.single.run_query, text, **options)), \
+        (text, options)
+
+
+#: The cases a column reply could get wrong, each run on every edge.
+ZERO_ROWS = "for p in Patient where p.age = 99 select p.name"
+REFUTED = ("for y in Patient where y.treatedBy not in Physician "
+           "and y.treatedBy not in Psychologist select y.name")
+ENTITIES = "for p in Patient select p"
+TAGGED = "for p in Patient select p.age, p.bloodPressure, p.name"
+INTERLEAVED = "for p in Patient select p.name"
+WIRE_CASES = (ZERO_ROWS, REFUTED, ENTITIES, TAGGED, INTERLEAVED)
+
+
+def test_the_wire_cases_reach_what_they_name(wire_edges):
+    router = wire_edges.router
+    counters = router.stats_counters
+
+    def routed(text):
+        """``text``'s sharded reply and the shards it reached."""
+        before = counters.shards_dispatched
+        reply = wire_edges["sharded"]({"op": "query", "text": text,
+                                       "options": {}})
+        return reply, counters.shards_dispatched - before
+
+    assert routed(REFUTED)[1] == 0
+    reply, reached = routed(INTERLEAVED)
+    assert reached == 2
+    owners = [router._owner_of(sid) for sid in reply["sids"]]
+    assert owners != sorted(owners) and len(set(owners)) == 2
+    assert reply["sids"] == sorted(reply["sids"])
+    ages = wire_edges["in-process"]({"op": "query", "text": TAGGED,
+                                     "options": {}})["cols"][0]
+    assert type(ages[0]) is int and {"$": "na"} in ages
+    assert wire_edges["in-process"]({"op": "query", "text": ZERO_ROWS,
+                                     "options": {}})["cols"] == [[]]
 
 
 @settings(max_examples=80, deadline=None)
 @given(text=_wire_texts, options=_wire_options)
+@example(text=ZERO_ROWS, options={})
+@example(text=REFUTED, options={})
+@example(text=ENTITIES, options={})
+@example(text=TAGGED, options={"on_unsafe": "null"})
+@example(text=INTERLEAVED, options={})
 def test_wire_plans_answer_what_the_rewrite_answered(wire_edges, text,
                                                      options):
-    """Replies -- rows, order, all six stats, or the error type -- equal
-    the parent's formulation (``Var`` prepended, ``execute_planned``,
-    encode) through the same edge."""
-    cmd = {"op": "query", "text": text, "options": options}
-    for label, call in wire_edges.items():
-        wired = _outcome(call, cmd)
-        with _parent_formulation():
-            assert _outcome(call, cmd) == wired, (label, text, options)
+    """Replies equal the parent's formulation (``Var`` prepended,
+    ``execute_planned``, encode) through the same edge, and each other
+    across edges."""
+    _check_wire_text(wire_edges, text, options)
+
+
+# Mutants of the column readers, each installed over a named hook.
+
+def _reader_mutant_killed(wire_edges, name, mutant) -> bool:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(router_module, name, mutant)
+        for text in WIRE_CASES:
+            try:
+                _check_wire_text(wire_edges, text, {"on_unsafe": "null"})
+            except AssertionError:
+                return True
+    return False
+
+
+def _concatenated(replies, width):
+    """Shard columns joined in shard order, never ordered by sid."""
+    return [[v for reply in replies for v in reply["sids"]]] + [
+        [v for reply in replies for v in reply["cols"][i]]
+        for i in range(width)]
+
+
+def _decoded_by_first_value(column, handle):
+    """A column decoded only when its first value is tagged."""
+    if not column or type(column[0]) is not dict:
+        return column
+    return [codec.decode_value(v, handle) if type(v) is dict else v
+            for v in column]
+
+
+def test_mutant_merge_without_sid_order_is_killed(wire_edges):
+    assert _reader_mutant_killed(wire_edges, "merged_columns",
+                                 _concatenated)
+
+
+def test_mutant_decode_by_first_value_is_killed(wire_edges):
+    assert _reader_mutant_killed(wire_edges, "decoded",
+                                 _decoded_by_first_value)
 
 
 PER_ROW = "for p in Patient where p.age = 41 select p.name, p"

@@ -715,7 +715,8 @@ def test_a_worker_reuses_its_masked_view_until_a_foreign_create():
     view = server._read_view()
     assert isinstance(view, MaskedSnapshot) and view.memo_ref() is view
     first, delta = _on_shard(server, SEL)
-    assert len(first["rows"]) == delta[0] == 8 and delta[2] > 0
+    assert len(first["sids"]) == len(first["cols"][0]) == delta[0] == 8
+    assert delta[2] > 0
     for _ in range(3):
         assert _on_shard(server, SEL) == (first, (0, 8, 0))
         assert server._read_view() is view
