@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -711,18 +712,25 @@ def _parent_formulation():
         object.__setattr__(row, "run", wired)
 
 
+class _Raised(NamedTuple):
+    """An error by its class, compared through one edge, and by the
+    type the wire relays, compared across edges."""
+    name: str
+    wire: str
+
+
 def _outcome(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
-    except Exception as exc:     # compared by the type the wire relays
-        return codec.encode_error(exc)["type"]
+    except Exception as exc:
+        return _Raised(type(exc).__name__, codec.encode_error(exc)["type"])
 
 
 def _by_sid(rows):
     """Decoded rows with every entity (snapshot instance or router
     handle) as its surrogate id."""
-    if isinstance(rows, str):
-        return rows
+    if isinstance(rows, _Raised):     # the router relays shard errors
+        return rows.wire
     return [tuple(v.surrogate.id if hasattr(v, "surrogate") else v
                   for v in row) for row in rows[0]]
 
@@ -738,7 +746,7 @@ def _check_wire_text(edges, text, options):
         wired = _outcome(call, cmd)
         with _parent_formulation():
             assert _outcome(call, cmd) == wired, (label, text, options)
-        replies[label] = wired if isinstance(wired, str) else {
+        replies[label] = wired.wire if isinstance(wired, _Raised) else {
             key: value for key, value in wired.items() if key != "stats"}
     reference = replies["in-process"]
     assert all(reply == reference for reply in replies.values()), \
