@@ -520,12 +520,14 @@ def cmd_checkpoint(args) -> int:
     from repro.objects.store import ObjectStore
     for directory in _store_directories(args.directory):
         store = ObjectStore.open(directory)
-        replayed = store.last_recovery.replayed
+        report = store.last_recovery
         manifest = store.checkpoint()
         entry = manifest["checkpoint"]
+        print(report.describe())
         print(f"checkpoint generation {manifest['generation']}: "
-              f"{entry['objects']} object(s), {entry['length']} bytes "
-              f"-> {entry['file']} ({replayed} WAL record(s) folded in)")
+              f"{entry['objects']} object(s), {entry['length']} bytes in "
+              f"{entry['batches']} batch(es) -> {entry['file']} "
+              f"({report.replayed} WAL record(s) folded in)")
         store.close()
     return 0
 

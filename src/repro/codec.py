@@ -15,6 +15,10 @@ entity (by identity)  ``{"$": "ref", "id": sid}``
 ``RecordValue``       ``{"$": "rec", "fields": {name: value}}``
 ====================  =========================================
 
+In a **column** (:func:`encode_column`, :func:`decode_column`), one
+attribute of many objects, ``null`` is "not set": a ``None`` is
+``{"$": "none"}``.
+
 Entities travel by surrogate id; :func:`decode_value` hands each id to
 the caller's ``resolve(sid)``, the one seam that decides what an id
 means at that edge (a live instance, a router handle, the id itself).
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import errors
 from repro.errors import Diagnostic, ReproError, StorageError, Violation
@@ -47,10 +51,11 @@ from repro.typesys.values import (
     is_entity,
 )
 
-__all__ = ["NA", "decode_error", "decode_value", "decode_values",
-           "decode_violation", "dumps", "encode_error", "encode_value",
-           "encode_values", "encode_violation", "is_encoded", "record_text",
-           "ref", "ref_sid"]
+__all__ = ["NA", "NONE", "UNSET", "decode_column", "decode_error",
+           "decode_value", "decode_values", "decode_violation", "dumps",
+           "encode_column", "encode_error", "encode_value", "encode_values",
+           "encode_violation", "is_encoded", "record_text", "ref",
+           "ref_sid"]
 
 dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
                          check_circular=False).encode
@@ -68,6 +73,11 @@ def record_text(record: Dict[str, object]) -> str:
 
 #: The encoding of ``INAPPLICABLE`` (shared: encoders never mutate it).
 NA = {"$": "na"}
+#: A stored ``None`` in a column, where ``null`` is "not set".
+NONE = {"$": "none"}
+_PLAIN = frozenset((int, str, float, bool))
+#: A cell with no value: what a reader may ask :func:`decode_column` for.
+UNSET = object()
 
 
 def ref(sid: int) -> Dict[str, object]:
@@ -131,6 +141,8 @@ def decode_value(encoded, resolve: Callable[[int], object]):
             return EnumSymbol(encoded["name"])
         if tag == "ref":
             return resolve(encoded["id"])
+        if tag == "none":
+            return None
         if tag == "rec":
             return RecordValue({
                 name: decode_value(child, resolve)
@@ -156,6 +168,26 @@ def decode_values(encoded: Dict[str, object],
     # Primitives decode to themselves: only a dict is worth a call.
     return {name: decode_value(value, resolve) if isinstance(value, dict)
             else value for name, value in encoded.items()}
+
+
+def encode_column(values: List[Dict[str, object]], name: str) -> list:
+    """Attribute ``name`` of each value mapping as one column."""
+    column = [v.get(name, UNSET) for v in values]
+    if set(map(type, column)) <= _PLAIN:
+        return column
+    return [None if c is UNSET else NONE if c is None
+            else c if type(c) in _PLAIN else encode_value(c) for c in column]
+
+
+def decode_column(column: list, resolve: Callable[[int], object],
+                  unset=None) -> list:
+    """A column decoded, ``null`` as ``unset`` (the list itself when
+    nothing in it needs decoding)."""
+    kinds = set(map(type, column))
+    if dict not in kinds and (unset is None or type(None) not in kinds):
+        return column
+    return [decode_value(v, resolve) if type(v) is dict
+            else unset if v is None else v for v in column]
 
 
 def encode_violation(violation: Violation) -> Dict[str, object]:

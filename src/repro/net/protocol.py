@@ -55,9 +55,10 @@ HEADER_SIZE = _HEADER.size
 MAX_FRAME = 8 * 1024 * 1024
 
 #: Protocol identity carried in the hello frame (version 2: a ``query``
-#: reply carries ``sids`` and ``cols``, not rows).
+#: reply carries ``sids`` and ``cols``, not rows; 3: a catch-up dump
+#: carries signature ``batches``, not rows).
 PROTO_NAME = "repro-net"
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 
 #: One message as one WAL-framed canonical-JSON record.

@@ -6,21 +6,19 @@ Shipping therefore inherits the log's semantics wholesale: a record
 holds exactly one op-table command (a checked mutation, or one whole
 transaction / bulk batch), records are strictly sequenced, and running
 them through :func:`repro.ops.replay` -- the applier recovery uses --
-re-establishes every derived structure --
-extents, virtual-class reference counts, the dirty ledger, and
-crucially the excuse / INAPPLICABLE residue that defeasible semantics
-hang on.  A replica is not a byte copy; it is a store that re-ran the
-primary's committed history and can prove it (the convergence property
-suite compares full store digests).
+re-establishes every derived structure, the excuse / INAPPLICABLE
+residue included.  A replica is not a byte copy; it is a store that
+re-ran the primary's committed history (the convergence property suite
+compares full store digests).
 
 Protocol, replica-side (:class:`Replica`):
 
 1. **handshake** -- the source reports the primary's schema, store
    configuration, last committed seq, and current WAL segment base;
-2. **bootstrap** -- a full catch-up dump (the store image a checkpoint
-   file holds, ``storage/recovery.store_image``, as one JSON object)
-   taken at an exact seq ``S``;
-   the replica installs it and sets its replay position to ``S``;
+2. **bootstrap** -- a catch-up dump: the store image a checkpoint holds
+   (``storage/recovery.store_image``, its signature batches) as one
+   JSON object, taken at an exact seq ``S``, which the replica installs
+   and sets its replay position to;
 3. **tail streaming** -- repeated ``fetch(after_seq)`` calls return
    batches of committed records; the replica replays each in sequence.
    Duplicated batches are deduplicated by seq (replay is idempotent at
@@ -68,7 +66,6 @@ __all__ = [
     "Replica",
     "ShipBatch",
     "decode_record",
-    "dump_store",
     "encode_record",
     "install_dump",
 ]
@@ -108,34 +105,11 @@ class ShipBatch:
 # Catch-up dumps (the checkpoint half of the handshake)
 # ----------------------------------------------------------------------
 
-def dump_store(store) -> Dict[str, object]:
-    """A full logical dump of a primary at an exact seq.
-
-    Taken under the store's write lock, so the row set and the reported
-    seq describe the same committed instant.  It is the store image a
-    checkpoint file frames (``storage/recovery.store_image``) travelling
-    as one JSON object, with the schema, the store configuration and
-    the seq beside it.
-    """
-    from repro.lang import print_schema
-    wal = getattr(store, "_wal", None)
-    if wal is None:
-        raise ReplicationError(
-            "replication needs a WAL-durable primary "
-            '(open the store with durability="wal")')
-    with store._write_lock:
-        header, rows = store_image(store)
-        return dict(header, rows=list(rows),
-                    schema=print_schema(store.schema),
-                    config=store_config(store),
-                    seq=wal.last_seq)
-
-
 def install_dump(store: ObjectStore, dump: Dict[str, object]) -> None:
-    """Populate an empty store from a dump -- exactly what loading a
-    checkpoint rebuilds."""
+    """Populate an empty store from a dump (:meth:`LocalShipSource.dump`)
+    -- exactly what loading a checkpoint rebuilds."""
     try:
-        install_image(store, dump, dump["rows"])
+        install_image(store, dump, dump["batches"])
     except StorageError as exc:
         raise ReplicationError(f"catch-up dump: {exc}") from exc
 
@@ -196,9 +170,15 @@ class LocalShipSource:
         return batch
 
     def dump(self) -> Dict[str, object]:
+        """A full catch-up dump: the store image beside the handshake,
+        taken under the write lock, so its batches and ``seq`` describe
+        the same committed instant."""
         if self.net_stats is not None:
             self.net_stats.dumps_served += 1
-        return dump_store(self.store)
+        with self.store._write_lock:
+            header, batches = store_image(self.store)
+            return dict(self.handshake(), **header, batches=list(batches),
+                        seq=self.store._wal.last_seq)
 
 
 class NetShipSource:
@@ -234,23 +214,18 @@ class NetShipSource:
         """
         for attempt in range(2):
             page = self.client.call("repl_dump")
-            if "dump" in page:          # single-frame fast path
-                return page["dump"]
             parts = [page["chunk"]]
-            received = len(page["chunk"])
             try:
                 while not page["eof"]:
                     page = self.client.call(
                         "repl_dump", dump_id=page["dump_id"],
-                        offset=received)
+                        offset=page["offset"] + len(page["chunk"]))
                     parts.append(page["chunk"])
-                    received += len(page["chunk"])
             except StorageError:        # the server's expired cursor
                 if attempt:
                     raise
                 continue                # cursor expired: restart once
             return json.loads("".join(parts))
-        raise ReplicationError("catch-up dump transfer failed")
 
 
 # ----------------------------------------------------------------------

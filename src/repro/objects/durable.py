@@ -65,7 +65,9 @@ class DurableObjectStore(ObjectStore):
         """Write an atomic snapshot covering the whole WAL so far; the
         log is rotated to a fresh segment.  Returns the new manifest."""
         from repro.storage.recovery import checkpoint_store
-        return checkpoint_store(self)
+        manifest = checkpoint_store(self)
+        self.checker.stats.checkpoints += 1
+        return manifest
 
     def sync(self) -> None:
         """Force every acknowledged record to stable storage."""

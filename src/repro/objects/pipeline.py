@@ -67,6 +67,7 @@ from repro.errors import (
 )
 from repro.lang import print_schema
 from repro.objects.instance import Instance
+from repro.objects.profiles import profile_catalog
 from repro.objects.surrogate import Surrogate
 from repro.schema.diff import EvolutionRegion, affected_region, diff_schemas
 from repro.schema.evolution import apply_change
@@ -675,12 +676,10 @@ class MutationPipeline:
         store = self.store
         out: List[Tuple[Instance, Violation]] = []
         if scope == "all":
-            for obj in store._objects.values():
-                problems = store.checker.check(obj)
-                for violation in problems:
-                    out.append((obj, violation))
-                if not problems:
-                    self.clear_dirty(obj.surrogate)
+            out = store.checker.sweep(store._objects.values())
+            found = {obj.surrogate for obj, _violation in out}
+            for surrogate in [s for s in store._dirty if s not in found]:
+                self.clear_dirty(surrogate)
             return out
         for surrogate in sorted(store._dirty):
             obj = store._objects.get(surrogate)
@@ -789,21 +788,17 @@ class MutationPipeline:
         if recheck == "none":
             return problems
         if recheck == "full":
-            for obj in store._objects.values():
-                stats.schema_objects_rechecked += 1
-                violations = store.checker.check(obj)
-                if violations:
-                    store._mark_dirty(obj)
-                    problems.extend((obj, v) for v in violations)
+            stats.schema_objects_rechecked += len(store._objects)
+            problems = store.checker.sweep(store._objects.values())
+            for obj in dict.fromkeys(obj for obj, _violation in problems):
+                store._mark_dirty(obj)
             return problems
-        # Group by direct-membership signature: one profile probe decides
-        # the fate of every object sharing the signature.
-        by_signature: Dict[frozenset, List[Instance]] = {}
-        for obj in store._objects.values():
-            by_signature.setdefault(obj.memberships, []).append(obj)
+        # One profile probe per direct-membership signature decides the
+        # fate of every object sharing it.
         affected = region.classes
-        for signature, objs in by_signature.items():
-            profile = store.checker._profile_for(signature)
+        for signature, share in profile_catalog(store).items():
+            objs, profile = share.members, store.checker._profile_for(
+                signature)
             touched = profile.expanded & affected
             if not touched:
                 stats.schema_objects_skipped += len(objs)

@@ -90,6 +90,7 @@ _RUNTIME: Dict[str, object] = {
     "QueryRuntimeError": QueryRuntimeError,
     # A wire row's values (:mod:`repro.codec`).
     "_PLAIN": frozenset({int, str, float, bool, type(None)}),
+    "_ORDERED": frozenset({int, float, str}),   # what a min/max folds
     "_encode": codec.encode_value,
     "_ref": codec.ref,
 }
@@ -182,6 +183,14 @@ class _Emitter:
         if self.on_unsafe == "null":
             return null
         return f"_raise({self._bind('_m', ''.join(map(str, message)))})"
+
+    def ordered(self, expr) -> str:
+        """A min/max operand: a value that does not order (the typer's
+        "needs orderable values") fails under the policy."""
+        self.ordering, value = True, self._name()
+        return (f"({value} if ({value} := {self.emit(expr.operand).src}) "
+                f"is INAP or type({value}) in _ORDERED else "
+                f"{self._fail(expr, ': unorderable value')})")
 
     def guarded(self, lines: List[str]) -> List[str]:
         """``lines`` evaluating emitted expressions: where one of them
@@ -412,11 +421,13 @@ class CompiledQuery:
                 if operand is None:
                     row.append(f"n{i} += 1")    # bare `count`: the row
                     continue
-                # The fold is outside the guard: its TypeError is the
-                # aggregate's own (``total`` over a string).
+                # A total's fold is outside the guard: its TypeError is
+                # the aggregate's own (``total`` over a string).
                 row += emitter.guarded([f"a{i} = {operand}"])
                 row += [f"if a{i} is not INAP:", f"    n{i} += 1"]
-                row += indent([line.format(i=i) for line in fold])
+                fold = [line.format(i=i) for line in fold]
+                row += indent(emitter.guarded(fold) if function in (
+                    "min", "max") else fold)
             returned, result = "1", f"[({', '.join(results)},)]"
         # ``_skip()`` is all that raises _Skip, and only _fail emits it.
         if any("_skip()" in line for line in row):
@@ -518,9 +529,9 @@ def compile_query(query: Union[str, Query], schema: Schema,
             raise QueryTypeError(
                 "aggregate and per-row select items cannot be mixed")
         aggregates = tuple(
-            (e.function, emitter.emit(e.operand).src
-             if e.operand is not None else None)
-            for e in query.select)
+            (e.function, None if e.operand is None
+             else emitter.ordered(e) if e.function in ("min", "max")
+             else emitter.emit(e.operand).src) for e in query.select)
     else:
         select = tuple(emitter.emit_encoded(e) if wire
                        else emitter.emit(e).src for e in query.select)

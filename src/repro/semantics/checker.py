@@ -18,7 +18,8 @@ here to it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Dict, FrozenSet, Iterable, List,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.obs import EngineStats
 from repro.schema.schema import Schema
@@ -111,6 +112,26 @@ class ConformanceChecker:
         self.stats.full_checks += 1
         return self._run(self._profile_for(entity.memberships), None,
                          values_of(entity))
+
+    def sweep(self, entities: Collection) -> List[Tuple[object, Violation]]:
+        """:meth:`check` over ``entities`` with one profile lookup per
+        direct-membership signature: the ``(entity, violation)`` pairs in
+        entity order, and the counters, one call per entity gives."""
+        tables: Dict[FrozenSet[str], Callable] = {}
+        found, schema, stats, checked = [], self.schema, self.stats, 0
+        for entity in entities:
+            table = tables.get(signature := entity.memberships)
+            if table is None:
+                table = tables[signature] = self._profile_for(signature).table
+            rows, violations = table(values_of(entity), schema)
+            checked += rows
+            if violations:
+                found += [(entity, violation) for violation in violations]
+        stats.full_checks += len(entities)
+        stats.profile_hits += len(entities) - len(tables)
+        stats.constraints_checked += checked
+        stats.violations_found += len(found)
+        return found
 
     def conforms(self, entity) -> bool:
         return not self.check(entity)

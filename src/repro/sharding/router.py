@@ -72,7 +72,7 @@ from zlib import crc32
 from repro import codec
 from repro.columnar import SurrogateSet
 from repro.errors import (
-    NoSuchObjectError, QueryTypeError, ReproError, ShardCrashedError,
+    NoSuchObjectError, ReproError, ShardCrashedError,
     ShardingError, StorageError, UnknownClassError,
 )
 from repro.lang.printer import print_schema
@@ -85,6 +85,7 @@ from repro.ops import (
     request, transact,
 )
 from repro.query.ast import Aggregate, Query
+from repro.query.compiler import compile_query
 from repro.query.interpreter import ExecutionStats
 from repro.query.indexes import PlanCache
 from repro.query.parser import parse_query
@@ -113,14 +114,6 @@ def merged_columns(replies: Sequence[Dict[str, list]], width: int):
         return [replies[0]["sids"], *replies[0]["cols"]]
     return columns(sorted(chain.from_iterable(
         zip(reply["sids"], *reply["cols"]) for reply in replies)), width)
-
-
-def decoded(column: list, handle) -> list:
-    """A reply column, its tagged values decoded if it holds any."""
-    if dict not in set(map(type, column)):
-        return column
-    return [codec.decode_value(v, handle) if type(v) is dict else v
-            for v in column]
 
 
 class RemoteHandle:
@@ -926,9 +919,7 @@ class ShardedStore:
         merged = []
         for function, where in spec:
             if function == "avg":
-                total_at, count_at = where
-                total = sum(row[total_at] for row in shard_rows)
-                n = sum(row[count_at] for row in shard_rows)
+                total, n = (sum(row[at] for row in shard_rows) for at in where)
                 merged.append(INAPPLICABLE if n == 0 else total / n)
             elif function in ("count", "total"):
                 merged.append(sum(row[where] for row in shard_rows))
@@ -946,7 +937,8 @@ class ShardedStore:
         out = self.execute({"op": "query", "options": options, "text":
                             query if isinstance(query, str) else str(query)})
         cols = [[v] for v in out["agg"]] if "agg" in out else out["cols"]
-        return (list(zip(*[decoded(col, self.handle) for col in cols])),
+        return (list(zip(*[codec.decode_column(col, self.handle)
+                           for col in cols])),
                 ExecutionStats(**out["stats"]))
 
     def _resolve_query(self, query) -> tuple:
@@ -957,11 +949,9 @@ class ShardedStore:
         resolved = self._queries.get(key)
         if resolved is None:
             query = parse_query(text)
+            # A mixed select goes as it is, for the shards to refuse.
             folds = [isinstance(item, Aggregate) for item in query.select]
-            if any(folds) and not all(folds):
-                raise QueryTypeError(
-                    "aggregate and per-row select items cannot be mixed")
-            text, spec = (self._rewrite_aggregates(query) if any(folds)
+            text, spec = (self._rewrite_aggregates(query) if all(folds)
                           else (text, None))
             resolved = (extract_facts(query, self.schema), text, spec,
                         len(query.select))
@@ -983,6 +973,8 @@ class ShardedStore:
         selected = self._select_shards(facts)
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
+        if not selected:    # what every shard would refuse, refused here
+            compile_query(text, self.schema, wire=True, **(options or {}))
         payloads = self._broadcast_cmd(
             {"op": "query", "text": text, "options": options or {}},
             selected)
@@ -990,7 +982,7 @@ class ShardedStore:
                             for _shard_id, payload in payloads)
                  for field in EXECUTION_STAT_FIELDS}
         if spec is not None:
-            shard_rows = [decoded(payload["agg"], self.handle)
+            shard_rows = [codec.decode_column(payload["agg"], self.handle)
                           for _shard_id, payload in payloads]
             merged = self._merge_aggregates(spec, shard_rows)
             stats["rows_returned"] = 1

@@ -11,9 +11,9 @@
   per-shard directories.
 
 The paper's Section 5.5 partition -- records grouped by direct
-membership signature, each with its own record format, and type
-deduction pruning the search over them -- is read off the live store by
-:mod:`repro.objects.profiles`.
+membership signature, each with its own record format -- is read off
+the live store by :mod:`repro.objects.profiles`; the store image writes
+one batch of columns per signature.
 """
 
 from repro.storage.fsio import OS_FS, FileSystem, atomic_write_bytes

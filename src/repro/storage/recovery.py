@@ -4,43 +4,42 @@ This module owns the directory -- manifest, checkpoint file, schema
 file, WAL segment, and the order they are replaced in -- the tail scan,
 and the **store image** (:func:`store_image` / :func:`install_image`):
 the one producer and the one installer of a populated store as data,
-which the checkpoint file and the replication catch-up dump both use.
-It does not know what a log record means:
-each one is an op-table command, and :func:`repro.ops.replay` runs it.
+batched by direct-membership signature (the paper's Section 5.5
+grouping), which the checkpoint file and the catch-up dump both use.
+It does not know what a log record means: each one is an op-table
+command, and :func:`repro.ops.replay` runs it.
 
 A durable store directory contains::
 
     MANIFEST               -- JSON commit point (always replaced atomically)
-    schema.cdl             -- the schema, pretty-printed (self-contained
-                              dir); checkpoints supersede it with a
-                              generation-suffixed ``schema-<g>.cdl`` so
-                              online schema changes persist atomically
-    checkpoint-<g>.ckpt    -- framed instance records, CRC32 per frame,
-                              whole-file length+CRC recorded in MANIFEST
+    schema-<g>.cdl         -- the schema, pretty-printed (``schema.cdl``
+                              in directories written before generations)
+    checkpoint-<g>.ckpt    -- the image: a header frame, then a frame per
+                              batch; CRC32 per frame, whole-file
+                              length+CRC in MANIFEST
     wal-<g>.log            -- the active WAL segment (durability="wal")
 
 ``<g>`` is the checkpoint generation: every checkpoint writes a *new*
-checkpoint file and a *new* WAL segment, then atomically replaces the
-MANIFEST to point at them, then deletes the superseded generation.  A
-crash at any point leaves either the old MANIFEST (old checkpoint + old
-WAL, both intact) or the new one (new checkpoint + fresh WAL) -- never a
-mix, and never a clobbered previous snapshot.
+schema file, checkpoint file and WAL segment, then atomically replaces
+the MANIFEST to point at them, then deletes the superseded generation.
+A crash at any point leaves either the old MANIFEST or the new one, each
+with its files intact -- never a mix.
 
 Recovery (:func:`recover_store`):
 
 1. read the MANIFEST; load the schema (unless one is supplied);
-2. load the last good checkpoint, validating length and CRC, and
-   install its image in one pass over its rows -- forward references
-   allowed, a repeated sid refused -- rebuilding every derived
-   structure: extents (IS-A closed), virtual-class reference counts,
-   secondary indexes, the dirty ledger, the surrogate allocator;
-3. replay the WAL tail **through the op table** -- the row a client's
-   request would have run, so the conformance invariants are
-   re-established by the live path rather than trusted;
+2. validate the checkpoint's length and CRC and install its image one
+   frame (one ``json.loads``, each column decoded once) at a time --
+   forward references allowed, a repeated sid refused -- rebuilding
+   extents, virtual-class reference counts, indexes, the dirty ledger
+   and the allocator;
+3. replay the WAL tail **through the op table**, so the conformance
+   invariants are re-established by the live path, not trusted;
 4. truncate a torn tail at the first bad CRC / short frame / sequence
    break (a crash can tear at most the suffix);
-5. validate every object (the ``validate_all`` sweep, non-destructively)
-   and report violations in the :class:`RecoveryReport`.
+5. validate every object (the checker's ``sweep``, as ``validate_all``
+   runs it but leaving the dirty ledger) into the
+   :class:`RecoveryReport`.
 
 The recovered state is always a **prefix** of the committed operation
 sequence: whole operations (and whole bulk batches / transactions, which
@@ -53,12 +52,14 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.codec import decode_values, encode_values
+from repro.codec import NONE, UNSET, decode_column, encode_column
 from repro.errors import StorageError
 from repro.objects.instance import Instance
+from repro.objects.profiles import profile_catalog
 from repro.objects.surrogate import Surrogate
 from repro.ops import replay
 from repro.storage.fsio import OS_FS, FileSystem, atomic_write_bytes
@@ -78,8 +79,9 @@ MANIFEST_FORMAT = 1
 DURABILITY_WAL = "wal"
 DURABILITY_NONE = "none"
 
-#: Checkpoint frames decoded per ``json.loads`` call.
-_DECODE_BATCH = 256
+#: Objects per store-image batch (one checkpoint frame).
+IMAGE_BATCH = 1024
+_SURROGATE = attrgetter("surrogate")
 
 
 @dataclass
@@ -93,6 +95,9 @@ class RecoveryReport:
     truncated_bytes: int = 0
     wal_stopped: str = "clean-end"
     violations: List[Tuple[Instance, object]] = field(default_factory=list)
+    #: The checkpoint file phase 2 read: its size and image batches.
+    checkpoint_bytes: int = 0
+    checkpoint_batches: int = 0
     #: Wall seconds of phases 2 (install), 3-4 (WAL tail), 5 (validate).
     install_s: float = 0.0
     replay_s: float = 0.0
@@ -115,9 +120,10 @@ class RecoveryReport:
                          f"({self.wal_stopped})")
         lines.append(f"  validate_all        : "
                      f"{len(self.violations)} violation(s)")
-        lines.append(f"  phase seconds       : install {self.install_s:.3f}, "
-                     f"replay {self.replay_s:.3f}, "
-                     f"validate {self.validate_s:.3f}")
+        lines.append(f"  phase seconds       : install {self.install_s:.3f} "
+                     f"({self.checkpoint_bytes} bytes, "
+                     f"{self.checkpoint_batches} batch(es)), replay "
+                     f"{self.replay_s:.3f}, validate {self.validate_s:.3f}")
         return "\n".join(lines)
 
 
@@ -152,13 +158,15 @@ def _write_manifest(fs: FileSystem, directory: str,
     atomic_write_bytes(fs, _manifest_path(directory), data)
 
 
-def store_image(store) -> Tuple[dict, Iterator[list]]:
-    """A populated store as data: ``(header, rows)``.  The header holds
+def store_image(store) -> Tuple[dict, Iterator[tuple]]:
+    """A populated store as data: ``(header, batches)``.  The header holds
     what is not derivable from the objects -- the surrogate high-water
-    mark, the dirty ledger, the indexed attributes; each row is
-    ``[sid, direct classes, encoded values]``, in sid order, produced
-    lazily.  The checkpoint file and the replication catch-up dump are
-    both this image behind their own framing."""
+    mark, the dirty ledger, the indexed attributes; each batch is
+    ``(direct classes, sids, cols)``: up to :data:`IMAGE_BATCH` objects
+    of one signature, sids ascending, ``cols`` each attribute's
+    :func:`~repro.codec.encode_column`.  Batches come in order of their
+    first sid, encoded lazily.  The checkpoint file and the replication
+    catch-up dump are both this image behind their own framing."""
     header = {
         "next_surrogate": store._allocator._next,
         "dirty": {str(surrogate.id):
@@ -166,29 +174,38 @@ def store_image(store) -> Tuple[dict, Iterator[list]]:
                   for surrogate, attrs in store._dirty.items()},
         "indexes": list(store.indexes.attributes()),
     }
-    objects = store._objects
-    rows = ([surrogate.id, sorted(objects[surrogate]._memberships),
-             encode_values(objects[surrogate]._values)]
-            for surrogate in sorted(objects))
-    return header, rows
+    batches = []
+    for profile in profile_catalog(store).values():
+        members = sorted(profile.members, key=_SURROGATE)
+        batches += [(profile.classes, members[i:i + IMAGE_BATCH])
+                    for i in range(0, len(members), IMAGE_BATCH)]
+    batches.sort(key=lambda batch: batch[1][0].surrogate)
+
+    def encoded():
+        for classes, members in batches:
+            values = [obj._values for obj in members]
+            yield (list(classes), [obj.surrogate.id for obj in members],
+                   {name: encode_column(values, name)
+                    for name in sorted(set().union(*values))})
+    return header, encoded()
 
 
-def install_image(store, header: dict, rows) -> int:
+def install_image(store, header: dict, batches) -> int:
     """Populate an empty ``store`` from :func:`store_image` data in one
-    pass over ``rows`` and rebuild every derived structure: objects with
-    their references relinked, extents (IS-A closed, one build per
+    pass over ``batches`` and rebuild every derived structure: objects
+    with their references relinked, extents (IS-A closed, one build per
     class), virtual-class reference counts, the dirty ledger, the
-    allocator, the indexes (one build per posting).  Rows may come in
-    any order -- a reference ahead of its row makes a shell the row
-    fills in -- but each sid once, and every referenced sid must come.
-    Nothing here checks conformance -- an image is state, not history;
-    callers that cannot vouch for it mark it dirty or validate.  Returns
-    the object count."""
+    allocator, the indexes (one build per posting).  Batches and the
+    sids in one may come in any order -- a reference ahead of its
+    object makes a shell the object fills in -- but each sid once, and
+    every referenced sid must come.  Nothing here checks conformance --
+    an image is state, not history; callers that cannot vouch for it
+    mark it dirty or validate.  Returns the object count."""
     if len(store):
         raise StorageError("a store image installs only into an empty "
                            "store")
     shells: Dict[int, Instance] = {}
-    pending: Set[int] = set()           # referenced, row not yet seen
+    pending: Set[int] = set()           # referenced, object not yet seen
 
     def resolve(sid: int) -> Instance:
         obj = shells.get(sid)
@@ -200,30 +217,40 @@ def install_image(store, header: dict, rows) -> int:
     signatures: Dict[tuple, List[int]] = {}
     homes = store._virtuals_by_attr
     refs = store._virtual_refs
-    for sid, classes, encoded in rows:
-        obj = shells.get(sid)
-        if obj is None:
-            obj = shells[sid] = Instance(Surrogate(sid), classes)
-        elif sid in pending:
-            pending.remove(sid)
-            obj._memberships = set(classes)
-        else:
-            raise StorageError(f"store image repeats object @{sid}")
-        obj._values = decode_values(encoded, resolve)
-        for name, value in obj._values.items():
-            if name in homes and is_entity(value):
-                # An entity on a virtual class's home attribute of a
-                # member of the owner class holds one reference.
-                for cdef in store._home_virtuals(obj, name):
-                    key = (cdef.name, value.surrogate)
-                    refs[key] = refs.get(key, 0) + 1
-        store._objects[obj.surrogate] = obj
-        store._columns.put(obj.surrogate, obj._memberships, obj._values,
-                           store._snapshot_stamp)
-        signatures.setdefault(tuple(classes), []).append(sid)
+    for classes, sids, cols in batches:
+        columns = {name: decode_column(column, resolve, UNSET)
+                   for name, column in cols.items()}
+        objs = []
+        for sid, cells in zip(sids, zip(*columns.values()) if columns
+                              else [()] * len(sids)):
+            obj = shells.get(sid)
+            if obj is None:
+                obj = shells[sid] = Instance(Surrogate(sid), classes)
+            elif sid in pending:
+                pending.remove(sid)
+                obj._memberships = set(classes)
+            else:
+                raise StorageError(f"store image repeats object @{sid}")
+            obj._values = {name: cell for name, cell in zip(columns, cells)
+                           if cell is not UNSET}
+            objs.append(obj)
+        for name in homes.keys() & columns.keys():
+            for obj, value in zip(objs, columns[name]):
+                if is_entity(value):
+                    # An entity on a virtual class's home attribute of a
+                    # member of the owner class holds one reference.
+                    for cdef in store._home_virtuals(obj, name):
+                        key = (cdef.name, value.surrogate)
+                        refs[key] = refs.get(key, 0) + 1
+        signatures.setdefault(tuple(classes), []).extend(sids)
     if pending:
         raise StorageError(
             f"store image references unknown object @{min(pending)}")
+    for sid in sorted(shells):
+        obj = shells[sid]
+        store._objects[obj.surrogate] = obj
+        store._columns.put(obj.surrogate, obj._memberships, obj._values,
+                           store._snapshot_stamp)
     store._pipeline.merge_extents(signatures)
     for sid_text, attrs in header.get("dirty", {}).items():
         store._dirty[Surrogate(int(sid_text))] = (
@@ -236,30 +263,24 @@ def install_image(store, header: dict, rows) -> int:
 
 def _write_checkpoint(fs: FileSystem, directory: str, store,
                       generation: int) -> dict:
-    """Write ``checkpoint-<generation>.ckpt`` atomically; returns its
-    manifest entry."""
-    header, rows = store_image(store)
+    """Write ``checkpoint-<generation>.ckpt`` atomically, a frame per
+    image batch after the header; returns its manifest entry."""
+    header, batches = store_image(store)
     chunks: List[bytes] = [WAL_MAGIC, frame_record({
         "kind": "header", "next_surrogate": header["next_surrogate"],
         "dirty": header["dirty"]})]
-    chunks.extend(
-        frame_record({"sid": sid, "classes": classes, "values": values})
-        for sid, classes, values in rows)
+    chunks.extend(frame_record({"classes": classes, "sids": sids,
+                                "cols": cols})
+                  for classes, sids, cols in batches)
     data = b"".join(chunks)
     name = f"checkpoint-{generation}.ckpt"
     atomic_write_bytes(fs, os.path.join(directory, name), data)
     return {"file": name, "length": len(data), "crc": zlib.crc32(data),
-            "objects": len(chunks) - 2}
-
-
-def _decoded(payloads: List[bytes]) -> Iterator[tuple]:
-    """Checkpoint frames' ``(sid, classes, values)``, one json.loads."""
-    for record in json.loads(b"[%s]" % b",".join(payloads)):
-        yield record["sid"], record["classes"], record["values"]
+            "objects": len(store), "batches": len(chunks) - 2}
 
 
 def _load_checkpoint(fs: FileSystem, directory: str, store,
-                     entry: dict, indexes) -> int:
+                     entry: dict, indexes, report: RecoveryReport) -> int:
     """Validate a checkpoint file (length, CRCs, header first, object
     count) and install its image, with the manifest's ``indexes``."""
     path = os.path.join(directory, entry["file"])
@@ -285,20 +306,22 @@ def _load_checkpoint(fs: FileSystem, directory: str, store,
     if header.get("kind") != "header":
         raise StorageError(
             f"checkpoint {entry['file']!r} lacks its header record")
+    report.checkpoint_bytes = len(data)
 
-    def rows():
-        # Streamed into the installer, one json.loads per batch: the whole
-        # population as rows would double what the collector walks.
+    def batches():
+        # One json.loads per frame: memory holds one batch, not the file.
         nonlocal consumed
-        batch: List[bytes] = []
         for consumed, payload in frames:
-            batch.append(payload)
-            if len(batch) == _DECODE_BATCH:
-                yield from _decoded(batch)
-                batch = []
-        yield from _decoded(batch)
+            report.checkpoint_batches += 1
+            frame = json.loads(payload)
+            if "sid" in frame:  # a row, written before batches: a batch of 1
+                yield frame["classes"], [frame["sid"]], {
+                    name: [NONE if value is None else value]
+                    for name, value in frame["values"].items()}
+            else:
+                yield frame["classes"], frame["sids"], frame["cols"]
 
-    count = install_image(store, dict(header, indexes=indexes), rows())
+    count = install_image(store, dict(header, indexes=indexes), batches())
     if consumed != len(data):
         # The whole-file CRC matched, so an inner framing error means a
         # writer bug, not a crash; fail loudly.
@@ -323,9 +346,11 @@ def store_config(store) -> dict:
     }
 
 
-def checkpoint_store(store: "DurableObjectStore") -> dict:
+def checkpoint_store(store: "DurableObjectStore",
+                     sync_every: int = 1024) -> dict:
     """Atomically snapshot ``store`` into its directory and rotate the
-    WAL; returns the new manifest."""
+    WAL (or start it, ``sync_every`` as given); returns the new
+    manifest."""
     fs = store.fs
     directory = store.directory
     wal = store._wal
@@ -337,16 +362,13 @@ def checkpoint_store(store: "DurableObjectStore") -> dict:
             raise StorageError(
                 "cannot checkpoint inside an open transaction")
         wal.flush()
-        base_seq = wal.last_seq
+        base_seq, sync_every = wal.last_seq, wal.sync_every
     else:
         base_seq = 0
 
-    # Persist the *current* schema epoch alongside the checkpoint: online
-    # schema changes rotate out of the WAL here, so the stored schema must
-    # describe the epoch the checkpointed objects were written under.  The
-    # file is generation-suffixed (like the checkpoint and WAL) so a crash
-    # before the manifest swap leaves the old manifest pointing at the old
-    # schema file, intact and checksum-consistent.
+    # The *current* schema epoch: online schema changes rotate out of the
+    # WAL here, into the generation the checkpoint's objects were written
+    # under.
     from repro.lang import print_schema
     schema_text = print_schema(store.schema).encode("utf-8")
     schema_name = f"schema-{generation}.cdl"
@@ -368,8 +390,8 @@ def checkpoint_store(store: "DurableObjectStore") -> dict:
         wal_name = f"wal-{generation}.log"
         new_wal = WriteAheadLog(
             os.path.join(directory, wal_name), fs=fs,
-            sync=store.sync_policy, base_seq=base_seq,
-            stats=store.checker.stats)
+            sync=store.sync_policy, sync_every=sync_every,
+            base_seq=base_seq, stats=store.checker.stats)
         manifest["wal"] = {"file": wal_name, "base_seq": base_seq}
 
     _write_manifest(fs, directory, manifest)
@@ -378,20 +400,12 @@ def checkpoint_store(store: "DurableObjectStore") -> dict:
     if wal is not None:
         wal.close()
     store._wal = new_wal
-    old_gen = old.get("generation")
-    if old_gen is not None and old_gen != generation:
-        old_ckpt = (old.get("checkpoint") or {}).get("file")
-        if old_ckpt:
-            fs.remove(os.path.join(directory, old_ckpt))
-        old_wal = (old.get("wal") or {}).get("file")
-        if old_wal:
-            fs.remove(os.path.join(directory, old_wal))
-        old_schema = (old.get("schema") or {}).get("file")
-        if old_schema and old_schema != schema_name \
-                and fs.exists(os.path.join(directory, old_schema)):
-            fs.remove(os.path.join(directory, old_schema))
+    for key in ("checkpoint", "wal", "schema"):
+        name = (old.get(key) or {}).get("file")
+        if name and name != (manifest.get(key) or {}).get("file") \
+                and fs.exists(os.path.join(directory, name)):
+            fs.remove(os.path.join(directory, name))
     store._manifest = manifest
-    store.checker.stats.checkpoints += 1
     return manifest
 
 
@@ -422,32 +436,10 @@ def open_store(directory: str, schema=None, durability: str = None,
     if durability not in (DURABILITY_WAL, DURABILITY_NONE):
         raise StorageError(f"unknown durability level {durability!r}")
     fs.makedirs(directory)
-
-    from repro.lang import print_schema
-    schema_text = print_schema(schema).encode("utf-8")
-    atomic_write_bytes(fs, os.path.join(directory, SCHEMA_NAME),
-                       schema_text)
-
     store = DurableObjectStore(schema, directory=directory, fs=fs,
                                durability=durability, sync=sync,
                                **store_kwargs)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "generation": 1,
-        "durability": durability,
-        "store": store_config(store),
-        "indexes": [],
-        "checkpoint": _write_checkpoint(fs, directory, store, 1),
-        "schema": {"file": SCHEMA_NAME, "crc": zlib.crc32(schema_text)},
-    }
-    if durability == DURABILITY_WAL:
-        wal = WriteAheadLog(os.path.join(directory, "wal-1.log"), fs=fs,
-                            sync=sync, sync_every=sync_every, base_seq=0,
-                            stats=store.checker.stats)
-        manifest["wal"] = {"file": "wal-1.log", "base_seq": 0}
-        store._wal = wal
-    _write_manifest(fs, directory, manifest)
-    store._manifest = manifest
+    checkpoint_store(store, sync_every)
     return store
 
 
@@ -490,7 +482,7 @@ def recover_store(directory: str, schema=None, durability: str = None,
     started = perf_counter()
     report.checkpoint_objects = _load_checkpoint(
         fs, directory, store, manifest["checkpoint"],
-        manifest.get("indexes", ()))
+        manifest.get("indexes", ()), report)
     report.install_s = perf_counter() - started
 
     started = perf_counter()
@@ -532,29 +524,21 @@ def recover_store(directory: str, schema=None, durability: str = None,
         # The validate_all sweep, without clearing the dirty ledger --
         # recovery must not mutate the state it just reconstructed.
         started = perf_counter()
-        for obj in store._objects.values():
-            for violation in store.checker.check(obj):
-                report.violations.append((obj, violation))
+        report.violations = store.checker.sweep(store._objects.values())
         report.validate_s = perf_counter() - started
 
     if durability == DURABILITY_WAL:
-        if wal_entry is None or scan is None or scan.stopped == "missing":
-            generation = manifest.get("generation", 1)
-            wal_name = f"wal-{generation}.log"
-            wal_path = os.path.join(directory, wal_name)
-            manifest["wal"] = {"file": wal_name,
-                               "base_seq": report.last_seq}
-            wal = WriteAheadLog(wal_path, fs=fs, sync=sync,
-                                sync_every=sync_every,
-                                base_seq=report.last_seq, stats=stats)
+        entry = wal_entry
+        if entry is None or scan is None or scan.stopped == "missing":
+            entry = {"file": f"wal-{manifest.get('generation', 1)}.log",
+                     "base_seq": report.last_seq}
+        store._wal = WriteAheadLog(
+            os.path.join(directory, entry["file"]), fs=fs, sync=sync,
+            sync_every=sync_every, base_seq=report.last_seq,
+            segment_base=entry.get("base_seq", 0), stats=stats)
+        if entry is not wal_entry:
+            manifest["wal"] = entry
             _write_manifest(fs, directory, manifest)
-        else:
-            wal = WriteAheadLog(
-                os.path.join(directory, wal_entry["file"]), fs=fs,
-                sync=sync, sync_every=sync_every,
-                base_seq=report.last_seq,
-                segment_base=wal_entry.get("base_seq", 0), stats=stats)
-        store._wal = wal
 
     store._manifest = manifest
     store.last_recovery = report

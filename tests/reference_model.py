@@ -103,6 +103,10 @@ class ReferenceChecker(ConformanceChecker):
         return [(i, found) for i, entity in enumerate(entities)
                 if (found := self.check(entity))]
 
+    def sweep(self, entities):
+        return [(entity, violation) for entity in entities
+                for violation in self.check(entity)]
+
     def check_attribute(self, entity, attribute: str,
                         value) -> List[Violation]:
         return reference_check(self.schema, entity, self.require_values,

@@ -152,6 +152,18 @@ class _ClosureCompiler:
             return value
         return eval_checked
 
+    def compile_ordered(self, expr: Aggregate) -> _EvalFn:
+        """A min/max operand: an int, a real or a string folds, any
+        other value fails under the policy."""
+        operand = self.compile_expr(expr.operand)
+
+        def eval_ordered(ctx):
+            value = operand(ctx)
+            if value is INAPPLICABLE or type(value) in (int, float, str):
+                return value
+            return self._fail(f"{expr}: unorderable value")
+        return eval_ordered
+
     def _compile_compare(self, expr: Compare) -> _EvalFn:
         left = self.compile_expr(expr.left)
         right = self.compile_expr(expr.right)
@@ -197,12 +209,18 @@ class _Accumulator:
         self.n += 1
         if self.function in ("total", "avg"):
             self.total += value
-        elif self.function == "min":
-            if self.best is None or value < self.best:
-                self.best = value
-        elif self.function == "max":
-            if self.best is None or value > self.best:
-                self.best = value
+        elif self.function == "count":
+            return
+        elif self.best is None:
+            self.best = value
+        else:
+            try:
+                if (value < self.best if self.function == "min"
+                        else value > self.best):
+                    self.best = value
+            except TypeError:
+                raise QueryRuntimeError(
+                    f"{self.function}: unorderable values") from None
 
     def result(self):
         if self.function == "count":
@@ -235,8 +253,9 @@ def reference_compile(compiled: CompiledQuery,
                 if query.where is not None else None)
     if compiled.aggregates is not None:
         return ReferenceQuery(query.var, where_fn, [], [
-            (e.function, closures.compile_expr(e.operand)
-             if e.operand is not None else None)
+            (e.function, None if e.operand is None
+             else closures.compile_ordered(e) if e.function in ("min", "max")
+             else closures.compile_expr(e.operand))
             for e in query.select])
     return ReferenceQuery(
         query.var, where_fn,

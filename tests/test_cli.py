@@ -262,6 +262,25 @@ class TestDurability:
         assert main(["recover", store_dir]) == 0
         assert "replayed: 0" in capsys.readouterr().out
 
+    def test_recover_and_checkpoint_print_the_file_they_read(
+            self, store_dir, capsys):
+        """Beside the phase seconds: the checkpoint file's bytes and
+        image batches, the fresh one's after a checkpoint."""
+        import re
+        from repro.storage.fsio import OS_FS
+        from repro.storage.recovery import read_manifest
+        assert main(["checkpoint", store_dir]) == 0
+        out = capsys.readouterr().out
+        entry = read_manifest(OS_FS, store_dir)["checkpoint"]
+        # Ward and Person: two signatures, one batch each.
+        assert entry["batches"] == 2
+        assert f"{entry['length']} bytes in 2 batch(es)" in out
+        assert re.search(r"phase seconds +: install [0-9.]+ \(\d+ bytes, "
+                         r"0 batch\(es\)\), replay", out)
+        assert main(["recover", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"({entry['length']} bytes, 2 batch(es))" in out
+
     def test_wal_dump_lists_records(self, store_dir, capsys):
         assert main(["wal-dump", store_dir]) == 0
         out = capsys.readouterr().out

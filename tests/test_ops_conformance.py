@@ -797,6 +797,8 @@ def test_the_wire_cases_reach_what_they_name(wire_edges):
 @example(text=ENTITIES, options={})
 @example(text=TAGGED, options={"on_unsafe": "null"})
 @example(text=INTERLEAVED, options={})
+@example(text="for p in Patient where (30 in Patient and p not in Patient) "
+         "select 30", options={})     # no shard reached, still refused
 def test_wire_plans_answer_what_the_rewrite_answered(wire_edges, text,
                                                      options):
     """Replies equal the parent's formulation (``Var`` prepended,
@@ -807,9 +809,9 @@ def test_wire_plans_answer_what_the_rewrite_answered(wire_edges, text,
 
 # Mutants of the column readers, each installed over a named hook.
 
-def _reader_mutant_killed(wire_edges, name, mutant) -> bool:
+def _reader_mutant_killed(wire_edges, module, name, mutant) -> bool:
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(router_module, name, mutant)
+        patch.setattr(module, name, mutant)
         for text in WIRE_CASES:
             try:
                 _check_wire_text(wire_edges, text, {"on_unsafe": "null"})
@@ -825,7 +827,7 @@ def _concatenated(replies, width):
         for i in range(width)]
 
 
-def _decoded_by_first_value(column, handle):
+def _decoded_by_first_value(column, handle, unset=None):
     """A column decoded only when its first value is tagged."""
     if not column or type(column[0]) is not dict:
         return column
@@ -834,13 +836,33 @@ def _decoded_by_first_value(column, handle):
 
 
 def test_mutant_merge_without_sid_order_is_killed(wire_edges):
-    assert _reader_mutant_killed(wire_edges, "merged_columns",
-                                 _concatenated)
+    assert _reader_mutant_killed(wire_edges, router_module,
+                                 "merged_columns", _concatenated)
 
 
 def test_mutant_decode_by_first_value_is_killed(wire_edges):
-    assert _reader_mutant_killed(wire_edges, "decoded",
+    assert _reader_mutant_killed(wire_edges, codec, "decode_column",
                                  _decoded_by_first_value)
+
+
+@pytest.mark.parametrize("function", ["min", "max"])
+@pytest.mark.parametrize("on_unsafe", ON_UNSAFE)
+def test_an_unorderable_fold_obeys_on_unsafe_at_every_edge(
+        wire_edges, function, on_unsafe):
+    """Three rows hold an ``EnumSymbol``, which does not order: they
+    are skipped and counted, read as null, or a ``QueryRuntimeError``
+    -- the same outcome on every edge, never a raw ``TypeError``."""
+    text = f"for p in Patient select {function} p.bloodPressure, count"
+    options = {"on_unsafe": on_unsafe}
+    _check_wire_text(wire_edges, text, options)
+    out = _outcome(wire_edges["in-process"],
+                   {"op": "query", "text": text, "options": options})
+    expected = {"skip": ([codec.NA, 9], 3), "null": ([codec.NA, 12], 0)}
+    if on_unsafe == "raise":
+        assert out == _Raised("QueryRuntimeError", "QueryRuntimeError")
+    else:
+        assert (out["agg"], out["stats"]["rows_skipped"]) == \
+            expected[on_unsafe]
 
 
 PER_ROW = "for p in Patient where p.age = 41 select p.name, p"

@@ -16,12 +16,15 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import codec
 from repro.columnar import CHUNK_BITS, SurrogateSet
 from repro import load_schema
 from repro.errors import ConformanceError, ReplicationError, StorageError
 from repro.net.replication import install_dump
 from repro.objects.store import CheckMode, ObjectStore
+from repro.objects.surrogate import Surrogate
 from repro.objects.transactions import transaction
 from repro.scenarios import populate_hospital
 from repro.storage import recovery
@@ -61,7 +64,7 @@ class TestOpenFresh:
     def test_initializes_directory(self, store, fs):
         names = fs.listdir(DIR)
         assert "MANIFEST" in names
-        assert "schema.cdl" in names
+        assert "schema-1.cdl" in names
         assert "checkpoint-1.ckpt" in names
         assert "wal-1.log" in names
 
@@ -472,19 +475,37 @@ class TestRecoveryCounters:
         assert sum(phases) <= whole
         assert "install" in report.describe()
 
+    def test_report_names_the_checkpoint_file_it_read(self, store, fs):
+        for floor in range(3):
+            store.create("Ward", floor=floor + 1, name="W")
+        store.create("Person", name="P", age=30)
+        entry = store.checkpoint()["checkpoint"]
+        store.close()
+        report = _reopen(fs).last_recovery
+        assert (report.checkpoint_bytes, report.checkpoint_batches) == (
+            entry["length"], entry["batches"]) == (entry["length"], 2)
+        assert f"({entry['length']} bytes, 2 batch(es))" in report.describe()
+
+    def test_a_checkpoint_keeps_the_sync_batch(self, fs, hospital_schema):
+        store = open_store(DIR, hospital_schema, fs=fs, sync_every=5)
+        assert store._wal.sync_every == 5
+        store.checkpoint()
+        assert store._wal.sync_every == 5
+
 
 # ----------------------------------------------------------------------
-# The image installer: one pass, rows in any order
+# The image installer: one pass, batches and sids in any order
 # ----------------------------------------------------------------------
 
 def _image(store, indexes=("age",)):
-    header, rows = store_image(store)
-    return dict(header, indexes=list(indexes)), list(rows)
+    header, batches = store_image(store)
+    return dict(header, indexes=list(indexes)), [
+        [classes, sids, cols] for classes, sids, cols in batches]
 
 
-def _installed(schema, header, rows, install=install_image):
+def _installed(schema, header, batches, install=install_image):
     fresh = ObjectStore(schema)
-    install(fresh, header, rows)
+    install(fresh, header, batches)
     return fresh
 
 
@@ -502,18 +523,82 @@ def _shape(store):
     return store_digest(store), extents, postings
 
 
+def _rows(batch, order):
+    """The rows of ``batch`` at positions ``order``, as a batch."""
+    classes, sids, cols = batch
+    return [classes, [sids[i] for i in order],
+            {name: [column[i] for i in order]
+             for name, column in cols.items()}]
+
+
+def _reversed(batches):
+    """Batches in reverse order, each with its sids reversed: every
+    reference is forward."""
+    return [_rows(batch, range(len(batch[1]))[::-1])
+            for batch in batches[::-1]]
+
+
+def _without(batches, sid):
+    return [_rows(batch, [i for i, s in enumerate(batch[1]) if s != sid])
+            for batch in batches]
+
+
+def _repeating(batches):
+    """``batches`` plus a batch of one that repeats the last sid."""
+    classes, sids, _cols = batches[-1]
+    return sids[-1], batches + [[classes, [sids[-1]], {}]]
+
+
 def _check_reverse_install(source, install=install_image):
-    """Rows in reverse sid order -- every reference is forward -- install
-    the store the in-order rows do, which is the source's state."""
-    header, rows = _image(source)
-    forward = _installed(source.schema, header, rows, install)
-    backward = _installed(source.schema, header, rows[::-1], install)
+    """Reversed batches with reversed sids install the store the
+    in-order batches do, which is the source's state."""
+    header, batches = _image(source)
+    forward = _installed(source.schema, header, batches, install)
+    backward = _installed(source.schema, header, _reversed(batches),
+                          install)
     assert _shape(backward) == _shape(forward)
     assert store_digest(forward) == store_digest(source)
     return backward
 
 
+def _checkpoint_refuses(tmp_path, source, batches, match):
+    """A checkpoint whose frames are ``batches`` does not reopen."""
+    directory = str(tmp_path / "ckpt")
+    durable = ObjectStore.open(directory, source.schema, durability="none")
+    header, _batches = store_image(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "store_image",
+                      lambda _store: (header, iter(batches)))
+        durable.checkpoint()
+    durable.close()
+    with pytest.raises(StorageError, match=match):
+        ObjectStore.open(directory)
+
+
 class TestImageInstall:
+    def test_batches_group_one_signature_in_sid_order(
+            self, hospital_population):
+        source = hospital_population.store
+        _header, batches = _image(source)
+        firsts = [sids[0] for _classes, sids, _cols in batches]
+        assert firsts == sorted(firsts)
+        for classes, sids, cols in batches:
+            assert sids == sorted(sids)
+            assert len(sids) <= recovery.IMAGE_BATCH
+            assert {tuple(sorted(source.get(Surrogate(sid)).memberships))
+                    for sid in sids} == {tuple(classes)}
+            assert all(len(column) == len(sids) for column in cols.values())
+        assert sorted(sid for _c, sids, _v in batches for sid in sids) == [
+            obj.surrogate.id for obj in source.instances()]
+
+    def test_a_signature_over_the_cap_spans_batches(self):
+        store = ObjectStore(load_schema(_ITEM_CDL))
+        for weight in range(recovery.IMAGE_BATCH + 5):
+            store.create("Item", weight=weight)
+        _header, batches = _image(store, indexes=())
+        assert [len(sids) for _c, sids, _v in batches] == [
+            recovery.IMAGE_BATCH, 5]
+
     def test_reverse_sid_order_installs_the_same_store(
             self, hospital_population):
         installed = _check_reverse_install(hospital_population.store)
@@ -522,41 +607,107 @@ class TestImageInstall:
         assert installed.indexes.get("age").lookup(
             hospital_population.patients[0].get_value("age"))
 
-    def test_a_dangling_reference_is_refused(self, hospital_population):
-        # Row 0 is an address the first hospital's location names.
-        header, rows = _image(hospital_population.store)
+    def test_a_dangling_reference_is_refused(self, hospital_population,
+                                             tmp_path):
+        # Sid 1 is an address the first hospital's location names.
+        header, batches = _image(hospital_population.store)
         schema = hospital_population.store.schema
-        for order in (rows[1:], rows[1:][::-1]):
+        missing = _without(batches, 1)
+        for order in (missing, _reversed(missing)):
             with pytest.raises(StorageError,
                                match=r"references unknown object @1$"):
                 _installed(schema, header, order)
+        with pytest.raises(ReplicationError, match="unknown object @1$"):
+            install_dump(ObjectStore(schema), dict(header, batches=missing))
+        _checkpoint_refuses(tmp_path, hospital_population.store, missing,
+                            "unknown object @1$")
 
-    def test_a_repeated_sid_is_refused(self, hospital_population):
-        header, rows = _image(hospital_population.store)
-        sid, classes, _values = rows[-1]
+    def test_a_repeated_sid_is_refused(self, hospital_population,
+                                       tmp_path):
+        # Across two batches: in the installer and in a checkpoint.
+        header, batches = _image(hospital_population.store)
+        sid, repeating = _repeating(batches)
         with pytest.raises(StorageError, match=f"repeats object @{sid}$"):
-            _installed(hospital_population.store.schema, header,
-                       rows + [[sid, classes, {}]])
+            _installed(hospital_population.store.schema, header, repeating)
+        _checkpoint_refuses(tmp_path, hospital_population.store, repeating,
+                            f"repeats object @{sid}$")
 
     def test_a_catch_up_dump_that_repeats_a_sid_is_refused(
             self, hospital_population):
-        header, rows = _image(hospital_population.store)
-        sid, classes, _values = rows[-1]
-        dump = dict(header, rows=rows + [[sid, classes, {}]])
+        header, batches = _image(hospital_population.store)
+        sid, repeating = _repeating(batches)
         with pytest.raises(ReplicationError, match=f"repeats object @{sid}"):
             install_dump(ObjectStore(hospital_population.store.schema),
-                         dump)
+                         dict(header, batches=repeating))
+
+    def test_a_stored_none_is_not_an_unset_cell(self, tmp_path):
+        # check="none" stores anything, None included; the image must
+        # tell it from an attribute the object does not set.
+        store = ObjectStore(load_schema(_ITEM_CDL))
+        store.create("Item", weight=None, check="none")
+        store.create("Item")
+        _header, [[_classes, _sids, cols]] = _image(store, indexes=())
+        assert cols == {"weight": [codec.NONE, None]}
+        directory = str(tmp_path / "none")
+        durable = ObjectStore.open(directory, store.schema,
+                                   durability="none")
+        install_image(durable, *store_image(store))
+        durable.checkpoint()
+        durable.close()
+        again = ObjectStore.open(directory)
+        assert store_digest(again) == store_digest(store)
+        assert [obj.value_names() for obj in again.instances()] == [
+            ("weight",), ()]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_order_and_split_installs_the_same_store(
+            self, hospital_population, data):
+        source = hospital_population.store
+        header, batches = _image(source)
+        pieces = []
+        for batch in batches:
+            order = data.draw(st.permutations(range(len(batch[1]))))
+            cuts = sorted(data.draw(st.sets(
+                st.integers(1, max(1, len(order) - 1)), max_size=3)))
+            bounds = [0, *cuts, len(order)]
+            pieces += [_rows(batch, order[lo:hi])
+                       for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        shuffled = data.draw(st.permutations(pieces))
+        installed = _installed(source.schema, header, shuffled)
+        assert _shape(installed) == _shape(
+            _installed(source.schema, header, batches))
+        assert store_digest(installed) == store_digest(source)
+
+    @staticmethod
+    def _mutant(old, new):
+        source = textwrap.dedent(inspect.getsource(recovery.install_image))
+        assert source.count(old) == 1
+        namespace = dict(vars(recovery))
+        exec(source.replace(old, new), namespace)
+        return namespace["install_image"]
 
     def test_mutant_forward_shell_keeps_empty_memberships_is_killed(
             self, hospital_population):
-        source = textwrap.dedent(inspect.getsource(recovery.install_image))
-        old = "obj._memberships = set(classes)"
-        assert source.count(old) == 1
-        namespace = dict(vars(recovery))
-        exec(source.replace(old, "pass"), namespace)
+        mutant = self._mutant("obj._memberships = set(classes)", "pass")
         with pytest.raises(AssertionError):
-            _check_reverse_install(hospital_population.store,
-                                   namespace["install_image"])
+            _check_reverse_install(hospital_population.store, mutant)
+
+    def test_mutant_storing_a_null_cell_as_a_value_is_killed(
+            self, hospital_schema):
+        population = populate_hospital(hospital_schema, n_patients=20,
+                                       seed=3)
+        for patient in population.patients[::3]:
+            population.store.unset_value(patient, "age", check="none")
+        _header, batches = _image(population.store)
+        assert any(None in column for _classes, _sids, cols in batches
+                   for column in cols.values()), "some cell is unset"
+        _check_reverse_install(population.store)
+        mutant = self._mutant("decode_column(column, resolve, UNSET)",
+                              "decode_column(column, resolve)")
+        with pytest.raises(AssertionError):
+            _check_reverse_install(population.store, mutant)
 
     def test_install_does_no_per_member_bitset_work(self, hospital_schema):
         """Every extent and posting is built from a list of sids: a
@@ -564,7 +715,7 @@ class TestImageInstall:
         source = populate_hospital(hospital_schema, n_patients=4_970,
                                    seed=5).store
         assert len(source) >= 5_000
-        header, rows = _image(source)
+        header, batches = _image(source)
 
         def refuse(*_args):
             raise AssertionError("per-member bitset work")
@@ -572,20 +723,22 @@ class TestImageInstall:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SurrogateSet, "add", refuse)
             patch.setattr(SurrogateSet, "__contains__", refuse)
-            installed = _installed(source.schema, header, rows)
+            installed = _installed(source.schema, header, batches)
         assert store_digest(installed) == store_digest(source)
 
 
 @pytest.mark.slow
 def test_image_install_over_three_bitset_chunks(hospital_schema):
-    """Reverse-order rows over more than three bitset chunks, with a
-    populated virtual class and an index, against the live store."""
+    """Reversed batches and sids over more than three bitset chunks,
+    with a populated virtual class and an index, against the live
+    store."""
     source = populate_hospital(hospital_schema, n_patients=12_300,
                                seed=31).store
     assert source._allocator._next > 3 * CHUNK_BITS
     source.create_index("age")
-    header, rows = _image(source)
-    installed = _installed(source.schema, header, rows[::-1])
+    header, batches = _image(source)
+    assert max(len(sids) for _c, sids, _v in batches) == recovery.IMAGE_BATCH
+    installed = _installed(source.schema, header, _reversed(batches))
     assert _shape(installed) == _shape(source)
     assert store_digest(installed)[1], "a virtual class is populated"
 

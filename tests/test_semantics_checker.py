@@ -196,3 +196,31 @@ def test_counters_per_operation(hospital_schema):
     }
     assert observed == {op: dict(zip(COUNTERS, counts))
                         for op, counts in expected.items()}
+
+
+@pytest.mark.parametrize("require_values", [False, True])
+def test_sweep_is_one_check_per_entity(hospital_schema, require_values):
+    """The whole-store sweep looks a profile up once per signature, yet
+    answers the pairs, in order, and ticks the counters that one
+    ``check`` per entity does -- over a population with violators spread
+    across signatures, and a profile compiled before the sweep."""
+    from repro.obs import EngineStats
+    from repro.scenarios import populate_hospital
+    store = populate_hospital(hospital_schema, n_patients=60, seed=7).store
+    for patient in list(store.instances())[-40::7]:
+        if "age" in patient.value_names():
+            store.set_value(patient, "age", 500, check="none")
+    objects = list(store.instances())
+    looped = ConformanceChecker(hospital_schema, require_values,
+                                EngineStats())
+    swept = ConformanceChecker(hospital_schema, require_values,
+                               EngineStats())
+    for checker in (looped, swept):
+        checker.check(objects[-1])
+    expected = [(obj, v) for obj in objects for v in looped.check(obj)]
+    found = swept.sweep(objects)
+    assert len(expected) > 3
+    assert [(obj.surrogate, v) for obj, v in found] == [
+        (obj.surrogate, v) for obj, v in expected]
+    assert swept.stats.snapshot() == looped.stats.snapshot()
+    assert swept.stats.profile_misses < swept.stats.profile_hits
