@@ -1,28 +1,28 @@
-"""Batched ingestion: one check per signature group, deferred maintenance.
+"""Batched ingestion: one check per signature, deferred maintenance.
 
 The per-object write path pays, for every ``create``/``set_value``, a
 conformance check *plus* incremental extent, secondary-index and
 dirty-ledger maintenance.  When thousands of objects arrive at once that
 is the wrong amortization: objects sharing a direct-membership signature
 are subject to an identical constraint table, so the store checker
-resolves the signature's generated check once per group
-(:meth:`~repro.semantics.checker.ConformanceChecker.check_batch`) and
-the bookkeeping is merged once per batch.
+resolves the signature's generated check once per batch
+(:meth:`~repro.semantics.checker.ConformanceChecker.sweep`) and the
+bookkeeping is merged once per batch.
 
-:class:`BulkSession` stages rows without touching the store, then commits
-them in one merge:
+:class:`BulkSession` only stages rows and mints their ids; its commit is
+one pipeline command whose bulk stage
+(:meth:`repro.objects.pipeline.MutationPipeline.apply_bulk`) does the
+rest:
 
-* staged objects are grouped by signature, and each group runs through
-  its signature's generated check (excuse branches folded, provably
-  unfalsifiable rows eliminated);
 * objects that interact with **virtual classes** -- a virtual class in
   the expanded signature, or an entity value landing on a virtual class's
   home attribute -- take the store's ordinary per-object path *after* the
   fast merge, so reference counting, join checking and cascades behave
   exactly as for sequential writes;
-* under ``check="eager"`` the profile groups are validated before
-  anything becomes visible (results are plain data, and the merge is
-  deterministic in staging order);
+* under ``check="eager"`` the fast-path rows are swept in staging order
+  before anything becomes visible (excuse branches folded, provably
+  unfalsifiable rows eliminated), ticking the counters one ``check`` per
+  row would;
 * extents, index postings and the dirty ledger are updated in one pass
   per batch; the index design version stays, so cached plans survive
   the merge (they read cardinalities per execution).
@@ -38,14 +38,15 @@ committed batch is observationally equivalent to applying each row
 sequentially as ``create(primary)`` / ``classify(extra)`` /
 ``set_value(attr, value)`` under the same check mode (property-tested in
 ``tests/test_bulk_properties.py``); the one deliberate divergence is
-error *reporting* granularity -- a failing batch reports one violating
-object, not necessarily the first in row order, because fast-path groups
-are validated before per-object-path rows are applied.
+error *reporting* granularity -- a failing batch reports the
+earliest-staged violating fast-path object, not necessarily the first in
+row order, because fast-path rows are validated before per-object-path
+rows are applied.
 
-The staging and commit loops below are written for throughput -- class
-tuples validated once per distinct tuple, signatures interned, virtual
-anchoring decided per ``(classes, attribute)``, instances built in one
-shot -- because this path exists for its throughput over the (already
+The staging loop here and the bulk stage's loops are written for
+throughput -- class tuples validated once per distinct tuple, virtual
+anchoring decided once per class tuple, instances built in one shot --
+because this path exists for its throughput over the (already
 incremental) sequential write path (e2e ``bulk_rows_per_s``).
 """
 
@@ -56,13 +57,12 @@ from typing import (
     Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union,
 )
 
-from repro.errors import ConformanceError, UnknownClassError
+from repro.errors import UnknownClassError
 from repro.objects.instance import Instance
 from repro.objects.pipeline import BulkCommand, refuse_check
 from repro.objects.store import CheckMode, ObjectStore
 from repro.objects.surrogate import Surrogate
-from repro.semantics.checker import Violation, expand_signature
-from repro.typesys.values import INAPPLICABLE, is_entity
+from repro.typesys.values import INAPPLICABLE
 
 
 @dataclass
@@ -82,14 +82,11 @@ class _Staged:
     values already applied), the class tuple, and the write list the
     row is equivalent to."""
 
-    __slots__ = ("pos", "obj", "classes", "values", "write_attrs",
-                 "n_writes")
+    __slots__ = ("obj", "classes", "values", "write_attrs", "n_writes")
 
-    def __init__(self, pos: int, obj: Instance,
-                 classes: Tuple[str, ...],
+    def __init__(self, obj: Instance, classes: Tuple[str, ...],
                  values: Dict[str, object],
                  write_attrs: Tuple[str, ...]) -> None:
-        self.pos = pos
         self.obj = obj
         self.classes = classes
         self.values = values
@@ -191,9 +188,7 @@ class BulkSession:
         obj._values = values
         # Fresh containers: no snapshot can have captured them.
         obj._cow_stamp = self._store._snapshot_stamp
-        staged = self._staged
-        staged.append(_Staged(len(staged), obj, class_tuple, values,
-                              write_attrs))
+        self._staged.append(_Staged(obj, class_tuple, values, write_attrs))
         return obj
 
     def __len__(self) -> int:
@@ -263,97 +258,11 @@ class BulkSession:
             objects=len(staged),
             fast_objects=len(command.fast),
             fallback_objects=len(command.slow),
-            profiles=len(command.groups),
+            profiles=command.profiles,
             check=self._mode,
             instances=tuple(entry.obj for entry in staged),
         )
         return self.report
-
-    # ------------------------------------------------------------------
-    # Commit phases
-    # ------------------------------------------------------------------
-
-    def _partition(self) -> Tuple[List[_Staged], List[_Staged]]:
-        """Split staged rows into the batched fast path and the rows
-        that must take the store's per-object path because they interact
-        with virtual-class maintenance."""
-        store = self._store
-        schema = store.schema
-        fast: List[_Staged] = []
-        slow: List[_Staged] = []
-        slow_by_sig: Dict[Tuple[str, ...], bool] = {}
-        #: (classes, attribute) -> an entity value here anchors a virtual.
-        anchor: Dict[Tuple[Tuple[str, ...], str], bool] = {}
-        virtual_attrs = frozenset(store._virtuals_by_attr)
-        for entry in self._staged:
-            key = entry.classes
-            sig_slow = slow_by_sig.get(key)
-            if sig_slow is None:
-                sig_slow = any(
-                    schema.get(name).virtual
-                    for name in expand_signature(schema, key))
-                slow_by_sig[key] = sig_slow
-            if not sig_slow and virtual_attrs:
-                for attribute in virtual_attrs.intersection(entry.values):
-                    if not is_entity(entry.values[attribute]):
-                        continue
-                    hit = anchor.get((key, attribute))
-                    if hit is None:
-                        hit = self._attribute_anchors(key, attribute)
-                        anchor[(key, attribute)] = hit
-                    if hit:
-                        sig_slow = True
-                        break
-            (slow if sig_slow else fast).append(entry)
-        return fast, slow
-
-    def _attribute_anchors(self, classes: Tuple[str, ...],
-                           attribute: str) -> bool:
-        """Whether an entity value at ``attribute`` would land on a
-        virtual class's home attribute for these memberships (and so
-        must go through the store's reference-counting write path)."""
-        schema = self._store.schema
-        for cdef in self._store._virtuals_by_attr.get(attribute, ()):
-            owner = cdef.origin.owner_class
-            if any(name == owner or schema.is_subclass(name, owner)
-                   for name in classes):
-                return True
-        return False
-
-    def _group(self, fast: List[_Staged]
-               ) -> "Dict[frozenset, List[_Staged]]":
-        """Group the fast instances by direct-membership signature."""
-        groups: Dict[frozenset, List[_Staged]] = {}
-        interned: Dict[Tuple[str, ...], frozenset] = {}
-        for entry in fast:
-            signature = interned.get(entry.classes)
-            if signature is None:
-                signature = frozenset(entry.classes)
-                interned[entry.classes] = signature
-            bucket = groups.get(signature)
-            if bucket is None:
-                bucket = groups[signature] = []
-            bucket.append(entry)
-        return groups
-
-    def _check_profiles(self, groups) -> None:
-        """Per-profile conformance for the fast path (the
-        unshared-structure sweep runs first, in the pipeline's
-        :meth:`~repro.objects.pipeline.MutationPipeline.bulk_validate`).
-        Raises :class:`ConformanceError` on the earliest-staged
-        violating object."""
-        checker = self._store.checker
-        failures: List[Tuple[int, List[Violation]]] = []
-        for signature, entries in groups.items():
-            failures.extend(
-                (entries[i].pos, violations) for i, violations
-                in checker.check_batch(signature,
-                                       [entry.obj for entry in entries]))
-        if failures:
-            pos, violations = min(failures, key=lambda f: f[0])
-            checker.stats.violations_found += len(violations)
-            raise ConformanceError(self._staged[pos].obj.surrogate.id,
-                                   violations[0])
 
     def _require_open(self) -> None:
         if self._closed:

@@ -36,6 +36,8 @@ handling under any evaluation order).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.objects.store import ObjectStore
 
 
@@ -56,6 +58,9 @@ class DurableObjectStore(ObjectStore):
         self.sync_policy = sync
         #: Filled by :func:`repro.storage.recovery.recover_store`.
         self.last_recovery = None
+        #: The seq a closed log ended at: the commit position until a
+        #: checkpoint starts the next segment there.
+        self._closed_seq: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Durability lifecycle
@@ -79,7 +84,13 @@ class DurableObjectStore(ObjectStore):
         further mutations are no longer journaled."""
         if self._wal is not None:
             self._wal.close()
+            self._closed_seq = self._wal.last_seq
             self._wal = None
+
+    def position(self) -> int:
+        if self._wal is None and self._closed_seq is not None:
+            return self._closed_seq
+        return super().position()
 
     def __enter__(self) -> "DurableObjectStore":
         return self

@@ -350,15 +350,17 @@ class BulkCommand(MutationCommand):
     a single WAL record)."""
 
     op = "bulk"
-    __slots__ = ("session", "fast", "slow", "groups")
+    __slots__ = ("session", "fast", "slow", "profiles")
 
     def __init__(self, session) -> None:
         super().__init__(session._mode)
         self.session = session
 
     def apply(self, pipe):
-        self.fast, self.slow, self.groups = pipe.apply_bulk(self.session)
-        self.mutated = bool(self.session._staged)
+        staged = self.session._staged
+        self.fast, self.slow, self.profiles = pipe.apply_bulk(
+            staged, self.check)
+        self.mutated = bool(staged)
 
     def record(self, store):
         """One record per batch (all-or-nothing); staging minted the sids."""
@@ -831,32 +833,67 @@ class MutationPipeline:
     # Apply stage: bulk batches
     # ------------------------------------------------------------------
 
-    def apply_bulk(self, session):
-        """Commit one staged bulk batch: validate the fast-path groups,
-        merge them in one pass, run virtual-class-involved rows through
-        the ordinary (nested, unjournaled) apply paths.  All-or-nothing:
-        the undo scope opens here, under the write lock, so a failure
-        undoes this commit -- counters included -- and nothing that was
-        acknowledged while the session was staging."""
+    def apply_bulk(self, staged, mode: str):
+        """Commit one staged bulk batch: check the fast path, merge it in
+        one pass, run virtual-class-involved rows through the ordinary
+        (nested, unjournaled) apply paths.  All-or-nothing: the undo
+        scope opens here, under the write lock, so a failure undoes this
+        commit -- counters included -- and nothing that was acknowledged
+        while the session was staging.  Returns the fast rows, the
+        fallback rows and the number of signatures merged."""
         store = self.store
         stats = store.checker.stats
         with UndoScope(store, include_stats=True):
-            fast, slow = session._partition()
-            groups = session._group(fast)
-            if session._mode == CheckMode.EAGER:
-                self.bulk_validate(session, groups)
-            self.bulk_merge(fast, groups, session._mode)
+            fast, slow = self.bulk_partition(staged)
+            if mode == CheckMode.EAGER:
+                self.bulk_validate(fast)
+            profiles = self.bulk_merge(fast, mode)
             for entry in slow:
-                self.bulk_fallback(entry, session._mode)
+                self.bulk_fallback(entry, mode)
             stats.bulk_loads += 1
             stats.bulk_objects += len(fast)
             stats.bulk_fallbacks += len(slow)
-        return fast, slow, groups
+        return fast, slow, profiles
 
-    def bulk_validate(self, session, groups) -> None:
-        """Eager validation of the fast path: unshared-structure checks,
-        then per-profile conformance.  Raises on the earliest-staged
-        violating object."""
+    def bulk_partition(self, staged) -> Tuple[list, list]:
+        """Split staged rows into the batched fast path and the rows
+        that must take the store's per-object path because they interact
+        with virtual-class maintenance (:meth:`virtual_anchors`, decided
+        once per class tuple)."""
+        fast: list = []
+        slow: list = []
+        anchors: Dict[Tuple[str, ...], Optional[frozenset]] = {}
+        for entry in staged:
+            at = anchors.get(entry.classes, False)
+            if at is False:
+                at = anchors[entry.classes] = self.virtual_anchors(
+                    entry.classes)
+            values = entry.values
+            (slow if at is None or any(
+                is_entity(values[name]) for name in at.intersection(values))
+             else fast).append(entry)
+        return fast, slow
+
+    def virtual_anchors(self, classes) -> Optional[frozenset]:
+        """None when a virtual class is in the IS-A expansion of
+        ``classes``; else the attributes at which an entity value lands
+        on a virtual class's home attribute (and so must go through the
+        store's reference-counting write path)."""
+        schema = self.store.schema
+        expanded = expand_signature(schema, classes)
+        if any(schema.get(name).virtual for name in expanded):
+            return None
+        return frozenset(
+            attribute
+            for attribute, cdefs in self.store._virtuals_by_attr.items()
+            if any(cdef.origin.owner_class in expanded for cdef in cdefs))
+
+    def bulk_validate(self, fast) -> None:
+        """Eager validation of the fast path in staging order: the
+        unshared-structure checks, then one :meth:`ConformanceChecker.sweep
+        <repro.semantics.checker.ConformanceChecker.sweep>`.  Raises on
+        the earliest-staged violating object, with its first
+        violation."""
         store = self.store
         if store.strict_virtual_extents:
             # Only values that are members of some virtual class can
@@ -867,22 +904,24 @@ class MutationPipeline:
                 if members:
                     virtual_members.update(members, store.bitset_stats)
             if virtual_members:
-                for entries in groups.values():
-                    for entry in entries:
-                        for attribute, value in entry.values.items():
-                            if (is_entity(value) and
-                                    value.surrogate in virtual_members):
-                                self.enforce_unshared(
-                                    entry.obj, attribute, value)
-        session._check_profiles(groups)
+                for entry in fast:
+                    for attribute, value in entry.values.items():
+                        if (is_entity(value) and
+                                value.surrogate in virtual_members):
+                            self.enforce_unshared(
+                                entry.obj, attribute, value)
+        found = store.checker.sweep([entry.obj for entry in fast])
+        if found:
+            obj, violation = found[0]
+            raise ConformanceError(obj.surrogate.id, violation)
 
-    def bulk_merge(self, fast, groups, mode: str) -> None:
+    def bulk_merge(self, fast, mode: str) -> int:
         """Make the fast-path objects visible: registration, one extent
-        pass per profile, one index pass per batch, dirty marks and
-        counters."""
+        pass per class tuple, one index pass per batch, dirty marks and
+        counters.  Returns the number of signatures merged."""
         store = self.store
         if not fast:
-            return
+            return 0
         objects = store._objects
         indexed = (set(store.indexes.attributes())
                    if len(store.indexes) else None)
@@ -898,9 +937,14 @@ class MutationPipeline:
         columns_put = store._columns.put
         stamp = store._snapshot_stamp
         log_append = store._undo_log.append   # apply_bulk opened a scope
+        extents: Dict[Tuple[str, ...], List[int]] = {}
         for entry in fast:
             obj = entry.obj
             surrogate = obj.surrogate
+            sids = extents.get(entry.classes)
+            if sids is None:
+                sids = extents[entry.classes] = []
+            sids.append(surrogate.id)
             log_append((objects, surrogate, _MISSING))
             objects[surrogate] = obj
             columns_put(surrogate, obj._memberships, obj._values, stamp)
@@ -914,13 +958,12 @@ class MutationPipeline:
             if deferred:
                 log_append((dirty, surrogate, _MISSING))
                 dirty[surrogate] = None
-        self.merge_extents({
-            signature: [entry.obj.surrogate.id for entry in entries]
-            for signature, entries in groups.items()})
+        self.merge_extents(extents)
         store.indexes.bulk_add(merged, indexed_writes)
         stats = store.checker.stats
         stats.writes += total_writes
         stats.classifies += classifies
+        return len(set(map(frozenset, extents)))
 
     def bulk_fallback(self, entry, mode: str) -> None:
         """Apply one virtual-class-involved row through the ordinary
@@ -962,7 +1005,8 @@ class MutationPipeline:
 
     def merge_extents(self, groups: Dict[object, List[int]]) -> None:
         """The batch extent path (bulk merge, image install): ``groups``
-        maps a direct-membership signature to its new members' sids.
+        maps direct memberships (a class tuple or set) to its new
+        members' sids.
         Each class grows once, by the union of one bitset per signature
         whose IS-A closure contains it."""
         store = self.store

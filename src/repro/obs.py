@@ -46,7 +46,6 @@ COUNTER_FIELDS: Tuple[str, ...] = (
     "bulk_objects",         # objects merged through the bulk fast path
     "bulk_fallbacks",       # staged objects routed to the per-object path
     "profiles_compiled",    # signature checks generated (profile misses)
-    "compiled_checks",      # whole-object checks of bulk signature groups
     "compiled_rows_elided", # always-satisfied rows dropped at compile time
     # durability side (WAL + checkpoints + recovery)
     "wal_records",          # logical records appended to the WAL

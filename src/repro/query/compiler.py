@@ -91,6 +91,7 @@ _RUNTIME: Dict[str, object] = {
     # A wire row's values (:mod:`repro.codec`).
     "_PLAIN": frozenset({int, str, float, bool, type(None)}),
     "_ORDERED": frozenset({int, float, str}),   # what a min/max folds
+    "_NUMERIC": frozenset({int, float}),        # what a total/avg folds
     "_encode": codec.encode_value,
     "_ref": codec.ref,
 }
@@ -184,13 +185,14 @@ class _Emitter:
             return null
         return f"_raise({self._bind('_m', ''.join(map(str, message)))})"
 
-    def ordered(self, expr) -> str:
-        """A min/max operand: a value that does not order (the typer's
-        "needs orderable values") fails under the policy."""
-        self.ordering, value = True, self._name()
+    def typed(self, expr, accepted: str, problem: str) -> str:
+        """An aggregate's operand: a value whose type is not in the
+        bound set ``accepted`` (what the typer demands of the fold)
+        fails under the policy with ``problem``."""
+        value = self._name()
         return (f"({value} if ({value} := {self.emit(expr.operand).src}) "
-                f"is INAP or type({value}) in _ORDERED else "
-                f"{self._fail(expr, ': unorderable value')})")
+                f"is INAP or type({value}) in {accepted} else "
+                f"{self._fail(expr, problem)})")
 
     def guarded(self, lines: List[str]) -> List[str]:
         """``lines`` evaluating emitted expressions: where one of them
@@ -421,8 +423,6 @@ class CompiledQuery:
                 if operand is None:
                     row.append(f"n{i} += 1")    # bare `count`: the row
                     continue
-                # A total's fold is outside the guard: its TypeError is
-                # the aggregate's own (``total`` over a string).
                 row += emitter.guarded([f"a{i} = {operand}"])
                 row += [f"if a{i} is not INAP:", f"    n{i} += 1"]
                 fold = [line.format(i=i) for line in fold]
@@ -468,6 +468,16 @@ _FOLDS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "max": ("n{i} = 0; b{i} = None",
             ("if b{i} is None or a{i} > b{i}:", "    b{i} = a{i}"),
             "(b{i} if n{i} else INAP)"),
+}
+
+
+#: function -> (the bound set of operand types it folds, the message of
+#: any other value): the typer's "needs orderable/numeric values".
+_OPERANDS: Dict[str, Tuple[str, str]] = {
+    "min": ("_ORDERED", ": unorderable value"),
+    "max": ("_ORDERED", ": unorderable value"),
+    "total": ("_NUMERIC", ": non-numeric value"),
+    "avg": ("_NUMERIC", ": non-numeric value"),
 }
 
 
@@ -528,10 +538,14 @@ def compile_query(query: Union[str, Query], schema: Schema,
         if not all(isinstance(e, Aggregate) for e in query.select):
             raise QueryTypeError(
                 "aggregate and per-row select items cannot be mixed")
+        # A min/max fold compares what it folds (int against str).
+        emitter.ordering |= any(e.function in ("min", "max")
+                                for e in query.select)
         aggregates = tuple(
             (e.function, None if e.operand is None
-             else emitter.ordered(e) if e.function in ("min", "max")
-             else emitter.emit(e.operand).src) for e in query.select)
+             else emitter.emit(e.operand).src if e.function == "count"
+             else emitter.typed(e, *_OPERANDS[e.function]))
+            for e in query.select)
     else:
         select = tuple(emitter.emit_encoded(e) if wire
                        else emitter.emit(e).src for e in query.select)

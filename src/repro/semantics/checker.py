@@ -19,7 +19,7 @@ here to it.
 from __future__ import annotations
 
 from typing import (Callable, Collection, Dict, FrozenSet, Iterable, List,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Set, Tuple)
 
 from repro.obs import EngineStats
 from repro.schema.schema import Schema
@@ -48,28 +48,22 @@ class ConformanceChecker:
         self._profiles: Dict[FrozenSet[str], CompiledProfileChecker] = {}
         self._schema_version = schema.version
 
-    def _compiled(self, signature: FrozenSet[str]) -> CompiledProfileChecker:
-        """The signature's profile, compiled on first use."""
+    def _profile_for(self, signature: FrozenSet[str]
+                     ) -> CompiledProfileChecker:
+        """The signature's profile, compiled on first use, counted as a
+        profile hit or miss."""
         if self._schema_version != self.schema.version:
             self._profiles.clear()
             self._schema_version = self.schema.version
         profile = self._profiles.get(signature)
-        if profile is None:
-            profile = compile_profile(self.schema, signature,
-                                      self.require_values)
-            self._profiles[signature] = profile
-            self.stats.profiles_compiled += 1
-            self.stats.compiled_rows_elided += profile.rows_elided
-        return profile
-
-    def _profile_for(self, signature: FrozenSet[str]
-                     ) -> CompiledProfileChecker:
-        """:meth:`_compiled`, counted as a profile hit or miss."""
-        profile = self._profiles.get(signature)
-        if profile is None or self._schema_version != self.schema.version:
-            self.stats.profile_misses += 1
-            return self._compiled(signature)
-        self.stats.profile_hits += 1
+        if profile is not None:
+            self.stats.profile_hits += 1
+            return profile
+        self.stats.profile_misses += 1
+        profile = self._profiles[signature] = compile_profile(
+            self.schema, signature, self.require_values)
+        self.stats.profiles_compiled += 1
+        self.stats.compiled_rows_elided += profile.rows_elided
         return profile
 
     def rebind_schema(self, schema: Schema,
@@ -79,7 +73,7 @@ class ConformanceChecker:
         depend only on the classes in its IS-A expansion, so it survives
         a change whose affected region is disjoint from that expansion
         (value memberships are always read against the live schema).
-        The clear in :meth:`_compiled` is the safety net for in-place
+        The clear in :meth:`_profile_for` is the safety net for in-place
         schema mutation."""
         survivors: Dict[FrozenSet[str], CompiledProfileChecker] = {}
         for signature, profile in self._profiles.items():
@@ -135,16 +129,6 @@ class ConformanceChecker:
 
     def conforms(self, entity) -> bool:
         return not self.check(entity)
-
-    def check_batch(self, signature: FrozenSet[str], entities: Sequence
-                    ) -> List[Tuple[int, List[Violation]]]:
-        """``(position, violations)`` of each nonconformant entity of a
-        bulk group with one direct-membership signature, counted as
-        ``compiled_checks`` (the caller counts the violations it reports)."""
-        check, schema = self._compiled(signature).check, self.schema
-        self.stats.compiled_checks += len(entities)
-        return [(i, found) for i, entity in enumerate(entities)
-                if (found := check(entity, schema))]
 
     def check_attribute(self, entity, attribute: str,
                         value) -> List[Violation]:

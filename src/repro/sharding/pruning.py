@@ -53,10 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.query.ast import (
-    Aggregate, And, Compare, Const, InClass, Not, NotInClass, Or, Path,
-    Query, Var, When,
-)
+from repro.query.ast import Expr, NotInClass, Path, Query, Var
 from repro.query.deduction import deduce_non_memberships
 from repro.query.planner import _as_sargable, split_conjuncts
 from repro.query.typing import FlowFacts
@@ -93,38 +90,15 @@ def _single_hop_attrs(expr, var: str) -> Optional[Set[str]]:
     single hop ``var.attr``; None when any path is deeper or rooted
     elsewhere (its skip behavior is not summarizable per profile)."""
     if isinstance(expr, Path):
-        if isinstance(expr.base, Var) and expr.base.name == var:
-            return {expr.attribute}
-        return None
-    if isinstance(expr, (Var, Const)):
-        return set()
-    if isinstance(expr, (InClass, NotInClass)):
-        return _single_hop_attrs(expr.expr, var)
-    if isinstance(expr, Not):
-        return _single_hop_attrs(expr.operand, var)
-    if isinstance(expr, (And, Or)):
-        left = _single_hop_attrs(expr.left, var)
-        if left is None:
-            return None
-        right = _single_hop_attrs(expr.right, var)
-        return None if right is None else left | right
-    if isinstance(expr, Compare):
-        left = _single_hop_attrs(expr.left, var)
-        if left is None:
-            return None
-        right = _single_hop_attrs(expr.right, var)
-        return None if right is None else left | right
-    if isinstance(expr, When):
-        parts = [_single_hop_attrs(expr.condition, var),
-                 _single_hop_attrs(expr.then, var),
-                 _single_hop_attrs(expr.otherwise, var)]
-        if any(p is None for p in parts):
-            return None
-        return set().union(*parts)
-    if isinstance(expr, Aggregate):
-        return (None if expr.operand is None
-                else _single_hop_attrs(expr.operand, var))
-    return None   # unknown node: assume the worst
+        return {expr.attribute} if expr.base == Var(var) else None
+    touched: Set[str] = set()
+    for child in vars(expr).values():
+        if isinstance(child, Expr):
+            found = _single_hop_attrs(child, var)
+            if found is None:
+                return None
+            touched |= found
+    return touched
 
 
 def _negative_path_fact(conjunct, var: str,

@@ -901,12 +901,15 @@ class ShardedStore:
     @staticmethod
     def _rewrite_aggregates(query: Query):
         """``avg e`` folds don't merge; ``total e``/``count e`` pairs
-        do, exactly.  Returns the dispatched text plus a merge spec."""
+        do, exactly.  Returns the dispatched text plus a merge spec (an
+        ``avg`` also names the per-row text selecting its operand)."""
         items: List[Aggregate] = []
         spec: List[Tuple[str, object]] = []
         for item in query.select:
             if item.function == "avg":
-                spec.append(("avg", (len(items), len(items) + 1)))
+                spec.append(("avg", (len(items), len(items) + 1, str(Query(
+                    query.var, query.source_class, query.where,
+                    (item.operand,))))))
                 items.append(Aggregate("total", item.operand))
                 items.append(Aggregate("count", item.operand))
             else:
@@ -915,11 +918,23 @@ class ShardedStore:
         return str(Query(query.var, query.source_class, query.where,
                          tuple(items))), spec
 
-    def _merge_aggregates(self, spec, shard_rows) -> tuple:
+    def _numeric_count(self, text, selected, options) -> int:
+        """The numeric values of the one column ``text`` selects: what
+        an ``avg`` folds under ``on_unsafe="null"``, where the ``count``
+        it was split into counts every value."""
+        payloads = self._broadcast_cmd(
+            {"op": "query", "text": text, "options": options}, selected)
+        return sum(type(v) in (int, float)
+                   for _shard_id, payload in payloads
+                   for v in payload["cols"][0])
+
+    def _merge_aggregates(self, spec, shard_rows, recount=None) -> tuple:
         merged = []
         for function, where in spec:
             if function == "avg":
-                total, n = (sum(row[at] for row in shard_rows) for at in where)
+                total, n = (sum(row[at] for row in shard_rows)
+                            for at in where[:2])
+                n = n if recount is None else recount(where[2])
                 merged.append(INAPPLICABLE if n == 0 else total / n)
             elif function in ("count", "total"):
                 merged.append(sum(row[where] for row in shard_rows))
@@ -984,7 +999,10 @@ class ShardedStore:
         if spec is not None:
             shard_rows = [codec.decode_column(payload["agg"], self.handle)
                           for _shard_id, payload in payloads]
-            merged = self._merge_aggregates(spec, shard_rows)
+            recount = (None if (options or {}).get("on_unsafe") != "null"
+                       else lambda text: self._numeric_count(
+                           text, selected, options))
+            merged = self._merge_aggregates(spec, shard_rows, recount)
             stats["rows_returned"] = 1
             self.stats_counters.rows_merged += 1
             return {"agg": [codec.encode_value(v) for v in merged],

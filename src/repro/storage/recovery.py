@@ -364,7 +364,7 @@ def checkpoint_store(store: "DurableObjectStore",
         wal.flush()
         base_seq, sync_every = wal.last_seq, wal.sync_every
     else:
-        base_seq = 0
+        base_seq = store._closed_seq or 0
 
     # The *current* schema epoch: online schema changes rotate out of the
     # WAL here, into the generation the checkpoint's objects were written

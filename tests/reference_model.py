@@ -99,10 +99,6 @@ class ReferenceChecker(ConformanceChecker):
     def check(self, entity) -> List[Violation]:
         return reference_check(self.schema, entity, self.require_values)
 
-    def check_batch(self, signature, entities):
-        return [(i, found) for i, entity in enumerate(entities)
-                if (found := self.check(entity))]
-
     def sweep(self, entities):
         return [(entity, violation) for entity in entities
                 for violation in self.check(entity)]

@@ -152,17 +152,20 @@ class _ClosureCompiler:
             return value
         return eval_checked
 
-    def compile_ordered(self, expr: Aggregate) -> _EvalFn:
-        """A min/max operand: an int, a real or a string folds, any
-        other value fails under the policy."""
+    def compile_typed(self, expr: Aggregate) -> _EvalFn:
+        """An aggregate's operand: a min/max folds an int, a real or a
+        string, a total/avg an int or a real; any other value fails
+        under the policy."""
         operand = self.compile_expr(expr.operand)
+        accepted, problem = ((int, float, str), "unorderable") if (
+            expr.function in ("min", "max")) else ((int, float), "non-numeric")
 
-        def eval_ordered(ctx):
+        def eval_typed(ctx):
             value = operand(ctx)
-            if value is INAPPLICABLE or type(value) in (int, float, str):
+            if value is INAPPLICABLE or type(value) in accepted:
                 return value
-            return self._fail(f"{expr}: unorderable value")
-        return eval_ordered
+            return self._fail(f"{expr}: {problem} value")
+        return eval_typed
 
     def _compile_compare(self, expr: Compare) -> _EvalFn:
         left = self.compile_expr(expr.left)
@@ -254,8 +257,8 @@ def reference_compile(compiled: CompiledQuery,
     if compiled.aggregates is not None:
         return ReferenceQuery(query.var, where_fn, [], [
             (e.function, None if e.operand is None
-             else closures.compile_ordered(e) if e.function in ("min", "max")
-             else closures.compile_expr(e.operand))
+             else closures.compile_expr(e.operand) if e.function == "count"
+             else closures.compile_typed(e))
             for e in query.select])
     return ReferenceQuery(
         query.var, where_fn,

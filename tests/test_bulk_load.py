@@ -128,7 +128,7 @@ class TestBasics:
         assert stats.bulk_objects == 7
         assert stats.bulk_fallbacks == 0
         assert stats.profiles_compiled == 1
-        assert stats.compiled_checks == 7
+        assert stats.full_checks == 7
         # Mutation counters advance exactly as sequential writes would:
         # two values per patient row, no extra classifications.
         assert stats.writes == 14

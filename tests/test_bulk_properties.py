@@ -15,13 +15,18 @@ worker counts 1 and 4.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ConformanceError, ReproError
 from repro.objects import ObjectStore
-from repro.scenarios import build_hospital_schema
+from repro.objects.instance import Instance
+from repro.objects.surrogate import Surrogate
+from repro.scenarios import build_hospital_schema, build_university_schema
 from repro.typesys import EnumSymbol
 from repro.typesys.values import is_entity
+
+from tests.reference_model import reference_check
 
 SCHEMA = build_hospital_schema()
 
@@ -159,19 +164,19 @@ _cases = st.tuples(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(_cases)
-def test_bulk_load_equals_sequential_application(case):
-    rows, mode = case
+def _check_equivalence(rows, mode) -> None:
     sequential = _World()
     bulk = _World()
+    before = bulk.digest()
 
     ok_seq = sequential.apply_sequential(rows, mode)
     ok_bulk = bulk.apply_bulk(rows, mode)
     assert ok_seq == ok_bulk, (mode, rows)
 
     if not ok_seq:
-        return  # rejected: bulk rolled back, sequential keeps a prefix
+        # Rejected: bulk rolled back, sequential keeps a prefix.
+        assert bulk.digest() == before
+        return
 
     assert bulk.digest() == sequential.digest()
     assert bulk.counters() == sequential.counters()
@@ -180,3 +185,149 @@ def test_bulk_load_equals_sequential_application(case):
         # leaves both stores agreeing again.
         assert bulk.problems() == sequential.problems()
         assert bulk.digest() == sequential.digest()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cases)
+def test_bulk_load_equals_sequential_application(case):
+    _check_equivalence(*case)
+
+
+#: One row that violates its own signature's constraints, per signature.
+_violators = st.sampled_from([
+    (("Patient",), {"name": "bad", "age": 500}),
+    (("Patient", "Alcoholic"), {"bloodPressure": EnumSymbol("Purple")}),
+    (("Ward",), {"floor": "three"}),
+])
+
+#: Batches of at least two signatures, one violator staged anywhere.
+_mixed_cases = st.tuples(
+    st.lists(_row, min_size=1, max_size=10), _violators,
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from(["eager", "deferred"]),
+).map(lambda t: (t[0][:t[2]] + [t[1]] + t[0][t[2]:], t[3])).filter(
+    lambda case: len({classes for classes, _ in case[0]}) > 1)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(_mixed_cases)
+def test_bulk_load_equals_sequential_application_at_scale(case):
+    """The same equivalence over batches that mix signatures and carry
+    a violator: an eager batch is rejected whole, a deferred one admits
+    and its ledger surfaces what the sequential writes do."""
+    _check_equivalence(*case)
+
+
+# ----------------------------------------------------------------------
+# An eager batch is one sweep: its blame and its counters
+# ----------------------------------------------------------------------
+
+#: Excuses, no virtual class: every row takes the fast path.
+UNIVERSITY = build_university_schema()
+
+_people = st.sampled_from([
+    ("Person",), ("Student",), ("Faculty",), ("Professor",),
+    ("Emeritus_Professor",), ("Visiting_Professor",),
+    ("Student", "Faculty"), ("Visiting_Professor", "Student"),
+])
+#: Each attribute's values, a few of them violating somewhere (out of
+#: range, the wrong type, or not applicable to every signature).
+_person_values = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(["ann", 7]),
+    "age": st.sampled_from([20, 15, "old"]),
+    "yearOfStudy": st.sampled_from([2, 9]),
+    "salary": st.sampled_from([100, "lots"]),
+    "homeInstitution": st.sampled_from(["MIT", 3]),
+})
+_people_rows = st.lists(st.tuples(_people, _person_values),
+                        min_size=1, max_size=12)
+#: One row per signature that violates its constraints.
+_VIOLATORS = [
+    (("Person",), {"age": 15}),
+    (("Student",), {"name": "sue", "yearOfStudy": 9}),
+    (("Faculty",), {"salary": "lots"}),
+    (("Visiting_Professor",), {"homeInstitution": 3}),
+    (("Student", "Faculty"), {"age": "old"}),
+]
+
+
+def _with_violators(case):
+    rows, violators = case
+    rows = list(rows)
+    for row, at in violators:
+        rows.insert(min(at, len(rows)), row)
+    return rows
+
+
+#: Batches whose violators span at least two signatures.
+_blamed_rows = st.tuples(_people_rows, st.lists(
+    st.tuples(st.sampled_from(_VIOLATORS), st.integers(0, 12)),
+    min_size=2, max_size=3, unique_by=lambda v: v[0][0]),
+).map(_with_violators)
+
+
+def _violations(sid, classes, values):
+    obj = Instance(Surrogate(sid), classes)
+    for name, value in values.items():
+        obj._set_value(name, value)
+    return reference_check(UNIVERSITY, obj)
+
+
+def _conforming(rows):
+    """Each row less the values the reference rejects in it."""
+    out = []
+    for classes, values in rows:
+        values = dict(values)
+        while found := _violations(0, classes, values):
+            for violation in found:
+                values.pop(violation.attribute, None)
+        out.append((classes, values))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blamed_rows)
+def test_eager_batch_blames_the_first_staged_violator(rows):
+    """The error names the first staged row the reference rejects, with
+    its first violation, whichever signature it has; and the rejected
+    batch leaves every counter as it was."""
+    store = ObjectStore(UNIVERSITY)
+    store.create("Person", name="seed")
+    expected = next((sid, found[0]) for sid, (classes, values)
+                    in enumerate(rows, 2)
+                    if (found := _violations(sid, classes, values)))
+    counters = store.checker.stats.snapshot()
+    with pytest.raises(ConformanceError) as excinfo:
+        store.bulk_load(rows, check="eager")
+    assert (excinfo.value.sid, excinfo.value.violation) == expected
+    assert store.checker.stats.snapshot() == counters
+    assert len(store) == 1
+
+
+#: What a whole-object check ticks.
+CHECK_COUNTERS = ("full_checks", "profile_hits", "profile_misses",
+                  "constraints_checked", "constraints_skipped",
+                  "violations_found", "attribute_checks", "delta_checks",
+                  "profiles_compiled", "compiled_rows_elided")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_people_rows.map(_conforming))
+def test_an_accepted_eager_batch_ticks_what_n_checks_tick(rows):
+    """An eager batch's checks count as one ``check`` per row would."""
+
+    def ticks(store, work):
+        before = store.checker.stats.snapshot()
+        work()
+        after = store.checker.stats.snapshot()
+        return {name: after[name] - before[name] for name in CHECK_COUNTERS}
+
+    eager, deferred = ObjectStore(UNIVERSITY), ObjectStore(UNIVERSITY)
+    report = deferred.bulk_load(rows, check="deferred")
+    assert report.fallback_objects == 0
+    swept = ticks(eager, lambda: eager.bulk_load(rows, check="eager"))
+    checked = ticks(deferred, lambda: [
+        deferred.checker.check(obj) for obj in report.instances])
+    assert swept == checked
+    assert swept["full_checks"] == len(rows)

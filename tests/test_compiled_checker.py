@@ -189,7 +189,7 @@ class TestCompilerDecisions:
         profile = checker._profile_for(drunk.memberships)
         checker.check_attribute(drunk, "treatedBy", INAPPLICABLE)
         checker.check_classes(drunk, {"Alcoholic"})
-        checker.check_batch(drunk.memberships, [drunk])
+        checker.sweep([drunk])
         assert checker._profile_for(drunk.memberships) is profile
         assert checker.stats.profiles_compiled == 1
         assert len(checker._profiles) == 1

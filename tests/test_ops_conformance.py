@@ -865,6 +865,41 @@ def test_an_unorderable_fold_obeys_on_unsafe_at_every_edge(
             expected[on_unsafe]
 
 
+#: operand -> (numeric values, their total, and per policy the bare
+#: count and rows skipped).  Every name is a string; the mixed operand
+#: is the name of the three patients aged 30, the age of the three aged
+#: 41 and the three aged 78, and no age for the three without one.
+NON_NUMERIC = {
+    "p.name": (0, 0, {"skip": (0, 12), "null": (12, 0)}),
+    "when p.age = 30 then p.name else p.age end": (
+        6, 357, {"skip": (6, 6), "null": (12, 0)}),
+}
+
+
+@pytest.mark.parametrize("function", ["total", "avg"])
+@pytest.mark.parametrize("operand", list(NON_NUMERIC))
+@pytest.mark.parametrize("on_unsafe", ON_UNSAFE)
+def test_a_non_numeric_fold_obeys_on_unsafe_at_every_edge(
+        wire_edges, function, operand, on_unsafe):
+    """A value that does not add up is skipped and counted, read as null
+    (neither folded nor in ``avg``'s n), or a ``QueryRuntimeError`` --
+    the same outcome on every edge, the router's ``avg`` (a
+    ``total``/``count`` split) included, never a raw ``TypeError``."""
+    text = f"for p in Patient select {function} {operand}, count"
+    options = {"on_unsafe": on_unsafe}
+    _check_wire_text(wire_edges, text, options)
+    out = _outcome(wire_edges["in-process"],
+                   {"op": "query", "text": text, "options": options})
+    if on_unsafe == "raise":
+        assert out == _Raised("QueryRuntimeError", "QueryRuntimeError")
+        return
+    n, total, counts = NON_NUMERIC[operand]
+    rows, skipped = counts[on_unsafe]
+    folded = total if function == "total" else total / n if n else codec.NA
+    assert (out["agg"], out["stats"]["rows_skipped"]) == (
+        [folded, rows], skipped)
+
+
 PER_ROW = "for p in Patient where p.age = 41 select p.name, p"
 AGGREGATE = "for p in Patient select count, avg p.age"
 

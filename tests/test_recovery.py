@@ -357,6 +357,24 @@ class TestCheckpoint:
         assert again.last_recovery.replayed == 1
         assert len(again) == 2
 
+    def test_after_close_the_position_never_moves_back(self, store, fs):
+        """A checkpoint of a closed store starts its segment where the
+        closed log ended: the position only grows, and a reopen reports
+        what the store last reported."""
+        store.create("Ward", floor=1, name="W")
+        store.create("Ward", floor=2, name="X")
+        store.close()
+        assert store.position() == 2
+        store.checkpoint()
+        assert store.position() == 2
+        assert _reopen(fs).position() == 2
+        store.create("Ward", floor=3, name="Y")
+        assert store.position() == 3
+        store.close()
+        again = _reopen(fs)
+        assert again.position() == 3
+        assert len(again) == 3
+
     def test_rejected_inside_transaction(self, store):
         with pytest.raises(StorageError, match="transaction"):
             with transaction(store):

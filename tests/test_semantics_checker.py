@@ -191,8 +191,10 @@ def test_counters_per_operation(hospital_schema):
         "declassify": (3, 0, 0, 7, 0, 0, 0, 1),
         # One lookup per object; every stored value's rows are checked.
         "validate all": (4, 0, 12, 0, 0, 4, 0, 0),
-        # Bulk counts its own work (bulk_objects, compiled_checks).
-        "eager bulk": (0, 0, 0, 0, 0, 0, 0, 0),
+        # One check per row, as ten ``check`` calls would: the
+        # Patient+Alcoholic signature is new (one miss); 7 plain rows of
+        # 3 values, 3 excused rows whose treatedBy has two rows.
+        "eager bulk": (9, 1, 30, 0, 0, 10, 0, 0),
     }
     assert observed == {op: dict(zip(COUNTERS, counts))
                         for op, counts in expected.items()}

@@ -57,7 +57,7 @@ PINNED_STATS = {
     'violations_found': 1, 'profile_hits': 30, 'profile_misses': 5,
     'writes': 33, 'classifies': 1, 'declassifies': 0, 'removals': 1,
     'rollbacks': 1, 'bulk_loads': 0, 'bulk_objects': 0, 'bulk_fallbacks': 0,
-    'profiles_compiled': 5, 'compiled_checks': 0, 'compiled_rows_elided': 0,
+    'profiles_compiled': 5, 'compiled_rows_elided': 0,
     'wal_records': 0, 'wal_commits': 0, 'wal_syncs': 0, 'wal_bytes': 0,
     'checkpoints': 0, 'recoveries': 0, 'wal_replayed': 0,
     'wal_truncated_bytes': 0, 'snapshots_built': 3, 'snapshot_reuses': 4,
