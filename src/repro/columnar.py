@@ -21,11 +21,9 @@ machinery for that on the read path:
     chunk *table* (one dict entry per ~:data:`CHUNK_BITS` members) and
     shares the payload.
 
-    The class is deliberately set-compatible -- ``in``, iteration,
-    ``len``, ``&``/``|``/``-`` with plain sets on either side, ``==``
-    against sets/frozensets -- so callers treat a posting list as "a set
-    of surrogates" (non-``Surrogate`` members, which unit tests index,
-    go to a small overflow set).  Members come out in ascending order
+    The class is a set of surrogates -- ``in``, iteration, ``len``,
+    ``&``/``|``/``-`` and ``==`` between two of them -- so callers treat
+    a posting list as one.  Members come out in ascending order
     from :meth:`SurrogateSet.ids`, the one decoder (whole or over an id
     range), with no big-int work per member (see ``_SPARSE_SHIFT``).
 
@@ -44,7 +42,6 @@ machinery for that on the read path:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.objects.surrogate import Surrogate
@@ -127,29 +124,25 @@ class SurrogateSet:
 
     Membership of ``Surrogate(i)`` is bit ``i & (CHUNK_BITS-1)`` of
     chunk ``i >> log2(CHUNK_BITS)``; chunks are plain ints in a dict,
-    absent meaning all-zero.  Non-``Surrogate`` members (unit tests use
-    bare strings as surrogates) live in an overflow set.  Iteration
-    yields bitmap members in ascending id order, then overflow members.
+    absent meaning all-zero.  It holds surrogates only, and iterates
+    them in ascending id order.
     """
 
-    __slots__ = ("_chunks", "_overflow", "_count")
+    __slots__ = ("_chunks", "_count")
 
     def __init__(self, members: Optional[Iterable] = None) -> None:
         self._chunks: Dict[int, int] = {}
-        self._overflow: Optional[set] = None
-        self._count = 0                 # bitmap cardinality (cached)
+        self._count = 0                 # cardinality (cached)
         if members is not None:
             self.update(members)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _raw(cls, chunks: Dict[int, int], count: int,
-             overflow: Optional[set]) -> "SurrogateSet":
+    def _raw(cls, chunks: Dict[int, int], count: int) -> "SurrogateSet":
         out = cls.__new__(cls)
         out._chunks = chunks
         out._count = count
-        out._overflow = overflow if overflow else None
         return out
 
     @classmethod
@@ -165,8 +158,7 @@ class SurrogateSet:
             row[(sid & _CHUNK_MASK) >> 3] |= 1 << (sid & 7)
         chunks = {key: int.from_bytes(row, "little")
                   for key, row in rows.items()}
-        return cls._raw(chunks, sum(map(int.bit_count, chunks.values())),
-                        None)
+        return cls._raw(chunks, sum(map(int.bit_count, chunks.values())))
 
     @classmethod
     def union(cls, sets: Iterable["SurrogateSet"],
@@ -174,15 +166,12 @@ class SurrogateSet:
         """All of ``sets``, counted once at the end (a 4096-bit popcount
         costs more than the OR)."""
         chunks: Dict[int, int] = {}
-        overflow: set = set()
         for members in sets:
             for key, word in members._chunks.items():
                 chunks[key] = chunks.get(key, 0) | word
             if stats is not None:
                 stats.words_ored += WORDS_PER_CHUNK * len(members._chunks)
-            overflow.update(members._overflow or ())
-        return cls._raw(chunks, sum(w.bit_count() for w in chunks.values()),
-                        overflow)
+        return cls._raw(chunks, sum(w.bit_count() for w in chunks.values()))
 
     def copy(self, stats=None) -> "SurrogateSet":
         """An independent set sharing the (immutable) chunk payloads --
@@ -190,51 +179,40 @@ class SurrogateSet:
         chunks = dict(self._chunks)
         if stats is not None:
             stats.chunks_cow_copied += len(chunks)
-        return SurrogateSet._raw(
-            chunks, self._count,
-            set(self._overflow) if self._overflow else None)
+        return SurrogateSet._raw(chunks, self._count)
 
     # -- mutation -------------------------------------------------------
 
-    def add(self, member) -> None:
-        if isinstance(member, Surrogate):
-            sid = member.id
-            key = sid >> _CHUNK_SHIFT
-            bit = 1 << (sid & _CHUNK_MASK)
-            chunks = self._chunks
-            word = chunks.get(key, 0)
-            if not word & bit:
-                chunks[key] = word | bit
-                self._count += 1
-        else:
-            if self._overflow is None:
-                self._overflow = set()
-            self._overflow.add(member)
+    def add(self, member: Surrogate) -> None:
+        sid = member.id
+        key = sid >> _CHUNK_SHIFT
+        bit = 1 << (sid & _CHUNK_MASK)
+        chunks = self._chunks
+        word = chunks.get(key, 0)
+        if not word & bit:
+            chunks[key] = word | bit
+            self._count += 1
 
-    def discard(self, member) -> None:
-        if isinstance(member, Surrogate):
-            sid = member.id
-            key = sid >> _CHUNK_SHIFT
-            chunks = self._chunks
-            word = chunks.get(key)
-            if word is None:
-                return
-            bit = 1 << (sid & _CHUNK_MASK)
-            if word & bit:
-                word ^= bit
-                if word:
-                    chunks[key] = word
-                else:
-                    del chunks[key]
-                self._count -= 1
-        elif self._overflow is not None:
-            self._overflow.discard(member)
+    def discard(self, member: Surrogate) -> None:
+        sid = member.id
+        key = sid >> _CHUNK_SHIFT
+        chunks = self._chunks
+        word = chunks.get(key)
+        if word is None:
+            return
+        bit = 1 << (sid & _CHUNK_MASK)
+        if word & bit:
+            word ^= bit
+            if word:
+                chunks[key] = word
+            else:
+                del chunks[key]
+            self._count -= 1
 
-    def update(self, members: Iterable, stats=None) -> None:
+    def update(self, members: Iterable[Surrogate], stats=None) -> None:
         if not isinstance(members, SurrogateSet):
             members = list(members)
-            if len(members) < _BUILD_MIN or not all(
-                    isinstance(m, Surrogate) for m in members):
+            if len(members) < _BUILD_MIN:
                 for member in members:
                     self.add(member)
                 return
@@ -243,7 +221,6 @@ class SurrogateSet:
 
     def clear(self) -> None:
         self._chunks = {}
-        self._overflow = None
         self._count = 0
 
     # -- queries --------------------------------------------------------
@@ -253,21 +230,19 @@ class SurrogateSet:
             sid = member.id
             word = self._chunks.get(sid >> _CHUNK_SHIFT)
             return bool(word and (word >> (sid & _CHUNK_MASK)) & 1)
-        return self._overflow is not None and member in self._overflow
+        return False
 
     def __len__(self) -> int:
-        return self._count + (len(self._overflow) if self._overflow else 0)
+        return self._count
 
     def __bool__(self) -> bool:
-        return bool(self._count or self._overflow)
+        return bool(self._count)
 
-    def __iter__(self) -> Iterator:
-        members = map(Surrogate, self.ids())
-        return chain(members, self._overflow) if self._overflow else members
+    def __iter__(self) -> Iterator[Surrogate]:
+        return map(Surrogate, self.ids())
 
     def ids(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
-        """Ascending bitmap ids (overflow members have no ordinal); with
-        ``stop``, only those in ``[start, stop)``."""
+        """Ascending ids; with ``stop``, only those in ``[start, stop)``."""
         out: List[int] = []
         append = out.append
         byte_bits = _BYTE_BITS
@@ -298,13 +273,6 @@ class SurrogateSet:
     # ``and_``/``or_``/``sub`` are ``&``/``|``/``-`` with a BitsetStats
     # sink to count into; the operators are them called with none.
 
-    def _coerced(self, other) -> Optional["SurrogateSet"]:
-        if isinstance(other, SurrogateSet):
-            return other
-        if isinstance(other, (set, frozenset)):
-            return SurrogateSet(other)
-        return None
-
     def _ior_bitmap(self, other: "SurrogateSet", stats=None) -> None:
         chunks = self._chunks
         added = 0
@@ -317,14 +285,9 @@ class SurrogateSet:
         if stats is not None:
             stats.words_ored += WORDS_PER_CHUNK * len(other._chunks)
         self._count += added
-        if other._overflow:
-            if self._overflow is None:
-                self._overflow = set()
-            self._overflow |= other._overflow
 
     def and_(self, other, stats=None) -> "SurrogateSet":
-        other = self._coerced(other)
-        if other is None:
+        if not isinstance(other, SurrogateSet):
             return NotImplemented
         a, b = self._chunks, other._chunks
         if len(a) > len(b):
@@ -338,15 +301,12 @@ class SurrogateSet:
                 count += merged.bit_count()
         if stats is not None:
             stats.words_anded += WORDS_PER_CHUNK * len(a)
-        overflow = (self._overflow & other._overflow
-                    if self._overflow and other._overflow else None)
-        return SurrogateSet._raw(chunks, count, overflow)
+        return SurrogateSet._raw(chunks, count)
 
-    __and__ = __rand__ = and_
+    __and__ = and_
 
     def or_(self, other, stats=None) -> "SurrogateSet":
-        other = self._coerced(other)
-        if other is None:
+        if not isinstance(other, SurrogateSet):
             return NotImplemented
         a, b = self._chunks, other._chunks
         if len(a) < len(b):
@@ -364,17 +324,12 @@ class SurrogateSet:
                 chunks[key] = merged
         if stats is not None:
             stats.words_ored += WORDS_PER_CHUNK * len(b)
-        if self._overflow or other._overflow:
-            overflow = set(self._overflow or ()) | set(other._overflow or ())
-        else:
-            overflow = None
-        return SurrogateSet._raw(chunks, count, overflow)
+        return SurrogateSet._raw(chunks, count)
 
-    __or__ = __ror__ = or_
+    __or__ = or_
 
     def sub(self, other, stats=None) -> "SurrogateSet":
-        other = self._coerced(other)
-        if other is None:
+        if not isinstance(other, SurrogateSet):
             return NotImplemented
         b = other._chunks
         chunks: Dict[int, int] = {}
@@ -391,34 +346,15 @@ class SurrogateSet:
             count += word.bit_count()
         if stats is not None:
             stats.words_andnot += WORDS_PER_CHUNK * touched
-        overflow = (self._overflow - other._overflow
-                    if self._overflow and other._overflow
-                    else set(self._overflow) if self._overflow else None)
-        return SurrogateSet._raw(chunks, count, overflow)
+        return SurrogateSet._raw(chunks, count)
 
     __sub__ = sub
-
-    def __rsub__(self, other) -> "SurrogateSet":
-        coerced = self._coerced(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced.__sub__(self)
-
-    def __ior__(self, other) -> "SurrogateSet":
-        self.update(other)
-        return self
 
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SurrogateSet):
-            if self._chunks != other._chunks:
-                return False
-            return (self._overflow or set()) == (other._overflow or set())
-        if isinstance(other, (set, frozenset)):
-            if len(self) != len(other):
-                return False
-            return all(member in self for member in other)
+            return self._chunks == other._chunks
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]

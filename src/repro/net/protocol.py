@@ -56,9 +56,10 @@ MAX_FRAME = 8 * 1024 * 1024
 
 #: Protocol identity carried in the hello frame (version 2: a ``query``
 #: reply carries ``sids`` and ``cols``, not rows; 3: a catch-up dump
-#: carries signature ``batches``, not rows).
+#: carries signature ``batches``, not rows; 4: an aggregate reply
+#: carries its fold states ``folds`` beside ``agg``).
 PROTO_NAME = "repro-net"
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 
 #: One message as one WAL-framed canonical-JSON record.

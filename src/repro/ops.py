@@ -29,7 +29,8 @@ read (``get`` / ``count`` / ``extent_surrogates`` / ``schema``, and
 whatever a plan reads).  A ``query`` runs as a *wire plan*: the request
 text is the plan-cache key (parsed on a miss only), and the generated
 loop appends one flat row ``(sid, encoded values...)``, transposed once
-into the reply's ``sids`` and ``cols`` (one list per select item).
+into the reply's ``sids`` and ``cols`` (one list per select item); an
+aggregate's reply is its values ``agg`` and fold states ``folds``.
 ``resolve(sid)`` maps a surrogate id to the entity the target's
 mutators accept and raises :class:`~repro.errors.NoSuchObjectError` for
 an id the store does not hold -- at every edge.  The payload carries no
@@ -55,7 +56,7 @@ from repro.lang.printer import print_schema
 from repro.objects.pipeline import AlterClassCommand, CheckMode
 from repro.objects.surrogate import Surrogate
 from repro.query import planner
-from repro.query.compiler import ON_UNSAFE
+from repro.query.compiler import ON_UNSAFE, finish
 from repro.sharding import wire
 
 __all__ = ["EXECUTION_STAT_FIELDS", "IDEMPOTENT", "OPS", "Op",
@@ -198,8 +199,10 @@ def _query(view, cmd, resolve):
     if plan.compiled.aggregates is None:
         sids, *cols = columns(rows, len(plan.compiled.select))
         return {"sids": sids, "cols": cols, "stats": stats_out}
-    return {"agg": [codec.encode_value(v) for v in rows[0]],
-            "stats": stats_out}
+    functions = [function for function, _ in plan.compiled.aggregates]
+    return {"agg": [codec.encode_value(v)
+                    for v in finish(functions, rows[0])],
+            "folds": rows[0], "stats": stats_out}
 
 
 def _get(view, cmd, resolve):

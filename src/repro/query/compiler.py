@@ -72,11 +72,63 @@ def _raise(message: str):
     raise QueryRuntimeError(message)
 
 
+def _unorderable(text: str, exc: TypeError) -> QueryRuntimeError:
+    """The guard's error: ``text`` compared values that do not order."""
+    return QueryRuntimeError(f"{text}: unorderable values ({exc})")
+
+
 def _no_attributes(base, _counted) -> bool:
     """Whether a guarded fetch must fail on its base.  The second
     argument is the access counting itself: an argument, so that it
     happens after the base was evaluated and before the test."""
     return not (is_entity(base) or isinstance(base, RecordValue))
+
+
+#: function -> (the accumulator of no value, the lines folding value
+#: ``a{i}`` into accumulator ``c{i}``).  Each aggregate's state is
+#: ``[n, acc]``: ``n`` values folded (never INAPPLICABLE) and ``acc``
+#: their sum (``total``, ``avg``) or best one (``min``, ``max``); a
+#: ``count`` keeps ``n`` alone.  The row loop folds values into states,
+#: :func:`merge` folds partitions' states, :func:`finish` reads them.
+_FOLDS: Dict[str, Tuple[object, Tuple[str, ...]]] = {
+    "count": (None, ()),
+    "total": (0, ("c{i} += a{i}",)),
+    "avg": (0, ("c{i} += a{i}",)),
+    "min": (None, ("if c{i} is None or a{i} < c{i}:", "    c{i} = a{i}")),
+    "max": (None, ("if c{i} is None or a{i} > c{i}:", "    c{i} = a{i}")),
+}
+
+
+def merge(functions: Tuple[str, ...], partitions, text: str) -> list:
+    """The states of the aggregates ``functions`` over an extent, from
+    the states of its disjoint partitions (in order): each partition's
+    ``acc`` is folded as the row loop folds a value, and an unorderable
+    ``min``/``max`` pair is the row loop's error on ``text``."""
+    merged = [[0, _FOLDS[function][0]] for function in functions]
+    for states in partitions:
+        for function, into, (n, acc) in zip(functions, merged, states):
+            if not n:
+                continue
+            if function in ("total", "avg"):
+                acc += into[1]
+            elif function in ("min", "max") and into[0]:
+                try:
+                    if not (acc < into[1] if function == "min"
+                            else acc > into[1]):
+                        acc = into[1]
+                except TypeError as exc:
+                    raise _unorderable(text, exc) from None
+            into[0] += n
+            into[1] = acc
+    return merged
+
+
+def finish(functions: Tuple[str, ...], states) -> tuple:
+    """The aggregates' values: min/max/avg of nothing is INAPPLICABLE."""
+    return tuple(
+        n if function == "count" else acc if function == "total"
+        else INAPPLICABLE if not n else acc / n if function == "avg"
+        else acc for function, (n, acc) in zip(functions, states))
 
 
 #: What generated code may call, bound into every function's namespace.
@@ -85,15 +137,16 @@ _RUNTIME: Dict[str, object] = {
     "_Skip": _Skip,
     "_skip": _skip,
     "_raise": _raise,
+    "_unorderable": _unorderable,
     "_no_attributes": _no_attributes,
     "_is_entity": is_entity,
-    "QueryRuntimeError": QueryRuntimeError,
     # A wire row's values (:mod:`repro.codec`).
     "_PLAIN": frozenset({int, str, float, bool, type(None)}),
     "_ORDERED": frozenset({int, float, str}),   # what a min/max folds
     "_NUMERIC": frozenset({int, float}),        # what a total/avg folds
     "_encode": codec.encode_value,
     "_ref": codec.ref,
+    "_finish": finish,
 }
 
 #: The failure policies of a guarded access.
@@ -202,8 +255,7 @@ class _Emitter:
             return lines
         return ["try:"] + indent(lines) + [
             "except TypeError as exc:",
-            "    raise QueryRuntimeError("
-            "f'{_text}: unorderable values ({exc})') from None"]
+            "    raise _unorderable(_text, exc) from None"]
 
     def function(self, name: str, args: str, body: List[str],
                  bindings: Dict[str, object], qstats=None) -> Callable:
@@ -370,7 +422,8 @@ class CompiledQuery:
     where: Optional[str]
     select: Tuple[str, ...] = ()
     aggregates: Optional[Tuple[Tuple[str, Optional[str]], ...]] = None
-    #: Per-row results leave as flat wire rows ``(sid, encoded...)``.
+    #: Per-row results leave as flat wire rows ``(sid, encoded...)``,
+    #: an aggregate's as its fold states (:data:`_FOLDS`).
     wire: bool = False
 
     @property
@@ -414,21 +467,24 @@ class CompiledQuery:
                 else f"append(({items},))"])
             returned, result = "len(out)", "out"
         else:
-            before, results = [], []
-            row = emitter.guarded(row) if row else row
+            # Every operand is evaluated (and may skip the row) before
+            # any of them is folded: a skipped row folds nowhere.
+            before, folds, states = [], [], []
             for i, (function, operand) in enumerate(self.aggregates):
-                init, fold, result = _FOLDS[function]
-                before.append(init.format(i=i))
-                results.append(result.format(i=i))
+                empty, fold = _FOLDS[function]
+                before.append(f"n{i} = 0; c{i} = {empty}")
+                states.append(f"[n{i}, c{i}]")
                 if operand is None:
-                    row.append(f"n{i} += 1")    # bare `count`: the row
+                    folds.append(f"n{i} += 1")  # bare `count`: the row
                     continue
-                row += emitter.guarded([f"a{i} = {operand}"])
-                row += [f"if a{i} is not INAP:", f"    n{i} += 1"]
-                fold = [line.format(i=i) for line in fold]
-                row += indent(emitter.guarded(fold) if function in (
-                    "min", "max") else fold)
-            returned, result = "1", f"[({', '.join(results)},)]"
+                row.append(f"a{i} = {operand}")
+                folds += [f"if a{i} is not INAP:", f"    n{i} += 1",
+                          *indent([line.format(i=i) for line in fold])]
+            row = emitter.guarded(row + folds)
+            # A wire plan returns the states, for a router to merge.
+            states = f"[{', '.join(states)}]"
+            returned, result = "1", (f"[{states}]" if self.wire else
+                                     f"[_finish(_functions, {states})]")
         # ``_skip()`` is all that raises _Skip, and only _fail emits it.
         if any("_skip()" in line for line in row):
             row = (["try:"] + indent(row)
@@ -452,23 +508,6 @@ class CompiledQuery:
         return self.emitter.function(
             "_scan", "store, stats",
             ["state = store.scan_rows(_source)"] + self.loop_source(), {})
-
-
-#: function -> (initialisation, fold lines over ``a{i}``, result
-#: expression); values of INAPPLICABLE are not folded, min/max/avg of
-#: nothing is INAPPLICABLE.
-_FOLDS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
-    "count": ("n{i} = 0", (), "n{i}"),
-    "total": ("n{i} = t{i} = 0", ("t{i} += a{i}",), "t{i}"),
-    "avg": ("n{i} = t{i} = 0", ("t{i} += a{i}",),
-            "(t{i} / n{i} if n{i} else INAP)"),
-    "min": ("n{i} = 0; b{i} = None",
-            ("if b{i} is None or a{i} < b{i}:", "    b{i} = a{i}"),
-            "(b{i} if n{i} else INAP)"),
-    "max": ("n{i} = 0; b{i} = None",
-            ("if b{i} is None or a{i} > b{i}:", "    b{i} = a{i}"),
-            "(b{i} if n{i} else INAP)"),
-}
 
 
 #: function -> (the bound set of operand types it folds, the message of
@@ -517,7 +556,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
     picks the failure policy of guarded accesses: ``"skip"`` the row,
     return ``"null"`` (INAPPLICABLE), or ``"raise"``.  ``wire=True``
     emits each row as one flat tuple ``(sid, encoded values...)``
-    (:meth:`_Emitter.emit_encoded`), which the ``query`` op transposes.
+    (:meth:`_Emitter.emit_encoded`), which the ``query`` op transposes,
+    and an aggregate as one row of fold states ``[n, acc]``.
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -541,6 +581,8 @@ def compile_query(query: Union[str, Query], schema: Schema,
         # A min/max fold compares what it folds (int against str).
         emitter.ordering |= any(e.function in ("min", "max")
                                 for e in query.select)
+        emitter.namespace["_functions"] = tuple(
+            e.function for e in query.select)
         aggregates = tuple(
             (e.function, None if e.operand is None
              else emitter.emit(e.operand).src if e.function == "count"

@@ -61,7 +61,7 @@ from repro.obs import QueryStats
 from repro.typesys.values import INAPPLICABLE
 
 #: Shared empty set returned by lookups that find nothing.
-_EMPTY: frozenset = frozenset()
+_EMPTY = SurrogateSet()
 #: ``StoreIndex._owned`` key of the residue posting.
 _RESIDUE = object()
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,

@@ -41,9 +41,9 @@ signature-profile maps (:mod:`repro.sharding.pruning` -- the
 non-membership deduction rule of :mod:`repro.query.deduction` applied
 per profile), dispatched to the surviving shards in parallel, and
 merged: per-row results are re-sorted by surrogate (shard extents are
-disjoint), aggregate folds are combined componentwise (``avg`` is
-rewritten to ``total``/``count`` before dispatch so the merged mean is
-exact).  Schema commands -- ``alter_class`` / ``add_excuse`` /
+disjoint), and each shard's aggregate fold states are merged, then
+finished (:func:`repro.query.compiler.merge`), so the merged mean is
+exact.  Schema commands -- ``alter_class`` / ``add_excuse`` /
 ``retract_excuse`` -- are validated once on an empty *meta* store (the
 check is population-independent), then replicated to every shard over
 the same ordered pipes as data commands, so each shard applies the epoch
@@ -84,8 +84,8 @@ from repro.ops import (
     EXECUTION_STAT_FIELDS, OPS, Op, columns, encode_request, lookup,
     request, transact,
 )
-from repro.query.ast import Aggregate, Query
-from repro.query.compiler import compile_query
+from repro.query.ast import Aggregate
+from repro.query.compiler import compile_query, finish, merge
 from repro.query.interpreter import ExecutionStats
 from repro.query.indexes import PlanCache
 from repro.query.parser import parse_query
@@ -898,53 +898,6 @@ class ShardedStore:
         self.stats_counters.deduction_prunes += verdicts.count(True)
         return selected
 
-    @staticmethod
-    def _rewrite_aggregates(query: Query):
-        """``avg e`` folds don't merge; ``total e``/``count e`` pairs
-        do, exactly.  Returns the dispatched text plus a merge spec (an
-        ``avg`` also names the per-row text selecting its operand)."""
-        items: List[Aggregate] = []
-        spec: List[Tuple[str, object]] = []
-        for item in query.select:
-            if item.function == "avg":
-                spec.append(("avg", (len(items), len(items) + 1, str(Query(
-                    query.var, query.source_class, query.where,
-                    (item.operand,))))))
-                items.append(Aggregate("total", item.operand))
-                items.append(Aggregate("count", item.operand))
-            else:
-                spec.append((item.function, len(items)))
-                items.append(item)
-        return str(Query(query.var, query.source_class, query.where,
-                         tuple(items))), spec
-
-    def _numeric_count(self, text, selected, options) -> int:
-        """The numeric values of the one column ``text`` selects: what
-        an ``avg`` folds under ``on_unsafe="null"``, where the ``count``
-        it was split into counts every value."""
-        payloads = self._broadcast_cmd(
-            {"op": "query", "text": text, "options": options}, selected)
-        return sum(type(v) in (int, float)
-                   for _shard_id, payload in payloads
-                   for v in payload["cols"][0])
-
-    def _merge_aggregates(self, spec, shard_rows, recount=None) -> tuple:
-        merged = []
-        for function, where in spec:
-            if function == "avg":
-                total, n = (sum(row[at] for row in shard_rows)
-                            for at in where[:2])
-                n = n if recount is None else recount(where[2])
-                merged.append(INAPPLICABLE if n == 0 else total / n)
-            elif function in ("count", "total"):
-                merged.append(sum(row[where] for row in shard_rows))
-            else:   # min / max over the per-shard partial folds
-                partials = [row[where] for row in shard_rows
-                            if row[where] is not INAPPLICABLE]
-                fold = min if function == "min" else max
-                merged.append(fold(partials) if partials else INAPPLICABLE)
-        return tuple(merged)
-
     def query(self, query,
               **options) -> Tuple[List[tuple], ExecutionStats]:
         """Scatter-gather execution, returning ``(rows, stats)`` like
@@ -957,7 +910,7 @@ class ShardedStore:
                 ExecutionStats(**out["stats"]))
 
     def _resolve_query(self, query) -> tuple:
-        """``(facts, sent text, aggregate spec or None, select width)``,
+        """``(facts, text, aggregate functions or None, select width)``,
         cached per ``(text, schema version)``: a repeat parses nothing."""
         text = query if isinstance(query, str) else str(query)
         key = (text, self.schema.version)
@@ -965,11 +918,10 @@ class ShardedStore:
         if resolved is None:
             query = parse_query(text)
             # A mixed select goes as it is, for the shards to refuse.
-            folds = [isinstance(item, Aggregate) for item in query.select]
-            text, spec = (self._rewrite_aggregates(query) if all(folds)
-                          else (text, None))
-            resolved = (extract_facts(query, self.schema), text, spec,
-                        len(query.select))
+            folds = all(isinstance(item, Aggregate) for item in query.select)
+            resolved = (extract_facts(query, self.schema), text, tuple(
+                item.function for item in query.select) if folds else None,
+                len(query.select))
             self._queries.put(key, resolved)
         return resolved
 
@@ -977,14 +929,15 @@ class ShardedStore:
                    options: Optional[Dict] = None) -> Dict[str, object]:
         """Scatter-gather at the wire level: resolve the text (once),
         prune shards, dispatch in parallel, merge columns (by surrogate)
-        or aggregate folds.  The response has the shape the single-store
-        service's ``query`` op produces (``sids`` and ``cols`` of *encoded*
-        values, or a merged ``agg`` vector, plus the per-shard execution
-        stats summed, ``rows_returned`` recomputed for aggregate merges)
+        or aggregate fold states.  The response has the shape the
+        single-store service's ``query`` op produces (``sids`` and
+        ``cols`` of *encoded* values, or the merged ``folds`` and the
+        ``agg`` they finish to, plus the per-shard execution stats summed,
+        ``rows_returned`` recomputed for aggregate merges)
         -- columns are merged without a decode/re-encode round-trip, so
         a network backend serving a sharded store pays routing, not
         re-serialization."""
-        facts, text, spec, width = self._resolve_query(query)
+        facts, text, functions, width = self._resolve_query(query)
         selected = self._select_shards(facts)
         self.stats_counters.queries_routed += 1
         self.stats_counters.shards_dispatched += len(selected)
@@ -996,17 +949,15 @@ class ShardedStore:
         stats = {field: sum(payload["stats"][field]
                             for _shard_id, payload in payloads)
                  for field in EXECUTION_STAT_FIELDS}
-        if spec is not None:
-            shard_rows = [codec.decode_column(payload["agg"], self.handle)
-                          for _shard_id, payload in payloads]
-            recount = (None if (options or {}).get("on_unsafe") != "null"
-                       else lambda text: self._numeric_count(
-                           text, selected, options))
-            merged = self._merge_aggregates(spec, shard_rows, recount)
+        if functions is not None:
+            folds = merge(functions, [payload["folds"]
+                                      for _shard_id, payload in payloads],
+                          text)
             stats["rows_returned"] = 1
             self.stats_counters.rows_merged += 1
-            return {"agg": [codec.encode_value(v) for v in merged],
-                    "stats": stats}
+            return {"agg": [codec.encode_value(v)
+                            for v in finish(functions, folds)],
+                    "folds": folds, "stats": stats}
         sids, *cols = merged_columns([out for _shard, out in payloads], width)
         self.stats_counters.rows_merged += len(sids)
         return {"sids": sids, "cols": cols, "stats": stats}

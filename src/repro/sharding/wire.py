@@ -28,7 +28,7 @@ from typing import Dict
 
 from repro.codec import dumps, record_text
 from repro.columnar import SurrogateSet
-from repro.errors import ShardingError, StorageError
+from repro.errors import ShardingError
 
 __all__ = [
     "PipeEnd", "decode_chunks", "decode_command", "decode_result",
@@ -103,17 +103,9 @@ class PipeEnd:
 # ----------------------------------------------------------------------
 
 def encode_chunks(members: SurrogateSet) -> Dict[str, object]:
-    """A bitset-backed partial extent as its chunk array.
-
-    Only pure surrogate sets are legal on the wire (extents never hold
-    overflow members); the count is carried so the receiver's
-    ``len()`` is O(1) without a popcount pass.
-    """
-    overflow = getattr(members, "_overflow", None)
-    if overflow:
-        raise StorageError(
-            "cannot serialize a surrogate set with overflow members "
-            "as a chunk array")
+    """A bitset-backed partial extent as its chunk array; the count is
+    carried so the receiver's ``len()`` is O(1) without a popcount
+    pass."""
     return {
         "chunks": {str(index): format(word, "x")
                    for index, word in members._chunks.items() if word},
@@ -124,4 +116,4 @@ def encode_chunks(members: SurrogateSet) -> Dict[str, object]:
 def decode_chunks(encoded: Dict[str, object]) -> SurrogateSet:
     chunks = {int(index): int(word, 16)
               for index, word in encoded["chunks"].items()}
-    return SurrogateSet._raw(chunks, int(encoded["count"]), None)
+    return SurrogateSet._raw(chunks, int(encoded["count"]))

@@ -21,7 +21,8 @@ the tests as what "the same answer" means:
   of the bucket keys.
 
 :func:`reference_query_op` is the ``query`` op row as it was before
-wire plans, the oracle for the reply shapes at every edge.
+wire plans, its aggregates folded here, the oracle for the reply shapes
+at every edge.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.ops import EXECUTION_STAT_FIELDS
 from repro.query.compiler import CompiledQuery, QueryRuntimeError
 from repro.query.interpreter import ExecutionStats
 from repro.query.parser import parse_query
-from repro.query.planner import RANGE_KEY_ROWS, execute_planned
+from repro.query.planner import RANGE_KEY_ROWS, execute_planned, plan_query
 from repro.typesys.values import INAPPLICABLE, RecordValue, is_entity
 
 
@@ -198,29 +199,29 @@ class _ClosureCompiler:
 
 
 class _Accumulator:
-    """One aggregate fold; values of INAPPLICABLE are skipped."""
+    """One aggregate fold; values of INAPPLICABLE are skipped.  Its state
+    ``[n, acc]`` is what a wire reply ships as ``folds``."""
 
     def __init__(self, function: str) -> None:
         self.function = function
         self.n = 0
-        self.total = 0
-        self.best = None
+        self.acc = 0 if function in ("total", "avg") else None
 
     def add(self, value) -> None:
         if value is INAPPLICABLE:
             return
         self.n += 1
         if self.function in ("total", "avg"):
-            self.total += value
+            self.acc += value
         elif self.function == "count":
             return
-        elif self.best is None:
-            self.best = value
+        elif self.acc is None:
+            self.acc = value
         else:
             try:
-                if (value < self.best if self.function == "min"
-                        else value > self.best):
-                    self.best = value
+                if (value < self.acc if self.function == "min"
+                        else value > self.acc):
+                    self.acc = value
             except TypeError:
                 raise QueryRuntimeError(
                     f"{self.function}: unorderable values") from None
@@ -229,12 +230,12 @@ class _Accumulator:
         if self.function == "count":
             return self.n
         if self.function == "total":
-            return self.total
+            return self.acc
         if self.n == 0:
             return INAPPLICABLE  # min/max/avg of nothing
         if self.function == "avg":
-            return self.total / self.n
-        return self.best
+            return self.acc / self.n
+        return self.acc
 
 
 @dataclass
@@ -266,8 +267,12 @@ def reference_compile(compiled: CompiledQuery,
 
 
 def run_rows(reference: ReferenceQuery, store, objects: Iterable,
-             stats: ExecutionStats, where: bool = True) -> List[tuple]:
-    """The row loop: evaluate ``where`` and ``select`` per object."""
+             stats: ExecutionStats, where: bool = True,
+             folds: bool = False) -> List[tuple]:
+    """The row loop: evaluate ``where`` and ``select`` per object.  An
+    aggregate row evaluates every operand before it folds any, so a
+    skipped row folds nowhere; ``folds=True`` pairs each aggregate's
+    value with its state ``[n, acc]``."""
     bindings = {reference.var: None}
     ctx = RuntimeContext(store=store, bindings=bindings, stats=stats)
     where_fn = reference.where_fn if where else None
@@ -286,17 +291,20 @@ def run_rows(reference: ReferenceQuery, store, objects: Iterable,
                 rows.append(tuple(fn(ctx) for fn in reference.select_fns))
                 stats.rows_returned += 1
                 continue
-            for accumulator, (_function, operand_fn) in zip(
-                    accumulators, reference.aggregates):
+            values = [None if operand_fn is None else operand_fn(ctx)
+                      for _function, operand_fn in reference.aggregates]
+            for accumulator, value, (_function, operand_fn) in zip(
+                    accumulators, values, reference.aggregates):
                 if operand_fn is None:
                     accumulator.n += 1  # bare `count`: count the row
                 else:
-                    accumulator.add(operand_fn(ctx))
+                    accumulator.add(value)
         except SkipRow:
             stats.rows_skipped += 1
     if accumulators is not None:
         stats.rows_returned = 1
-        return [tuple(a.result() for a in accumulators)]
+        return [tuple((a.result(), [a.n, a.acc]) if folds else a.result()
+                      for a in accumulators)]
     return rows
 
 
@@ -321,9 +329,11 @@ def _orders(left, op: str, right) -> bool:
     return left >= right
 
 
-def reference_execute_plan(plan, store, on_unsafe: str = "skip"
+def reference_execute_plan(plan, store, on_unsafe: str = "skip",
+                           folds: bool = False
                            ) -> Tuple[List[tuple], ExecutionStats]:
-    """Prune through ``plan.pushdowns`` when that wins, else scan."""
+    """Prune through ``plan.pushdowns`` when that wins, else scan
+    (``folds``: as :func:`run_rows`)."""
     compiled = plan.compiled
     reference = reference_compile(compiled, on_unsafe)
     stats = ExecutionStats()
@@ -397,31 +407,35 @@ def reference_execute_plan(plan, store, on_unsafe: str = "skip"
                 stats.rows_scanned = stats.rows_skipped = len(skips)
             objects = [store.get(s) for s in sorted(visit)]
             return run_rows(reference, store, objects, stats,
-                            where=not proven), stats
-    return run_rows(reference, store,
-                    store.extent(compiled.source_class), stats), stats
+                            where=not proven, folds=folds), stats
+    return run_rows(reference, store, map(store.get, extent), stats,
+                    folds=folds), stats
 
 
 def reference_query_op(view, cmd, resolve):
     """The ``query`` op row before wire plans: parse the text, prepend
     the query variable to a per-row select so each row carries its
     entity, run it through ``execute_planned``, then encode each column
-    in a second pass.  ``ops._query`` must answer exactly this."""
+    in a second pass; fold an aggregate select with this module's
+    evaluator.  ``ops._query`` must answer exactly this."""
     query = parse_query(cmd["text"])
-    per_row = not any(isinstance(item, Aggregate) for item in query.select)
-    if per_row:
+    options = cmd.get("options") or {}
+    if any(isinstance(item, Aggregate) for item in query.select):
+        rows, stats = reference_execute_plan(
+            plan_query(query, view, **options), view,
+            options.get("on_unsafe", "skip"), folds=True)
+        reply = {"agg": [codec.encode_value(v) for v, _ in rows[0]],
+                 "folds": [state for _, state in rows[0]]}
+    else:
         query = Query(query.var, query.source_class, query.where,
                       (Var(query.var),) + tuple(query.select))
-    rows, stats = execute_planned(query, view, **(cmd.get("options") or {}))
-    stats_out = {field: getattr(stats, field)
-                 for field in EXECUTION_STAT_FIELDS}
-    if per_row:
-        return {"sids": [row[0].surrogate.id for row in rows],
-                "cols": [[codec.encode_value(row[i]) for row in rows]
-                         for i in range(1, len(query.select))],
-                "stats": stats_out}
-    return {"agg": [codec.encode_value(v) for v in rows[0]],
-            "stats": stats_out}
+        rows, stats = execute_planned(query, view, **options)
+        reply = {"sids": [row[0].surrogate.id for row in rows],
+                 "cols": [[codec.encode_value(row[i]) for row in rows]
+                          for i in range(1, len(query.select))]}
+    reply["stats"] = {field: getattr(stats, field)
+                      for field in EXECUTION_STAT_FIELDS}
+    return reply
 
 
 # ----------------------------------------------------------------------

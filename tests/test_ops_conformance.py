@@ -32,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import codec
 from repro.errors import (
-    ConformanceError, SchemaEvolutionError, StorageError,
+    ConformanceError, QueryRuntimeError, SchemaEvolutionError, StorageError,
 )
 from repro.lang import print_schema
 from repro.net.backends import (
@@ -883,8 +883,8 @@ def test_a_non_numeric_fold_obeys_on_unsafe_at_every_edge(
         wire_edges, function, operand, on_unsafe):
     """A value that does not add up is skipped and counted, read as null
     (neither folded nor in ``avg``'s n), or a ``QueryRuntimeError`` --
-    the same outcome on every edge, the router's ``avg`` (a
-    ``total``/``count`` split) included, never a raw ``TypeError``."""
+    the same outcome on every edge, the router's merged ``avg``
+    included, never a raw ``TypeError``."""
     text = f"for p in Patient select {function} {operand}, count"
     options = {"on_unsafe": on_unsafe}
     _check_wire_text(wire_edges, text, options)
@@ -898,6 +898,70 @@ def test_a_non_numeric_fold_obeys_on_unsafe_at_every_edge(
     folded = total if function == "total" else total / n if n else codec.NA
     assert (out["agg"], out["stats"]["rows_skipped"]) == (
         [folded, rows], skipped)
+
+
+@pytest.mark.parametrize("text", [
+    "for p in Patient select count p.name, total p.name",
+    "for p in Patient select total p.name, count p.name"])
+def test_a_skipped_row_folds_nowhere_at_every_edge(wire_edges, text):
+    """Under ``skip`` every patient's name fails ``total``, so every row
+    is skipped before any item folds it: both orders answer ``[0, 0]``
+    with all twelve rows in ``rows_skipped``, on every edge."""
+    options = {"on_unsafe": "skip"}
+    _check_wire_text(wire_edges, text, options)
+    for label, call in wire_edges.items():
+        out = call({"op": "query", "text": text, "options": options})
+        assert (out["agg"], out["stats"]["rows_skipped"]) == ([0, 0], 12), \
+            label
+
+
+#: Names on shard 0 (the alcoholics), ages on shard 1: each shard's
+#: fold orders its own values, the merge of the two cannot.
+MIXED = "when p in Alcoholic then p.name else p.age end"
+
+
+@pytest.mark.parametrize("function", ["min", "max"])
+@pytest.mark.parametrize("on_unsafe", ["skip", "null"])
+def test_a_cross_shard_unorderable_fold_is_a_query_error_at_every_edge(
+        wire_edges, function, on_unsafe):
+    text = f"for p in Patient select {function} {MIXED}"
+    options = {"on_unsafe": on_unsafe}
+    partials = wire_edges.router._broadcast_cmd(
+        {"op": "query", "text": text, "options": options}, [0, 1])
+    assert [type(payload["agg"][0]) for _, payload in partials] == [
+        str, int]
+    _check_wire_text(wire_edges, text, options)
+    for label in ("in-process", "sharded"):
+        assert _outcome(wire_edges[label], {
+            "op": "query", "text": text, "options": options}) == _Raised(
+                "QueryRuntimeError", "QueryRuntimeError"), label
+
+
+@pytest.mark.sharded
+@pytest.mark.parametrize("function", ["min", "max"])
+def test_a_cross_shard_unorderable_fold_is_a_query_error_on_processes(
+        function):
+    router = ShardedStore(SCHEMA, 2)
+    try:
+        _populate(router)
+        with pytest.raises(QueryRuntimeError, match="unorderable"):
+            router.query(f"for p in Patient select {function} {MIXED}",
+                         on_unsafe="null")
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("on_unsafe", ON_UNSAFE)
+def test_an_avg_costs_one_command_per_shard(wire_edges, on_unsafe):
+    """The shards ship ``avg``'s fold states: no second scatter counts
+    its numeric values, whatever the policy."""
+    counters = wire_edges.router.stats_counters
+    sent, dispatched = counters.commands_sent, counters.shards_dispatched
+    _outcome(wire_edges["sharded"], {
+        "op": "query", "text": "for p in Patient select avg p.age, avg p.name",
+        "options": {"on_unsafe": on_unsafe}})
+    assert counters.commands_sent - sent == \
+        counters.shards_dispatched - dispatched == 2
 
 
 PER_ROW = "for p in Patient where p.age = 41 select p.name, p"

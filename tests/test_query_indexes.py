@@ -12,10 +12,13 @@ import pytest
 
 from repro.errors import ConformanceError
 from repro.objects import ObjectStore
+from repro.objects.surrogate import Surrogate
 from repro.objects.transactions import transaction
 from repro.query.indexes import PlanCache, StoreIndex
 from repro.scenarios import populate_hospital
 from repro.typesys import INAPPLICABLE
+
+S1, S2, S3 = map(Surrogate, (1, 2, 3))
 
 
 @pytest.fixture()
@@ -26,64 +29,64 @@ def store(hospital_schema):
 class TestStoreIndex:
     def test_add_and_lookup(self):
         index = StoreIndex("age")
-        index.add("s1", 30)
-        index.add("s2", 30)
-        index.add("s3", 40)
-        assert index.lookup(30) == {"s1", "s2"}
-        assert index.lookup(40) == {"s3"}
-        assert index.lookup(99) == frozenset()
+        index.add(S1, 30)
+        index.add(S2, 30)
+        index.add(S3, 40)
+        assert set(index.lookup(30)) == {S1, S2}
+        assert set(index.lookup(40)) == {S3}
+        assert set(index.lookup(99)) == set()
         assert index.selectivity(30) == 2
         assert len(index) == 3
         assert index.distinct_values() == 2
 
     def test_inapplicable_posting(self):
         index = StoreIndex("ward")
-        index.add("s1", INAPPLICABLE)
-        index.add("s2", 3)
-        assert index.inapplicable == {"s1"}
-        assert index.lookup(INAPPLICABLE) == frozenset()
+        index.add(S1, INAPPLICABLE)
+        index.add(S2, 3)
+        assert set(index.inapplicable) == {S1}
+        assert set(index.lookup(INAPPLICABLE)) == set()
         assert len(index) == 2
 
     def test_update_moves_between_postings(self):
         index = StoreIndex("age")
-        index.add("s1", 30)
-        index.update("s1", 30, 31)
-        assert index.lookup(30) == frozenset()
-        assert index.lookup(31) == {"s1"}
+        index.add(S1, 30)
+        index.update(S1, 30, 31)
+        assert set(index.lookup(30)) == set()
+        assert set(index.lookup(31)) == {S1}
         assert index.distinct_values() == 1     # emptied bucket dropped
-        index.update("s1", 31, INAPPLICABLE)
-        assert index.lookup(31) == frozenset()
-        assert index.inapplicable == {"s1"}
-        index.update("s1", INAPPLICABLE, 32)
-        assert index.inapplicable == set()
-        assert index.lookup(32) == {"s1"}
+        index.update(S1, 31, INAPPLICABLE)
+        assert set(index.lookup(31)) == set()
+        assert set(index.inapplicable) == {S1}
+        index.update(S1, INAPPLICABLE, 32)
+        assert set(index.inapplicable) == set()
+        assert set(index.lookup(32)) == {S1}
 
     def test_discard_forgets_everywhere(self):
         index = StoreIndex("age")
-        index.add("s1", 30)
-        index.add("s2", INAPPLICABLE)
-        index.discard("s1", 30)
-        index.discard("s2", INAPPLICABLE)
+        index.add(S1, 30)
+        index.add(S2, INAPPLICABLE)
+        index.discard(S1, 30)
+        index.discard(S2, INAPPLICABLE)
         assert len(index) == 0
-        assert index.lookup(30) == frozenset()
+        assert set(index.lookup(30)) == set()
 
     def test_unhashable_values_go_to_residue(self):
         index = StoreIndex("blob")
-        index.add("s1", [1, 2])          # unhashable
-        assert index.residue == {"s1"}
-        assert index.lookup([1, 2]) == frozenset()  # probe can't hash
-        index.discard("s1", [1, 2])
-        assert index.residue == set()
+        index.add(S1, [1, 2])          # unhashable
+        assert set(index.residue) == {S1}
+        assert set(index.lookup([1, 2])) == set()  # probe can't hash
+        index.discard(S1, [1, 2])
+        assert set(index.residue) == set()
 
     def test_python_equality_semantics(self):
         # 1 == True == 1.0 must share a bucket, matching scan `=`.
         index = StoreIndex("flag")
-        index.add("s1", 1)
-        index.add("s2", True)
-        index.add("s3", 1.0)
-        assert index.lookup(1) == {"s1", "s2", "s3"}
-        index.discard("s2", True)       # found under its equal key
-        assert index.lookup(1.0) == {"s1", "s3"}
+        index.add(S1, 1)
+        index.add(S2, True)
+        index.add(S3, 1.0)
+        assert set(index.lookup(1)) == {S1, S2, S3}
+        index.discard(S2, True)       # found under its equal key
+        assert set(index.lookup(1.0)) == {S1, S3}
 
 
 class TestIndexManagerLifecycle:
@@ -91,7 +94,7 @@ class TestIndexManagerLifecycle:
         a = store.create("Person", name="a", age=30)
         b = store.create("Person", name="b", age=30)
         index = store.create_index("age")
-        assert index.lookup(30) == {a.surrogate, b.surrogate}
+        assert set(index.lookup(30)) == {a.surrogate, b.surrogate}
 
     def test_create_is_idempotent(self, store):
         first = store.create_index("age")
@@ -111,7 +114,7 @@ class TestIndexManagerLifecycle:
     def test_new_object_lands_in_index(self, store):
         store.create_index("age")
         a = store.create("Person", name="a", age=30)
-        assert store.indexes.get("age").lookup(30) == {a.surrogate}
+        assert set(store.indexes.get("age").lookup(30)) == {a.surrogate}
 
     def test_unset_attribute_is_inapplicable(self, store):
         store.create_index("salary")
@@ -123,16 +126,16 @@ class TestIndexManagerLifecycle:
         a = store.create("Person", name="a", age=30)
         store.set_value(a, "age", 31)
         index = store.indexes.get("age")
-        assert index.lookup(30) == frozenset()
-        assert index.lookup(31) == {a.surrogate}
+        assert set(index.lookup(30)) == set()
+        assert set(index.lookup(31)) == {a.surrogate}
 
     def test_rejected_write_leaves_index_consistent(self, store):
         store.create_index("age")
         a = store.create("Person", name="a", age=30)
         with pytest.raises(Exception):
             store.set_value(a, "age", 999)   # out of range
-        assert store.indexes.get("age").lookup(30) == {a.surrogate}
-        assert store.indexes.get("age").lookup(999) == frozenset()
+        assert set(store.indexes.get("age").lookup(30)) == {a.surrogate}
+        assert set(store.indexes.get("age").lookup(999)) == set()
 
     def test_remove_unindexes(self, store):
         store.create_index("age")
@@ -156,8 +159,8 @@ class TestTransactionRollback:
                 store.remove(a)
                 raise RuntimeError("abort")
         index = store.indexes.get("age")
-        assert index.lookup(30) == {a.surrogate}
-        assert index.lookup(31) == frozenset()
+        assert set(index.lookup(30)) == {a.surrogate}
+        assert set(index.lookup(31)) == set()
         assert len(index) == 1
 
     def test_version_never_rolls_back(self, store):
@@ -188,9 +191,9 @@ class TestTransactionRollback:
                              ("Person", {"name": "y", "age": 999})],
                             check="eager")
         assert store.indexes.get("age") is handle
-        assert handle.lookup(30) == {a.surrogate}
+        assert set(handle.lookup(30)) == {a.surrogate}
         b = store.create("Person", name="b", age=31)
-        assert handle.lookup(31) == {b.surrogate}
+        assert set(handle.lookup(31)) == {b.surrogate}
 
     def test_dropped_index_returns_with_its_identity(self, store):
         handle = store.create_index("age")
@@ -202,7 +205,7 @@ class TestTransactionRollback:
                 store.set_value(a, "age", 31)    # not indexed in here
                 raise RuntimeError("abort")
         assert store.indexes.get("age") is handle
-        assert handle.lookup(30) == {a.surrogate}
+        assert set(handle.lookup(30)) == {a.surrogate}
         assert store.indexes.version > version
 
 
@@ -247,7 +250,7 @@ class TestExtentCache:
                                 seed=6)
         store = pop.store
         for cls in ("Patient", "Alcoholic", "Physician"):
-            assert store.extent_surrogates(cls) == {
+            assert set(store.extent_surrogates(cls)) == {
                 obj.surrogate for obj in store.extent(cls)
             }
 

@@ -40,6 +40,7 @@ from repro.errors import (
     ShardingError,
 )
 from repro.objects import ObjectStore
+from repro.query.compiler import ON_UNSAFE
 from repro.query.planner import execute_planned
 from repro.scenarios import build_hospital_schema
 from repro.sharding.router import ShardedStore
@@ -83,7 +84,13 @@ CONJUNCTS = (
 )
 
 SELECTS = ("p.name", "p.age", "p.name, p.age", "p.name, true", "count",
-           "count p.age, total p.age", "avg p.age, min p.age, max p.age")
+           "count p.age, total p.age", "avg p.age, min p.age, max p.age",
+           # Folds a name fails: non-numeric, skipping next to a count
+           # (both orders), and a mixed operand that does not order.
+           "total p.name", "avg p.name", "count p.name, total p.name",
+           "total p.name, count p.name",
+           "min when p.age < 40 then p.name else p.age end",
+           "max when p in Alcoholic then p.name else p.age end, count")
 
 
 def _norm(value):
@@ -247,12 +254,21 @@ def _render(conjuncts, select):
     return f"for p in Patient{where} select {select}"
 
 
+def _answer(run):
+    """Rows and the skip/return counts, or the error's type name."""
+    try:
+        rows, stats = run()
+    except ReproError as exc:
+        return type(exc).__name__
+    return _rows(rows), stats.rows_skipped, stats.rows_returned
+
+
 def _assert_equivalent(single, sharded, query):
-    rows_s, stats_s = execute_planned(query, single)
-    rows_h, stats_h = sharded.query(query)
-    assert _rows(rows_h) == _rows(rows_s), query
-    assert stats_h.rows_skipped == stats_s.rows_skipped, query
-    assert stats_h.rows_returned == stats_s.rows_returned, query
+    for on_unsafe in ON_UNSAFE:
+        assert _answer(lambda: sharded.query(query, on_unsafe=on_unsafe)) \
+            == _answer(lambda: execute_planned(query, single,
+                                               on_unsafe=on_unsafe)), \
+            (query, on_unsafe)
 
 
 def check_equivalence(n_shards, ops, more_ops, queries, alter):
