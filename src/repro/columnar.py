@@ -29,13 +29,14 @@ machinery for that on the read path:
 
 :class:`ObjectColumns` / :class:`FrozenColumns`
     The per-object state table behind O(1) ``store.snapshot()``.  The
-    write side privatizes an instance's containers by *reassignment*
-    (``ObjectStore._prepare_write``), so a snapshot needs their
-    references frozen at capture: this chunked table of ``id ->
-    (surrogate, memberships, values)`` rows, shared by two-level
-    copy-on-write.  A scan after a write gathers only the segments the
-    write changed (:meth:`FrozenColumns.scan`); a plan keeps its visit
-    rows per read-only view, by weak reference
+    write side privatizes an instance's value dict by *reassignment*
+    (``ObjectStore._prepare_write``) and replaces its interned
+    membership frozenset on a reclassification, putting the row again
+    either way: this chunked table of ``id -> (surrogate, memberships,
+    values)`` rows, shared by two-level copy-on-write.  A scan after a
+    write gathers only the segments the write changed
+    (:meth:`FrozenColumns.scan`); a plan keeps its visit rows per
+    read-only view, by weak reference
     (:func:`repro.query.planner._compile_executor`).
 """
 
@@ -375,10 +376,10 @@ class FrozenColumns:
     Holds the chunk table by reference; the writer's copy-on-write
     discipline guarantees no chunk reachable from here is ever mutated
     again.  Keys are surrogate *ids*; values are ``(surrogate,
-    membership set, value dict)`` -- the instance's container references
-    as of the capture, shaped as the row a query loop consumes, so a
-    scan's row list is a list of references into this table and
-    allocates nothing per row.
+    signature, value dict)`` -- the instance's interned membership
+    frozenset and value dict as of the capture, shaped as the row a
+    query loop consumes, so a scan's row list is a list of references
+    into this table and allocates nothing per row.
     """
 
     __slots__ = ("_chunks", "_count")
@@ -463,9 +464,10 @@ class ObjectColumns(FrozenColumns):
     table, with two-level copy-on-write against the store's snapshot
     stamp; it reads like the captures it hands out.
 
-    The store updates an entry whenever an object becomes live, dies, or
-    has its containers privatized-by-reassignment
-    (``ObjectStore._prepare_write``); :meth:`capture` then freezes the
+    The store updates an entry whenever an object becomes live, dies,
+    has its value dict privatized-by-reassignment
+    (``ObjectStore._prepare_write``) or its signature replaced
+    (``MutationPipeline.reclassify``); :meth:`capture` then freezes the
     whole table in O(1) by handing out the chunk-table reference.  A
     write at stamp ``s`` first privatizes the top table (once per
     snapshot generation), then the touched chunk (once per chunk per

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union,
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union,
 )
 
 from repro.errors import UnknownClassError
@@ -118,9 +118,9 @@ class BulkSession:
         self._staged: List[_Staged] = []
         self._closed = False
         #: Class tuples already validated against the schema.
-        # class spec -> (validated class tuple, membership-set template)
+        # class spec -> (validated class tuple, the store's signature)
         self._known: Dict[Tuple[str, ...],
-                          Tuple[Tuple[str, ...], Set[str]]] = {}
+                          Tuple[Tuple[str, ...], FrozenSet[str]]] = {}
         self._allocator = store._allocator
         self.report: Optional[BulkReport] = None
 
@@ -169,7 +169,7 @@ class BulkSession:
             for name in class_tuple:
                 if not schema.has_class(name):
                     raise UnknownClassError(name)
-            known = (class_tuple, set(class_tuple))
+            known = (class_tuple, self._store._signature(class_tuple))
             self._known[key] = known
         class_tuple, members = known
         write_attrs = tuple(values)
@@ -184,9 +184,9 @@ class BulkSession:
         allocator = self._allocator
         obj.surrogate = Surrogate(allocator._next)
         allocator._next += 1
-        obj._memberships = members.copy()
+        obj._memberships = members
         obj._values = values
-        # Fresh containers: no snapshot can have captured them.
+        # A fresh value dict: no snapshot can have captured it.
         obj._cow_stamp = self._store._snapshot_stamp
         self._staged.append(_Staged(obj, class_tuple, values, write_attrs))
         return obj

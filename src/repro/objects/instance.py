@@ -2,10 +2,11 @@
 
 An :class:`Instance` implements the *entity protocol* the type system's
 value semantics relies on (``memberships`` + ``get_value``): class
-membership is recorded as the set of classes the object was explicitly
-added to (direct memberships); the IS-A closure is applied by whoever
-interprets them against a schema, so membership checks stay correct as
-reasoning contexts vary.
+membership is recorded as the frozenset of classes the object was
+explicitly added to (direct memberships), interned by the owning store
+so every object of one signature shares it; the IS-A closure is applied
+by whoever interprets them against a schema, so membership checks stay
+correct as reasoning contexts vary.
 
 Instances are created and mutated through the
 :class:`~repro.objects.store.ObjectStore`; direct mutation bypasses
@@ -15,31 +16,21 @@ store's internals and for tests that need to manufacture violations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.typesys.values import INAPPLICABLE
 
 
-class Instance:
-    """One entity: a surrogate, direct class memberships, and values."""
+class EntityRow:
+    """The entity protocol over one ``(surrogate, memberships, values)``
+    row, shared by live instances and snapshot views."""
 
-    __slots__ = ("surrogate", "_memberships", "_values", "_cow_stamp")
-
-    def __init__(self, surrogate, memberships: Iterable[str] = (),
-                 values: Dict[str, object] = None) -> None:
-        self.surrogate = surrogate
-        self._memberships: Set[str] = set(memberships)
-        self._values: Dict[str, object] = dict(values or {})
-        # Copy-on-write stamp: the store's snapshot stamp as of the last
-        # time the containers above were privatized (-1 = never shared).
-        self._cow_stamp: int = -1
-
-    # Entity protocol ----------------------------------------------------
+    __slots__ = ("surrogate", "_memberships", "_values")
 
     @property
     def memberships(self) -> FrozenSet[str]:
         """Direct class memberships (not IS-A closed)."""
-        return frozenset(self._memberships)
+        return self._memberships
 
     def get_value(self, name: str):
         """The attribute's value, or INAPPLICABLE when unset."""
@@ -47,22 +38,6 @@ class Instance:
 
     def value_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._values))
-
-    # Store-internal mutation --------------------------------------------
-
-    def _set_value(self, name: str, value) -> None:
-        if value is INAPPLICABLE:
-            self._values.pop(name, None)
-        else:
-            self._values[name] = value
-
-    def _add_membership(self, class_name: str) -> None:
-        self._memberships.add(class_name)
-
-    def _remove_membership(self, class_name: str) -> None:
-        self._memberships.discard(class_name)
-
-    # Convenience ---------------------------------------------------------
 
     def __getitem__(self, name: str):
         return self.get_value(name)
@@ -72,4 +47,26 @@ class Instance:
 
     def __repr__(self) -> str:
         classes = ",".join(sorted(self._memberships)) or "<none>"
-        return f"<Instance {self.surrogate} : {classes}>"
+        return f"<{type(self).__name__} {self.surrogate} : {classes}>"
+
+
+class Instance(EntityRow):
+    """One entity: a surrogate, direct class memberships, and values."""
+
+    __slots__ = ("_cow_stamp",)
+
+    def __init__(self, surrogate, memberships: Iterable[str] = (),
+                 values: Dict[str, object] = None) -> None:
+        self.surrogate = surrogate
+        self._memberships: FrozenSet[str] = frozenset(memberships)
+        self._values: Dict[str, object] = dict(values or {})
+        # Copy-on-write stamp: the store's snapshot stamp as of the last
+        # time the value dict was privatized (-1 = never shared).
+        self._cow_stamp: int = -1
+
+    def _set_value(self, name: str, value) -> None:
+        """Store-internal: write one value in place."""
+        if value is INAPPLICABLE:
+            self._values.pop(name, None)
+        else:
+            self._values[name] = value

@@ -37,10 +37,11 @@ Copy-on-write discipline
 ------------------------
 
 Snapshot captures are O(live structure roots), not O(state): a snapshot
-records *references* to instance membership/value dicts, extent sets and
-index postings.  The pipeline therefore privatizes any structure it is
-about to mutate when the structure is older than the newest snapshot
-stamp (``store._snapshot_stamp``): instances through
+records *references* to instance signatures and value dicts, extent
+sets and index postings.  A signature is an interned frozenset that
+:meth:`MutationPipeline.reclassify` replaces; the pipeline privatizes any
+other structure it is about to mutate when it is older than the newest
+snapshot stamp (``store._snapshot_stamp``): value dicts through
 ``store._prepare_write``, extent sets through :meth:`writable_extent`,
 index postings through the manager's own copy-on-write hooks.  Captured
 references are thus frozen forever, and a snapshot taken before a
@@ -485,8 +486,9 @@ class MutationPipeline:
         store = self.store
         if not store.schema.has_class(class_name):
             raise UnknownClassError(class_name)
-        obj = Instance(store._allocator.allocate(), (class_name,))
-        obj._cow_stamp = store._snapshot_stamp   # fresh dicts, never captured
+        obj = Instance(store._allocator.allocate(),
+                       store._signature((class_name,)))
+        obj._cow_stamp = store._snapshot_stamp   # fresh dict, never captured
         self.install_new(obj, class_name, mode)
         try:
             for name, value in values.items():
@@ -560,8 +562,7 @@ class MutationPipeline:
         before = checker.expanded_memberships(obj) if eager else None
         joins = self.begin_join_log(eager)
         try:
-            store._prepare_write(obj)
-            obj._add_membership(class_name)
+            self.reclassify(obj, obj._memberships | {class_name})
             self.add_to_extents(obj, class_name)
             self.cascade_virtuals(obj, class_name, +1)
         finally:
@@ -576,7 +577,7 @@ class MutationPipeline:
         if violations:
             checker.stats.rollbacks += 1
             self.cascade_virtuals(obj, class_name, -1)
-            obj._remove_membership(class_name)
+            self.reclassify(obj, obj._memberships - {class_name})
             self.rebuild_extents_for(obj)
             raise ConformanceError(blamed.surrogate.id, violations[0])
         return True
@@ -592,8 +593,7 @@ class MutationPipeline:
         eager = mode == CheckMode.EAGER
         before = checker.expanded_memberships(obj) if eager else None
         self.cascade_virtuals(obj, class_name, -1)
-        store._prepare_write(obj)
-        obj._remove_membership(class_name)
+        self.reclassify(obj, obj._memberships - {class_name})
         self.rebuild_extents_for(obj)
         if not eager:
             store._mark_dirty(obj)
@@ -603,13 +603,22 @@ class MutationPipeline:
         hard = [v for v in violations if v.kind != "inapplicable-attribute"]
         if hard:
             checker.stats.rollbacks += 1
-            obj._add_membership(class_name)
+            self.reclassify(obj, obj._memberships | {class_name})
             self.add_to_extents(obj, class_name)
             self.cascade_virtuals(obj, class_name, +1)
             raise ConformanceError(obj.surrogate.id, hard[0])
         if violations:
             store._mark_dirty(obj)
         return True
+
+    def reclassify(self, obj: Instance, memberships) -> None:
+        """The one membership write: ``obj`` takes the store's signature
+        for ``memberships``, and its column row is put again."""
+        store = self.store
+        store._prepare_write(obj)
+        obj._memberships = store._signature(memberships)
+        store._columns.put(obj.surrogate, obj._memberships, obj._values,
+                           store._snapshot_stamp)
 
     # ------------------------------------------------------------------
     # Apply stage: attribute writes
@@ -974,7 +983,7 @@ class MutationPipeline:
         produce).  Runs nested -- never journaled individually."""
         store = self.store
         obj = entry.obj
-        obj._memberships = {entry.classes[0]}
+        obj._memberships = store._signature(entry.classes[:1])
         obj._values = {}
         obj._cow_stamp = store._snapshot_stamp
         self.install_new(obj, entry.classes[0], mode)
@@ -1134,16 +1143,14 @@ class MutationPipeline:
                     store._join_log.append((obj, gained))
                 else:
                     store._mark_dirty(obj)
-                store._prepare_write(obj)
-                obj._add_membership(virtual_name)
+                self.reclassify(obj, obj._memberships | {virtual_name})
                 self.add_to_extents(obj, virtual_name)
                 self.cascade_virtuals(obj, virtual_name, +1)
         else:
             refs.pop(key, None)
             if virtual_name in obj.memberships:
                 self.cascade_virtuals(obj, virtual_name, -1)
-                store._prepare_write(obj)
-                obj._remove_membership(virtual_name)
+                self.reclassify(obj, obj._memberships - {virtual_name})
                 self.rebuild_extents_for(obj)
                 # Leaving a virtual class may strand no-longer-applicable
                 # values (residue policy): tolerated, but recorded for
@@ -1194,13 +1201,14 @@ class UndoScope:
     ``include_stats`` the counters too -- a failed bulk batch leaves
     every observable untouched; a rolled-back transaction still did the
     work it counted).  What is not copy-on-write -- ``_objects``,
-    ``_virtual_refs``, ``_dirty``, and which instances had containers
-    reassigned -- the write path logs on ``store._undo_log`` as
-    ``(mapping, key, prior)``, ``mapping`` None for an instance.
-    Rollback reinstalls the roots, points each logged instance at the
-    containers the captured columns hold (identity kept, unstamped: open
-    snapshots may share them), replays the log backwards and bumps the
-    epoch.  A scope opened inside another is a savepoint on the same log.
+    ``_virtual_refs``, ``_dirty``, and which instances had their value
+    dict or signature reassigned -- the write path logs on
+    ``store._undo_log`` as ``(mapping, key, prior)``, ``mapping`` None
+    for an instance, once per scope.  Rollback reinstalls the roots,
+    points each logged instance at the signature and value dict the
+    captured row holds (identity kept, unstamped: open snapshots may
+    share them), replays the log backwards and bumps the epoch.  A scope
+    opened inside another is a savepoint on the same log.
     """
 
     __slots__ = ("_store", "_outermost", "_mark", "_columns", "_extents",

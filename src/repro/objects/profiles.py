@@ -65,7 +65,7 @@ def profile_catalog(store, exclude=()) -> Dict[FrozenSet[str], Profile]:
         surrogate = obj.surrogate
         if surrogate in skip:
             continue
-        key = frozenset(obj._memberships)
+        key = obj._memberships
         profile = catalog.get(key)
         if profile is None:
             catalog[key] = Profile(tuple(sorted(key)), [obj],

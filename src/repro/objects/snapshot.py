@@ -9,13 +9,13 @@ committed mutation can never observe it, and a long analytical query
 runs against one consistent epoch while writers keep committing.
 
 Capture is O(number of live roots), not O(state): the snapshot records
-*references* to each instance's membership-set and value-dict, to each
-extent set, and to each index's posting containers.  The write side
-(:mod:`repro.objects.pipeline` and the index manager's hooks) never
-mutates a structure an open snapshot may have captured -- it privatizes
-the structure first when its copy-on-write stamp predates the newest
-snapshot (``store._snapshot_stamp``), so every captured reference is
-frozen forever.
+*references* to each instance's interned membership frozenset and value
+dict, to each extent set, and to each index's posting containers.  The
+write side (:mod:`repro.objects.pipeline` and the index manager's hooks)
+never mutates a structure an open snapshot may have captured -- it
+privatizes the structure first when its copy-on-write stamp predates the
+newest snapshot (``store._snapshot_stamp``), so every captured reference
+is frozen forever.
 
 Objects come back as :class:`SnapshotInstance` wrappers: surrogate-
 identical, read-only views over the captured membership/value
@@ -45,21 +45,21 @@ live store -- takes its own lock.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 from weakref import ref
 
 from repro.columnar import SurrogateSet
 from repro.errors import NoSuchObjectError, UnknownClassError
+from repro.objects.instance import EntityRow
 from repro.objects.surrogate import Surrogate
 from repro.query.indexes import IndexManager
 from repro.query.planner import execute_planned
-from repro.typesys.values import INAPPLICABLE
 
 #: Shared empty result.
 _EMPTY_SET = SurrogateSet()
 
 
-class SnapshotInstance:
+class SnapshotInstance(EntityRow):
     """A read-only view of one instance as of a snapshot's epoch.
 
     Implements the entity protocol (``memberships`` / ``get_value``), so
@@ -67,36 +67,17 @@ class SnapshotInstance:
     the conformance checker, ``repro load --persist`` -- accepts it.
     Mutators are deliberately absent, and the live store refuses it
     (``_require_live`` compares identities), so a snapshot row can never
-    be written through.
+    be written through.  Its memberships are the store's interned
+    signature, immutable and handed out as they are.
     """
 
-    __slots__ = ("surrogate", "_memberships", "_values")
+    __slots__ = ()
 
-    def __init__(self, surrogate, memberships: Set[str],
+    def __init__(self, surrogate, memberships: FrozenSet[str],
                  values: Dict[str, object]) -> None:
         self.surrogate = surrogate
-        self._memberships = memberships   # captured ref -- never mutated
+        self._memberships = memberships
         self._values = values             # captured ref -- never mutated
-
-    @property
-    def memberships(self) -> frozenset:
-        return frozenset(self._memberships)
-
-    def get_value(self, name: str):
-        return self._values.get(name, INAPPLICABLE)
-
-    def value_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._values))
-
-    def values_snapshot(self) -> Dict[str, object]:
-        return dict(self._values)
-
-    def __getitem__(self, name: str):
-        return self.get_value(name)
-
-    def __repr__(self) -> str:
-        classes = ",".join(sorted(self._memberships)) or "<none>"
-        return f"<SnapshotInstance {self.surrogate} : {classes}>"
 
 
 class SnapshotIndexes:
@@ -165,7 +146,7 @@ class StoreSnapshot:
         self.schema = store.schema
         self.schema_epoch: int = store.schema_epochs.current.number
         self.check_mode: str = store.check_mode
-        # id -> (surrogate, membership set ref, value dict ref), captured
+        # id -> (surrogate, signature, value dict ref), captured
         # O(1) from the store's columnar state table: the chunk table is
         # taken by reference, and the write side's two-level copy-on-write
         # guarantees no chunk reachable from it is ever mutated again.

@@ -61,7 +61,7 @@ affected objects are marked dirty instead; ``validate_dirty()`` (or
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.columnar import BitsetStats, ObjectColumns, SurrogateSet
 from repro.errors import (
@@ -125,8 +125,10 @@ class ObjectStore:
         # Chunked id -> (surrogate, memberships, values) row table: what a
         # snapshot captures in O(1) instead of copying _objects (see
         # repro.columnar).  Kept in lockstep with _objects and with
-        # every container reassignment (_prepare_write, rollback).
+        # every container reassignment (_prepare_write, reclassify, rollback).
         self._columns = ObjectColumns(self.bitset_stats)
+        # Each direct-membership signature once, shared by its objects.
+        self._signatures: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._extents: Dict[str, SurrogateSet] = {}
         # (virtual class name, surrogate) -> number of referencing sites.
         self._virtual_refs: Dict[Tuple[str, Surrogate], int] = {}
@@ -249,15 +251,21 @@ class ObjectStore:
         epoch; returns ``(rows, ExecutionStats)``."""
         return self.snapshot().run_query(query, **compile_kwargs)
 
+    def _signature(self, classes) -> FrozenSet[str]:
+        """The interned frozenset of ``classes``; one atomic
+        ``setdefault``, so bulk staging may call it without the lock."""
+        key = frozenset(classes)
+        return self._signatures.setdefault(key, key)
+
     def _prepare_write(self, obj: Instance) -> None:
-        """Privatize an instance's membership/value containers before an
-        in-place mutation, so references captured by any snapshot stay
-        frozen.  Called by the pipeline only (under the write lock)."""
+        """Privatize an instance's value dict (its signature is never
+        mutated) before a write, so references captured by any snapshot
+        stay frozen, journaling it on an open scope.  Called by the
+        pipeline only (under the write lock)."""
         if obj._cow_stamp != self._snapshot_stamp:
             if self._undo_log is not None:
                 # The containers replaced here are the scope's pre-image.
                 self._undo_log.append((None, obj, None))
-            obj._memberships = set(obj._memberships)
             obj._values = dict(obj._values)
             obj._cow_stamp = self._snapshot_stamp
             # The columns table must track the *current* containers.

@@ -891,8 +891,9 @@ class ShardedStore:
         verdicts = [verdict(shard_map) for shard_map in self._maps]
         stale = [i for i, pruned in enumerate(verdicts)
                  if pruned is not None and i in self._stale]
-        for shard_id, shard_map in zip(stale, self._refresh_maps(stale)):
-            verdicts[shard_id] = verdict(shard_map)
+        if stale:   # else no map to fetch, and no empty scatter
+            for shard_id, shard_map in zip(stale, self._refresh_maps(stale)):
+                verdicts[shard_id] = verdict(shard_map)
         selected = [i for i, pruned in enumerate(verdicts) if pruned is None]
         self.stats_counters.shards_pruned += self.n_shards - len(selected)
         self.stats_counters.deduction_prunes += verdicts.count(True)

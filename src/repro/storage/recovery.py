@@ -220,15 +220,16 @@ def install_image(store, header: dict, batches) -> int:
     for classes, sids, cols in batches:
         columns = {name: decode_column(column, resolve, UNSET)
                    for name, column in cols.items()}
+        members = store._signature(classes)
         objs = []
         for sid, cells in zip(sids, zip(*columns.values()) if columns
                               else [()] * len(sids)):
             obj = shells.get(sid)
             if obj is None:
-                obj = shells[sid] = Instance(Surrogate(sid), classes)
+                obj = shells[sid] = Instance(Surrogate(sid), members)
             elif sid in pending:
                 pending.remove(sid)
-                obj._memberships = set(classes)
+                obj._memberships = members
             else:
                 raise StorageError(f"store image repeats object @{sid}")
             obj._values = {name: cell for name, cell in zip(columns, cells)

@@ -489,7 +489,7 @@ _BASELINE_SELECTORS = {"engine", "use_index", "prune", "semantics"}
 
 #: Physical lines under src/repro/**/*.py after the last change.  Lower
 #: this after a deletion; a raise needs its reason in the PR description.
-SRC_LINE_CEILING = 20432
+SRC_LINE_CEILING = 20430
 
 #: The same ratchet for prose, in bytes: detail lives in git and the
 #: issue, not in ever-growing reference docs or changelog entries.

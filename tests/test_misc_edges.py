@@ -77,11 +77,13 @@ class TestInstances:
         assert repr(obj) == "<Instance @7 : A,B>"
         assert repr(Instance(Surrogate(8), ())) == "<Instance @8 : <none>>"
 
-    def test_memberships_frozen_view(self):
-        obj = Instance(Surrogate(1), {"Person"})
+    def test_memberships_frozen_view(self, hospital_store):
+        obj = hospital_store.create("Person", name="ada")
         view = obj.memberships
-        obj._add_membership("Employee")
+        hospital_store.classify(obj, "Employee", check="none")
         assert "Employee" not in view  # snapshots do not alias
+        assert obj.memberships == {"Person", "Employee"}
+        assert isinstance(obj.memberships, frozenset)
 
 
 class TestSurrogates:

@@ -708,7 +708,7 @@ class TestImageInstall:
 
     def test_mutant_forward_shell_keeps_empty_memberships_is_killed(
             self, hospital_population):
-        mutant = self._mutant("obj._memberships = set(classes)", "pass")
+        mutant = self._mutant("obj._memberships = members", "pass")
         with pytest.raises(AssertionError):
             _check_reverse_install(hospital_population.store, mutant)
 

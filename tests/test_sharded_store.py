@@ -622,6 +622,24 @@ def test_mutant_stale_refutation_trusted_is_killed(split, monkeypatch):
         _check_gained_profile(split, trusting)
 
 
+def test_current_maps_cost_no_scatter(split, monkeypatch):
+    """With no stale map, pruning sends nothing: not even an empty
+    ``shard_map`` round."""
+    _counted_query(split, HEMORRHAGING)
+    scatter, rounds = ShardedStore._scatter, []
+
+    def counted(self, commands):
+        rounds.append(len(commands))
+        return scatter(self, commands)
+
+    monkeypatch.setattr(ShardedStore, "_scatter", counted)
+    assert _counted_query(split, HEMORRHAGING) == {
+        "map_refreshes": 0, "shards_dispatched": 1, "shards_pruned": 1}
+    assert _counted_query(split, "for x in Patient select x.name") == {
+        "map_refreshes": 0, "shards_dispatched": 2, "shards_pruned": 0}
+    assert 0 not in rounds
+
+
 def test_a_profile_that_left_is_dispatched_to_exactly(split):
     """Shard 1's last Hemorrhaging_Patient leaves: its stale map still
     keeps the shard, which answers no row and no skip."""
